@@ -6,7 +6,8 @@ the block sizes of the semisimple decomposition must equal the number of
 paths into each sink.
 """
 
-from grpd import Field, DirectedGraph, graph_analysis, lpa_characterization, phi_isomorphism_check
+from grpd import (Field, DirectedGraph, GrSkewModel, graph_analysis, lpa_characterization,
+                  phi_isomorphism_check)
 
 Q = Field(0)
 
@@ -24,8 +25,10 @@ gallery = {
 }
 
 for name, graph in gallery.items():
-    phi = phi_isomorphism_check(graph, Q)
-    rep = lpa_characterization(graph, Q)
+    census = graph_analysis(graph)
+    model = GrSkewModel(census, Q)  # one model serves both checks
+    phi = phi_isomorphism_check(model)
+    rep = lpa_characterization(census, model)
     print(f"== {name} ==")
     print(f"  two models: dims {phi.dims}, relations pass: {phi.relations_ok}")
     print(f"  sinks and path counts: {rep.sink_path_counts}")
@@ -36,6 +39,6 @@ for name, graph in gallery.items():
     print()
 
 print("== a cycle stops the construction ==")
-loop = DirectedGraph(["v"], [("f", "v", "v")])
-print("cycles found:", graph_analysis(loop).cycles)
-print(lpa_characterization(loop, Q).artinian_verdict)
+loop = graph_analysis(DirectedGraph(["v"], [("f", "v", "v")]))
+print("cycles found:", loop.cycles)
+print(lpa_characterization(loop, None).artinian_verdict)

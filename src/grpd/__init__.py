@@ -55,6 +55,7 @@ from .leavitt import (
     Path,
     Word,
     XSpace,
+    GrSkewModel,
     graph_analysis,
     hereditary_saturated_subsets,
     theta_map,

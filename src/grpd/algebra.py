@@ -6,6 +6,7 @@ associative unital algebras via the trace bilinear form, block decomposition
 of semisimple algebras, and Cayley-Dickson doubling.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,6 +99,14 @@ class StructureAlgebra:
         return f"StructureAlgebra(dim {self.dim} over {self.field})"
 
     # -- identity ------------------------------------------------------------
+
+    def is_two_sided_unit(self, u):
+        """Whether u b_j = b_j = b_j u for every basis vector b_j."""
+        for j in range(self.dim):
+            b = self.basis_vector(j)
+            if self.multiply(u, b) != b or self.multiply(b, u) != b:
+                return False
+        return True
 
     def find_unit(self):
         """The two-sided identity, or None; solves u b_j = b_j = b_j u linearly."""
@@ -468,11 +477,27 @@ class StructureAlgebra:
             if not isinstance(ent, (list, tuple)) or len(ent) != 3:
                 raise SchemaError(f"bad table entry {ent!r}")
             i, j, coeffs = ent
+            if not (isinstance(i, int) and isinstance(j, int)):
+                raise SchemaError(f"table indices must be integers: {ent!r}")
             if not (0 <= i < dim and 0 <= j < dim) or len(coeffs) != dim:
                 raise SchemaError(f"table entry out of range: {ent!r}")
-            table[i][j] = field.vec(coeffs)
-        unit = field.vec(d["unit"]) if "unit" in d else None
-        return cls(field, dim, table, unit=unit, labels=labels)
+            table[i][j] = _parse_vec(field, coeffs, f"table entry {ent!r}")
+        alg = cls(field, dim, table, labels=labels)
+        if "unit" in d:
+            unit = _parse_vec(field, d["unit"], "unit")
+            if len(unit) != dim:
+                raise SchemaError(f"unit has {len(unit)} coordinates, wanted {dim}")
+            if not alg.is_two_sided_unit(unit):
+                raise SchemaError("supplied unit is not a two-sided identity")
+            alg.unit = unit
+        return alg
+
+
+def _parse_vec(field, entries, what):
+    try:
+        return field.vec(entries)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad coefficient in {what}: {exc}") from exc
 
 
 @dataclass
@@ -566,7 +591,7 @@ def polynomial_roots(field, coeffs):
     if field.char == 0:
         denom = 1
         for c in coeffs:
-            denom = denom * c.denominator // _gcd(denom, c.denominator)
+            denom = denom * c.denominator // math.gcd(denom, c.denominator)
         ints = [int(c * denom) for c in coeffs]
         if ints[0] == 0:
             roots.append(field.zero)
@@ -590,12 +615,6 @@ def polynomial_roots(field, coeffs):
                 roots.append(x)
         roots.sort(key=lambda m: m.val)
     return roots
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _poly_divide_linear(field, coeffs, root):

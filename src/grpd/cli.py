@@ -105,11 +105,10 @@ def cmd_analyze(args):
 def cmd_build_skew(args):
     pa = _load_action(args.file)
     alg = sk.build_skew_groupoid_ring(pa)
-    report = sk.analyze_algebra(alg)
     if args.dump:
         print(json.dumps(alg.to_dict(), indent=2, sort_keys=True))
     else:
-        _emit(report, args.json)
+        _emit(sk.analyze_algebra(alg), args.json)
     return 0
 
 
@@ -163,14 +162,14 @@ def cmd_partial_group_algebra(args):
 def cmd_leavitt(args):
     graph = lv.graph_from_dict(_load_json(args.file))
     field = Field(args.char)
-    report = lv.lpa_characterization(graph, field)
-    if args.dump and report.acyclic:
-        alg = lv.build_gr_skew_ring(graph, field)
-        print(json.dumps(alg.to_dict(), indent=2, sort_keys=True))
+    census = lv.graph_analysis(graph)
+    model = lv.GrSkewModel(census, field) if census.acyclic else None
+    if args.dump and model is not None:
+        print(json.dumps(model.algebra.to_dict(), indent=2, sort_keys=True))
         return 0
-    out = report.to_dict()
-    if report.acyclic:
-        phi = lv.phi_isomorphism_check(graph, field)
+    out = lv.lpa_characterization(census, model).to_dict()
+    if model is not None:
+        phi = lv.phi_isomorphism_check(model)
         out["two_model_dims"] = list(phi.dims)
         out["phi_relations_ok"] = phi.relations_ok
         if phi.first_failure:

@@ -8,11 +8,13 @@ second model is a path-pair basis with products driven by the defining
 relations, used as an oracle for the first.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import SchemaError, UnsupportedError
 from .exactlin import Subspace
 from .algebra import StructureAlgebra
+from .skewring import skew_product_ring
 
 
 # -- graphs and paths ----------------------------------------------------------
@@ -125,16 +127,27 @@ def simple_cycles(graph):
 
 @dataclass
 class GraphReport:
+    """The census of one graph, shared by everything built from it."""
+
+    graph: DirectedGraph
     vertices: int
     edges: int
     sinks: list
     cycles: list
     acyclic: bool
-    finite: bool
     paths: list | None
 
     def path_count(self):
         return len(self.paths) if self.paths is not None else None
+
+    def sink_paths(self):
+        """Sink -> the paths ending there, trivial one included, in census order."""
+        into = {v: [] for v in self.sinks}
+        for p in self.paths:
+            r = path_range(self.graph, p)
+            if r in into:
+                into[r].append(p)
+        return into
 
 
 def graph_analysis(graph):
@@ -142,12 +155,12 @@ def graph_analysis(graph):
     cycles = simple_cycles(graph)
     acyclic = not cycles
     return GraphReport(
+        graph=graph,
         vertices=len(graph.vertices),
         edges=len(graph.edges),
         sinks=graph.sinks(),
         cycles=cycles,
         acyclic=acyclic,
-        finite=True,
         paths=all_paths(graph) if acyclic else None,
     )
 
@@ -171,11 +184,6 @@ def hereditary_saturated_subsets(graph):
             out.append(tuple(sorted(h, key=lambda v: graph._vidx[v])))
     out.sort(key=lambda t: (len(t), t))
     return out
-
-
-def paths_into_sink(graph, v):
-    """Paths ending at the sink v, the trivial one included."""
-    return [p for p in all_paths(graph) if path_range(graph, p) == v]
 
 
 # -- reduced words of the free group on the edges -----------------------------------
@@ -288,20 +296,19 @@ def _extends(graph, xi, a):
 class XSpace:
     """The finite set X of paths into sinks, with its word-indexed subsets."""
 
-    def __init__(self, graph):
-        report = graph_analysis(graph)
+    def __init__(self, report):
         if not report.acyclic:
             raise UnsupportedError("X space needs a finite acyclic graph (no infinite paths)")
-        self.graph = graph
+        self.graph = graph = report.graph
         sinks = set(report.sinks)
         self.points = [p for p in report.paths if path_range(graph, p) in sinks]
         self.index = {p: i for i, p in enumerate(self.points)}
-        self.words = self._enumerate_words()
+        self.words = self._enumerate_words(report.paths)
 
-    def _enumerate_words(self):
+    def _enumerate_words(self, paths):
         graph = self.graph
         by_range = {}
-        for p in all_paths(graph):
+        for p in paths:
             by_range.setdefault(path_range(graph, p), []).append(p)
         words = {IDENTITY}
         for _, group in sorted(by_range.items(), key=lambda kv: graph._vidx[kv[0]]):
@@ -363,10 +370,11 @@ def theta_map(xs, w):
 class GrSkewModel:
     """D(X) together with the ideals D_g, the maps alpha_g, and the skew ring."""
 
-    def __init__(self, graph, field):
-        self.graph = graph
+    def __init__(self, report, field):
+        self.report = report
+        self.graph = graph = report.graph
         self.field = field
-        self.xs = XSpace(graph)
+        self.xs = XSpace(report)
         xs = self.xs
         npts = len(xs.points)
         gens = [xs.indicator(field, xs.x_set(w)) for w in xs.words]
@@ -381,7 +389,12 @@ class GrSkewModel:
             prods = [[a * b for a, b in zip(one_w, v)] for v in self.d_e.basis]
             self.domains[w] = Subspace.from_vectors(field, npts, prods)
         self._theta_inv = {w: theta_map(xs, word_inverse(w)) for w in xs.words}
-        self.algebra = self._build_algebra()
+        triples = ((g, h, word_mul(graph, g, h)) for g in xs.words for h in xs.words)
+        ones = xs.indicator(field, xs.x_set(IDENTITY))
+        self.algebra, self.offsets = skew_product_ring(
+            field, xs.words, self.domains, triples, word_inverse, self.alpha_apply,
+            _pointwise, word_label, {IDENTITY: ones},
+        )
 
     def alpha_apply(self, w, f):
         """alpha_w(f) = f o theta_{w^-1}, on functions supported in X_{w^-1}."""
@@ -392,66 +405,6 @@ class GrSkewModel:
             xi = xs.points[i]
             out[i] = f[xs.index[theta_inv[xi]]]
         return out
-
-    def _build_algebra(self):
-        xs = self.xs
-        field = self.field
-        offsets = {}
-        off = 0
-        labels = []
-        grading = {}
-        for w in xs.words:
-            offsets[w] = off
-            d = self.domains[w].dim
-            for j in range(d):
-                grading[off + j] = word_label(w)
-                labels.append(f"{word_label(w)}:{j}")
-            off += d
-        total = off
-        self.offsets = offsets
-
-        table = [[field.zero_vec(total) for _ in range(total)] for _ in range(total)]
-        for g in xs.words:
-            dg = self.domains[g]
-            if dg.dim == 0:
-                continue
-            ginv = word_inverse(g)
-            for h in xs.words:
-                dh = self.domains[h]
-                if dh.dim == 0:
-                    continue
-                gh = word_mul(self.graph, g, h)
-                for i, r in enumerate(dg.basis):
-                    pulled = self.alpha_apply(ginv, r)
-                    for j, rp in enumerate(dh.basis):
-                        x = [a * b for a, b in zip(pulled, rp)]
-                        if not any(x):
-                            continue
-                        y = self.alpha_apply(g, x)
-                        if gh is None or gh not in offsets:
-                            if any(y):
-                                raise RuntimeError(
-                                    "nonzero product escaped the support; model is inconsistent"
-                                )
-                            continue
-                        coords = self.domains[gh].coords(y)
-                        vec = field.zero_vec(total)
-                        for k, c in enumerate(coords):
-                            vec[offsets[gh] + k] = c
-                        table[offsets[g] + i][offsets[h] + j] = vec
-
-        alg = StructureAlgebra(field, total, table, labels=labels, grading=grading)
-        unit = field.zero_vec(total)
-        ones = xs.indicator(field, xs.x_set(IDENTITY))
-        for k, c in enumerate(self.d_e.coords(ones)):
-            unit[offsets[IDENTITY] + k] = c
-        if all(
-            alg.multiply(unit, alg.basis_vector(j)) == alg.basis_vector(j)
-            and alg.multiply(alg.basis_vector(j), unit) == alg.basis_vector(j)
-            for j in range(total)
-        ):
-            alg.unit = unit
-        return alg
 
     def element(self, w, f):
         """The skew-ring element (f delta_w) for f in D_w."""
@@ -479,47 +432,36 @@ class GrSkewModel:
         return out
 
 
+def _pointwise(x, y):
+    """The product of D(X): functions on X multiply pointwise."""
+    return [a * b for a, b in zip(x, y)]
+
+
 def build_gr_skew_ring(graph, field):
     """The Leavitt path algebra as a partial skew group ring over the support."""
-    return GrSkewModel(graph, field).algebra
+    return GrSkewModel(graph_analysis(graph), field).algebra
 
 
 # -- model 2: the path-pair oracle ------------------------------------------------------
 
 
 class PathPairModel:
-    """Basis mu nu* over pairs of sink paths; products follow the relations."""
+    """Basis mu nu* over pairs of paths into a common sink.
 
-    def __init__(self, graph, field):
-        report = graph_analysis(graph)
+    A path into a sink extends no further, so nu* sigma is the vertex r(nu)
+    when nu = sigma and zero otherwise: the pairs multiply as matrix units,
+    (mu, nu)(sigma, tau) = delta_{nu, sigma} (mu, tau).
+    """
+
+    def __init__(self, report, field):
         if not report.acyclic:
             raise UnsupportedError("path-pair model needs a finite acyclic graph")
-        self.graph = graph
+        self.graph = report.graph
         self.field = field
-        sinks = report.sinks
-        self.pairs = []
-        for v in sinks:
-            into = paths_into_sink(graph, v)
-            for mu in into:
-                for nu in into:
-                    self.pairs.append((mu, nu))
+        self.pairs = [(mu, nu) for into in report.sink_paths().values()
+                      for mu in into for nu in into]
         self.index = {p: i for i, p in enumerate(self.pairs)}
         self.algebra = self._build_algebra()
-
-    def _resolve(self, nu, sigma):
-        """nu* sigma as a path correction: ("right", p) for p*, ("left", p), or None."""
-        graph = self.graph
-        if nu == sigma:
-            return ("unit", trivial_path(path_range(graph, nu)))
-        if _extends(graph, nu, sigma):
-            tail = nu.edges[sigma.length:]
-            start = graph.edge_by_id[tail[0]].s if tail else path_range(graph, nu)
-            return ("right", Path(start, tail))  # nu = sigma p, nu* sigma = p*
-        if _extends(graph, sigma, nu):
-            tail = sigma.edges[nu.length:]
-            start = graph.edge_by_id[tail[0]].s if tail else path_range(graph, sigma)
-            return ("left", Path(start, tail))  # sigma = nu p, nu* sigma = p
-        return None
 
     def _build_algebra(self):
         field = self.field
@@ -527,22 +469,8 @@ class PathPairModel:
         table = [[field.zero_vec(n) for _ in range(n)] for _ in range(n)]
         for i, (mu, nu) in enumerate(self.pairs):
             for j, (sigma, tau) in enumerate(self.pairs):
-                res = self._resolve(nu, sigma)
-                if res is None:
-                    continue
-                kind, p = res
-                if kind == "unit":
-                    target = (mu, tau)
-                elif kind == "left":
-                    # mu (p tau*) with p starting at a sink: p must be trivial
-                    if not p.is_trivial():
-                        continue
-                    target = (mu, tau)
-                else:
-                    if not p.is_trivial():
-                        continue
-                    target = (mu, tau)
-                table[i][j] = field.unit_vec(n, self.index[target])
+                if nu == sigma:
+                    table[i][j] = field.unit_vec(n, self.index[(mu, tau)])
         labels = [f"{path_label(mu)}({path_label(nu)})*" for mu, nu in self.pairs]
         alg = StructureAlgebra(field, n, table, labels=labels)
         unit = field.zero_vec(n)
@@ -555,7 +483,7 @@ class PathPairModel:
 
 def lpa_path_pair_oracle(graph, field):
     """Independent brute-force model of the Leavitt path algebra."""
-    return PathPairModel(graph, field).algebra
+    return PathPairModel(graph_analysis(graph), field).algebra
 
 
 # -- the generator isomorphism check ------------------------------------------------------
@@ -572,14 +500,15 @@ class PhiReport:
         return self.dims_match and self.relations_ok
 
 
-def phi_isomorphism_check(graph, field):
-    """Check relations (1)-(4) on the generator images inside the skew model.
+def phi_isomorphism_check(model):
+    """Check relations (1)-(4) on the generator images inside a GrSkewModel.
 
-    Also compares the dimensions of the two models; reports the first
-    failing relation when one breaks.
+    Also compares the dimensions of the model and the path-pair oracle;
+    reports the first failing relation when one breaks.
     """
-    model = GrSkewModel(graph, field)
-    oracle = PathPairModel(graph, field)
+    graph = model.graph
+    field = model.field
+    oracle = PathPairModel(model.report, field)
     alg = model.algebra
     gens = model.generator_images()
     mul = alg.multiply
@@ -664,25 +593,18 @@ class LpaReport:
         }
 
 
-def _isqrt(n):
-    r = int(n ** 0.5)
-    while r * r > n:
-        r -= 1
-    while (r + 1) * (r + 1) <= n:
-        r += 1
-    return r
-
-
-def lpa_characterization(graph, field):
+def lpa_characterization(report, model):
     """Finite-dimensionality classification plus the block/sink comparison.
 
-    Cyclic graphs are classified as not artinian and no algebra is built.
-    For acyclic graphs the block sizes of the semisimple decomposition are
-    compared against independent path counts into each sink.
+    `report` is the graph's census and `model` its GrSkewModel, or None
+    when the graph has a cycle.  Cyclic graphs are classified as not
+    artinian and no algebra is built.  For acyclic graphs the block sizes of
+    the semisimple decomposition of the model are compared against the
+    census's path counts into each sink.
     """
+    graph = report.graph
     hs = hereditary_saturated_subsets(graph)
     trivial_hs = [h for h in hs if h and len(h) != len(graph.vertices)] == []
-    report = graph_analysis(graph)
     if not report.acyclic:
         return LpaReport(
             acyclic=False,
@@ -697,8 +619,8 @@ def lpa_characterization(graph, field):
             trivial_hs_lattice=trivial_hs,
             one_block=None,
         )
-    alg = build_gr_skew_ring(graph, field)
-    counts = {v: len(paths_into_sink(graph, v)) for v in report.sinks}
+    alg = model.algebra
+    counts = {v: len(into) for v, into in report.sink_paths().items()}
     unital = alg.find_unit() is not None
     try:
         semisimple = alg.is_semisimple()
@@ -710,7 +632,7 @@ def lpa_characterization(graph, field):
     match = None
     one_block = None
     if blocks is not None:
-        sizes = sorted(_isqrt(d) for d in blocks.dims())
+        sizes = sorted(math.isqrt(d) for d in blocks.dims())
         match = sizes == sorted(counts.values()) and alg.dim == sum(
             c * c for c in counts.values()
         )

@@ -20,11 +20,15 @@ from . import paction as pact
 
 def skew_layout(pa):
     """Basis offsets of the skew ring: morphisms in input order, then RREF order."""
+    return _layout(pa.groupoid.morphisms, pa.domains)
+
+
+def _layout(degrees, domains):
     offsets = {}
     off = 0
-    for g in pa.groupoid.morphisms:
+    for g in degrees:
         offsets[g] = off
-        off += pa.domains[g].dim
+        off += domains[g].dim
     return offsets, off
 
 
@@ -85,7 +89,75 @@ def delta_element(pa, g, coeff_ambient, offsets=None, total=None):
 # -- partial skew groupoid ring --------------------------------------------------
 
 
-def build_skew_groupoid_ring(pa, check=True):
+def skew_product_ring(field, degrees, domains, triples, inv, alpha, mul, name, unit):
+    """The skew-product kernel shared by every skew-ring builder.
+
+    The basis runs over `degrees` in order and, inside a degree g, over the
+    RREF basis of its domain D_g (`domains[g]`).  For each triple (g, h, gh)
+    in `triples` the product of a degree-g and a degree-h basis vector is
+    alpha_g(alpha_{g^-1}(r) r') in degree gh, with `alpha(g, x)` applying
+    alpha_g, `inv(g)` giving g^-1 and `mul` the ambient product; products of
+    all other pairs are zero.  A gh that is None or not a degree marks a
+    product that must vanish.  `name(g)` labels and grades degree g.
+    `unit` maps degrees to elements of their domains, or is None; their sum
+    becomes the algebra's unit when it is a two-sided identity.
+
+    Returns the algebra and the basis offset of each degree.
+    """
+    offsets, total = _layout(degrees, domains)
+    labels = []
+    grading = {}
+    for g in degrees:
+        for j in range(domains[g].dim):
+            grading[len(labels)] = name(g)
+            labels.append(f"{name(g)}:{j}")
+
+    table = [[field.zero_vec(total) for _ in range(total)] for _ in range(total)]
+    pulled = {}  # g -> alpha_{g^-1} of each basis vector of D_g
+    for g, h, gh in triples:
+        dg = domains[g]
+        dh = domains[h]
+        if dg.dim == 0 or dh.dim == 0:
+            continue
+        if g not in pulled:
+            pulled[g] = [alpha(inv(g), r) for r in dg.basis]
+        dgh = domains.get(gh)
+        for i, p in enumerate(pulled[g]):
+            for j, rp in enumerate(dh.basis):
+                x = mul(p, rp)
+                if not any(x):
+                    continue
+                y = alpha(g, x)
+                if dgh is None:
+                    if any(y):
+                        raise RuntimeError(
+                            "nonzero product escaped the support; model is inconsistent"
+                        )
+                    continue
+                try:
+                    coords = dgh.coords(y)
+                except ValueError:
+                    raise PreconditionError(
+                        f"product of degrees {name(g)}, {name(h)} left R_({name(gh)})"
+                    ) from None
+                vec = field.zero_vec(total)
+                off = offsets[gh]
+                for k, c in enumerate(coords):
+                    vec[off + k] = c
+                table[offsets[g] + i][offsets[h] + j] = vec
+
+    alg = StructureAlgebra(field, total, table, labels=labels, grading=grading)
+    if unit is not None:
+        u = field.zero_vec(total)
+        for g, r in unit.items():
+            for k, c in enumerate(domains[g].coords(r)):
+                u[offsets[g] + k] = c
+        if alg.is_two_sided_unit(u):
+            alg.unit = u
+    return alg, offsets
+
+
+def build_skew_groupoid_ring(pa):
     """Assemble R *_alpha G with the twisted product.
 
     Degree-g basis vectors are the RREF basis of R_g; the product of a
@@ -94,80 +166,28 @@ def build_skew_groupoid_ring(pa, check=True):
     element summing the component identities over the identity degrees is
     verified to be the two-sided unit.
     """
-    if check:
-        violations = pact.validate_action(pa)
-        if violations:
-            raise PreconditionError(
-                "action does not validate: " + "; ".join(str(v) for v in violations)
-            )
+    violations = pact.validate_action(pa)
+    if violations:
+        raise PreconditionError(
+            "action does not validate: " + "; ".join(str(v) for v in violations)
+        )
     g0 = pa.groupoid
-    amb = pa.ambient
-    field = amb.field
-    offsets, total = skew_layout(pa)
-
-    labels = []
-    grading = {}
-    for g in g0.morphisms:
-        for j in range(pa.domains[g].dim):
-            grading[len(labels)] = g
-            labels.append(f"{g}:{j}")
-
-    table = [[field.zero_vec(total) for _ in range(total)] for _ in range(total)]
-    for g in g0.morphisms:
-        dg = pa.domains[g]
-        if dg.dim == 0:
-            continue
-        for h in g0.morphisms:
-            dh = pa.domains[h]
-            if dh.dim == 0 or not g0.is_composable(g, h):
-                continue
-            gh = g0.compose(g, h)
-            dgh = pa.domains[gh]
-            for i, r in enumerate(dg.basis):
-                pulled = pa.apply_alpha(pa.inv(g), r)
-                for j, rp in enumerate(dh.basis):
-                    x = amb.multiply(pulled, rp)
-                    if not any(x):
-                        continue
-                    y = pa.apply_alpha(g, x)
-                    try:
-                        coords = dgh.coords(y)
-                    except ValueError:
-                        raise PreconditionError(
-                            f"product of degrees {g}, {h} left R_({gh})"
-                        ) from None
-                    vec = field.zero_vec(total)
-                    off = offsets[gh]
-                    for k, c in enumerate(coords):
-                        vec[off + k] = c
-                    table[offsets[g] + i][offsets[h] + j] = vec
-
-    alg = StructureAlgebra(
-        field, total, table, labels=labels, grading=grading, grading_groupoid=g0
-    )
+    unit = None
     if pact.is_unital(pa):
-        unit = field.zero_vec(total)
-        ok = True
-        for e in g0.objects:
-            i = g0.identity[e]
-            u = pa.domain_unit(i)
-            if u is None:
-                if pa.domains[i].dim:
-                    ok = False
-                continue
-            part = delta_element(pa, i, u, offsets, total)
-            unit = [a + b for a, b in zip(unit, part)]
-        if ok and _is_two_sided_unit(alg, unit):
-            alg.unit = unit
+        ids = [g0.identity[e] for e in g0.objects]
+        parts = {i: pa.domain_unit(i) for i in ids}
+        if all(u is not None or pa.domains[i].dim == 0 for i, u in parts.items()):
+            unit = {i: u for i, u in parts.items() if u is not None}
+    triples = (
+        (g, h, g0.compose(g, h))
+        for g in g0.morphisms for h in g0.morphisms if g0.is_composable(g, h)
+    )
+    alg, _ = skew_product_ring(
+        pa.ambient.field, g0.morphisms, pa.domains, triples,
+        pa.inv, pa.apply_alpha, pa.ambient.multiply, lambda g: g, unit,
+    )
+    alg.grading_groupoid = g0
     return alg
-
-
-def _is_two_sided_unit(alg, u):
-    for j in range(alg.dim):
-        b = alg.basis_vector(j)
-        if alg.multiply(u, b) != b or alg.multiply(b, u) != b:
-            return False
-    return True
 
 
 # -- groupoid rings and generalized matrix rings -----------------------------------
@@ -599,7 +619,7 @@ def maschke_check(pa):
         if one is None:
             iso_inv[e] = False
             continue
-        scaled = [sum_scalar(amb.field, m) * c for c in one]
+        scaled = [amb.field(m) * c for c in one]
         iso_inv[e] = invert_in(amb, scaled) is not None
 
     trace_unit = None
@@ -652,14 +672,6 @@ def maschke_check(pa):
         implication_trace=implication(prem_tr),
         park=park,
     )
-
-
-def sum_scalar(field, m):
-    """The field element m * 1, by repeated addition (works in any characteristic)."""
-    acc = field.zero
-    for _ in range(m):
-        acc = acc + field.one
-    return acc
 
 
 # -- CLI-facing analysis ------------------------------------------------------------------------

@@ -303,6 +303,12 @@ def corpus_graphs():
     }
 
 
+def leavitt_model(graph, field):
+    """The census of a graph and its GrSkewModel, None when the graph has a cycle."""
+    census = lv.graph_analysis(graph)
+    return census, (lv.GrSkewModel(census, field) if census.acyclic else None)
+
+
 def cyclic_graphs():
     return {
         "loop": lv.DirectedGraph(["v"], [("f", "v", "v")]),

@@ -45,7 +45,7 @@ def test_acceptance_2_leavitt_two_model_agreement():
     graphs = corpus.corpus_graphs()
     assert len(graphs) >= 6
     for name, g in graphs.items():
-        rep = lv.phi_isomorphism_check(g, Q)
+        rep = lv.phi_isomorphism_check(lv.GrSkewModel(lv.graph_analysis(g), Q))
         assert rep.dims_match, name
         assert rep.relations_ok, (name, rep.first_failure)
     elapsed = time.perf_counter() - started
@@ -56,15 +56,15 @@ def test_acceptance_2_leavitt_two_model_agreement():
 def test_acceptance_3_block_structure():
     started = time.perf_counter()
     for name, g in corpus.corpus_graphs().items():
-        rep = lv.lpa_characterization(g, Q)
+        rep = lv.lpa_characterization(*corpus.leavitt_model(g, Q))
         counts = sorted(rep.sink_path_counts.values())
         assert rep.block_sizes == counts, name
         assert rep.dim == sum(c * c for c in counts), name
         assert rep.blocks_match_sinks is True, name
     # the named examples, exactly
-    a3 = lv.lpa_characterization(corpus.corpus_graphs()["A3"], Q)
+    a3 = lv.lpa_characterization(*corpus.leavitt_model(corpus.corpus_graphs()["A3"], Q))
     assert a3.block_sizes == [3] and a3.dim == 9
-    par = lv.lpa_characterization(corpus.corpus_graphs()["parallel"], Q)
+    par = lv.lpa_characterization(*corpus.leavitt_model(corpus.corpus_graphs()["parallel"], Q))
     assert par.block_sizes == [3] and par.dim == 9
     _announce(3, "block sizes equal sink path counts", started)
 
@@ -75,7 +75,7 @@ def test_acceptance_4_trivial_hs_lattice_simplicity():
     for name, g in corpus.corpus_graphs().items():
         hs = lv.hereditary_saturated_subsets(g)
         trivial = all(len(h) in (0, len(g.vertices)) for h in hs)
-        rep = lv.lpa_characterization(g, Q)
+        rep = lv.lpa_characterization(*corpus.leavitt_model(g, Q))
         assert rep.trivial_hs_lattice == trivial, name
         if trivial:
             seen_applicable += 1

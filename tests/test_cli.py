@@ -171,3 +171,60 @@ def test_schema_roundtrips_are_fixpoints(files):
     d2 = pact.action_to_dict(pa, d1["groupoid"], d1["algebra"])
     pa2 = pact.action_from_dict(d2, g0, amb)
     assert pact.action_to_dict(pa2, d1["groupoid"], d1["algebra"]) == d2
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda d: d.update(unit=["1", "1"]), id="unit-not-identity"),
+    pytest.param(lambda d: d.update(unit=["1"]), id="unit-wrong-length"),
+    pytest.param(lambda d: d["table"][0][2].__setitem__(0, "abc"), id="coefficient-abc"),
+    pytest.param(lambda d: d["table"][0].__setitem__(0, "0"), id="index-as-string"),
+])
+def test_malformed_algebra_json_exit_2(tmp_path, capsys, edit):
+    d = corpus.dual_numbers(Q).to_dict()
+    edit(d)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    assert cli.main(["analyze", str(path)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("graph, argv, models, oracles", [
+    ("a3.json", ["leavitt"], 1, 1),
+    ("a3.json", ["leavitt", "--dump"], 1, 0),
+    ("loop.json", ["leavitt"], 0, 0),
+    ("loop.json", ["leavitt", "--dump"], 0, 0),
+])
+def test_leavitt_builds_each_model_once(files, capsys, monkeypatch, graph, argv, models, oracles):
+    model_calls = _count_calls(monkeypatch, lv.GrSkewModel, "__init__")
+    oracle_calls = _count_calls(monkeypatch, lv.PathPairModel, "__init__")
+    census_calls = _count_calls(monkeypatch, lv, "graph_analysis")
+    path_calls = _count_calls(monkeypatch, lv, "all_paths")
+    assert cli.main([*argv, str(files / graph)]) == 0
+    capsys.readouterr()
+    assert len(model_calls) == models
+    assert len(oracle_calls) == oracles
+    assert len(census_calls) == 1
+    assert len(path_calls) == (1 if graph == "a3.json" else 0)
+
+
+def test_build_skew_dump_skips_analysis(files, capsys, monkeypatch):
+    from grpd import skewring as sk
+
+    def refuse(alg):
+        raise AssertionError("--dump must not analyze the algebra")
+
+    monkeypatch.setattr(sk, "analyze_algebra", refuse)
+    assert cli.main(["build-skew", "--dump", str(files / "swap.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 4

@@ -1,0 +1,148 @@
+"""CLI stdout pinned byte for byte on the corpus inputs.
+
+Each case runs one verb in-process and compares the SHA-256 of everything
+it printed on stdout against the value recorded before the skew-ring
+builders were merged onto one kernel, so a refactor that changes a single
+byte of a report fails here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+import corpus
+from grpd import cli
+from grpd import groupoid as gpd
+from grpd import leavitt as lv
+from grpd import paction as pact
+from grpd.exactlin import Field
+
+Q = Field(0)
+
+ACTIONS = {
+    **dict(corpus.unital_corpus()),
+    "octonion_trivial": corpus.octonion_trivial_action(),
+    "guard_f2": corpus.guard_action_f2(),
+}
+GRAPHS = {**corpus.corpus_graphs(), **corpus.cyclic_graphs()}
+ALGEBRAS = {
+    "scalar": corpus.scalar_algebra(Q),
+    "qq": corpus.componentwise(Q, 2),
+    "qz2": corpus.group_algebra(Q, 2),
+    "dual": corpus.dual_numbers(Q),
+    "trunc3": corpus.truncated_poly3(Q),
+    "upper2": corpus.upper_triangular2(Q),
+    "dual_f5": corpus.dual_numbers(Field(5)),
+}
+GROUPOIDS = {
+    "z2": gpd.cyclic_group(2),
+    "z3": gpd.cyclic_group(3),
+    "pair2": gpd.pair_groupoid(2),
+}
+
+
+def write_inputs(d):
+    """Write the corpus as JSON files under d."""
+    for name, pa in ACTIONS.items():
+        (d / f"{name}.g.json").write_text(json.dumps(gpd.to_dict(pa.groupoid)))
+        (d / f"{name}.a.json").write_text(json.dumps(pa.ambient.to_dict()))
+        doc = pact.action_to_dict(pa, f"{name}.g.json", f"{name}.a.json")
+        (d / f"{name}.json").write_text(json.dumps(doc))
+    for name, g in GRAPHS.items():
+        (d / f"{name}.graph.json").write_text(json.dumps(lv.graph_to_dict(g)))
+    for name, alg in ALGEBRAS.items():
+        (d / f"{name}.alg.json").write_text(json.dumps(alg.to_dict()))
+    for name, g in GROUPOIDS.items():
+        (d / f"{name}.gpd.json").write_text(json.dumps(gpd.to_dict(g)))
+
+
+def cases():
+    """Case name -> argv, with input files relative to the corpus directory."""
+    out = {}
+    for name in ACTIONS:
+        out[f"build-skew --dump {name}"] = ["build-skew", "--dump", f"{name}.json"]
+        out[f"maschke --json {name}"] = ["--json", "maschke", f"{name}.json"]
+        if name != "octonion_trivial":  # its dim-16 non-associative center takes seconds
+            out[f"build-skew --json {name}"] = ["--json", "build-skew", f"{name}.json"]
+    for name in GRAPHS:
+        out[f"leavitt --json {name}"] = ["--json", "leavitt", f"{name}.graph.json"]
+        out[f"leavitt --dump {name}"] = ["leavitt", "--dump", f"{name}.graph.json"]
+    for gname, aname in [("pair2", "scalar"), ("pair2", "dual"), ("pair2", "upper2"),
+                         ("pair2", "qz2"), ("z2", "qq"), ("z3", "trunc3"), ("z2", "dual_f5")]:
+        out[f"groupoid-ring --dump {gname} {aname}"] = [
+            "groupoid-ring", "--dump", f"{gname}.gpd.json", f"{aname}.alg.json"]
+    out["matrix-ring -n 3 --json"] = ["--json", "matrix-ring", "-n", "3"]
+    out["matrix-ring -n 3 --json --char 5"] = ["--json", "matrix-ring", "-n", "3", "--char", "5"]
+    out["matrix-ring -n 3 --json qz2"] = [
+        "--json", "matrix-ring", "-n", "3", "--algebra", "qz2.alg.json"]
+    return out
+
+
+# (exit code, SHA-256 of stdout)
+EXPECTED = {
+    'build-skew --dump corner': (0, '2c6dac844b5833d54bf0217ca7d18deb75871df8df673eba76d7781b036d8df9'),
+    'build-skew --dump guard_f2': (0, '727cb351b81081990e90461688a3a6a99c48bd56850982f5a4aaee5dce255e21'),
+    'build-skew --dump octonion_trivial': (0, 'ad30ed5aaea52be032ac03f463972e6be3818472e00d723da9eb043a71fb3819'),
+    'build-skew --dump pair2_ring': (0, 'e00b7491739fd67c1cdecb9a8ced26c2ee52a79ebd45b23f5aa5bce27725f782'),
+    'build-skew --dump restricted_swap': (0, '11cc36c878d3d8371be7eb051dd3d8036b48bcccaf1a088eb6cabcd5a47effb0'),
+    'build-skew --dump shift_restriction': (0, '96d64ebfc053e88f812f4390cab9ba23a091f709e9136da2ac57701010f339a9'),
+    'build-skew --dump swap': (0, '490ba315ecfe77bbb819fe07f26a885dce9a8daa39e9c29e463db46f63a7d0ac'),
+    'build-skew --dump swap_f5': (0, 'e4d974bf716dcd0e242b32cde4c4fa3a2bd13afd8b45890dafacebce825dcf48'),
+    'build-skew --json corner': (0, '4164b8b0f2c3d08b0ded63ee46fb5ced0fa8e57724be10f3d380910630b8c916'),
+    'build-skew --json guard_f2': (0, '92e183b4110cf613a258a04bab56e1807ad775cf0ded6db89960fab094c506e8'),
+    'build-skew --json pair2_ring': (0, '7a2267b4361171fae1e69e4872e37fdda3be82c6db70152e02b9a34079010738'),
+    'build-skew --json restricted_swap': (0, '83b14bd64b712d8af917647674647bbdd266e093128d2ec18c2d99d7afb5e60f'),
+    'build-skew --json shift_restriction': (0, '88996831b68befb92b2616dadfb3600b3add8d6456090289d2f3313aa74fa994'),
+    'build-skew --json swap': (0, '7a2267b4361171fae1e69e4872e37fdda3be82c6db70152e02b9a34079010738'),
+    'build-skew --json swap_f5': (0, '7a2267b4361171fae1e69e4872e37fdda3be82c6db70152e02b9a34079010738'),
+    'groupoid-ring --dump pair2 dual': (0, '0f58de327669c0be64e9a1adc11404ec76b31887dd8c438f189b5e51de15f342'),
+    'groupoid-ring --dump pair2 qz2': (0, '3b8163e1a3568abb3790ccf400ad017f8625e985a933b4d483bbc2f60b3eeb8f'),
+    'groupoid-ring --dump pair2 scalar': (0, 'e00b7491739fd67c1cdecb9a8ced26c2ee52a79ebd45b23f5aa5bce27725f782'),
+    'groupoid-ring --dump pair2 upper2': (0, '46aded8de5fb63da1a3ddfdf423d9bd8e35fba83a96cfe912c59576feadbfee0'),
+    'groupoid-ring --dump z2 dual_f5': (0, 'ec1c677079a0d3e4c9e3ae89c7049646ddd419febd97276638d2caeaf2db8f83'),
+    'groupoid-ring --dump z2 qq': (0, '18feb7824b9121b39601b701d3b8b839a1f5a8bd0523952286fbd50a34781761'),
+    'groupoid-ring --dump z3 trunc3': (0, '88d3cbb75a0324a0090890d43a64a5323f143fe41a79de2f72121a8772c36401'),
+    'leavitt --dump A2': (0, '57ec6bbae4502857a1148ec32b6493c7d7fcce09b8149947d12e68ba97ed6f6a'),
+    'leavitt --dump A3': (0, '11ada4fb6282117ccafebc7c8f6fad26aac2e22261aec3a2933226ac806f4723'),
+    'leavitt --dump disjoint': (0, 'fae80f219ce4a598c44913c8c9dc571021752857594b8f00949f0ca9a302bea2'),
+    'leavitt --dump loop': (0, '03308ce55da5c23595287763908cddf296d3c1167e08faf8c70d0a110fc5cafd'),
+    'leavitt --dump parallel': (0, 'f16bdbb200bf2ea697e788ed15007872b59d7015fc1e9423bb1eaf52fb3c11ba'),
+    'leavitt --dump single': (0, 'c43cdf89ab955a60be627a12ed07d6a676c7061e1f2a29518a3a79518086e5b8'),
+    'leavitt --dump tree': (0, 'e449cd1a9f349df3b2f5649edfa8b5cde6491ea265484af039638561a6114e3f'),
+    'leavitt --dump two_cycle': (0, '5b2f915465a5416336fe6ffe1a8e5bc73789a70573a6c008db5eb1941fbb5b2f'),
+    'leavitt --json A2': (0, '699d08b0599ebdc7e7ceffe7bfe1fc92b66b5f5a29ccbf5153e238fc08481b94'),
+    'leavitt --json A3': (0, 'd24bdaba01c519d7d2b276e34b287bc2238cc240e4887964d6686ce262a9f039'),
+    'leavitt --json disjoint': (0, '59ddc9d73a20b4678fd3d1a271cc68d3cec75546c808b40f8bb69144dd186ef7'),
+    'leavitt --json loop': (0, 'f940f914c1aa8991b7c75048e983528d3f582e81d464d96b6fe5c755c1ad81e3'),
+    'leavitt --json parallel': (0, 'b5065f4138f33e5b547041bcaaf5f42fc8a649986120adf0a09c5b00a19b60ca'),
+    'leavitt --json single': (0, '5f6b2af0e9942329bafaf7e2151de7c760ad2233c904f0dd3390d04ba70dceb3'),
+    'leavitt --json tree': (0, '72d36fadac4f3a54389bc64c00a1309dfe70894f71a79a003a3af6692382dbc7'),
+    'leavitt --json two_cycle': (0, '4cd476e50dbc1141a441770e49483fb4b3fec65d1dc767310b6d63d3d9895c88'),
+    'maschke --json corner': (0, 'd2327071f6bc88bb0c82eb2852f72118f8cb650461770b565cf61f08f6c94865'),
+    'maschke --json guard_f2': (0, 'd6f530ef3013e1e2ecb41aa15cfcd42fcec4935c270f127c4339a313152910fb'),
+    'maschke --json octonion_trivial': (0, 'd4260d209e10b70cc65db970d55543406d4d5bd8e8a645f81508039cbb4b7764'),
+    'maschke --json pair2_ring': (0, 'a4b7ba1cbb6a9690102973954e410d66563f8971eec9181ee115adf3b65a196f'),
+    'maschke --json restricted_swap': (0, 'bdf2b0d1d83cf250fd9a60e70acf9c130bb596f84bf2e6ddae1dee51fcde0966'),
+    'maschke --json shift_restriction': (0, 'a19b67b7e8be53b8b524ddc42c986cecd916f8bdc590ec5d7b1a3e436a3ecfea'),
+    'maschke --json swap': (0, '3df5d6945a6572a9c5db9e5ba4d0b8286614d81ec2c5e61d4614e2fc05001b7c'),
+    'maschke --json swap_f5': (0, '0ba30166ab7617c88a8b933d95fe82bb558d19d88aab58dc63e683f9ec1d0195'),
+    'matrix-ring -n 3 --json': (0, '716b6d4c511c690ac954c94d4ff52e60878e2a288fabc121fe0644a3f65112fc'),
+    'matrix-ring -n 3 --json --char 5': (0, '3619493d5eb4b4127996f961f6b216efcf916c4489d29bd3dd36c9f4efa77c52'),
+    'matrix-ring -n 3 --json qz2': (0, '2f2b165e579664f5bf8cac9f3e93b01f4feeb0dc7d93cb81ff10b851b2b8cb62'),
+}
+
+
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    write_inputs(d)
+    return d
+
+
+@pytest.mark.parametrize("case", sorted(cases()))
+def test_stdout_bytes_unchanged(case, corpus_dir, capsys):
+    argv = [str(corpus_dir / a) if a.endswith(".json") else a for a in cases()[case]]
+    code = cli.main(argv)
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == EXPECTED[case]

@@ -55,7 +55,7 @@ def test_hereditary_saturated_examples():
 
 def test_x_space_single_vertex():
     g = corpus.corpus_graphs()["single"]
-    xs = lv.XSpace(g)
+    xs = lv.XSpace(lv.graph_analysis(g))
     assert [p.source for p in xs.points] == ["v"]
     assert xs.words == [lv.IDENTITY]
     assert xs.x_set(lv.IDENTITY) == [0]
@@ -63,7 +63,7 @@ def test_x_space_single_vertex():
 
 def test_x_space_a2():
     g = corpus.corpus_graphs()["A2"]
-    xs = lv.XSpace(g)
+    xs = lv.XSpace(lv.graph_analysis(g))
     labels = [lv.path_label(p) for p in xs.points]
     assert labels == ["@w", "f"]
     word_labels = [lv.word_label(w) for w in xs.words]
@@ -76,7 +76,7 @@ def test_x_space_a2():
 
 def test_x_space_a3():
     g = corpus.corpus_graphs()["A3"]
-    xs = lv.XSpace(g)
+    xs = lv.XSpace(lv.graph_analysis(g))
     assert [lv.path_label(p) for p in xs.points] == ["@v3", "e2", "e1.e2"]
     labels = {lv.word_label(w) for w in xs.words}
     assert {"e1", "e1.e2", "(e2)^-1", "(e1.e2)^-1"} <= labels
@@ -94,7 +94,7 @@ def test_x_space_a3():
 
 def test_x_space_rejects_cycles():
     with pytest.raises(UnsupportedError):
-        lv.XSpace(corpus.cyclic_graphs()["loop"])
+        lv.XSpace(lv.graph_analysis(corpus.cyclic_graphs()["loop"]))
     with pytest.raises(UnsupportedError):
         lv.build_gr_skew_ring(corpus.cyclic_graphs()["loop"], Q)
     with pytest.raises(UnsupportedError):
@@ -103,7 +103,7 @@ def test_x_space_rejects_cycles():
 
 def test_theta_a2():
     g = corpus.corpus_graphs()["A2"]
-    xs = lv.XSpace(g)
+    xs = lv.XSpace(lv.graph_analysis(g))
     wf = next(w for w in xs.words if lv.word_label(w) == "f")
     theta_f = lv.theta_map(xs, wf)
     assert theta_f[lv.trivial_path("w")] == lv.Path("v", ("f",))
@@ -113,7 +113,7 @@ def test_theta_a2():
 
 def test_theta_a3_tail_clause():
     g = corpus.corpus_graphs()["A3"]
-    xs = lv.XSpace(g)
+    xs = lv.XSpace(lv.graph_analysis(g))
     we1 = next(w for w in xs.words if lv.word_label(w) == "e1")
     theta_inv = lv.theta_map(xs, lv.word_inverse(we1))
     assert theta_inv[lv.Path("v1", ("e1", "e2"))] == lv.Path("v2", ("e2",))
@@ -121,7 +121,7 @@ def test_theta_a3_tail_clause():
 
 def test_theta_inverse_composition():
     for name, g in corpus.corpus_graphs().items():
-        xs = lv.XSpace(g)
+        xs = lv.XSpace(lv.graph_analysis(g))
         for w in xs.words:
             fwd = lv.theta_map(xs, w)
             back = lv.theta_map(xs, lv.word_inverse(w))
@@ -133,7 +133,7 @@ def test_alpha_indicator_identity():
     # alpha_g(1_{g^-1} 1_h) = 1_g 1_{gh} pointwise, for all support pairs
     for name in ("A2", "A3", "parallel"):
         g = corpus.corpus_graphs()[name]
-        model = lv.GrSkewModel(g, Q)
+        model = lv.GrSkewModel(lv.graph_analysis(g), Q)
         xs = model.xs
         for w in xs.words:
             one_winv = xs.indicator(Q, xs.x_set(lv.word_inverse(w)))
@@ -154,7 +154,7 @@ def test_alpha_indicator_identity():
 def test_word_group_laws():
     for name in ("A3", "tree"):
         g = corpus.corpus_graphs()[name]
-        xs = lv.XSpace(g)
+        xs = lv.XSpace(lv.graph_analysis(g))
         for w in xs.words:
             assert lv.word_mul(g, w, lv.word_inverse(w)) in (lv.IDENTITY,)
             assert lv.word_mul(g, lv.IDENTITY, w) == w
@@ -163,7 +163,7 @@ def test_word_group_laws():
 
 def test_word_mixed_products_leave_support():
     g = corpus.corpus_graphs()["parallel"]
-    xs = lv.XSpace(g)
+    xs = lv.XSpace(lv.graph_analysis(g))
     wf1 = next(w for w in xs.words if lv.word_label(w) == "f1")
     wf2 = next(w for w in xs.words if lv.word_label(w) == "f2")
     # f1^-1 is (trivial, f1); f1 * f2 would need r(f1) = s(f2): it is not a path
@@ -182,7 +182,7 @@ def test_two_models_agree_on_corpus():
         "disjoint": 5,
     }
     for name, g in corpus.corpus_graphs().items():
-        rep = lv.phi_isomorphism_check(g, Q)
+        rep = lv.phi_isomorphism_check(lv.GrSkewModel(lv.graph_analysis(g), Q))
         assert rep.dims_match, name
         assert rep.relations_ok, (name, rep.first_failure)
         assert rep.dims[0] == expected_dims[name], name
@@ -190,7 +190,7 @@ def test_two_models_agree_on_corpus():
 
 def test_block_sizes_match_sink_path_counts():
     for name, g in corpus.corpus_graphs().items():
-        rep = lv.lpa_characterization(g, Q)
+        rep = lv.lpa_characterization(*corpus.leavitt_model(g, Q))
         assert rep.unital is True, name
         assert rep.semisimple is True, name
         assert rep.blocks_match_sinks is True, name
@@ -207,13 +207,13 @@ def test_semiprimitive_on_corpus():
 
 def test_trivial_hs_lattice_forces_one_block():
     for name, g in corpus.corpus_graphs().items():
-        rep = lv.lpa_characterization(g, Q)
+        rep = lv.lpa_characterization(*corpus.leavitt_model(g, Q))
         if rep.trivial_hs_lattice:
             assert rep.one_block is True, name
 
 
 def test_cyclic_graph_report():
-    rep = lv.lpa_characterization(corpus.cyclic_graphs()["loop"], Q)
+    rep = lv.lpa_characterization(*corpus.leavitt_model(corpus.cyclic_graphs()["loop"], Q))
     assert not rep.acyclic
     assert rep.dim is None
     assert "not artinian" in rep.artinian_verdict
@@ -222,9 +222,10 @@ def test_cyclic_graph_report():
 def test_leavitt_over_prime_field():
     g = corpus.corpus_graphs()["A2"]
     F7 = Field(7)
-    rep = lv.phi_isomorphism_check(g, F7)
+    census, model = corpus.leavitt_model(g, F7)
+    rep = lv.phi_isomorphism_check(model)
     assert rep.dims == (4, 4) and rep.relations_ok
-    ch = lv.lpa_characterization(g, F7)
+    ch = lv.lpa_characterization(census, model)
     assert ch.semisimple is True and ch.block_sizes == [2]
 
 
