@@ -4,7 +4,7 @@ Everything runs over Q with arbitrary-precision fractions (or over F_p);
 no floating point appears anywhere, so ranks and memberships are exact.
 """
 
-from grpd import Field, Matrix, Subspace, rref, solve, kernel, span_sum, span_intersect
+from grpd import Field, Matrix, Subspace, rref, solve, kernel
 
 Q = Field(0)
 
@@ -32,8 +32,8 @@ print("kernel dim:", k.dim, "basis:", [[str(c) for c in b] for b in k.basis])
 print("\n== the modular law of the subspace lattice ==")
 a = Subspace.from_vectors(Q, 4, [[Q(1), Q(0), Q(1), Q(0)], [Q(0), Q(1), Q(0), Q(0)]])
 b = Subspace.from_vectors(Q, 4, [[Q(1), Q(1), Q(1), Q(0)], [Q(0), Q(0), Q(0), Q(1)]])
-s = span_sum(a, b)
-i = span_intersect(a, b)
+s = a.sum(b)
+i = a.intersect(b)
 print(f"dim a = {a.dim}, dim b = {b.dim}, dim(a+b) = {s.dim}, dim(a^b) = {i.dim}")
 print("dimension formula holds:", a.dim + b.dim == s.dim + i.dim)
 

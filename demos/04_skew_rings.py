@@ -28,9 +28,7 @@ Q = Field(0)
 
 
 def componentwise(n):
-    table = [[Q.zero_vec(n) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        table[i][i] = Q.unit_vec(n, i)
+    table = [[[(i, Q.one)] if i == j else [] for j in range(n)] for i in range(n)]
     return StructureAlgebra(Q, n, table, unit=[Q.one] * n)
 
 
@@ -52,7 +50,7 @@ print("skew ring analysis:", analyze_algebra(skew))
 print("-> a single 4-dimensional block: the 2x2 matrices")
 
 print("\n== generalized matrix rings from the pair groupoid ==")
-scalar = StructureAlgebra(Q, 1, [[[Q.one]]], unit=[Q.one], labels=["1"])
+scalar = StructureAlgebra(Q, 1, [[[(0, Q.one)]]], unit=[Q.one], labels=["1"])
 for n in (2, 3):
     ring = build_groupoid_ring(pair_groupoid(n), scalar)
     result = matrix_units_isomorphism(ring, n, scalar)

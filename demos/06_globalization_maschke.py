@@ -27,9 +27,7 @@ Q = Field(0)
 
 
 def componentwise(n):
-    table = [[Q.zero_vec(n) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        table[i][i] = Q.unit_vec(n, i)
+    table = [[[(i, Q.one)] if i == j else [] for j in range(n)] for i in range(n)]
     return StructureAlgebra(Q, n, table, unit=[Q.one] * n)
 
 

@@ -6,7 +6,7 @@ validation of partial-action axioms, globalization, and Maschke-type
 semisimplicity transfer, all over Q or a prime field.
 """
 
-from .exactlin import Field, Matrix, Subspace, rref, solve, kernel, span_sum, span_intersect, contains
+from .exactlin import Field, Matrix, Subspace, rref, solve, kernel
 from .groupoid import (
     FiniteGroupoid,
     HomSet,

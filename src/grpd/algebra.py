@@ -7,6 +7,7 @@ of semisimple algebras, and Cayley-Dickson doubling.
 """
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,7 +16,11 @@ from .exactlin import Field, Matrix, Subspace, kernel, solve
 
 
 class StructureAlgebra:
-    """Algebra with basis b_0..b_{n-1} and products b_i b_j = sum_k c[i][j][k] b_k.
+    """Algebra with basis b_0..b_{n-1} and products b_i b_j = sum_k c_ij^k b_k.
+
+    The structure constants are sparse: `table[i][j]` lists the (k, c_ij^k)
+    pairs with c_ij^k nonzero, k strictly increasing, so that equal products
+    have equal cells.  Elements are dense coordinate vectors.
 
     Optional extras: a designated unit vector, basis labels, a grading map
     (basis index to a degree label) and a conjugation involution used by the
@@ -29,17 +34,26 @@ class StructureAlgebra:
         if len(table) != dim or any(len(row) != dim for row in table):
             raise DimensionError("structure constant table must be dim x dim")
         for row in table:
-            for v in row:
-                if len(v) != dim:
-                    raise DimensionError("structure constant vectors must have length dim")
+            for cell in row:
+                last = -1
+                try:
+                    for k, c in cell:
+                        if not (isinstance(k, int) and last < k < dim and c):
+                            raise ValueError
+                        last = k
+                except (TypeError, ValueError):
+                    raise DimensionError(
+                        f"table cell {cell!r} is not a list of (k, c) pairs with "
+                        f"c nonzero and k increasing below {dim}"
+                    ) from None
         self.table = table
         self.unit = unit
         self.labels = labels
         self.grading = grading
         self.grading_groupoid = grading_groupoid
         self.involution = involution
-        self._pair_nz = None
         self._assoc = None
+        self._radical = None
         self._unit_cache = False  # False = not yet computed
 
     # -- plumbing ----------------------------------------------------------
@@ -47,29 +61,20 @@ class StructureAlgebra:
     def basis_vector(self, i):
         return self.field.unit_vec(self.dim, i)
 
-    def _nz(self):
-        """Sparse view of the table: (i, j) -> [(k, c), ...] for nonzero c."""
-        if self._pair_nz is None:
-            self._pair_nz = [
-                [[(k, c) for k, c in enumerate(v) if c] for v in row] for row in self.table
-            ]
-        return self._pair_nz
-
     def multiply(self, x, y):
         """Bilinear extension of the structure constants."""
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionError("element length differs from algebra dimension")
-        nz = self._nz()
         acc = self.field.zero_vec(self.dim)
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            nzi = nz[i]
+            row = self.table[i]
             for j, yj in enumerate(y):
                 if not yj:
                     continue
                 c = xi * yj
-                for k, ck in nzi[j]:
+                for k, ck in row[j]:
                     acc[k] = acc[k] + c * ck
         return acc
 
@@ -120,60 +125,34 @@ class StructureAlgebra:
         n = self.dim
         rows = []
         rhs = []
-        nz = self._nz()
+        table = self.table
         for j in range(n):
             # sum_i u_i (b_i b_j) = b_j   and   sum_i u_i (b_j b_i) = b_j
             left = [[self.field.zero] * n for _ in range(n)]
             right = [[self.field.zero] * n for _ in range(n)]
             for i in range(n):
-                for k, c in nz[i][j]:
+                for k, c in table[i][j]:
                     left[k][i] = c
-                for k, c in nz[j][i]:
+                for k, c in table[j][i]:
                     right[k][i] = c
-            for k in range(n):
-                rows.append(left[k])
-                rhs.append(self.field.one if k == j else self.field.zero)
-            for k in range(n):
-                rows.append(right[k])
-                rhs.append(self.field.one if k == j else self.field.zero)
+            rows += left + right
+            rhs += self.basis_vector(j) * 2
         u = solve(Matrix(self.field, rows), rhs)
         self._unit_cache = u
         return list(u) if u is not None else None
 
     # -- associativity and alternativity ------------------------------------
 
-    def _basis_product_with_vec(self, v, k):
-        """(v) b_k for an element v, using sparse table rows."""
-        nz = self._nz()
-        acc = self.field.zero_vec(self.dim)
-        for l, c in enumerate(v):
-            if not c:
-                continue
-            for m, cm in nz[l][k]:
-                acc[m] = acc[m] + c * cm
-        return acc
-
-    def _vec_product_with_basis(self, i, v):
-        """b_i (v) for an element v."""
-        nz = self._nz()
-        acc = self.field.zero_vec(self.dim)
-        for l, c in enumerate(v):
-            if not c:
-                continue
-            for m, cm in nz[i][l]:
-                acc[m] = acc[m] + c * cm
-        return acc
-
     def _associator_nz(self, i, j, k):
         """Nonzero coordinates of (b_i b_j) b_k - b_i (b_j b_k), as a dict."""
-        nz = self._nz()
+        table = self.table
         zero = self.field.zero
         acc = {}
-        for l, c in nz[i][j]:
-            for m, cm in nz[l][k]:
+        for l, c in table[i][j]:
+            for m, cm in table[l][k]:
                 acc[m] = acc.get(m, zero) + c * cm
-        for l, c in nz[j][k]:
-            for m, cm in nz[i][l]:
+        for l, c in table[j][k]:
+            for m, cm in table[i][l]:
                 acc[m] = acc.get(m, zero) - c * cm
         return {m: c for m, c in acc.items() if c}
 
@@ -228,48 +207,48 @@ class StructureAlgebra:
     def center(self):
         """Elements commuting and associating with everything, as a subspace.
 
-        Solves xr = rx, (xr)r' = x(rr'), (rx)r' = r(xr'), (rr')x = r(r'x)
-        over basis r, r'.  For associative algebras the three associator
-        conditions hold automatically and only the commutant is solved.
+        Solves xr = rx over basis r, then cuts the commutant by the nucleus
+        conditions (x, r, r') = (r, x, r') = (r, r', x) = 0 over basis r, r',
+        all stacked into one kernel over the commutant basis.  For
+        associative algebras the nucleus conditions hold automatically and
+        only the commutant is solved.
         """
         n = self.dim
         if n == 0:
             return Subspace.zero(self.field, 0)
-        L = [self.left_mult_matrix(self.basis_vector(i)) for i in range(n)]
-        R = [self.right_mult_matrix(self.basis_vector(i)) for i in range(n)]
+        zero = self.field.zero
         rows = []
         for i in range(n):
-            for r in range(n):
-                rows.append([R[i].rows[r][c] - L[i].rows[r][c] for c in range(n)])
-        space = kernel(Matrix(self.field, rows))
+            # coordinate r of x b_i - b_i x, as a linear form in the coordinates of x
+            forms = defaultdict(lambda: [zero] * n)
+            for c in range(n):
+                for r, v in self.table[c][i]:
+                    forms[r][c] += v
+                for r, v in self.table[i][c]:
+                    forms[r][c] -= v
+            rows.extend(forms.values())
+        space = kernel(Matrix(self.field, rows, n))
         if self.is_associative() or space.dim == 0:
             return space
-        # cut by the associator conditions, restricted to the current basis
-        basis = space.basis
-        for i in range(n):
-            for j in range(n):
-                prod = self.table[i][j]
-                Lp = self.left_mult_matrix(prod)
-                Rp = self.right_mult_matrix(prod)
-                conds = [
-                    R[j].mul(R[i]).add(Rp.scale(-self.field.one)),
-                    R[j].mul(L[i]).add(L[i].mul(R[j]).scale(-self.field.one)),
-                    Lp.add(L[i].mul(L[j]).scale(-self.field.one)),
-                ]
-                for M in conds:
-                    cols = [M.apply(v) for v in basis]
-                    if not cols:
-                        return Subspace.zero(self.field, n)
-                    small = Matrix.from_columns(self.field, cols, n)
-                    ker = kernel(small)
-                    if ker.dim == len(basis):
-                        continue
-                    basis = [
-                        space_combine(self.field, basis, coeffs) for coeffs in ker.basis
-                    ]
-                    if not basis:
-                        return Subspace.zero(self.field, n)
-        return Subspace.from_vectors(self.field, n, basis)
+        # the nucleus conditions are linear in x: for x = sum_t y_t v_t over the
+        # commutant basis v_t, coordinate m of associator `kind` at (i, j) is a
+        # linear form in the y_t
+        rows = defaultdict(lambda: [zero] * space.dim)
+        for t, v in enumerate(space.basis):
+            for c, vc in enumerate(v):
+                if not vc:
+                    continue
+                for i in range(n):
+                    for j in range(n):
+                        for kind, assoc in enumerate((self._associator_nz(c, i, j),
+                                                      self._associator_nz(i, c, j),
+                                                      self._associator_nz(i, j, c))):
+                            for m, a in assoc.items():
+                                rows[(kind, i, j, m)][t] += vc * a
+        ker = kernel(Matrix(self.field, list(rows.values()), space.dim))
+        return Subspace.from_vectors(
+            self.field, n, [space_combine(self.field, space.basis, y) for y in ker.basis]
+        )
 
     # -- ideals ----------------------------------------------------------------
 
@@ -284,12 +263,13 @@ class StructureAlgebra:
             new_vecs = []
             for v in current.basis:
                 for i in range(self.dim):
+                    b = self.basis_vector(i)
                     if side in ("left", "two"):
-                        w = self._vec_product_with_basis(i, v)
+                        w = self.multiply(b, v)
                         if not current.contains(w):
                             new_vecs.append(w)
                     if side in ("right", "two"):
-                        w = self._basis_product_with_vec(v, i)
+                        w = self.multiply(v, b)
                         if not current.contains(w):
                             new_vecs.append(w)
             if not new_vecs:
@@ -315,31 +295,30 @@ class StructureAlgebra:
             )
 
     def jacobson_radical(self):
-        """Radical of the trace form T(x, y) = trace(L_x L_y).
+        """Radical of the trace form T(x, y) = trace(L_x L_y), computed once.
 
         Valid for associative unital algebras in characteristic 0 or p > dim;
         anything else is rejected.  The kernel is closed into a two-sided
         ideal as a safety net (a no-op inside the validity window).
         """
-        self._radical_guards()
-        n = self.dim
-        nz = self._nz()
-        gram = [[self.field.zero] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                # trace(L_i L_j) = sum_{k,l} c[i][l][k] c[j][k][l]
-                acc = self.field.zero
-                for l in range(n):
-                    for k, c in nz[i][l]:
-                        c2 = self.table[j][k][l]
-                        if c2:
-                            acc = acc + c * c2
-                gram[i][j] = acc
-        rad = kernel(Matrix(self.field, gram))
-        return self.ideal_closure(rad, "two")
+        if self._radical is None:
+            self._radical_guards()
+            n = self.dim
+            zero = self.field.zero
+            # associativity gives L_i L_j = L_{b_i b_j}, so
+            # trace(L_i L_j) = sum_k c_ij^k trace(L_k), with trace(L_k) = sum_l c_kl^l
+            tr = [sum((c for l in range(n) for m, c in self.table[k][l] if m == l), zero)
+                  for k in range(n)]
+            gram = [[sum((c * tr[k] for k, c in self.table[i][j]), zero) for j in range(n)]
+                    for i in range(n)]
+            self._radical = self.ideal_closure(kernel(Matrix(self.field, gram)), "two")
+        return self._radical
 
     def is_semisimple(self):
-        return self.jacobson_radical().dim == 0
+        """Whether the radical is zero; reads the radical when already computed."""
+        if self._radical is None:
+            self.jacobson_radical()
+        return self._radical.dim == 0
 
     # -- subalgebras --------------------------------------------------------------
 
@@ -357,7 +336,7 @@ class StructureAlgebra:
             for v in basis:
                 p = self.multiply(u, v)
                 try:
-                    row.append(space.coords(p))
+                    row.append(nonzero_terms(space.coords(p)))
                 except ValueError:
                     raise PreconditionError("subspace is not closed under multiplication") from None
             table.append(row)
@@ -410,29 +389,27 @@ class StructureAlgebra:
             raise UnsupportedError("doubling needs a designated conjugation involution")
         n = self.dim
         n2 = 2 * n
-        zero = self.field.zero
         conj = self.involution
 
         def pad(first, second):
             return list(first) + list(second)
 
-        table = [[None] * n2 for _ in range(n2)]
+        def shifted(terms):
+            return [(k + n, c) for k, c in terms]
+
         zvec = self.field.zero_vec(n)
+        table = []
+        for i in range(n):
+            # (x,0)(c,0) = (xc, 0) and (x,0)(0,d) = (0, d x)
+            table.append(self.table[i] + [shifted(self.table[j][i]) for j in range(n)])
         for i in range(n):
             bi = self.basis_vector(i)
-            ci = conj[i]
-            for j in range(n):
-                bj = self.basis_vector(j)
-                cj = conj[j]
-                # (x,0)(c,0) = (xc, 0)
-                table[i][j] = pad(self.table[i][j], zvec)
-                # (x,0)(0,d) = (0, d x)
-                table[i][n + j] = pad(zvec, self.multiply(bj, bi))
-                # (0,y)(c,0) = (0, y conj(c))
-                table[n + i][j] = pad(zvec, self.multiply(bi, cj))
-                # (0,y)(0,d) = (-conj(d) y, 0)
-                prod = self.multiply(cj, bi)
-                table[n + i][n + j] = pad([-a for a in prod], zvec)
+            # (0,y)(c,0) = (0, y conj(c)) and (0,y)(0,d) = (-conj(d) y, 0)
+            table.append(
+                [shifted(nonzero_terms(self.multiply(bi, conj[j]))) for j in range(n)]
+                + [[(k, -c) for k, c in nonzero_terms(self.multiply(conj[j], bi))]
+                   for j in range(n)]
+            )
         unit = pad(self.find_unit(), zvec)
         new_conj = [pad(conj[i], zvec) for i in range(n)]
         new_conj += [pad(zvec, [-a for a in self.basis_vector(i)]) for i in range(n)]
@@ -446,11 +423,13 @@ class StructureAlgebra:
     def to_dict(self):
         fmt = self.field.fmt
         entries = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                v = self.table[i][j]
-                if any(v):
-                    entries.append([i, j, [fmt(c) for c in v]])
+        for i, row in enumerate(self.table):
+            for j, cell in enumerate(row):
+                if cell:
+                    v = [fmt(self.field.zero)] * self.dim
+                    for k, c in cell:
+                        v[k] = fmt(c)
+                    entries.append([i, j, v])
         out = {
             "field": {"char": self.field.char},
             "dim": self.dim,
@@ -469,19 +448,27 @@ class StructureAlgebra:
             entries = d["table"]
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad algebra description: {exc}") from exc
+        if dim < 0:
+            raise SchemaError(f"dim must not be negative, got {dim}")
+        if not isinstance(entries, (list, tuple)):
+            raise SchemaError("table must be a list of [i, j, coefficients] entries")
         labels = d.get("basis")
+        if labels is not None and not isinstance(labels, (list, tuple)):
+            raise SchemaError("basis must be a list of labels")
         if labels is not None and len(labels) != dim:
             raise SchemaError("basis label count differs from dim")
-        table = [[field.zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
+        table = [[[] for _ in range(dim)] for _ in range(dim)]
         for ent in entries:
             if not isinstance(ent, (list, tuple)) or len(ent) != 3:
                 raise SchemaError(f"bad table entry {ent!r}")
             i, j, coeffs = ent
             if not (isinstance(i, int) and isinstance(j, int)):
                 raise SchemaError(f"table indices must be integers: {ent!r}")
+            if not isinstance(coeffs, (list, tuple)):
+                raise SchemaError(f"table coefficients must be a list: {ent!r}")
             if not (0 <= i < dim and 0 <= j < dim) or len(coeffs) != dim:
                 raise SchemaError(f"table entry out of range: {ent!r}")
-            table[i][j] = _parse_vec(field, coeffs, f"table entry {ent!r}")
+            table[i][j] = nonzero_terms(_parse_vec(field, coeffs, f"table entry {ent!r}"))
         alg = cls(field, dim, table, labels=labels)
         if "unit" in d:
             unit = _parse_vec(field, d["unit"], "unit")
@@ -491,6 +478,11 @@ class StructureAlgebra:
                 raise SchemaError("supplied unit is not a two-sided identity")
             alg.unit = unit
         return alg
+
+
+def nonzero_terms(v):
+    """The (k, c) pairs of the nonzero coordinates of a vector: one table cell."""
+    return [(k, c) for k, c in enumerate(v) if c]
 
 
 def _parse_vec(field, entries, what):
@@ -670,7 +662,7 @@ def quaternion_seed(field):
     """The base field as a one-dimensional algebra with identity conjugation."""
     one = field.one
     return StructureAlgebra(
-        field, 1, [[[one]]], unit=[one], labels=["e0"], involution=[[one]]
+        field, 1, [[[(0, one)]]], unit=[one], labels=["e0"], involution=[[one]]
     )
 
 
@@ -698,10 +690,10 @@ def grading_respected(alg, compose):
             target = compose(gi, gj)
             prod = alg.table[i][j]
             if target is None:
-                if any(prod):
+                if prod:
                     return False
                 continue
-            for k, c in enumerate(prod):
-                if c and alg.grading[k] != target:
+            for k, _ in prod:
+                if alg.grading[k] != target:
                     return False
     return True

@@ -29,6 +29,13 @@ def _load_json(path):
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _field(char):
+    try:
+        return Field(char)
+    except ValueError as exc:
+        raise SchemaError(f"--char {char}: {exc}") from exc
+
+
 def _load_groupoid(path):
     return gpd.from_dict(_load_json(path))
 
@@ -127,7 +134,9 @@ def cmd_groupoid_ring(args):
 
 
 def cmd_matrix_ring(args):
-    field = Field(args.char)
+    if args.n < 1:
+        raise SchemaError(f"-n must be at least 1, got {args.n}")
+    field = _field(args.char)
     coeff = _load_algebra(args.algebra) if args.algebra else _scalar_algebra(field)
     g = gpd.pair_groupoid(args.n)
     alg = sk.build_groupoid_ring(g, coeff)
@@ -142,7 +151,7 @@ def cmd_matrix_ring(args):
 
 
 def _scalar_algebra(field):
-    return StructureAlgebra(field, 1, [[[field.one]]], unit=[field.one], labels=["1"])
+    return StructureAlgebra(field, 1, [[[(0, field.one)]]], unit=[field.one], labels=["1"])
 
 
 def cmd_partial_group_algebra(args):
@@ -150,7 +159,7 @@ def cmd_partial_group_algebra(args):
     bad = gpd.validate(g)
     if bad:
         return _violations_report(bad, args.json)
-    field = Field(args.char)
+    field = _field(args.char)
     table = sk.exel_semigroup(g)
     alg = sk.semigroup_algebra(table, field)
     report = dict(sk.analyze_algebra(alg))
@@ -161,7 +170,7 @@ def cmd_partial_group_algebra(args):
 
 def cmd_leavitt(args):
     graph = lv.graph_from_dict(_load_json(args.file))
-    field = Field(args.char)
+    field = _field(args.char)
     census = lv.graph_analysis(graph)
     model = lv.GrSkewModel(census, field) if census.acyclic else None
     if args.dump and model is not None:

@@ -128,10 +128,6 @@ def vec_add(x, y):
     return [a + b for a, b in zip(x, y)]
 
 
-def vec_sub(x, y):
-    return [a - b for a, b in zip(x, y)]
-
-
 def vec_scale(c, x):
     return [c * a for a in x]
 
@@ -406,14 +402,3 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim} over {self.field})"
 
-
-def span_sum(a, b):
-    return a.sum(b)
-
-
-def span_intersect(a, b):
-    return a.intersect(b)
-
-
-def contains(a, v):
-    return a.contains(v)

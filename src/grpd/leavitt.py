@@ -466,11 +466,11 @@ class PathPairModel:
     def _build_algebra(self):
         field = self.field
         n = len(self.pairs)
-        table = [[field.zero_vec(n) for _ in range(n)] for _ in range(n)]
-        for i, (mu, nu) in enumerate(self.pairs):
-            for j, (sigma, tau) in enumerate(self.pairs):
-                if nu == sigma:
-                    table[i][j] = field.unit_vec(n, self.index[(mu, tau)])
+        table = [
+            [[(self.index[(mu, tau)], field.one)] if nu == sigma else []
+             for sigma, tau in self.pairs]
+            for mu, nu in self.pairs
+        ]
         labels = [f"{path_label(mu)}({path_label(nu)})*" for mu, nu in self.pairs]
         alg = StructureAlgebra(field, n, table, labels=labels)
         unit = field.zero_vec(n)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionError, PreconditionError, SchemaError, UnsupportedError, Violation
 from .exactlin import Matrix, Subspace, kernel, solve
+from .algebra import StructureAlgebra, nonzero_terms
 
 
 class PartialAction:
@@ -569,12 +570,10 @@ def globalize(pa):
         for v in t_basis:
             p = env.mul(u, v)
             try:
-                row.append(t_space.coords(p))
+                row.append(nonzero_terms(t_space.coords(p)))
             except ValueError:
                 raise UnsupportedError("enveloping space is not multiplicatively closed") from None
         table.append(row)
-    from .algebra import StructureAlgebra
-
     t_alg = StructureAlgebra(field, t_dim, table)
     unit = t_alg.find_unit()
     if unit is not None:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import PreconditionError, UnsupportedError
 from .exactlin import Matrix, Subspace, solve
-from .algebra import StructureAlgebra, grading_respected
+from .algebra import StructureAlgebra, grading_respected, nonzero_terms
 from .groupoid import connected_components
 from . import paction as pact
 
@@ -112,7 +112,7 @@ def skew_product_ring(field, degrees, domains, triples, inv, alpha, mul, name, u
             grading[len(labels)] = name(g)
             labels.append(f"{name(g)}:{j}")
 
-    table = [[field.zero_vec(total) for _ in range(total)] for _ in range(total)]
+    table = [[[] for _ in range(total)] for _ in range(total)]
     pulled = {}  # g -> alpha_{g^-1} of each basis vector of D_g
     for g, h, gh in triples:
         dg = domains[g]
@@ -140,11 +140,10 @@ def skew_product_ring(field, degrees, domains, triples, inv, alpha, mul, name, u
                     raise PreconditionError(
                         f"product of degrees {name(g)}, {name(h)} left R_({name(gh)})"
                     ) from None
-                vec = field.zero_vec(total)
                 off = offsets[gh]
-                for k, c in enumerate(coords):
-                    vec[off + k] = c
-                table[offsets[g] + i][offsets[h] + j] = vec
+                table[offsets[g] + i][offsets[h] + j] = [
+                    (off + k, c) for k, c in enumerate(coords) if c
+                ]
 
     alg = StructureAlgebra(field, total, table, labels=labels, grading=grading)
     if unit is not None:
@@ -227,7 +226,7 @@ def groupoid_ring_action(groupoid, coeffs):
         off += coeffs[rep_of[e]].dim
     n = off
 
-    table = [[base_field.zero_vec(n) for _ in range(n)] for _ in range(n)]
+    table = [[[] for _ in range(n)] for _ in range(n)]
     labels = [None] * n
     for e in groupoid.objects:
         t = coeffs[rep_of[e]]
@@ -235,10 +234,7 @@ def groupoid_ring_action(groupoid, coeffs):
         for i in range(t.dim):
             labels[o + i] = f"{e}.{t.label(i)}"
             for j in range(t.dim):
-                vec = base_field.zero_vec(n)
-                for k, c in enumerate(t.table[i][j]):
-                    vec[o + k] = c
-                table[o + i][o + j] = vec
+                table[o + i][o + j] = [(o + k, c) for k, c in t.table[i][j]]
     unit = base_field.zero_vec(n)
     for e in groupoid.objects:
         t = coeffs[rep_of[e]]
@@ -301,7 +297,6 @@ def matrix_units_isomorphism(alg, n, t):
                     None, f"degree {deg} has {seen.get(deg, 0)} basis vectors, wanted {t.dim}", 0
                 )
     checks = 0
-    zero = alg.field.zero_vec(alg.dim)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(1, n + 1):
@@ -310,16 +305,11 @@ def matrix_units_isomorphism(alg, n, t):
                         for m2 in range(t.dim):
                             a = mapping[(f"({i},{j})", m1)]
                             b = mapping[(f"({k},{l})", m2)]
-                            got = alg.table[a][b]
-                            if j != k:
-                                expected = zero
-                            else:
-                                expected = alg.field.zero_vec(alg.dim)
-                                for m3, c in enumerate(t.table[m1][m2]):
-                                    if c:
-                                        expected[mapping[(f"({i},{l})", m3)]] = c
+                            expected = [] if j != k else sorted(
+                                (mapping[(f"({i},{l})", m3)], c) for m3, c in t.table[m1][m2]
+                            )
                             checks += 1
-                            if got != expected:
+                            if alg.table[a][b] != expected:
                                 return MatrixUnitsResult(
                                     None,
                                     f"E({i},{j})[{m1}] * E({k},{l})[{m2}] broke the matrix-unit law",
@@ -395,9 +385,7 @@ def exel_semigroup(group):
 def semigroup_algebra(table, field):
     """Contracted-free semigroup algebra of a finite semigroup table."""
     n = len(table.elements)
-    alg_table = [
-        [field.unit_vec(n, table.table[i][j]) for j in range(n)] for i in range(n)
-    ]
+    alg_table = [[[(table.table[i][j], field.one)] for j in range(n)] for i in range(n)]
     alg = StructureAlgebra(field, n, alg_table, labels=list(table.labels))
     u = alg.find_unit()
     if u is not None:
@@ -425,8 +413,8 @@ def quotient_by_ideal(alg, ideal):
     for a in keep:
         row = []
         for b in keep:
-            red = ideal.reduce(alg.table[a][b])
-            row.append([red[c] for c in keep])
+            red = ideal.reduce(alg.multiply(alg.basis_vector(a), alg.basis_vector(b)))
+            row.append(nonzero_terms(red[c] for c in keep))
         table.append(row)
     labels = [alg.label(k) for k in keep]
     out = StructureAlgebra(alg.field, d, table, labels=labels)
@@ -473,11 +461,12 @@ class GradedModule:
     def validate(self):
         """Action respects the product; the algebra unit acts as the identity."""
         bad = []
-        n = self.algebra.dim
+        alg = self.algebra
+        n = alg.dim
         for a in range(n):
             ma = self.action[a]
             for b in range(n):
-                prod = self.act_matrix(self.algebra.table[a][b])
+                prod = self.act_matrix(alg.multiply(alg.basis_vector(a), alg.basis_vector(b)))
                 if ma.mul(self.action[b]) != prod:
                     bad.append((a, b))
         u = self.algebra.find_unit()

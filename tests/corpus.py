@@ -12,21 +12,19 @@ Q = Field(0)
 
 def componentwise(field, n):
     """The split algebra field^n with coordinatewise multiplication."""
-    table = [[field.zero_vec(n) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        table[i][i] = field.unit_vec(n, i)
+    table = [[[(i, field.one)] if i == j else [] for j in range(n)] for i in range(n)]
     return StructureAlgebra(
         field, n, table, unit=[field.one] * n, labels=[f"u{i}" for i in range(n)]
     )
 
 
 def scalar_algebra(field):
-    return StructureAlgebra(field, 1, [[[field.one]]], unit=[field.one], labels=["1"])
+    return StructureAlgebra(field, 1, [[[(0, field.one)]]], unit=[field.one], labels=["1"])
 
 
 def group_algebra(field, n):
     """The group algebra of Z/n over the field, basis indexed by exponents."""
-    table = [[field.unit_vec(n, (i + j) % n) for j in range(n)] for i in range(n)]
+    table = [[[((i + j) % n, field.one)] for j in range(n)] for i in range(n)]
     unit = field.unit_vec(n, 0)
     return StructureAlgebra(field, n, table, unit=unit, labels=[f"d{i}" for i in range(n)])
 
@@ -35,31 +33,21 @@ def dual_numbers(field):
     """field[x]/(x^2), radical spanned by x."""
     z, o = field.zero, field.one
     return StructureAlgebra(
-        field, 2, [[[o, z], [z, o]], [[z, o], [z, z]]], unit=[o, z], labels=["1", "x"]
+        field, 2, [[[(0, o)], [(1, o)]], [[(1, o)], []]], unit=[o, z], labels=["1", "x"]
     )
 
 
 def truncated_poly3(field):
     """field[x]/(x^3), radical spanned by x and x^2."""
-    z = field.zero
-    table = [[field.zero_vec(3) for _ in range(3)] for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            if i + j < 3:
-                table[i][j] = field.unit_vec(3, i + j)
+    table = [[[(i + j, field.one)] if i + j < 3 else [] for j in range(3)] for i in range(3)]
     return StructureAlgebra(field, 3, table, unit=field.unit_vec(3, 0), labels=["1", "x", "x2"])
 
 
 def upper_triangular2(field):
     """Upper triangular 2x2 matrices, basis E11, E12, E22."""
-    z = field.zero
     names = [(0, 0), (0, 1), (1, 1)]
     idx = {p: i for i, p in enumerate(names)}
-    table = [[field.zero_vec(3) for _ in range(3)] for _ in range(3)]
-    for a, (i, j) in enumerate(names):
-        for b, (k, l) in enumerate(names):
-            if j == k:
-                table[a][b] = field.unit_vec(3, idx[(i, l)])
+    table = [[[(idx[(i, l)], field.one)] if j == k else [] for k, l in names] for i, j in names]
     unit = field.zero_vec(3)
     unit[idx[(0, 0)]] = field.one
     unit[idx[(1, 1)]] = field.one

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import corpus
-from grpd.errors import PreconditionError, UnsupportedError
+from grpd.errors import DimensionError, PreconditionError, UnsupportedError
 from grpd.exactlin import Field, Subspace
 from grpd.algebra import (
     StructureAlgebra,
@@ -73,7 +73,7 @@ def test_doubling_matches_pair_oracle(doublings):
         for j in range(n):
             x = cd_from_vec(alg.basis_vector(i))
             y = cd_from_vec(alg.basis_vector(j))
-            assert alg.table[i][j] == cd_to_vec(cd_mul(x, y))
+            assert alg.multiply(alg.basis_vector(i), alg.basis_vector(j)) == cd_to_vec(cd_mul(x, y))
 
 
 def test_doubling_matches_pair_oracle_sedenions_sample():
@@ -83,7 +83,7 @@ def test_doubling_matches_pair_oracle_sedenions_sample():
         i, j = rng.randrange(16), rng.randrange(16)
         x = cd_from_vec(alg.basis_vector(i))
         y = cd_from_vec(alg.basis_vector(j))
-        assert alg.table[i][j] == cd_to_vec(cd_mul(x, y))
+        assert alg.multiply(alg.basis_vector(i), alg.basis_vector(j)) == cd_to_vec(cd_mul(x, y))
 
 
 def test_doubling_involution_matches_oracle():
@@ -117,7 +117,7 @@ def test_octonion_anticommuting_imaginary_units():
 
 
 def test_doubling_requires_involution():
-    plain = StructureAlgebra(Q, 1, [[[Q.one]]], unit=[Q.one])
+    plain = StructureAlgebra(Q, 1, [[[(0, Q.one)]]], unit=[Q.one])
     with pytest.raises(UnsupportedError):
         plain.cayley_dickson_double()
 
@@ -153,7 +153,7 @@ def test_find_unit_cases():
         if g in ("(1,1)", "(2,2)"):
             diag[i] = Q.one
     assert u == diag
-    zero_alg = StructureAlgebra(Q, 1, [[[Q.zero]]])
+    zero_alg = StructureAlgebra(Q, 1, [[[]]])
     assert zero_alg.find_unit() is None
     qz2 = corpus.group_algebra(Q, 2)
     assert qz2.find_unit() == [Q.one, Q.zero]
@@ -247,7 +247,7 @@ def test_radical_guards():
     f2z2 = corpus.group_algebra(Field(2), 2)
     with pytest.raises(UnsupportedError):
         f2z2.is_semisimple()
-    non_unital = StructureAlgebra(Q, 1, [[[Q.zero]]])
+    non_unital = StructureAlgebra(Q, 1, [[[]]])
     with pytest.raises(UnsupportedError):
         non_unital.jacobson_radical()
 
@@ -331,3 +331,33 @@ def test_algebra_json_roundtrip():
     d1 = f5alg.to_dict()
     d2 = StructureAlgebra.from_dict(d1).to_dict()
     assert d1 == d2
+
+
+@pytest.mark.parametrize("table", [
+    pytest.param([[[Q.one, Q.zero], []], [[], []]], id="dense-vector"),
+    pytest.param([[[(0, Q.zero)], []], [[], []]], id="zero-coefficient"),
+    pytest.param([[[(1, Q.one), (0, Q.one)], []], [[], []]], id="decreasing-index"),
+    pytest.param([[[(0, Q.one), (0, Q.one)], []], [[], []]], id="repeated-index"),
+    pytest.param([[[(2, Q.one)], []], [[], []]], id="index-out-of-range"),
+    pytest.param([[[(-1, Q.one)], []], [[], []]], id="negative-index"),
+    pytest.param([[[], []]], id="missing-row"),
+])
+def test_table_cells_must_be_sparse(table):
+    with pytest.raises(DimensionError):
+        StructureAlgebra(Q, 2, table)
+
+
+def test_center_of_commutative_nonassociative_is_its_nucleus():
+    # 1 is the unit, e e = e, e x = x e = x/2, x x = 0: commutative, but
+    # (e, e, x) = x/4, so the nucleus conditions cut the commutant to span(1)
+    half = Q(Fraction(1, 2))
+    table = [
+        [[(0, Q.one)], [(1, Q.one)], [(2, Q.one)]],
+        [[(1, Q.one)], [(1, Q.one)], [(2, half)]],
+        [[(2, Q.one)], [(2, half)], []],
+    ]
+    alg = StructureAlgebra(Q, 3, table)
+    assert not alg.is_associative()
+    assert alg.center() == Subspace.from_vectors(Q, 3, [alg.basis_vector(0)])
+    without_unit = StructureAlgebra(Q, 2, [[[(0, Q.one)], [(1, half)]], [[(1, half)], []]])
+    assert without_unit.center().dim == 0

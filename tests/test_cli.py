@@ -178,6 +178,10 @@ def test_schema_roundtrips_are_fixpoints(files):
     pytest.param(lambda d: d.update(unit=["1"]), id="unit-wrong-length"),
     pytest.param(lambda d: d["table"][0][2].__setitem__(0, "abc"), id="coefficient-abc"),
     pytest.param(lambda d: d["table"][0].__setitem__(0, "0"), id="index-as-string"),
+    pytest.param(lambda d: d.update(table=5), id="table-as-number"),
+    pytest.param(lambda d: d["table"][0].__setitem__(2, 5), id="coefficients-as-number"),
+    pytest.param(lambda d: d.update(basis=3), id="basis-as-number"),
+    pytest.param(lambda d: d.update(dim=-1, table=[]) or d.pop("basis"), id="negative-dim"),
 ])
 def test_malformed_algebra_json_exit_2(tmp_path, capsys, edit):
     d = corpus.dual_numbers(Q).to_dict()
@@ -185,6 +189,18 @@ def test_malformed_algebra_json_exit_2(tmp_path, capsys, edit):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(d))
     assert cli.main(["analyze", str(path)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["leavitt", "--char", "4", "a3.json"], id="leavitt-char-4"),
+    pytest.param(["matrix-ring", "-n", "2", "--char", "6"], id="matrix-ring-char-6"),
+    pytest.param(["partial-group-algebra", "--char", "1", "z2.json"], id="pga-char-1"),
+    pytest.param(["matrix-ring", "-n", "0"], id="matrix-ring-n-0"),
+])
+def test_bad_numeric_option_exit_2(files, capsys, argv):
+    argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+    assert cli.main(argv) == 2
     assert "input error" in capsys.readouterr().err
 
 
@@ -217,6 +233,19 @@ def test_leavitt_builds_each_model_once(files, capsys, monkeypatch, graph, argv,
     assert len(oracle_calls) == oracles
     assert len(census_calls) == 1
     assert len(path_calls) == (1 if graph == "a3.json" else 0)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["analyze", "qz2.json"], id="analyze"),
+    pytest.param(["leavitt", "a3.json"], id="leavitt"),
+])
+def test_radical_computed_once(files, capsys, monkeypatch, argv):
+    from grpd.algebra import StructureAlgebra
+
+    calls = _count_calls(monkeypatch, StructureAlgebra, "jacobson_radical")
+    assert cli.main([argv[0], str(files / argv[1])]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_build_skew_dump_skips_analysis(files, capsys, monkeypatch):

@@ -2,8 +2,10 @@
 
 Each case runs one verb in-process and compares the SHA-256 of everything
 it printed on stdout against the value recorded before the skew-ring
-builders were merged onto one kernel, so a refactor that changes a single
-byte of a report fails here.
+builders were merged onto one kernel (the `analyze`, `globalize`,
+`partial-group-algebra` and octonion `build-skew --json` cases: before the
+structure table became sparse), so a refactor that changes a single byte of
+a report fails here.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ from grpd import cli
 from grpd import groupoid as gpd
 from grpd import leavitt as lv
 from grpd import paction as pact
+from grpd.algebra import cayley_dickson_chain
 from grpd.exactlin import Field
 
 Q = Field(0)
@@ -34,6 +37,8 @@ ALGEBRAS = {
     "trunc3": corpus.truncated_poly3(Q),
     "upper2": corpus.upper_triangular2(Q),
     "dual_f5": corpus.dual_numbers(Field(5)),
+    "octonions": cayley_dickson_chain(Q, 3),
+    "sedenions": cayley_dickson_chain(Q, 4),
 }
 GROUPOIDS = {
     "z2": gpd.cyclic_group(2),
@@ -63,11 +68,13 @@ def cases():
     for name in ACTIONS:
         out[f"build-skew --dump {name}"] = ["build-skew", "--dump", f"{name}.json"]
         out[f"maschke --json {name}"] = ["--json", "maschke", f"{name}.json"]
-        if name != "octonion_trivial":  # its dim-16 non-associative center takes seconds
-            out[f"build-skew --json {name}"] = ["--json", "build-skew", f"{name}.json"]
+        out[f"build-skew --json {name}"] = ["--json", "build-skew", f"{name}.json"]
+        out[f"globalize --json {name}"] = ["--json", "globalize", f"{name}.json"]
     for name in GRAPHS:
         out[f"leavitt --json {name}"] = ["--json", "leavitt", f"{name}.graph.json"]
         out[f"leavitt --dump {name}"] = ["leavitt", "--dump", f"{name}.graph.json"]
+    for name in ALGEBRAS:
+        out[f"analyze --json {name}"] = ["--json", "analyze", f"{name}.alg.json"]
     for gname, aname in [("pair2", "scalar"), ("pair2", "dual"), ("pair2", "upper2"),
                          ("pair2", "qz2"), ("z2", "qq"), ("z3", "trunc3"), ("z2", "dual_f5")]:
         out[f"groupoid-ring --dump {gname} {aname}"] = [
@@ -76,11 +83,21 @@ def cases():
     out["matrix-ring -n 3 --json --char 5"] = ["--json", "matrix-ring", "-n", "3", "--char", "5"]
     out["matrix-ring -n 3 --json qz2"] = [
         "--json", "matrix-ring", "-n", "3", "--algebra", "qz2.alg.json"]
+    out["partial-group-algebra --json z3"] = ["--json", "partial-group-algebra", "z3.gpd.json"]
     return out
 
 
 # (exit code, SHA-256 of stdout)
 EXPECTED = {
+    'analyze --json dual': (0, '30e0d17de418a584a0942e96b11bad07718f9b47f599f8c94041d8a038197325'),
+    'analyze --json dual_f5': (0, '30e0d17de418a584a0942e96b11bad07718f9b47f599f8c94041d8a038197325'),
+    'analyze --json octonions': (0, '9a8f42a1171e80e0f86014d4215a5c5ac90acd54d0176245f74414ed2c45f032'),
+    'analyze --json qq': (0, '0bd92932cf6213a485191133d9242adc812037842bf2145113d7856b03594623'),
+    'analyze --json qz2': (0, '0bd92932cf6213a485191133d9242adc812037842bf2145113d7856b03594623'),
+    'analyze --json scalar': (0, 'c03c0ea0828396db5c0d4198500cf94c7fafe10fb3d4e51298644e5556d0c191'),
+    'analyze --json sedenions': (0, '5e6f89450d1c3be8731e83b4a738146003ad99ef333d44f0643be7a7016356a2'),
+    'analyze --json trunc3': (0, '17f03a72bece0214f012bbfccda01425eb729035e3a656c4c3528ae0d369c725'),
+    'analyze --json upper2': (0, '6c7301bff0a9a4093f84e5f9831f389b82beba80389e3f4c8ae878f0d0f197c1'),
     'build-skew --dump corner': (0, '2c6dac844b5833d54bf0217ca7d18deb75871df8df673eba76d7781b036d8df9'),
     'build-skew --dump guard_f2': (0, '727cb351b81081990e90461688a3a6a99c48bd56850982f5a4aaee5dce255e21'),
     'build-skew --dump octonion_trivial': (0, 'ad30ed5aaea52be032ac03f463972e6be3818472e00d723da9eb043a71fb3819'),
@@ -91,11 +108,20 @@ EXPECTED = {
     'build-skew --dump swap_f5': (0, 'e4d974bf716dcd0e242b32cde4c4fa3a2bd13afd8b45890dafacebce825dcf48'),
     'build-skew --json corner': (0, '4164b8b0f2c3d08b0ded63ee46fb5ced0fa8e57724be10f3d380910630b8c916'),
     'build-skew --json guard_f2': (0, '92e183b4110cf613a258a04bab56e1807ad775cf0ded6db89960fab094c506e8'),
+    'build-skew --json octonion_trivial': (0, '72ccc62bd080d13b1a5f0c021f6e5a0aca049d79550abba1b15cf17409336670'),
     'build-skew --json pair2_ring': (0, '7a2267b4361171fae1e69e4872e37fdda3be82c6db70152e02b9a34079010738'),
     'build-skew --json restricted_swap': (0, '83b14bd64b712d8af917647674647bbdd266e093128d2ec18c2d99d7afb5e60f'),
     'build-skew --json shift_restriction': (0, '88996831b68befb92b2616dadfb3600b3add8d6456090289d2f3313aa74fa994'),
     'build-skew --json swap': (0, '7a2267b4361171fae1e69e4872e37fdda3be82c6db70152e02b9a34079010738'),
     'build-skew --json swap_f5': (0, '7a2267b4361171fae1e69e4872e37fdda3be82c6db70152e02b9a34079010738'),
+    'globalize --json corner': (0, '0e7b54de4e681427ba7d7a89463b2c7cfef113555d598cc6a8b521b08f04ef97'),
+    'globalize --json guard_f2': (0, '9a9f496428ebc164a15ceb455d851bcd4baa1d5a56be956b7bb5cfece0019868'),
+    'globalize --json octonion_trivial': (0, 'f6ab69f40ee284a4865163f84f2da2970ff2d4083a311b8912029afcf749688a'),
+    'globalize --json pair2_ring': (0, '2005f0f5f51d9eb7460bc3fa3e85faf290b9dd975f44ec953de7659c42107be3'),
+    'globalize --json restricted_swap': (0, '486863508175e8a75af1eae2827bbc4b1ec32dd1bd9b11039494e622fa6deabf'),
+    'globalize --json shift_restriction': (0, 'a43ff3e56ead6531069a46b7e8fcff734d47fe3737c34fe8f27400ed3bfc26f0'),
+    'globalize --json swap': (0, '486863508175e8a75af1eae2827bbc4b1ec32dd1bd9b11039494e622fa6deabf'),
+    'globalize --json swap_f5': (0, '486863508175e8a75af1eae2827bbc4b1ec32dd1bd9b11039494e622fa6deabf'),
     'groupoid-ring --dump pair2 dual': (0, '0f58de327669c0be64e9a1adc11404ec76b31887dd8c438f189b5e51de15f342'),
     'groupoid-ring --dump pair2 qz2': (0, '3b8163e1a3568abb3790ccf400ad017f8625e985a933b4d483bbc2f60b3eeb8f'),
     'groupoid-ring --dump pair2 scalar': (0, 'e00b7491739fd67c1cdecb9a8ced26c2ee52a79ebd45b23f5aa5bce27725f782'),
@@ -130,6 +156,7 @@ EXPECTED = {
     'matrix-ring -n 3 --json': (0, '716b6d4c511c690ac954c94d4ff52e60878e2a288fabc121fe0644a3f65112fc'),
     'matrix-ring -n 3 --json --char 5': (0, '3619493d5eb4b4127996f961f6b216efcf916c4489d29bd3dd36c9f4efa77c52'),
     'matrix-ring -n 3 --json qz2': (0, '2f2b165e579664f5bf8cac9f3e93b01f4feeb0dc7d93cb81ff10b851b2b8cb62'),
+    'partial-group-algebra --json z3': (0, 'd8b52f4e5e28b303b37ffb9bce4cc07ae1c91542f92616af082f6f21e446f1ad'),
 }
 
 

@@ -11,12 +11,9 @@ from grpd.exactlin import (
     Matrix,
     ModP,
     Subspace,
-    contains,
     kernel,
     rref,
     solve,
-    span_intersect,
-    span_sum,
 )
 
 Q = Field(0)
@@ -99,22 +96,22 @@ def test_subspace_lattice_examples():
     a = Subspace.from_vectors(Q, 2, [[Q(1), Q(0)]])
     b = Subspace.from_vectors(Q, 2, [[Q(0), Q(1)]])
     zero = Subspace.zero(Q, 2)
-    assert span_sum(a, zero) == a
-    assert span_intersect(a, b).dim == 0
+    assert a.sum(zero) == a
+    assert a.intersect(b).dim == 0
     full = Subspace.full(Q, 2)
     diag = Subspace.from_vectors(Q, 2, [[Q(1), Q(1)]])
-    assert span_intersect(full, diag) == diag
-    assert contains(diag, [Q(2), Q(2)])
-    assert not contains(diag, [Q(1), Q(0)])
+    assert full.intersect(diag) == diag
+    assert diag.contains([Q(2), Q(2)])
+    assert not diag.contains([Q(1), Q(0)])
 
 
 def test_ambient_mismatch():
     a = Subspace.full(Q, 2)
     b = Subspace.full(Q, 3)
     with pytest.raises(DimensionError):
-        span_sum(a, b)
+        a.sum(b)
     with pytest.raises(DimensionError):
-        span_intersect(a, b)
+        a.intersect(b)
 
 
 def _random_matrix(rng, rows, cols):
@@ -146,7 +143,7 @@ def test_dimension_formula_q6():
         b = Subspace.from_vectors(
             Q, 6, [[Q(rng.randint(-3, 3)) for _ in range(6)] for _ in range(rng.randint(0, 4))]
         )
-        assert a.dim + b.dim == span_sum(a, b).dim + span_intersect(a, b).dim
+        assert a.dim + b.dim == a.sum(b).dim + a.intersect(b).dim
 
 
 def test_intersection_is_lower_bound():
@@ -154,9 +151,9 @@ def test_intersection_is_lower_bound():
     for _ in range(20):
         a = Subspace.from_vectors(Q, 4, [[Q(rng.randint(-2, 2)) for _ in range(4)] for _ in range(2)])
         b = Subspace.from_vectors(Q, 4, [[Q(rng.randint(-2, 2)) for _ in range(4)] for _ in range(2)])
-        inter = span_intersect(a, b)
+        inter = a.intersect(b)
         assert inter <= a and inter <= b
-        assert a <= span_sum(a, b) and b <= span_sum(a, b)
+        assert a <= a.sum(b) and b <= a.sum(b)
 
 
 def test_exactness_of_solutions():

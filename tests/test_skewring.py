@@ -132,7 +132,7 @@ def test_groupoid_ring_matrix_coefficients():
 def test_groupoid_ring_needs_unital_coefficients():
     from grpd.algebra import StructureAlgebra
 
-    zero_alg = StructureAlgebra(Q, 1, [[[Q.zero]]])
+    zero_alg = StructureAlgebra(Q, 1, [[[]]])
     with pytest.raises(PreconditionError):
         build_groupoid_ring(gpd.cyclic_group(2), zero_alg)
 
