@@ -53,6 +53,7 @@ class StructureAlgebra:
         self.grading_groupoid = grading_groupoid
         self.involution = involution
         self._assoc = None
+        self._center = None
         self._radical = None
         self._unit_cache = False  # False = not yet computed
 
@@ -205,9 +206,13 @@ class StructureAlgebra:
     # -- center --------------------------------------------------------------
 
     def center(self):
-        """Elements commuting and associating with everything, as a subspace.
+        """Elements commuting and associating with everything, computed once."""
+        if self._center is None:
+            self._center = self._solve_center()
+        return self._center
 
-        Solves xr = rx over basis r, then cuts the commutant by the nucleus
+    def _solve_center(self):
+        """Solve xr = rx over basis r, then cut the commutant by the nucleus
         conditions (x, r, r') = (r, x, r') = (r, r', x) = 0 over basis r, r',
         all stacked into one kernel over the commutant basis.  For
         associative algebras the nucleus conditions hold automatically and
@@ -246,9 +251,7 @@ class StructureAlgebra:
                             for m, a in assoc.items():
                                 rows[(kind, i, j, m)][t] += vc * a
         ker = kernel(Matrix(self.field, list(rows.values()), space.dim))
-        return Subspace.from_vectors(
-            self.field, n, [space_combine(self.field, space.basis, y) for y in ker.basis]
-        )
+        return Subspace.from_vectors(self.field, n, [space.expand(y) for y in ker.basis])
 
     # -- ideals ----------------------------------------------------------------
 
@@ -347,33 +350,53 @@ class StructureAlgebra:
     def wedderburn_blocks(self):
         """Decompose a semisimple algebra into simple two-sided ideals.
 
-        Splits the commutative center along base-field roots of minimal
-        polynomials, recursing until each factor has a one-dimensional
-        center.  Factors whose center will not split over the base field
-        are kept whole and flagged, never forced.
+        Splits inside the algebra by central idempotents.  Each block B = e A
+        carries its idempotent e, starting from A and its unit; the center
+        of B is e Z for the center Z of A.  A central z of B whose minimal
+        polynomial mp has a base-field root r splits B into e_1 B and e_2 B,
+        with e_1 = q(z)/q(r) for q = mp/(t - r) and e_2 = e - e_1.  The center
+        of a semisimple algebra over Q or F_p is a product of fields, so mp
+        is square-free, q(r) != 0 and the first root splits.  Blocks whose
+        center will not split over the base field are kept whole and
+        flagged, never forced.
         """
         if not self.is_semisimple():
             raise PreconditionError("block decomposition needs a semisimple algebra")
+        field = self.field
+        center = self.center()
         final = []
-        work = [Subspace.full(self.field, self.dim)]
+        work = [(Subspace.full(field, self.dim), self.find_unit())]
         while work:
-            space = work.pop(0)
-            sub, basis = self.subalgebra(space)
-            z = sub.center()
-            if z.dim <= 1:
-                final.append((space, False))
+            space, e = work.pop(0)
+            z = Subspace.from_vectors(
+                field, space.dim, [space.coords(self.multiply(e, v)) for v in center.basis]
+            )
+            e1 = self._splitting_idempotent(e, (space.expand(c) for c in _candidates(z.basis)))
+            if e1 is None:
+                final.append((space, z.dim > 1))
                 continue
-            split = _try_center_split(sub, z)
-            if split is None:
-                final.append((space, True))
-                continue
-            for part in split:
-                vecs = [space_combine(self.field, basis, coords) for coords in part.basis]
-                work.append(Subspace.from_vectors(self.field, self.dim, vecs))
+            for ei in (e1, [a - b for a, b in zip(e, e1)]):
+                part = [self.multiply(ei, b) for b in space.basis]
+                work.append((Subspace.from_vectors(field, self.dim, part), ei))
         final.sort(key=lambda t: (t[0].pivots[0] if t[0].pivots else self.dim))
         blocks = [s for s, _ in final]
         non_split = [i for i, (_, flag) in enumerate(final) if flag]
         return BlockDecomposition(blocks, non_split)
+
+    def _splitting_idempotent(self, e, candidates):
+        """e_1 = q(z)/q(r) for the first candidate z with a base-field root r; or None."""
+        field = self.field
+        for z in candidates:
+            mp = minimal_polynomial(self, z, e)
+            roots = polynomial_roots(field, mp) if len(mp) > 2 else []
+            if roots:
+                q = _poly_divide_linear(field, mp, roots[0])
+                acc = [q[-1] * a for a in e]
+                for c in reversed(q[:-1]):
+                    acc = [a + c * b for a, b in zip(self.multiply(acc, z), e)]
+                scale = field.one / _poly_eval(field, q, roots[0])
+                return [scale * a for a in acc]
+        return None
 
     # -- Cayley-Dickson doubling -------------------------------------------------------
 
@@ -520,34 +543,23 @@ class BlockDecomposition:
         return self.blocks[i]
 
 
-def space_combine(field, basis, coords):
-    """Linear combination of ambient vectors with the given coefficients."""
-    n = len(basis[0])
-    out = field.zero_vec(n)
-    for c, v in zip(coords, basis):
-        if c:
-            out = [a + c * b for a, b in zip(out, v)]
-    return out
+def minimal_polynomial(alg, x, one):
+    """Monic minimal polynomial of x, with `one` (an identity for x) as x^0.
 
-
-def minimal_polynomial(alg, x):
-    """Monic minimal polynomial of an element of a unital algebra.
-
-    Returned as a coefficient list [a_0, ..., a_{d-1}, 1].
+    `one` may be the unit of the algebra or of a block containing x.
+    Returned as a coefficient list [a_0, ..., a_{d-1}, 1].  The search ends
+    within dim steps: every power it keeps is independent of the earlier
+    ones.
     """
-    unit = alg.find_unit()
-    if unit is None:
-        raise PreconditionError("minimal polynomial needs a unital algebra")
-    powers = [list(unit)]
+    if alg.multiply(one, x) != list(x):
+        raise PreconditionError("minimal polynomial needs an identity for the element")
+    powers = [list(one)]
     while True:
         nxt = alg.multiply(powers[-1], x)
-        m = Matrix.from_columns(alg.field, powers, alg.dim)
-        dep = solve(m, nxt)
+        dep = solve(Matrix.from_columns(alg.field, powers, alg.dim), nxt)
         if dep is not None:
             return [-c for c in dep] + [alg.field.one]
         powers.append(nxt)
-        if len(powers) > alg.dim + 1:
-            raise RuntimeError("minimal polynomial search failed to terminate")
 
 
 def _poly_eval(field, coeffs, x):
@@ -619,43 +631,16 @@ def _poly_divide_linear(field, coeffs, root):
         acc = coeffs[i] + acc * root
         out[i - 1] = acc
     if coeffs[0] + acc * root:
-        raise ValueError("polynomial division by (t - root) left a remainder")
+        raise PreconditionError("polynomial division by (t - root) left a remainder")
     return out
 
 
-def _try_center_split(sub, z):
-    """Split a subalgebra along one central element; None when nothing splits.
-
-    Tries center basis elements, then pairwise sums, looking for a minimal
-    polynomial with a base-field root that separates the algebra into
-    ker(L_z - r) and ker(q(L_z)) for the complementary factor q.
-    """
-    field = sub.field
-    candidates = [list(v) for v in z.basis]
-    for i in range(len(z.basis)):
-        for j in range(i + 1, len(z.basis)):
-            candidates.append([a + b for a, b in zip(z.basis[i], z.basis[j])])
-    for zc in candidates:
-        mp = minimal_polynomial(sub, zc)
-        if len(mp) <= 2:
-            continue
-        roots = polynomial_roots(field, mp)
-        for r in roots:
-            q = _poly_divide_linear(field, mp, r)
-            Lz = sub.left_mult_matrix(zc)
-            eye = Matrix.identity(field, sub.dim)
-            a1 = kernel(Lz.add(eye.scale(-r)))
-            # evaluate q at Lz
-            acc = Matrix.zeros(field, sub.dim, sub.dim)
-            power = eye
-            for c in q:
-                if c:
-                    acc = acc.add(power.scale(c))
-                power = power.mul(Lz)
-            a2 = kernel(acc)
-            if a1.dim and a2.dim and a1.dim + a2.dim == sub.dim:
-                return [a1, a2]
-    return None
+def _candidates(basis):
+    """Central elements tried for a split: the basis, then its pairwise sums."""
+    yield from basis
+    for i, u in enumerate(basis):
+        for v in basis[i + 1:]:
+            yield [a + b for a, b in zip(u, v)]
 
 
 def quaternion_seed(field):

@@ -674,7 +674,7 @@ def analyze_algebra(alg, degree_compose=None):
         "dim": alg.dim,
         "unital": unit is not None,
         "associative": assoc,
-        "alternative": alg.is_alternative(),
+        "alternative": assoc or alg.is_alternative(),
         "center_dim": alg.center().dim,
         "radical_dim": None,
         "semisimple": "undecided",

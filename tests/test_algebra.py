@@ -10,6 +10,7 @@ from grpd.errors import DimensionError, PreconditionError, UnsupportedError
 from grpd.exactlin import Field, Subspace
 from grpd.algebra import (
     StructureAlgebra,
+    _poly_divide_linear,
     cayley_dickson_chain,
     minimal_polynomial,
     polynomial_roots,
@@ -314,12 +315,25 @@ def test_non_split_center_flagged():
 
 def test_minimal_polynomial_and_roots():
     qz2 = corpus.group_algebra(Q, 2)
-    mp = minimal_polynomial(qz2, [Q.zero, Q.one])  # the group generator: t^2 = 1
+    mp = minimal_polynomial(qz2, [Q.zero, Q.one], qz2.find_unit())  # the generator: t^2 = 1
     assert mp == [Q(-1), Q.zero, Q.one]
     assert polynomial_roots(Q, mp) == [Q(-1), Q(1)]
     f5 = Field(5)
     coeffs = [f5(4), f5(0), f5(1)]  # t^2 + 4 = t^2 - 1 mod 5
     assert {r.val for r in polynomial_roots(f5, coeffs)} == {1, 4}
+
+
+def test_minimal_polynomial_needs_an_identity_for_the_element():
+    qz2 = corpus.group_algebra(Q, 2)
+    with pytest.raises(PreconditionError):
+        minimal_polynomial(qz2, [Q.zero, Q.one], [Q.zero, Q.one])
+
+
+def test_division_by_a_non_root_is_refused():
+    t2_minus_1 = [Q(-1), Q.zero, Q.one]
+    assert _poly_divide_linear(Q, t2_minus_1, Q(1)) == [Q(1), Q(1)]
+    with pytest.raises(PreconditionError):
+        _poly_divide_linear(Q, t2_minus_1, Q(2))
 
 
 def test_algebra_json_roundtrip():

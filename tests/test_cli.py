@@ -257,3 +257,34 @@ def test_build_skew_dump_skips_analysis(files, capsys, monkeypatch):
     monkeypatch.setattr(sk, "analyze_algebra", refuse)
     assert cli.main(["build-skew", "--dump", str(files / "swap.json")]) == 0
     assert json.loads(capsys.readouterr().out)["dim"] == 4
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("must not be called")
+
+
+def test_analyze_skips_alternativity_of_associative_algebra(files, capsys, monkeypatch):
+    from grpd.algebra import StructureAlgebra
+
+    monkeypatch.setattr(StructureAlgebra, "is_alternative", _refuse)
+    code, out = run(capsys, "--json", "analyze", str(files / "qz2.json"))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["associative"] and rep["alternative"]
+
+
+def test_analyze_splits_blocks_inside_one_center(files, capsys, monkeypatch):
+    from grpd.algebra import StructureAlgebra
+    from grpd.exactlin import Matrix
+
+    (files / "qz6.json").write_text(json.dumps(corpus.group_algebra(Q, 6).to_dict()))
+    algebras = _count_calls(monkeypatch, StructureAlgebra, "__init__")
+    centers = _count_calls(monkeypatch, StructureAlgebra, "_solve_center")
+    monkeypatch.setattr(StructureAlgebra, "subalgebra", _refuse)
+    monkeypatch.setattr(Matrix, "mul", _refuse)
+    code, out = run(capsys, "--json", "analyze", str(files / "qz6.json"))
+    assert code == 0
+    assert json.loads(out)["blocks"] == [1, 1, 2, 2]
+    # the loaded algebra is the only one: no block is rebuilt as an algebra
+    assert len(algebras) == 1
+    assert len(centers) == 1

@@ -4,8 +4,9 @@ Each case runs one verb in-process and compares the SHA-256 of everything
 it printed on stdout against the value recorded before the skew-ring
 builders were merged onto one kernel (the `analyze`, `globalize`,
 `partial-group-algebra` and octonion `build-skew --json` cases: before the
-structure table became sparse), so a refactor that changes a single byte of
-a report fails here.
+structure table became sparse; the group algebras Q[Z_n], F_7[Z_6],
+F_11[Z_6] and K_par(Z_4): before blocks were split inside the center), so a
+refactor that changes a single byte of a report fails here.
 """
 
 import hashlib
@@ -39,10 +40,14 @@ ALGEBRAS = {
     "dual_f5": corpus.dual_numbers(Field(5)),
     "octonions": cayley_dickson_chain(Q, 3),
     "sedenions": cayley_dickson_chain(Q, 4),
+    **{f"qz{n}": corpus.group_algebra(Q, n) for n in (3, 6, 8, 12)},
+    "f7z6": corpus.group_algebra(Field(7), 6),
+    "f11z6": corpus.group_algebra(Field(11), 6),
 }
 GROUPOIDS = {
     "z2": gpd.cyclic_group(2),
     "z3": gpd.cyclic_group(3),
+    "z4": gpd.cyclic_group(4),
     "pair2": gpd.pair_groupoid(2),
 }
 
@@ -83,7 +88,9 @@ def cases():
     out["matrix-ring -n 3 --json --char 5"] = ["--json", "matrix-ring", "-n", "3", "--char", "5"]
     out["matrix-ring -n 3 --json qz2"] = [
         "--json", "matrix-ring", "-n", "3", "--algebra", "qz2.alg.json"]
-    out["partial-group-algebra --json z3"] = ["--json", "partial-group-algebra", "z3.gpd.json"]
+    for name in ("z3", "z4"):
+        out[f"partial-group-algebra --json {name}"] = [
+            "--json", "partial-group-algebra", f"{name}.gpd.json"]
     return out
 
 
@@ -91,9 +98,15 @@ def cases():
 EXPECTED = {
     'analyze --json dual': (0, '30e0d17de418a584a0942e96b11bad07718f9b47f599f8c94041d8a038197325'),
     'analyze --json dual_f5': (0, '30e0d17de418a584a0942e96b11bad07718f9b47f599f8c94041d8a038197325'),
+    'analyze --json f11z6': (0, 'be67f28a05f6f72a75e5c17b779a7f8cc63c3d5018a2924326b1c83cf556056b'),
+    'analyze --json f7z6': (0, 'ab01eaa6d8047ff34b5aa21f4e89f7ef9adbc3e5f0324f130d283718d1ffcf04'),
     'analyze --json octonions': (0, '9a8f42a1171e80e0f86014d4215a5c5ac90acd54d0176245f74414ed2c45f032'),
     'analyze --json qq': (0, '0bd92932cf6213a485191133d9242adc812037842bf2145113d7856b03594623'),
+    'analyze --json qz12': (0, '78f6aedf1d57f9e419c33d27e6a3a1b095f263b2f2810c986179212ca39f86a1'),
     'analyze --json qz2': (0, '0bd92932cf6213a485191133d9242adc812037842bf2145113d7856b03594623'),
+    'analyze --json qz3': (0, 'e747aada1fd3a85320238d5d0bb1418572417124ceac68ca4408682a5c74dfa2'),
+    'analyze --json qz6': (0, 'be67f28a05f6f72a75e5c17b779a7f8cc63c3d5018a2924326b1c83cf556056b'),
+    'analyze --json qz8': (0, '147a4eb368a70848567e264abaaf92023ab7d6841ff8bd2102b728459428664c'),
     'analyze --json scalar': (0, 'c03c0ea0828396db5c0d4198500cf94c7fafe10fb3d4e51298644e5556d0c191'),
     'analyze --json sedenions': (0, '5e6f89450d1c3be8731e83b4a738146003ad99ef333d44f0643be7a7016356a2'),
     'analyze --json trunc3': (0, '17f03a72bece0214f012bbfccda01425eb729035e3a656c4c3528ae0d369c725'),
@@ -157,6 +170,7 @@ EXPECTED = {
     'matrix-ring -n 3 --json --char 5': (0, '3619493d5eb4b4127996f961f6b216efcf916c4489d29bd3dd36c9f4efa77c52'),
     'matrix-ring -n 3 --json qz2': (0, '2f2b165e579664f5bf8cac9f3e93b01f4feeb0dc7d93cb81ff10b851b2b8cb62'),
     'partial-group-algebra --json z3': (0, 'd8b52f4e5e28b303b37ffb9bce4cc07ae1c91542f92616af082f6f21e446f1ad'),
+    'partial-group-algebra --json z4': (0, '11336e3be3edc3663c1b7128ec8e4b440c767aee5f3a049074ba3c1a33e6e5a4'),
 }
 
 

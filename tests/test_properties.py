@@ -1,0 +1,125 @@
+"""Property-based checks of the block decomposition (hypothesis, derandomized).
+
+The expected blocks come from closed forms, not from grpd: a direct product
+of matrix algebras M_k(Q) has one block of dimension k^2 per factor, in any
+basis; Q[Z_n] is the product of the cyclotomic fields Q(zeta_d), d | n, of
+degree phi(d); F_p[Z_n] with p not dividing n has, for each d | n,
+phi(d)/ord_d(p) blocks of dimension ord_d(p).
+"""
+
+import math
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import corpus
+from grpd.algebra import StructureAlgebra, nonzero_terms
+from grpd.exactlin import Field, Subspace
+
+Q = Field(0)
+SETTINGS = settings(derandomize=True, max_examples=25, deadline=None, database=None)
+
+
+def phi(d):
+    return sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
+
+
+def order_mod(p, d):
+    k, x = 1, p % d
+    while x != 1 % d:
+        k, x = k + 1, x * p % d
+    return k
+
+
+def sheared_matrix_product(sizes, shears):
+    """M_{k_1}(Q) x ... x M_{k_r}(Q) in the basis changed by b_a += s b_b per shear.
+
+    Matrix units E_ij of each factor make the standard basis; each shear
+    (a, b, s) replaces basis vector a by itself plus s times basis vector b.
+    """
+    units = [(f, i, j) for f, k in enumerate(sizes) for i in range(k) for j in range(k)]
+    n = len(units)
+    index = {u: t for t, u in enumerate(units)}
+
+    def std_mul(x, y):
+        out = [Q.zero] * n
+        for (f, i, j), xv in zip(units, x):
+            if xv:
+                for l in range(sizes[f]):
+                    yv = y[index[(f, j, l)]]
+                    if yv:
+                        out[index[(f, i, l)]] += xv * yv
+        return out
+
+    basis = [Q.unit_vec(n, t) for t in range(n)]
+    for a, b, s in shears:
+        basis[a] = [x + s * y for x, y in zip(basis[a], basis[b])]
+
+    def new_coords(v):
+        c = list(v)
+        for a, b, s in shears:
+            c[b] -= s * c[a]
+        return c
+
+    table = [[nonzero_terms(new_coords(std_mul(u, v))) for v in basis] for u in basis]
+    return StructureAlgebra(Q, n, table)
+
+
+@st.composite
+def matrix_products(draw):
+    sizes = draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=3))
+    n = sum(k * k for k in sizes)
+    shears = []
+    if n > 1:
+        for _ in range(3):
+            a = draw(st.integers(0, n - 1))
+            b = draw(st.integers(0, n - 2))
+            b += b >= a
+            shears.append((a, b, Q(draw(st.integers(-3, 3).filter(bool)))))
+    return sizes, shears
+
+
+@SETTINGS
+@given(matrix_products())
+def test_matrix_product_blocks_are_orthogonal_ideals(case):
+    sizes, shears = case
+    alg = sheared_matrix_product(sizes, shears)
+    blocks = alg.wedderburn_blocks()
+    assert sorted(blocks.dims()) == sorted(k * k for k in sizes)
+    assert blocks.fully_split
+    total = Subspace.zero(Q, alg.dim)
+    for a, block in enumerate(blocks):
+        assert alg.is_ideal(block)
+        total = total.sum(block)
+        for other in blocks.blocks[a + 1:]:
+            for x, y in product(block.basis, other.basis):
+                assert not any(alg.multiply(x, y)) and not any(alg.multiply(y, x))
+    assert total.dim == alg.dim
+
+
+@SETTINGS
+@given(st.integers(1, 10))
+def test_rational_cyclic_group_algebra_blocks(n):
+    blocks = corpus.group_algebra(Q, n).wedderburn_blocks()
+    assert sorted(blocks.dims()) == sorted(phi(d) for d in range(1, n + 1) if n % d == 0)
+    assert blocks.non_split == [i for i, d in enumerate(blocks.dims()) if d > 1]
+
+
+# the trace-form radical needs p > dim, which also keeps p from dividing n
+PRIME_CASES = st.sampled_from([5, 7, 11, 13]).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(1, min(6, p - 1))))
+
+
+@SETTINGS
+@given(PRIME_CASES)
+def test_prime_field_cyclic_group_algebra_blocks(case):
+    p, n = case
+    blocks = corpus.group_algebra(Field(p), n).wedderburn_blocks()
+    expected = []
+    for d in range(1, n + 1):
+        if n % d == 0:
+            k = order_mod(p, d)
+            expected += [k] * (phi(d) // k)
+    assert sorted(blocks.dims()) == sorted(expected)
+    assert blocks.non_split == [i for i, d in enumerate(blocks.dims()) if d > 1]
