@@ -84,11 +84,6 @@ class StructureAlgebra:
         cols = [self.multiply(x, self.basis_vector(j)) for j in range(self.dim)]
         return Matrix.from_columns(self.field, cols, self.dim)
 
-    def right_mult_matrix(self, x):
-        """Matrix of y -> y x in the basis."""
-        cols = [self.multiply(self.basis_vector(j), x) for j in range(self.dim)]
-        return Matrix.from_columns(self.field, cols, self.dim)
-
     def label(self, i):
         return self.labels[i] if self.labels else f"b{i}"
 

@@ -170,9 +170,6 @@ class Matrix:
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def row(self, i):
-        return list(self.rows[i])
-
     def column(self, j):
         return [r[j] for r in self.rows]
 
@@ -321,8 +318,21 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient_dim):
-        basis = [field.unit_vec(ambient_dim, i) for i in range(ambient_dim)]
-        return cls(field, ambient_dim, basis, list(range(ambient_dim)))
+        return cls.coordinate(field, ambient_dim, range(ambient_dim))
+
+    @classmethod
+    def coordinate(cls, field, ambient_dim, indices):
+        """Span of the unit vectors at strictly increasing indices; already RREF."""
+        pivots = list(indices)
+        increasing = all(a < b for a, b in zip(pivots, pivots[1:]))
+        if not increasing or any(not 0 <= i < ambient_dim for i in pivots[:1] + pivots[-1:]):
+            raise DimensionError("coordinate indices must increase strictly within the ambient")
+        return cls(field, ambient_dim, [field.unit_vec(ambient_dim, i) for i in pivots], pivots)
+
+    @classmethod
+    def span(cls, field, ambient_dim, spaces):
+        """Sum of several subspaces by one elimination over all their bases."""
+        return cls.from_vectors(field, ambient_dim, [v for s in spaces for v in s.basis])
 
     @property
     def dim(self):

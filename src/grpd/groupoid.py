@@ -58,19 +58,9 @@ class FiniteGroupoid:
         """Find each object's identity from neutrality in the compose table."""
         ids = {}
         for e in self.objects:
-            loops = [g for g in self.morphisms if self.dom.get(g) == e and self.cod.get(g) == e]
-            for i in loops:
-                ok = True
-                for h in self.morphisms:
-                    if self.cod.get(h) == e and self._compose.get((i, h)) != h:
-                        ok = False
-                        break
-                    if self.dom.get(h) == e and self._compose.get((h, i)) != h:
-                        ok = False
-                        break
-                if ok:
-                    ids[e] = i
-                    break
+            i = _neutral_loop(e, self.morphisms, self.dom, self.cod, self._compose)
+            if i is not None:
+                ids[e] = i
         return ids
 
     # -- basic queries ----------------------------------------------------
@@ -85,11 +75,6 @@ class FiniteGroupoid:
             return self._compose[(g, h)]
         except KeyError:
             raise KeyError(f"compose table has no entry for ({g}, {h})") from None
-
-    def identity_of(self, e):
-        if e not in self._obj_index:
-            raise KeyError(f"unknown object {e!r}")
-        return self.identity[e]
 
     def composable_pairs(self):
         for g in self.morphisms:
@@ -382,7 +367,7 @@ def from_dict(d):
     # create identities that were left out, under the id:<object> convention
     for e in objects:
         m = f"id:{e}"
-        if m not in dom and not _object_has_identity(e, morphisms, dom, cod, compose):
+        if m not in dom and _neutral_loop(e, morphisms, dom, cod, compose) is None:
             morphisms.append(m)
             dom[m] = e
             cod[m] = e
@@ -395,18 +380,15 @@ def from_dict(d):
     return FiniteGroupoid(objects, morphisms, dom, cod, inverse, compose)
 
 
-def _object_has_identity(e, morphisms, dom, cod, compose):
+def _neutral_loop(e, morphisms, dom, cod, compose):
+    """The first loop at e that is neutral for composition on both sides, or None."""
     for i in morphisms:
         if dom.get(i) != e or cod.get(i) != e:
             continue
-        ok = True
-        for h in morphisms:
-            if cod.get(h) == e and compose.get((i, h)) != h:
-                ok = False
-                break
-            if dom.get(h) == e and compose.get((h, i)) != h:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+        if all(
+            (cod.get(h) != e or compose.get((i, h)) == h)
+            and (dom.get(h) != e or compose.get((h, i)) == h)
+            for h in morphisms
+        ):
+            return i
+    return None

@@ -270,14 +270,9 @@ def word_mul(graph, g, h):
             new_a = Path(g.a.source, g.a.edges + tail)
         return make_word(graph, new_a, h.b)
     if k == a2.length and k < b1.length:
-        tail = b1.edges[k:]
-        if graph.edge_by_id[tail[0]].s != path_range(graph, h.b):
-            return None
-        if h.b.is_trivial():
-            new_b = Path(graph.edge_by_id[tail[0]].s, tail)
-        else:
-            new_b = Path(h.b.source, h.b.edges + tail)
-        return make_word(graph, g.a, new_b)
+        # mirror of the case above: (gh)^-1 = h^-1 g^-1
+        inv = word_mul(graph, word_inverse(h), word_inverse(g))
+        return None if inv is None else word_inverse(inv)
     return make_word(graph, g.a, h.b)
 
 
@@ -376,18 +371,11 @@ class GrSkewModel:
         self.field = field
         self.xs = XSpace(report)
         xs = self.xs
-        npts = len(xs.points)
-        gens = [xs.indicator(field, xs.x_set(w)) for w in xs.words]
-        gens += [xs.indicator(field, xs.x_vertex(v)) for v in graph.vertices]
-        self.d_e = Subspace.from_vectors(field, npts, gens)
-        self.domains = {}
-        for w in xs.words:
-            if w.is_identity():
-                self.domains[w] = self.d_e
-                continue
-            one_w = xs.indicator(field, xs.x_set(w))
-            prods = [[a * b for a, b in zip(one_w, v)] for v in self.d_e.basis]
-            self.domains[w] = Subspace.from_vectors(field, npts, prods)
+        # every point of X is one of the generating sets X_w or X_v, so D(X)
+        # is all of K^X and D_w = 1_w K^X is spanned by the unit vectors at X_w
+        self.domains = {
+            w: Subspace.coordinate(field, len(xs.points), xs.x_set(w)) for w in xs.words
+        }
         self._theta_inv = {w: theta_map(xs, word_inverse(w)) for w in xs.words}
         triples = ((g, h, word_mul(graph, g, h)) for g in xs.words for h in xs.words)
         ones = xs.indicator(field, xs.x_set(IDENTITY))

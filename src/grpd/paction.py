@@ -9,10 +9,11 @@ globalizations inside a function-space envelope.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import DimensionError, PreconditionError, SchemaError, UnsupportedError, Violation
 from .exactlin import Matrix, Subspace, kernel, solve
-from .algebra import StructureAlgebra, nonzero_terms
+from .algebra import StructureAlgebra, _parse_vec, nonzero_terms
 
 
 class PartialAction:
@@ -49,7 +50,6 @@ class PartialAction:
                     f"map at {g!r} has shape {(m.nrows, m.ncols)}, expected {need}"
                 )
         self._domain_units = {}
-        self._restrictions = {}
 
     @classmethod
     def from_ambient_maps(cls, groupoid, ambient, object_components, domains, ambient_maps):
@@ -77,25 +77,6 @@ class PartialAction:
         dst = self.domains[g]
         return dst.expand(self.maps[g].apply(src.coords(v)))
 
-    def alpha_ambient_matrix(self, g):
-        """Ambient matrix extending alpha_g by RREF-coordinate extraction.
-
-        Agrees with alpha_g on R_{g^-1}; meaningless off it, so compose only
-        with maps whose image lies in the domain.
-        """
-        src = self.domains[self.inv(g)]
-        dst = self.domains[g]
-        n = self.ambient.dim
-        field = self.ambient.field
-        if src.dim == 0 or dst.dim == 0:
-            return Matrix.zeros(field, n, n)
-        extract = Matrix(
-            field,
-            [[field.one if c == p else field.zero for c in range(n)] for p in src.pivots],
-        )
-        expand = Matrix.from_columns(field, dst.basis, n)
-        return expand.mul(self.maps[g].mul(extract))
-
     def domain_unit(self, g):
         """Unit of the subalgebra R_g as an ambient vector; None if absent or R_g = 0."""
         if g in self._domain_units:
@@ -110,12 +91,6 @@ class PartialAction:
         out = space.expand(u) if u is not None else None
         self._domain_units[g] = out
         return list(out) if out is not None else None
-
-    def restriction(self, g):
-        """The domain R_g as an algebra in its own right."""
-        if g not in self._restrictions:
-            self._restrictions[g] = self.ambient.subalgebra(self.domains[g])
-        return self._restrictions[g]
 
     def __repr__(self):
         return (
@@ -139,12 +114,9 @@ def validate_action(pa):
     n = amb.dim
 
     # (P4) direct sum decomposition of the ambient algebra
-    total = Subspace.zero(field, n)
-    dims = 0
-    for e in g0.objects:
-        comp = pa.object_components[e]
-        total = total.sum(comp)
-        dims += comp.dim
+    comps = [pa.object_components[e] for e in g0.objects]
+    total = Subspace.span(field, n, comps)
+    dims = sum(comp.dim for comp in comps)
     if total.dim != n:
         out.append(Violation("P4", (), f"components span dimension {total.dim} of {n}"))
     elif dims != n:
@@ -178,21 +150,9 @@ def validate_action(pa):
     for g in g0.morphisms:
         if g in bad_bijection:
             continue
-        src = pa.domains[pa.inv(g)]
-        broken = False
-        for u in src.basis:
-            for v in src.basis:
-                w = amb.multiply(u, v)
-                if not src.contains(w):
-                    continue  # covered by the ideal check
-                lhs = pa.apply_alpha(g, w)
-                rhs = amb.multiply(pa.apply_alpha(g, u), pa.apply_alpha(g, v))
-                if lhs != rhs:
-                    out.append(Violation("multiplicative", (g,), "alpha(xy) differs from alpha(x)alpha(y)"))
-                    broken = True
-                    break
-            if broken:
-                break
+        alpha = partial(pa.apply_alpha, g)
+        if not _is_multiplicative(amb, pa.domains[pa.inv(g)], alpha, amb.multiply):
+            out.append(Violation("multiplicative", (g,), "alpha(xy) differs from alpha(x)alpha(y)"))
 
     # (P1) identity morphisms act as the identity on the full component
     for e in g0.objects:
@@ -234,6 +194,19 @@ def _is_ideal_in(amb, inner, outer):
             if not inner.contains(amb.multiply(v, w)):
                 return False
             if not inner.contains(amb.multiply(w, v)):
+                return False
+    return True
+
+
+def _is_multiplicative(amb, space, f, mul):
+    """f(uv) = mul(f(u), f(v)) on basis pairs whose product stays in space.
+
+    Products leaving the space are the ideal check's concern, not this one's.
+    """
+    for u in space.basis:
+        for v in space.basis:
+            w = amb.multiply(u, v)
+            if space.contains(w) and f(w) != mul(f(u), f(v)):
                 return False
     return True
 
@@ -303,9 +276,7 @@ def restrict_to_g_sharp(pa):
         },
         identity={e: g0.identity[e] for e in kept_obj},
     )
-    big = Subspace.zero(field, pa.ambient.dim)
-    for e in kept_obj:
-        big = big.sum(pa.object_components[e])
+    big = Subspace.span(field, pa.ambient.dim, [pa.object_components[e] for e in kept_obj])
     sub_alg, sub_basis = pa.ambient.subalgebra(big)
 
     def push_space(space):
@@ -313,20 +284,16 @@ def restrict_to_g_sharp(pa):
 
     components = {e: push_space(pa.object_components[e]) for e in kept_obj}
     domains = {g: push_space(pa.domains[g]) for g in kept_mor}
-    maps = {}
-    for g in kept_mor:
-        src = domains[sharp.inverse[g]]
-        dst = domains[g]
-        cols = []
-        for c in src.basis:
-            v = big.expand(c)
-            img = pa.apply_alpha(g, v)
-            cols.append(dst.coords(big.coords(img)))
-        maps[g] = Matrix.from_columns(field, cols, dst.dim)
+
+    def alpha(g, c):
+        return big.coords(pa.apply_alpha(g, big.expand(c)))
+
     unit = sub_alg.find_unit()
     if unit is not None:
         sub_alg.unit = unit
-    return PartialAction(sharp, sub_alg, components, domains, maps)
+    return PartialAction.from_ambient_maps(
+        sharp, sub_alg, components, domains, {g: partial(alpha, g) for g in kept_mor}
+    )
 
 
 # -- finite type -----------------------------------------------------------------
@@ -335,14 +302,10 @@ def restrict_to_g_sharp(pa):
 def _finite_type_at(pa, e, gens):
     """Check the generating condition at object e for a given generator list."""
     g0 = pa.groupoid
-    field = pa.ambient.field
-    n = pa.ambient.dim
     for g in g0.morphisms_out_of(e):
+        spaces = [pa.domains[g0.compose(g, gi)] for gi in gens]
         target = pa.object_components[g0.cod[g]]
-        total = Subspace.zero(field, n)
-        for gi in gens:
-            total = total.sum(pa.domains[g0.compose(g, gi)])
-        if total != target:
+        if Subspace.span(pa.ambient.field, pa.ambient.dim, spaces) != target:
             return False
     return True
 
@@ -382,47 +345,48 @@ def finite_type_witnesses(pa):
 # -- trace map and fixed ring ------------------------------------------------------
 
 
+def _alpha_cut(pa, g, x):
+    """alpha_g(x 1_{g^-1}), zero where R_{g^-1} = 0."""
+    amb = pa.ambient
+    u = pa.domain_unit(pa.inv(g))
+    if u is None:
+        return amb.field.zero_vec(amb.dim)
+    y = amb.multiply(x, u)
+    if not pa.domains[pa.inv(g)].contains(y):
+        raise PreconditionError("x 1_{g^-1} left the domain; ambient is not associative enough")
+    return pa.apply_alpha(g, y)
+
+
 def trace_map(pa, x):
     """tr(x) = sum over morphisms of alpha_g(x 1_{g^-1}); zero domains drop out."""
     if not is_unital(pa):
         raise UnsupportedError("trace map needs a unital action")
-    amb = pa.ambient
-    acc = amb.field.zero_vec(amb.dim)
+    acc = pa.ambient.field.zero_vec(pa.ambient.dim)
     for g in pa.groupoid.morphisms:
-        u = pa.domain_unit(pa.inv(g))
-        if u is None:
-            continue
-        y = amb.multiply(x, u)
-        if not pa.domains[pa.inv(g)].contains(y):
-            raise PreconditionError("x 1_{g^-1} left the domain; ambient is not associative enough")
-        img = pa.apply_alpha(g, y)
-        acc = [a + b for a, b in zip(acc, img)]
+        acc = [a + b for a, b in zip(acc, _alpha_cut(pa, g, x))]
     return acc
 
 
 def fixed_ring(pa):
-    """Solutions of alpha_g(x 1_{g^-1}) = x 1_g for all morphisms g."""
+    """Solutions of alpha_g(x 1_{g^-1}) = x 1_g for all morphisms g.
+
+    For each g the stacked block is the matrix whose column c is
+    alpha_g(b_c 1_{g^-1}) - b_c 1_g.
+    """
     if not is_unital(pa):
         raise UnsupportedError("fixed ring needs a unital action")
     amb = pa.ambient
-    field = amb.field
     n = amb.dim
     rows = []
     for g in pa.groupoid.morphisms:
-        u_src = pa.domain_unit(pa.inv(g))
         u_dst = pa.domain_unit(g)
-        lhs = (
-            pa.alpha_ambient_matrix(g).mul(amb.right_mult_matrix(u_src))
-            if u_src is not None
-            else Matrix.zeros(field, n, n)
-        )
-        rhs = (
-            amb.right_mult_matrix(u_dst) if u_dst is not None else Matrix.zeros(field, n, n)
-        )
-        for r in range(n):
-            row = [lhs.rows[r][c] - rhs.rows[r][c] for c in range(n)]
-            rows.append(row)
-    return kernel(Matrix(field, rows))
+        cols = []
+        for c in range(n):
+            b = amb.basis_vector(c)
+            rhs = amb.multiply(b, u_dst) if u_dst is not None else amb.field.zero_vec(n)
+            cols.append([a - r for a, r in zip(_alpha_cut(pa, g, b), rhs)])
+        rows += Matrix.from_columns(amb.field, cols, n).rows
+    return kernel(Matrix(amb.field, rows))
 
 
 def is_invariant_subring(pa, space):
@@ -579,25 +543,14 @@ def globalize(pa):
     if unit is not None:
         t_alg.unit = unit
 
-    def unit_range_space(e):
-        lo, hi = part_range[e]
-        return Subspace.from_vectors(
-            field, t_dim, [field.unit_vec(t_dim, i) for i in range(lo, hi)]
-        )
+    def beta_map(g, c):
+        return t_space.coords(env.beta_apply(g, t_space.expand(c)))
 
-    components = {e: unit_range_space(e) for e in g0.objects}
+    components = {e: Subspace.coordinate(field, t_dim, range(*part_range[e])) for e in g0.objects}
     domains = {g: components[g0.cod[g]] for g in g0.morphisms}
-    maps = {}
-    for g in g0.morphisms:
-        src = domains[g0.inverse[g]]
-        dst = domains[g]
-        cols = []
-        for c in src.basis:
-            vec_u = t_space.expand(c)
-            img = env.beta_apply(g, vec_u)
-            cols.append(dst.coords(t_space.coords(img)))
-        maps[g] = Matrix.from_columns(field, cols, dst.dim)
-    beta = PartialAction(g0, t_alg, components, domains, maps)
+    beta = PartialAction.from_ambient_maps(
+        g0, t_alg, components, domains, {g: partial(beta_map, g) for g in g0.morphisms}
+    )
 
     embeddings = {}
     for e in g0.objects:
@@ -632,35 +585,15 @@ def globalization_verify(pa, glob):
         m = glob.embeddings[e]
         if len(m.rref_pivots()[1]) != comp.dim:
             out.append(Violation("psi-mono", (e,), "psi is not injective"))
-        for u in comp.basis:
-            for v in comp.basis:
-                w = pa.ambient.multiply(u, v)
-                if not comp.contains(w):
-                    continue
-                lhs = glob.psi_apply(e, w)
-                rhs = t_alg.multiply(glob.psi_apply(e, u), glob.psi_apply(e, v))
-                if lhs != rhs:
-                    out.append(Violation("psi-ring", (e,), "psi is not multiplicative"))
-                    break
-            else:
-                continue
-            break
+        psi = partial(glob.psi_apply, e)
+        if not _is_multiplicative(pa.ambient, comp, psi, t_alg.multiply):
+            out.append(Violation("psi-ring", (e,), "psi is not multiplicative"))
         psi_of_component[e] = glob.psi_image(e, comp)
 
     # (i) psi_e(R_e) is an ideal of T_e
     for e in g0.objects:
-        image = psi_of_component[e]
-        t_e = beta.object_components[e]
-        for t in t_e.basis:
-            for x in image.basis:
-                if not image.contains(t_alg.multiply(t, x)) or not image.contains(
-                    t_alg.multiply(x, t)
-                ):
-                    out.append(Violation("(i)", (e,), "psi(R_e) is not an ideal of T_e"))
-                    break
-            else:
-                continue
-            break
+        if not _is_ideal_in(t_alg, psi_of_component[e], beta.object_components[e]):
+            out.append(Violation("(i)", (e,), "psi(R_e) is not an ideal of T_e"))
 
     # (ii) psi(R_g) = psi(R_{c(g)}) meet beta_g(psi(R_{d(g)}))
     for g in g0.morphisms:
@@ -687,15 +620,11 @@ def globalization_verify(pa, glob):
 
     # (iv) T_g is generated by the shifted embedded components
     for g in g0.morphisms:
-        c = g0.cod[g]
-        total = Subspace.zero(field, t_alg.dim)
-        for h in g0.morphisms_into(c):
-            shifted = Subspace.from_vectors(
-                field,
-                t_alg.dim,
-                [beta.apply_alpha(h, v) for v in psi_of_component[g0.dom[h]].basis],
-            )
-            total = total.sum(shifted)
+        total = Subspace.from_vectors(field, t_alg.dim, [
+            beta.apply_alpha(h, v)
+            for h in g0.morphisms_into(g0.cod[g])
+            for v in psi_of_component[g0.dom[h]].basis
+        ])
         if total != beta.domains[g]:
             out.append(Violation("(iv)", (g,), "T_g is not the sum of shifted component images"))
     return out
@@ -704,15 +633,11 @@ def globalization_verify(pa, glob):
 def envelope_component_unital(glob):
     """Per-object unitality of T_e, as needed by the finite-type equivalence."""
     beta = glob.action
-    out = {}
-    for e in beta.groupoid.objects:
-        space = beta.object_components[e]
-        if space.dim == 0:
-            out[e] = True
-            continue
-        sub, _ = beta.ambient.subalgebra(space)
-        out[e] = sub.find_unit() is not None
-    return out
+    return {
+        e: beta.object_components[e].dim == 0
+        or beta.domain_unit(beta.groupoid.identity[e]) is not None
+        for e in beta.groupoid.objects
+    }
 
 
 # -- JSON schema -----------------------------------------------------------------------
@@ -748,10 +673,16 @@ def action_from_dict(d, groupoid, ambient):
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad action description: {exc}") from exc
 
+    def parse_rows(rows, what):
+        try:
+            return [_parse_vec(field, r, what) for r in rows]
+        except TypeError as exc:
+            raise SchemaError(f"bad rows in {what}: {exc}") from exc
+
     def parse_space(rows, what):
         try:
-            return Subspace.from_vectors(field, n, [field.vec(r) for r in rows])
-        except (DimensionError, TypeError, ValueError) as exc:
+            return Subspace.from_vectors(field, n, parse_rows(rows, f"subspace for {what}"))
+        except DimensionError as exc:
             raise SchemaError(f"bad subspace for {what}: {exc}") from exc
 
     components = {e: parse_space(comp_entries.get(e, []), e) for e in groupoid.objects}
@@ -760,8 +691,8 @@ def action_from_dict(d, groupoid, ambient):
     for g in groupoid.morphisms:
         rows = map_entries.get(g, [])
         try:
-            maps[g] = Matrix(field, [field.vec(r) for r in rows]) if rows else Matrix(field, [])
-        except (DimensionError, TypeError, ValueError) as exc:
+            maps[g] = Matrix(field, parse_rows(rows or [], f"map for {g}"))
+        except DimensionError as exc:
             raise SchemaError(f"bad map for {g}: {exc}") from exc
         if maps[g].nrows == 0:
             maps[g] = Matrix.zeros(field, domains[g].dim, domains[groupoid.inverse[g]].dim)

@@ -242,13 +242,10 @@ def groupoid_ring_action(groupoid, coeffs):
             unit[offsets[e] + k] = c
     ambient = StructureAlgebra(base_field, n, table, unit=unit, labels=labels)
 
-    def block_space(e):
-        t = coeffs[rep_of[e]]
-        return Subspace.from_vectors(
-            base_field, n, [base_field.unit_vec(n, offsets[e] + i) for i in range(t.dim)]
-        )
-
-    components = {e: block_space(e) for e in groupoid.objects}
+    components = {
+        e: Subspace.coordinate(base_field, n, range(o, o + coeffs[rep_of[e]].dim))
+        for e, o in offsets.items()
+    }
     domains = {g: components[groupoid.cod[g]] for g in groupoid.morphisms}
     maps = {
         g: Matrix.identity(base_field, coeffs[rep_of[groupoid.cod[g]]].dim)
@@ -330,9 +327,6 @@ class SemigroupTable:
     elements: list
     labels: list
     table: list
-
-    def index(self, x):
-        return self.elements.index(x)
 
     def validate(self):
         """Exhaustive associativity check; returns witnesses of failure."""
@@ -430,23 +424,18 @@ def quotient_by_ideal(alg, ideal):
 
 @dataclass
 class GradedModule:
-    """Left module over a skew ring, with one action matrix per algebra basis vector.
-
-    `grading_compatible` records whether the module was built degree-aware;
-    the regular module always is.
-    """
+    """Left module over a skew ring, with one action matrix per algebra basis vector."""
 
     algebra: StructureAlgebra
     dim: int
     action: list
-    grading_compatible: bool | None = None
 
     @classmethod
     def regular(cls, algebra):
         mats = [
             algebra.left_mult_matrix(algebra.basis_vector(i)) for i in range(algebra.dim)
         ]
-        return cls(algebra, algebra.dim, mats, grading_compatible=algebra.grading is not None)
+        return cls(algebra, algebra.dim, mats)
 
     def act_matrix(self, coords):
         out = Matrix.zeros(self.algebra.field, self.dim, self.dim)
@@ -666,7 +655,7 @@ def maschke_check(pa):
 # -- CLI-facing analysis ------------------------------------------------------------------------
 
 
-def analyze_algebra(alg, degree_compose=None):
+def analyze_algebra(alg):
     """Standard analysis report: identity, laws, center, radical, blocks, grading."""
     unit = alg.find_unit()
     assoc = alg.is_associative()
@@ -691,14 +680,11 @@ def analyze_algebra(alg, degree_compose=None):
                 report["blocks"] = blocks.dims()
         except UnsupportedError as exc:
             report["semisimple"] = f"unsupported: {exc}"
-    if alg.grading is not None:
-        compose = degree_compose
-        if compose is None and alg.grading_groupoid is not None:
-            g0 = alg.grading_groupoid
+    if alg.grading is not None and alg.grading_groupoid is not None:
+        g0 = alg.grading_groupoid
 
-            def compose(a, b):
-                return g0.compose(a, b) if g0.is_composable(a, b) else None
+        def compose(a, b):
+            return g0.compose(a, b) if g0.is_composable(a, b) else None
 
-        if compose is not None:
-            report["grading_ok"] = grading_respected(alg, compose)
+        report["grading_ok"] = grading_respected(alg, compose)
     return report

@@ -192,6 +192,20 @@ def test_malformed_algebra_json_exit_2(tmp_path, capsys, edit):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda d: d["components"]["*"][0].__setitem__(0, "1/0"), id="component-1/0"),
+    pytest.param(lambda d: d["maps"]["g0"][0].__setitem__(0, "1/0"), id="map-1/0"),
+    pytest.param(lambda d: d["domains"]["g0"].__setitem__(0, 5), id="domain-row-as-number"),
+])
+def test_malformed_action_json_exit_2(files, capsys, edit):
+    d = pact.action_to_dict(corpus.swap_action(), "z2.json", "qq.json")
+    edit(d)
+    path = files / "bad_coeff.json"
+    path.write_text(json.dumps(d))
+    assert cli.main(["check-action", str(path)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["leavitt", "--char", "4", "a3.json"], id="leavitt-char-4"),
     pytest.param(["matrix-ring", "-n", "2", "--char", "6"], id="matrix-ring-char-6"),

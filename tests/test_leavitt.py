@@ -4,7 +4,7 @@ import pytest
 
 import corpus
 from grpd.errors import UnsupportedError
-from grpd.exactlin import Field
+from grpd.exactlin import Field, Subspace
 from grpd import leavitt as lv
 
 Q = Field(0)
@@ -90,6 +90,18 @@ def test_x_space_a3():
     unreduced = lv.make_word(g, lv.Path("v1", ("e1", "e2")), lv.Path("v2", ("e2",)))
     assert unreduced == we1
     assert xs.x_set(unreduced) == xs.x_set(we1)
+
+
+def test_generating_sets_span_k_x():
+    # each point of X is some X_w or X_v, so D(X) is all of K^X
+    for name, g in corpus.corpus_graphs().items():
+        rep = lv.graph_analysis(g)
+        assert rep.acyclic, name
+        xs = lv.XSpace(rep)
+        gens = [xs.indicator(Q, xs.x_set(w)) for w in xs.words]
+        gens += [xs.indicator(Q, xs.x_vertex(v)) for v in g.vertices]
+        npts = len(xs.points)
+        assert Subspace.from_vectors(Q, npts, gens) == Subspace.full(Q, npts), name
 
 
 def test_x_space_rejects_cycles():

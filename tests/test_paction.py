@@ -1,5 +1,7 @@
 """Partial actions: axioms, predicates, trace, restriction, globalization."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -87,6 +89,36 @@ def test_trace_lands_in_fixed_ring():
             x = [field(rng.randint(0, span - 1) - (span // 2 if field.char == 0 else 0))
                  for _ in range(n)]
             assert fr.contains(pact.trace_map(pa, x)), name
+
+
+# SHA-256 of the fixed ring's RREF basis, entries written as strings; recorded
+# while fixed_ring still composed ambient matrices for alpha_g and right
+# multiplication, before it read alpha_g through apply_alpha
+FIXED_RING_SHA256 = {
+    "swap": "b1700d94e98c949f148ac280df76f99414218ea5ada573b3ee4461a3376952ad",
+    "restricted_swap": "e28610836ab702cd35495751839961e9fae54fec4ee18dc4b314862c18c3d104",
+    "corner": "d961a3cc60cff8329a3a4e94c0903709c3f0c9b380b136f512dc8f36f34d286b",
+    "shift_restriction": "2697a6a0fa542cf4262059598e74b3a033a2c829f0cc6b948bac88d2588eeb19",
+    "pair2_ring": "b1700d94e98c949f148ac280df76f99414218ea5ada573b3ee4461a3376952ad",
+    "swap_f5": "b1700d94e98c949f148ac280df76f99414218ea5ada573b3ee4461a3376952ad",
+}
+
+
+def test_fixed_ring_pinned_and_fixed():
+    assert sorted(FIXED_RING_SHA256) == sorted(name for name, _ in corpus.unital_corpus())
+    for name, pa in corpus.unital_corpus():
+        fr = pact.fixed_ring(pa)
+        doc = json.dumps([[str(c) for c in row] for row in fr.basis])
+        assert hashlib.sha256(doc.encode()).hexdigest() == FIXED_RING_SHA256[name], name
+        amb = pa.ambient
+        zero = amb.field.zero_vec(amb.dim)
+        for g in pa.groupoid.morphisms:
+            u_src = pa.domain_unit(pa.inv(g))
+            u_dst = pa.domain_unit(g)
+            for x in fr.basis:
+                lhs = zero if u_src is None else pa.apply_alpha(g, amb.multiply(x, u_src))
+                rhs = zero if u_dst is None else amb.multiply(x, u_dst)
+                assert lhs == rhs, (name, g)
 
 
 def test_invariant_subrings():
