@@ -6,6 +6,7 @@ associative unital algebras via the trace bilinear form, block decomposition
 of semisimple algebras, and Cayley-Dickson doubling.
 """
 
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -54,6 +55,7 @@ class StructureAlgebra:
         self.involution = involution
         self._assoc = None
         self._center = None
+        self._berlekamp = None
         self._radical = None
         self._unit_cache = False  # False = not yet computed
 
@@ -351,32 +353,83 @@ class StructureAlgebra:
         polynomial mp has a base-field root r splits B into e_1 B and e_2 B,
         with e_1 = q(z)/q(r) for q = mp/(t - r) and e_2 = e - e_1.  The center
         of a semisimple algebra over Q or F_p is a product of fields, so mp
-        is square-free, q(r) != 0 and the first root splits.  Blocks whose
-        center will not split over the base field are kept whole and
-        flagged, never forced.
+        is square-free, q(r) != 0 and the first root splits.
+
+        Over F_p the candidates z are the basis of e W for the Berlekamp
+        subalgebra W of Z.  Every element of W has a split minimal
+        polynomial, so any non-scalar candidate splits, and a block with
+        dim e W = 1 is simple.  Over Q they are the basis of e Z, then its
+        pairwise sums.  A block that no candidate splits is kept whole, and
+        flagged when its center e Z is larger than the base field.
         """
         if not self.is_semisimple():
             raise PreconditionError("block decomposition needs a semisimple algebra")
         field = self.field
         center = self.center()
+        berlekamp = self.berlekamp_subalgebra() if field.char else None
+
+        def times(e, sub):
+            """The subspace e sub, as an RREF basis in the ambient coordinates."""
+            return Subspace.from_vectors(field, self.dim, [self.multiply(e, v) for v in sub.basis])
+
         final = []
         work = [(Subspace.full(field, self.dim), self.find_unit())]
         while work:
             space, e = work.pop(0)
-            z = Subspace.from_vectors(
-                field, space.dim, [space.coords(self.multiply(e, v)) for v in center.basis]
-            )
-            e1 = self._splitting_idempotent(e, (space.expand(c) for c in _candidates(z.basis)))
+            if berlekamp is None:
+                z = times(e, center)
+                candidates = _candidates(z.basis)
+            else:
+                z = None
+                local = times(e, berlekamp)
+                candidates = local.basis if local.dim > 1 else ()
+            e1 = self._splitting_idempotent(e, candidates)
             if e1 is None:
+                if z is None:
+                    z = times(e, center)
                 final.append((space, z.dim > 1))
                 continue
             for ei in (e1, [a - b for a, b in zip(e, e1)]):
-                part = [self.multiply(ei, b) for b in space.basis]
-                work.append((Subspace.from_vectors(field, self.dim, part), ei))
-        final.sort(key=lambda t: (t[0].pivots[0] if t[0].pivots else self.dim))
+                work.append((times(ei, space), ei))
+        # blocks are unique ideals: order them by first pivot, then dimension,
+        # then RREF basis, so the order does not depend on the order of splits
+        final.sort(key=lambda t: (t[0].pivots[0], t[0].dim,
+                                  [field.fmt(c) for row in t[0].basis for c in row]))
         blocks = [s for s, _ in final]
         non_split = [i for i, (_, flag) in enumerate(final) if flag]
         return BlockDecomposition(blocks, non_split)
+
+    def berlekamp_subalgebra(self):
+        """Kernel of z -> z^p - z on the center over F_p, computed once.
+
+        Frobenius is F_p-linear on the commutative center, so the kernel is
+        the subalgebra of elements whose components in the field factors of
+        a semisimple center all lie in F_p (Berlekamp; Ronyai).  Each z^p is
+        taken by square-and-multiply.
+        """
+        if self.field.char == 0:
+            raise UnsupportedError("the Berlekamp subalgebra needs a prime field")
+        if self._berlekamp is None:
+            field = self.field
+            center = self.center()
+            cols = []
+            for t, z in enumerate(center.basis):
+                c = center.coords(self._power(z, field.char))
+                c[t] -= field.one
+                cols.append(c)
+            ker = kernel(Matrix.from_columns(field, cols, center.dim))
+            self._berlekamp = Subspace.from_vectors(
+                field, self.dim, [center.expand(c) for c in ker.basis])
+        return self._berlekamp
+
+    def _power(self, x, k):
+        """x^k for k >= 1 by left-to-right square-and-multiply."""
+        acc = x
+        for bit in bin(k)[3:]:
+            acc = self.multiply(acc, acc)
+            if bit == "1":
+                acc = self.multiply(acc, x)
+        return acc
 
     def _splitting_idempotent(self, e, candidates):
         """e_1 = q(z)/q(r) for the first candidate z with a base-field root r; or None."""
@@ -542,19 +595,32 @@ def minimal_polynomial(alg, x, one):
     """Monic minimal polynomial of x, with `one` (an identity for x) as x^0.
 
     `one` may be the unit of the algebra or of a block containing x.
-    Returned as a coefficient list [a_0, ..., a_{d-1}, 1].  The search ends
-    within dim steps: every power it keeps is independent of the earlier
-    ones.
+    Returned as a coefficient list [a_0, ..., a_{d-1}, 1].  Each power is
+    reduced against echelon rows of the earlier ones, each row carrying
+    the combination of powers it stands for; the first power that reduces
+    to zero gives the polynomial.  The search ends within dim steps: every
+    power it keeps is independent of the earlier ones.
     """
     if alg.multiply(one, x) != list(x):
         raise PreconditionError("minimal polynomial needs an identity for the element")
-    powers = [list(one)]
+    field = alg.field
+    rows = []  # (pivot, echelon row with 1 at the pivot, its combination of powers)
+    power = list(one)
     while True:
-        nxt = alg.multiply(powers[-1], x)
-        dep = solve(Matrix.from_columns(alg.field, powers, alg.dim), nxt)
-        if dep is not None:
-            return [-c for c in dep] + [alg.field.one]
-        powers.append(nxt)
+        v = power
+        comb = [field.zero] * len(rows) + [field.one]  # v = sum_i comb[i] x^i
+        for pivot, row, rc in rows:
+            c = v[pivot]
+            if c:
+                v = [a - c * b for a, b in zip(v, row)]
+                for i, b in enumerate(rc):
+                    comb[i] -= c * b
+        pivot = next((i for i, a in enumerate(v) if a), None)
+        if pivot is None:
+            return comb
+        inv = field.one / v[pivot]
+        rows.append((pivot, [inv * a for a in v], [inv * a for a in comb]))
+        power = alg.multiply(power, x)
 
 
 def _poly_eval(field, coeffs, x):
@@ -580,40 +646,128 @@ def polynomial_roots(field, coeffs):
     """All roots of the polynomial in the base field, sorted deterministically.
 
     Over Q this is a rational root search on the cleared-denominator form;
-    over F_p every residue is tried.
+    over F_p it is `_prime_field_roots`, which takes O(log p) steps per
+    root rather than one per residue.
     """
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs = coeffs[:-1]
     if len(coeffs) <= 1:
         return []
+    if field.char:
+        return [field(r) for r in _prime_field_roots(field.char, [c.val for c in coeffs])]
     roots = []
-    if field.char == 0:
-        denom = 1
-        for c in coeffs:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        ints = [int(c * denom) for c in coeffs]
-        if ints[0] == 0:
-            roots.append(field.zero)
-        # nonzero rational roots p/q have p dividing the lowest nonzero
-        # coefficient and q dividing the leading one
-        low = next(c for c in ints if c != 0)
-        lead = ints[-1]
-        for p in _divisors(low):
-            if p == 0:
-                continue
-            for q in _divisors(lead):
-                for sign in (1, -1):
-                    cand = Fraction(sign * p, q)
-                    if _poly_eval(field, coeffs, cand) == field.zero:
-                        roots.append(cand)
-        roots = sorted(set(roots))
-    else:
-        for r in range(field.char):
-            x = field(r)
-            if _poly_eval(field, coeffs, x) == field.zero:
-                roots.append(x)
-        roots.sort(key=lambda m: m.val)
-    return roots
+    denom = 1
+    for c in coeffs:
+        denom = denom * c.denominator // math.gcd(denom, c.denominator)
+    ints = [int(c * denom) for c in coeffs]
+    if ints[0] == 0:
+        roots.append(field.zero)
+    # nonzero rational roots p/q have p dividing the lowest nonzero
+    # coefficient and q dividing the leading one
+    low = next(c for c in ints if c != 0)
+    lead = ints[-1]
+    for p in _divisors(low):
+        if p == 0:
+            continue
+        for q in _divisors(lead):
+            for sign in (1, -1):
+                cand = Fraction(sign * p, q)
+                if _poly_eval(field, coeffs, cand) == field.zero:
+                    roots.append(cand)
+    return sorted(set(roots))
+
+
+# -- polynomials over F_p as lists of ints [a_0, ..., a_d], a_d != 0 ([] is zero) --
+
+
+def _prime_field_roots(p, f):
+    """Sorted roots in F_p of a polynomial of degree >= 1.
+
+    g = gcd(f, t^p - t) is the product of the distinct linear factors of f;
+    Cantor-Zassenhaus splits it by gcd(g, (t + a)^((p-1)/2) - 1) for
+    a = 0, 1, 2, ... in turn.  For two distinct roots r, s of g, the values
+    (r + a)/(s + a), a != -s, run over every element but 1, so some a makes
+    it a non-square: then exactly one of r + a, s + a is a nonzero square,
+    the gcd keeps one of r, s and not the other, and the search ends.
+    """
+    f = _fp_monic(p, f)
+    if p == 2:
+        return [r for r, val in ((0, f[0]), (1, sum(f))) if val % 2 == 0]
+    g = _fp_gcd(p, f, _fp_sub(p, _fp_powmod(p, [0, 1], p, f), [0, 1]))
+    roots = []
+    pending = [g] if len(g) > 1 else []
+    while pending:
+        h = pending.pop()
+        if len(h) == 2:
+            roots.append(-h[0] % p)
+            continue
+        for a in itertools.count():
+            w = _fp_gcd(p, h, _fp_sub(p, _fp_powmod(p, [a, 1], (p - 1) // 2, h), [1]))
+            if 1 < len(w) < len(h):
+                pending += [w, _fp_divmod(p, h, w)[0]]
+                break
+    return sorted(roots)
+
+
+def _fp_trim(f):
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _fp_monic(p, f):
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _fp_sub(p, f, g):
+    n = max(len(f), len(g))
+    f = f + [0] * (n - len(f))
+    g = g + [0] * (n - len(g))
+    return _fp_trim([(a - b) % p for a, b in zip(f, g)])
+
+
+def _fp_divmod(p, f, g):
+    """Quotient and remainder of f by a monic g."""
+    r = list(f)
+    d = len(g) - 1
+    q = [0] * max(len(f) - d, 0)
+    for i in range(len(f) - 1, d - 1, -1):
+        c = r[i]
+        if c:
+            q[i - d] = c
+            for j in range(d):
+                r[i - d + j] = (r[i - d + j] - c * g[j]) % p
+    return q, _fp_trim(r[:d])
+
+
+def _fp_gcd(p, f, g):
+    """Monic greatest common divisor; f is nonzero."""
+    while g:
+        g = _fp_monic(p, g)
+        f, g = g, _fp_divmod(p, f, g)[1]
+    return _fp_monic(p, f)
+
+
+def _fp_powmod(p, base, k, m):
+    """base^k mod a monic m of degree >= 1, by square-and-multiply."""
+    acc = [1]
+    for bit in bin(k)[2:]:
+        acc = _fp_mulmod(p, acc, acc, m)
+        if bit == "1":
+            acc = _fp_mulmod(p, acc, base, m)
+    return acc
+
+
+def _fp_mulmod(p, f, g, m):
+    if not f or not g:
+        return []
+    prod = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                prod[i + j] += a * b
+    return _fp_divmod(p, [c % p for c in prod], m)[1]
 
 
 def _poly_divide_linear(field, coeffs, root):

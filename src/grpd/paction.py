@@ -50,6 +50,7 @@ class PartialAction:
                     f"map at {g!r} has shape {(m.nrows, m.ncols)}, expected {need}"
                 )
         self._domain_units = {}
+        self._violations = None
 
     @classmethod
     def from_ambient_maps(cls, groupoid, ambient, object_components, domains, ambient_maps):
@@ -105,8 +106,15 @@ def validate_action(pa):
     """Check (P1)-(P4), ideal-ness, and the ring-isomorphism conditions.
 
     Returns a violation list; checks are guarded so that a single broken
-    axiom does not cascade into unrelated violation classes.
+    axiom does not cascade into unrelated violation classes.  The list is
+    computed once per action and cached on it.
     """
+    if pa._violations is None:
+        pa._violations = _axiom_violations(pa)
+    return list(pa._violations)
+
+
+def _axiom_violations(pa):
     out = []
     g0 = pa.groupoid
     amb = pa.ambient
@@ -466,18 +474,10 @@ class _Envelope:
     def psi_vec(self, e, r):
         """psi_e(r)(h) = alpha_{h^-1}(r 1_h), laid out in the e block."""
         pa = self.pa
-        amb = pa.ambient
-        out = amb.field.zero_vec(self.dim)
+        out = pa.ambient.field.zero_vec(self.dim)
         for h in self.into[e]:
-            u = pa.domain_unit(h)
-            if u is None:
-                continue
-            y = amb.multiply(r, u)
-            if not pa.domains[h].contains(y):
-                raise PreconditionError("r 1_h left R_h; cannot build the envelope")
-            val = pa.apply_alpha(pa.groupoid.inverse[h], y)
             off = self.offsets[(e, h)]
-            out[off:off + self.block] = val
+            out[off:off + self.block] = _alpha_cut(pa, pa.inv(h), r)
         return out
 
     def beta_apply(self, g, x):

@@ -320,7 +320,76 @@ def test_minimal_polynomial_and_roots():
     assert polynomial_roots(Q, mp) == [Q(-1), Q(1)]
     f5 = Field(5)
     coeffs = [f5(4), f5(0), f5(1)]  # t^2 + 4 = t^2 - 1 mod 5
-    assert {r.val for r in polynomial_roots(f5, coeffs)} == {1, 4}
+    assert polynomial_roots(f5, coeffs) == [f5(1), f5(4)]
+    # the generator of F_5[Z_4]: t^4 - 1 splits into the four units of F_5
+    f5z4 = corpus.group_algebra(f5, 4)
+    mp = minimal_polynomial(f5z4, f5.unit_vec(4, 1), f5z4.find_unit())
+    assert mp == [f5(-1), f5(0), f5(0), f5(0), f5(1)]
+    assert polynomial_roots(f5, mp) == [f5(1), f5(2), f5(3), f5(4)]
+    # over F_7 the same polynomial has only the roots 1 and 6 = -1
+    f7 = Field(7)
+    assert polynomial_roots(f7, [f7(-1), f7(0), f7(0), f7(0), f7(1)]) == [f7(1), f7(6)]
+
+
+def test_minimal_polynomial_runs_no_elimination(monkeypatch):
+    from grpd.exactlin import Matrix
+
+    def refuse(self):
+        raise AssertionError("minimal_polynomial must not run an elimination")
+
+    qz6 = corpus.group_algebra(Q, 6)
+    one = qz6.find_unit()
+    x = [Q(1), Q(2), Q.zero, Q(-1), Q.zero, Q(3)]
+    monkeypatch.setattr(Matrix, "rref_pivots", refuse)
+    mp = minimal_polynomial(qz6, x, one)
+    assert mp[-1] == Q.one and len(mp) == 7  # x has six distinct eigenvalues
+    acc = Q.zero_vec(6)
+    for c in reversed(mp):  # Horner: mp(x) = 0
+        acc = [a + c * u for a, u in zip(qz6.multiply(acc, x), one)]
+    assert not any(acc)
+
+
+def _brute_roots(p, coeffs):
+    return [r for r in range(p)
+            if sum(c * pow(r, i, p) for i, c in enumerate(coeffs)) % p == 0]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_prime_field_roots_match_brute_force(p):
+    f = Field(p)
+    rng = random.Random(1000 + p)
+    for _ in range(200):
+        degree = rng.randint(1, 8)
+        coeffs = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+        roots = polynomial_roots(f, f.vec(coeffs))
+        assert [r.val for r in roots] == _brute_roots(p, coeffs), coeffs
+
+
+def test_prime_field_roots_at_the_largest_prime():
+    p = 2**31 - 1
+    f = Field(p)
+    rng = random.Random(31)
+    non_residue = next(a for a in range(2, 100) if pow(a, (p - 1) // 2, p) == p - 1)
+    for _ in range(20):
+        roots = [rng.randrange(p) for _ in range(rng.randint(1, 5))]
+        roots.append(roots[0])  # a repeated root is reported once
+        # times t^2 - a for a non-residue a, a factor with no root in F_p
+        poly = [f(-non_residue), f.zero, f.one]
+        for r in roots:
+            poly = [a - f(r) * b for a, b in zip([f.zero] + poly, poly + [f.zero])]
+        found = polynomial_roots(f, poly)
+        assert [r.val for r in found] == sorted(set(roots))
+        for r in found:
+            acc = f.zero
+            for c in reversed(poly):
+                acc = acc * r + c
+            assert not acc
+
+
+def test_berlekamp_subalgebra_needs_a_prime_field():
+    assert corpus.group_algebra(Field(13), 12).berlekamp_subalgebra().dim == 12
+    with pytest.raises(UnsupportedError):
+        corpus.group_algebra(Q, 2).berlekamp_subalgebra()
 
 
 def test_minimal_polynomial_needs_an_identity_for_the_element():

@@ -262,6 +262,16 @@ def test_radical_computed_once(files, capsys, monkeypatch, argv):
     assert len(calls) == 1
 
 
+def test_maschke_validates_the_action_once(files, capsys, monkeypatch):
+    # the CLI checks the action before reporting and the skew-ring builder
+    # checks it again; the axioms are evaluated only the first time
+    calls = _count_calls(monkeypatch, pact, "_axiom_violations")
+    code, out = run(capsys, "--json", "maschke", str(files / "swap.json"))
+    assert code == 0
+    assert json.loads(out)["skew_semisimple"] is True
+    assert len(calls) == 1
+
+
 def test_build_skew_dump_skips_analysis(files, capsys, monkeypatch):
     from grpd import skewring as sk
 

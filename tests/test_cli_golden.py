@@ -5,7 +5,8 @@ it printed on stdout against the value recorded before the skew-ring
 builders were merged onto one kernel (the `analyze`, `globalize`,
 `partial-group-algebra` and octonion `build-skew --json` cases: before the
 structure table became sparse; the group algebras Q[Z_n], F_7[Z_6],
-F_11[Z_6] and K_par(Z_4): before blocks were split inside the center), so a
+F_11[Z_6] and K_par(Z_4): before blocks were split inside the center; the
+F_10007 cases: before the center was split by Frobenius over F_p), so a
 refactor that changes a single byte of a report fails here.
 """
 
@@ -43,6 +44,8 @@ ALGEBRAS = {
     **{f"qz{n}": corpus.group_algebra(Q, n) for n in (3, 6, 8, 12)},
     "f7z6": corpus.group_algebra(Field(7), 6),
     "f11z6": corpus.group_algebra(Field(11), 6),
+    "f10007z3": corpus.group_algebra(Field(10007), 3),
+    "f10007z4": corpus.group_algebra(Field(10007), 4),
 }
 GROUPOIDS = {
     "z2": gpd.cyclic_group(2),
@@ -86,11 +89,16 @@ def cases():
             "groupoid-ring", "--dump", f"{gname}.gpd.json", f"{aname}.alg.json"]
     out["matrix-ring -n 3 --json"] = ["--json", "matrix-ring", "-n", "3"]
     out["matrix-ring -n 3 --json --char 5"] = ["--json", "matrix-ring", "-n", "3", "--char", "5"]
+    out["matrix-ring -n 3 --json --char 10007"] = [
+        "--json", "matrix-ring", "-n", "3", "--char", "10007"]
     out["matrix-ring -n 3 --json qz2"] = [
         "--json", "matrix-ring", "-n", "3", "--algebra", "qz2.alg.json"]
     for name in ("z3", "z4"):
         out[f"partial-group-algebra --json {name}"] = [
             "--json", "partial-group-algebra", f"{name}.gpd.json"]
+    for name in ("z2", "z3", "z4"):
+        out[f"partial-group-algebra --json --char 10007 {name}"] = [
+            "--json", "partial-group-algebra", f"{name}.gpd.json", "--char", "10007"]
     return out
 
 
@@ -98,6 +106,8 @@ def cases():
 EXPECTED = {
     'analyze --json dual': (0, '30e0d17de418a584a0942e96b11bad07718f9b47f599f8c94041d8a038197325'),
     'analyze --json dual_f5': (0, '30e0d17de418a584a0942e96b11bad07718f9b47f599f8c94041d8a038197325'),
+    'analyze --json f10007z3': (0, 'e747aada1fd3a85320238d5d0bb1418572417124ceac68ca4408682a5c74dfa2'),
+    'analyze --json f10007z4': (0, '6c382d64f97cf676f4be94f74f2006b52edf06c9a813787ff4ab8fd1e60c19a4'),
     'analyze --json f11z6': (0, 'be67f28a05f6f72a75e5c17b779a7f8cc63c3d5018a2924326b1c83cf556056b'),
     'analyze --json f7z6': (0, 'ab01eaa6d8047ff34b5aa21f4e89f7ef9adbc3e5f0324f130d283718d1ffcf04'),
     'analyze --json octonions': (0, '9a8f42a1171e80e0f86014d4215a5c5ac90acd54d0176245f74414ed2c45f032'),
@@ -166,9 +176,13 @@ EXPECTED = {
     'maschke --json shift_restriction': (0, 'a19b67b7e8be53b8b524ddc42c986cecd916f8bdc590ec5d7b1a3e436a3ecfea'),
     'maschke --json swap': (0, '3df5d6945a6572a9c5db9e5ba4d0b8286614d81ec2c5e61d4614e2fc05001b7c'),
     'maschke --json swap_f5': (0, '0ba30166ab7617c88a8b933d95fe82bb558d19d88aab58dc63e683f9ec1d0195'),
-    'matrix-ring -n 3 --json': (0, '716b6d4c511c690ac954c94d4ff52e60878e2a288fabc121fe0644a3f65112fc'),
+    'matrix-ring -n 3 --json --char 10007': (0, '716b6d4c511c690ac954c94d4ff52e60878e2a288fabc121fe0644a3f65112fc'),
     'matrix-ring -n 3 --json --char 5': (0, '3619493d5eb4b4127996f961f6b216efcf916c4489d29bd3dd36c9f4efa77c52'),
     'matrix-ring -n 3 --json qz2': (0, '2f2b165e579664f5bf8cac9f3e93b01f4feeb0dc7d93cb81ff10b851b2b8cb62'),
+    'matrix-ring -n 3 --json': (0, '716b6d4c511c690ac954c94d4ff52e60878e2a288fabc121fe0644a3f65112fc'),
+    'partial-group-algebra --json --char 10007 z2': (0, 'd3c5cd450fd582a376c39f705e5b176d2fedc6501be8e6764e4f9723e3e0a7fd'),
+    'partial-group-algebra --json --char 10007 z3': (0, 'd8b52f4e5e28b303b37ffb9bce4cc07ae1c91542f92616af082f6f21e446f1ad'),
+    'partial-group-algebra --json --char 10007 z4': (0, '11336e3be3edc3663c1b7128ec8e4b440c767aee5f3a049074ba3c1a33e6e5a4'),
     'partial-group-algebra --json z3': (0, 'd8b52f4e5e28b303b37ffb9bce4cc07ae1c91542f92616af082f6f21e446f1ad'),
     'partial-group-algebra --json z4': (0, '11336e3be3edc3663c1b7128ec8e4b440c767aee5f3a049074ba3c1a33e6e5a4'),
 }

@@ -4,10 +4,11 @@ The expected blocks come from closed forms, not from grpd: a direct product
 of matrix algebras M_k(Q) has one block of dimension k^2 per factor, in any
 basis; Q[Z_n] is the product of the cyclotomic fields Q(zeta_d), d | n, of
 degree phi(d); F_p[Z_n] with p not dividing n has, for each d | n,
-phi(d)/ord_d(p) blocks of dimension ord_d(p).
+phi(d)/ord_d(p) blocks of dimension ord_d(p), in any basis.
 """
 
 import math
+import time
 from itertools import product
 
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import corpus
 from grpd.algebra import StructureAlgebra, nonzero_terms
-from grpd.exactlin import Field, Subspace
+from grpd.exactlin import Field, Matrix, Subspace, solve
 
 Q = Field(0)
 SETTINGS = settings(derandomize=True, max_examples=25, deadline=None, database=None)
@@ -30,6 +31,16 @@ def order_mod(p, d):
     while x != 1 % d:
         k, x = k + 1, x * p % d
     return k
+
+
+def cyclic_blocks(p, n):
+    """Block dimensions of F_p[Z_n], p not dividing n: phi(d)/ord_d(p) blocks of ord_d(p)."""
+    out = []
+    for d in range(1, n + 1):
+        if n % d == 0:
+            k = order_mod(p, d)
+            out += [k] * (phi(d) // k)
+    return sorted(out)
 
 
 def sheared_matrix_product(sizes, shears):
@@ -116,10 +127,51 @@ PRIME_CASES = st.sampled_from([5, 7, 11, 13]).flatmap(
 def test_prime_field_cyclic_group_algebra_blocks(case):
     p, n = case
     blocks = corpus.group_algebra(Field(p), n).wedderburn_blocks()
-    expected = []
-    for d in range(1, n + 1):
-        if n % d == 0:
-            k = order_mod(p, d)
-            expected += [k] * (phi(d) // k)
-    assert sorted(blocks.dims()) == sorted(expected)
+    assert sorted(blocks.dims()) == cyclic_blocks(p, n)
     assert blocks.non_split == [i for i, d in enumerate(blocks.dims()) if d > 1]
+
+
+def rebased(alg, basis):
+    """The algebra in the basis whose i-th vector has old coordinates basis[i]."""
+    change = Matrix.from_columns(alg.field, basis)
+    table = [[nonzero_terms(solve(change, alg.multiply(u, v))) for v in basis] for u in basis]
+    return StructureAlgebra(alg.field, alg.dim, table)
+
+
+@st.composite
+def rebased_cyclic_cases(draw):
+    """F_p[Z_n] with p > n and a seeded invertible change of basis over F_p."""
+    p = draw(st.sampled_from([5, 7, 11, 13, 10007]))
+    n = draw(st.integers(1, min(9, p - 1)))
+    field = Field(p)
+    basis = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+                          min_size=n, max_size=n)
+                 .filter(lambda rows: Subspace.from_vectors(field, n, [field.vec(r) for r in rows])
+                         .dim == n))
+    return p, n, [field.vec(r) for r in basis]
+
+
+@SETTINGS
+@given(rebased_cyclic_cases())
+def test_prime_field_blocks_do_not_depend_on_the_basis(case):
+    p, n, basis = case
+    alg = rebased(corpus.group_algebra(Field(p), n), basis)
+    blocks = alg.wedderburn_blocks()
+    assert sorted(blocks.dims()) == cyclic_blocks(p, n)
+    assert blocks.non_split == [i for i, d in enumerate(blocks.dims()) if d > 1]
+    assert alg.berlekamp_subalgebra().dim == len(blocks)
+    total = Subspace.span(Field(p), n, blocks.blocks)
+    assert total.dim == n
+
+
+def test_blocks_at_the_largest_prime_take_logarithmic_time():
+    # p = 2^31 - 1 is 1 mod 6 and 7 and 2 mod 5: Z_6 and Z_7 split into
+    # points, Z_5 keeps one block F_(p^4); a search over the residues of
+    # F_p would not finish
+    p = 2**31 - 1
+    for n in (5, 6, 7):
+        start = time.perf_counter()
+        blocks = corpus.group_algebra(Field(p), n).wedderburn_blocks()
+        elapsed = time.perf_counter() - start
+        assert sorted(blocks.dims()) == cyclic_blocks(p, n)
+        assert elapsed < 5.0, f"F_p[Z_{n}] took {elapsed:.2f} s"
