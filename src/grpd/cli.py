@@ -6,6 +6,7 @@ for identical inputs; `--json` switches to machine-readable reports.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -276,8 +277,14 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser, built on first use and shared by later calls in the process."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:

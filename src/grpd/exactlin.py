@@ -3,9 +3,16 @@
 Everything here is exact: rationals are arbitrary-precision fractions,
 residues are reduced mod p.  Matrices are dense, subspaces are kept in
 reduced row-echelon form so that equal subspaces have equal bases.
+
+Over F_p, elimination, reduction against a subspace and matrix-vector
+products run on the residues as plain ints and box them into `ModP` once
+on the way out; `ModP` is the element type at every public boundary.
+Matrices and subspaces are immutable after construction, so each keeps
+the int form of its rows once computed.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import DimensionError
 
@@ -124,6 +131,41 @@ class Field:
         return "Q" if self.char == 0 else f"F_{self.char}"
 
 
+def _box(field, ints):
+    """Residues (any ints) as field elements of F_p."""
+    p = field.char
+    zero = field.zero
+    return [ModP(x, p) if x else zero for x in ints]
+
+
+def _rref_mod(rows, ncols, p):
+    """Reduced row-echelon form mod p of int rows, in place; returns the pivot columns.
+
+    Row operations are those of the Fraction path, so the residues agree.
+    """
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        src = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if src is None:
+            continue
+        rows[r], rows[src] = rows[src], rows[r]
+        pivot_row = rows[r]
+        inv = pow(pivot_row[c], -1, p)
+        if inv != 1:
+            pivot_row = rows[r] = [inv * x % p for x in pivot_row]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], pivot_row)]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
 def vec_add(x, y):
     return [a + b for a, b in zip(x, y)]
 
@@ -147,6 +189,13 @@ class Matrix:
         for r in self.rows:
             if len(r) != self.ncols:
                 raise DimensionError("ragged matrix rows")
+        self._ints = None
+
+    def _int_rows(self):
+        """Rows as lists of residues (F_p only), computed once."""
+        if self._ints is None:
+            self._ints = [[x.val for x in r] for r in self.rows]
+        return self._ints
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
@@ -180,6 +229,10 @@ class Matrix:
         """Matrix times column vector."""
         if len(vec) != self.ncols:
             raise DimensionError(f"apply: {self.ncols} columns vs vector of length {len(vec)}")
+        p = self.field.char
+        if p:
+            v = [x.val for x in vec]
+            return _box(self.field, [sum(map(mul, r, v)) % p for r in self._int_rows()])
         zero = self.field.zero
         out = []
         for r in self.rows:
@@ -227,6 +280,11 @@ class Matrix:
 
     def rref_pivots(self):
         """Reduced row-echelon form together with the pivot column list."""
+        p = self.field.char
+        if p:
+            rows = [[x.val for x in r] for r in self.rows]
+            pivots = _rref_mod(rows, self.ncols, p)
+            return Matrix(self.field, [_box(self.field, r) for r in rows], self.ncols), pivots
         rows = [list(r) for r in self.rows]
         pivots = []
         r = 0
@@ -250,7 +308,7 @@ class Matrix:
                     rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
             pivots.append(c)
             r += 1
-        return Matrix(self.field, rows), pivots
+        return Matrix(self.field, rows, self.ncols), pivots
 
 
 def rref(m):
@@ -300,6 +358,7 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivots = pivots
+        self._ints = [[x.val for x in row] for row in basis] if field.char else None
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors):
@@ -346,6 +405,8 @@ class Subspace:
 
     def reduce(self, v):
         """Remainder of v after subtracting its component in this subspace."""
+        if self._ints is not None:
+            return _box(self.field, self._residue(v))
         if len(v) != self.ambient_dim:
             raise DimensionError("vector length differs from ambient dimension")
         v = list(v)
@@ -355,8 +416,23 @@ class Subspace:
                 v = [a - c * b for a, b in zip(v, row)]
         return v
 
+    def _residue(self, v):
+        """reduce(v) over F_p as ints, each equal mod p to its residue."""
+        if len(v) != self.ambient_dim:
+            raise DimensionError("vector length differs from ambient dimension")
+        w = [x.val for x in v]
+        # an RREF row vanishes at the other pivots, so w[p] is v[p] throughout
+        for row, p in zip(self._ints, self.pivots):
+            c = w[p]
+            if c:
+                w = [a - c * b for a, b in zip(w, row)]
+        return w
+
     def contains(self, v):
-        return vec_is_zero(self.reduce(v))
+        if self._ints is None:
+            return vec_is_zero(self.reduce(v))
+        p = self.field.char
+        return not any(a % p for a in self._residue(v))
 
     def coords(self, v):
         """Coordinates of v in the RREF basis; raises if v is outside the span."""
@@ -368,6 +444,13 @@ class Subspace:
         """Ambient vector with the given RREF-basis coordinates."""
         if len(coords) != self.dim:
             raise DimensionError("coordinate length differs from subspace dimension")
+        if self._ints is not None:
+            w = [0] * self.ambient_dim
+            for c, row in zip(coords, self._ints):
+                c = c.val
+                if c:
+                    w = [a + c * b for a, b in zip(w, row)]
+            return _box(self.field, w)
         v = self.field.zero_vec(self.ambient_dim)
         for c, row in zip(coords, self.basis):
             if c:
@@ -387,12 +470,10 @@ class Subspace:
         if not stacked:
             return Subspace.zero(self.field, n)
         red, pivots = Matrix(self.field, stacked).rref_pivots()
-        out = []
-        for i in range(len(pivots)):
-            row = red.rows[i]
-            if vec_is_zero(row[:n]):
-                out.append(row[n:])
-        return Subspace.from_vectors(self.field, n, out)
+        # rows with their pivot in the right half are zero on the left, and
+        # their right halves are already the RREF basis of the intersection
+        meet = [i for i, c in enumerate(pivots) if c >= n]
+        return Subspace(self.field, n, [red.rows[i][n:] for i in meet], [pivots[i] - n for i in meet])
 
     def __add__(self, other):
         return self.sum(other)

@@ -348,20 +348,22 @@ def from_dict(d):
         compose_entries = list(d.get("compose", []))
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad groupoid description: {exc}") from exc
+    if not _all_strings(objects):
+        raise SchemaError(f"object ids must be strings: {objects!r}")
     morphisms = []
     dom, cod, inverse = {}, {}, {}
     for ent in mor_entries:
         try:
-            m = ent["id"]
-            morphisms.append(m)
-            dom[m] = ent["dom"]
-            cod[m] = ent["cod"]
-            inverse[m] = ent["inv"]
+            m, dom_m, cod_m, inv_m = ent["id"], ent["dom"], ent["cod"], ent["inv"]
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad morphism entry {ent!r}") from exc
+        if not _all_strings((m, dom_m, cod_m, inv_m)):
+            raise SchemaError(f"bad morphism entry {ent!r}: ids must be strings")
+        morphisms.append(m)
+        dom[m], cod[m], inverse[m] = dom_m, cod_m, inv_m
     compose = {}
     for ent in compose_entries:
-        if not isinstance(ent, (list, tuple)) or len(ent) != 3:
+        if not isinstance(ent, (list, tuple)) or len(ent) != 3 or not _all_strings(ent):
             raise SchemaError(f"bad compose entry {ent!r}")
         compose[(ent[0], ent[1])] = ent[2]
     # create identities that were left out, under the id:<object> convention
@@ -378,6 +380,10 @@ def from_dict(d):
                 if dom.get(h) == e:
                     compose[(h, m)] = h
     return FiniteGroupoid(objects, morphisms, dom, cod, inverse, compose)
+
+
+def _all_strings(ids):
+    return all(isinstance(x, str) for x in ids)
 
 
 def _neutral_loop(e, morphisms, dom, cod, compose):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import DimensionError, PreconditionError, SchemaError, UnsupportedError, Violation
-from .exactlin import Matrix, Subspace, kernel, solve
+from .exactlin import Matrix, Subspace, kernel
 from .algebra import StructureAlgebra, _parse_vec, nonzero_terms
 
 
@@ -144,13 +144,13 @@ def _axiom_violations(pa):
         if not _is_ideal_in(amb, dom, comp):
             out.append(Violation("ideal", (g,), "domain is not an ideal of its codomain component"))
 
-    # alpha_g bijective
+    # alpha_g bijective; the inverses serve (P2) below
     bad_bijection = set()
+    inverses = {}
     for g in g0.morphisms:
-        src = pa.domains[pa.inv(g)]
-        dst = pa.domains[g]
-        m = pa.maps[g]
-        if src.dim != dst.dim or (src.dim and len(m.rref_pivots()[1]) != src.dim):
+        if pa.domains[pa.inv(g)].dim == pa.domains[g].dim:
+            inverses[g] = _inverse(pa.maps[g])
+        if inverses.get(g) is None:
             out.append(Violation("bijective", (g,), "alpha is not a linear bijection"))
             bad_bijection.add(g)
 
@@ -182,7 +182,7 @@ def _axiom_violations(pa):
         if gh in bad_bijection:
             continue
         inter = pa.domains[h].intersect(pa.domains[pa.inv(g)])
-        pre = _alpha_preimage(pa, h, inter)
+        pre = _alpha_preimage(pa, h, inverses[h], inter)
         target = pa.domains[pa.inv(gh)]
         if not pre <= target:
             out.append(Violation("P2", (g, h), "alpha_h^-1(R_h meet R_{g^-1}) leaves R_{(gh)^-1}"))
@@ -211,25 +211,30 @@ def _is_multiplicative(amb, space, f, mul):
 
     Products leaving the space are the ideal check's concern, not this one's.
     """
-    for u in space.basis:
-        for v in space.basis:
+    images = [f(u) for u in space.basis]
+    for u, fu in zip(space.basis, images):
+        for v, fv in zip(space.basis, images):
             w = amb.multiply(u, v)
-            if space.contains(w) and f(w) != mul(f(u), f(v)):
+            if space.contains(w) and f(w) != mul(fu, fv):
                 return False
     return True
 
 
-def _alpha_preimage(pa, h, space):
+def _inverse(m):
+    """Inverse of a square matrix by one elimination of [m | I]; None if m is singular."""
+    n = m.nrows
+    ident = Matrix.identity(m.field, n).rows
+    red, pivots = Matrix(m.field, [r + e for r, e in zip(m.rows, ident)]).rref_pivots()
+    if pivots != list(range(n)):
+        return None
+    return Matrix(m.field, [r[n:] for r in red.rows], n)
+
+
+def _alpha_preimage(pa, h, inverse, space):
     """alpha_h^-1 of a subspace of R_h, as a subspace of R_{h^-1}."""
     src = pa.domains[pa.inv(h)]
     dst = pa.domains[h]
-    vecs = []
-    for v in space.basis:
-        coords = dst.coords(v)
-        back = solve(pa.maps[h], coords)
-        if back is None:
-            continue
-        vecs.append(src.expand(back))
+    vecs = [src.expand(inverse.apply(dst.coords(v))) for v in space.basis]
     return Subspace.from_vectors(pa.ambient.field, pa.ambient.dim, vecs)
 
 

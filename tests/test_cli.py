@@ -206,6 +206,20 @@ def test_malformed_action_json_exit_2(files, capsys, edit):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda d: d.update(objects=[{}]), id="object-as-dict"),
+    pytest.param(lambda d: d["compose"].append([[], "e", "e"]), id="compose-id-as-list"),
+    pytest.param(lambda d: d["morphisms"][0].update(dom=["0"]), id="morphism-dom-as-list"),
+])
+def test_malformed_groupoid_json_exit_2(tmp_path, capsys, edit):
+    d = gpd.to_dict(gpd.cyclic_group(2))
+    edit(d)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    assert cli.main(["check-groupoid", str(path)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["leavitt", "--char", "4", "a3.json"], id="leavitt-char-4"),
     pytest.param(["matrix-ring", "-n", "2", "--char", "6"], id="matrix-ring-char-6"),
@@ -216,6 +230,15 @@ def test_bad_numeric_option_exit_2(files, capsys, argv):
     argv = [str(files / a) if a.endswith(".json") else a for a in argv]
     assert cli.main(argv) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_parser_built_once_per_process(files, capsys, monkeypatch):
+    cli._parser.cache_clear()
+    calls = _count_calls(monkeypatch, cli, "build_parser")
+    for _ in range(2):
+        code, out = run(capsys, "check-groupoid", str(files / "z2.json"))
+        assert code == 0 and "no violations" in out
+    assert len(calls) == 1
 
 
 def _count_calls(monkeypatch, owner, name):

@@ -1,0 +1,213 @@
+"""F_p linear algebra against a boxed reference written here (hypothesis, derandomized).
+
+exactlin eliminates over F_p on plain ints; this file keeps a slow boxed
+residue class and a textbook elimination on it, and requires every result
+to agree residue for residue on seeded random matrices, including empty
+and rank-deficient ones.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from grpd.exactlin import Field, Matrix, ModP, Subspace, kernel, solve
+
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+PRIMES = [2, 3, 10007, 2**31 - 1]
+
+
+class Res:
+    """Boxed residue mod p, the reference arithmetic."""
+
+    __slots__ = ("v", "p")
+
+    def __init__(self, v, p):
+        self.v = v % p
+        self.p = p
+
+    def __add__(self, other):
+        return Res(self.v + other.v, self.p)
+
+    def __sub__(self, other):
+        return Res(self.v - other.v, self.p)
+
+    def __mul__(self, other):
+        return Res(self.v * other.v, self.p)
+
+    def inverse(self):
+        return Res(pow(self.v, self.p - 2, self.p), self.p)  # Fermat
+
+    def __bool__(self):
+        return self.v != 0
+
+
+def ref_rref(rows, ncols):
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        src = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if src is None:
+            continue
+        rows[r], rows[src] = rows[src], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def ref_span(vectors, n):
+    """RREF basis and pivots of the span."""
+    rows, pivots = ref_rref(vectors, n)
+    return rows[:len(pivots)], pivots
+
+
+def ref_reduce(basis, pivots, v):
+    v = list(v)
+    for row, c in zip(basis, pivots):
+        f = v[c]
+        v = [a - f * b for a, b in zip(v, row)]
+    return v
+
+
+def ints(rows):
+    return [[x.v for x in r] for r in rows]
+
+
+def unboxed(vec, p):
+    """Residues of exactlin output, checking that every entry is a ModP mod p."""
+    assert all(isinstance(x, ModP) and x.p == p and 0 <= x.val < p for x in vec)
+    return [x.val for x in vec]
+
+
+@st.composite
+def fp_cases(draw):
+    """(p, rng): a prime and a seeded generator for entries."""
+    return draw(st.sampled_from(PRIMES)), random.Random(draw(st.integers(0, 2**32)))
+
+
+def random_entry(rng, p):
+    return rng.choice([0, 0, 1, p - 1, rng.randrange(p)])
+
+
+def random_rows(rng, p, nrows, ncols):
+    """Rows of a random matrix whose rank is at most a random bound."""
+    rank = rng.randint(0, min(nrows, ncols))
+    base = [[random_entry(rng, p) for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        coeffs = [random_entry(rng, p) for _ in base]
+        rows.append([sum(c * b[j] for c, b in zip(coeffs, base)) % p for j in range(ncols)])
+    return rows
+
+
+def both(rows, p, ncols):
+    """The same rows as an exactlin Matrix and as reference residues."""
+    field = Field(p)
+    return (Matrix(field, [[field(x) for x in r] for r in rows], ncols),
+            [[Res(x, p) for x in r] for r in rows])
+
+
+def shapes(rng):
+    return rng.randint(0, 6), rng.randint(0, 6)
+
+
+@SETTINGS
+@given(fp_cases())
+def test_rref_pivots_matches_reference(case):
+    p, rng = case
+    nrows, ncols = shapes(rng)
+    m, ref = both(random_rows(rng, p, nrows, ncols), p, ncols)
+    red, pivots = m.rref_pivots()
+    ref_red, ref_pivots = ref_rref(ref, ncols)
+    assert pivots == ref_pivots
+    assert red.shape == (nrows, ncols)
+    assert [unboxed(r, p) for r in red.rows] == ints(ref_red)
+
+
+@SETTINGS
+@given(fp_cases())
+def test_kernel_matches_reference(case):
+    p, rng = case
+    nrows, ncols = shapes(rng)
+    m, ref = both(random_rows(rng, p, nrows, ncols), p, ncols)
+    red, pivots = ref_rref(ref, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    vecs = []
+    for c in free:
+        v = [Res(0, p)] * ncols
+        v[c] = Res(1, p)
+        for i, pc in enumerate(pivots):
+            v[pc] = Res(0, p) - red[i][c]
+        vecs.append(v)
+    basis, ref_pivots = ref_span(vecs, ncols)
+    ker = kernel(m)
+    assert ker.pivots == ref_pivots
+    assert [unboxed(v, p) for v in ker.basis] == ints(basis)
+
+
+@SETTINGS
+@given(fp_cases(), st.booleans())
+def test_solve_matches_reference(case, consistent):
+    p, rng = case
+    nrows, ncols = shapes(rng)
+    rows = random_rows(rng, p, nrows, ncols)
+    if consistent:
+        x = [random_entry(rng, p) for _ in range(ncols)]
+        rhs = [sum(a * b for a, b in zip(r, x)) % p for r in rows]
+    else:
+        rhs = [random_entry(rng, p) for _ in range(nrows)]
+    m, ref = both(rows, p, ncols)
+    red, pivots = ref_rref([r + [Res(b, p)] for r, b in zip(ref, rhs)], ncols + 1)
+    got = solve(m, [Field(p)(b) for b in rhs])
+    if ncols in pivots:
+        assert got is None and not consistent
+        return
+    want = [0] * ncols
+    for i, c in enumerate(pivots):
+        want[c] = red[i][ncols].v
+    assert got is not None and unboxed(got, p) == want
+
+
+@SETTINGS
+@given(fp_cases())
+def test_subspace_operations_match_reference(case):
+    p, rng = case
+    field = Field(p)
+    n = rng.randint(0, 6)
+    gens_u = random_rows(rng, p, rng.randint(0, 5), n)
+    gens_w = random_rows(rng, p, rng.randint(0, 5), n)
+    u = Subspace.from_vectors(field, n, [field.vec(r) for r in gens_u])
+    w = Subspace.from_vectors(field, n, [field.vec(r) for r in gens_w])
+    ref_u, piv_u = ref_span([[Res(x, p) for x in r] for r in gens_u], n)
+    ref_w, piv_w = ref_span([[Res(x, p) for x in r] for r in gens_w], n)
+    assert (u.pivots, [unboxed(r, p) for r in u.basis]) == (piv_u, ints(ref_u))
+
+    coeffs = [random_entry(rng, p) for _ in ref_u]
+    inside = [sum(c * r[j].v for c, r in zip(coeffs, ref_u)) % p for j in range(n)]
+    for v in (inside, [random_entry(rng, p) for _ in range(n)]):
+        rest = [x.v for x in ref_reduce(ref_u, piv_u, [Res(x, p) for x in v])]
+        boxed = field.vec(v)
+        assert unboxed(u.reduce(boxed), p) == rest
+        assert u.contains(boxed) == (not any(rest))
+        if any(rest):
+            with pytest.raises(ValueError):
+                u.coords(boxed)
+        else:
+            assert unboxed(u.coords(boxed), p) == [v[c] for c in piv_u]
+    assert unboxed(u.expand(field.vec(coeffs)), p) == inside
+
+    # Zassenhaus on the reference: rows [u | u] and [w | 0]
+    zero = [Res(0, p)] * n
+    red, pivots = ref_rref([r + r for r in ref_u] + [r + zero for r in ref_w], 2 * n)
+    meet = [red[i][n:] for i in range(len(pivots)) if not any(red[i][:n])]
+    ref_meet, piv_meet = ref_span(meet, n)
+    got = u.intersect(w)
+    assert (got.pivots, [unboxed(r, p) for r in got.basis]) == (piv_meet, ints(ref_meet))

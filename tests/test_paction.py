@@ -3,11 +3,13 @@
 import hashlib
 import json
 import random
+from functools import partial
 
 import pytest
 
 import corpus
-from grpd.errors import PreconditionError, violation_rules
+from grpd import exactlin
+from grpd.errors import PreconditionError, UnsupportedError, violation_rules
 from grpd.exactlin import Field, Matrix, Subspace
 from grpd import groupoid as gpd
 from grpd import paction as pact
@@ -300,3 +302,66 @@ def test_action_json_roundtrip():
     d2 = pact.action_to_dict(pa2, "groupoid.json", "algebra.json")
     assert d1 == d2
     assert pact.validate_action(pa2) == []
+
+
+# -- validation solves no system per vector --------------------------------------------
+
+# Reports of the six single-axiom mutants: validate_action, then globalize and
+# globalization_verify (a list, or the error globalize raises).
+P2_GLOBAL = (
+    [f"[(i)] at ({e}): psi(R_e) is not an ideal of T_e" for e in (1, 2, 3)]
+    + [f"[(ii)] at (({g})): psi(R_g) differs from psi(R_c) meet beta_g(psi(R_d))"
+       for g in ("1,2", "2,1", "2,3", "3,2")]
+    + [f"[(iii)] at (({g})): beta_g psi differs from psi alpha_g"
+       for g in ("1,2", "2,1", "2,3", "3,2")]
+)
+MUTANT_REPORTS = {
+    "P1": (["[P1] at (*): identity domain differs from the object component"],
+           ["[psi-mono] at (*): psi is not injective"]),
+    "P2": ([f"[P2] at ({w}): alpha_h^-1(R_h meet R_{{g^-1}}) leaves R_{{(gh)^-1}}"
+            for w in ("(1,2), (2,3)", "(3,2), (2,1)")], P2_GLOBAL),
+    "P3": ([f"[P3] at ({w}): alpha_g alpha_h differs from alpha_{{gh}}"
+            for w in ("(1,2), (2,1)", "(2,1), (1,2)")], UnsupportedError),
+    "P4": (["[P4] at (): components span dimension 1 of 2"], []),
+    "ideal": (["[ideal] at (g1): domain is not an ideal of its codomain component"],
+              PreconditionError),
+    "multiplicative": (["[multiplicative] at (g1): alpha(xy) differs from alpha(x)alpha(y)"],
+                       UnsupportedError),
+}
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Refuse `solve` wherever paction could reach it, by module or by imported name."""
+    def refuse(*args):
+        raise AssertionError("validation must invert each map once, not solve per vector")
+
+    monkeypatch.setattr(exactlin, "solve", refuse)
+    monkeypatch.setattr(pact, "solve", refuse, raising=False)
+
+
+def _global_report(pa):
+    try:
+        glob = pact.globalize(pa)
+    except (UnsupportedError, PreconditionError) as exc:
+        return type(exc)
+    return [str(v) for v in pact.globalization_verify(pa, glob)]
+
+
+@pytest.mark.parametrize("rule", sorted(MUTANT_REPORTS))
+def test_mutant_reports_without_solving_per_vector(no_solve, rule):
+    pa = corpus.mutants()[rule]
+    violations = pact.validate_action(pa)
+    assert violation_rules(violations) == {rule}
+    assert ([str(v) for v in violations], _global_report(pa)) == MUTANT_REPORTS[rule]
+
+
+@pytest.mark.parametrize("field", [Q, Field(10007)], ids=str)
+@pytest.mark.parametrize("make", [
+    corpus.swap_action, corpus.restricted_swap_action, corpus.corner_action,
+    corpus.shift_restriction_action, partial(corpus.pair_ring_action, 3),
+], ids=["swap", "restricted_swap", "corner", "shift_restriction", "pair3_ring"])
+def test_corpus_validates_without_solving_per_vector(no_solve, field, make):
+    pa = make(field=field)
+    assert pact.validate_action(pa) == []
+    assert _global_report(pa) == []
