@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, PreconditionError, SchemaError, UnsupportedError
-from .exactlin import Field, Matrix, Subspace, kernel, solve
+from .exactlin import Matrix, Subspace, kernel, solve
+from . import schema
 
 
 class StructureAlgebra:
@@ -373,7 +374,7 @@ class StructureAlgebra:
             return Subspace.from_vectors(field, self.dim, [self.multiply(e, v) for v in sub.basis])
 
         final = []
-        work = [(Subspace.full(field, self.dim), self.find_unit())]
+        work = [(Subspace.full(field, self.dim), self.find_unit())] if self.dim else []
         while work:
             space, e = work.pop(0)
             if berlekamp is None:
@@ -513,38 +514,24 @@ class StructureAlgebra:
 
     @classmethod
     def from_dict(cls, d):
-        try:
-            field = Field(int(d["field"]["char"]))
-            dim = int(d["dim"])
-            entries = d["table"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad algebra description: {exc}") from exc
+        char = schema.get(schema.get(d, "field", dict, "algebra"), "char", int, "algebra field")
+        field = schema.field(char, "algebra field char")
+        dim = schema.get(d, "dim", int, "algebra")
         if dim < 0:
             raise SchemaError(f"dim must not be negative, got {dim}")
-        if not isinstance(entries, (list, tuple)):
-            raise SchemaError("table must be a list of [i, j, coefficients] entries")
         labels = d.get("basis")
-        if labels is not None and not isinstance(labels, (list, tuple)):
-            raise SchemaError("basis must be a list of labels")
-        if labels is not None and len(labels) != dim:
-            raise SchemaError("basis label count differs from dim")
+        if labels is not None:
+            schema.items(labels, object, "basis", dim)
         table = [[[] for _ in range(dim)] for _ in range(dim)]
-        for ent in entries:
-            if not isinstance(ent, (list, tuple)) or len(ent) != 3:
-                raise SchemaError(f"bad table entry {ent!r}")
-            i, j, coeffs = ent
-            if not (isinstance(i, int) and isinstance(j, int)):
-                raise SchemaError(f"table indices must be integers: {ent!r}")
-            if not isinstance(coeffs, (list, tuple)):
-                raise SchemaError(f"table coefficients must be a list: {ent!r}")
-            if not (0 <= i < dim and 0 <= j < dim) or len(coeffs) != dim:
-                raise SchemaError(f"table entry out of range: {ent!r}")
-            table[i][j] = nonzero_terms(_parse_vec(field, coeffs, f"table entry {ent!r}"))
+        for t, ent in enumerate(schema.get(d, "table", list, "algebra")):
+            what = f"table entry {t}"
+            i, j, coeffs = schema.items(ent, object, what, 3)
+            if not all(0 <= schema.check(x, int, f"index in {what}") < dim for x in (i, j)):
+                raise SchemaError(f"{what} has an index out of range: {ent!r}")
+            table[i][j] = nonzero_terms(schema.vec(field, coeffs, dim, what))
         alg = cls(field, dim, table, labels=labels)
         if "unit" in d:
-            unit = _parse_vec(field, d["unit"], "unit")
-            if len(unit) != dim:
-                raise SchemaError(f"unit has {len(unit)} coordinates, wanted {dim}")
+            unit = schema.vec(field, d["unit"], dim, "unit")
             if not alg.is_two_sided_unit(unit):
                 raise SchemaError("supplied unit is not a two-sided identity")
             alg.unit = unit
@@ -554,13 +541,6 @@ class StructureAlgebra:
 def nonzero_terms(v):
     """The (k, c) pairs of the nonzero coordinates of a vector: one table cell."""
     return [(k, c) for k, c in enumerate(v) if c]
-
-
-def _parse_vec(field, entries, what):
-    try:
-        return field.vec(entries)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad coefficient in {what}: {exc}") from exc
 
 
 @dataclass

@@ -12,12 +12,12 @@ import sys
 from pathlib import Path
 
 from .errors import GrpdError, SchemaError
-from .exactlin import Field
 from . import groupoid as gpd
 from .algebra import StructureAlgebra
 from . import paction as pact
 from . import skewring as sk
 from . import leavitt as lv
+from . import schema
 
 
 def _load_json(path):
@@ -28,13 +28,6 @@ def _load_json(path):
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _field(char):
-    try:
-        return Field(char)
-    except ValueError as exc:
-        raise SchemaError(f"--char {char}: {exc}") from exc
 
 
 def _load_groupoid(path):
@@ -48,11 +41,7 @@ def _load_algebra(path):
 def _load_action(path):
     d = _load_json(path)
     base = Path(path).parent
-    try:
-        gref = d["groupoid"]
-        aref = d["algebra"]
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"action file must reference groupoid and algebra: {exc}") from exc
+    gref, aref = (schema.get(d, k, str, "action") for k in ("groupoid", "algebra"))
     g0 = _load_groupoid(base / gref)
     bad = gpd.validate(g0)
     if bad:
@@ -137,7 +126,7 @@ def cmd_groupoid_ring(args):
 def cmd_matrix_ring(args):
     if args.n < 1:
         raise SchemaError(f"-n must be at least 1, got {args.n}")
-    field = _field(args.char)
+    field = schema.field(args.char, "--char")
     coeff = _load_algebra(args.algebra) if args.algebra else _scalar_algebra(field)
     g = gpd.pair_groupoid(args.n)
     alg = sk.build_groupoid_ring(g, coeff)
@@ -160,7 +149,7 @@ def cmd_partial_group_algebra(args):
     bad = gpd.validate(g)
     if bad:
         return _violations_report(bad, args.json)
-    field = _field(args.char)
+    field = schema.field(args.char, "--char")
     table = sk.exel_semigroup(g)
     alg = sk.semigroup_algebra(table, field)
     report = dict(sk.analyze_algebra(alg))
@@ -171,7 +160,7 @@ def cmd_partial_group_algebra(args):
 
 def cmd_leavitt(args):
     graph = lv.graph_from_dict(_load_json(args.file))
-    field = _field(args.char)
+    field = schema.field(args.char, "--char")
     census = lv.graph_analysis(graph)
     model = lv.GrSkewModel(census, field) if census.acyclic else None
     if args.dump and model is not None:

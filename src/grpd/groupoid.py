@@ -6,7 +6,8 @@ work uses the input order, so reports and serializations are deterministic.
 
 from dataclasses import dataclass
 
-from .errors import SchemaError, Violation
+from .errors import Violation
+from . import schema
 
 
 @dataclass
@@ -342,30 +343,18 @@ def to_dict(g):
 
 def from_dict(d):
     """Parse the groupoid schema; omitted identities are created as "id:<object>"."""
-    try:
-        objects = list(d["objects"])
-        mor_entries = list(d["morphisms"])
-        compose_entries = list(d.get("compose", []))
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"bad groupoid description: {exc}") from exc
-    if not _all_strings(objects):
-        raise SchemaError(f"object ids must be strings: {objects!r}")
+    objects = schema.items(schema.get(d, "objects", list, "groupoid"), str, "objects")
     morphisms = []
     dom, cod, inverse = {}, {}, {}
-    for ent in mor_entries:
-        try:
-            m, dom_m, cod_m, inv_m = ent["id"], ent["dom"], ent["cod"], ent["inv"]
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"bad morphism entry {ent!r}") from exc
-        if not _all_strings((m, dom_m, cod_m, inv_m)):
-            raise SchemaError(f"bad morphism entry {ent!r}: ids must be strings")
+    for t, ent in enumerate(schema.get(d, "morphisms", list, "groupoid")):
+        m, dom_m, cod_m, inv_m = (schema.get(ent, k, str, f"morphism {t}")
+                                  for k in ("id", "dom", "cod", "inv"))
         morphisms.append(m)
         dom[m], cod[m], inverse[m] = dom_m, cod_m, inv_m
     compose = {}
-    for ent in compose_entries:
-        if not isinstance(ent, (list, tuple)) or len(ent) != 3 or not _all_strings(ent):
-            raise SchemaError(f"bad compose entry {ent!r}")
-        compose[(ent[0], ent[1])] = ent[2]
+    for t, ent in enumerate(schema.get(d, "compose", list, "groupoid", [])):
+        a, b, c = schema.items(ent, str, f"compose entry {t}", 3)
+        compose[(a, b)] = c
     # create identities that were left out, under the id:<object> convention
     for e in objects:
         m = f"id:{e}"
@@ -380,10 +369,6 @@ def from_dict(d):
                 if dom.get(h) == e:
                     compose[(h, m)] = h
     return FiniteGroupoid(objects, morphisms, dom, cod, inverse, compose)
-
-
-def _all_strings(ids):
-    return all(isinstance(x, str) for x in ids)
 
 
 def _neutral_loop(e, morphisms, dom, cod, compose):

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import SchemaError, UnsupportedError
+from . import schema
 from .exactlin import Subspace
 from .algebra import StructureAlgebra
 from .skewring import skew_product_ring
@@ -44,9 +45,6 @@ class DirectedGraph:
 
     def out_edges(self, v):
         return [e for e in self.edges if e.s == v]
-
-    def in_edges(self, v):
-        return [e for e in self.edges if e.r == v]
 
     def sinks(self):
         return [v for v in self.vertices if not self.out_edges(v)]
@@ -651,11 +649,9 @@ def graph_to_dict(graph):
 
 
 def graph_from_dict(d):
-    try:
-        vertices = list(d["vertices"])
-        edges = [Edge(e["id"], e["s"], e["r"]) for e in d["edges"]]
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"bad graph description: {exc}") from exc
+    vertices = schema.items(schema.get(d, "vertices", list, "graph"), str, "vertices")
+    edges = [Edge(*(schema.get(e, k, str, f"edge {t}") for k in ("id", "s", "r")))
+             for t, e in enumerate(schema.get(d, "edges", list, "graph"))]
     try:
         return DirectedGraph(vertices, edges)
     except ValueError as exc:

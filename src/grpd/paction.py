@@ -13,7 +13,8 @@ from functools import partial
 
 from .errors import DimensionError, PreconditionError, SchemaError, UnsupportedError, Violation
 from .exactlin import Matrix, Subspace, kernel
-from .algebra import StructureAlgebra, _parse_vec, nonzero_terms
+from .algebra import StructureAlgebra, nonzero_terms
+from . import schema
 
 
 class PartialAction:
@@ -670,37 +671,26 @@ def action_to_dict(pa, groupoid_ref, algebra_ref):
 
 def action_from_dict(d, groupoid, ambient):
     field = ambient.field
-    n = ambient.dim
+    entries = {k: schema.get(d, k, dict, "action") for k in ("components", "domains", "maps")}
+
+    def rows(key, x, n):
+        what = f"{key} at {x!r}"
+        return [schema.vec(field, r, n, f"{what} row {i}")
+                for i, r in enumerate(schema.items(entries[key].get(x, []), object, what))]
+
+    def space(key, x):
+        return Subspace.from_vectors(field, ambient.dim, rows(key, x, ambient.dim))
+
     try:
-        comp_entries = d["components"]
-        dom_entries = d["domains"]
-        map_entries = d["maps"]
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"bad action description: {exc}") from exc
-
-    def parse_rows(rows, what):
-        try:
-            return [_parse_vec(field, r, what) for r in rows]
-        except TypeError as exc:
-            raise SchemaError(f"bad rows in {what}: {exc}") from exc
-
-    def parse_space(rows, what):
-        try:
-            return Subspace.from_vectors(field, n, parse_rows(rows, f"subspace for {what}"))
-        except DimensionError as exc:
-            raise SchemaError(f"bad subspace for {what}: {exc}") from exc
-
-    components = {e: parse_space(comp_entries.get(e, []), e) for e in groupoid.objects}
-    domains = {g: parse_space(dom_entries.get(g, []), g) for g in groupoid.morphisms}
-    maps = {}
-    for g in groupoid.morphisms:
-        rows = map_entries.get(g, [])
-        try:
-            maps[g] = Matrix(field, parse_rows(rows or [], f"map for {g}"))
-        except DimensionError as exc:
-            raise SchemaError(f"bad map for {g}: {exc}") from exc
-        if maps[g].nrows == 0:
-            maps[g] = Matrix.zeros(field, domains[g].dim, domains[groupoid.inverse[g]].dim)
-            if domains[g].dim and domains[groupoid.inverse[g]].dim:
+        components = {e: space("components", e) for e in groupoid.objects}
+        domains = {g: space("domains", g) for g in groupoid.morphisms}
+        maps = {}
+        for g in groupoid.morphisms:
+            shape = (domains[g].dim, domains[groupoid.inverse[g]].dim)
+            m = rows("maps", g, shape[1])
+            if not m and all(shape):
                 raise SchemaError(f"missing map for {g}")
-    return PartialAction(groupoid, ambient, components, domains, maps)
+            maps[g] = Matrix(field, m) if m else Matrix.zeros(field, *shape)
+        return PartialAction(groupoid, ambient, components, domains, maps)
+    except (DimensionError, KeyError) as exc:
+        raise SchemaError(f"bad action description: {exc}") from exc

@@ -182,6 +182,10 @@ def test_schema_roundtrips_are_fixpoints(files):
     pytest.param(lambda d: d["table"][0].__setitem__(2, 5), id="coefficients-as-number"),
     pytest.param(lambda d: d.update(basis=3), id="basis-as-number"),
     pytest.param(lambda d: d.update(dim=-1, table=[]) or d.pop("basis"), id="negative-dim"),
+    pytest.param(lambda d: d.update(dim="2"), id="dim-as-string"),
+    pytest.param(lambda d: d.update(dim=2.9), id="dim-as-float"),
+    pytest.param(lambda d: d["field"].update(char="0"), id="char-as-string"),
+    pytest.param(lambda d: d["table"][2].__setitem__(0, True), id="index-as-bool"),
 ])
 def test_malformed_algebra_json_exit_2(tmp_path, capsys, edit):
     d = corpus.dual_numbers(Q).to_dict()
@@ -196,6 +200,10 @@ def test_malformed_algebra_json_exit_2(tmp_path, capsys, edit):
     pytest.param(lambda d: d["components"]["*"][0].__setitem__(0, "1/0"), id="component-1/0"),
     pytest.param(lambda d: d["maps"]["g0"][0].__setitem__(0, "1/0"), id="map-1/0"),
     pytest.param(lambda d: d["domains"]["g0"].__setitem__(0, 5), id="domain-row-as-number"),
+    pytest.param(lambda d: d["maps"].update(g0=[["1", "0", "0"], ["0", "1", "0"]]),
+                 id="map-wrong-shape"),
+    pytest.param(lambda d: d.update(components=[]), id="components-as-list"),
+    pytest.param(lambda d: d.update(groupoid=5), id="groupoid-ref-as-number"),
 ])
 def test_malformed_action_json_exit_2(files, capsys, edit):
     d = pact.action_to_dict(corpus.swap_action(), "z2.json", "qq.json")
@@ -218,6 +226,47 @@ def test_malformed_groupoid_json_exit_2(tmp_path, capsys, edit):
     path.write_text(json.dumps(d))
     assert cli.main(["check-groupoid", str(path)]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def _rename_vertex(d, new):
+    """Rename the first vertex of a graph description, edges included."""
+    old = d["vertices"][0]
+    d["vertices"][0] = new
+    for e in d["edges"]:
+        e.update({k: new for k in ("s", "r") if e[k] == old})
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda d: d["vertices"].__setitem__(0, []), id="vertex-as-list"),
+    pytest.param(lambda d: _rename_vertex(d, True), id="vertex-as-bool"),
+    pytest.param(lambda d: _rename_vertex(d, 0), id="vertex-as-number"),
+    pytest.param(lambda d: d["edges"][0].update(id=5), id="edge-id-as-number"),
+    pytest.param(lambda d: d["edges"][0].update(id=[]), id="edge-id-as-list"),
+    pytest.param(lambda d: d["edges"][0].update(r=[]), id="edge-target-as-list"),
+    pytest.param(lambda d: d["edges"][0].pop("s"), id="edge-without-source"),
+])
+def test_malformed_graph_json_exit_2(tmp_path, capsys, edit):
+    d = lv.graph_to_dict(corpus.corpus_graphs()["A3"])
+    edit(d)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    assert cli.main(["--json", "leavitt", str(path)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb, doc, want", [
+    pytest.param("analyze", {"field": {"char": 0}, "dim": 0, "table": [], "unit": []},
+                 {"blocks": [], "semisimple": True}, id="zero-algebra"),
+    pytest.param("leavitt", {"vertices": [], "edges": []},
+                 {"block_sizes": [], "blocks_match_sinks": True}, id="empty-graph"),
+])
+def test_zero_ring_has_no_blocks(tmp_path, capsys, verb, doc, want):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "--json", verb, str(path))
+    assert code == 0
+    rep = json.loads(out)
+    assert {k: rep[k] for k in want} == want
 
 
 @pytest.mark.parametrize("argv", [
