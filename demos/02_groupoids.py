@@ -30,7 +30,6 @@ print("components:", connected_components(u))
 
 print("\n== hom-set counting ==")
 report = is_finite_mor_criterion(u)
-print("finite:", report.finite)
 print("isotropy sizes:", report.isotropy_sizes)
 print("every nonempty G(e,f) has |G_e| elements:", report.counting_identity)
 for e in u.objects:

@@ -40,5 +40,5 @@ for name, graph in gallery.items():
 
 print("== a cycle stops the construction ==")
 loop = graph_analysis(DirectedGraph(["v"], [("f", "v", "v")]))
-print("cycles found:", loop.cycles)
+print("acyclic:", loop.acyclic)
 print(lpa_characterization(loop, None).artinian_verdict)

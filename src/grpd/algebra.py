@@ -122,20 +122,23 @@ class StructureAlgebra:
             self._unit_cache = None
             return None
         n = self.dim
+        zero, one = self.field.zero, self.field.one
         rows = []
         rhs = []
         table = self.table
         for j in range(n):
-            # sum_i u_i (b_i b_j) = b_j   and   sum_i u_i (b_j b_i) = b_j
-            left = [[self.field.zero] * n for _ in range(n)]
-            right = [[self.field.zero] * n for _ in range(n)]
-            for i in range(n):
-                for k, c in table[i][j]:
-                    left[k][i] = c
-                for k, c in table[j][i]:
-                    right[k][i] = c
-            rows += left + right
-            rhs += self.basis_vector(j) * 2
+            # sum_i u_i (b_i b_j) = b_j   and   sum_i u_i (b_j b_i) = b_j, one row
+            # per coordinate k that some product reaches; the others read 0 = 0
+            for cells in ([table[i][j] for i in range(n)], table[j]):
+                forms = {}
+                for i, cell in enumerate(cells):
+                    for k, c in cell:
+                        forms.setdefault(k, [zero] * n)[i] = c
+                if j not in forms:  # coordinate j reads 0 = 1
+                    self._unit_cache = None
+                    return None
+                rows += forms.values()
+                rhs += [one if k == j else zero for k in forms]
         u = solve(Matrix(self.field, rows), rhs)
         self._unit_cache = u
         return list(u) if u is not None else None
@@ -163,15 +166,21 @@ class StructureAlgebra:
         return v
 
     def is_associative(self):
+        """Whether every basis associator vanishes; only linked triples can fail."""
         if self._assoc is None:
-            n = self.dim
-            self._assoc = all(
-                not self._associator_nz(i, j, k)
-                for i in range(n)
-                for j in range(n)
-                for k in range(n)
-            )
+            self._assoc = not any(self._associator_nz(*t) for t in self._linked_triples())
         return self._assoc
+
+    def _linked_triples(self):
+        """The basis triples (i, j, k) with b_i b_j or b_j b_k nonzero: at every
+        other triple both terms of the associator are zero."""
+        n, table = self.dim, self.table
+        for j in range(n):
+            left = {i for i in range(n) if table[i][j]}
+            right = [k for k in range(n) if table[j][k]]
+            for i in range(n):
+                for k in (range(n) if i in left else right):
+                    yield i, j, k
 
     def is_alternative(self):
         """Left and right alternative laws, via the alternating associator.

@@ -21,17 +21,15 @@ class HomSet:
 class FiniteMorReport:
     """Finiteness criterion report: object count, isotropy and hom-set sizes.
 
-    Truthy when the groupoid is finite and every nonempty hom-set G(e,f)
-    has exactly |G_e| elements.
+    Truthy when every nonempty hom-set G(e,f) has exactly |G_e| elements.
     """
 
-    finite: bool
     isotropy_sizes: dict
     hom_sizes: dict
     counting_identity: bool
 
     def __bool__(self):
-        return self.finite and self.counting_identity
+        return self.counting_identity
 
 
 class FiniteGroupoid:
@@ -325,7 +323,7 @@ def is_finite_mor_criterion(g):
             hom[(e, f)] = size
             if size and size != iso[e]:
                 ok = False
-    return FiniteMorReport(finite=True, isotropy_sizes=iso, hom_sizes=hom, counting_identity=ok)
+    return FiniteMorReport(isotropy_sizes=iso, hom_sizes=hom, counting_identity=ok)
 
 
 # -- JSON schema ----------------------------------------------------------

@@ -39,15 +39,17 @@ class DirectedGraph:
             raise ValueError("duplicate vertex ids")
         if len(self._eidx) != len(self.edges):
             raise ValueError("duplicate edge ids")
+        self._out = {v: [] for v in self.vertices}
         for e in self.edges:
             if e.s not in self._vidx or e.r not in self._vidx:
                 raise ValueError(f"edge {e.id} has unknown endpoints")
+            self._out[e.s].append(e)
 
     def out_edges(self, v):
-        return [e for e in self.edges if e.s == v]
+        return self._out[v]
 
     def sinks(self):
-        return [v for v in self.vertices if not self.out_edges(v)]
+        return [v for v in self.vertices if not self._out[v]]
 
     def __repr__(self):
         return f"DirectedGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -102,41 +104,14 @@ def all_paths(graph):
     return paths
 
 
-def simple_cycles(graph):
-    """All cycles (closed paths with distinct intermediate vertices), as edge tuples."""
-    out = []
-    for start in graph.vertices:
-        stack = [(start, (), frozenset())]
-        while stack:
-            v, edges, seen = stack.pop()
-            nseen = seen | {v}
-            for e in graph.out_edges(v):
-                if e.r == start:
-                    cyc = edges + (e.id,)
-                    # report each cycle once, anchored at its smallest vertex
-                    verts = [graph.edge_by_id[x].s for x in cyc]
-                    if min(verts, key=lambda w: graph._vidx[w]) == start:
-                        out.append(cyc)
-                elif e.r not in nseen:
-                    stack.append((e.r, edges + (e.id,), nseen))
-    out.sort(key=lambda cyc: (len(cyc), tuple(graph._eidx[e] for e in cyc)))
-    return out
-
-
 @dataclass
 class GraphReport:
     """The census of one graph, shared by everything built from it."""
 
     graph: DirectedGraph
-    vertices: int
-    edges: int
     sinks: list
-    cycles: list
     acyclic: bool
     paths: list | None
-
-    def path_count(self):
-        return len(self.paths) if self.paths is not None else None
 
     def sink_paths(self):
         """Sink -> the paths ending there, trivial one included, in census order."""
@@ -149,37 +124,60 @@ class GraphReport:
 
 
 def graph_analysis(graph):
-    """Sinks, exhaustive cycle list, acyclicity, and the path census when acyclic."""
-    cycles = simple_cycles(graph)
-    acyclic = not cycles
+    """Sinks, acyclicity, and the path census when acyclic.
+
+    A vertex on a cycle never enters the closure of the sinks, since it
+    would need its successor on the cycle inside first; in an acyclic graph
+    every vertex enters, by induction on the longest path out of it.
+    """
+    sinks = graph.sinks()
+    acyclic = len(_hs_closure(graph, frozenset(), sinks)) == len(graph.vertices)
     return GraphReport(
         graph=graph,
-        vertices=len(graph.vertices),
-        edges=len(graph.edges),
-        sinks=graph.sinks(),
-        cycles=cycles,
+        sinks=sinks,
         acyclic=acyclic,
         paths=all_paths(graph) if acyclic else None,
     )
 
 
+def _hs_closure(graph, closed, seed):
+    """The least hereditary saturated vertex set containing `closed` and `seed`.
+
+    `closed` must itself be hereditary and saturated.  Forward reachability
+    from the seed, then each regular vertex whose edges all end inside is
+    added (its successors are inside already), until nothing changes.
+    """
+    inside = set(closed)
+    todo = list(seed)
+    while todo:
+        v = todo.pop()
+        if v not in inside:
+            inside.add(v)
+            todo.extend(e.r for e in graph._out[v])
+        if not todo:
+            todo = [u for u, outs in graph._out.items() if u not in inside and outs
+                    and all(e.r in inside for e in outs)]
+    return frozenset(inside)
+
+
 def hereditary_saturated_subsets(graph):
-    """All hereditary and saturated vertex sets, by exhaustive search."""
-    vs = graph.vertices
-    out = []
-    for mask in range(1 << len(vs)):
-        h = {vs[i] for i in range(len(vs)) if mask & (1 << i)}
-        hereditary = all(e.r in h for e in graph.edges if e.s in h)
-        if not hereditary:
-            continue
-        saturated = True
-        for v in vs:
-            outs = graph.out_edges(v)
-            if outs and all(e.r in h for e in outs) and v not in h:
-                saturated = False
-                break
-        if saturated:
-            out.append(tuple(sorted(h, key=lambda v: graph._vidx[v])))
+    """All hereditary saturated vertex sets, each in vertex order, sorted by (size, names).
+
+    They are the closed sets of `_hs_closure`, and closed sets are closed
+    under intersection, so each one other than the empty set is the closure
+    of a smaller closed set and one more vertex.
+    """
+    found = {frozenset()}
+    todo = [frozenset()]
+    while todo:
+        h = todo.pop()
+        for v in graph.vertices:
+            if v not in h:
+                c = _hs_closure(graph, h, (v,))
+                if c not in found:
+                    found.add(c)
+                    todo.append(c)
+    out = [tuple(sorted(h, key=graph._vidx.__getitem__)) for h in found]
     out.sort(key=lambda t: (len(t), t))
     return out
 
@@ -215,16 +213,7 @@ def make_word(graph, a, b):
         eb.pop()
     if not ea and not eb:
         return IDENTITY
-    pa = Path(a.source, tuple(ea)) if ea else trivial_path(_end_after(graph, a, len(ea)))
-    pb = Path(b.source, tuple(eb)) if eb else trivial_path(_end_after(graph, b, len(eb)))
-    return Word(pa, pb)
-
-
-def _end_after(graph, p, k):
-    """Range of the first k edges of p (its source when k = 0)."""
-    if k == 0:
-        return p.source
-    return graph.edge_by_id[p.edges[k - 1]].r
+    return Word(Path(a.source, tuple(ea)), Path(b.source, tuple(eb)))
 
 
 def word_inverse(w):
@@ -387,7 +376,7 @@ class GrSkewModel:
         xs = self.xs
         out = self.field.zero_vec(len(xs.points))
         theta_inv = self._theta_inv[w]
-        for i in xs.x_set(w):
+        for i in self.domains[w].pivots:
             xi = xs.points[i]
             out[i] = f[xs.index[theta_inv[xi]]]
         return out

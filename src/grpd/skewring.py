@@ -630,11 +630,7 @@ def maschke_check(pa):
     park = {
         "support_size": len(supp),
         "morphism_count": len(g0.morphisms),
-        "finite_support": True,
         "component_dims": {e: pa.object_components[e].dim for e in g0.objects},
-        "coefficients_finite_dimensional": True,
-        "artinian": True,
-        "note": "finite-dimensional algebra over a field with finite support, hence artinian",
     }
     return MaschkeReport(
         r_semisimple=r_ss,

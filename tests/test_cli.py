@@ -1,6 +1,7 @@
 """CLI verbs: exit codes, determinism, schema round-trips."""
 
 import json
+import time
 
 import pytest
 
@@ -267,6 +268,36 @@ def test_zero_ring_has_no_blocks(tmp_path, capsys, verb, doc, want):
     assert code == 0
     rep = json.loads(out)
     assert {k: rep[k] for k in want} == want
+
+
+def _timed_run(capsys, tmp_path, verb, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    started = time.perf_counter()
+    code, out = run(capsys, "--json", verb, str(path))
+    return code, json.loads(out), time.perf_counter() - started
+
+
+def test_large_zero_product_algebra_is_quick(tmp_path, capsys):
+    doc = {"field": {"char": 0}, "dim": 320, "table": []}
+    code, rep, elapsed = _timed_run(capsys, tmp_path, "analyze", doc)
+    assert code == 0 and elapsed < 5.0
+    assert rep["unital"] is False and rep["associative"] is True and rep["center_dim"] == 320
+
+
+@pytest.mark.parametrize("vertices, edges", [
+    pytest.param([f"c{i}" for i in range(30)], [(i, (i + 1) % 30) for i in range(30)],
+                 id="30-cycle"),
+    pytest.param([f"k{i}" for i in range(12)], [(i, j) for i in range(12) for j in range(12)],
+                 id="K12"),
+])
+def test_leavitt_census_of_cyclic_graphs_is_quick(tmp_path, capsys, vertices, edges):
+    doc = {"vertices": vertices,
+           "edges": [{"id": f"e{i}_{j}", "s": vertices[i], "r": vertices[j]} for i, j in edges]}
+    code, rep, elapsed = _timed_run(capsys, tmp_path, "leavitt", doc)
+    assert code == 0 and elapsed < 1.0
+    assert rep["acyclic"] is False
+    assert rep["hereditary_saturated"] == [[], vertices]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,8 @@
 """Leavitt path algebras: graphs, X space, theta maps, the two models."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 from grpd.errors import UnsupportedError
@@ -14,8 +16,8 @@ def test_graph_analysis_single_vertex():
     g = corpus.corpus_graphs()["single"]
     rep = lv.graph_analysis(g)
     assert rep.sinks == ["v"]
-    assert rep.acyclic and rep.cycles == []
-    assert rep.path_count() == 1
+    assert rep.acyclic
+    assert len(rep.paths) == 1
 
 
 def test_graph_analysis_a3():
@@ -24,16 +26,15 @@ def test_graph_analysis_a3():
     assert rep.sinks == ["v3"]
     assert rep.acyclic
     # three trivial paths, two edges, one length-two path
-    assert rep.path_count() == 6
+    assert len(rep.paths) == 6
 
 
 def test_graph_analysis_cycles():
     loop = corpus.cyclic_graphs()["loop"]
     rep = lv.graph_analysis(loop)
-    assert not rep.acyclic and rep.cycles == [("f",)]
+    assert not rep.acyclic and rep.paths is None
     two = corpus.cyclic_graphs()["two_cycle"]
-    rep2 = lv.graph_analysis(two)
-    assert rep2.cycles == [("x", "y")]
+    assert not lv.graph_analysis(two).acyclic
     # parallel edges alone create no cycle
     par = corpus.corpus_graphs()["parallel"]
     assert lv.graph_analysis(par).acyclic
@@ -51,6 +52,53 @@ def test_hereditary_saturated_examples():
     hs = lv.hereditary_saturated_subsets(tree)
     assert ("l1",) in hs  # single leaves are hereditary and saturated here
     assert len(hs) > 2
+
+
+def _brute_force_hs(vertices, edges):
+    """Every vertex mask that is hereditary and saturated, tested directly."""
+    out = []
+    for mask in range(1 << len(vertices)):
+        h = {v for i, v in enumerate(vertices) if mask >> i & 1}
+        outs = {v: [r for s, r in edges if s == v] for v in vertices}
+        hereditary = all(r in h for s, r in edges if s in h)
+        saturated = all(v in h for v in vertices if outs[v] and set(outs[v]) <= h)
+        if hereditary and saturated:
+            out.append(tuple(v for v in vertices if v in h))
+    return sorted(out, key=lambda t: (len(t), t))
+
+
+def _dfs_acyclic(vertices, edges):
+    """No back edge in a three-colour depth-first search."""
+    colour = dict.fromkeys(vertices, 0)
+
+    def visit(v):
+        colour[v] = 1
+        for s, r in edges:
+            if s == v and (colour[r] == 1 or colour[r] == 0 and not visit(r)):
+                return False
+        colour[v] = 2
+        return True
+
+    return all(colour[v] or visit(v) for v in vertices)
+
+
+@st.composite
+def small_graphs(draw):
+    """At most 8 vertices; loops, parallel edges and isolated vertices all occur."""
+    n = draw(st.integers(0, 8))
+    vertices = [f"v{i}" for i in range(n)]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=14)) if n else []
+    return vertices, [(vertices[a], vertices[b]) for a, b in pairs]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(small_graphs())
+def test_closure_census_matches_brute_force(g):
+    vertices, edges = g
+    graph = lv.DirectedGraph(vertices, [(f"e{k}", s, r) for k, (s, r) in enumerate(edges)])
+    assert lv.hereditary_saturated_subsets(graph) == _brute_force_hs(vertices, edges)
+    assert lv.graph_analysis(graph).acyclic == _dfs_acyclic(vertices, edges)
 
 
 def test_x_space_single_vertex():

@@ -236,7 +236,9 @@ def test_maschke_check_premise_true_cases():
         assert rep.skew_semisimple is True, name
         assert rep.implication_isotropy == "holds", name
         assert rep.implication_trace == "holds", name
-        assert rep.park["finite_support"] and rep.park["artinian"], name
+        assert rep.park["support_size"] == len(pact.support(pa)), name
+        assert rep.park["morphism_count"] == len(pa.groupoid.morphisms), name
+        assert sum(rep.park["component_dims"].values()) == pa.ambient.dim, name
 
 
 def test_maschke_guard_case():
