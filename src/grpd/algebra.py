@@ -16,6 +16,8 @@ from .errors import DimensionError, PreconditionError, SchemaError, UnsupportedE
 from .exactlin import Matrix, Subspace, kernel, solve
 from . import schema
 
+MAX_DIM = 1024  # largest dim a file may declare; its empty dim x dim table alone is ~64 MB
+
 
 class StructureAlgebra:
     """Algebra with basis b_0..b_{n-1} and products b_i b_j = sum_k c_ij^k b_k.
@@ -526,8 +528,8 @@ class StructureAlgebra:
         char = schema.get(schema.get(d, "field", dict, "algebra"), "char", int, "algebra field")
         field = schema.field(char, "algebra field char")
         dim = schema.get(d, "dim", int, "algebra")
-        if dim < 0:
-            raise SchemaError(f"dim must not be negative, got {dim}")
+        if not 0 <= dim <= MAX_DIM:
+            raise SchemaError(f"dim must be between 0 and {MAX_DIM}, got {dim}")
         labels = d.get("basis")
         if labels is not None:
             schema.items(labels, object, "basis", dim)

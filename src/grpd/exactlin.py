@@ -1,14 +1,15 @@
 """Exact linear algebra over Q and over prime fields F_p.
 
 Everything here is exact: rationals are arbitrary-precision fractions,
-residues are reduced mod p.  Matrices are dense, subspaces are kept in
-reduced row-echelon form so that equal subspaces have equal bases.
+residues are reduced mod p.  Matrices and vectors are dense lists of field
+elements (`ModP` over F_p); subspaces are kept in reduced row-echelon form
+so that equal subspaces have equal bases.
 
-Over F_p, elimination, reduction against a subspace and matrix-vector
-products run on the residues as plain ints and box them into `ModP` once
-on the way out; `ModP` is the element type at every public boundary.
-Matrices and subspaces are immutable after construction, so each keeps
-the int form of its rows once computed.
+All elimination is one Gauss-Jordan kernel on sparse rows, reached through
+`Matrix.rref_pivots`: the same code over both fields, on Fractions over Q
+and on plain ints mod p over F_p.  Over F_p, reduction against a subspace
+and matrix-vector products run on ints too, boxed once on the way out.
+Matrices and subspaces are immutable, so each keeps its int rows once made.
 """
 
 from fractions import Fraction
@@ -138,32 +139,46 @@ def _box(field, ints):
     return [ModP(x, p) if x else zero for x in ints]
 
 
-def _rref_mod(rows, ncols, p):
-    """Reduced row-echelon form mod p of int rows, in place; returns the pivot columns.
+def _subtract(row, f, other, p):
+    """row -= f * other in place, mod p when p is nonzero; entries that vanish are dropped."""
+    get = row.get
+    for j, b in other.items():
+        v = get(j, 0) - f * b
+        if p:
+            v %= p
+        if v:
+            row[j] = v
+        else:
+            del row[j]
 
-    Row operations are those of the Fraction path, so the residues agree.
+
+def _gauss_jordan(rows, p):
+    """Reduced row-echelon form of sparse rows, as {pivot column: RREF row}.
+
+    Rows are dicts from column to nonzero value (Fractions when p is 0,
+    ints in [0, p) otherwise) and are consumed.  Each row is reduced
+    against the pivot rows so far and scaled to 1 at its first column,
+    a new pivot, which is then cleared from the earlier pivot rows.
     """
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        src = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if src is None:
+    piv = {}
+    for row in rows:
+        # a pivot row vanishes at the other pivots, so each step clears one
+        for c in [c for c in row if c in piv]:
+            _subtract(row, row[c], piv[c], p)
+        if not row:
             continue
-        rows[r], rows[src] = rows[src], rows[r]
-        pivot_row = rows[r]
-        inv = pow(pivot_row[c], -1, p)
-        if inv != 1:
-            pivot_row = rows[r] = [inv * x % p for x in pivot_row]
-        for i in range(nrows):
-            f = rows[i][c]
-            if f and i != r:
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], pivot_row)]
-        pivots.append(c)
-        r += 1
-    return pivots
+        q = min(row)
+        a = row[q]
+        if a != 1:
+            inv = pow(a, -1, p) if p else 1 / a
+            for j, v in row.items():
+                row[j] = v * inv % p if p else v * inv
+        for other in piv.values():
+            f = other.get(q)
+            if f:
+                _subtract(other, f, row, p)
+        piv[q] = row
+    return piv
 
 
 def vec_add(x, y):
@@ -279,36 +294,20 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field})"
 
     def rref_pivots(self):
-        """Reduced row-echelon form together with the pivot column list."""
-        p = self.field.char
-        if p:
-            rows = [[x.val for x in r] for r in self.rows]
-            pivots = _rref_mod(rows, self.ncols, p)
-            return Matrix(self.field, [_box(self.field, r) for r in rows], self.ncols), pivots
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            if r >= self.nrows:
-                break
-            src = None
-            for i in range(r, self.nrows):
-                if rows[i][c]:
-                    src = i
-                    break
-            if src is None:
-                continue
-            rows[r], rows[src] = rows[src], rows[r]
-            inv = self.field.one / rows[r][c]
-            if inv != self.field.one:
-                rows[r] = [inv * x for x in rows[r]]
-            for i in range(self.nrows):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-        return Matrix(self.field, rows, self.ncols), pivots
+        """Reduced row-echelon form (nonzero rows first) and the pivot column list."""
+        field, n = self.field, self.ncols
+        p = field.char
+        rows = self._int_rows() if p else self.rows
+        piv = _gauss_jordan([{j: x for j, x in enumerate(r) if x} for r in rows], p)
+        pivots = sorted(piv)
+        out = []
+        for c in pivots:
+            r = field.zero_vec(n)
+            for j, v in piv[c].items():
+                r[j] = ModP(v, p) if p else v
+            out.append(r)
+        out += [field.zero_vec(n) for _ in range(self.nrows - len(pivots))]
+        return Matrix(field, out, n), pivots
 
 
 def rref(m):

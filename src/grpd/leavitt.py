@@ -160,12 +160,26 @@ def _hs_closure(graph, closed, seed):
     return frozenset(inside)
 
 
+def _trivial_hs_lattice(graph):
+    """Whether the empty set and V are the only hereditary saturated sets.
+
+    A nonempty proper one holds the closure of each of its vertices, so it
+    is enough that every single vertex closes to all of V.
+    """
+    n = len(graph.vertices)
+    return all(len(_hs_closure(graph, frozenset(), (v,))) == n for v in graph.vertices)
+
+
+HS_CAP = 4096  # hereditary saturated sets listed at most; 12 isolated vertices have this many
+
+
 def hereditary_saturated_subsets(graph):
     """All hereditary saturated vertex sets, each in vertex order, sorted by (size, names).
 
     They are the closed sets of `_hs_closure`, and closed sets are closed
     under intersection, so each one other than the empty set is the closure
-    of a smaller closed set and one more vertex.
+    of a smaller closed set and one more vertex.  Past HS_CAP sets the
+    search stops with an UnsupportedError.
     """
     found = {frozenset()}
     todo = [frozenset()]
@@ -175,6 +189,9 @@ def hereditary_saturated_subsets(graph):
             if v not in h:
                 c = _hs_closure(graph, h, (v,))
                 if c not in found:
+                    if len(found) == HS_CAP:
+                        raise UnsupportedError(
+                            f"more than {HS_CAP} hereditary saturated vertex sets")
                     found.add(c)
                     todo.append(c)
     out = [tuple(sorted(h, key=graph._vidx.__getitem__)) for h in found]
@@ -579,7 +596,7 @@ def lpa_characterization(report, model):
     """
     graph = report.graph
     hs = hereditary_saturated_subsets(graph)
-    trivial_hs = [h for h in hs if h and len(h) != len(graph.vertices)] == []
+    trivial_hs = _trivial_hs_lattice(graph)
     if not report.acyclic:
         return LpaReport(
             acyclic=False,

@@ -29,6 +29,14 @@ def group_algebra(field, n):
     return StructureAlgebra(field, n, table, unit=unit, labels=[f"d{i}" for i in range(n)])
 
 
+def matrix_algebra(field, n):
+    """M_n(field) in the matrix-unit basis E_ij, with no unit supplied."""
+    units = [(i, j) for i in range(n) for j in range(n)]
+    idx = {u: a for a, u in enumerate(units)}
+    table = [[[(idx[i, l], field.one)] if j == k else [] for k, l in units] for i, j in units]
+    return StructureAlgebra(field, n * n, table, labels=[f"E{i}{j}" for i, j in units])
+
+
 def dual_numbers(field):
     """field[x]/(x^2), radical spanned by x."""
     z, o = field.zero, field.one
@@ -289,6 +297,22 @@ def corpus_graphs():
         ),
         "disjoint": lv.DirectedGraph(["v", "w", "x"], [("f", "v", "w")]),
     }
+
+
+def line_graph(n):
+    """The line A_n: v1 -> v2 -> ... -> vn."""
+    vs = [f"v{i}" for i in range(1, n + 1)]
+    return lv.DirectedGraph(vs, [(f"e{i}", vs[i - 1], vs[i]) for i in range(1, n)])
+
+
+def cycle_graph(n):
+    """The n-cycle c0 -> c1 -> ... -> c(n-1) -> c0."""
+    vs = [f"c{i}" for i in range(n)]
+    return lv.DirectedGraph(vs, [(f"e{i}", vs[i], vs[(i + 1) % n]) for i in range(n)])
+
+
+def isolated_vertices(n):
+    return lv.DirectedGraph([f"i{k}" for k in range(n)], [])
 
 
 def leavitt_model(graph, field):

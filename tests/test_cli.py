@@ -10,6 +10,7 @@ from grpd import cli
 from grpd import groupoid as gpd
 from grpd import paction as pact
 from grpd import leavitt as lv
+from grpd.algebra import MAX_DIM
 from grpd.exactlin import Field
 
 Q = Field(0)
@@ -195,6 +196,26 @@ def test_malformed_algebra_json_exit_2(tmp_path, capsys, edit):
     path.write_text(json.dumps(d))
     assert cli.main(["analyze", str(path)]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_dim_over_limit_exit_2_before_allocating(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"field": {"char": 0}, "dim": MAX_DIM + 1, "table": []}))
+    assert cli.main(["analyze", str(path)]) == 2
+    assert f"between 0 and {MAX_DIM}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [12, 13])  # n isolated vertices have 2^n sets; the cap is 2^12
+def test_hereditary_saturated_sets_capped_exit_1(tmp_path, capsys, n):
+    path = tmp_path / "isolated.json"
+    path.write_text(json.dumps(lv.graph_to_dict(corpus.isolated_vertices(n))))
+    code = cli.main(["--json", "leavitt", str(path)])
+    out, err = capsys.readouterr()
+    if n == 12:
+        assert code == 0 and len(json.loads(out)["hereditary_saturated"]) == lv.HS_CAP
+    else:
+        assert code == 1 and out == ""
+        assert f"more than {lv.HS_CAP} hereditary saturated" in err
 
 
 @pytest.mark.parametrize("edit", [

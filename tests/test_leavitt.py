@@ -97,7 +97,9 @@ def small_graphs(draw):
 def test_closure_census_matches_brute_force(g):
     vertices, edges = g
     graph = lv.DirectedGraph(vertices, [(f"e{k}", s, r) for k, (s, r) in enumerate(edges)])
-    assert lv.hereditary_saturated_subsets(graph) == _brute_force_hs(vertices, edges)
+    hs = _brute_force_hs(vertices, edges)
+    assert lv.hereditary_saturated_subsets(graph) == hs
+    assert lv._trivial_hs_lattice(graph) == (len(hs) <= 2)
     assert lv.graph_analysis(graph).acyclic == _dfs_acyclic(vertices, edges)
 
 
