@@ -5,15 +5,16 @@ residues are reduced mod p.  Matrices and vectors are dense lists of field
 elements (`ModP` over F_p); subspaces are kept in reduced row-echelon form
 so that equal subspaces have equal bases.
 
-All elimination is one Gauss-Jordan kernel on sparse rows, reached through
-`Matrix.rref_pivots`: the same code over both fields, on Fractions over Q
-and on plain ints mod p over F_p.  Over F_p, reduction against a subspace
-and matrix-vector products run on ints too, boxed once on the way out.
-Matrices and subspaces are immutable, so each keeps its int rows once made.
+Inside, both fields share one form, the raw row: a dict {column: nonzero
+value} holding Fractions over Q and ints in [0, p) over F_p.  `_sparse` and
+`_dense` convert at the boundary and, beside `Field`, are the only code that
+boxes residues.  All elimination is one Gauss-Jordan kernel on raw rows,
+reached through `Matrix.rref_pivots`; reduction against a subspace, products
+and expansion share its steps.  Matrices and subspaces are immutable, so a
+matrix keeps its raw columns and a subspace its raw basis once made.
 """
 
 from fractions import Fraction
-from operator import mul
 
 from .errors import DimensionError
 
@@ -87,12 +88,12 @@ class Field:
 
     def __call__(self, x):
         """Coerce an int, string, Fraction or ModP into a field element."""
+        if isinstance(x, bool):
+            raise TypeError(f"cannot coerce the boolean {x!r} into {self}")
         if self.char == 0:
             if isinstance(x, Fraction):
                 return x
-            if isinstance(x, int):
-                return Fraction(x)
-            if isinstance(x, str):
+            if isinstance(x, (int, str)):
                 return Fraction(x)
             raise TypeError(f"cannot coerce {x!r} into Q")
         if isinstance(x, ModP):
@@ -132,11 +133,20 @@ class Field:
         return "Q" if self.char == 0 else f"F_{self.char}"
 
 
-def _box(field, ints):
-    """Residues (any ints) as field elements of F_p."""
+def _sparse(field, vec):
+    """Raw row of a dense vector: {column: nonzero value}, residues as ints over F_p."""
+    if field.char:
+        return {j: r for j, x in enumerate(vec) if (r := x.val)}
+    return {j: x for j, x in enumerate(vec) if x}
+
+
+def _dense(field, row, n):
+    """Dense vector of length n from a raw row, residues boxed into ModP over F_p."""
     p = field.char
-    zero = field.zero
-    return [ModP(x, p) if x else zero for x in ints]
+    v = [field.zero] * n
+    for j, x in row.items():
+        v[j] = ModP(x, p) if p else x
+    return v
 
 
 def _subtract(row, f, other, p):
@@ -152,20 +162,32 @@ def _subtract(row, f, other, p):
             del row[j]
 
 
-def _gauss_jordan(rows, p):
-    """Reduced row-echelon form of sparse rows, as {pivot column: RREF row}.
+def _reduce(row, piv, p):
+    """row, reduced in place against the RREF rows {pivot column: row} of piv."""
+    # a pivot row vanishes at the other pivots, so each step clears one
+    for c in [c for c in row if c in piv]:
+        _subtract(row, row[c], piv[c], p)
+    return row
 
-    Rows are dicts from column to nonzero value (Fractions when p is 0,
-    ints in [0, p) otherwise) and are consumed.  Each row is reduced
-    against the pivot rows so far and scaled to 1 at its first column,
-    a new pivot, which is then cleared from the earlier pivot rows.
+
+def _combine(coeffs, rows, p):
+    """Raw row of the sum of c * rows[i] over the raw row {i: c} of coefficients."""
+    out = {}
+    for i, c in coeffs.items():
+        _subtract(out, -c, rows[i], p)
+    return out
+
+
+def _gauss_jordan(rows, p):
+    """Reduced row-echelon form of raw rows, as {pivot column: RREF row}.
+
+    The rows are consumed.  Each row is reduced against the pivot rows so
+    far and scaled to 1 at its first column, a new pivot, which is then
+    cleared from the earlier pivot rows.
     """
     piv = {}
     for row in rows:
-        # a pivot row vanishes at the other pivots, so each step clears one
-        for c in [c for c in row if c in piv]:
-            _subtract(row, row[c], piv[c], p)
-        if not row:
+        if not _reduce(row, piv, p):
             continue
         q = min(row)
         a = row[q]
@@ -189,10 +211,6 @@ def vec_scale(c, x):
     return [c * a for a in x]
 
 
-def vec_is_zero(x):
-    return not any(x)
-
-
 class Matrix:
     """Dense matrix over an exact field; immutable by convention."""
 
@@ -204,13 +222,13 @@ class Matrix:
         for r in self.rows:
             if len(r) != self.ncols:
                 raise DimensionError("ragged matrix rows")
-        self._ints = None
+        self._cols = None
 
-    def _int_rows(self):
-        """Rows as lists of residues (F_p only), computed once."""
-        if self._ints is None:
-            self._ints = [[x.val for x in r] for r in self.rows]
-        return self._ints
+    def _raw_columns(self):
+        """Columns as raw rows, computed once."""
+        if self._cols is None:
+            self._cols = [_sparse(self.field, self.column(j)) for j in range(self.ncols)]
+        return self._cols
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
@@ -228,7 +246,7 @@ class Matrix:
         if not cols:
             return cls(field, [[] for _ in range(nrows or 0)], ncols=0)
         nrows = len(cols[0])
-        return cls(field, [[c[i] for c in cols] for i in range(nrows)])
+        return cls(field, [[c[i] for c in cols] for i in range(nrows)], ncols=len(cols))
 
     @property
     def shape(self):
@@ -238,50 +256,28 @@ class Matrix:
         return [r[j] for r in self.rows]
 
     def transpose(self):
-        return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
+        return Matrix(self.field, [self.column(j) for j in range(self.ncols)], ncols=self.nrows)
 
     def apply(self, vec):
-        """Matrix times column vector."""
+        """Matrix times column vector: the columns combined by the entries of vec."""
         if len(vec) != self.ncols:
             raise DimensionError(f"apply: {self.ncols} columns vs vector of length {len(vec)}")
-        p = self.field.char
-        if p:
-            v = [x.val for x in vec]
-            return _box(self.field, [sum(map(mul, r, v)) % p for r in self._int_rows()])
-        zero = self.field.zero
-        out = []
-        for r in self.rows:
-            acc = zero
-            for a, b in zip(r, vec):
-                if a and b:
-                    acc = acc + a * b
-            out.append(acc)
-        return out
+        out = _combine(_sparse(self.field, vec), self._raw_columns(), self.field.char)
+        return _dense(self.field, out, self.nrows)
 
     def mul(self, other):
         if self.ncols != other.nrows:
             raise DimensionError("matrix product shape mismatch")
-        zero = self.field.zero
-        ot = other.transpose()
-        out = []
-        for r in self.rows:
-            orow = []
-            for c in ot.rows:
-                acc = zero
-                for a, b in zip(r, c):
-                    if a and b:
-                        acc = acc + a * b
-                orow.append(acc)
-            out.append(orow)
-        return Matrix(self.field, out)
+        cols = [self.apply(other.column(j)) for j in range(other.ncols)]
+        return Matrix.from_columns(self.field, cols, self.nrows)
 
     def add(self, other):
         if self.shape != other.shape:
             raise DimensionError("matrix sum shape mismatch")
-        return Matrix(self.field, [vec_add(a, b) for a, b in zip(self.rows, other.rows)])
+        return Matrix(self.field, [vec_add(a, b) for a, b in zip(self.rows, other.rows)], self.ncols)
 
     def scale(self, c):
-        return Matrix(self.field, [vec_scale(c, r) for r in self.rows])
+        return Matrix(self.field, [vec_scale(c, r) for r in self.rows], self.ncols)
 
     def __eq__(self, other):
         return (
@@ -296,16 +292,9 @@ class Matrix:
     def rref_pivots(self):
         """Reduced row-echelon form (nonzero rows first) and the pivot column list."""
         field, n = self.field, self.ncols
-        p = field.char
-        rows = self._int_rows() if p else self.rows
-        piv = _gauss_jordan([{j: x for j, x in enumerate(r) if x} for r in rows], p)
+        piv = _gauss_jordan([_sparse(field, r) for r in self.rows], field.char)
         pivots = sorted(piv)
-        out = []
-        for c in pivots:
-            r = field.zero_vec(n)
-            for j, v in piv[c].items():
-                r[j] = ModP(v, p) if p else v
-            out.append(r)
+        out = [_dense(field, piv[c], n) for c in pivots]
         out += [field.zero_vec(n) for _ in range(self.nrows - len(pivots))]
         return Matrix(field, out, n), pivots
 
@@ -357,7 +346,13 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivots = pivots
-        self._ints = [[x.val for x in row] for row in basis] if field.char else None
+        self._piv = None
+
+    def _pivot_rows(self):
+        """The basis as raw rows {pivot column: row}, computed once."""
+        if self._piv is None:
+            self._piv = {c: _sparse(self.field, r) for c, r in zip(self.pivots, self.basis)}
+        return self._piv
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors):
@@ -404,34 +399,16 @@ class Subspace:
 
     def reduce(self, v):
         """Remainder of v after subtracting its component in this subspace."""
-        if self._ints is not None:
-            return _box(self.field, self._residue(v))
-        if len(v) != self.ambient_dim:
-            raise DimensionError("vector length differs from ambient dimension")
-        v = list(v)
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        return v
+        return _dense(self.field, self._residue(v), self.ambient_dim)
 
     def _residue(self, v):
-        """reduce(v) over F_p as ints, each equal mod p to its residue."""
+        """Raw row of reduce(v)."""
         if len(v) != self.ambient_dim:
             raise DimensionError("vector length differs from ambient dimension")
-        w = [x.val for x in v]
-        # an RREF row vanishes at the other pivots, so w[p] is v[p] throughout
-        for row, p in zip(self._ints, self.pivots):
-            c = w[p]
-            if c:
-                w = [a - c * b for a, b in zip(w, row)]
-        return w
+        return _reduce(_sparse(self.field, v), self._pivot_rows(), self.field.char)
 
     def contains(self, v):
-        if self._ints is None:
-            return vec_is_zero(self.reduce(v))
-        p = self.field.char
-        return not any(a % p for a in self._residue(v))
+        return not self._residue(v)
 
     def coords(self, v):
         """Coordinates of v in the RREF basis; raises if v is outside the span."""
@@ -443,18 +420,9 @@ class Subspace:
         """Ambient vector with the given RREF-basis coordinates."""
         if len(coords) != self.dim:
             raise DimensionError("coordinate length differs from subspace dimension")
-        if self._ints is not None:
-            w = [0] * self.ambient_dim
-            for c, row in zip(coords, self._ints):
-                c = c.val
-                if c:
-                    w = [a + c * b for a, b in zip(w, row)]
-            return _box(self.field, w)
-        v = self.field.zero_vec(self.ambient_dim)
-        for c, row in zip(coords, self.basis):
-            if c:
-                v = [a + c * b for a, b in zip(v, row)]
-        return v
+        rows = list(self._pivot_rows().values())
+        out = _combine(_sparse(self.field, coords), rows, self.field.char)
+        return _dense(self.field, out, self.ambient_dim)
 
     def sum(self, other):
         self._check_ambient(other)

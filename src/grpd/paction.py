@@ -523,15 +523,15 @@ def globalize(pa):
                 vecs.append(env.beta_apply(h, env.psi_vec(d, r)))
         t_parts[e] = Subspace.from_vectors(field, env.dim, vecs)
 
-    t_basis = []
-    part_range = {}
+    # T_e lives on the e blocks, laid out in object order, so the parts'
+    # RREF bases together are already the RREF basis of T
+    t_basis, t_pivots, part_range = [], [], {}
     for e in g0.objects:
         start = len(t_basis)
-        t_basis.extend(t_parts[e].basis)
+        t_basis += t_parts[e].basis
+        t_pivots += t_parts[e].pivots
         part_range[e] = (start, len(t_basis))
-    t_space = Subspace.from_vectors(field, env.dim, t_basis)
-    if t_space.dim != len(t_basis):
-        raise UnsupportedError("envelope blocks are not independent")
+    t_space = Subspace(field, env.dim, t_basis, t_pivots)
 
     t_dim = len(t_basis)
     table = []

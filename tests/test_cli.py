@@ -188,6 +188,7 @@ def test_schema_roundtrips_are_fixpoints(files):
     pytest.param(lambda d: d.update(dim=2.9), id="dim-as-float"),
     pytest.param(lambda d: d["field"].update(char="0"), id="char-as-string"),
     pytest.param(lambda d: d["table"][2].__setitem__(0, True), id="index-as-bool"),
+    pytest.param(lambda d: d["table"][0][2].__setitem__(0, True), id="coefficient-as-bool"),
 ])
 def test_malformed_algebra_json_exit_2(tmp_path, capsys, edit):
     d = corpus.dual_numbers(Q).to_dict()
@@ -221,6 +222,7 @@ def test_hereditary_saturated_sets_capped_exit_1(tmp_path, capsys, n):
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda d: d["components"]["*"][0].__setitem__(0, "1/0"), id="component-1/0"),
     pytest.param(lambda d: d["maps"]["g0"][0].__setitem__(0, "1/0"), id="map-1/0"),
+    pytest.param(lambda d: d["maps"]["g0"][0].__setitem__(0, False), id="map-entry-as-bool"),
     pytest.param(lambda d: d["domains"]["g0"].__setitem__(0, 5), id="domain-row-as-number"),
     pytest.param(lambda d: d["maps"].update(g0=[["1", "0", "0"], ["0", "1", "0"]]),
                  id="map-wrong-shape"),

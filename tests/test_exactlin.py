@@ -32,6 +32,13 @@ def test_field_guards():
         Field(2**31 + 11)
 
 
+@pytest.mark.parametrize("field", [Q, F2])
+def test_booleans_are_not_coefficients(field):
+    for b in (True, False):
+        with pytest.raises(TypeError):
+            field(b)
+
+
 def test_scalar_normal_forms():
     assert Q("3/6") == Fraction(1, 2)
     assert Q("-2") == Fraction(-2)
@@ -112,6 +119,17 @@ def test_ambient_mismatch():
         a.sum(b)
     with pytest.raises(DimensionError):
         a.intersect(b)
+
+
+@pytest.mark.parametrize("field", [Q, F2])
+def test_zero_size_shapes(field):
+    assert Matrix.from_columns(field, [[], []]).shape == (0, 2)
+    assert Matrix.zeros(field, 3, 0).transpose().shape == (0, 3)
+    assert Matrix.zeros(field, 0, 2).mul(Matrix.zeros(field, 2, 3)).shape == (0, 3)
+    assert Matrix.zeros(field, 2, 0).mul(Matrix.zeros(field, 0, 3)) == Matrix.zeros(field, 2, 3)
+    assert Matrix.zeros(field, 2, 3).mul(Matrix.zeros(field, 3, 0)).shape == (2, 0)
+    empty = Matrix.zeros(field, 0, 3)
+    assert empty.add(empty).shape == empty.scale(field.one).shape == (0, 3)
 
 
 def _random_matrix(rng, rows, cols):

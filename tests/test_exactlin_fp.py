@@ -3,7 +3,8 @@
 exactlin eliminates over F_p on plain ints; this file keeps a slow boxed
 residue class and a textbook elimination on it, and requires every result
 to agree residue for residue on seeded random matrices, including empty
-and rank-deficient ones.
+and rank-deficient ones.  Matrix-vector and matrix-matrix products, zero
+vectors and zero-size shapes included, are held to plain sums of residues.
 """
 
 import random
@@ -75,6 +76,12 @@ def ref_reduce(basis, pivots, v):
         f = v[c]
         v = [a - f * b for a, b in zip(v, row)]
     return v
+
+
+def ref_mul(a, b, ncols, p):
+    """Residues of the product of Res row lists a and b, where b has ncols columns."""
+    return [[sum((x * b[i][j] for i, x in enumerate(r)), Res(0, p)).v for j in range(ncols)]
+            for r in a]
 
 
 def ints(rows):
@@ -178,6 +185,22 @@ def test_solve_matches_reference(case, consistent):
 
 @SETTINGS
 @given(fp_cases())
+def test_apply_and_mul_match_reference(case):
+    p, rng = case
+    nrows, ncols = shapes(rng)
+    k = rng.randint(0, 6)
+    m, ref = both(random_rows(rng, p, nrows, ncols), p, ncols)
+    o, ref_o = both([[random_entry(rng, p) for _ in range(k)] for _ in range(ncols)], p, k)
+    for x in ([0] * ncols, [random_entry(rng, p) for _ in range(ncols)]):
+        want = [r[0] for r in ref_mul(ref, [[Res(a, p)] for a in x], 1, p)]
+        assert unboxed(m.apply(Field(p).vec(x)), p) == want
+    prod = m.mul(o)
+    assert prod.shape == (nrows, k)
+    assert [unboxed(r, p) for r in prod.rows] == ref_mul(ref, ref_o, k, p)
+
+
+@SETTINGS
+@given(fp_cases())
 def test_subspace_operations_match_reference(case):
     p, rng = case
     field = Field(p)
@@ -203,6 +226,7 @@ def test_subspace_operations_match_reference(case):
         else:
             assert unboxed(u.coords(boxed), p) == [v[c] for c in piv_u]
     assert unboxed(u.expand(field.vec(coeffs)), p) == inside
+    assert unboxed(u.expand(field.zero_vec(u.dim)), p) == [0] * n
 
     # Zassenhaus on the reference: rows [u | u] and [w | 0]
     zero = [Res(0, p)] * n

@@ -5,7 +5,8 @@ Gauss-Jordan loop over Fractions and requires every result to agree entry
 for entry on seeded random matrices (hypothesis, derandomized).  The
 matrices are sparse with about two nonzeros a row, tall and sparse like a
 center system, dense, rank-deficient, all zero, empty, without columns, or
-built so that entries cancel to zero during elimination.
+built so that entries cancel to zero during elimination.  Matrix-vector and
+matrix-matrix products are held to the plain dense sums the same way.
 """
 
 import random
@@ -69,6 +70,11 @@ def ref_reduce(basis, pivots, v):
         f = v[c]
         v = [a - f * b for a, b in zip(v, row)]
     return v
+
+
+def ref_mul(a, b, ncols):
+    """Dense product of row lists a and b, where b has ncols columns."""
+    return [[sum((x * b[i][j] for i, x in enumerate(r)), ZERO) for j in range(ncols)] for r in a]
 
 
 def ref_intersection(u, w, n):
@@ -265,3 +271,20 @@ def test_subspace_operations_match_reference(kind, seed):
                 u.coords(v)
         else:
             assert fractions(u.coords(v)) == [v[c] for c in piv_u]
+    assert fractions(u.expand(coeffs)) == inside
+    assert fractions(u.expand([ZERO] * u.dim)) == [ZERO] * n
+
+
+@each_kind
+@SETTINGS
+@given(seeds)
+def test_apply_and_mul_match_reference(kind, seed):
+    rows, ncols, rng = matrix(kind, seed)
+    m = Matrix(Q, rows, ncols)
+    for x in ([ZERO] * ncols, [rng.choice([ZERO, entry(rng)]) for _ in range(ncols)]):
+        assert fractions(m.apply(x)) == [r[0] for r in ref_mul(rows, [[a] for a in x], 1)]
+    k = rng.randint(0, 4)
+    other = sparse_rows(rng, ncols, k, per_row=rng.randint(0, k))
+    prod = m.mul(Matrix(Q, other, k))
+    assert prod.shape == (len(rows), k)
+    assert [fractions(r) for r in prod.rows] == ref_mul(rows, other, k)
