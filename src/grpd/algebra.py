@@ -454,7 +454,7 @@ class StructureAlgebra:
                 acc = [q[-1] * a for a in e]
                 for c in reversed(q[:-1]):
                     acc = [a + c * b for a, b in zip(self.multiply(acc, z), e)]
-                scale = field.one / _poly_eval(field, q, roots[0])
+                scale = field.inv(_poly_eval(field, q, roots[0]))
                 return [scale * a for a in acc]
         return None
 
@@ -609,7 +609,7 @@ def minimal_polynomial(alg, x, one):
         pivot = next((i for i, a in enumerate(v) if a), None)
         if pivot is None:
             return comb
-        inv = field.one / v[pivot]
+        inv = field.inv(v[pivot])
         rows.append((pivot, [inv * a for a in v], [inv * a for a in comb]))
         power = alg.multiply(power, x)
 
@@ -662,7 +662,7 @@ def polynomial_roots(field, coeffs):
             continue
         for q in _divisors(lead):
             for sign in (1, -1):
-                cand = Fraction(sign * p, q)
+                cand = field(Fraction(sign * p, q))
                 if _poly_eval(field, coeffs, cand) == field.zero:
                     roots.append(cand)
     return sorted(set(roots))

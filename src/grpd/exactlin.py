@@ -1,24 +1,31 @@
 """Exact linear algebra over Q and over prime fields F_p.
 
-Everything here is exact: rationals are arbitrary-precision fractions,
-residues are reduced mod p.  Matrices and vectors are dense lists of field
-elements (`ModP` over F_p); subspaces are kept in reduced row-echelon form
-so that equal subspaces have equal bases.
+Everything here is exact: rationals are arbitrary-precision, residues are
+reduced mod p.  Over Q an element is a Python int when it is an integer and
+a `Fraction` in lowest terms with denominator > 1 otherwise, so integer
+tables are multiplied with int arithmetic until a real division happens;
+the numeric tower mixes the two exactly, and `Field.inv` is the one
+division.  Matrices and vectors are dense lists of field elements (`ModP`
+over F_p); subspaces are kept in reduced row-echelon form so that equal
+subspaces have equal bases.
 
 Inside, both fields share one form, the raw row: a dict {column: nonzero
-value} holding Fractions over Q and ints in [0, p) over F_p.  `_sparse` and
+value} holding rationals over Q and ints in [0, p) over F_p.  `_sparse` and
 `_dense` convert at the boundary and, beside `Field`, are the only code that
-boxes residues.  All elimination is one Gauss-Jordan kernel on raw rows,
-reached through `Matrix.rref_pivots`; reduction against a subspace, products
-and expansion share its steps.  Matrices and subspaces are immutable, so a
-matrix keeps its raw columns and a subspace its raw basis once made.
+boxes residues; over Q `_dense` writes integral entries back as ints.  All
+elimination is one Gauss-Jordan kernel on raw rows, reached through
+`Matrix.rref_pivots`; reduction against a subspace, products and expansion
+share its steps.  Matrices and subspaces are immutable, so a matrix keeps
+its raw columns and a subspace its raw basis once made.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import DimensionError
 
 _MAX_PRIME = 2**31
+_ASCII_INT = re.compile(r"-?[0-9]+")
 
 
 def _is_prime(n):
@@ -75,8 +82,22 @@ class ModP:
         return f"{self.val}"
 
 
+def _canonical(q):
+    """A rational as an int when it is integral, else the Fraction itself."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _q_inv(a):
+    """1/a for a nonzero rational, in canonical form."""
+    return _canonical(Fraction(1, a))
+
+
 class Field:
-    """Coefficient field: characteristic 0 means Q, otherwise a prime field F_p."""
+    """Coefficient field: characteristic 0 means Q, otherwise a prime field F_p.
+
+    Elements of Q are ints, or Fractions with denominator > 1 (`__call__`
+    returns this canonical form); elements of F_p are `ModP` residues.
+    """
 
     def __init__(self, characteristic=0):
         if characteristic != 0:
@@ -91,11 +112,12 @@ class Field:
         if isinstance(x, bool):
             raise TypeError(f"cannot coerce the boolean {x!r} into {self}")
         if self.char == 0:
-            if isinstance(x, Fraction):
-                return x
-            if isinstance(x, (int, str)):
-                return Fraction(x)
-            raise TypeError(f"cannot coerce {x!r} into Q")
+            if isinstance(x, str):
+                # plain ASCII integers skip the Fraction parser; the rest go through it
+                x = int(x) if _ASCII_INT.fullmatch(x) else Fraction(x)
+            elif not isinstance(x, (int, Fraction)):
+                raise TypeError(f"cannot coerce {x!r} into Q")
+            return _canonical(x)
         if isinstance(x, ModP):
             if x.p != self.char:
                 raise ValueError(f"residue mod {x.p} used in F_{self.char}")
@@ -105,6 +127,10 @@ class Field:
         if isinstance(x, int):
             return ModP(x, self.char)
         raise TypeError(f"cannot coerce {x!r} into F_{self.char}")
+
+    def inv(self, x):
+        """Multiplicative inverse of a nonzero element."""
+        return self.one / x if self.char else _q_inv(x)
 
     def fmt(self, x):
         """JSON form of a field element: string over Q, int over F_p."""
@@ -141,11 +167,12 @@ def _sparse(field, vec):
 
 
 def _dense(field, row, n):
-    """Dense vector of length n from a raw row, residues boxed into ModP over F_p."""
+    """Dense vector of length n from a raw row: residues boxed into ModP over F_p,
+    rationals in canonical form over Q."""
     p = field.char
     v = [field.zero] * n
     for j, x in row.items():
-        v[j] = ModP(x, p) if p else x
+        v[j] = ModP(x, p) if p else _canonical(x)
     return v
 
 
@@ -192,7 +219,7 @@ def _gauss_jordan(rows, p):
         q = min(row)
         a = row[q]
         if a != 1:
-            inv = pow(a, -1, p) if p else 1 / a
+            inv = pow(a, -1, p) if p else _q_inv(a)
             for j, v in row.items():
                 row[j] = v * inv % p if p else v * inv
         for other in piv.values():
@@ -414,7 +441,9 @@ class Subspace:
         """Coordinates of v in the RREF basis; raises if v is outside the span."""
         if not self.contains(v):
             raise ValueError("vector is not in the subspace")
-        return [v[p] for p in self.pivots]
+        if self.field.char:
+            return [v[p] for p in self.pivots]
+        return [_canonical(v[p]) for p in self.pivots]
 
     def expand(self, coords):
         """Ambient vector with the given RREF-basis coordinates."""

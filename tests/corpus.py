@@ -1,5 +1,7 @@
 """Shared corpus of groupoids, algebras, actions, mutants and graphs for the tests."""
 
+from fractions import Fraction
+
 from grpd.exactlin import Field, Matrix, Subspace
 from grpd.algebra import StructureAlgebra
 from grpd import groupoid as gpd
@@ -60,6 +62,29 @@ def upper_triangular2(field):
     unit[idx[(0, 0)]] = field.one
     unit[idx[(1, 1)]] = field.one
     return StructureAlgebra(field, 3, table, unit=unit, labels=["E11", "E12", "E22"])
+
+
+def rescaled(alg, scales):
+    """The algebra alg over Q in the basis b'_i = s_i b_i, for nonzero rationals s_i.
+
+    Its constants are s_i s_j c_ij^k / s_k and its unit has u_k / s_k at k,
+    so a table with integer constants turns into one with fractions.
+    """
+    s = [Fraction(x) for x in scales]
+    table = [[[(k, Q(s[i] * s[j] * c / s[k])) for k, c in alg.table[i][j]]
+              for j in range(alg.dim)] for i in range(alg.dim)]
+    unit = None if alg.unit is None else [Q(u / s[k]) for k, u in enumerate(alg.unit)]
+    return StructureAlgebra(alg.field, alg.dim, table, unit=unit, labels=alg.labels)
+
+
+def scaled_group_algebra4():
+    """Q[Z_4] in the basis (1/2) d0, (-3/4) d1, (5/3) d2, (2/7) d3."""
+    return rescaled(group_algebra(Q, 4), ["1/2", "-3/4", "5/3", "2/7"])
+
+
+def half_unit_algebra():
+    """Q x Q in the basis 2 u0, (3/2) u1: its unit is (1/2, 2/3)."""
+    return rescaled(componentwise(Q, 2), [2, "3/2"])
 
 
 # -- partial actions --------------------------------------------------------------

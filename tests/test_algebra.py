@@ -23,27 +23,30 @@ Q = Field(0)
 
 # -- independent Cayley-Dickson oracle on nested pairs ------------------------------
 
+# a scalar of Q is an int or a Fraction; anything else is a pair
+SCALAR = (int, Fraction)
+
 def cd_conj(x):
-    if isinstance(x, Fraction):
+    if isinstance(x, SCALAR):
         return x
     a, b = x
     return (cd_conj(a), cd_neg(b))
 
 
 def cd_neg(x):
-    if isinstance(x, Fraction):
+    if isinstance(x, SCALAR):
         return -x
     return (cd_neg(x[0]), cd_neg(x[1]))
 
 
 def cd_add(x, y):
-    if isinstance(x, Fraction):
+    if isinstance(x, SCALAR):
         return x + y
     return (cd_add(x[0], y[0]), cd_add(x[1], y[1]))
 
 
 def cd_mul(x, y):
-    if isinstance(x, Fraction):
+    if isinstance(x, SCALAR):
         return x * y
     a, b = x
     c, d = y
@@ -61,7 +64,7 @@ def cd_from_vec(vec):
 
 
 def cd_to_vec(x):
-    if isinstance(x, Fraction):
+    if isinstance(x, SCALAR):
         return [x]
     return cd_to_vec(x[0]) + cd_to_vec(x[1])
 

@@ -12,8 +12,10 @@ F_10007 cases: before the center was split by Frobenius over F_p; the
 `park_criterion`; `leavitt --json A8` and `analyze --json m7`, the two
 largest eliminations here: before the dense elimination loops of
 `exactlin` gave way to one sparse kernel; `leavitt --json cycle16` and
-`isolated4`: before the hereditary saturated sets were capped), so a
-refactor that changes a single byte of a report fails here.
+`isolated4`: before the hereditary saturated sets were capped; the
+`qz4_scaled` and `half_unit` cases, the only inputs with constants or a
+unit that are not integers: before integral rationals became plain ints
+over Q), so a refactor that changes a single byte of a report fails here.
 """
 
 import hashlib
@@ -56,6 +58,8 @@ ALGEBRAS = {
     "f11z6": corpus.group_algebra(Field(11), 6),
     "f10007z3": corpus.group_algebra(Field(10007), 3),
     "f10007z4": corpus.group_algebra(Field(10007), 4),
+    "qz4_scaled": corpus.scaled_group_algebra4(),
+    "half_unit": corpus.half_unit_algebra(),
 }
 GROUPOIDS = {
     "z2": gpd.cyclic_group(2),
@@ -96,7 +100,8 @@ def cases():
     for name in ALGEBRAS:
         out[f"analyze --json {name}"] = ["--json", "analyze", f"{name}.alg.json"]
     for gname, aname in [("pair2", "scalar"), ("pair2", "dual"), ("pair2", "upper2"),
-                         ("pair2", "qz2"), ("z2", "qq"), ("z3", "trunc3"), ("z2", "dual_f5")]:
+                         ("pair2", "qz2"), ("z2", "qq"), ("z3", "trunc3"), ("z2", "dual_f5"),
+                         ("z2", "half_unit"), ("pair2", "qz4_scaled")]:
         out[f"groupoid-ring --dump {gname} {aname}"] = [
             "groupoid-ring", "--dump", f"{gname}.gpd.json", f"{aname}.alg.json"]
     out["matrix-ring -n 3 --json"] = ["--json", "matrix-ring", "-n", "3"]
@@ -121,6 +126,7 @@ EXPECTED = {
     'analyze --json f10007z3': (0, 'e747aada1fd3a85320238d5d0bb1418572417124ceac68ca4408682a5c74dfa2'),
     'analyze --json f10007z4': (0, '6c382d64f97cf676f4be94f74f2006b52edf06c9a813787ff4ab8fd1e60c19a4'),
     'analyze --json f11z6': (0, 'be67f28a05f6f72a75e5c17b779a7f8cc63c3d5018a2924326b1c83cf556056b'),
+    'analyze --json half_unit': (0, '0bd92932cf6213a485191133d9242adc812037842bf2145113d7856b03594623'),
     'analyze --json f7z6': (0, 'ab01eaa6d8047ff34b5aa21f4e89f7ef9adbc3e5f0324f130d283718d1ffcf04'),
     'analyze --json m7': (0, '995b1612c8854a835f6395b82d88fe66caa12187bfa89d42df9ea88c258b18e8'),
     'analyze --json octonions': (0, '9a8f42a1171e80e0f86014d4215a5c5ac90acd54d0176245f74414ed2c45f032'),
@@ -130,6 +136,7 @@ EXPECTED = {
     'analyze --json qz3': (0, 'e747aada1fd3a85320238d5d0bb1418572417124ceac68ca4408682a5c74dfa2'),
     'analyze --json qz6': (0, 'be67f28a05f6f72a75e5c17b779a7f8cc63c3d5018a2924326b1c83cf556056b'),
     'analyze --json qz8': (0, '147a4eb368a70848567e264abaaf92023ab7d6841ff8bd2102b728459428664c'),
+    'analyze --json qz4_scaled': (0, '6c382d64f97cf676f4be94f74f2006b52edf06c9a813787ff4ab8fd1e60c19a4'),
     'analyze --json scalar': (0, 'c03c0ea0828396db5c0d4198500cf94c7fafe10fb3d4e51298644e5556d0c191'),
     'analyze --json sedenions': (0, '5e6f89450d1c3be8731e83b4a738146003ad99ef333d44f0643be7a7016356a2'),
     'analyze --json trunc3': (0, '17f03a72bece0214f012bbfccda01425eb729035e3a656c4c3528ae0d369c725'),
@@ -160,9 +167,11 @@ EXPECTED = {
     'globalize --json swap_f5': (0, '486863508175e8a75af1eae2827bbc4b1ec32dd1bd9b11039494e622fa6deabf'),
     'groupoid-ring --dump pair2 dual': (0, '0f58de327669c0be64e9a1adc11404ec76b31887dd8c438f189b5e51de15f342'),
     'groupoid-ring --dump pair2 qz2': (0, '3b8163e1a3568abb3790ccf400ad017f8625e985a933b4d483bbc2f60b3eeb8f'),
+    'groupoid-ring --dump pair2 qz4_scaled': (0, '664e3b8b77111fbedc5bb21242c721a8251b27a5ad27490db9474aa1588845df'),
     'groupoid-ring --dump pair2 scalar': (0, 'e00b7491739fd67c1cdecb9a8ced26c2ee52a79ebd45b23f5aa5bce27725f782'),
     'groupoid-ring --dump pair2 upper2': (0, '46aded8de5fb63da1a3ddfdf423d9bd8e35fba83a96cfe912c59576feadbfee0'),
     'groupoid-ring --dump z2 dual_f5': (0, 'ec1c677079a0d3e4c9e3ae89c7049646ddd419febd97276638d2caeaf2db8f83'),
+    'groupoid-ring --dump z2 half_unit': (0, '880663f6c77ef45595a396af82a38546fb49c658fac6fbfd57615ce9b7eb93ec'),
     'groupoid-ring --dump z2 qq': (0, '18feb7824b9121b39601b701d3b8b839a1f5a8bd0523952286fbd50a34781761'),
     'groupoid-ring --dump z3 trunc3': (0, '88d3cbb75a0324a0090890d43a64a5323f143fe41a79de2f72121a8772c36401'),
     'leavitt --dump A2': (0, '57ec6bbae4502857a1148ec32b6493c7d7fcce09b8149947d12e68ba97ed6f6a'),

@@ -48,6 +48,38 @@ def test_scalar_normal_forms():
     assert not ModP(7, 7)
 
 
+def test_q_elements_are_ints_or_proper_fractions():
+    assert type(Q.zero) is int and type(Q.one) is int
+    for x, want in [(Fraction(4, 2), 2), (-3, -3), ("6/3", 2), (Fraction(3, 6), Fraction(1, 2))]:
+        got = Q(x)
+        assert got == want and type(got) is type(want)
+    for x, want in [(2, Fraction(1, 2)), (-1, -1), (Fraction(1, 3), 3), (Fraction(-2, 3), Fraction(-3, 2))]:
+        got = Q.inv(x)
+        assert got == want and type(got) is type(want)
+    with pytest.raises(ZeroDivisionError):
+        Q.inv(0)
+    F7 = Field(7)
+    assert F7.inv(F7(3)) * F7(3) == F7.one
+
+
+# strings that int() and Fraction() treat differently, or that only one accepts
+EDGE_STRINGS = [" 3", "+3", "-0", "1_0", "\u0663", "\u00b2", "2/4", "1/1", "0x1", "", "1.5",
+                "007", "-", "3\n", "9" * 5000]
+
+
+@pytest.mark.parametrize("s", EDGE_STRINGS, ids=lambda s: repr(s[:8]))
+def test_q_parses_strings_as_fraction_does(s):
+    """The int() path for plain ASCII integers accepts and rejects what Fraction() does."""
+    try:
+        want = Fraction(s)
+    except ValueError:
+        with pytest.raises(ValueError):
+            Q(s)
+        return
+    got = Q(s)
+    assert got == want and type(got) is (int if want.denominator == 1 else Fraction)
+
+
 def test_rref_identity():
     m = Matrix.identity(Q, 2)
     red, rank = rref(m)

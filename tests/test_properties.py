@@ -5,18 +5,24 @@ of matrix algebras M_k(Q) has one block of dimension k^2 per factor, in any
 basis; Q[Z_n] is the product of the cyclotomic fields Q(zeta_d), d | n, of
 degree phi(d); F_p[Z_n] with p not dividing n has, for each d | n,
 phi(d)/ord_d(p) blocks of dimension ord_d(p), in any basis.
+
+Rescaling the basis by non-integer rationals turns an integer structure
+table into one with fractions; the analysis must not change, and every
+vector exactlin hands back must stay in canonical form.
 """
 
 import math
 import time
+from fractions import Fraction
 from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
-from grpd.algebra import StructureAlgebra, nonzero_terms
+from grpd.algebra import StructureAlgebra, cayley_dickson_chain, nonzero_terms
 from grpd.exactlin import Field, Matrix, Subspace, solve
+from grpd.skewring import analyze_algebra
 
 Q = Field(0)
 SETTINGS = settings(derandomize=True, max_examples=25, deadline=None, database=None)
@@ -175,3 +181,52 @@ def test_blocks_at_the_largest_prime_take_logarithmic_time():
         elapsed = time.perf_counter() - start
         assert sorted(blocks.dims()) == cyclic_blocks(p, n)
         assert elapsed < 5.0, f"F_p[Z_{n}] took {elapsed:.2f} s"
+
+
+def integral_table(kind, size):
+    """Q[Z_n], a product of matrix algebras M_k(Q) or the octonions: integer constants."""
+    if kind == "group":
+        return corpus.group_algebra(Q, size)
+    if kind == "matrices":
+        return sheared_matrix_product(size, [])
+    return cayley_dickson_chain(Q, 3)
+
+
+@st.composite
+def rescaled_cases(draw):
+    kind = draw(st.sampled_from(["group", "matrices", "octonions"]))
+    size = {"group": st.integers(1, 8),
+            "matrices": st.lists(st.sampled_from([1, 2]), min_size=1, max_size=3),
+            "octonions": st.none()}[kind]
+    alg = integral_table(kind, draw(size))
+    scale = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 9))
+    scales = draw(st.lists(scale.filter(lambda f: f.denominator > 1),
+                           min_size=alg.dim, max_size=alg.dim))
+    return alg, scales, draw(st.booleans())
+
+
+def exactlin_vectors(alg):
+    """The vectors exactlin computed for an analysis: unit, center, radical and blocks."""
+    out = [alg.find_unit() or []] + alg.center().basis
+    if alg.is_associative() and alg.find_unit() is not None:
+        out += alg.jacobson_radical().basis
+        if alg.is_semisimple():
+            out += [v for block in alg.wedderburn_blocks() for v in block.basis]
+    return out
+
+
+def is_canonical(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+@SETTINGS
+@given(rescaled_cases())
+def test_rescaled_tables_analyze_like_integral_ones(case):
+    integral, scales, keep_unit = case
+    if not keep_unit:
+        integral.unit = None
+    scaled = corpus.rescaled(integral, scales)
+    assert any(type(c) is Fraction for row in scaled.table for cell in row for _, c in cell)
+    assert analyze_algebra(scaled) == analyze_algebra(integral)
+    for alg in (integral, scaled):
+        assert all(is_canonical(x) for v in exactlin_vectors(alg) for x in v)
