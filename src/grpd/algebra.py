@@ -56,7 +56,7 @@ class StructureAlgebra:
         self.grading = grading
         self.grading_groupoid = grading_groupoid
         self.involution = involution
-        self._assoc = None
+        self._assoc = None  # the associator table
         self._center = None
         self._berlekamp = None
         self._radical = None
@@ -145,71 +145,67 @@ class StructureAlgebra:
         self._unit_cache = u
         return list(u) if u is not None else None
 
-    # -- associativity and alternativity ------------------------------------
+    # -- associators and the laws they decide ---------------------------------
 
-    def _associator_nz(self, i, j, k):
-        """Nonzero coordinates of (b_i b_j) b_k - b_i (b_j b_k), as a dict."""
-        table = self.table
-        zero = self.field.zero
-        acc = {}
-        for l, c in table[i][j]:
-            for m, cm in table[l][k]:
-                acc[m] = acc.get(m, zero) + c * cm
-        for l, c in table[j][k]:
-            for m, cm in table[i][l]:
-                acc[m] = acc.get(m, zero) - c * cm
-        return {m: c for m, c in acc.items() if c}
+    def _associators(self):
+        """The nonzero basis associators (b_i b_j) b_k - b_i (b_j b_k) as
+        {(i, j, k): {m: c}}, computed once.  Only products that can meet are
+        expanded: (b_i b_j) b_k sums c_ij^l b_l b_k over the support of b_i b_j,
+        and b_i (b_j b_k) sums c_jk^l b_i b_l where b_j b_k and b_i b_l are
+        nonzero.  The terms are gathered per row i and summed per pair (i, j).
+        """
+        if self._assoc is None:
+            zero = self.field.zero
+            rows = [[(k, cell) for k, cell in enumerate(row) if cell] for row in self.table]
+            via = [[] for _ in rows]  # via[l]: the (j, k, c_jk^l) with c_jk^l != 0
+            for j, row in enumerate(rows):
+                for k, cell in row:
+                    for l, c in cell:
+                        via[l].append((j, k, c))
+            out = {}
+            for i, row in enumerate(rows):
+                terms = defaultdict(list)  # j -> (k, c, cell): c * cell adds to A(i, j, k)
+                for j, cell in row:
+                    for l, c in cell:
+                        terms[j] += [(k, c, lk) for k, lk in rows[l]]
+                for l, cell in row:
+                    for j, k, c in via[l]:
+                        terms[j].append((k, -c, cell))
+                for j, jterms in terms.items():
+                    acc = defaultdict(dict)  # k -> coordinates of the associator at (i, j, k)
+                    for k, c, cell in jterms:
+                        a = acc[k]
+                        for m, cm in cell:
+                            a[m] = a.get(m, zero) + c * cm
+                    for k, a in acc.items():
+                        if nz := {m: c for m, c in a.items() if c}:
+                            out[i, j, k] = nz
+            self._assoc = out
+        return self._assoc
 
     def associator(self, i, j, k):
         """(b_i b_j) b_k - b_i (b_j b_k)."""
-        v = self.field.zero_vec(self.dim)
-        for m, c in self._associator_nz(i, j, k).items():
-            v[m] = c
-        return v
+        terms = self._associators().get((i, j, k), {})
+        return [terms.get(m, self.field.zero) for m in range(self.dim)]
 
     def is_associative(self):
-        """Whether every basis associator vanishes; only linked triples can fail."""
-        if self._assoc is None:
-            self._assoc = not any(self._associator_nz(*t) for t in self._linked_triples())
-        return self._assoc
-
-    def _linked_triples(self):
-        """The basis triples (i, j, k) with b_i b_j or b_j b_k nonzero: at every
-        other triple both terms of the associator are zero."""
-        n, table = self.dim, self.table
-        for j in range(n):
-            left = {i for i in range(n) if table[i][j]}
-            right = [k for k in range(n) if table[j][k]]
-            for i in range(n):
-                for k in (range(n) if i in left else right):
-                    yield i, j, k
+        """Whether every basis associator vanishes."""
+        return not self._associators()
 
     def is_alternative(self):
-        """Left and right alternative laws, via the alternating associator.
+        """Left and right alternative laws, read off the associator table.
 
-        Checks A(i,j,k) = -A(j,i,k), A(i,j,k) = -A(i,k,j) on basis triples
-        plus the diagonal conditions A(i,i,k) = A(i,k,k) = 0; together these
-        are equivalent to x^2 y = x(xy) and x y^2 = (xy)y for all x, y, in
-        every characteristic.
+        x^2 y = x(xy) and x y^2 = (xy)y for all x, y hold, in every
+        characteristic, iff A(i,i,k) = 0 and A(j,i,k) = A(i,k,j) = -A(i,j,k)
+        on basis triples (then A(i,k,k) = -A(k,i,k) = A(k,k,i) = 0).  Both
+        swaps are involutions, so a pair of triples that breaks the law has
+        a nonzero member to check it from.
         """
-        n = self.dim
-        zero = self.field.zero
-        for i in range(n):
-            for k in range(n):
-                if self._associator_nz(i, i, k) or self._associator_nz(i, k, k):
-                    return False
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    a = self._associator_nz(i, j, k)
-                    b = self._associator_nz(j, i, k)
-                    for m in set(a) | set(b):
-                        if a.get(m, zero) + b.get(m, zero):
-                            return False
-                    c = self._associator_nz(i, k, j)
-                    for m in set(a) | set(c):
-                        if a.get(m, zero) + c.get(m, zero):
-                            return False
+        assoc = self._associators()
+        for (i, j, k), a in assoc.items():
+            neg = {m: -c for m, c in a.items()}
+            if i == j or assoc.get((j, i, k)) != neg or assoc.get((i, k, j)) != neg:
+                return False
         return True
 
     # -- center --------------------------------------------------------------
@@ -223,9 +219,9 @@ class StructureAlgebra:
     def _solve_center(self):
         """Solve xr = rx over basis r, then cut the commutant by the nucleus
         conditions (x, r, r') = (r, x, r') = (r, r', x) = 0 over basis r, r',
-        all stacked into one kernel over the commutant basis.  For
-        associative algebras the nucleus conditions hold automatically and
-        only the commutant is solved.
+        read off the associator table into one kernel over the commutant
+        basis.  For associative algebras the nucleus conditions hold
+        automatically and only the commutant is solved.
         """
         n = self.dim
         if n == 0:
@@ -244,21 +240,21 @@ class StructureAlgebra:
         space = kernel(Matrix(self.field, rows, n))
         if self.is_associative() or space.dim == 0:
             return space
-        # the nucleus conditions are linear in x: for x = sum_t y_t v_t over the
-        # commutant basis v_t, coordinate m of associator `kind` at (i, j) is a
-        # linear form in the y_t
-        rows = defaultdict(lambda: [zero] * space.dim)
+        # x commutes with everything, so (r, r', x) = (r, x, r') - (x, r, r').
+        # For x = sum_t y_t v_t over the commutant basis, coordinate m of
+        # (x, r, r') or (r, x, r') is a linear form in the y_t, fed by the
+        # table entries whose index in x's slot is a coordinate of some v_t
+        slots = defaultdict(list)  # c -> the (t, v_tc) with v_tc != 0
         for t, v in enumerate(space.basis):
             for c, vc in enumerate(v):
-                if not vc:
-                    continue
-                for i in range(n):
-                    for j in range(n):
-                        for kind, assoc in enumerate((self._associator_nz(c, i, j),
-                                                      self._associator_nz(i, c, j),
-                                                      self._associator_nz(i, j, c))):
-                            for m, a in assoc.items():
-                                rows[(kind, i, j, m)][t] += vc * a
+                if vc:
+                    slots[c].append((t, vc))
+        rows = defaultdict(lambda: [zero] * space.dim)
+        for (i, j, k), a in self._associators().items():
+            for key, c in (((0, j, k), i), ((1, i, k), j)):
+                for t, vc in slots.get(c, ()):
+                    for m, am in a.items():
+                        rows[key, m][t] += vc * am
         ker = kernel(Matrix(self.field, list(rows.values()), space.dim))
         return Subspace.from_vectors(self.field, n, [space.expand(y) for y in ker.basis])
 

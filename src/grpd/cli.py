@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import GrpdError, SchemaError
 from . import groupoid as gpd
-from .algebra import StructureAlgebra
+from .algebra import MAX_DIM, StructureAlgebra
 from . import paction as pact
 from . import skewring as sk
 from . import leavitt as lv
@@ -128,6 +128,10 @@ def cmd_matrix_ring(args):
         raise SchemaError(f"-n must be at least 1, got {args.n}")
     field = schema.field(args.char, "--char")
     coeff = _load_algebra(args.algebra) if args.algebra else _scalar_algebra(field)
+    dim = args.n ** 2 * coeff.dim
+    if max(dim, args.n ** 2) > MAX_DIM:
+        raise SchemaError(f"-n {args.n} needs {args.n ** 2} matrix units and dimension {dim}, "
+                          f"above the limit {MAX_DIM}")
     g = gpd.pair_groupoid(args.n)
     alg = sk.build_groupoid_ring(g, coeff)
     result = sk.matrix_units_isomorphism(alg, args.n, coeff)

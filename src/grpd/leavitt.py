@@ -9,12 +9,13 @@ relations, used as an oracle for the first.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import SchemaError, UnsupportedError
 from . import schema
 from .exactlin import Subspace
-from .algebra import StructureAlgebra
+from .algebra import MAX_DIM, StructureAlgebra
 from .skewring import skew_product_ring
 
 
@@ -112,6 +113,7 @@ class GraphReport:
     sinks: list
     acyclic: bool
     paths: list | None
+    sink_path_counts: dict | None
 
     def sink_paths(self):
         """Sink -> the paths ending there, trivial one included, in census order."""
@@ -128,16 +130,53 @@ def graph_analysis(graph):
 
     A vertex on a cycle never enters the closure of the sinks, since it
     would need its successor on the cycle inside first; in an acyclic graph
-    every vertex enters, by induction on the longest path out of it.
+    every vertex enters, by induction on the longest path out of it.  Its
+    path algebra has dimension sum c_v^2 over the path counts c_v into the
+    sinks; past MAX_DIM the census stops with an UnsupportedError before
+    listing paths.  A path ending at a vertex extends to one ending at a
+    sink, so each vertex ends at most sum c_v of the listed paths.
     """
     sinks = graph.sinks()
     acyclic = len(_hs_closure(graph, frozenset(), sinks)) == len(graph.vertices)
+    counts = sink_path_counts(graph) if acyclic else None
+    if acyclic:
+        dim = sum(c * c for c in counts.values())
+        if dim > MAX_DIM:
+            raise UnsupportedError(
+                f"the path algebra has dimension {dim}, above the limit {MAX_DIM}")
     return GraphReport(
         graph=graph,
         sinks=sinks,
         acyclic=acyclic,
         paths=all_paths(graph) if acyclic else None,
+        sink_path_counts=counts,
     )
+
+
+def sink_path_counts(graph):
+    """Sink -> the number of paths ending there, for an acyclic graph.
+
+    Dynamic programming back from the sinks, listing no path: the paths
+    from u are the trivial one when u is a sink, and otherwise an edge out
+    of u followed by a path from its range.  A vertex is counted once every
+    edge out of it ends at a counted vertex.
+    """
+    into = {v: [] for v in graph.vertices}
+    for e in graph.edges:
+        into[e.r].append(e.s)
+    waiting = {v: len(outs) for v, outs in graph._out.items()}
+    reach = {}  # vertex -> Counter of the paths from it, by the sink they end at
+    ready = graph.sinks()
+    while ready:
+        v = ready.pop()
+        outs = graph._out[v]
+        reach[v] = sum((reach[e.r] for e in outs), Counter() if outs else Counter([v]))
+        for u in into[v]:
+            waiting[u] -= 1
+            if not waiting[u]:
+                ready.append(u)
+    total = sum(reach.values(), Counter())
+    return {v: total[v] for v in graph.sinks()}
 
 
 def _hs_closure(graph, closed, seed):
@@ -612,7 +651,7 @@ def lpa_characterization(report, model):
             one_block=None,
         )
     alg = model.algebra
-    counts = {v: len(into) for v, into in report.sink_paths().items()}
+    counts = report.sink_path_counts
     unital = alg.find_unit() is not None
     try:
         semisimple = alg.is_semisimple()

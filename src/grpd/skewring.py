@@ -10,7 +10,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import PreconditionError, UnsupportedError
 from .exactlin import Matrix, Subspace, solve
-from .algebra import StructureAlgebra, grading_respected, nonzero_terms
+from .algebra import MAX_DIM, StructureAlgebra, grading_respected, nonzero_terms
 from .groupoid import connected_components
 from . import paction as pact
 
@@ -102,9 +102,12 @@ def skew_product_ring(field, degrees, domains, triples, inv, alpha, mul, name, u
     `unit` maps degrees to elements of their domains, or is None; their sum
     becomes the algebra's unit when it is a two-sided identity.
 
-    Returns the algebra and the basis offset of each degree.
+    Returns the algebra and the basis offset of each degree; past MAX_DIM
+    basis vectors it raises an UnsupportedError before building the table.
     """
     offsets, total = _layout(degrees, domains)
+    if total > MAX_DIM:
+        raise UnsupportedError(f"the skew ring has dimension {total}, above the limit {MAX_DIM}")
     labels = []
     grading = {}
     for g in degrees:
@@ -342,10 +345,20 @@ class SemigroupTable:
 
 
 def exel_semigroup(group):
-    """Exel's semigroup S(G) of a finite group in (A, g) normal form."""
+    """Exel's semigroup S(G) of a finite group in (A, g) normal form.
+
+    For a group of order g it has 2^(g-2) (g+1) elements, one per subset A
+    containing the identity and each g in A; past MAX_DIM it is refused
+    before the 2^g subsets are scanned.
+    """
     if len(group.objects) != 1:
         raise PreconditionError("partial group algebras need a one-object groupoid")
     elems = list(group.morphisms)
+    size = (1 << len(elems)) * (len(elems) + 1) // 4
+    if size > MAX_DIM:
+        raise UnsupportedError(
+            f"Exel's semigroup of a group of order {len(elems)} has {size} elements, "
+            f"above the limit {MAX_DIM}")
     order = {x: i for i, x in enumerate(elems)}
     e = group.identity[group.objects[0]]
     subsets = []

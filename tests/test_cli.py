@@ -219,6 +219,50 @@ def test_hereditary_saturated_sets_capped_exit_1(tmp_path, capsys, n):
         assert f"more than {lv.HS_CAP} hereditary saturated" in err
 
 
+def diamond_chain(k):
+    """k + 1 vertices, two parallel edges per step: 2^(k+1) - 1 paths into the sink."""
+    vs = [f"v{i}" for i in range(k + 1)]
+    return lv.DirectedGraph(vs, [(f"e{i}{s}", vs[i], vs[i + 1]) for i in range(k) for s in "ab"])
+
+
+@pytest.mark.parametrize("k", [5, 40])
+def test_leavitt_over_the_dimension_limit_exit_1_before_listing_paths(tmp_path, capsys,
+                                                                      monkeypatch, k):
+    path = tmp_path / "diamonds.json"
+    path.write_text(json.dumps(lv.graph_to_dict(diamond_chain(k))))
+    path_calls = _count_calls(monkeypatch, lv, "all_paths")
+    start = time.perf_counter()
+    code = cli.main(["--json", "leavitt", str(path)])
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and not path_calls
+    assert f"dimension {(2 ** (k + 1) - 1) ** 2}, above the limit {MAX_DIM}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["-n", "33"], id="n-33"),
+    pytest.param(["-n", "23", "--algebra", "qq.json"], id="n-23-dim-2"),
+    pytest.param(["-n", "10000000"], id="n-1e7"),
+])
+def test_matrix_ring_over_the_dimension_limit_exit_2_before_building(files, capsys,
+                                                                     monkeypatch, argv):
+    argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+    groupoid_calls = _count_calls(monkeypatch, gpd, "pair_groupoid")
+    assert cli.main(["matrix-ring", *argv]) == 2
+    assert f"above the limit {MAX_DIM}" in capsys.readouterr().err
+    assert not groupoid_calls
+
+
+def test_partial_group_algebra_over_the_dimension_limit_exit_1(tmp_path, capsys):
+    # Exel's semigroup of Z_20 has 2^18 * 21 elements; 2^20 subsets are never scanned
+    path = tmp_path / "z20.json"
+    path.write_text(json.dumps(gpd.to_dict(gpd.cyclic_group(20))))
+    start = time.perf_counter()
+    assert cli.main(["partial-group-algebra", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert f"{2 ** 18 * 21} elements, above the limit {MAX_DIM}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda d: d["components"]["*"][0].__setitem__(0, "1/0"), id="component-1/0"),
     pytest.param(lambda d: d["maps"]["g0"][0].__setitem__(0, "1/0"), id="map-1/0"),

@@ -1,11 +1,14 @@
 """Leavitt path algebras: graphs, X space, theta maps, the two models."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
 from grpd.errors import UnsupportedError
+from grpd.algebra import MAX_DIM
 from grpd.exactlin import Field, Subspace
 from grpd import leavitt as lv
 
@@ -100,7 +103,20 @@ def test_closure_census_matches_brute_force(g):
     hs = _brute_force_hs(vertices, edges)
     assert lv.hereditary_saturated_subsets(graph) == hs
     assert lv._trivial_hs_lattice(graph) == (len(hs) <= 2)
-    assert lv.graph_analysis(graph).acyclic == _dfs_acyclic(vertices, edges)
+    if not _dfs_acyclic(vertices, edges):
+        assert not lv.graph_analysis(graph).acyclic
+        return
+    # the counting of sink paths against the listed census; past MAX_DIM the
+    # census itself is refused
+    listed = Counter(lv.path_range(graph, p) for p in lv.all_paths(graph))
+    counts = lv.sink_path_counts(graph)
+    assert list(counts.items()) == [(v, listed[v]) for v in graph.sinks()]
+    if sum(c * c for c in counts.values()) > MAX_DIM:
+        with pytest.raises(UnsupportedError, match="above the limit"):
+            lv.graph_analysis(graph)
+    else:
+        rep = lv.graph_analysis(graph)
+        assert rep.acyclic and rep.sink_path_counts == counts
 
 
 def test_x_space_single_vertex():

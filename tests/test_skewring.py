@@ -3,7 +3,7 @@
 import pytest
 
 import corpus
-from grpd.errors import PreconditionError
+from grpd.errors import PreconditionError, UnsupportedError
 from grpd.exactlin import Field, Matrix, Subspace, solve
 from grpd.algebra import grading_respected
 from grpd import groupoid as gpd
@@ -22,6 +22,7 @@ from grpd.skewring import (
     matrix_units_isomorphism,
     quotient_by_ideal,
     skew_layout,
+    skew_product_ring,
 )
 
 Q = Field(0)
@@ -159,6 +160,19 @@ def test_exel_semigroup_z3_size_formula():
             total += len(a)
     assert len(table.elements) == total == 8
     assert table.validate() == []
+
+
+def test_skew_ring_over_the_dimension_limit_is_refused():
+    # two degrees with 600-dimensional domains, refused before any product is taken
+    domains = {g: Subspace.coordinate(Q, 600, range(600)) for g in "ab"}
+    with pytest.raises(UnsupportedError, match="dimension 1200, above the limit"):
+        skew_product_ring(Q, "ab", domains, [("a", "b", "a")], None, None, None, str, None)
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_exel_semigroup_size_is_the_bounded_one(order):
+    # the size exel_semigroup checks against MAX_DIM before its subset scan
+    assert len(exel_semigroup(gpd.cyclic_group(order)).elements) == 2 ** order * (order + 1) // 4
 
 
 def test_partial_group_algebra_z2():
