@@ -14,9 +14,12 @@ value} holding rationals over Q and ints in [0, p) over F_p.  `_sparse` and
 `_dense` convert at the boundary and, beside `Field`, are the only code that
 boxes residues; over Q `_dense` writes integral entries back as ints.  All
 elimination is one Gauss-Jordan kernel on raw rows, reached through
-`Matrix.rref_pivots`; reduction against a subspace, products and expansion
-share its steps.  Matrices and subspaces are immutable, so a matrix keeps
-its raw columns and a subspace its raw basis once made.
+`Matrix.rref_pivots`, `Matrix.inverse` and `SubspaceMap.image`; reduction
+against a subspace, products and expansion share its steps.  Matrices and
+subspaces are immutable, so a matrix keeps its raw columns and a subspace
+its raw basis once made.  A `SubspaceMap`, a linear map from a subspace
+into the ambient space, keeps the raw ambient images of the subspace's
+RREF basis, so applying, restricting and composing maps stay on raw rows.
 """
 
 import re
@@ -325,6 +328,18 @@ class Matrix:
         out += [field.zero_vec(n) for _ in range(self.nrows - len(pivots))]
         return Matrix(field, out, n), pivots
 
+    def inverse(self):
+        """Inverse of a square matrix by one elimination of [m | I]; None if m is singular."""
+        field, n = self.field, self.nrows
+        if self.ncols != n:
+            raise DimensionError(f"inverse of a {n}x{self.ncols} matrix")
+        rows = [{**_sparse(field, r), n + i: 1} for i, r in enumerate(self.rows)]
+        piv = _gauss_jordan(rows, field.char)
+        if sorted(piv) != list(range(n)):
+            return None
+        return Matrix(field, [_dense(field, {j - n: x for j, x in piv[i].items() if j >= n}, n)
+                              for i in range(n)], n)
+
 
 def rref(m):
     """Reduced row-echelon form and rank of a matrix."""
@@ -393,6 +408,15 @@ class Subspace:
         return cls(field, ambient_dim, basis, pivots)
 
     @classmethod
+    def _from_pivot_rows(cls, field, ambient_dim, piv):
+        """The subspace whose RREF rows are the raw rows {pivot column: row} of piv."""
+        pivots = sorted(piv)
+        basis = [_dense(field, piv[c], ambient_dim) for c in pivots]
+        space = cls(field, ambient_dim, basis, pivots)
+        space._piv = {c: piv[c] for c in pivots}
+        return space
+
+    @classmethod
     def zero(cls, field, ambient_dim):
         return cls(field, ambient_dim, [], [])
 
@@ -458,13 +482,16 @@ class Subspace:
         return Subspace.from_vectors(self.field, self.ambient_dim, self.basis + other.basis)
 
     def intersect(self, other):
-        """Zassenhaus intersection of two spans."""
-        self._check_ambient(other)
+        """Intersection of two spans: the smaller one when they are nested, else by
+        one Zassenhaus elimination.  RREF bases are canonical, so either way
+        gives the same basis."""
+        if self <= other:
+            return self
+        if other <= self:
+            return other
         n = self.ambient_dim
         z = self.field.zero_vec(n)
         stacked = [row + row for row in self.basis] + [row + z for row in other.basis]
-        if not stacked:
-            return Subspace.zero(self.field, n)
         red, pivots = Matrix(self.field, stacked).rref_pivots()
         # rows with their pivot in the right half are zero on the left, and
         # their right halves are already the RREF basis of the intersection
@@ -489,3 +516,61 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim} over {self.field})"
 
+
+class SubspaceMap:
+    """Linear map from a subspace into the ambient space.
+
+    It is held as the raw ambient images of the domain's RREF basis, so a
+    vector of the domain maps to the images weighted by its entries at the
+    domain's pivot columns.  Immutable, like matrices and subspaces.
+    """
+
+    def __init__(self, domain, images):
+        self.domain = domain
+        self._images = images
+        self._at = {c: i for i, c in enumerate(domain.pivots)}
+
+    @classmethod
+    def from_matrix(cls, domain, codomain, m):
+        """The map sending the vector with RREF coordinates c in domain to the
+        vector with RREF coordinates m c in codomain; m is codomain.dim x domain.dim."""
+        rows = list(codomain._pivot_rows().values())
+        p = domain.field.char
+        return cls(domain, [_combine(col, rows, p) for col in m._raw_columns()])
+
+    def _image_of(self, row):
+        """Raw image of a raw row; raises if the row is outside the domain."""
+        dom = self.domain
+        p = dom.field.char
+        if _reduce(dict(row), dom._pivot_rows(), p):
+            raise ValueError("vector is not in the subspace")
+        at = self._at
+        return _combine({at[c]: x for c, x in row.items() if c in at}, self._images, p)
+
+    def __call__(self, v):
+        """Image of an ambient vector lying in the domain."""
+        dom = self.domain
+        if len(v) != dom.ambient_dim:
+            raise DimensionError("vector length differs from ambient dimension")
+        return _dense(dom.field, self._image_of(_sparse(dom.field, v)), dom.ambient_dim)
+
+    def restrict(self, space):
+        """This map on a subspace of its domain."""
+        return SubspaceMap(space, [self._image_of(r) for r in space._pivot_rows().values()])
+
+    def then(self, outer):
+        """outer after this map; every image must lie in outer's domain."""
+        return SubspaceMap(self.domain, [outer._image_of(y) for y in self._images])
+
+    def image(self):
+        """The image of the domain, by one elimination of the images."""
+        dom = self.domain
+        piv = _gauss_jordan([dict(y) for y in self._images], dom.field.char)
+        return Subspace._from_pivot_rows(dom.field, dom.ambient_dim, piv)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SubspaceMap)
+            and self.domain == other.domain
+            and self._images == other._images
+        )

@@ -6,14 +6,19 @@ to every morphism a linear ring isomorphism alpha_g from R_{g^-1} onto R_g.
 This module validates the axioms, decides unitality / globality / finite
 type, computes trace maps and fixed rings, and constructs and verifies
 globalizations inside a function-space envelope.
+
+Each alpha_g is given as a matrix between RREF coordinates and is held, once
+it is first needed, as a `SubspaceMap`: the ambient images of the RREF basis
+of R_{g^-1}.  `apply_alpha` is its dense form; the axiom checks restrict,
+compose and take images of these maps without leaving exactlin's raw rows.
 """
 
 from dataclasses import dataclass
 from functools import partial
 
 from .errors import DimensionError, PreconditionError, SchemaError, UnsupportedError, Violation
-from .exactlin import Matrix, Subspace, kernel
-from .algebra import StructureAlgebra, nonzero_terms
+from .exactlin import Matrix, Subspace, SubspaceMap, kernel
+from .algebra import MAX_DIM, StructureAlgebra, nonzero_terms
 from . import schema
 
 
@@ -21,7 +26,8 @@ class PartialAction:
     """Partial groupoid action on a decomposed ambient algebra.
 
     Subspaces are stored with RREF bases; each alpha_g is a matrix sending
-    RREF coordinates of R_{g^-1} to RREF coordinates of R_g.
+    RREF coordinates of R_{g^-1} to RREF coordinates of R_g, held as a
+    `SubspaceMap` on R_{g^-1} once it is first applied.
     """
 
     def __init__(self, groupoid, ambient, object_components, domains, maps):
@@ -50,6 +56,7 @@ class PartialAction:
                 raise DimensionError(
                     f"map at {g!r} has shape {(m.nrows, m.ncols)}, expected {need}"
                 )
+        self._alphas = {}
         self._domain_units = {}
         self._violations = None
 
@@ -73,11 +80,16 @@ class PartialAction:
     def inv(self, g):
         return self.groupoid.inverse[g]
 
+    def _alpha(self, g):
+        """alpha_g as a SubspaceMap from R_{g^-1}, built once."""
+        if g not in self._alphas:
+            self._alphas[g] = SubspaceMap.from_matrix(
+                self.domains[self.inv(g)], self.domains[g], self.maps[g])
+        return self._alphas[g]
+
     def apply_alpha(self, g, v):
         """alpha_g applied to an ambient vector lying in R_{g^-1}."""
-        src = self.domains[self.inv(g)]
-        dst = self.domains[g]
-        return dst.expand(self.maps[g].apply(src.coords(v)))
+        return self._alpha(g)(v)
 
     def domain_unit(self, g):
         """Unit of the subalgebra R_g as an ambient vector; None if absent or R_g = 0."""
@@ -149,11 +161,13 @@ def _axiom_violations(pa):
     bad_bijection = set()
     inverses = {}
     for g in g0.morphisms:
-        if pa.domains[pa.inv(g)].dim == pa.domains[g].dim:
-            inverses[g] = _inverse(pa.maps[g])
-        if inverses.get(g) is None:
+        src, dst = pa.domains[pa.inv(g)], pa.domains[g]
+        inv = pa.maps[g].inverse() if src.dim == dst.dim else None
+        if inv is None:
             out.append(Violation("bijective", (g,), "alpha is not a linear bijection"))
             bad_bijection.add(g)
+        else:
+            inverses[g] = SubspaceMap.from_matrix(dst, src, inv)
 
     # alpha_g multiplicative on its domain
     for g in g0.morphisms:
@@ -183,17 +197,15 @@ def _axiom_violations(pa):
         if gh in bad_bijection:
             continue
         inter = pa.domains[h].intersect(pa.domains[pa.inv(g)])
-        pre = _alpha_preimage(pa, h, inverses[h], inter)
+        pre = inverses[h].restrict(inter).image()
         target = pa.domains[pa.inv(gh)]
-        if not pre <= target:
+        if pre <= target:
+            dom3 = pre
+        else:
             out.append(Violation("P2", (g, h), "alpha_h^-1(R_h meet R_{g^-1}) leaves R_{(gh)^-1}"))
-        dom3 = pre.intersect(target)
-        for x in dom3.basis:
-            lhs = pa.apply_alpha(g, pa.apply_alpha(h, x))
-            rhs = pa.apply_alpha(gh, x)
-            if lhs != rhs:
-                out.append(Violation("P3", (g, h), "alpha_g alpha_h differs from alpha_{gh}"))
-                break
+            dom3 = pre.intersect(target)
+        if pa._alpha(h).restrict(dom3).then(pa._alpha(g)) != pa._alpha(gh).restrict(dom3):
+            out.append(Violation("P3", (g, h), "alpha_g alpha_h differs from alpha_{gh}"))
     return out
 
 
@@ -219,24 +231,6 @@ def _is_multiplicative(amb, space, f, mul):
             if space.contains(w) and f(w) != mul(fu, fv):
                 return False
     return True
-
-
-def _inverse(m):
-    """Inverse of a square matrix by one elimination of [m | I]; None if m is singular."""
-    n = m.nrows
-    ident = Matrix.identity(m.field, n).rows
-    red, pivots = Matrix(m.field, [r + e for r, e in zip(m.rows, ident)]).rref_pivots()
-    if pivots != list(range(n)):
-        return None
-    return Matrix(m.field, [r[n:] for r in red.rows], n)
-
-
-def _alpha_preimage(pa, h, inverse, space):
-    """alpha_h^-1 of a subspace of R_h, as a subspace of R_{h^-1}."""
-    src = pa.domains[pa.inv(h)]
-    dst = pa.domains[h]
-    vecs = [src.expand(inverse.apply(dst.coords(v))) for v in space.basis]
-    return Subspace.from_vectors(pa.ambient.field, pa.ambient.dim, vecs)
 
 
 # -- predicates ----------------------------------------------------------------
@@ -534,6 +528,9 @@ def globalize(pa):
     t_space = Subspace(field, env.dim, t_basis, t_pivots)
 
     t_dim = len(t_basis)
+    if t_dim > MAX_DIM:
+        raise UnsupportedError(
+            f"the enveloping algebra has dimension {t_dim}, above the limit {MAX_DIM}")
     table = []
     for u in t_basis:
         row = []
@@ -605,11 +602,7 @@ def globalization_verify(pa, glob):
     for g in g0.morphisms:
         c, d = g0.cod[g], g0.dom[g]
         lhs = glob.psi_image(c, pa.domains[g])
-        shifted = Subspace.from_vectors(
-            field,
-            t_alg.dim,
-            [beta.apply_alpha(g, v) for v in psi_of_component[d].basis],
-        )
+        shifted = beta._alpha(g).restrict(psi_of_component[d]).image()
         rhs = psi_of_component[c].intersect(shifted)
         if lhs != rhs:
             out.append(Violation("(ii)", (g,), "psi(R_g) differs from psi(R_c) meet beta_g(psi(R_d))"))

@@ -32,6 +32,14 @@ def _layout(degrees, domains):
     return offsets, off
 
 
+def _bounded_layout(degrees, domains):
+    """_layout, refusing a skew ring past MAX_DIM basis vectors."""
+    offsets, total = _layout(degrees, domains)
+    if total > MAX_DIM:
+        raise UnsupportedError(f"the skew ring has dimension {total}, above the limit {MAX_DIM}")
+    return offsets, total
+
+
 def component_coords(pa, r):
     """Split an ambient vector along the component decomposition."""
     field = pa.ambient.field
@@ -105,9 +113,7 @@ def skew_product_ring(field, degrees, domains, triples, inv, alpha, mul, name, u
     Returns the algebra and the basis offset of each degree; past MAX_DIM
     basis vectors it raises an UnsupportedError before building the table.
     """
-    offsets, total = _layout(degrees, domains)
-    if total > MAX_DIM:
-        raise UnsupportedError(f"the skew ring has dimension {total}, above the limit {MAX_DIM}")
+    offsets, total = _bounded_layout(degrees, domains)
     labels = []
     grading = {}
     for g in degrees:
@@ -166,8 +172,10 @@ def build_skew_groupoid_ring(pa):
     degree-g and a degree-h vector is alpha_g(alpha_{g^-1}(r) r') in degree
     gh for composable pairs and zero otherwise.  For unital actions the
     element summing the component identities over the identity degrees is
-    verified to be the two-sided unit.
+    verified to be the two-sided unit.  A ring past MAX_DIM is refused
+    before the action is validated.
     """
+    _bounded_layout(pa.groupoid.morphisms, pa.domains)
     violations = pact.validate_action(pa)
     if violations:
         raise PreconditionError(

@@ -15,7 +15,9 @@ largest eliminations here: before the dense elimination loops of
 `isolated4`: before the hereditary saturated sets were capped; the
 `qz4_scaled` and `half_unit` cases, the only inputs with constants or a
 unit that are not integers: before integral rationals became plain ints
-over Q), so a refactor that changes a single byte of a report fails here.
+over Q; the `check-action --json` cases, over the corpus actions and the six
+single-axiom mutants: before the axiom checks moved onto raw rows), so a
+refactor that changes a single byte of a report fails here.
 """
 
 import hashlib
@@ -38,6 +40,8 @@ ACTIONS = {
     "octonion_trivial": corpus.octonion_trivial_action(),
     "guard_f2": corpus.guard_action_f2(),
 }
+# check-action only: each breaks exactly one axiom
+MUTANTS = {f"mutant_{axiom}": pa for axiom, pa in corpus.mutants().items()}
 GRAPHS = {**corpus.corpus_graphs(), **corpus.cyclic_graphs()}
 # --json only: their --dump is long, or they have no algebra to dump
 JSON_GRAPHS = {"A8": corpus.line_graph(8), "cycle16": corpus.cycle_graph(16),
@@ -71,7 +75,7 @@ GROUPOIDS = {
 
 def write_inputs(d):
     """Write the corpus as JSON files under d."""
-    for name, pa in ACTIONS.items():
+    for name, pa in {**ACTIONS, **MUTANTS}.items():
         (d / f"{name}.g.json").write_text(json.dumps(gpd.to_dict(pa.groupoid)))
         (d / f"{name}.a.json").write_text(json.dumps(pa.ambient.to_dict()))
         doc = pact.action_to_dict(pa, f"{name}.g.json", f"{name}.a.json")
@@ -92,6 +96,8 @@ def cases():
         out[f"maschke --json {name}"] = ["--json", "maschke", f"{name}.json"]
         out[f"build-skew --json {name}"] = ["--json", "build-skew", f"{name}.json"]
         out[f"globalize --json {name}"] = ["--json", "globalize", f"{name}.json"]
+    for name in [*ACTIONS, *MUTANTS]:
+        out[f"check-action --json {name}"] = ["--json", "check-action", f"{name}.json"]
     for name in GRAPHS:
         out[f"leavitt --json {name}"] = ["--json", "leavitt", f"{name}.graph.json"]
         out[f"leavitt --dump {name}"] = ["leavitt", "--dump", f"{name}.graph.json"]
@@ -157,6 +163,20 @@ EXPECTED = {
     'build-skew --json shift_restriction': (0, '88996831b68befb92b2616dadfb3600b3add8d6456090289d2f3313aa74fa994'),
     'build-skew --json swap': (0, '7a2267b4361171fae1e69e4872e37fdda3be82c6db70152e02b9a34079010738'),
     'build-skew --json swap_f5': (0, '7a2267b4361171fae1e69e4872e37fdda3be82c6db70152e02b9a34079010738'),
+    'check-action --json corner': (0, 'c6c5c5ddfb7d7a5198b30c5bc2f9ee0ebb6156dfabc193837c10fd97251ed3ca'),
+    'check-action --json guard_f2': (0, 'c6c5c5ddfb7d7a5198b30c5bc2f9ee0ebb6156dfabc193837c10fd97251ed3ca'),
+    'check-action --json mutant_P1': (1, '5c0b7256529565c17756ff616c4fc47f0c935a4b5ce20b28cb7db8ddc64eb89c'),
+    'check-action --json mutant_P2': (1, '991b8f4400f7d4ab50c36c2e933d9f0eeec385ae90a35b4cdae5bae944ae5c51'),
+    'check-action --json mutant_P3': (1, '3db77c6eb76b76d0fa2eeabdd0f1f71b18672aa4afe9b434650ebdd852f5152b'),
+    'check-action --json mutant_P4': (1, '1a6a152c634a0196671847dfd479e1516b83e2a6671a577b4fac25f4063dd566'),
+    'check-action --json mutant_ideal': (1, '40bc8a920ccfb43013434bd1a6985feb9a48b16797cae8d6c3af4711ecb23d1a'),
+    'check-action --json mutant_multiplicative': (1, '96d351c1a6f3368e7ec2664124ede8c0ed81aef99089f222ef0e4f53996ba7e4'),
+    'check-action --json octonion_trivial': (0, 'c6c5c5ddfb7d7a5198b30c5bc2f9ee0ebb6156dfabc193837c10fd97251ed3ca'),
+    'check-action --json pair2_ring': (0, 'c6c5c5ddfb7d7a5198b30c5bc2f9ee0ebb6156dfabc193837c10fd97251ed3ca'),
+    'check-action --json restricted_swap': (0, 'c6c5c5ddfb7d7a5198b30c5bc2f9ee0ebb6156dfabc193837c10fd97251ed3ca'),
+    'check-action --json shift_restriction': (0, 'c6c5c5ddfb7d7a5198b30c5bc2f9ee0ebb6156dfabc193837c10fd97251ed3ca'),
+    'check-action --json swap': (0, 'c6c5c5ddfb7d7a5198b30c5bc2f9ee0ebb6156dfabc193837c10fd97251ed3ca'),
+    'check-action --json swap_f5': (0, 'c6c5c5ddfb7d7a5198b30c5bc2f9ee0ebb6156dfabc193837c10fd97251ed3ca'),
     'globalize --json corner': (0, '0e7b54de4e681427ba7d7a89463b2c7cfef113555d598cc6a8b521b08f04ef97'),
     'globalize --json guard_f2': (0, '9a9f496428ebc164a15ceb455d851bcd4baa1d5a56be956b7bb5cfece0019868'),
     'globalize --json octonion_trivial': (0, 'f6ab69f40ee284a4865163f84f2da2970ff2d4083a311b8912029afcf749688a'),

@@ -185,6 +185,21 @@ def test_solve_matches_reference(case, consistent):
 
 @SETTINGS
 @given(fp_cases())
+def test_inverse_matches_reference(case):
+    p, rng = case
+    k = rng.randint(0, 6)
+    m, ref = both(random_rows(rng, p, k, k), p, k)
+    ident = [[Res(int(i == j), p) for j in range(k)] for i in range(k)]
+    red, pivots = ref_rref([r + e for r, e in zip(ref, ident)], 2 * k)
+    got = m.inverse()
+    if pivots[:k] != list(range(k)):
+        assert got is None
+    else:
+        assert [unboxed(r, p) for r in got.rows] == ints([r[k:] for r in red])
+
+
+@SETTINGS
+@given(fp_cases())
 def test_apply_and_mul_match_reference(case):
     p, rng = case
     nrows, ncols = shapes(rng)
@@ -228,10 +243,16 @@ def test_subspace_operations_match_reference(case):
     assert unboxed(u.expand(field.vec(coeffs)), p) == inside
     assert unboxed(u.expand(field.zero_vec(u.dim)), p) == [0] * n
 
-    # Zassenhaus on the reference: rows [u | u] and [w | 0]
+    # Zassenhaus on the reference: rows [a | a] and [b | 0]; the nested and
+    # equal pairs A <= B, B <= A and A = B follow the drawn one
+    s = u.sum(w)
+    ref_s, _ = ref_span([[Res(x, p) for x in r] for r in gens_u + gens_w], n)
+    u_again = Subspace.from_vectors(field, n, [field.vec(r) for r in gens_u[::-1]])
     zero = [Res(0, p)] * n
-    red, pivots = ref_rref([r + r for r in ref_u] + [r + zero for r in ref_w], 2 * n)
-    meet = [red[i][n:] for i in range(len(pivots)) if not any(red[i][:n])]
-    ref_meet, piv_meet = ref_span(meet, n)
-    got = u.intersect(w)
-    assert (got.pivots, [unboxed(r, p) for r in got.basis]) == (piv_meet, ints(ref_meet))
+    for a, b, ref_a, ref_b in [(u, w, ref_u, ref_w), (u, s, ref_u, ref_s),
+                               (s, u, ref_s, ref_u), (u, u_again, ref_u, ref_u)]:
+        red, pivots = ref_rref([r + r for r in ref_a] + [r + zero for r in ref_b], 2 * n)
+        meet = [red[i][n:] for i in range(len(pivots)) if not any(red[i][:n])]
+        ref_meet, piv_meet = ref_span(meet, n)
+        got = a.intersect(b)
+        assert (got.pivots, [unboxed(r, p) for r in got.basis]) == (piv_meet, ints(ref_meet))

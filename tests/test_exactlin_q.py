@@ -257,8 +257,15 @@ def test_subspace_operations_match_reference(kind, seed):
     assert (u.pivots, [canonical(r) for r in u.basis]) == (piv_u, ref_u)
     assert (w.pivots, [canonical(r) for r in w.basis]) == (piv_w, ref_w)
 
-    for got, (basis, pivots) in [(u.sum(w), ref_span(gens_u + gens_w, n)),
-                                 (u.intersect(w), ref_intersection(ref_u, ref_w, n))]:
+    # the nested and equal pairs A <= B, B <= A and A = B follow the drawn one
+    s = u.sum(w)
+    ref_s, _ = ref_span(gens_u + gens_w, n)
+    u_again = Subspace.from_vectors(Q, n, gens_u[::-1])
+    for got, (basis, pivots) in [(s, ref_span(gens_u + gens_w, n)),
+                                 (u.intersect(w), ref_intersection(ref_u, ref_w, n)),
+                                 (u.intersect(s), ref_intersection(ref_u, ref_s, n)),
+                                 (s.intersect(u), ref_intersection(ref_s, ref_u, n)),
+                                 (u.intersect(u_again), ref_intersection(ref_u, ref_u, n))]:
         assert (got.pivots, [canonical(r) for r in got.basis]) == (pivots, basis)
 
     coeffs = [rng.choice([ZERO, entry(rng)]) for _ in ref_u]
@@ -274,6 +281,22 @@ def test_subspace_operations_match_reference(kind, seed):
             assert canonical(u.coords(v)) == [v[c] for c in piv_u]
     assert canonical(u.expand(coeffs)) == inside
     assert canonical(u.expand([ZERO] * u.dim)) == [ZERO] * n
+
+
+@each_kind
+@SETTINGS
+@given(seeds)
+def test_inverse_matches_reference(kind, seed):
+    rows, ncols, _ = matrix(kind, seed)
+    square = [r[:len(rows)] for r in rows] if len(rows) <= ncols else rows[:ncols]
+    k = len(square)
+    ident = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    red, pivots = ref_rref([r + e for r, e in zip(square, ident)], 2 * k)
+    got = Matrix(Q, square, k).inverse()
+    if pivots[:k] != list(range(k)):
+        assert got is None
+    else:
+        assert [canonical(r) for r in got.rows] == [r[k:] for r in red]
 
 
 @each_kind

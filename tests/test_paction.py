@@ -261,6 +261,34 @@ def test_globalize_multi_object():
     assert glob.action.ambient.dim == pa.ambient.dim
 
 
+def trivial_support_action(n, m):
+    """Z/n on Q^m with R_g = 0 for g != e: a unital partial action whose
+    envelope is all of the functions Z/n -> Q^m, of dimension n m."""
+    g = gpd.cyclic_group(n)
+    e = g.identity["*"]
+    full = Subspace.full(Q, m)
+    domains = {h: full if h == e else Subspace.zero(Q, m) for h in g.morphisms}
+    maps = {h: Matrix.identity(Q, m) if h == e else Matrix.zeros(Q, 0, 0) for h in g.morphisms}
+    return pact.PartialAction(g, corpus.componentwise(Q, m), {"*": full}, domains, maps)
+
+
+def test_globalize_trivial_support_fills_the_function_space():
+    pa = trivial_support_action(4, 3)
+    assert pact.validate_action(pa) == []
+    glob = pact.globalize(pa)
+    assert glob.action.ambient.dim == 12
+    assert pact.globalization_verify(pa, glob) == []
+
+
+def test_globalize_over_the_dimension_limit_is_refused_before_the_table(monkeypatch):
+    def refuse(self, x, y):
+        raise AssertionError("the bound must come before the envelope's table")
+
+    monkeypatch.setattr(pact._Envelope, "mul", refuse)
+    with pytest.raises(UnsupportedError, match="dimension 1056, above the limit 1024"):
+        pact.globalize(trivial_support_action(33, 32))
+
+
 def test_identity_pretender_globalization_rejected():
     # claiming the full swap globalizes the corner action with psi = id fails (ii)
     pa = corpus.corner_action()
@@ -354,6 +382,27 @@ def test_mutant_reports_without_solving_per_vector(no_solve, rule):
     violations = pact.validate_action(pa)
     assert violation_rules(violations) == {rule}
     assert ([str(v) for v in violations], _global_report(pa)) == MUTANT_REPORTS[rule]
+
+
+def test_envelope_action_validates_without_zassenhaus(monkeypatch):
+    # every domain of a global action is a whole component, so each
+    # intersection in the (P2) loop is a containment test
+    beta = pact.globalize(corpus.shift_restriction_action()).action
+    n = beta.ambient.dim
+    stacks = []
+    rref_pivots = Matrix.rref_pivots
+
+    def counted(m):
+        if m.ncols == 2 * n:
+            stacks.append(m.shape)
+        return rref_pivots(m)
+
+    monkeypatch.setattr(Matrix, "rref_pivots", counted)
+    assert pact.validate_action(beta) == []
+    assert stacks == []
+    # the hook sees a Zassenhaus elimination when there is one
+    Subspace.coordinate(Q, n, [0, 1]).intersect(Subspace.coordinate(Q, n, [1, 2]))
+    assert stacks == [(4, 2 * n)]
 
 
 @pytest.mark.parametrize("field", [Q, Field(10007)], ids=str)

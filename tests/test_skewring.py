@@ -1,5 +1,7 @@
 """Skew ring builders, partial group algebras, quotients, Maschke machinery."""
 
+import time
+
 import pytest
 
 import corpus
@@ -167,6 +169,19 @@ def test_skew_ring_over_the_dimension_limit_is_refused():
     domains = {g: Subspace.coordinate(Q, 600, range(600)) for g in "ab"}
     with pytest.raises(UnsupportedError, match="dimension 1200, above the limit"):
         skew_product_ring(Q, "ab", domains, [("a", "b", "a")], None, None, None, str, None)
+
+
+def test_groupoid_ring_over_the_dimension_limit_is_refused_before_validating(monkeypatch):
+    # R[G] for the pair groupoid on 33 objects has dimension 33^2 = 1089
+    def refuse(pa):
+        raise AssertionError("the bound must come before validation")
+
+    monkeypatch.setattr(pact, "validate_action", refuse)
+    g = gpd.pair_groupoid(33)
+    t0 = time.perf_counter()
+    with pytest.raises(UnsupportedError, match="dimension 1089, above the limit"):
+        build_groupoid_ring(g, corpus.scalar_algebra(Q))
+    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("order", range(1, 7))
