@@ -306,8 +306,10 @@ class StructureAlgebra:
         """Radical of the trace form T(x, y) = trace(L_x L_y), computed once.
 
         Valid for associative unital algebras in characteristic 0 or p > dim;
-        anything else is rejected.  The kernel is closed into a two-sided
-        ideal as a safety net (a no-op inside the validity window).
+        anything else is rejected.  The kernel is a two-sided ideal as it
+        stands, in every characteristic: L_ab = L_a L_b and
+        trace(AB) = trace(BA) give T(ax, y) = T(x, ya) and T(xa, y) = T(x, ay),
+        which vanish for x in the kernel.
         """
         if self._radical is None:
             self._radical_guards()
@@ -319,7 +321,7 @@ class StructureAlgebra:
                   for k in range(n)]
             gram = [[sum((c * tr[k] for k, c in self.table[i][j]), zero) for j in range(n)]
                     for i in range(n)]
-            self._radical = self.ideal_closure(kernel(Matrix(self.field, gram)), "two")
+            self._radical = kernel(Matrix(self.field, gram))
         return self._radical
 
     def is_semisimple(self):
@@ -462,7 +464,8 @@ class StructureAlgebra:
         Needs a unit and a stored conjugation involution; both are carried
         to the doubled algebra, with conj(a, b) = (conj(a), -b).
         """
-        if self.unit is None and self.find_unit() is None:
+        one = self.find_unit()
+        if one is None:
             raise UnsupportedError("doubling needs a unital algebra")
         if self.involution is None:
             raise UnsupportedError("doubling needs a designated conjugation involution")
@@ -489,7 +492,7 @@ class StructureAlgebra:
                 + [[(k, -c) for k, c in nonzero_terms(self.multiply(conj[j], bi))]
                    for j in range(n)]
             )
-        unit = pad(self.find_unit(), zvec)
+        unit = pad(one, zvec)
         new_conj = [pad(conj[i], zvec) for i in range(n)]
         new_conj += [pad(zvec, [-a for a in self.basis_vector(i)]) for i in range(n)]
         labels = [f"e{i}" for i in range(n2)]
@@ -530,11 +533,15 @@ class StructureAlgebra:
         if labels is not None:
             schema.items(labels, object, "basis", dim)
         table = [[[] for _ in range(dim)] for _ in range(dim)]
+        cells = set()
         for t, ent in enumerate(schema.get(d, "table", list, "algebra")):
             what = f"table entry {t}"
             i, j, coeffs = schema.items(ent, object, what, 3)
             if not all(0 <= schema.check(x, int, f"index in {what}") < dim for x in (i, j)):
                 raise SchemaError(f"{what} has an index out of range: {ent!r}")
+            if (i, j) in cells:
+                raise SchemaError(f"{what} repeats the table cell ({i}, {j})")
+            cells.add((i, j))
             table[i][j] = nonzero_terms(schema.vec(field, coeffs, dim, what))
         alg = cls(field, dim, table, labels=labels)
         if "unit" in d:

@@ -6,7 +6,7 @@ work uses the input order, so reports and serializations are deterministic.
 
 from dataclasses import dataclass
 
-from .errors import Violation
+from .errors import SchemaError, Violation
 from . import schema
 
 
@@ -142,23 +142,20 @@ def validate(g):
             out.append(Violation("inverse", (inv, m), "g^-1 g is not the domain identity"))
 
     # associativity on every composable triple
-    for a in g.morphisms:
-        for b in g.morphisms:
-            if not g.is_composable(a, b):
+    for a, b in g.composable_pairs():
+        ab = g._compose.get((a, b))
+        if ab is None or ab not in g._mor_index:
+            continue
+        for c in g.morphisms:
+            if not g.is_composable(b, c):
                 continue
-            ab = g._compose.get((a, b))
-            if ab is None or ab not in g._mor_index:
+            bc = g._compose.get((b, c))
+            if bc is None or bc not in g._mor_index:
                 continue
-            for c in g.morphisms:
-                if not g.is_composable(b, c):
-                    continue
-                bc = g._compose.get((b, c))
-                if bc is None or bc not in g._mor_index:
-                    continue
-                left = g._compose.get((ab, c))
-                right = g._compose.get((a, bc))
-                if left != right or left is None:
-                    out.append(Violation("associativity", (a, b, c), f"(ab)c={left!r}, a(bc)={right!r}"))
+            left = g._compose.get((ab, c))
+            right = g._compose.get((a, bc))
+            if left != right or left is None:
+                out.append(Violation("associativity", (a, b, c), f"(ab)c={left!r}, a(bc)={right!r}"))
     return out
 
 
@@ -168,43 +165,21 @@ def validate(g):
 def from_group(elements, mul_table, object_id="*"):
     """One-object groupoid from a finite group multiplication table.
 
-    `mul_table` maps pairs of element names to element names.  Raises
-    ValueError unless the table is a genuine group.
+    `mul_table` maps pairs of element names to element names.  The identity
+    is the neutral element and each inverse the first right inverse; then
+    `validate` decides the group axioms.  Raises ValueError naming the first
+    violation unless the table is a genuine group.
     """
     elements = list(elements)
-    elset = set(elements)
-    for a in elements:
-        for b in elements:
-            if mul_table.get((a, b)) not in elset:
-                raise ValueError(f"table is not closed at ({a}, {b})")
-    ident = None
-    for e in elements:
-        if all(mul_table[(e, x)] == x and mul_table[(x, e)] == x for x in elements):
-            ident = e
-            break
-    if ident is None:
-        raise ValueError("table has no identity element")
-    inverse = {}
-    for a in elements:
-        inv = [b for b in elements if mul_table[(a, b)] == ident and mul_table[(b, a)] == ident]
-        if not inv:
-            raise ValueError(f"element {a} has no inverse")
-        inverse[a] = inv[0]
-    for a in elements:
-        for b in elements:
-            for c in elements:
-                if mul_table[(mul_table[(a, b)], c)] != mul_table[(a, mul_table[(b, c)])]:
-                    raise ValueError(f"table is not associative at ({a}, {b}, {c})")
-    e = object_id
-    return FiniteGroupoid(
-        objects=[e],
-        morphisms=elements,
-        dom={a: e for a in elements},
-        cod={a: e for a in elements},
-        inverse=inverse,
-        compose=dict(mul_table),
-        identity={e: ident},
-    )
+    ends = {a: object_id for a in elements}
+    ident = _neutral_loop(object_id, elements, ends, ends, mul_table)
+    inverse = {a: next((b for b in elements if mul_table.get((a, b)) == ident), None)
+               for a in elements}
+    g = FiniteGroupoid([object_id], elements, ends, ends, inverse, mul_table, {object_id: ident})
+    bad = validate(g)
+    if bad:
+        raise ValueError(f"table is not a group: {bad[0]}")
+    return g
 
 
 def cyclic_group(n, object_id="*"):
@@ -292,20 +267,32 @@ def hom_set(g, e, f):
     return HomSet(e, f, [m for m in g.morphisms if g.dom[m] == e and g.cod[m] == f])
 
 
+def full_subgroupoid(g, objects):
+    """The subgroupoid on `objects` with every morphism of g between them.
+
+    It keeps the compose entries whose three morphisms all survive.
+    """
+    objects = list(objects)
+    kept = set(objects)
+    mors = [m for m in g.morphisms if g.dom[m] in kept and g.cod[m] in kept]
+    mor_set = set(mors)
+    return FiniteGroupoid(
+        objects=objects,
+        morphisms=mors,
+        dom={m: g.dom[m] for m in mors},
+        cod={m: g.cod[m] for m in mors},
+        inverse={m: g.inverse[m] for m in mors},
+        compose={(a, b): c for (a, b), c in g._compose.items()
+                 if a in mor_set and b in mor_set and c in mor_set},
+        identity={e: g.identity[e] for e in objects},
+    )
+
+
 def isotropy(g, e):
     """The isotropy group G_e = G(e, e) as a one-object groupoid."""
     if e not in g._obj_index:
         raise KeyError(f"unknown object {e!r}")
-    mors = [m for m in g.morphisms if g.dom[m] == e and g.cod[m] == e]
-    return FiniteGroupoid(
-        objects=[e],
-        morphisms=mors,
-        dom={m: e for m in mors},
-        cod={m: e for m in mors},
-        inverse={m: g.inverse[m] for m in mors},
-        compose={(a, b): g._compose[(a, b)] for a in mors for b in mors},
-        identity={e: g.identity[e]},
-    )
+    return full_subgroupoid(g, [e])
 
 
 def is_finite_mor_criterion(g):
@@ -314,15 +301,9 @@ def is_finite_mor_criterion(g):
     For a finite groupoid the criterion always holds; the value of the check
     is the count report: every nonempty G(e,f) must have |G_e| elements.
     """
-    iso = {e: len(isotropy(g, e).morphisms) for e in g.objects}
-    hom = {}
-    ok = True
-    for e in g.objects:
-        for f in g.objects:
-            size = len(hom_set(g, e, f).morphisms)
-            hom[(e, f)] = size
-            if size and size != iso[e]:
-                ok = False
+    hom = {(e, f): len(hom_set(g, e, f).morphisms) for e in g.objects for f in g.objects}
+    iso = {e: hom[e, e] for e in g.objects}
+    ok = all(not size or size == iso[e] for (e, _), size in hom.items())
     return FiniteMorReport(isotropy_sizes=iso, hom_sizes=hom, counting_identity=ok)
 
 
@@ -340,18 +321,28 @@ def to_dict(g):
 
 
 def from_dict(d):
-    """Parse the groupoid schema; omitted identities are created as "id:<object>"."""
+    """Parse the groupoid schema; omitted identities are created as "id:<object>".
+
+    A repeated object id, morphism id or compose pair is a SchemaError.
+    """
     objects = schema.items(schema.get(d, "objects", list, "groupoid"), str, "objects")
+    repeated = [e for t, e in enumerate(objects) if e in objects[:t]]
+    if repeated:
+        raise SchemaError(f"repeated object id {repeated[0]!r}")
     morphisms = []
     dom, cod, inverse = {}, {}, {}
     for t, ent in enumerate(schema.get(d, "morphisms", list, "groupoid")):
         m, dom_m, cod_m, inv_m = (schema.get(ent, k, str, f"morphism {t}")
                                   for k in ("id", "dom", "cod", "inv"))
+        if m in dom:
+            raise SchemaError(f"repeated morphism id {m!r}")
         morphisms.append(m)
         dom[m], cod[m], inverse[m] = dom_m, cod_m, inv_m
     compose = {}
     for t, ent in enumerate(schema.get(d, "compose", list, "groupoid", [])):
         a, b, c = schema.items(ent, str, f"compose entry {t}", 3)
+        if (a, b) in compose:
+            raise SchemaError(f"repeated compose pair ({a!r}, {b!r})")
         compose[(a, b)] = c
     # create identities that were left out, under the id:<object> convention
     for e in objects:

@@ -11,6 +11,7 @@ relations, used as an oracle for the first.
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import SchemaError, UnsupportedError
 from . import schema
@@ -199,16 +200,6 @@ def _hs_closure(graph, closed, seed):
     return frozenset(inside)
 
 
-def _trivial_hs_lattice(graph):
-    """Whether the empty set and V are the only hereditary saturated sets.
-
-    A nonempty proper one holds the closure of each of its vertices, so it
-    is enough that every single vertex closes to all of V.
-    """
-    n = len(graph.vertices)
-    return all(len(_hs_closure(graph, frozenset(), (v,))) == n for v in graph.vertices)
-
-
 HS_CAP = 4096  # hereditary saturated sets listed at most; 12 isolated vertices have this many
 
 
@@ -344,23 +335,19 @@ class XSpace:
         self.words = self._enumerate_words(report.paths)
 
     def _enumerate_words(self, paths):
+        """The identity, then the reduced words a b^-1 sorted by (a, b).
+
+        Paths a != b with a common range and different last edges already
+        form a reduced word, and its X_w is not empty: in an acyclic graph
+        every path extends to one ending at a sink.
+        """
         graph = self.graph
         by_range = {}
         for p in paths:
             by_range.setdefault(path_range(graph, p), []).append(p)
-        words = {IDENTITY}
-        for _, group in sorted(by_range.items(), key=lambda kv: graph._vidx[kv[0]]):
-            for a in group:
-                for b in group:
-                    if not a.is_trivial() or not b.is_trivial():
-                        if a.edges and b.edges and a.edges[-1] == b.edges[-1]:
-                            continue  # not reduced; equals a shorter word
-                        w = make_word(graph, a, b)
-                        if w is not None and not w.is_identity():
-                            if self.x_set(w):
-                                words.add(w)
         out = sorted(
-            (w for w in words if not w.is_identity()),
+            (Word(a, b) for group in by_range.values() for a in group for b in group
+             if a != b and not (a.edges and b.edges and a.edges[-1] == b.edges[-1])),
             key=lambda w: (_path_key(graph, w.a), _path_key(graph, w.b)),
         )
         return [IDENTITY] + out
@@ -492,9 +479,10 @@ class PathPairModel:
         self.pairs = [(mu, nu) for into in report.sink_paths().values()
                       for mu in into for nu in into]
         self.index = {p: i for i, p in enumerate(self.pairs)}
-        self.algebra = self._build_algebra()
 
-    def _build_algebra(self):
+    @cached_property
+    def algebra(self):
+        """The matrix-unit table on the pairs, built when first read."""
         field = self.field
         n = len(self.pairs)
         table = [
@@ -544,9 +532,6 @@ def phi_isomorphism_check(model):
     gens = model.generator_images()
     mul = alg.multiply
 
-    def eq(x, y):
-        return x == y
-
     failure = None
 
     def check(cond, desc):
@@ -559,19 +544,19 @@ def phi_isomorphism_check(model):
         for w in graph.vertices:
             prod = mul(gens[("v", v)], gens[("v", w)])
             expect = gens[("v", v)] if v == w else zero
-            check(eq(prod, expect), f"vertex idempotent relation at ({v},{w})")
+            check(prod == expect, f"vertex idempotent relation at ({v},{w})")
     for e in graph.edges:
         f = gens[("e", e.id)]
         fs = gens[("e*", e.id)]
-        check(eq(mul(gens[("v", e.s)], f), f), f"(1) s(f) f = f at {e.id}")
-        check(eq(mul(f, gens[("v", e.r)]), f), f"(1) f r(f) = f at {e.id}")
-        check(eq(mul(gens[("v", e.r)], fs), fs), f"(2) r(f) f* = f* at {e.id}")
-        check(eq(mul(fs, gens[("v", e.s)]), fs), f"(2) f* s(f) = f* at {e.id}")
+        check(mul(gens[("v", e.s)], f) == f, f"(1) s(f) f = f at {e.id}")
+        check(mul(f, gens[("v", e.r)]) == f, f"(1) f r(f) = f at {e.id}")
+        check(mul(gens[("v", e.r)], fs) == fs, f"(2) r(f) f* = f* at {e.id}")
+        check(mul(fs, gens[("v", e.s)]) == fs, f"(2) f* s(f) = f* at {e.id}")
     for e in graph.edges:
         for ep in graph.edges:
             prod = mul(gens[("e*", e.id)], gens[("e", ep.id)])
             expect = gens[("v", e.r)] if e.id == ep.id else zero
-            check(eq(prod, expect), f"(3) f* f' at ({e.id},{ep.id})")
+            check(prod == expect, f"(3) f* f' at ({e.id},{ep.id})")
     for v in graph.vertices:
         outs = graph.out_edges(v)
         if not outs:
@@ -580,9 +565,9 @@ def phi_isomorphism_check(model):
         for e in outs:
             term = mul(gens[("e", e.id)], gens[("e*", e.id)])
             acc = [a + b for a, b in zip(acc, term)]
-        check(eq(acc, gens[("v", v)]), f"(4) v = sum f f* at {v}")
+        check(acc == gens[("v", v)], f"(4) v = sum f f* at {v}")
 
-    dims = (alg.dim, oracle.algebra.dim)
+    dims = (alg.dim, len(oracle.pairs))
     return PhiReport(
         dims=dims,
         dims_match=dims[0] == dims[1],
@@ -635,7 +620,7 @@ def lpa_characterization(report, model):
     """
     graph = report.graph
     hs = hereditary_saturated_subsets(graph)
-    trivial_hs = _trivial_hs_lattice(graph)
+    trivial_hs = len(hs) <= 2  # the empty set and V are always listed
     if not report.acyclic:
         return LpaReport(
             acyclic=False,

@@ -19,6 +19,7 @@ from functools import partial
 from .errors import DimensionError, PreconditionError, SchemaError, UnsupportedError, Violation
 from .exactlin import Matrix, Subspace, SubspaceMap, kernel
 from .algebra import MAX_DIM, StructureAlgebra, nonzero_terms
+from .groupoid import full_subgroupoid
 from . import schema
 
 
@@ -143,18 +144,22 @@ def _axiom_violations(pa):
     elif dims != n:
         out.append(Violation("P4", (), "components overlap: dimensions add beyond ambient"))
 
-    # ideals: R_e ideal of R; R_g inside R_{c(g)} and an ideal of it
+    # ideals: R_e ideal of R; R_g inside R_{c(g)} and an ideal of it.  An
+    # ideal of R is an ideal of itself, so R_g = R_{c(g)} needs no second test
+    ideal_comps = set()
     for e in g0.objects:
         comp = pa.object_components[e]
-        if not _is_ideal_in(amb, comp, Subspace.full(field, n)):
+        if _is_ideal_in(amb, comp, Subspace.full(field, n)):
+            ideal_comps.add(e)
+        else:
             out.append(Violation("ideal", (e,), "component is not an ideal of the ambient algebra"))
     for g in g0.morphisms:
         dom = pa.domains[g]
-        comp = pa.object_components[g0.cod[g]]
+        c = g0.cod[g]
+        comp = pa.object_components[c]
         if not dom <= comp:
             out.append(Violation("ideal", (g,), "domain is not contained in its codomain component"))
-            continue
-        if not _is_ideal_in(amb, dom, comp):
+        elif not (c in ideal_comps and dom == comp) and not _is_ideal_in(amb, dom, comp):
             out.append(Violation("ideal", (g,), "domain is not an ideal of its codomain component"))
 
     # alpha_g bijective; the inverses serve (P2) below
@@ -266,24 +271,10 @@ def restrict_to_g_sharp(pa):
     The resulting action has the same skew ring as the original, under the
     canonical identification of basis vectors.
     """
-    g0 = pa.groupoid
     field = pa.ambient.field
-    kept_obj = [e for e in g0.objects if pa.object_components[e].dim > 0]
-    kept_set = set(kept_obj)
-    kept_mor = [g for g in g0.morphisms if g0.dom[g] in kept_set and g0.cod[g] in kept_set]
-    mor_set = set(kept_mor)
-    sharp = type(g0)(
-        objects=kept_obj,
-        morphisms=kept_mor,
-        dom={m: g0.dom[m] for m in kept_mor},
-        cod={m: g0.cod[m] for m in kept_mor},
-        inverse={m: g0.inverse[m] for m in kept_mor},
-        compose={
-            (a, b): c for (a, b), c in g0._compose.items()
-            if a in mor_set and b in mor_set and c in mor_set
-        },
-        identity={e: g0.identity[e] for e in kept_obj},
-    )
+    kept_obj = [e for e in pa.groupoid.objects if pa.object_components[e].dim > 0]
+    sharp = full_subgroupoid(pa.groupoid, kept_obj)
+    kept_mor = sharp.morphisms
     big = Subspace.span(field, pa.ambient.dim, [pa.object_components[e] for e in kept_obj])
     sub_alg, sub_basis = pa.ambient.subalgebra(big)
 
@@ -557,14 +548,8 @@ def globalize(pa):
 
     embeddings = {}
     for e in g0.objects:
-        comp = pa.object_components[e]
-        cols = []
-        for r in comp.basis:
-            vec_u = env.psi_vec(e, r)
-            try:
-                cols.append(t_space.coords(vec_u))
-            except ValueError:
-                raise UnsupportedError("psi image escaped the envelope") from None
+        # beta at the identity fixes psi_e(r), one of the generators of T_e
+        cols = [t_space.coords(env.psi_vec(e, r)) for r in pa.object_components[e].basis]
         embeddings[e] = Matrix.from_columns(field, cols, t_dim)
     return Globalization(partial=pa, action=beta, embeddings=embeddings)
 

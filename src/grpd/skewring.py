@@ -11,7 +11,7 @@ from dataclasses import dataclass, field as dc_field
 from .errors import PreconditionError, UnsupportedError
 from .exactlin import Matrix, Subspace, solve
 from .algebra import MAX_DIM, StructureAlgebra, grading_respected, nonzero_terms
-from .groupoid import connected_components
+from .groupoid import connected_components, hom_set
 from . import paction as pact
 
 
@@ -188,10 +188,7 @@ def build_skew_groupoid_ring(pa):
         parts = {i: pa.domain_unit(i) for i in ids}
         if all(u is not None or pa.domains[i].dim == 0 for i, u in parts.items()):
             unit = {i: u for i, u in parts.items() if u is not None}
-    triples = (
-        (g, h, g0.compose(g, h))
-        for g in g0.morphisms for h in g0.morphisms if g0.is_composable(g, h)
-    )
+    triples = ((g, h, g0.compose(g, h)) for g, h in g0.composable_pairs())
     alg, _ = skew_product_ring(
         pa.ambient.field, g0.morphisms, pa.domains, triples,
         pa.inv, pa.apply_alpha, pa.ambient.multiply, lambda g: g, unit,
@@ -595,12 +592,12 @@ def maschke_check(pa):
     """Semisimplicity transfer report for a unital action with finite support.
 
     Premise routes: semisimple coefficients with invertible isotropy orders,
-    or semisimple coefficients with invertible trace of the unit.  Status
-    strings replace booleans where the radical validity window blocks a
-    computation; only the stated implications are reported, never converses.
+    or semisimple coefficients with invertible trace of the unit.  |G_e| 1
+    is invertible in a nonzero unital R exactly when |G_e| is nonzero in
+    the field.  Status strings replace booleans where the radical validity
+    window blocks a computation; only the stated implications are reported,
+    never converses.
     """
-    from .groupoid import isotropy
-
     amb = pa.ambient
     g0 = pa.groupoid
 
@@ -611,15 +608,9 @@ def maschke_check(pa):
             return f"unsupported: {exc}"
 
     r_ss = guarded(amb.is_semisimple)
-    iso_orders = {e: len(isotropy(g0, e).morphisms) for e in g0.objects}
+    iso_orders = {e: len(hom_set(g0, e, e).morphisms) for e in g0.objects}
     one = amb.find_unit()
-    iso_inv = {}
-    for e, m in iso_orders.items():
-        if one is None:
-            iso_inv[e] = False
-            continue
-        scaled = [amb.field(m) * c for c in one]
-        iso_inv[e] = invert_in(amb, scaled) is not None
+    iso_inv = {e: one is not None and bool(amb.field(m)) for e, m in iso_orders.items()}
 
     trace_unit = None
     trace_inv = "unsupported: action is not unital"

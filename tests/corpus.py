@@ -47,21 +47,33 @@ def dual_numbers(field):
     )
 
 
+def truncated_poly(field, k):
+    """field[x]/(x^k), radical spanned by x, ..., x^(k-1)."""
+    table = [[[(i + j, field.one)] if i + j < k else [] for j in range(k)] for i in range(k)]
+    labels = ["1", "x"][:k] + [f"x{i}" for i in range(2, k)]
+    return StructureAlgebra(field, k, table, unit=field.unit_vec(k, 0), labels=labels)
+
+
 def truncated_poly3(field):
     """field[x]/(x^3), radical spanned by x and x^2."""
-    table = [[[(i + j, field.one)] if i + j < 3 else [] for j in range(3)] for i in range(3)]
-    return StructureAlgebra(field, 3, table, unit=field.unit_vec(3, 0), labels=["1", "x", "x2"])
+    return truncated_poly(field, 3)
+
+
+def upper_triangular(field, n):
+    """Upper triangular n x n matrices, basis E_ij for i <= j; radical n(n-1)/2."""
+    names = [(i, j) for i in range(n) for j in range(i, n)]
+    idx = {p: a for a, p in enumerate(names)}
+    table = [[[(idx[(i, l)], field.one)] if j == k else [] for k, l in names] for i, j in names]
+    unit = field.zero_vec(len(names))
+    for i in range(n):
+        unit[idx[(i, i)]] = field.one
+    return StructureAlgebra(field, len(names), table, unit=unit,
+                            labels=[f"E{i + 1}{j + 1}" for i, j in names])
 
 
 def upper_triangular2(field):
     """Upper triangular 2x2 matrices, basis E11, E12, E22."""
-    names = [(0, 0), (0, 1), (1, 1)]
-    idx = {p: i for i, p in enumerate(names)}
-    table = [[[(idx[(i, l)], field.one)] if j == k else [] for k, l in names] for i, j in names]
-    unit = field.zero_vec(3)
-    unit[idx[(0, 0)]] = field.one
-    unit[idx[(1, 1)]] = field.one
-    return StructureAlgebra(field, 3, table, unit=unit, labels=["E11", "E12", "E22"])
+    return upper_triangular(field, 2)
 
 
 def rescaled(alg, scales):

@@ -1,6 +1,7 @@
 """Structure algebras: products, laws, center, radical, blocks, doubling."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from grpd.algebra import (
     minimal_polynomial,
     polynomial_roots,
 )
-from grpd.skewring import build_groupoid_ring, invert_in, quotient_by_ideal
+from grpd.skewring import analyze_algebra, build_groupoid_ring, invert_in, quotient_by_ideal
 from grpd import groupoid as gpd
 
 Q = Field(0)
@@ -270,6 +271,17 @@ def test_radical_is_nilpotent_ideal_and_quotient_semisimple():
         assert not layer
         q = quotient_by_ideal(alg, rad)
         assert q.jacobson_radical().dim == 0
+
+
+def test_radical_of_a_large_triangular_algebra_is_one_kernel():
+    # T_24 has dim 300 and radical 276; closing the kernel into an ideal
+    # again took seconds, and the kernel is an ideal already
+    alg = corpus.upper_triangular(Q, 24)
+    start = time.perf_counter()
+    report = analyze_algebra(alg)
+    elapsed = time.perf_counter() - start
+    assert report["radical_dim"] == 276 and report["semisimple"] is False
+    assert elapsed < 2.0, f"analyze on T_24 took {elapsed:.2f} s"
 
 
 def test_wedderburn_blocks_examples():

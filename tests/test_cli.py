@@ -189,6 +189,7 @@ def test_schema_roundtrips_are_fixpoints(files):
     pytest.param(lambda d: d["field"].update(char="0"), id="char-as-string"),
     pytest.param(lambda d: d["table"][2].__setitem__(0, True), id="index-as-bool"),
     pytest.param(lambda d: d["table"][0][2].__setitem__(0, True), id="coefficient-as-bool"),
+    pytest.param(lambda d: d["table"].append(list(d["table"][-1])), id="repeated-table-cell"),
 ])
 def test_malformed_algebra_json_exit_2(tmp_path, capsys, edit):
     d = corpus.dual_numbers(Q).to_dict()
@@ -286,6 +287,10 @@ def test_malformed_action_json_exit_2(files, capsys, edit):
     pytest.param(lambda d: d.update(objects=[{}]), id="object-as-dict"),
     pytest.param(lambda d: d["compose"].append([[], "e", "e"]), id="compose-id-as-list"),
     pytest.param(lambda d: d["morphisms"][0].update(dom=["0"]), id="morphism-dom-as-list"),
+    pytest.param(lambda d: d["objects"].append("*"), id="repeated-object"),
+    pytest.param(lambda d: d["morphisms"].append(dict(d["morphisms"][0])), id="repeated-morphism"),
+    pytest.param(lambda d: d["compose"].append(d["compose"][0][:2] + [d["compose"][1][2]]),
+                 id="repeated-compose-pair"),
 ])
 def test_malformed_groupoid_json_exit_2(tmp_path, capsys, edit):
     d = gpd.to_dict(gpd.cyclic_group(2))

@@ -1,5 +1,7 @@
 """Groupoid axioms, constructors, counting identities, JSON schema."""
 
+import itertools
+
 import pytest
 
 from grpd import groupoid as gpd
@@ -26,6 +28,65 @@ def test_from_group_rejects_non_group():
     table = {("a", "a"): "a", ("a", "b"): "a", ("b", "a"): "a", ("b", "b"): "a"}
     with pytest.raises(ValueError):
         gpd.from_group(elems, table)
+
+
+def is_group(elements, table):
+    """The group axioms, checked directly on the multiplication table."""
+    if any(table.get((a, b)) not in elements for a in elements for b in elements):
+        return False
+    ids = [e for e in elements if all(table[e, x] == x == table[x, e] for x in elements)]
+    if not ids:
+        return False
+    if not all(any(table[a, b] == ids[0] == table[b, a] for b in elements) for a in elements):
+        return False
+    return all(table[table[a, b], c] == table[a, table[b, c]]
+               for a in elements for b in elements for c in elements)
+
+
+def cyclic_table(n):
+    names = [f"g{i}" for i in range(n)]
+    return names, {(names[i], names[j]): names[(i + j) % n] for i in range(n) for j in range(n)}
+
+
+def s3_table():
+    perms = list(itertools.permutations(range(3)))
+    names = ["".join(map(str, p)) for p in perms]
+    name = dict(zip(perms, names))
+    return names, {(name[p], name[q]): name[tuple(p[q[i]] for i in range(3))]
+                   for p in perms for q in perms}
+
+
+def table_variants(elements, table):
+    """The table, every one-entry change (to an element or to a stranger) and
+    removal, and every swap of two rows or two columns."""
+    yield table
+    for key in table:
+        for c in [*elements, "stranger"]:
+            if c != table[key]:
+                yield {**table, key: c}
+        yield {k: v for k, v in table.items() if k != key}
+    for a, b in itertools.combinations(elements, 2):
+        swap = {a: b, b: a}
+        yield {(swap.get(x, x), y): v for (x, y), v in table.items()}
+        yield {(x, swap.get(y, y)): v for (x, y), v in table.items()}
+
+
+@pytest.mark.parametrize("elements, table", [
+    *(cyclic_table(n) for n in (1, 2, 3, 4)), s3_table(),
+], ids=["Z_1", "Z_2", "Z_3", "Z_4", "S_3"])
+def test_from_group_raises_exactly_on_non_groups(elements, table):
+    groups = 0
+    for variant in table_variants(elements, table):
+        if is_group(elements, variant):
+            groups += 1
+            g = gpd.from_group(elements, variant)
+            assert gpd.validate(g) == []
+            e = g.identity["*"]
+            assert all(variant[a, g.inverse[a]] == e == variant[g.inverse[a], a] for a in elements)
+        else:
+            with pytest.raises(ValueError):
+                gpd.from_group(elements, variant)
+    assert groups >= 1
 
 
 def test_pair_groupoid_shapes():

@@ -405,6 +405,26 @@ def test_envelope_action_validates_without_zassenhaus(monkeypatch):
     assert stacks == [(4, 2 * n)]
 
 
+@pytest.mark.parametrize("make", [
+    lambda: pact.globalize(corpus.shift_restriction_action()).action,
+    partial(corpus.pair_ring_action, 3),
+], ids=["envelope", "pair3_ring"])
+def test_global_action_tests_each_ideal_once(monkeypatch, make):
+    # every domain of a global action is its codomain component, and an
+    # ideal of R is an ideal of itself: only the components need a test
+    pa = make()
+    calls = []
+    is_ideal_in = pact._is_ideal_in
+
+    def counted(*args):
+        calls.append(1)
+        return is_ideal_in(*args)
+
+    monkeypatch.setattr(pact, "_is_ideal_in", counted)
+    assert pact.validate_action(pa) == []
+    assert len(calls) == len(pa.groupoid.objects)
+
+
 @pytest.mark.parametrize("field", [Q, Field(10007)], ids=str)
 @pytest.mark.parametrize("make", [
     corpus.swap_action, corpus.restricted_swap_action, corpus.corner_action,

@@ -230,3 +230,47 @@ def test_rescaled_tables_analyze_like_integral_ones(case):
     assert analyze_algebra(scaled) == analyze_algebra(integral)
     for alg in (integral, scaled):
         assert all(is_canonical(x) for v in exactlin_vectors(alg) for x in v)
+
+
+def direct_product(a, b):
+    """a x b, with the basis of a followed by that of b."""
+    n = a.dim
+    table = [row + [[] for _ in range(b.dim)] for row in a.table]
+    table += [[[] for _ in range(n)] + [[(n + k, c) for k, c in cell] for cell in row]
+              for row in b.table]
+    return StructureAlgebra(a.field, n + b.dim, table, unit=a.find_unit() + b.find_unit())
+
+
+RADICAL_CASES = {  # name -> (builder over a field, radical dimension)
+    "T_3": (lambda f: corpus.upper_triangular(f, 3), 3),
+    "T_2 x K[Z_3]": (lambda f: direct_product(corpus.upper_triangular(f, 2),
+                                              corpus.group_algebra(f, 3)), 1),
+    "dual numbers": (corpus.dual_numbers, 1),
+    **{f"K[x]/(x^{k})": (lambda f, k=k: corpus.truncated_poly(f, k), k - 1) for k in (1, 3, 4, 6)},
+}
+
+
+@st.composite
+def rebased_radical_cases(draw):
+    """A RADICAL_CASES algebra over Q or over F_p with p > dim, in a seeded basis."""
+    name = draw(st.sampled_from(sorted(RADICAL_CASES)))
+    field = Field(draw(st.sampled_from([0, 7, 11, 10007])))
+    make, rad = RADICAL_CASES[name]
+    alg = make(field)
+    n = alg.dim
+    entry = st.integers(-2, 2) if field.char == 0 else st.integers(0, field.char - 1)
+    basis = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+                 .filter(lambda rows: Subspace.from_vectors(field, n, [field.vec(r) for r in rows])
+                         .dim == n))
+    return rebased(alg, [field.vec(r) for r in basis]), rad
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(rebased_radical_cases())
+def test_trace_form_radical_is_a_two_sided_ideal(case):
+    # the kernel of T(x, y) = tr(L_x L_y) is an ideal of every associative
+    # algebra: T(ax, y) = T(x, ya) and T(xa, y) = T(x, ay)
+    alg, rad_dim = case
+    rad = alg.jacobson_radical()
+    assert rad.dim == rad_dim
+    assert alg.ideal_closure(rad, "two") == rad
