@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, PreconditionError, SchemaError, UnsupportedError
-from .exactlin import Matrix, Subspace, kernel, solve
+from .exactlin import Matrix, Subspace, kernel_rows, solve_rows
 from . import schema
 
 MAX_DIM = 1024  # largest dim a file may declare; its empty dim x dim table alone is ~64 MB
@@ -115,14 +115,15 @@ class StructureAlgebra:
         return True
 
     def find_unit(self):
-        """The two-sided identity, or None; solves u b_j = b_j = b_j u linearly."""
+        """The two-sided identity, or None; the supplied unit, else solved once."""
         if self.unit is not None:
             return list(self.unit)
-        if self._unit_cache is not False:
-            return list(self._unit_cache) if self._unit_cache is not None else None
-        if self.dim == 0:
-            self._unit_cache = None
-            return None
+        if self._unit_cache is False:
+            self._unit_cache = self._solve_unit() if self.dim else None
+        return list(self._unit_cache) if self._unit_cache is not None else None
+
+    def _solve_unit(self):
+        """Solve u b_j = b_j = b_j u linearly; None when no u does."""
         n = self.dim
         zero, one = self.field.zero, self.field.one
         rows = []
@@ -132,18 +133,15 @@ class StructureAlgebra:
             # sum_i u_i (b_i b_j) = b_j   and   sum_i u_i (b_j b_i) = b_j, one row
             # per coordinate k that some product reaches; the others read 0 = 0
             for cells in ([table[i][j] for i in range(n)], table[j]):
-                forms = {}
+                forms = defaultdict(dict)
                 for i, cell in enumerate(cells):
                     for k, c in cell:
-                        forms.setdefault(k, [zero] * n)[i] = c
+                        forms[k][i] = c
                 if j not in forms:  # coordinate j reads 0 = 1
-                    self._unit_cache = None
                     return None
                 rows += forms.values()
                 rhs += [one if k == j else zero for k in forms]
-        u = solve(Matrix(self.field, rows), rhs)
-        self._unit_cache = u
-        return list(u) if u is not None else None
+        return solve_rows(self.field, rows, rhs, n)
 
     # -- associators and the laws they decide ---------------------------------
 
@@ -230,14 +228,14 @@ class StructureAlgebra:
         rows = []
         for i in range(n):
             # coordinate r of x b_i - b_i x, as a linear form in the coordinates of x
-            forms = defaultdict(lambda: [zero] * n)
+            forms = defaultdict(dict)
             for c in range(n):
                 for r, v in self.table[c][i]:
-                    forms[r][c] += v
+                    forms[r][c] = forms[r].get(c, zero) + v
                 for r, v in self.table[i][c]:
-                    forms[r][c] -= v
-            rows.extend(forms.values())
-        space = kernel(Matrix(self.field, rows, n))
+                    forms[r][c] = forms[r].get(c, zero) - v
+            rows += forms.values()
+        space = kernel_rows(self.field, rows, n)
         if self.is_associative() or space.dim == 0:
             return space
         # x commutes with everything, so (r, r', x) = (r, x, r') - (x, r, r').
@@ -249,13 +247,13 @@ class StructureAlgebra:
             for c, vc in enumerate(v):
                 if vc:
                     slots[c].append((t, vc))
-        rows = defaultdict(lambda: [zero] * space.dim)
+        rows = defaultdict(dict)
         for (i, j, k), a in self._associators().items():
             for key, c in (((0, j, k), i), ((1, i, k), j)):
                 for t, vc in slots.get(c, ()):
                     for m, am in a.items():
-                        rows[key, m][t] += vc * am
-        ker = kernel(Matrix(self.field, list(rows.values()), space.dim))
+                        rows[key, m][t] = rows[key, m].get(t, zero) + vc * am
+        ker = kernel_rows(self.field, rows.values(), space.dim)
         return Subspace.from_vectors(self.field, n, [space.expand(y) for y in ker.basis])
 
     # -- ideals ----------------------------------------------------------------
@@ -319,9 +317,9 @@ class StructureAlgebra:
             # trace(L_i L_j) = sum_k c_ij^k trace(L_k), with trace(L_k) = sum_l c_kl^l
             tr = [sum((c for l in range(n) for m, c in self.table[k][l] if m == l), zero)
                   for k in range(n)]
-            gram = [[sum((c * tr[k] for k, c in self.table[i][j]), zero) for j in range(n)]
-                    for i in range(n)]
-            self._radical = kernel(Matrix(self.field, gram))
+            gram = [{j: sum((c * tr[k] for k, c in cell), zero)
+                     for j, cell in enumerate(row) if cell} for row in self.table]
+            self._radical = kernel_rows(self.field, gram, n)
         return self._radical
 
     def is_semisimple(self):
@@ -422,12 +420,12 @@ class StructureAlgebra:
         if self._berlekamp is None:
             field = self.field
             center = self.center()
-            cols = []
+            # row s reads coordinate s of z_t^p - z_t over the center basis z_t
+            rows = [{} for _ in center.basis]
             for t, z in enumerate(center.basis):
-                c = center.coords(self._power(z, field.char))
-                c[t] -= field.one
-                cols.append(c)
-            ker = kernel(Matrix.from_columns(field, cols, center.dim))
+                for s, c in enumerate(center.coords(self._power(z, field.char))):
+                    rows[s][t] = c - field.one if s == t else c
+            ker = kernel_rows(field, rows, center.dim)
             self._berlekamp = Subspace.from_vectors(
                 field, self.dim, [center.expand(c) for c in ker.basis])
         return self._berlekamp

@@ -20,14 +20,26 @@ from . import leavitt as lv
 from . import schema
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict; a key given twice is refused, not overwritten."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise SchemaError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def _load_groupoid(path):

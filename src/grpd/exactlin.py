@@ -10,12 +10,14 @@ over F_p); subspaces are kept in reduced row-echelon form so that equal
 subspaces have equal bases.
 
 Inside, both fields share one form, the raw row: a dict {column: nonzero
-value} holding rationals over Q and ints in [0, p) over F_p.  `_sparse` and
-`_dense` convert at the boundary and, beside `Field`, are the only code that
-boxes residues; over Q `_dense` writes integral entries back as ints.  All
-elimination is one Gauss-Jordan kernel on raw rows, reached through
-`Matrix.rref_pivots`, `Matrix.inverse` and `SubspaceMap.image`; reduction
-against a subspace, products and expansion share its steps.  Matrices and
+value} holding rationals over Q and ints in [0, p) over F_p.  `_sparse`,
+`_raw_rows` and `_dense` convert at the boundary; beside `Field`, only
+`_dense` boxes residues, and over Q it writes integral entries back as
+ints.  All elimination is one Gauss-Jordan kernel on raw rows, and
+reduction against a subspace, products and expansion share its steps.
+Linear systems enter it as sparse rows {column: field element} through
+`kernel_rows` and `solve_rows`; `kernel` and `solve` pass a matrix's rows
+on, and only `rref` pads its echelon form with zero rows.  Matrices and
 subspaces are immutable, so a matrix keeps its raw columns and a subspace
 its raw basis once made.  A `SubspaceMap`, a linear map from a subspace
 into the ambient space, keeps the raw ambient images of the subspace's
@@ -233,14 +235,6 @@ def _gauss_jordan(rows, p):
     return piv
 
 
-def vec_add(x, y):
-    return [a + b for a, b in zip(x, y)]
-
-
-def vec_scale(c, x):
-    return [c * a for a in x]
-
-
 class Matrix:
     """Dense matrix over an exact field; immutable by convention."""
 
@@ -304,10 +298,11 @@ class Matrix:
     def add(self, other):
         if self.shape != other.shape:
             raise DimensionError("matrix sum shape mismatch")
-        return Matrix(self.field, [vec_add(a, b) for a, b in zip(self.rows, other.rows)], self.ncols)
+        rows = [[x + y for x, y in zip(a, b)] for a, b in zip(self.rows, other.rows)]
+        return Matrix(self.field, rows, self.ncols)
 
     def scale(self, c):
-        return Matrix(self.field, [vec_scale(c, r) for r in self.rows], self.ncols)
+        return Matrix(self.field, [[c * x for x in r] for r in self.rows], self.ncols)
 
     def __eq__(self, other):
         return (
@@ -347,33 +342,52 @@ def rref(m):
     return red, len(pivots)
 
 
+def _raw_rows(field, rows, ncols):
+    """Raw rows of sparse rows {column: field element}; zero entries are dropped."""
+    p = field.char
+    raw = [{j: x.val if p else x for j, x in row.items() if x} for row in rows]
+    if any(row and not (0 <= min(row) and max(row) < ncols) for row in raw):
+        raise DimensionError(f"a row has a column outside 0..{ncols - 1}")
+    return raw
+
+
 def solve(m, rhs):
     """One exact solution of m x = rhs, or None if the system is inconsistent."""
-    if len(rhs) != m.nrows:
-        raise DimensionError(f"solve: {m.nrows} rows vs rhs of length {len(rhs)}")
-    aug = Matrix(m.field, [row + [b] for row, b in zip(m.rows, rhs)])
-    red, pivots = aug.rref_pivots()
-    if m.ncols in pivots:
+    return solve_rows(m.field, [dict(enumerate(r)) for r in m.rows], rhs, m.ncols)
+
+
+def solve_rows(field, rows, rhs, ncols):
+    """One exact solution x of sum_j row[j] x_j = rhs[i] for the i-th sparse row
+    {column: field element}, with every free unknown 0; None if inconsistent."""
+    rows = _raw_rows(field, rows, ncols)
+    if len(rhs) != len(rows):
+        raise DimensionError(f"solve: {len(rows)} rows vs rhs of length {len(rhs)}")
+    for row, b in zip(rows, rhs):
+        if b:
+            row[ncols] = b.val if field.char else b
+    piv = _gauss_jordan(rows, field.char)
+    if ncols in piv:
         return None
-    x = m.field.zero_vec(m.ncols)
-    for i, p in enumerate(pivots):
-        x[p] = red.rows[i][m.ncols]
-    return x
+    return _dense(field, {c: row[ncols] for c, row in piv.items() if ncols in row}, ncols)
 
 
 def kernel(m):
     """Null space of a matrix, as a canonical Subspace of dimension cols - rank."""
-    red, pivots = m.rref_pivots()
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    basis = []
-    for c in free:
-        v = m.field.zero_vec(m.ncols)
-        v[c] = m.field.one
-        for i, p in enumerate(pivots):
-            v[p] = -red.rows[i][c]
-        basis.append(v)
-    return Subspace.from_vectors(m.field, m.ncols, basis)
+    return kernel_rows(m.field, [dict(enumerate(r)) for r in m.rows], m.ncols)
+
+
+def kernel_rows(field, rows, ncols):
+    """Null space of the sparse rows {column: field element} over ncols unknowns,
+    as a canonical Subspace: one vector {f: 1, c: -R[c][f]} per free column f of
+    the RREF rows R, brought to RREF by one more elimination."""
+    p = field.char
+    piv = _gauss_jordan(_raw_rows(field, rows, ncols), p)
+    null = {f: {f: 1} for f in range(ncols) if f not in piv}
+    for c, row in piv.items():
+        for f, x in row.items():
+            if f != c:
+                null[f][c] = -x % p if p else -x
+    return Subspace._from_pivot_rows(field, ncols, _gauss_jordan(null.values(), p))
 
 
 class Subspace:
@@ -398,14 +412,10 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors):
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise DimensionError("vector length differs from ambient dimension")
-        if not vectors:
-            return cls(field, ambient_dim, [], [])
-        red, pivots = Matrix(field, vectors).rref_pivots()
-        basis = [red.rows[i] for i in range(len(pivots))]
-        return cls(field, ambient_dim, basis, pivots)
+        if any(len(v) != ambient_dim for v in vectors):
+            raise DimensionError("vector length differs from ambient dimension")
+        piv = _gauss_jordan([_sparse(field, v) for v in vectors], field.char)
+        return cls._from_pivot_rows(field, ambient_dim, piv)
 
     @classmethod
     def _from_pivot_rows(cls, field, ambient_dim, piv):
@@ -479,7 +489,7 @@ class Subspace:
 
     def sum(self, other):
         self._check_ambient(other)
-        return Subspace.from_vectors(self.field, self.ambient_dim, self.basis + other.basis)
+        return Subspace.span(self.field, self.ambient_dim, [self, other])
 
     def intersect(self, other):
         """Intersection of two spans: the smaller one when they are nested, else by
@@ -490,16 +500,13 @@ class Subspace:
         if other <= self:
             return other
         n = self.ambient_dim
-        z = self.field.zero_vec(n)
-        stacked = [row + row for row in self.basis] + [row + z for row in other.basis]
-        red, pivots = Matrix(self.field, stacked).rref_pivots()
+        stacked = [{**r, **{n + c: x for c, x in r.items()}} for r in self._pivot_rows().values()]
+        stacked += [dict(r) for r in other._pivot_rows().values()]
+        piv = _gauss_jordan(stacked, self.field.char)
         # rows with their pivot in the right half are zero on the left, and
         # their right halves are already the RREF basis of the intersection
-        meet = [i for i, c in enumerate(pivots) if c >= n]
-        return Subspace(self.field, n, [red.rows[i][n:] for i in meet], [pivots[i] - n for i in meet])
-
-    def __add__(self, other):
-        return self.sum(other)
+        meet = {c - n: {j - n: x for j, x in r.items()} for c, r in piv.items() if c >= n}
+        return Subspace._from_pivot_rows(self.field, n, meet)
 
     def __eq__(self, other):
         return (

@@ -13,11 +13,12 @@ of R_{g^-1}.  `apply_alpha` is its dense form; the axiom checks restrict,
 compose and take images of these maps without leaving exactlin's raw rows.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 
 from .errors import DimensionError, PreconditionError, SchemaError, UnsupportedError, Violation
-from .exactlin import Matrix, Subspace, SubspaceMap, kernel
+from .exactlin import Matrix, Subspace, SubspaceMap, kernel_rows
 from .algebra import MAX_DIM, StructureAlgebra, nonzero_terms
 from .groupoid import full_subgroupoid
 from . import schema
@@ -94,18 +95,12 @@ class PartialAction:
 
     def domain_unit(self, g):
         """Unit of the subalgebra R_g as an ambient vector; None if absent or R_g = 0."""
-        if g in self._domain_units:
-            u = self._domain_units[g]
-            return list(u) if u is not None else None
-        space = self.domains[g]
-        if space.dim == 0:
-            self._domain_units[g] = None
-            return None
-        sub, _ = self.ambient.subalgebra(space)
-        u = sub.find_unit()
-        out = space.expand(u) if u is not None else None
-        self._domain_units[g] = out
-        return list(out) if out is not None else None
+        if g not in self._domain_units:
+            space = self.domains[g]
+            u = self.ambient.subalgebra(space)[0].find_unit() if space.dim else None
+            self._domain_units[g] = space.expand(u) if u is not None else None
+        u = self._domain_units[g]
+        return list(u) if u is not None else None
 
     def __repr__(self):
         return (
@@ -215,13 +210,8 @@ def _axiom_violations(pa):
 
 
 def _is_ideal_in(amb, inner, outer):
-    for v in inner.basis:
-        for w in outer.basis:
-            if not inner.contains(amb.multiply(v, w)):
-                return False
-            if not inner.contains(amb.multiply(w, v)):
-                return False
-    return True
+    return all(inner.contains(amb.multiply(v, w)) and inner.contains(amb.multiply(w, v))
+               for v in inner.basis for w in outer.basis)
 
 
 def _is_multiplicative(amb, space, f, mul):
@@ -369,32 +359,31 @@ def trace_map(pa, x):
 def fixed_ring(pa):
     """Solutions of alpha_g(x 1_{g^-1}) = x 1_g for all morphisms g.
 
-    For each g the stacked block is the matrix whose column c is
-    alpha_g(b_c 1_{g^-1}) - b_c 1_g.
+    For each g, row r of the stacked block reads coordinate r of
+    alpha_g(b_c 1_{g^-1}) - b_c 1_g at column c.
     """
     if not is_unital(pa):
         raise UnsupportedError("fixed ring needs a unital action")
     amb = pa.ambient
-    n = amb.dim
-    rows = []
+    rows = defaultdict(dict)  # (g, r) -> row r of the block of g
     for g in pa.groupoid.morphisms:
         u_dst = pa.domain_unit(g)
-        cols = []
-        for c in range(n):
+        for c in range(amb.dim):
             b = amb.basis_vector(c)
-            rhs = amb.multiply(b, u_dst) if u_dst is not None else amb.field.zero_vec(n)
-            cols.append([a - r for a, r in zip(_alpha_cut(pa, g, b), rhs)])
-        rows += Matrix.from_columns(amb.field, cols, n).rows
-    return kernel(Matrix(amb.field, rows))
+            col = _alpha_cut(pa, g, b)
+            if u_dst is not None:
+                col = [a - r for a, r in zip(col, amb.multiply(b, u_dst))]
+            for r, x in enumerate(col):
+                if x:
+                    rows[g, r][c] = x
+    return kernel_rows(amb.field, rows.values(), amb.dim)
 
 
 def is_invariant_subring(pa, space):
     """G-invariance: alpha_g(A meet R_{g^-1}) stays inside A meet R_g."""
     amb = pa.ambient
-    for u in space.basis:
-        for v in space.basis:
-            if not space.contains(amb.multiply(u, v)):
-                raise PreconditionError("subspace is not closed under multiplication")
+    if not all(space.contains(amb.multiply(u, v)) for u in space.basis for v in space.basis):
+        raise PreconditionError("subspace is not closed under multiplication")
     for g in pa.groupoid.morphisms:
         inter = space.intersect(pa.domains[pa.inv(g)])
         target = space.intersect(pa.domains[g])
@@ -452,14 +441,8 @@ class _Envelope:
         n = self.block
         out = self.pa.ambient.field.zero_vec(self.dim)
         for off in range(0, self.dim, n):
-            xs = x[off:off + n]
-            if not any(xs):
-                continue
-            ys = y[off:off + n]
-            if not any(ys):
-                continue
-            prod = self.pa.ambient.multiply(xs, ys)
-            out[off:off + n] = prod
+            if any(xs := x[off:off + n]) and any(ys := y[off:off + n]):
+                out[off:off + n] = self.pa.ambient.multiply(xs, ys)
         return out
 
     def psi_vec(self, e, r):

@@ -284,6 +284,48 @@ def test_radical_of_a_large_triangular_algebra_is_one_kernel():
     assert elapsed < 2.0, f"analyze on T_24 took {elapsed:.2f} s"
 
 
+def test_linear_systems_reach_exactlin_as_sparse_rows(monkeypatch):
+    # each caller writes its system as sparse rows, with no dense Matrix on the way
+    from grpd import paction as pact
+    from grpd.exactlin import Matrix
+
+    f3 = Field(3)
+    m3 = corpus.matrix_algebra(Q, 3)
+    octo = cayley_dickson_chain(Q, 3)
+    qz6 = corpus.group_algebra(Q, 6)
+    t3 = corpus.upper_triangular(Q, 3)
+    f3z4 = corpus.group_algebra(f3, 4)
+    swap = corpus.swap_action()
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a linear system was built as a dense Matrix")
+
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    assert m3.find_unit() == [Q.one if i % 4 == 0 else Q.zero for i in range(9)]
+    assert octo.center().dim == 1
+    assert qz6.center().dim == 6
+    assert t3.jacobson_radical().dim == 3
+    # x^4 - 1 = (x - 1)(x + 1)(x^2 + 1) over F_3: two blocks F_3, one F_9
+    assert f3z4.berlekamp_subalgebra().dim == 3
+    assert pact.fixed_ring(swap) == Subspace.from_vectors(Q, 2, [[Q.one, Q.one]])
+
+
+def test_unit_and_center_of_m31_from_its_sparse_table():
+    # dim 961: dense length-961 linear forms took about 12 s for the unit and
+    # 8 s for the center, at a peak above 2 GB
+    m31 = corpus.matrix_algebra(Q, 31)
+    start = time.perf_counter()
+    u = m31.find_unit()
+    unit_s = time.perf_counter() - start
+    start = time.perf_counter()
+    z = m31.center()
+    center_s = time.perf_counter() - start
+    assert u == [Q.one if i % 32 == 0 else Q.zero for i in range(961)]
+    assert z.dim == 1 and z.contains(u)
+    assert unit_s < 5.0, f"find_unit on M_31 took {unit_s:.2f} s"
+    assert center_s < 5.0, f"center on M_31 took {center_s:.2f} s"
+
+
 def test_wedderburn_blocks_examples():
     qz2 = corpus.group_algebra(Q, 2)
     assert sorted(qz2.wedderburn_blocks().dims()) == [1, 1]
@@ -347,15 +389,15 @@ def test_minimal_polynomial_and_roots():
 
 
 def test_minimal_polynomial_runs_no_elimination(monkeypatch):
-    from grpd.exactlin import Matrix
+    from grpd import exactlin
 
-    def refuse(self):
+    def refuse(rows, p):
         raise AssertionError("minimal_polynomial must not run an elimination")
 
     qz6 = corpus.group_algebra(Q, 6)
     one = qz6.find_unit()
     x = [Q(1), Q(2), Q.zero, Q(-1), Q.zero, Q(3)]
-    monkeypatch.setattr(Matrix, "rref_pivots", refuse)
+    monkeypatch.setattr(exactlin, "_gauss_jordan", refuse)
     mp = minimal_polynomial(qz6, x, one)
     assert mp[-1] == Q.one and len(mp) == 7  # x has six distinct eigenvalues
     acc = Q.zero_vec(6)

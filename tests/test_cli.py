@@ -283,6 +283,22 @@ def test_malformed_action_json_exit_2(files, capsys, edit):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb, name, old, new, key", [
+    ("check-action", "swap.json", '"maps": {"g0":',
+     '"maps": {"g1": [["1", "0"], ["0", "1"]], "g0":', "g1"),
+    ("check-action", "swap.json", '"components": {"*":',
+     '"components": {"*": [["1", "0"], ["0", "0"]], "*":', "*"),
+    ("analyze", "qq.json", '{"field":', '{"dim": 3, "field":', "dim"),
+], ids=["action-map", "action-component", "algebra-top-level"])
+def test_repeated_json_key_exit_2(files, capsys, verb, name, old, new, key):
+    # json.load keeps the last of two equal keys; the first must not vanish silently
+    doc = (files / name).read_text()
+    assert old in doc
+    (files / name).write_text(doc.replace(old, new, 1))
+    assert cli.main([verb, str(files / name)]) == 2
+    assert f"repeated key {key!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda d: d.update(objects=[{}]), id="object-as-dict"),
     pytest.param(lambda d: d["compose"].append([[], "e", "e"]), id="compose-id-as-list"),
