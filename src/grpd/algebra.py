@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, PreconditionError, SchemaError, UnsupportedError
-from .exactlin import Matrix, Subspace, kernel_rows, solve_rows
+from .exactlin import (Matrix, ModP, Subspace, _canonical, _dense, _gauss_jordan, _product,
+                       _reduce, _sparse, kernel_rows, solve_rows)
 from . import schema
 
 MAX_DIM = 1024  # largest dim a file may declare; its empty dim x dim table alone is ~64 MB
@@ -24,7 +25,9 @@ class StructureAlgebra:
 
     The structure constants are sparse: `table[i][j]` lists the (k, c_ij^k)
     pairs with c_ij^k nonzero, k strictly increasing, so that equal products
-    have equal cells.  Elements are dense coordinate vectors.
+    have equal cells.  Inside, elements are raw rows {index: value} and
+    multiply through `_product` over a raw copy of the table, made on first
+    use; `multiply` is the dense boundary.
 
     Optional extras: a designated unit vector, basis labels, a grading map
     (basis index to a degree label) and a conjugation involution used by the
@@ -56,6 +59,7 @@ class StructureAlgebra:
         self.grading = grading
         self.grading_groupoid = grading_groupoid
         self.involution = involution
+        self._cells = None  # the table as raw rows, for _product
         self._assoc = None  # the associator table
         self._center = None
         self._berlekamp = None
@@ -69,24 +73,26 @@ class StructureAlgebra:
 
     def multiply(self, x, y):
         """Bilinear extension of the structure constants."""
-        if len(x) != self.dim or len(y) != self.dim:
+        return _dense(self.field, self._mul(self._row(x), self._row(y)), self.dim)
+
+    def _row(self, x):
+        """The raw row of a dense element; refuses a vector of another length."""
+        if len(x) != self.dim:
             raise DimensionError("element length differs from algebra dimension")
-        acc = self.field.zero_vec(self.dim)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.table[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, ck in row[j]:
-                    acc[k] = acc[k] + c * ck
-        return acc
+        return _sparse(self.field, x)
+
+    def _mul(self, x, y):
+        """The product of raw rows, over the raw table built on first use."""
+        if self._cells is None:
+            p = self.field.char
+            self._cells = [{j: {k: c.val if p else c for k, c in cell}
+                            for j, cell in enumerate(row) if cell} for row in self.table]
+        return _product(x, y, self._cells, self.field.char)
 
     def left_mult_matrix(self, x):
         """Matrix of y -> x y in the basis."""
-        cols = [self.multiply(x, self.basis_vector(j)) for j in range(self.dim)]
+        row = self._row(x)
+        cols = [_dense(self.field, self._mul(row, {j: 1}), self.dim) for j in range(self.dim)]
         return Matrix.from_columns(self.field, cols, self.dim)
 
     def label(self, i):
@@ -108,11 +114,8 @@ class StructureAlgebra:
 
     def is_two_sided_unit(self, u):
         """Whether u b_j = b_j = b_j u for every basis vector b_j."""
-        for j in range(self.dim):
-            b = self.basis_vector(j)
-            if self.multiply(u, b) != b or self.multiply(b, u) != b:
-                return False
-        return True
+        x = self._row(u)
+        return all(self._mul(x, {j: 1}) == {j: 1} == self._mul({j: 1}, x) for j in range(self.dim))
 
     def find_unit(self):
         """The two-sided identity, or None; the supplied unit, else solved once."""
@@ -264,25 +267,22 @@ class StructureAlgebra:
             raise DimensionError("seed lives in a different ambient space")
         if side not in ("left", "right", "two"):
             raise ValueError(f"side must be left/right/two, got {side!r}")
-        current = seed
+        p = self.field.char
+        piv = seed._pivot_rows()
         while True:
-            new_vecs = []
-            for v in current.basis:
-                for i in range(self.dim):
-                    b = self.basis_vector(i)
-                    if side in ("left", "two"):
-                        w = self.multiply(b, v)
-                        if not current.contains(w):
-                            new_vecs.append(w)
-                    if side in ("right", "two"):
-                        w = self.multiply(v, b)
-                        if not current.contains(w):
-                            new_vecs.append(w)
-            if not new_vecs:
-                return current
-            current = Subspace.from_vectors(
-                self.field, self.dim, current.basis + new_vecs
-            )
+            new = []
+            for v in piv.values():
+                for b in ({i: 1} for i in range(self.dim)):
+                    if side != "right" and (w := _reduce(self._mul(b, v), piv, p)):
+                        new.append(w)
+                    if side != "left" and (w := _reduce(self._mul(v, b), piv, p)):
+                        new.append(w)
+            if not new:
+                break
+            piv = _gauss_jordan([dict(r) for r in piv.values()] + new, p)
+        if piv is seed._pivot_rows():
+            return seed
+        return Subspace._from_pivot_rows(self.field, self.dim, piv)
 
     def is_ideal(self, space, side="two"):
         return self.ideal_closure(space, side) == space
@@ -336,19 +336,11 @@ class StructureAlgebra:
         Returns (algebra, basis) where basis lists the ambient vectors that
         become the standard basis of the restriction.
         """
-        basis = space.basis
-        d = len(basis)
-        table = []
-        for u in basis:
-            row = []
-            for v in basis:
-                p = self.multiply(u, v)
-                try:
-                    row.append(nonzero_terms(space.coords(p)))
-                except ValueError:
-                    raise PreconditionError("subspace is not closed under multiplication") from None
-            table.append(row)
-        return StructureAlgebra(self.field, d, table), [list(b) for b in basis]
+        try:
+            table = _restricted_table(space, self._mul)
+        except ValueError:
+            raise PreconditionError("subspace is not closed under multiplication") from None
+        return StructureAlgebra(self.field, space.dim, table), [list(b) for b in space.basis]
 
     # -- Wedderburn-style block decomposition ---------------------------------------
 
@@ -378,7 +370,9 @@ class StructureAlgebra:
 
         def times(e, sub):
             """The subspace e sub, as an RREF basis in the ambient coordinates."""
-            return Subspace.from_vectors(field, self.dim, [self.multiply(e, v) for v in sub.basis])
+            x = self._row(e)
+            rows = [self._mul(x, v) for v in sub._pivot_rows().values()]
+            return Subspace._from_pivot_rows(field, self.dim, _gauss_jordan(rows, field.char))
 
         final = []
         work = [(Subspace.full(field, self.dim), self.find_unit())] if self.dim else []
@@ -422,21 +416,22 @@ class StructureAlgebra:
             center = self.center()
             # row s reads coordinate s of z_t^p - z_t over the center basis z_t
             rows = [{} for _ in center.basis]
-            for t, z in enumerate(center.basis):
-                for s, c in enumerate(center.coords(self._power(z, field.char))):
-                    rows[s][t] = c - field.one if s == t else c
+            for t, z in enumerate(center._pivot_rows().values()):
+                zp = center._raw_coords(self._power(z, field.char))
+                for s in range(center.dim):
+                    rows[s][t] = field(zp.get(s, 0) - int(s == t))
             ker = kernel_rows(field, rows, center.dim)
             self._berlekamp = Subspace.from_vectors(
                 field, self.dim, [center.expand(c) for c in ker.basis])
         return self._berlekamp
 
     def _power(self, x, k):
-        """x^k for k >= 1 by left-to-right square-and-multiply."""
+        """x^k for a raw row x and k >= 1, by left-to-right square-and-multiply."""
         acc = x
         for bit in bin(k)[3:]:
-            acc = self.multiply(acc, acc)
+            acc = self._mul(acc, acc)
             if bit == "1":
-                acc = self.multiply(acc, x)
+                acc = self._mul(acc, x)
         return acc
 
     def _splitting_idempotent(self, e, candidates):
@@ -482,14 +477,12 @@ class StructureAlgebra:
         for i in range(n):
             # (x,0)(c,0) = (xc, 0) and (x,0)(0,d) = (0, d x)
             table.append(self.table[i] + [shifted(self.table[j][i]) for j in range(n)])
+        cj = [self._row(c) for c in conj]
         for i in range(n):
-            bi = self.basis_vector(i)
             # (0,y)(c,0) = (0, y conj(c)) and (0,y)(0,d) = (-conj(d) y, 0)
-            table.append(
-                [shifted(nonzero_terms(self.multiply(bi, conj[j]))) for j in range(n)]
-                + [[(k, -c) for k, c in nonzero_terms(self.multiply(conj[j], bi))]
-                   for j in range(n)]
-            )
+            right = [_terms(self.field, self._mul({i: 1}, c), n) for c in cj]
+            left = [_terms(self.field, {k: -x for k, x in self._mul(c, {i: 1}).items()}) for c in cj]
+            table.append(right + left)
         unit = pad(one, zvec)
         new_conj = [pad(conj[i], zvec) for i in range(n)]
         new_conj += [pad(zvec, [-a for a in self.basis_vector(i)]) for i in range(n)]
@@ -553,6 +546,19 @@ class StructureAlgebra:
 def nonzero_terms(v):
     """The (k, c) pairs of the nonzero coordinates of a vector: one table cell."""
     return [(k, c) for k, c in enumerate(v) if c]
+
+
+def _terms(field, coords, off=0):
+    """The table cell of raw coordinates {k: value}: (off + k, field element), k increasing."""
+    p = field.char
+    return [(off + k, ModP(x, p) if p else _canonical(x)) for k, x in sorted(coords.items())]
+
+
+def _restricted_table(space, mul):
+    """The table of the raw product `mul` on the RREF basis of a subspace closed
+    under it; raises ValueError when a product leaves the subspace."""
+    rows = list(space._pivot_rows().values())
+    return [[_terms(space.field, space._raw_coords(mul(u, v))) for v in rows] for u in rows]
 
 
 @dataclass

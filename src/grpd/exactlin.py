@@ -15,6 +15,9 @@ value} holding rationals over Q and ints in [0, p) over F_p.  `_sparse`,
 `_dense` boxes residues, and over Q it writes integral entries back as
 ints.  All elimination is one Gauss-Jordan kernel on raw rows, and
 reduction against a subspace, products and expansion share its steps.
+Algebra elements are raw rows too: `_product` multiplies two of them over
+a raw structure table, and dense vectors meet it only at the public
+boundary (`StructureAlgebra.multiply`).
 Linear systems enter it as sparse rows {column: field element} through
 `kernel_rows` and `solve_rows`; `kernel` and `solve` pass a matrix's rows
 on, and only `rref` pads its echelon form with zero rows.  Matrices and
@@ -210,6 +213,19 @@ def _combine(coeffs, rows, p):
     return out
 
 
+def _product(x, y, cells, p):
+    """Raw row of the product of raw rows x and y, where cells[i] is the raw
+    table row {j: raw row of b_i b_j} over the nonzero products b_i b_j."""
+    out = {}
+    for i, a in x.items():
+        row = cells[i]
+        for j, b in y.items():
+            cell = row.get(j)
+            if cell:
+                _subtract(out, -a * b, cell, p)
+    return out
+
+
 def _gauss_jordan(rows, p):
     """Reduced row-echelon form of raw rows, as {pivot column: RREF row}.
 
@@ -402,6 +418,7 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivots = pivots
+        self._at = {c: i for i, c in enumerate(pivots)}
         self._piv = None
 
     def _pivot_rows(self):
@@ -471,6 +488,13 @@ class Subspace:
     def contains(self, v):
         return not self._residue(v)
 
+    def _raw_coords(self, row):
+        """RREF coordinates {basis index: value} of a raw row; raises if it is outside."""
+        if _reduce(dict(row), self._pivot_rows(), self.field.char):
+            raise ValueError("vector is not in the subspace")
+        at = self._at
+        return {at[c]: x for c, x in row.items() if c in at}
+
     def coords(self, v):
         """Coordinates of v in the RREF basis; raises if v is outside the span."""
         if not self.contains(v):
@@ -525,55 +549,52 @@ class Subspace:
 
 
 class SubspaceMap:
-    """Linear map from a subspace into the ambient space.
+    """Linear map from a subspace into a coordinate space of dimension ambient_dim.
 
-    It is held as the raw ambient images of the domain's RREF basis, so a
-    vector of the domain maps to the images weighted by its entries at the
-    domain's pivot columns.  Immutable, like matrices and subspaces.
+    It is held as the raw images of the domain's RREF basis, so a vector of
+    the domain maps to the images weighted by its entries at the domain's
+    pivot columns.  Immutable, like matrices and subspaces.
     """
 
-    def __init__(self, domain, images):
+    def __init__(self, domain, images, ambient_dim):
         self.domain = domain
         self._images = images
-        self._at = {c: i for i, c in enumerate(domain.pivots)}
+        self.ambient_dim = ambient_dim
 
     @classmethod
     def from_matrix(cls, domain, codomain, m):
         """The map sending the vector with RREF coordinates c in domain to the
         vector with RREF coordinates m c in codomain; m is codomain.dim x domain.dim."""
         rows = list(codomain._pivot_rows().values())
-        p = domain.field.char
-        return cls(domain, [_combine(col, rows, p) for col in m._raw_columns()])
+        images = [_combine(col, rows, domain.field.char) for col in m._raw_columns()]
+        return cls(domain, images, codomain.ambient_dim)
 
     def _image_of(self, row):
         """Raw image of a raw row; raises if the row is outside the domain."""
-        dom = self.domain
-        p = dom.field.char
-        if _reduce(dict(row), dom._pivot_rows(), p):
-            raise ValueError("vector is not in the subspace")
-        at = self._at
-        return _combine({at[c]: x for c, x in row.items() if c in at}, self._images, p)
+        return _combine(self.domain._raw_coords(row), self._images, self.domain.field.char)
 
     def __call__(self, v):
         """Image of an ambient vector lying in the domain."""
         dom = self.domain
         if len(v) != dom.ambient_dim:
             raise DimensionError("vector length differs from ambient dimension")
-        return _dense(dom.field, self._image_of(_sparse(dom.field, v)), dom.ambient_dim)
+        return _dense(dom.field, self._image_of(_sparse(dom.field, v)), self.ambient_dim)
 
     def restrict(self, space):
         """This map on a subspace of its domain."""
-        return SubspaceMap(space, [self._image_of(r) for r in space._pivot_rows().values()])
+        images = [self._image_of(r) for r in space._pivot_rows().values()]
+        return SubspaceMap(space, images, self.ambient_dim)
 
     def then(self, outer):
         """outer after this map; every image must lie in outer's domain."""
-        return SubspaceMap(self.domain, [outer._image_of(y) for y in self._images])
+        images = [outer._image_of(y) for y in self._images]
+        return SubspaceMap(self.domain, images, outer.ambient_dim)
 
     def image(self):
         """The image of the domain, by one elimination of the images."""
-        dom = self.domain
-        piv = _gauss_jordan([dict(y) for y in self._images], dom.field.char)
-        return Subspace._from_pivot_rows(dom.field, dom.ambient_dim, piv)
+        field = self.domain.field
+        piv = _gauss_jordan([dict(y) for y in self._images], field.char)
+        return Subspace._from_pivot_rows(field, self.ambient_dim, piv)
 
     def __eq__(self, other):
         return (

@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .errors import SchemaError, UnsupportedError
 from . import schema
-from .exactlin import Subspace
+from .exactlin import Subspace, _dense, _sparse
 from .algebra import MAX_DIM, StructureAlgebra
 from .skewring import skew_product_ring
 
@@ -406,23 +406,30 @@ class GrSkewModel:
         self.domains = {
             w: Subspace.coordinate(field, len(xs.points), xs.x_set(w)) for w in xs.words
         }
-        self._theta_inv = {w: theta_map(xs, word_inverse(w)) for w in xs.words}
+        # theta_w on point indices, X_{w^-1} -> X_w
+        self._theta = {w: {xs.index[a]: xs.index[b] for a, b in theta_map(xs, w).items()}
+                       for w in xs.words}
         triples = ((g, h, word_mul(graph, g, h)) for g in xs.words for h in xs.words)
         ones = xs.indicator(field, xs.x_set(IDENTITY))
         self.algebra, self.offsets = skew_product_ring(
-            field, xs.words, self.domains, triples, word_inverse, self.alpha_apply,
-            _pointwise, word_label, {IDENTITY: ones},
+            field, xs.words, self.domains, triples, word_inverse, self._alpha,
+            self._pointwise, word_label, {IDENTITY: ones},
         )
 
     def alpha_apply(self, w, f):
         """alpha_w(f) = f o theta_{w^-1}, on functions supported in X_{w^-1}."""
-        xs = self.xs
-        out = self.field.zero_vec(len(xs.points))
-        theta_inv = self._theta_inv[w]
-        for i in self.domains[w].pivots:
-            xi = xs.points[i]
-            out[i] = f[xs.index[theta_inv[xi]]]
-        return out
+        field = self.field
+        return _dense(field, self._alpha(w, _sparse(field, f)), len(self.xs.points))
+
+    def _alpha(self, w, f):
+        """alpha_w on a raw row: the value at each point of X_{w^-1} moves along theta_w."""
+        theta = self._theta[w]
+        return {theta[j]: v for j, v in f.items() if j in theta}
+
+    def _pointwise(self, x, y):
+        """The product of D(X) on raw rows: functions on X multiply pointwise."""
+        p = self.field.char
+        return {i: a * y[i] % p if p else a * y[i] for i, a in x.items() if i in y}
 
     def element(self, w, f):
         """The skew-ring element (f delta_w) for f in D_w."""
@@ -448,11 +455,6 @@ class GrSkewModel:
             out[("e", e.id)] = self.element(w, xs.indicator(field, xs.x_set(w)))
             out[("e*", e.id)] = self.element(winv, xs.indicator(field, xs.x_set(winv)))
         return out
-
-
-def _pointwise(x, y):
-    """The product of D(X): functions on X multiply pointwise."""
-    return [a * b for a, b in zip(x, y)]
 
 
 def build_gr_skew_ring(graph, field):

@@ -10,7 +10,8 @@ globalizations inside a function-space envelope.
 Each alpha_g is given as a matrix between RREF coordinates and is held, once
 it is first needed, as a `SubspaceMap`: the ambient images of the RREF basis
 of R_{g^-1}.  `apply_alpha` is its dense form; the axiom checks restrict,
-compose and take images of these maps without leaving exactlin's raw rows.
+compose and take images of these maps, apply them and multiply elements
+(`StructureAlgebra._mul`) without leaving exactlin's raw rows.
 """
 
 from collections import defaultdict
@@ -18,8 +19,9 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import DimensionError, PreconditionError, SchemaError, UnsupportedError, Violation
-from .exactlin import Matrix, Subspace, SubspaceMap, kernel_rows
-from .algebra import MAX_DIM, StructureAlgebra, nonzero_terms
+from .exactlin import (Matrix, Subspace, SubspaceMap, _dense, _gauss_jordan, _reduce, _sparse,
+                       _subtract, kernel_rows)
+from .algebra import MAX_DIM, StructureAlgebra, _restricted_table
 from .groupoid import full_subgroupoid
 from . import schema
 
@@ -142,9 +144,10 @@ def _axiom_violations(pa):
     # ideals: R_e ideal of R; R_g inside R_{c(g)} and an ideal of it.  An
     # ideal of R is an ideal of itself, so R_g = R_{c(g)} needs no second test
     ideal_comps = set()
+    units = [{i: 1} for i in range(n)]
     for e in g0.objects:
         comp = pa.object_components[e]
-        if _is_ideal_in(amb, comp, Subspace.full(field, n)):
+        if _is_ideal_in(amb, comp, units):
             ideal_comps.add(e)
         else:
             out.append(Violation("ideal", (e,), "component is not an ideal of the ambient algebra"))
@@ -154,7 +157,8 @@ def _axiom_violations(pa):
         comp = pa.object_components[c]
         if not dom <= comp:
             out.append(Violation("ideal", (g,), "domain is not contained in its codomain component"))
-        elif not (c in ideal_comps and dom == comp) and not _is_ideal_in(amb, dom, comp):
+        elif not (c in ideal_comps and dom == comp) and not _is_ideal_in(
+                amb, dom, comp._pivot_rows().values()):
             out.append(Violation("ideal", (g,), "domain is not an ideal of its codomain component"))
 
     # alpha_g bijective; the inverses serve (P2) below
@@ -173,8 +177,8 @@ def _axiom_violations(pa):
     for g in g0.morphisms:
         if g in bad_bijection:
             continue
-        alpha = partial(pa.apply_alpha, g)
-        if not _is_multiplicative(amb, pa.domains[pa.inv(g)], alpha, amb.multiply):
+        alpha = pa._alpha(g)._image_of
+        if not _is_multiplicative(amb, pa.domains[pa.inv(g)], alpha, amb._mul):
             out.append(Violation("multiplicative", (g,), "alpha(xy) differs from alpha(x)alpha(y)"))
 
     # (P1) identity morphisms act as the identity on the full component
@@ -210,20 +214,23 @@ def _axiom_violations(pa):
 
 
 def _is_ideal_in(amb, inner, outer):
-    return all(inner.contains(amb.multiply(v, w)) and inner.contains(amb.multiply(w, v))
-               for v in inner.basis for w in outer.basis)
+    """Whether inner holds the products, on both sides, of its basis with the raw rows outer."""
+    piv, p = inner._pivot_rows(), amb.field.char
+    return not any(_reduce(amb._mul(v, w), piv, p) or _reduce(amb._mul(w, v), piv, p)
+                   for v in piv.values() for w in outer)
 
 
 def _is_multiplicative(amb, space, f, mul):
-    """f(uv) = mul(f(u), f(v)) on basis pairs whose product stays in space.
+    """f(uv) = mul(f(u), f(v)) on raw basis rows whose product stays in space.
 
     Products leaving the space are the ideal check's concern, not this one's.
     """
-    images = [f(u) for u in space.basis]
-    for u, fu in zip(space.basis, images):
-        for v, fv in zip(space.basis, images):
-            w = amb.multiply(u, v)
-            if space.contains(w) and f(w) != mul(fu, fv):
+    piv, p = space._pivot_rows(), amb.field.char
+    images = [(u, f(u)) for u in piv.values()]
+    for u, fu in images:
+        for v, fv in images:
+            w = amb._mul(u, v)
+            if not _reduce(dict(w), piv, p) and f(w) != mul(fu, fv):
                 return False
     return True
 
@@ -335,25 +342,27 @@ def finite_type_witnesses(pa):
 
 
 def _alpha_cut(pa, g, x):
-    """alpha_g(x 1_{g^-1}), zero where R_{g^-1} = 0."""
+    """alpha_g(x 1_{g^-1}) for a raw row x, {} where R_{g^-1} = 0."""
     amb = pa.ambient
     u = pa.domain_unit(pa.inv(g))
     if u is None:
-        return amb.field.zero_vec(amb.dim)
-    y = amb.multiply(x, u)
-    if not pa.domains[pa.inv(g)].contains(y):
-        raise PreconditionError("x 1_{g^-1} left the domain; ambient is not associative enough")
-    return pa.apply_alpha(g, y)
+        return {}
+    try:
+        return pa._alpha(g)._image_of(amb._mul(x, _sparse(amb.field, u)))
+    except ValueError:
+        raise PreconditionError(
+            "x 1_{g^-1} left the domain; ambient is not associative enough") from None
 
 
 def trace_map(pa, x):
     """tr(x) = sum over morphisms of alpha_g(x 1_{g^-1}); zero domains drop out."""
     if not is_unital(pa):
         raise UnsupportedError("trace map needs a unital action")
-    acc = pa.ambient.field.zero_vec(pa.ambient.dim)
+    field = pa.ambient.field
+    row, acc = pa.ambient._row(x), {}
     for g in pa.groupoid.morphisms:
-        acc = [a + b for a, b in zip(acc, _alpha_cut(pa, g, x))]
-    return acc
+        _subtract(acc, -1, _alpha_cut(pa, g, row), field.char)
+    return _dense(field, acc, pa.ambient.dim)
 
 
 def fixed_ring(pa):
@@ -367,29 +376,24 @@ def fixed_ring(pa):
     amb = pa.ambient
     rows = defaultdict(dict)  # (g, r) -> row r of the block of g
     for g in pa.groupoid.morphisms:
-        u_dst = pa.domain_unit(g)
+        u_dst = _sparse(amb.field, pa.domain_unit(g) or [])
         for c in range(amb.dim):
-            b = amb.basis_vector(c)
-            col = _alpha_cut(pa, g, b)
-            if u_dst is not None:
-                col = [a - r for a, r in zip(col, amb.multiply(b, u_dst))]
-            for r, x in enumerate(col):
-                if x:
-                    rows[g, r][c] = x
+            col = _alpha_cut(pa, g, {c: 1})
+            _subtract(col, 1, amb._mul({c: 1}, u_dst), amb.field.char)
+            for r, x in col.items():
+                rows[g, r][c] = amb.field(x)
     return kernel_rows(amb.field, rows.values(), amb.dim)
 
 
 def is_invariant_subring(pa, space):
     """G-invariance: alpha_g(A meet R_{g^-1}) stays inside A meet R_g."""
-    amb = pa.ambient
-    if not all(space.contains(amb.multiply(u, v)) for u in space.basis for v in space.basis):
-        raise PreconditionError("subspace is not closed under multiplication")
+    pa.ambient.subalgebra(space)  # raises unless space is closed under multiplication
+    p = pa.ambient.field.char
     for g in pa.groupoid.morphisms:
-        inter = space.intersect(pa.domains[pa.inv(g)])
-        target = space.intersect(pa.domains[g])
-        for x in inter.basis:
-            if not target.contains(pa.apply_alpha(g, x)):
-                return False
+        inter = space.intersect(pa.domains[pa.inv(g)])._pivot_rows()
+        target = space.intersect(pa.domains[g])._pivot_rows()
+        if any(_reduce(pa._alpha(g)._image_of(x), target, p) for x in inter.values()):
+            return False
     return True
 
 
@@ -407,17 +411,6 @@ class Globalization:
     partial: PartialAction
     action: PartialAction
     embeddings: dict
-
-    def psi_apply(self, e, v):
-        """Embed an ambient vector of the original algebra lying in R_e."""
-        coords = self.partial.object_components[e].coords(v)
-        return self.embeddings[e].apply(coords)
-
-    def psi_image(self, e, space):
-        """Image under psi_e of a subspace of R_e, inside T."""
-        t_dim = self.action.ambient.dim
-        vecs = [self.psi_apply(e, v) for v in space.basis]
-        return Subspace.from_vectors(self.action.ambient.field, t_dim, vecs)
 
 
 class _Envelope:
@@ -438,35 +431,26 @@ class _Envelope:
         self.block = n
 
     def mul(self, x, y):
-        n = self.block
-        out = self.pa.ambient.field.zero_vec(self.dim)
-        for off in range(0, self.dim, n):
-            if any(xs := x[off:off + n]) and any(ys := y[off:off + n]):
-                out[off:off + n] = self.pa.ambient.multiply(xs, ys)
+        """The product of raw rows: blockwise, each block in the ambient algebra."""
+        n, out = self.block, {}
+        for off in {c - c % n for c in x} & {c - c % n for c in y}:
+            xb, yb = ({c - off: v for c, v in r.items() if off <= c < off + n} for r in (x, y))
+            out.update((off + k, v) for k, v in self.pa.ambient._mul(xb, yb).items())
         return out
 
     def psi_vec(self, e, r):
-        """psi_e(r)(h) = alpha_{h^-1}(r 1_h), laid out in the e block."""
+        """psi_e(r)(h) = alpha_{h^-1}(r 1_h) for a raw row r, laid out in the e block."""
         pa = self.pa
-        out = pa.ambient.field.zero_vec(self.dim)
-        for h in self.into[e]:
-            off = self.offsets[(e, h)]
-            out[off:off + self.block] = _alpha_cut(pa, pa.inv(h), r)
-        return out
+        return {self.offsets[(e, h)] + k: v for h in self.into[e]
+                for k, v in _alpha_cut(pa, pa.inv(h), r).items()}
 
     def beta_apply(self, g, x):
-        """(beta_g f)(h) = f(g^-1 h), moving the d(g) block to the c(g) block."""
-        g0 = self.pa.groupoid
-        e_src = g0.dom[g]
-        e_dst = g0.cod[g]
-        out = self.pa.ambient.field.zero_vec(self.dim)
-        ginv = g0.inverse[g]
-        for h in self.into[e_dst]:
-            src_h = g0.compose(ginv, h)
-            src_off = self.offsets[(e_src, src_h)]
-            dst_off = self.offsets[(e_dst, h)]
-            out[dst_off:dst_off + self.block] = x[src_off:src_off + self.block]
-        return out
+        """(beta_g f)(h) = f(g^-1 h) on a raw row, moving the d(g) block to the c(g) block."""
+        g0, n = self.pa.groupoid, self.block
+        d, c, ginv = g0.dom[g], g0.cod[g], g0.inverse[g]
+        moved = {self.offsets[(d, g0.compose(ginv, h))]: self.offsets[(c, h)]
+                 for h in self.into[c]}
+        return {moved[j - j % n] + j % n: v for j, v in x.items() if j - j % n in moved}
 
 
 def globalize(pa):
@@ -482,46 +466,34 @@ def globalize(pa):
     g0 = pa.groupoid
     field = pa.ambient.field
 
-    t_parts = {}
-    for e in g0.objects:
-        vecs = []
-        for h in env.into[e]:
-            d = g0.dom[h]
-            for r in pa.object_components[d].basis:
-                vecs.append(env.beta_apply(h, env.psi_vec(d, r)))
-        t_parts[e] = Subspace.from_vectors(field, env.dim, vecs)
-
     # T_e lives on the e blocks, laid out in object order, so the parts'
-    # RREF bases together are already the RREF basis of T
-    t_basis, t_pivots, part_range = [], [], {}
+    # RREF rows together are already the RREF rows of T
+    t_rows, part_range = {}, {}
     for e in g0.objects:
-        start = len(t_basis)
-        t_basis += t_parts[e].basis
-        t_pivots += t_parts[e].pivots
-        part_range[e] = (start, len(t_basis))
-    t_space = Subspace(field, env.dim, t_basis, t_pivots)
-
-    t_dim = len(t_basis)
+        start = len(t_rows)
+        t_rows.update(_gauss_jordan([
+            env.beta_apply(h, env.psi_vec(g0.dom[h], r)) for h in env.into[e]
+            for r in pa.object_components[g0.dom[h]]._pivot_rows().values()], field.char))
+        part_range[e] = (start, len(t_rows))
+    t_dim = len(t_rows)
     if t_dim > MAX_DIM:
         raise UnsupportedError(
             f"the enveloping algebra has dimension {t_dim}, above the limit {MAX_DIM}")
-    table = []
-    for u in t_basis:
-        row = []
-        for v in t_basis:
-            p = env.mul(u, v)
-            try:
-                row.append(nonzero_terms(t_space.coords(p)))
-            except ValueError:
-                raise UnsupportedError("enveloping space is not multiplicatively closed") from None
-        table.append(row)
+    t_space = Subspace._from_pivot_rows(field, env.dim, t_rows)
+    try:
+        table = _restricted_table(t_space, env.mul)
+    except ValueError:
+        raise UnsupportedError("enveloping space is not multiplicatively closed") from None
     t_alg = StructureAlgebra(field, t_dim, table)
     unit = t_alg.find_unit()
     if unit is not None:
         t_alg.unit = unit
 
+    def t_coords(row):
+        return _dense(field, t_space._raw_coords(row), t_dim)
+
     def beta_map(g, c):
-        return t_space.coords(env.beta_apply(g, t_space.expand(c)))
+        return t_coords(env.beta_apply(g, _sparse(field, t_space.expand(c))))
 
     components = {e: Subspace.coordinate(field, t_dim, range(*part_range[e])) for e in g0.objects}
     domains = {g: components[g0.cod[g]] for g in g0.morphisms}
@@ -532,7 +504,8 @@ def globalize(pa):
     embeddings = {}
     for e in g0.objects:
         # beta at the identity fixes psi_e(r), one of the generators of T_e
-        cols = [t_space.coords(env.psi_vec(e, r)) for r in pa.object_components[e].basis]
+        rows = pa.object_components[e]._pivot_rows().values()
+        cols = [t_coords(env.psi_vec(e, r)) for r in rows]
         embeddings[e] = Matrix.from_columns(field, cols, t_dim)
     return Globalization(partial=pa, action=beta, embeddings=embeddings)
 
@@ -550,49 +523,43 @@ def globalization_verify(pa, glob):
     if not is_global(beta):
         out.append(Violation("beta-not-global", (), "candidate action is not global"))
 
-    psi_of_component = {}
+    psi, psi_of_component = {}, {}
     for e in g0.objects:
         comp = pa.object_components[e]
         m = glob.embeddings[e]
         if len(m.rref_pivots()[1]) != comp.dim:
             out.append(Violation("psi-mono", (e,), "psi is not injective"))
-        psi = partial(glob.psi_apply, e)
-        if not _is_multiplicative(pa.ambient, comp, psi, t_alg.multiply):
+        psi[e] = SubspaceMap(comp, m._raw_columns(), t_alg.dim)
+        if not _is_multiplicative(pa.ambient, comp, psi[e]._image_of, t_alg._mul):
             out.append(Violation("psi-ring", (e,), "psi is not multiplicative"))
-        psi_of_component[e] = glob.psi_image(e, comp)
+        psi_of_component[e] = psi[e].image()
 
     # (i) psi_e(R_e) is an ideal of T_e
     for e in g0.objects:
-        if not _is_ideal_in(t_alg, psi_of_component[e], beta.object_components[e]):
+        if not _is_ideal_in(t_alg, psi_of_component[e],
+                            beta.object_components[e]._pivot_rows().values()):
             out.append(Violation("(i)", (e,), "psi(R_e) is not an ideal of T_e"))
 
     # (ii) psi(R_g) = psi(R_{c(g)}) meet beta_g(psi(R_{d(g)}))
     for g in g0.morphisms:
         c, d = g0.cod[g], g0.dom[g]
-        lhs = glob.psi_image(c, pa.domains[g])
+        lhs = psi[c].restrict(pa.domains[g]).image()
         shifted = beta._alpha(g).restrict(psi_of_component[d]).image()
         rhs = psi_of_component[c].intersect(shifted)
         if lhs != rhs:
             out.append(Violation("(ii)", (g,), "psi(R_g) differs from psi(R_c) meet beta_g(psi(R_d))"))
 
-    # (iii) beta_g(psi_{d(g)}(a)) = psi_{c(g)}(alpha_g(a)) on R_{g^-1}
+    # (iii) beta_g psi_{d(g)} = psi_{c(g)} alpha_g on R_{g^-1}
     for g in g0.morphisms:
-        c, d = g0.cod[g], g0.dom[g]
-        for a in pa.domains[pa.inv(g)].basis:
-            lhs = beta.apply_alpha(g, glob.psi_apply(d, a))
-            rhs = glob.psi_apply(c, pa.apply_alpha(g, a))
-            if lhs != rhs:
-                out.append(Violation("(iii)", (g,), "beta_g psi differs from psi alpha_g"))
-                break
+        lhs = psi[g0.dom[g]].restrict(pa.domains[pa.inv(g)]).then(beta._alpha(g))
+        if lhs != pa._alpha(g).then(psi[g0.cod[g]]):
+            out.append(Violation("(iii)", (g,), "beta_g psi differs from psi alpha_g"))
 
     # (iv) T_g is generated by the shifted embedded components
     for g in g0.morphisms:
-        total = Subspace.from_vectors(field, t_alg.dim, [
-            beta.apply_alpha(h, v)
-            for h in g0.morphisms_into(g0.cod[g])
-            for v in psi_of_component[g0.dom[h]].basis
-        ])
-        if total != beta.domains[g]:
+        shifted = [beta._alpha(h).restrict(psi_of_component[g0.dom[h]]).image()
+                   for h in g0.morphisms_into(g0.cod[g])]
+        if Subspace.span(field, t_alg.dim, shifted) != beta.domains[g]:
             out.append(Violation("(iv)", (g,), "T_g is not the sum of shifted component images"))
     return out
 
@@ -633,6 +600,10 @@ def action_to_dict(pa, groupoid_ref, algebra_ref):
 def action_from_dict(d, groupoid, ambient):
     field = ambient.field
     entries = {k: schema.get(d, k, dict, "action") for k in ("components", "domains", "maps")}
+    objects, morphisms = set(groupoid.objects), set(groupoid.morphisms)
+    for key, ids in (("components", objects), ("domains", morphisms), ("maps", morphisms)):
+        if unknown := [x for x in entries[key] if x not in ids]:
+            raise SchemaError(f"{key} names {unknown[0]!r}, which is not in the groupoid")
 
     def rows(key, x, n):
         what = f"{key} at {x!r}"

@@ -9,8 +9,8 @@ group algebras, quotients by ideals, and the Maschke-type machinery
 from dataclasses import dataclass, field as dc_field
 
 from .errors import PreconditionError, UnsupportedError
-from .exactlin import Matrix, Subspace, solve
-from .algebra import MAX_DIM, StructureAlgebra, grading_respected, nonzero_terms
+from .exactlin import Matrix, Subspace, _reduce, solve
+from .algebra import MAX_DIM, StructureAlgebra, _terms, grading_respected
 from .groupoid import connected_components, hom_set
 from . import paction as pact
 
@@ -103,9 +103,10 @@ def skew_product_ring(field, degrees, domains, triples, inv, alpha, mul, name, u
     The basis runs over `degrees` in order and, inside a degree g, over the
     RREF basis of its domain D_g (`domains[g]`).  For each triple (g, h, gh)
     in `triples` the product of a degree-g and a degree-h basis vector is
-    alpha_g(alpha_{g^-1}(r) r') in degree gh, with `alpha(g, x)` applying
-    alpha_g, `inv(g)` giving g^-1 and `mul` the ambient product; products of
-    all other pairs are zero.  A gh that is None or not a degree marks a
+    alpha_g(alpha_{g^-1}(r) r') in degree gh, with `inv(g)` giving g^-1;
+    products of all other pairs are zero.  Ambient elements are raw rows
+    {index: value}: `alpha(g, x)` applies alpha_g to one and `mul` is the
+    ambient product of two.  A gh that is None or not a degree marks a
     product that must vanish.  `name(g)` labels and grades degree g.
     `unit` maps degrees to elements of their domains, or is None; their sum
     becomes the algebra's unit when it is a two-sided identity.
@@ -122,37 +123,34 @@ def skew_product_ring(field, degrees, domains, triples, inv, alpha, mul, name, u
             labels.append(f"{name(g)}:{j}")
 
     table = [[[] for _ in range(total)] for _ in range(total)]
-    pulled = {}  # g -> alpha_{g^-1} of each basis vector of D_g
+    pulled = {}  # g -> alpha_{g^-1} of each basis vector of D_g, as raw rows
     for g, h, gh in triples:
         dg = domains[g]
         dh = domains[h]
         if dg.dim == 0 or dh.dim == 0:
             continue
         if g not in pulled:
-            pulled[g] = [alpha(inv(g), r) for r in dg.basis]
+            pulled[g] = [alpha(inv(g), r) for r in dg._pivot_rows().values()]
         dgh = domains.get(gh)
         for i, p in enumerate(pulled[g]):
-            for j, rp in enumerate(dh.basis):
+            for j, rp in enumerate(dh._pivot_rows().values()):
                 x = mul(p, rp)
-                if not any(x):
+                if not x:
                     continue
                 y = alpha(g, x)
                 if dgh is None:
-                    if any(y):
+                    if y:
                         raise RuntimeError(
                             "nonzero product escaped the support; model is inconsistent"
                         )
                     continue
                 try:
-                    coords = dgh.coords(y)
+                    coords = dgh._raw_coords(y)
                 except ValueError:
                     raise PreconditionError(
                         f"product of degrees {name(g)}, {name(h)} left R_({name(gh)})"
                     ) from None
-                off = offsets[gh]
-                table[offsets[g] + i][offsets[h] + j] = [
-                    (off + k, c) for k, c in enumerate(coords) if c
-                ]
+                table[offsets[g] + i][offsets[h] + j] = _terms(field, coords, offsets[gh])
 
     alg = StructureAlgebra(field, total, table, labels=labels, grading=grading)
     if unit is not None:
@@ -191,7 +189,7 @@ def build_skew_groupoid_ring(pa):
     triples = ((g, h, g0.compose(g, h)) for g, h in g0.composable_pairs())
     alg, _ = skew_product_ring(
         pa.ambient.field, g0.morphisms, pa.domains, triples,
-        pa.inv, pa.apply_alpha, pa.ambient.multiply, lambda g: g, unit,
+        pa.inv, lambda g, x: pa._alpha(g)._image_of(x), pa.ambient._mul, lambda g: g, unit,
     )
     alg.grading_groupoid = g0
     return alg
@@ -419,17 +417,15 @@ def quotient_by_ideal(alg, ideal):
         raise PreconditionError("ideal lives in a different ambient space")
     if not alg.is_ideal(ideal, "two"):
         raise PreconditionError("subspace is not a two-sided ideal")
-    keep = [k for k in range(alg.dim) if k not in set(ideal.pivots)]
-    d = len(keep)
+    keep = [k for k in range(alg.dim) if k not in ideal._at]
+    at = {k: t for t, k in enumerate(keep)}
+    piv, p = ideal._pivot_rows(), alg.field.char
     table = []
     for a in keep:
-        row = []
-        for b in keep:
-            red = ideal.reduce(alg.multiply(alg.basis_vector(a), alg.basis_vector(b)))
-            row.append(nonzero_terms(red[c] for c in keep))
-        table.append(row)
+        reds = (_reduce(alg._mul({a: 1}, {b: 1}), piv, p) for b in keep)
+        table.append([_terms(alg.field, {at[c]: x for c, x in r.items()}) for r in reds])
     labels = [alg.label(k) for k in keep]
-    out = StructureAlgebra(alg.field, d, table, labels=labels)
+    out = StructureAlgebra(alg.field, len(keep), table, labels=labels)
     u = alg.find_unit()
     if u is not None:
         red = ideal.reduce(u)

@@ -310,6 +310,33 @@ def test_linear_systems_reach_exactlin_as_sparse_rows(monkeypatch):
     assert pact.fixed_ring(swap) == Subspace.from_vectors(Q, 2, [[Q.one, Q.one]])
 
 
+def test_internal_products_never_reach_the_dense_multiply(monkeypatch):
+    # elements multiply inside grpd as raw rows; the dense multiply is only the boundary
+    from grpd import paction as pact
+    from grpd import leavitt as lv
+    from grpd.skewring import build_skew_groupoid_ring
+
+    m3 = corpus.matrix_algebra(Q, 3)
+    unit = m3.find_unit()
+    e00 = Subspace.from_vectors(Q, 9, [m3.basis_vector(0)])
+    swap = corpus.swap_action()
+    beta = pact.globalize(corpus.shift_restriction_action()).action
+
+    def refuse(self, x, y):
+        raise AssertionError("an internal product went through the dense multiply")
+
+    monkeypatch.setattr(StructureAlgebra, "multiply", refuse)
+    assert m3.is_two_sided_unit(unit) and not m3.is_two_sided_unit(m3.basis_vector(0))
+    assert [m3.ideal_closure(e00, side).dim for side in ("left", "right", "two")] == [3, 3, 9]
+    assert m3.is_ideal(Subspace.full(Q, 9)) and not m3.is_ideal(e00)
+    assert m3.subalgebra(Subspace.from_vectors(Q, 9, [unit]))[0].dim == 1
+    assert pact.validate_action(swap) == []
+    assert pact.validate_action(beta) == []
+    assert build_skew_groupoid_ring(swap).dim == 4
+    model = lv.GrSkewModel(lv.graph_analysis(corpus.line_graph(3)), Q)
+    assert model.algebra.dim == 9 and model.algebra.unit is not None
+
+
 def test_unit_and_center_of_m31_from_its_sparse_table():
     # dim 961: dense length-961 linear forms took about 12 s for the unit and
     # 8 s for the center, at a peak above 2 GB

@@ -273,6 +273,9 @@ def test_partial_group_algebra_over_the_dimension_limit_exit_1(tmp_path, capsys)
                  id="map-wrong-shape"),
     pytest.param(lambda d: d.update(components=[]), id="components-as-list"),
     pytest.param(lambda d: d.update(groupoid=5), id="groupoid-ref-as-number"),
+    pytest.param(lambda d: d["components"].update(nobody=[["1", "0"]]), id="unknown-object"),
+    pytest.param(lambda d: d["domains"].update(h9=[["1", "0"]]), id="unknown-domain-morphism"),
+    pytest.param(lambda d: d["maps"].update(h9=[["1"]]), id="unknown-map-morphism"),
 ])
 def test_malformed_action_json_exit_2(files, capsys, edit):
     d = pact.action_to_dict(corpus.swap_action(), "z2.json", "qq.json")
