@@ -8,13 +8,13 @@ of semisimple algebras, and Cayley-Dickson doubling.
 
 import itertools
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, PreconditionError, SchemaError, UnsupportedError
-from .exactlin import (Matrix, ModP, Subspace, _canonical, _dense, _gauss_jordan, _product,
-                       _reduce, _sparse, kernel_rows, solve_rows)
+from .exactlin import (Matrix, ModP, Subspace, _canonical, _dense, _gauss_jordan, _kernel,
+                       _product, _reduce, _solve, _sparse, _subtract)
 from . import schema
 
 MAX_DIM = 1024  # largest dim a file may declare; its empty dim x dim table alone is ~64 MB
@@ -25,9 +25,11 @@ class StructureAlgebra:
 
     The structure constants are sparse: `table[i][j]` lists the (k, c_ij^k)
     pairs with c_ij^k nonzero, k strictly increasing, so that equal products
-    have equal cells.  Inside, elements are raw rows {index: value} and
-    multiply through `_product` over a raw copy of the table, made on first
-    use; `multiply` is the dense boundary.
+    have equal cells.  The constructor checks the table and copies it once
+    into raw rows, `_cells[i]` = {j: raw row of b_i b_j} over the nonzero
+    products; everything the algebra computes reads that copy.  Inside,
+    elements are raw rows {index: value} and multiply through `_product`;
+    `multiply` is the dense boundary, and `table` is kept for reports.
 
     Optional extras: a designated unit vector, basis labels, a grading map
     (basis index to a degree label) and a conjugation involution used by the
@@ -40,26 +42,32 @@ class StructureAlgebra:
         self.dim = dim
         if len(table) != dim or any(len(row) != dim for row in table):
             raise DimensionError("structure constant table must be dim x dim")
+        p = field.char
+        self._cells = []
         for row in table:
-            for cell in row:
-                last = -1
+            cells = {}
+            for j, cell in enumerate(row):
+                last, raw = -1, {}
                 try:
                     for k, c in cell:
                         if not (isinstance(k, int) and last < k < dim and c):
                             raise ValueError
                         last = k
+                        raw[k] = c.val if p else c
                 except (TypeError, ValueError):
                     raise DimensionError(
                         f"table cell {cell!r} is not a list of (k, c) pairs with "
                         f"c nonzero and k increasing below {dim}"
                     ) from None
+                if raw:
+                    cells[j] = raw
+            self._cells.append(cells)
         self.table = table
         self.unit = unit
         self.labels = labels
         self.grading = grading
         self.grading_groupoid = grading_groupoid
         self.involution = involution
-        self._cells = None  # the table as raw rows, for _product
         self._assoc = None  # the associator table
         self._center = None
         self._berlekamp = None
@@ -82,11 +90,7 @@ class StructureAlgebra:
         return _sparse(self.field, x)
 
     def _mul(self, x, y):
-        """The product of raw rows, over the raw table built on first use."""
-        if self._cells is None:
-            p = self.field.char
-            self._cells = [{j: {k: c.val if p else c for k, c in cell}
-                            for j, cell in enumerate(row) if cell} for row in self.table]
+        """The product of raw rows."""
         return _product(x, y, self._cells, self.field.char)
 
     def left_mult_matrix(self, x):
@@ -127,67 +131,58 @@ class StructureAlgebra:
 
     def _solve_unit(self):
         """Solve u b_j = b_j = b_j u linearly; None when no u does."""
-        n = self.dim
-        zero, one = self.field.zero, self.field.one
-        rows = []
-        rhs = []
-        table = self.table
+        n, rows = self.dim, []
+        cols = _forms(dict(enumerate(self._cells)))  # cols[j][i]: the raw row of b_i b_j
         for j in range(n):
-            # sum_i u_i (b_i b_j) = b_j   and   sum_i u_i (b_j b_i) = b_j, one row
-            # per coordinate k that some product reaches; the others read 0 = 0
-            for cells in ([table[i][j] for i in range(n)], table[j]):
-                forms = defaultdict(dict)
-                for i, cell in enumerate(cells):
-                    for k, c in cell:
-                        forms[k][i] = c
+            # sum_i u_i (b_i b_j) = b_j   and   sum_i u_i (b_j b_i) = b_j, one row (right-hand
+            # side at column n) per coordinate k that some product reaches; the others read 0 = 0
+            for prods in (cols[j], self._cells[j]):
+                forms = _forms(prods)
                 if j not in forms:  # coordinate j reads 0 = 1
                     return None
+                forms[j][n] = 1
                 rows += forms.values()
-                rhs += [one if k == j else zero for k in forms]
-        return solve_rows(self.field, rows, rhs, n)
+        return _solve(self.field, rows, n)
 
     # -- associators and the laws they decide ---------------------------------
 
     def _associators(self):
-        """The nonzero basis associators (b_i b_j) b_k - b_i (b_j b_k) as
-        {(i, j, k): {m: c}}, computed once.  Only products that can meet are
+        """The nonzero basis associators (b_i b_j) b_k - b_i (b_j b_k) as raw
+        rows {(i, j, k): {m: c}}, computed once.  Only products that can meet are
         expanded: (b_i b_j) b_k sums c_ij^l b_l b_k over the support of b_i b_j,
         and b_i (b_j b_k) sums c_jk^l b_i b_l where b_j b_k and b_i b_l are
         nonzero.  The terms are gathered per row i and summed per pair (i, j).
         """
         if self._assoc is None:
-            zero = self.field.zero
-            rows = [[(k, cell) for k, cell in enumerate(row) if cell] for row in self.table]
+            p = self.field.char
+            rows = [list(row.items()) for row in self._cells]
             via = [[] for _ in rows]  # via[l]: the (j, k, c_jk^l) with c_jk^l != 0
             for j, row in enumerate(rows):
                 for k, cell in row:
-                    for l, c in cell:
+                    for l, c in cell.items():
                         via[l].append((j, k, c))
             out = {}
             for i, row in enumerate(rows):
                 terms = defaultdict(list)  # j -> (k, c, cell): c * cell adds to A(i, j, k)
                 for j, cell in row:
-                    for l, c in cell:
-                        terms[j] += [(k, c, lk) for k, lk in rows[l]]
+                    for l, c in cell.items():
+                        terms[j] += [(k, -c, lk) for k, lk in rows[l]]
                 for l, cell in row:
                     for j, k, c in via[l]:
-                        terms[j].append((k, -c, cell))
+                        terms[j].append((k, c, cell))
                 for j, jterms in terms.items():
                     acc = defaultdict(dict)  # k -> coordinates of the associator at (i, j, k)
                     for k, c, cell in jterms:
-                        a = acc[k]
-                        for m, cm in cell:
-                            a[m] = a.get(m, zero) + c * cm
+                        _subtract(acc[k], c, cell, p)
                     for k, a in acc.items():
-                        if nz := {m: c for m, c in a.items() if c}:
-                            out[i, j, k] = nz
+                        if a:
+                            out[i, j, k] = a
             self._assoc = out
         return self._assoc
 
     def associator(self, i, j, k):
         """(b_i b_j) b_k - b_i (b_j b_k)."""
-        terms = self._associators().get((i, j, k), {})
-        return [terms.get(m, self.field.zero) for m in range(self.dim)]
+        return _dense(self.field, self._associators().get((i, j, k), {}), self.dim)
 
     def is_associative(self):
         """Whether every basis associator vanishes."""
@@ -202,9 +197,9 @@ class StructureAlgebra:
         swaps are involutions, so a pair of triples that breaks the law has
         a nonzero member to check it from.
         """
-        assoc = self._associators()
+        assoc, p = self._associators(), self.field.char
         for (i, j, k), a in assoc.items():
-            neg = {m: -c for m, c in a.items()}
+            neg = {m: -c % p if p else -c for m, c in a.items()}
             if i == j or assoc.get((j, i, k)) != neg or assoc.get((i, k, j)) != neg:
                 return False
         return True
@@ -224,40 +219,29 @@ class StructureAlgebra:
         basis.  For associative algebras the nucleus conditions hold
         automatically and only the commutant is solved.
         """
-        n = self.dim
-        if n == 0:
-            return Subspace.zero(self.field, 0)
-        zero = self.field.zero
-        rows = []
+        n, p, rows = self.dim, self.field.char, []
+        cols = _forms(dict(enumerate(self._cells)))  # cols[i][c]: the raw row of b_c b_i
         for i in range(n):
             # coordinate r of x b_i - b_i x, as a linear form in the coordinates of x
-            forms = defaultdict(dict)
-            for c in range(n):
-                for r, v in self.table[c][i]:
-                    forms[r][c] = forms[r].get(c, zero) + v
-                for r, v in self.table[i][c]:
-                    forms[r][c] = forms[r].get(c, zero) - v
+            forms = _forms(cols[i])
+            for r, row in _forms(self._cells[i]).items():
+                _subtract(forms[r], 1, row, p)
             rows += forms.values()
-        space = kernel_rows(self.field, rows, n)
+        space = _kernel(self.field, rows, n)
         if self.is_associative() or space.dim == 0:
             return space
         # x commutes with everything, so (r, r', x) = (r, x, r') - (x, r, r').
         # For x = sum_t y_t v_t over the commutant basis, coordinate m of
         # (x, r, r') or (r, x, r') is a linear form in the y_t, fed by the
         # table entries whose index in x's slot is a coordinate of some v_t
-        slots = defaultdict(list)  # c -> the (t, v_tc) with v_tc != 0
-        for t, v in enumerate(space.basis):
-            for c, vc in enumerate(v):
-                if vc:
-                    slots[c].append((t, vc))
+        slots = _forms(dict(enumerate(space._rows.values())))  # c -> {t: v_tc}
         rows = defaultdict(dict)
         for (i, j, k), a in self._associators().items():
             for key, c in (((0, j, k), i), ((1, i, k), j)):
-                for t, vc in slots.get(c, ()):
+                if c in slots:
                     for m, am in a.items():
-                        rows[key, m][t] = rows[key, m].get(t, zero) + vc * am
-        ker = kernel_rows(self.field, rows.values(), space.dim)
-        return Subspace.from_vectors(self.field, n, [space.expand(y) for y in ker.basis])
+                        _subtract(rows[key, m], -am, slots[c], p)
+        return space._expand_space(_kernel(self.field, rows.values(), space.dim))
 
     # -- ideals ----------------------------------------------------------------
 
@@ -268,7 +252,7 @@ class StructureAlgebra:
         if side not in ("left", "right", "two"):
             raise ValueError(f"side must be left/right/two, got {side!r}")
         p = self.field.char
-        piv = seed._pivot_rows()
+        piv = seed._rows
         while True:
             new = []
             for v in piv.values():
@@ -280,9 +264,7 @@ class StructureAlgebra:
             if not new:
                 break
             piv = _gauss_jordan([dict(r) for r in piv.values()] + new, p)
-        if piv is seed._pivot_rows():
-            return seed
-        return Subspace._from_pivot_rows(self.field, self.dim, piv)
+        return Subspace(self.field, self.dim, piv)
 
     def is_ideal(self, space, side="two"):
         return self.ideal_closure(space, side) == space
@@ -311,15 +293,19 @@ class StructureAlgebra:
         """
         if self._radical is None:
             self._radical_guards()
-            n = self.dim
-            zero = self.field.zero
+            p = self.field.char
             # associativity gives L_i L_j = L_{b_i b_j}, so
             # trace(L_i L_j) = sum_k c_ij^k trace(L_k), with trace(L_k) = sum_l c_kl^l
-            tr = [sum((c for l in range(n) for m, c in self.table[k][l] if m == l), zero)
-                  for k in range(n)]
-            gram = [{j: sum((c * tr[k] for k, c in cell), zero)
-                     for j, cell in enumerate(row) if cell} for row in self.table]
-            self._radical = kernel_rows(self.field, gram, n)
+            tr = [sum(cell.get(l, 0) for l, cell in row.items()) for row in self._cells]
+            gram = [{} for _ in self._cells]
+            for g, row in zip(gram, self._cells):
+                for j, cell in row.items():
+                    x = sum(c * tr[k] for k, c in cell.items())
+                    if p:
+                        x %= p
+                    if x:
+                        g[j] = x
+            self._radical = _kernel(self.field, gram, self.dim)
         return self._radical
 
     def is_semisimple(self):
@@ -340,7 +326,7 @@ class StructureAlgebra:
             table = _restricted_table(space, self._mul)
         except ValueError:
             raise PreconditionError("subspace is not closed under multiplication") from None
-        return StructureAlgebra(self.field, space.dim, table), [list(b) for b in space.basis]
+        return StructureAlgebra(self.field, space.dim, table), space.basis
 
     # -- Wedderburn-style block decomposition ---------------------------------------
 
@@ -371,8 +357,8 @@ class StructureAlgebra:
         def times(e, sub):
             """The subspace e sub, as an RREF basis in the ambient coordinates."""
             x = self._row(e)
-            rows = [self._mul(x, v) for v in sub._pivot_rows().values()]
-            return Subspace._from_pivot_rows(field, self.dim, _gauss_jordan(rows, field.char))
+            rows = [self._mul(x, v) for v in sub._rows.values()]
+            return Subspace(field, self.dim, _gauss_jordan(rows, field.char))
 
         final = []
         work = [(Subspace.full(field, self.dim), self.find_unit())] if self.dim else []
@@ -393,10 +379,11 @@ class StructureAlgebra:
                 continue
             for ei in (e1, [a - b for a, b in zip(e, e1)]):
                 work.append((times(ei, space), ei))
-        # blocks are unique ideals: order them by first pivot, then dimension,
-        # then RREF basis, so the order does not depend on the order of splits
-        final.sort(key=lambda t: (t[0].pivots[0], t[0].dim,
-                                  [field.fmt(c) for row in t[0].basis for c in row]))
+        # blocks are unique ideals: order them by first pivot, then dimension, then RREF
+        # basis (formatted only on a tie), so the order does not depend on the order of splits
+        ties = Counter((s.pivots[0], s.dim) for s, _ in final)
+        final.sort(key=lambda t: (lead := (t[0].pivots[0], t[0].dim), ties[lead] > 1
+                                  and [field.fmt(c) for row in t[0].basis for c in row]))
         blocks = [s for s, _ in final]
         non_split = [i for i, (_, flag) in enumerate(final) if flag]
         return BlockDecomposition(blocks, non_split)
@@ -412,17 +399,16 @@ class StructureAlgebra:
         if self.field.char == 0:
             raise UnsupportedError("the Berlekamp subalgebra needs a prime field")
         if self._berlekamp is None:
-            field = self.field
+            p = self.field.char
             center = self.center()
             # row s reads coordinate s of z_t^p - z_t over the center basis z_t
-            rows = [{} for _ in center.basis]
-            for t, z in enumerate(center._pivot_rows().values()):
-                zp = center._raw_coords(self._power(z, field.char))
-                for s in range(center.dim):
-                    rows[s][t] = field(zp.get(s, 0) - int(s == t))
-            ker = kernel_rows(field, rows, center.dim)
-            self._berlekamp = Subspace.from_vectors(
-                field, self.dim, [center.expand(c) for c in ker.basis])
+            rows = [{} for _ in range(center.dim)]
+            for t, z in enumerate(center._rows.values()):
+                zp = center._raw_coords(self._power(z, p))
+                _subtract(zp, 1, {t: 1}, p)
+                for s, x in zp.items():
+                    rows[s][t] = x
+            self._berlekamp = center._expand_space(_kernel(self.field, rows, center.dim))
         return self._berlekamp
 
     def _power(self, x, k):
@@ -543,6 +529,15 @@ class StructureAlgebra:
         return alg
 
 
+def _forms(prods):
+    """{k: {i: c}} from raw rows {i: {k: c}}: coordinate k of sum_i x_i prods[i] as a linear form."""
+    forms = defaultdict(dict)
+    for i, row in prods.items():
+        for k, c in row.items():
+            forms[k][i] = c
+    return forms
+
+
 def nonzero_terms(v):
     """The (k, c) pairs of the nonzero coordinates of a vector: one table cell."""
     return [(k, c) for k, c in enumerate(v) if c]
@@ -557,7 +552,7 @@ def _terms(field, coords, off=0):
 def _restricted_table(space, mul):
     """The table of the raw product `mul` on the RREF basis of a subspace closed
     under it; raises ValueError when a product leaves the subspace."""
-    rows = list(space._pivot_rows().values())
+    rows = list(space._rows.values())
     return [[_terms(space.field, space._raw_coords(mul(u, v))) for v in rows] for u in rows]
 
 

@@ -5,9 +5,8 @@ reduced mod p.  Over Q an element is a Python int when it is an integer and
 a `Fraction` in lowest terms with denominator > 1 otherwise, so integer
 tables are multiplied with int arithmetic until a real division happens;
 the numeric tower mixes the two exactly, and `Field.inv` is the one
-division.  Matrices and vectors are dense lists of field elements (`ModP`
-over F_p); subspaces are kept in reduced row-echelon form so that equal
-subspaces have equal bases.
+division.  Matrices and the vectors of the public methods are dense lists
+of field elements (`ModP` over F_p).
 
 Inside, both fields share one form, the raw row: a dict {column: nonzero
 value} holding rationals over Q and ints in [0, p) over F_p.  `_sparse`,
@@ -19,21 +18,25 @@ Algebra elements are raw rows too: `_product` multiplies two of them over
 a raw structure table, and dense vectors meet it only at the public
 boundary (`StructureAlgebra.multiply`).
 Linear systems enter it as sparse rows {column: field element} through
-`kernel_rows` and `solve_rows`; `kernel` and `solve` pass a matrix's rows
-on, and only `rref` pads its echelon form with zero rows.  Matrices and
-subspaces are immutable, so a matrix keeps its raw columns and a subspace
-its raw basis once made.  A `SubspaceMap`, a linear map from a subspace
-into the ambient space, keeps the raw ambient images of the subspace's
-RREF basis, so applying, restricting and composing maps stay on raw rows.
+`kernel_rows` and `solve_rows`, or as raw rows through `_kernel` and
+`_solve`; only `rref` pads its echelon form with zero rows.  Matrices and
+subspaces are immutable: a matrix keeps its raw columns once made, and a
+subspace is its raw RREF rows alone, so equal subspaces have equal rows.
+A `SubspaceMap`, a linear map from a subspace into the ambient space,
+keeps the raw ambient images of the subspace's RREF basis, so applying,
+restricting and composing maps stay on raw rows.
 """
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import DimensionError
 
 _MAX_PRIME = 2**31
 _ASCII_INT = re.compile(r"-?[0-9]+")
+# the exponent of a string as Fraction reads it: E or e, a sign, digits with underscores
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def _is_prime(n):
@@ -122,7 +125,12 @@ class Field:
         if self.char == 0:
             if isinstance(x, str):
                 # plain ASCII integers skip the Fraction parser; the rest go through it
-                x = int(x) if _ASCII_INT.fullmatch(x) else Fraction(x)
+                if _ASCII_INT.fullmatch(x):
+                    x = int(x)
+                elif (m := _EXPONENT.search(x)) and 0 < sys.get_int_max_str_digits() < abs(int(m[1])):
+                    raise ValueError(f"the exponent of {x[:20]!r} is past int()'s limit on digits")
+                else:
+                    x = Fraction(x)
             elif not isinstance(x, (int, Fraction)):
                 raise TypeError(f"cannot coerce {x!r} into Q")
             return _canonical(x)
@@ -227,7 +235,8 @@ def _product(x, y, cells, p):
 
 
 def _gauss_jordan(rows, p):
-    """Reduced row-echelon form of raw rows, as {pivot column: RREF row}.
+    """Reduced row-echelon form of raw rows, as {pivot column: RREF row} with
+    the pivots increasing.
 
     The rows are consumed.  Each row is reduced against the pivot rows so
     far and scaled to 1 at its first column, a new pivot, which is then
@@ -248,7 +257,7 @@ def _gauss_jordan(rows, p):
             if f:
                 _subtract(other, f, row, p)
         piv[q] = row
-    return piv
+    return {c: piv[c] for c in sorted(piv)}
 
 
 class Matrix:
@@ -381,6 +390,11 @@ def solve_rows(field, rows, rhs, ncols):
     for row, b in zip(rows, rhs):
         if b:
             row[ncols] = b.val if field.char else b
+    return _solve(field, rows, ncols)
+
+
+def _solve(field, rows, ncols):
+    """solve_rows on raw rows, which it consumes, each with its right-hand side at column ncols."""
     piv = _gauss_jordan(rows, field.char)
     if ncols in piv:
         return None
@@ -394,58 +408,46 @@ def kernel(m):
 
 def kernel_rows(field, rows, ncols):
     """Null space of the sparse rows {column: field element} over ncols unknowns,
-    as a canonical Subspace: one vector {f: 1, c: -R[c][f]} per free column f of
-    the RREF rows R, brought to RREF by one more elimination."""
+    as a canonical Subspace."""
+    return _kernel(field, _raw_rows(field, rows, ncols), ncols)
+
+
+def _kernel(field, rows, ncols):
+    """kernel_rows on raw rows, which it consumes: one vector {f: 1, c: -R[c][f]}
+    per free column f of the RREF rows R, brought to RREF by one more elimination."""
     p = field.char
-    piv = _gauss_jordan(_raw_rows(field, rows, ncols), p)
+    piv = _gauss_jordan(rows, p)
     null = {f: {f: 1} for f in range(ncols) if f not in piv}
     for c, row in piv.items():
         for f, x in row.items():
             if f != c:
                 null[f][c] = -x % p if p else -x
-    return Subspace._from_pivot_rows(field, ncols, _gauss_jordan(null.values(), p))
+    return Subspace(field, ncols, _gauss_jordan(null.values(), p))
 
 
 class Subspace:
-    """Subspace of a coordinate space, stored as an RREF basis.
-
-    Two subspaces are equal exactly when their RREF bases coincide, which
-    makes equality of spans decidable by list comparison.
+    """Subspace of a coordinate space, held as its RREF rows: raw rows keyed by
+    their pivot columns.  The RREF of a span is canonical, so two subspaces
+    are equal exactly when their rows are; `basis` is their dense form.
     """
 
-    def __init__(self, field, ambient_dim, basis, pivots):
+    def __init__(self, field, ambient_dim, rows):
+        """The span of the RREF rows {pivot column: raw row}, pivots increasing; kept, not copied."""
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = basis
-        self.pivots = pivots
-        self._at = {c: i for i, c in enumerate(pivots)}
-        self._piv = None
-
-    def _pivot_rows(self):
-        """The basis as raw rows {pivot column: row}, computed once."""
-        if self._piv is None:
-            self._piv = {c: _sparse(self.field, r) for c, r in zip(self.pivots, self.basis)}
-        return self._piv
+        self._rows = rows
+        self.pivots = list(rows)
+        self._at = {c: i for i, c in enumerate(self.pivots)}
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors):
         if any(len(v) != ambient_dim for v in vectors):
             raise DimensionError("vector length differs from ambient dimension")
-        piv = _gauss_jordan([_sparse(field, v) for v in vectors], field.char)
-        return cls._from_pivot_rows(field, ambient_dim, piv)
-
-    @classmethod
-    def _from_pivot_rows(cls, field, ambient_dim, piv):
-        """The subspace whose RREF rows are the raw rows {pivot column: row} of piv."""
-        pivots = sorted(piv)
-        basis = [_dense(field, piv[c], ambient_dim) for c in pivots]
-        space = cls(field, ambient_dim, basis, pivots)
-        space._piv = {c: piv[c] for c in pivots}
-        return space
+        return cls(field, ambient_dim, _gauss_jordan([_sparse(field, v) for v in vectors], field.char))
 
     @classmethod
     def zero(cls, field, ambient_dim):
-        return cls(field, ambient_dim, [], [])
+        return cls(field, ambient_dim, {})
 
     @classmethod
     def full(cls, field, ambient_dim):
@@ -458,22 +460,30 @@ class Subspace:
         increasing = all(a < b for a, b in zip(pivots, pivots[1:]))
         if not increasing or any(not 0 <= i < ambient_dim for i in pivots[:1] + pivots[-1:]):
             raise DimensionError("coordinate indices must increase strictly within the ambient")
-        return cls(field, ambient_dim, [field.unit_vec(ambient_dim, i) for i in pivots], pivots)
+        return cls(field, ambient_dim, {i: {i: 1} for i in pivots})
 
     @classmethod
     def span(cls, field, ambient_dim, spaces):
-        """Sum of several subspaces by one elimination over all their bases."""
-        return cls.from_vectors(field, ambient_dim, [v for s in spaces for v in s.basis])
+        """Sum of several subspaces by one elimination over all their rows."""
+        if any(s.ambient_dim != ambient_dim for s in spaces):
+            raise DimensionError(f"a subspace lives outside the ambient of dimension {ambient_dim}")
+        rows = [dict(r) for s in spaces for r in s._rows.values()]
+        return cls(field, ambient_dim, _gauss_jordan(rows, field.char))
+
+    @property
+    def basis(self):
+        """The RREF basis as dense vectors, made on each read."""
+        return [_dense(self.field, r, self.ambient_dim) for r in self._rows.values()]
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self._rows)
 
-    def _check_ambient(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionError(
-                f"ambient dimensions differ: {self.ambient_dim} vs {other.ambient_dim}"
-            )
+    def _row(self, v):
+        """The raw row of an ambient vector; refuses a vector of another length."""
+        if len(v) != self.ambient_dim:
+            raise DimensionError("vector length differs from ambient dimension")
+        return _sparse(self.field, v)
 
     def reduce(self, v):
         """Remainder of v after subtracting its component in this subspace."""
@@ -481,38 +491,37 @@ class Subspace:
 
     def _residue(self, v):
         """Raw row of reduce(v)."""
-        if len(v) != self.ambient_dim:
-            raise DimensionError("vector length differs from ambient dimension")
-        return _reduce(_sparse(self.field, v), self._pivot_rows(), self.field.char)
+        return _reduce(self._row(v), self._rows, self.field.char)
 
     def contains(self, v):
         return not self._residue(v)
 
     def _raw_coords(self, row):
         """RREF coordinates {basis index: value} of a raw row; raises if it is outside."""
-        if _reduce(dict(row), self._pivot_rows(), self.field.char):
+        if _reduce(dict(row), self._rows, self.field.char):
             raise ValueError("vector is not in the subspace")
         at = self._at
         return {at[c]: x for c, x in row.items() if c in at}
 
     def coords(self, v):
         """Coordinates of v in the RREF basis; raises if v is outside the span."""
-        if not self.contains(v):
-            raise ValueError("vector is not in the subspace")
-        if self.field.char:
-            return [v[p] for p in self.pivots]
-        return [_canonical(v[p]) for p in self.pivots]
+        return _dense(self.field, self._raw_coords(self._row(v)), self.dim)
 
     def expand(self, coords):
         """Ambient vector with the given RREF-basis coordinates."""
         if len(coords) != self.dim:
             raise DimensionError("coordinate length differs from subspace dimension")
-        rows = list(self._pivot_rows().values())
-        out = _combine(_sparse(self.field, coords), rows, self.field.char)
+        out = _combine(_sparse(self.field, coords), list(self._rows.values()), self.field.char)
         return _dense(self.field, out, self.ambient_dim)
 
+    def _expand_space(self, sub):
+        """The subspace of the vectors whose RREF coordinates lie in sub, a
+        subspace of the coordinate space of dimension self.dim."""
+        rows, p = list(self._rows.values()), self.field.char
+        return Subspace(self.field, self.ambient_dim,
+                        _gauss_jordan([_combine(y, rows, p) for y in sub._rows.values()], p))
+
     def sum(self, other):
-        self._check_ambient(other)
         return Subspace.span(self.field, self.ambient_dim, [self, other])
 
     def intersect(self, other):
@@ -524,25 +533,26 @@ class Subspace:
         if other <= self:
             return other
         n = self.ambient_dim
-        stacked = [{**r, **{n + c: x for c, x in r.items()}} for r in self._pivot_rows().values()]
-        stacked += [dict(r) for r in other._pivot_rows().values()]
+        stacked = [{**r, **{n + c: x for c, x in r.items()}} for r in self._rows.values()]
+        stacked += [dict(r) for r in other._rows.values()]
         piv = _gauss_jordan(stacked, self.field.char)
         # rows with their pivot in the right half are zero on the left, and
         # their right halves are already the RREF basis of the intersection
         meet = {c - n: {j - n: x for j, x in r.items()} for c, r in piv.items() if c >= n}
-        return Subspace._from_pivot_rows(self.field, n, meet)
+        return Subspace(self.field, n, meet)
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.pivots == other.pivots
-            and all(a == b for ra, rb in zip(self.basis, other.basis) for a, b in zip(ra, rb))
+            and self._rows == other._rows
         )
 
     def __le__(self, other):
-        self._check_ambient(other)
-        return all(other.contains(v) for v in self.basis)
+        if self.ambient_dim != other.ambient_dim:
+            raise DimensionError(f"ambient dimensions differ: {self.ambient_dim} vs {other.ambient_dim}")
+        p = self.field.char
+        return all(not _reduce(dict(r), other._rows, p) for r in self._rows.values())
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim} over {self.field})"
@@ -565,7 +575,7 @@ class SubspaceMap:
     def from_matrix(cls, domain, codomain, m):
         """The map sending the vector with RREF coordinates c in domain to the
         vector with RREF coordinates m c in codomain; m is codomain.dim x domain.dim."""
-        rows = list(codomain._pivot_rows().values())
+        rows = list(codomain._rows.values())
         images = [_combine(col, rows, domain.field.char) for col in m._raw_columns()]
         return cls(domain, images, codomain.ambient_dim)
 
@@ -576,13 +586,11 @@ class SubspaceMap:
     def __call__(self, v):
         """Image of an ambient vector lying in the domain."""
         dom = self.domain
-        if len(v) != dom.ambient_dim:
-            raise DimensionError("vector length differs from ambient dimension")
-        return _dense(dom.field, self._image_of(_sparse(dom.field, v)), self.ambient_dim)
+        return _dense(dom.field, self._image_of(dom._row(v)), self.ambient_dim)
 
     def restrict(self, space):
         """This map on a subspace of its domain."""
-        images = [self._image_of(r) for r in space._pivot_rows().values()]
+        images = [self._image_of(r) for r in space._rows.values()]
         return SubspaceMap(space, images, self.ambient_dim)
 
     def then(self, outer):
@@ -594,7 +602,7 @@ class SubspaceMap:
         """The image of the domain, by one elimination of the images."""
         field = self.domain.field
         piv = _gauss_jordan([dict(y) for y in self._images], field.char)
-        return Subspace._from_pivot_rows(field, self.ambient_dim, piv)
+        return Subspace(field, self.ambient_dim, piv)
 
     def __eq__(self, other):
         return (

@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .errors import SchemaError, UnsupportedError
 from . import schema
-from .exactlin import Subspace, _dense, _sparse
+from .exactlin import Subspace, _dense, _sparse, _subtract
 from .algebra import MAX_DIM, StructureAlgebra
 from .skewring import skew_product_ring
 
@@ -531,8 +531,9 @@ def phi_isomorphism_check(model):
     field = model.field
     oracle = PathPairModel(model.report, field)
     alg = model.algebra
-    gens = model.generator_images()
-    mul = alg.multiply
+    # the relations are checked on raw rows, through the algebra's raw product
+    gens = {k: alg._row(v) for k, v in model.generator_images().items()}
+    mul = alg._mul
 
     failure = None
 
@@ -541,11 +542,10 @@ def phi_isomorphism_check(model):
         if failure is None and not cond:
             failure = desc
 
-    zero = field.zero_vec(alg.dim)
     for v in graph.vertices:
         for w in graph.vertices:
             prod = mul(gens[("v", v)], gens[("v", w)])
-            expect = gens[("v", v)] if v == w else zero
+            expect = gens[("v", v)] if v == w else {}
             check(prod == expect, f"vertex idempotent relation at ({v},{w})")
     for e in graph.edges:
         f = gens[("e", e.id)]
@@ -557,16 +557,15 @@ def phi_isomorphism_check(model):
     for e in graph.edges:
         for ep in graph.edges:
             prod = mul(gens[("e*", e.id)], gens[("e", ep.id)])
-            expect = gens[("v", e.r)] if e.id == ep.id else zero
+            expect = gens[("v", e.r)] if e.id == ep.id else {}
             check(prod == expect, f"(3) f* f' at ({e.id},{ep.id})")
     for v in graph.vertices:
         outs = graph.out_edges(v)
         if not outs:
             continue
-        acc = field.zero_vec(alg.dim)
+        acc = {}
         for e in outs:
-            term = mul(gens[("e", e.id)], gens[("e*", e.id)])
-            acc = [a + b for a, b in zip(acc, term)]
+            _subtract(acc, -1, mul(gens[("e", e.id)], gens[("e*", e.id)]), field.char)
         check(acc == gens[("v", v)], f"(4) v = sum f f* at {v}")
 
     dims = (alg.dim, len(oracle.pairs))

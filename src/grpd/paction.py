@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import DimensionError, PreconditionError, SchemaError, UnsupportedError, Violation
-from .exactlin import (Matrix, Subspace, SubspaceMap, _dense, _gauss_jordan, _reduce, _sparse,
-                       _subtract, kernel_rows)
+from .exactlin import (Matrix, Subspace, SubspaceMap, _dense, _gauss_jordan, _kernel, _reduce,
+                       _sparse, _subtract)
 from .algebra import MAX_DIM, StructureAlgebra, _restricted_table
 from .groupoid import full_subgroupoid
 from . import schema
@@ -29,7 +29,7 @@ from . import schema
 class PartialAction:
     """Partial groupoid action on a decomposed ambient algebra.
 
-    Subspaces are stored with RREF bases; each alpha_g is a matrix sending
+    Subspaces are held as their RREF rows; each alpha_g is a matrix sending
     RREF coordinates of R_{g^-1} to RREF coordinates of R_g, held as a
     `SubspaceMap` on R_{g^-1} once it is first applied.
     """
@@ -158,7 +158,7 @@ def _axiom_violations(pa):
         if not dom <= comp:
             out.append(Violation("ideal", (g,), "domain is not contained in its codomain component"))
         elif not (c in ideal_comps and dom == comp) and not _is_ideal_in(
-                amb, dom, comp._pivot_rows().values()):
+                amb, dom, comp._rows.values()):
             out.append(Violation("ideal", (g,), "domain is not an ideal of its codomain component"))
 
     # alpha_g bijective; the inverses serve (P2) below
@@ -215,7 +215,7 @@ def _axiom_violations(pa):
 
 def _is_ideal_in(amb, inner, outer):
     """Whether inner holds the products, on both sides, of its basis with the raw rows outer."""
-    piv, p = inner._pivot_rows(), amb.field.char
+    piv, p = inner._rows, amb.field.char
     return not any(_reduce(amb._mul(v, w), piv, p) or _reduce(amb._mul(w, v), piv, p)
                    for v in piv.values() for w in outer)
 
@@ -225,7 +225,7 @@ def _is_multiplicative(amb, space, f, mul):
 
     Products leaving the space are the ideal check's concern, not this one's.
     """
-    piv, p = space._pivot_rows(), amb.field.char
+    piv, p = space._rows, amb.field.char
     images = [(u, f(u)) for u in piv.values()]
     for u, fu in images:
         for v, fv in images:
@@ -273,23 +273,19 @@ def restrict_to_g_sharp(pa):
     sharp = full_subgroupoid(pa.groupoid, kept_obj)
     kept_mor = sharp.morphisms
     big = Subspace.span(field, pa.ambient.dim, [pa.object_components[e] for e in kept_obj])
-    sub_alg, sub_basis = pa.ambient.subalgebra(big)
+    sub_alg, _ = pa.ambient.subalgebra(big)
 
     def push_space(space):
-        return Subspace.from_vectors(field, sub_alg.dim, [big.coords(v) for v in space.basis])
+        rows = [big._raw_coords(r) for r in space._rows.values()]
+        return Subspace(field, sub_alg.dim, _gauss_jordan(rows, field.char))
 
     components = {e: push_space(pa.object_components[e]) for e in kept_obj}
     domains = {g: push_space(pa.domains[g]) for g in kept_mor}
-
-    def alpha(g, c):
-        return big.coords(pa.apply_alpha(g, big.expand(c)))
-
     unit = sub_alg.find_unit()
     if unit is not None:
         sub_alg.unit = unit
-    return PartialAction.from_ambient_maps(
-        sharp, sub_alg, components, domains, {g: partial(alpha, g) for g in kept_mor}
-    )
+    # a pushed RREF basis is the coordinates of the original one, so each map carries over
+    return PartialAction(sharp, sub_alg, components, domains, {g: pa.maps[g] for g in kept_mor})
 
 
 # -- finite type -----------------------------------------------------------------
@@ -381,8 +377,8 @@ def fixed_ring(pa):
             col = _alpha_cut(pa, g, {c: 1})
             _subtract(col, 1, amb._mul({c: 1}, u_dst), amb.field.char)
             for r, x in col.items():
-                rows[g, r][c] = amb.field(x)
-    return kernel_rows(amb.field, rows.values(), amb.dim)
+                rows[g, r][c] = x
+    return _kernel(amb.field, rows.values(), amb.dim)
 
 
 def is_invariant_subring(pa, space):
@@ -390,8 +386,8 @@ def is_invariant_subring(pa, space):
     pa.ambient.subalgebra(space)  # raises unless space is closed under multiplication
     p = pa.ambient.field.char
     for g in pa.groupoid.morphisms:
-        inter = space.intersect(pa.domains[pa.inv(g)])._pivot_rows()
-        target = space.intersect(pa.domains[g])._pivot_rows()
+        inter = space.intersect(pa.domains[pa.inv(g)])._rows
+        target = space.intersect(pa.domains[g])._rows
         if any(_reduce(pa._alpha(g)._image_of(x), target, p) for x in inter.values()):
             return False
     return True
@@ -473,13 +469,13 @@ def globalize(pa):
         start = len(t_rows)
         t_rows.update(_gauss_jordan([
             env.beta_apply(h, env.psi_vec(g0.dom[h], r)) for h in env.into[e]
-            for r in pa.object_components[g0.dom[h]]._pivot_rows().values()], field.char))
+            for r in pa.object_components[g0.dom[h]]._rows.values()], field.char))
         part_range[e] = (start, len(t_rows))
     t_dim = len(t_rows)
     if t_dim > MAX_DIM:
         raise UnsupportedError(
             f"the enveloping algebra has dimension {t_dim}, above the limit {MAX_DIM}")
-    t_space = Subspace._from_pivot_rows(field, env.dim, t_rows)
+    t_space = Subspace(field, env.dim, t_rows)
     try:
         table = _restricted_table(t_space, env.mul)
     except ValueError:
@@ -504,7 +500,7 @@ def globalize(pa):
     embeddings = {}
     for e in g0.objects:
         # beta at the identity fixes psi_e(r), one of the generators of T_e
-        rows = pa.object_components[e]._pivot_rows().values()
+        rows = pa.object_components[e]._rows.values()
         cols = [t_coords(env.psi_vec(e, r)) for r in rows]
         embeddings[e] = Matrix.from_columns(field, cols, t_dim)
     return Globalization(partial=pa, action=beta, embeddings=embeddings)
@@ -526,18 +522,17 @@ def globalization_verify(pa, glob):
     psi, psi_of_component = {}, {}
     for e in g0.objects:
         comp = pa.object_components[e]
-        m = glob.embeddings[e]
-        if len(m.rref_pivots()[1]) != comp.dim:
+        psi[e] = SubspaceMap(comp, glob.embeddings[e]._raw_columns(), t_alg.dim)
+        psi_of_component[e] = psi[e].image()
+        if psi_of_component[e].dim != comp.dim:
             out.append(Violation("psi-mono", (e,), "psi is not injective"))
-        psi[e] = SubspaceMap(comp, m._raw_columns(), t_alg.dim)
         if not _is_multiplicative(pa.ambient, comp, psi[e]._image_of, t_alg._mul):
             out.append(Violation("psi-ring", (e,), "psi is not multiplicative"))
-        psi_of_component[e] = psi[e].image()
 
     # (i) psi_e(R_e) is an ideal of T_e
     for e in g0.objects:
         if not _is_ideal_in(t_alg, psi_of_component[e],
-                            beta.object_components[e]._pivot_rows().values()):
+                            beta.object_components[e]._rows.values()):
             out.append(Violation("(i)", (e,), "psi(R_e) is not an ideal of T_e"))
 
     # (ii) psi(R_g) = psi(R_{c(g)}) meet beta_g(psi(R_{d(g)}))

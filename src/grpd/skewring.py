@@ -130,10 +130,10 @@ def skew_product_ring(field, degrees, domains, triples, inv, alpha, mul, name, u
         if dg.dim == 0 or dh.dim == 0:
             continue
         if g not in pulled:
-            pulled[g] = [alpha(inv(g), r) for r in dg._pivot_rows().values()]
+            pulled[g] = [alpha(inv(g), r) for r in dg._rows.values()]
         dgh = domains.get(gh)
         for i, p in enumerate(pulled[g]):
-            for j, rp in enumerate(dh._pivot_rows().values()):
+            for j, rp in enumerate(dh._rows.values()):
                 x = mul(p, rp)
                 if not x:
                     continue
@@ -419,7 +419,7 @@ def quotient_by_ideal(alg, ideal):
         raise PreconditionError("subspace is not a two-sided ideal")
     keep = [k for k in range(alg.dim) if k not in ideal._at]
     at = {k: t for t, k in enumerate(keep)}
-    piv, p = ideal._pivot_rows(), alg.field.char
+    piv, p = ideal._rows, alg.field.char
     table = []
     for a in keep:
         reds = (_reduce(alg._mul({a: 1}, {b: 1}), piv, p) for b in keep)

@@ -337,6 +337,33 @@ def test_internal_products_never_reach_the_dense_multiply(monkeypatch):
     assert model.algebra.dim == 9 and model.algebra.unit is not None
 
 
+def test_the_algebra_systems_do_no_boxed_arithmetic(monkeypatch):
+    # the unit, laws, center, radical, Berlekamp and fixed-ring systems read the
+    # raw table: over F_p no residue is added, negated, multiplied or divided as a ModP
+    from grpd import paction as pact
+    from grpd.exactlin import ModP
+
+    f = Field(10007)
+    # no unit supplied, so find_unit solves for it
+    fz5 = StructureAlgebra(f, 5, corpus.group_algebra(f, 5).table)
+    octo = StructureAlgebra(f, 8, cayley_dickson_chain(f, 3).table)
+    shift = corpus.shift_restriction_action(f)
+
+    def boxed(*args):
+        raise AssertionError("an algebra system did ModP arithmetic")
+
+    for op in ("__add__", "__sub__", "__mul__", "__neg__", "__truediv__"):
+        monkeypatch.setattr(ModP, op, boxed)
+    for alg, associative, center_dim in ((fz5, True, 5), (octo, False, 1)):
+        assert alg.find_unit() == f.unit_vec(alg.dim, 0)
+        assert alg.is_associative() is associative and alg.is_alternative()
+        assert alg.center().dim == center_dim
+    assert fz5.jacobson_radical().dim == 0
+    # 10007 has order 4 mod 5, so x^5 - 1 is (x - 1) times an irreducible quartic
+    assert fz5.berlekamp_subalgebra().dim == 2
+    assert pact.fixed_ring(shift) == Subspace.from_vectors(f, 3, [[f.one] * 3])
+
+
 def test_unit_and_center_of_m31_from_its_sparse_table():
     # dim 961: dense length-961 linear forms took about 12 s for the unit and
     # 8 s for the center, at a peak above 2 GB
@@ -383,6 +410,26 @@ def test_wedderburn_blocks_are_orthogonal_ideals():
             for u in a.basis:
                 for v in b.basis:
                     assert not any(alg.multiply(u, v))
+
+
+def test_wedderburn_blocks_tied_on_pivot_and_dim_keep_the_formatted_basis_order():
+    # Q x Q in the basis b0 = e1 + e2, b1 = e1 - e2: both blocks have pivot 0
+    # and dim 1, with RREF rows [1, -1] and [1, 1]; "-1" sorts before "1"
+    h = Fraction(1, 2)
+    table = [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, 1)]]]
+    alg = StructureAlgebra(Q, 2, table, unit=[1, 0])
+    assert alg.multiply([h, h], [h, h]) == [h, h]
+    assert [b.basis for b in alg.wedderburn_blocks()] == [[[1, -1]], [[1, 1]]]
+
+
+def test_wedderburn_blocks_format_no_entry_without_a_tie(monkeypatch):
+    m3 = corpus.matrix_algebra(Q, 3)
+
+    def refuse(self, x):
+        raise AssertionError("a block basis was formatted to sort blocks without a tie")
+
+    monkeypatch.setattr(Field, "fmt", refuse)
+    assert m3.wedderburn_blocks().dims() == [9]
 
 
 def test_wedderburn_requires_semisimple():

@@ -200,6 +200,19 @@ def test_malformed_algebra_json_exit_2(tmp_path, capsys, edit):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("coeff", ["1e10000000", "1e-5000", "-2.5E+1_000_000", "1e\u0665\u0660\u0660\u0660"])
+def test_coefficient_exponent_past_the_digit_limit_exit_2(tmp_path, capsys, coeff):
+    # Fraction would build 10^10000000 in full before anything could refuse it
+    d = corpus.dual_numbers(Q).to_dict()
+    d["table"][0][2][0] = coeff
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    start = time.perf_counter()
+    assert cli.main(["analyze", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "bad coefficient" in capsys.readouterr().err
+
+
 def test_dim_over_limit_exit_2_before_allocating(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"field": {"char": 0}, "dim": MAX_DIM + 1, "table": []}))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grpd.exactlin import Field, Matrix, ModP, Subspace, kernel, solve
+from grpd.exactlin import Field, Matrix, ModP, Subspace, kernel, kernel_rows, solve
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 PRIMES = [2, 3, 10007, 2**31 - 1]
@@ -256,3 +256,30 @@ def test_subspace_operations_match_reference(case):
         ref_meet, piv_meet = ref_span(meet, n)
         got = a.intersect(b)
         assert (got.pivots, [unboxed(r, p) for r in got.basis]) == (piv_meet, ints(ref_meet))
+        # raw <= and == against the reference: a <= b iff a + b spans b
+        ref_ab, ref_bb = ref_span(ref_a + ref_b, n), ref_span(ref_b, n)
+        assert (a <= b) == (ints(ref_ab[0]) == ints(ref_bb[0]))
+        assert (a == b) == (ints(ref_span(ref_a, n)[0]) == ints(ref_bb[0]))
+
+
+@SETTINGS
+@given(fp_cases())
+def test_subspace_equality_does_not_depend_on_the_construction(case):
+    # the span of the unit vectors at idx, as coordinate, from_vectors and kernel_rows
+    p, rng = case
+    field = Field(p)
+    n = rng.randint(1, 6)
+    idx = sorted(rng.sample(range(n), rng.randint(0, n)))
+    gens = [[rng.randrange(1, p) * int(j == i) for j in range(n)] for i in idx]
+    gens += [[random_entry(rng, p) if j in idx else 0 for j in range(n)]
+             for _ in range(rng.randint(0, 3))]
+    routes = [Subspace.coordinate(field, n, idx),
+              Subspace.from_vectors(field, n, [field.vec(r) for r in gens[::-1]]),
+              kernel_rows(field, [{j: field(rng.randrange(1, p))} for j in range(n)
+                                  if j not in idx], n)]
+    for a in routes:
+        for b in routes:
+            assert a == b and a <= b
+    if idx:
+        smaller = Subspace.coordinate(field, n, idx[1:])
+        assert smaller <= routes[1] and not routes[1] <= smaller and smaller != routes[1]

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grpd.exactlin import Field, Matrix, Subspace, kernel, solve
+from grpd.exactlin import Field, Matrix, Subspace, kernel, kernel_rows, solve
 
 SETTINGS = settings(derandomize=True, max_examples=12, deadline=None, database=None)
 Q = Field(0)
@@ -267,6 +267,11 @@ def test_subspace_operations_match_reference(kind, seed):
                                  (s.intersect(u), ref_intersection(ref_s, ref_u, n)),
                                  (u.intersect(u_again), ref_intersection(ref_u, ref_u, n))]:
         assert (got.pivots, [canonical(r) for r in got.basis]) == (pivots, basis)
+    # raw <= and == against the reference: a <= b iff a + b spans b
+    for a, b, gens_a, gens_b in [(u, w, gens_u, gens_w), (u, s, gens_u, gens_u + gens_w),
+                                 (s, u, gens_u + gens_w, gens_u), (u, u_again, gens_u, gens_u)]:
+        assert (a <= b) == (ref_span(gens_a + gens_b, n) == ref_span(gens_b, n))
+        assert (a == b) == (ref_span(gens_a, n) == ref_span(gens_b, n))
 
     coeffs = [rng.choice([ZERO, entry(rng)]) for _ in ref_u]
     inside = [sum((c * r[j] for c, r in zip(coeffs, ref_u)), ZERO) for j in range(n)]
@@ -281,6 +286,38 @@ def test_subspace_operations_match_reference(kind, seed):
             assert canonical(u.coords(v)) == [v[c] for c in piv_u]
     assert canonical(u.expand(coeffs)) == inside
     assert canonical(u.expand([ZERO] * u.dim)) == [ZERO] * n
+
+
+@SETTINGS
+@given(seeds)
+def test_subspace_equality_does_not_depend_on_the_construction(seed):
+    # the span of the unit vectors at idx, as coordinate, from_vectors and kernel_rows
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    idx = sorted(rng.sample(range(n), rng.randint(0, n)))
+    units = [[Fraction(int(j == i)) for j in range(n)] for i in idx]
+    gens = combinations(rng, units, rng.randint(0, 3), n) + [[entry(rng) * x for x in u] for u in units]
+    routes = [Subspace.coordinate(Q, n, idx),
+              Subspace.from_vectors(Q, n, gens),
+              kernel_rows(Q, [{j: entry(rng)} for j in range(n) if j not in idx], n)]
+    for a in routes:
+        for b in routes:
+            assert a == b and a <= b
+    if idx:
+        smaller = Subspace.coordinate(Q, n, idx[1:])
+        assert smaller <= routes[1] and not routes[1] <= smaller and smaller != routes[1]
+
+
+def test_subspace_rows_holding_integral_fractions_compare_as_their_ints():
+    # scaling [2, 4] by 1/2 leaves Fraction(2, 1) in the raw row; the span of [1, 2]
+    # holds the int 2, and the two spaces are the same
+    halved = Subspace.from_vectors(Q, 3, [[2, 4, 0]])
+    assert type(halved._rows[0][1]) is Fraction
+    plain = Subspace.from_vectors(Q, 3, [[1, 2, 0]])
+    assert halved == plain and halved <= plain <= halved
+    assert canonical(halved.basis[0]) == [1, 2, 0]
+    wider = Subspace.span(Q, 3, [plain, Subspace.coordinate(Q, 3, [2])])
+    assert halved <= wider and not wider <= halved and halved != wider
 
 
 @each_kind
