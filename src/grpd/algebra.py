@@ -10,11 +10,12 @@ import itertools
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DimensionError, PreconditionError, SchemaError, UnsupportedError
-from .exactlin import (Matrix, ModP, Subspace, _canonical, _dense, _gauss_jordan, _kernel,
-                       _product, _reduce, _solve, _sparse, _subtract)
+from .exactlin import (Matrix, ModP, Subspace, _canonical, _combine, _dense, _gauss_jordan,
+                       _kernel, _product, _q_inv, _reduce, _solve, _sparse, _subtract)
+from .polynomial import (_poly_deriv, _poly_divmod, _poly_gcd, _poly_mul, _poly_trim, _poly_xgcd,
+                         _prime_field_roots, _q_factors)
 from . import schema
 
 MAX_DIM = 1024  # largest dim a file may declare; its empty dim x dim table alone is ~64 MB
@@ -334,51 +335,52 @@ class StructureAlgebra:
         """Decompose a semisimple algebra into simple two-sided ideals.
 
         Splits inside the algebra by central idempotents.  Each block B = e A
-        carries its idempotent e, starting from A and its unit; the center
-        of B is e Z for the center Z of A.  A central z of B whose minimal
-        polynomial mp has a base-field root r splits B into e_1 B and e_2 B,
-        with e_1 = q(z)/q(r) for q = mp/(t - r) and e_2 = e - e_1.  The center
-        of a semisimple algebra over Q or F_p is a product of fields, so mp
-        is square-free, q(r) != 0 and the first root splits.
-
-        Over F_p the candidates z are the basis of e W for the Berlekamp
-        subalgebra W of Z.  Every element of W has a split minimal
-        polynomial, so any non-scalar candidate splits, and a block with
-        dim e W = 1 is simple.  Over Q they are the basis of e Z, then its
-        pairwise sums.  A block that no candidate splits is kept whole, and
-        flagged when its center e Z is larger than the base field.
+        carries its idempotent e, starting from A and its unit, and its
+        candidate space C: e Z for the center Z over Q, e W for the Berlekamp
+        subalgebra W of Z over F_p.  C is a product of fields, one per simple
+        block of B; B is simple when dim C = 1.  Otherwise the candidates z
+        are the RREF basis of C, then z_lam = sum_i lam^i z_i, lam = 1, 2, ...
+        The first non-scalar z whose square-free minimal polynomial mp factors
+        (over Q by `_q_factors`), or has degree m = dim C, splits B: each
+        monic irreducible factor g gives q(z) B, q = mp/g, with idempotent
+        (s q)(z), s q = 1 mod g.  When deg mp = m, z generates C and each
+        piece is simple; otherwise the pieces are split again.  Some
+        lam <= C(m, 2)(m - 1) + 1 has deg mp = m: two distinct embeddings of C
+        into an algebraic closure differ on z_lam by a nonzero polynomial in
+        lam of degree below m.
         """
         if not self.is_semisimple():
             raise PreconditionError("block decomposition needs a semisimple algebra")
-        field = self.field
+        field, p = self.field, self.field.char
         center = self.center()
-        berlekamp = self.berlekamp_subalgebra() if field.char else None
+        cands = self.berlekamp_subalgebra() if p else center
 
         def times(e, sub):
-            """The subspace e sub, as an RREF basis in the ambient coordinates."""
-            x = self._row(e)
-            rows = [self._mul(x, v) for v in sub._rows.values()]
-            return Subspace(field, self.dim, _gauss_jordan(rows, field.char))
+            """The subspace e sub in RREF; over Q e is scaled to integers first."""
+            if not p:
+                den = math.lcm(*(c.denominator for c in e.values()))
+                e = {j: c.numerator * (den // c.denominator) for j, c in e.items()}
+            rows = [self._mul(e, v) for v in sub._rows.values()]
+            return Subspace(field, self.dim, _gauss_jordan(rows, p))
+
+        def flagged(e, degree):
+            """Whether e Z, of dimension degree over Q, is larger than the base field."""
+            return times(e, center).dim > 1 if p else degree > 1
 
         final = []
-        work = [(Subspace.full(field, self.dim), self.find_unit())] if self.dim else []
+        work = [(Subspace.full(field, self.dim), self._row(self.find_unit()), cands)] if self.dim else []
         while work:
-            space, e = work.pop(0)
-            if berlekamp is None:
-                z = times(e, center)
-                candidates = _candidates(z.basis)
-            else:
-                z = None
-                local = times(e, berlekamp)
-                candidates = local.basis if local.dim > 1 else ()
-            e1 = self._splitting_idempotent(e, candidates)
-            if e1 is None:
-                if z is None:
-                    z = times(e, center)
-                final.append((space, z.dim > 1))
+            space, e, local = work.pop()
+            pieces, simple = self._split(e, local) if local.dim > 1 else ([(e, 1)], True)
+            if len(pieces) == 1:
+                final.append((space, flagged(e, pieces[0][1])))
                 continue
-            for ei in (e1, [a - b for a, b in zip(e, e1)]):
-                work.append((times(ei, space), ei))
+            for ei, degree in pieces:
+                if simple:
+                    final.append((times(ei, space), flagged(ei, degree)))
+                else:  # a commutative algebra is its own center: local is space
+                    piece = times(ei, space)
+                    work.append((piece, ei, piece if local == space else times(ei, local)))
         # blocks are unique ideals: order them by first pivot, then dimension, then RREF
         # basis (formatted only on a tie), so the order does not depend on the order of splits
         ties = Counter((s.pivots[0], s.dim) for s, _ in final)
@@ -387,6 +389,22 @@ class StructureAlgebra:
         blocks = [s for s, _ in final]
         non_split = [i for i, (_, flag) in enumerate(final) if flag]
         return BlockDecomposition(blocks, non_split)
+
+    def _split(self, e, local):
+        """The pieces [(e_i, deg g_i)] of the block of e by the first candidate
+        of its candidate space `local`, of dim m >= 2, that splits it or
+        generates local, and whether it generates local.  Over F_p the factors
+        of mp are its linear ones: every element of W has a split mp."""
+        p, basis = self.field.char, list(local._rows.values())
+        m = len(basis)
+        lams = ({i: pow(lam, i, p) if p else lam**i for i in range(m)} for lam in itertools.count(1))
+        for z in itertools.chain(basis, (_combine(c, basis, p) for c in lams)):
+            mp, powers = _min_poly(self, z, e)
+            factors = () if len(mp) == 2 else (
+                [[-r % p, 1] for r in _prime_field_roots(p, mp)] if p else _q_factors(mp))
+            if len(factors) > 1 or len(mp) == m + 1:
+                simple = len(mp) == m + 1
+                return [(_piece(p, mp, g, powers, simple), len(g) - 1) for g in factors], simple
 
     def berlekamp_subalgebra(self):
         """Kernel of z -> z^p - z on the center over F_p, computed once.
@@ -419,21 +437,6 @@ class StructureAlgebra:
             if bit == "1":
                 acc = self._mul(acc, x)
         return acc
-
-    def _splitting_idempotent(self, e, candidates):
-        """e_1 = q(z)/q(r) for the first candidate z with a base-field root r; or None."""
-        field = self.field
-        for z in candidates:
-            mp = minimal_polynomial(self, z, e)
-            roots = polynomial_roots(field, mp) if len(mp) > 2 else []
-            if roots:
-                q = _poly_divide_linear(field, mp, roots[0])
-                acc = [q[-1] * a for a in e]
-                for c in reversed(q[:-1]):
-                    acc = [a + c * b for a, b in zip(self.multiply(acc, z), e)]
-                scale = field.inv(_poly_eval(field, q, roots[0]))
-                return [scale * a for a in acc]
-        return None
 
     # -- Cayley-Dickson doubling -------------------------------------------------------
 
@@ -560,8 +563,8 @@ def _restricted_table(space, mul):
 class BlockDecomposition:
     """Pairwise-orthogonal two-sided ideals summing to the whole algebra.
 
-    `non_split` lists indices of blocks whose center stayed reducible over
-    the base field (flagged "irreducible-over-field", kept whole).
+    `non_split` lists indices of the blocks whose center is larger than the
+    base field: simple blocks over a proper extension field.
     """
 
     blocks: list
@@ -585,204 +588,62 @@ class BlockDecomposition:
 
 
 def minimal_polynomial(alg, x, one):
-    """Monic minimal polynomial of x, with `one` (an identity for x) as x^0.
-
-    `one` may be the unit of the algebra or of a block containing x.
-    Returned as a coefficient list [a_0, ..., a_{d-1}, 1].  Each power is
-    reduced against echelon rows of the earlier ones, each row carrying
-    the combination of powers it stands for; the first power that reduces
-    to zero gives the polynomial.  The search ends within dim steps: every
-    power it keeps is independent of the earlier ones.
-    """
-    if alg.multiply(one, x) != list(x):
+    """Monic minimal polynomial [a_0, ..., a_{d-1}, 1] of x, with `one`, the unit of
+    the algebra or of a block containing x, as x^0; see `_min_poly`."""
+    x, one = alg._row(x), alg._row(one)
+    if alg._mul(one, x) != x:
         raise PreconditionError("minimal polynomial needs an identity for the element")
-    field = alg.field
-    rows = []  # (pivot, echelon row with 1 at the pivot, its combination of powers)
-    power = list(one)
+    mp = _min_poly(alg, x, one)[0]
+    return _dense(alg.field, dict(enumerate(mp)), len(mp))
+
+
+def _min_poly(alg, x, one):
+    """The monic minimal polynomial [a_0, ..., a_d] of the raw row x, raw
+    coefficients, and the raw powers one, x, ..., x^(d-1) it was read from.
+    Each power is reduced against echelon rows of the earlier ones, each
+    row carrying the combination of powers it stands for; the first power
+    that reduces to zero gives the polynomial.  The search ends within dim
+    steps: every power it keeps is independent of the earlier ones.
+    """
+    p = alg.field.char
+    rows, powers, power = [], [], one  # rows: (pivot, row with 1 at the pivot, its combination)
     while True:
-        v = power
-        comb = [field.zero] * len(rows) + [field.one]  # v = sum_i comb[i] x^i
-        for pivot, row, rc in rows:
-            c = v[pivot]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-                for i, b in enumerate(rc):
-                    comb[i] -= c * b
-        pivot = next((i for i, a in enumerate(v) if a), None)
-        if pivot is None:
-            return comb
-        inv = field.inv(v[pivot])
-        rows.append((pivot, [inv * a for a in v], [inv * a for a in comb]))
-        power = alg.multiply(power, x)
+        v, comb = dict(power), {len(powers): 1}  # v = sum_i comb[i] x^i
+        for c, row, rc in rows:
+            f = v.get(c)
+            if f:
+                _subtract(v, f, row, p)
+                _subtract(comb, f, rc, p)
+        if not v:
+            return [comb.get(i, 0) for i in range(len(powers) + 1)], powers
+        c = next(iter(v))
+        inv = {0: pow(v[c], -1, p) if p else _q_inv(v[c])}
+        rows.append((c, _combine(inv, [v], p), _combine(inv, [comb], p)))
+        powers.append(power)
+        power = alg._mul(power, x)
 
 
-def _poly_eval(field, coeffs, x):
-    acc = field.zero
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _divisors(n):
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+def _piece(p, mp, g, powers, simple):
+    """q(z), q = mp/g, from the powers z^i, i < deg mp: it generates the ideal of
+    the factor g of the square-free minimal polynomial mp of z.  Unless simple,
+    that ideal's idempotent (s q)(z), s q = 1 mod g (Chinese remainder theorem)."""
+    q = _poly_divmod(p, mp, g)[0]
+    if not simple:
+        q = _poly_mul(p, _poly_xgcd(p, q, g)[0], q)
+    return _combine({i: c for i, c in enumerate(q) if c}, powers, p)
 
 
 def polynomial_roots(field, coeffs):
-    """All roots of the polynomial in the base field, sorted deterministically.
-
-    Over Q this is a rational root search on the cleared-denominator form;
-    over F_p it is `_prime_field_roots`, which takes O(log p) steps per
-    root rather than one per residue.
-    """
-    while len(coeffs) > 1 and not coeffs[-1]:
-        coeffs = coeffs[:-1]
-    if len(coeffs) <= 1:
+    """All roots of the polynomial in the base field, sorted: the linear factors
+    of `_q_factors` over Q, `_prime_field_roots` (O(log p) steps a root) over F_p."""
+    p = field.char
+    f = _poly_trim([c.val for c in coeffs] if p else list(coeffs))
+    if len(f) <= 1:
         return []
-    if field.char:
-        return [field(r) for r in _prime_field_roots(field.char, [c.val for c in coeffs])]
-    roots = []
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in coeffs]
-    if ints[0] == 0:
-        roots.append(field.zero)
-    # nonzero rational roots p/q have p dividing the lowest nonzero
-    # coefficient and q dividing the leading one
-    low = next(c for c in ints if c != 0)
-    lead = ints[-1]
-    for p in _divisors(low):
-        if p == 0:
-            continue
-        for q in _divisors(lead):
-            for sign in (1, -1):
-                cand = field(Fraction(sign * p, q))
-                if _poly_eval(field, coeffs, cand) == field.zero:
-                    roots.append(cand)
-    return sorted(set(roots))
-
-
-# -- polynomials over F_p as lists of ints [a_0, ..., a_d], a_d != 0 ([] is zero) --
-
-
-def _prime_field_roots(p, f):
-    """Sorted roots in F_p of a polynomial of degree >= 1.
-
-    g = gcd(f, t^p - t) is the product of the distinct linear factors of f;
-    Cantor-Zassenhaus splits it by gcd(g, (t + a)^((p-1)/2) - 1) for
-    a = 0, 1, 2, ... in turn.  For two distinct roots r, s of g, the values
-    (r + a)/(s + a), a != -s, run over every element but 1, so some a makes
-    it a non-square: then exactly one of r + a, s + a is a nonzero square,
-    the gcd keeps one of r, s and not the other, and the search ends.
-    """
-    f = _fp_monic(p, f)
-    if p == 2:
-        return [r for r, val in ((0, f[0]), (1, sum(f))) if val % 2 == 0]
-    g = _fp_gcd(p, f, _fp_sub(p, _fp_powmod(p, [0, 1], p, f), [0, 1]))
-    roots = []
-    pending = [g] if len(g) > 1 else []
-    while pending:
-        h = pending.pop()
-        if len(h) == 2:
-            roots.append(-h[0] % p)
-            continue
-        for a in itertools.count():
-            w = _fp_gcd(p, h, _fp_sub(p, _fp_powmod(p, [a, 1], (p - 1) // 2, h), [1]))
-            if 1 < len(w) < len(h):
-                pending += [w, _fp_divmod(p, h, w)[0]]
-                break
-    return sorted(roots)
-
-
-def _fp_trim(f):
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _fp_monic(p, f):
-    inv = pow(f[-1], -1, p)
-    return [c * inv % p for c in f]
-
-
-def _fp_sub(p, f, g):
-    n = max(len(f), len(g))
-    f = f + [0] * (n - len(f))
-    g = g + [0] * (n - len(g))
-    return _fp_trim([(a - b) % p for a, b in zip(f, g)])
-
-
-def _fp_divmod(p, f, g):
-    """Quotient and remainder of f by a monic g."""
-    r = list(f)
-    d = len(g) - 1
-    q = [0] * max(len(f) - d, 0)
-    for i in range(len(f) - 1, d - 1, -1):
-        c = r[i]
-        if c:
-            q[i - d] = c
-            for j in range(d):
-                r[i - d + j] = (r[i - d + j] - c * g[j]) % p
-    return q, _fp_trim(r[:d])
-
-
-def _fp_gcd(p, f, g):
-    """Monic greatest common divisor; f is nonzero."""
-    while g:
-        g = _fp_monic(p, g)
-        f, g = g, _fp_divmod(p, f, g)[1]
-    return _fp_monic(p, f)
-
-
-def _fp_powmod(p, base, k, m):
-    """base^k mod a monic m of degree >= 1, by square-and-multiply."""
-    acc = [1]
-    for bit in bin(k)[2:]:
-        acc = _fp_mulmod(p, acc, acc, m)
-        if bit == "1":
-            acc = _fp_mulmod(p, acc, base, m)
-    return acc
-
-
-def _fp_mulmod(p, f, g, m):
-    if not f or not g:
-        return []
-    prod = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                prod[i + j] += a * b
-    return _fp_divmod(p, [c % p for c in prod], m)[1]
-
-
-def _poly_divide_linear(field, coeffs, root):
-    """Synthetic division of a polynomial by (t - root); division must be exact."""
-    n = len(coeffs) - 1
-    out = [field.zero] * n
-    acc = coeffs[n]
-    out[n - 1] = acc
-    for i in range(n - 1, 0, -1):
-        acc = coeffs[i] + acc * root
-        out[i - 1] = acc
-    if coeffs[0] + acc * root:
-        raise PreconditionError("polynomial division by (t - root) left a remainder")
-    return out
-
-
-def _candidates(basis):
-    """Central elements tried for a split: the basis, then its pairwise sums."""
-    yield from basis
-    for i, u in enumerate(basis):
-        for v in basis[i + 1:]:
-            yield [a + b for a, b in zip(u, v)]
+    if p:
+        return [field(r) for r in _prime_field_roots(p, f)]
+    square_free = _poly_divmod(0, f, _poly_gcd(0, f, _poly_deriv(0, f)))[0]
+    return sorted(field(-g[0]) for g in _q_factors(square_free) if len(g) == 2)
 
 
 def quaternion_seed(field):

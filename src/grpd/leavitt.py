@@ -641,10 +641,9 @@ def lpa_characterization(report, model):
     unital = alg.find_unit() is not None
     try:
         semisimple = alg.is_semisimple()
-        blocks = alg.wedderburn_blocks() if semisimple else None
     except UnsupportedError as exc:
         semisimple = f"unsupported: {exc}"
-        blocks = None
+    blocks = alg.wedderburn_blocks() if semisimple is True else None
     sizes = None
     match = None
     one_block = None

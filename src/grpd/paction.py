@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import DimensionError, PreconditionError, SchemaError, UnsupportedError, Violation
-from .exactlin import (Matrix, Subspace, SubspaceMap, _dense, _gauss_jordan, _kernel, _reduce,
-                       _sparse, _subtract)
+from .exactlin import (Matrix, Subspace, SubspaceMap, _combine, _dense, _gauss_jordan, _kernel,
+                       _reduce, _sparse, _subtract)
 from .algebra import MAX_DIM, StructureAlgebra, _restricted_table
 from .groupoid import full_subgroupoid
 from . import schema
@@ -97,12 +97,17 @@ class PartialAction:
 
     def domain_unit(self, g):
         """Unit of the subalgebra R_g as an ambient vector; None if absent or R_g = 0."""
+        u = self._unit_row(g)
+        return _dense(self.ambient.field, u, self.ambient.dim) if u is not None else None
+
+    def _unit_row(self, g):
+        """The raw row of the unit of R_g, found once; None if absent or R_g = 0."""
         if g not in self._domain_units:
             space = self.domains[g]
             u = self.ambient.subalgebra(space)[0].find_unit() if space.dim else None
-            self._domain_units[g] = space.expand(u) if u is not None else None
-        u = self._domain_units[g]
-        return list(u) if u is not None else None
+            self._domain_units[g] = None if u is None else _combine(
+                _sparse(space.field, u), list(space._rows.values()), space.field.char)
+        return self._domain_units[g]
 
     def __repr__(self):
         return (
@@ -340,11 +345,11 @@ def finite_type_witnesses(pa):
 def _alpha_cut(pa, g, x):
     """alpha_g(x 1_{g^-1}) for a raw row x, {} where R_{g^-1} = 0."""
     amb = pa.ambient
-    u = pa.domain_unit(pa.inv(g))
+    u = pa._unit_row(pa.inv(g))
     if u is None:
         return {}
     try:
-        return pa._alpha(g)._image_of(amb._mul(x, _sparse(amb.field, u)))
+        return pa._alpha(g)._image_of(amb._mul(x, u))
     except ValueError:
         raise PreconditionError(
             "x 1_{g^-1} left the domain; ambient is not associative enough") from None
@@ -372,7 +377,7 @@ def fixed_ring(pa):
     amb = pa.ambient
     rows = defaultdict(dict)  # (g, r) -> row r of the block of g
     for g in pa.groupoid.morphisms:
-        u_dst = _sparse(amb.field, pa.domain_unit(g) or [])
+        u_dst = pa._unit_row(g) or {}
         for c in range(amb.dim):
             col = _alpha_cut(pa, g, {c: 1})
             _subtract(col, 1, amb._mul({c: 1}, u_dst), amb.field.char)

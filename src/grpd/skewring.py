@@ -677,13 +677,13 @@ def analyze_algebra(alg):
     if assoc and unit is not None:
         try:
             rad = alg.jacobson_radical()
-            report["radical_dim"] = rad.dim
-            report["semisimple"] = rad.dim == 0
-            if rad.dim == 0:
-                blocks = alg.wedderburn_blocks()
-                report["blocks"] = blocks.dims()
         except UnsupportedError as exc:
             report["semisimple"] = f"unsupported: {exc}"
+        else:
+            report["radical_dim"] = rad.dim
+            report["semisimple"] = rad.dim == 0
+            if rad.dim == 0:  # blocks past the factoring budget raise, and the verb exits 1
+                report["blocks"] = alg.wedderburn_blocks().dims()
     if alg.grading is not None and alg.grading_groupoid is not None:
         g0 = alg.grading_groupoid
 

@@ -1,5 +1,6 @@
 """Structure algebras: products, laws, center, radical, blocks, doubling."""
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -9,13 +10,9 @@ import pytest
 import corpus
 from grpd.errors import DimensionError, PreconditionError, UnsupportedError
 from grpd.exactlin import Field, Subspace
-from grpd.algebra import (
-    StructureAlgebra,
-    _poly_divide_linear,
-    cayley_dickson_chain,
-    minimal_polynomial,
-    polynomial_roots,
-)
+from grpd import cli, polynomial
+from grpd.algebra import StructureAlgebra, cayley_dickson_chain, minimal_polynomial, polynomial_roots
+from grpd.polynomial import _q_factors, _z_divide
 from grpd.skewring import analyze_algebra, build_groupoid_ring, invert_in, quotient_by_ideal
 from grpd import groupoid as gpd
 
@@ -330,6 +327,7 @@ def test_internal_products_never_reach_the_dense_multiply(monkeypatch):
     assert [m3.ideal_closure(e00, side).dim for side in ("left", "right", "two")] == [3, 3, 9]
     assert m3.is_ideal(Subspace.full(Q, 9)) and not m3.is_ideal(e00)
     assert m3.subalgebra(Subspace.from_vectors(Q, 9, [unit]))[0].dim == 1
+    assert sorted(corpus.group_algebra(Q, 6).wedderburn_blocks().dims()) == [1, 1, 2, 2]
     assert pact.validate_action(swap) == []
     assert pact.validate_action(beta) == []
     assert build_skew_groupoid_ring(swap).dim == 4
@@ -338,7 +336,7 @@ def test_internal_products_never_reach_the_dense_multiply(monkeypatch):
 
 
 def test_the_algebra_systems_do_no_boxed_arithmetic(monkeypatch):
-    # the unit, laws, center, radical, Berlekamp and fixed-ring systems read the
+    # the unit, laws, center, radical, Berlekamp, block and fixed-ring systems read the
     # raw table: over F_p no residue is added, negated, multiplied or divided as a ModP
     from grpd import paction as pact
     from grpd.exactlin import ModP
@@ -361,6 +359,7 @@ def test_the_algebra_systems_do_no_boxed_arithmetic(monkeypatch):
     assert fz5.jacobson_radical().dim == 0
     # 10007 has order 4 mod 5, so x^5 - 1 is (x - 1) times an irreducible quartic
     assert fz5.berlekamp_subalgebra().dim == 2
+    assert sorted(fz5.wedderburn_blocks().dims()) == [1, 4]
     assert pact.fixed_ring(shift) == Subspace.from_vectors(f, 3, [[f.one] * 3])
 
 
@@ -460,6 +459,10 @@ def test_minimal_polynomial_and_roots():
     # over F_7 the same polynomial has only the roots 1 and 6 = -1
     f7 = Field(7)
     assert polynomial_roots(f7, [f7(-1), f7(0), f7(0), f7(0), f7(1)]) == [f7(1), f7(6)]
+    # over Q: a repeated root is reported once, a root need not be an integer
+    assert polynomial_roots(Q, [Q(-2), Q(3), Q.zero, Q(-1)]) == [Q(-2), Q(1)]  # -(t - 1)^2 (t + 2)
+    assert polynomial_roots(Q, [Q(1), Q(-3), Q(2)]) == [Q(Fraction(1, 2)), Q(1)]
+    assert polynomial_roots(Q, [Q.zero, Q.zero, Q(2), Q(4)]) == [Q(Fraction(-1, 2)), Q.zero]
 
 
 def test_minimal_polynomial_runs_no_elimination(monkeypatch):
@@ -530,10 +533,86 @@ def test_minimal_polynomial_needs_an_identity_for_the_element():
 
 
 def test_division_by_a_non_root_is_refused():
-    t2_minus_1 = [Q(-1), Q.zero, Q.one]
-    assert _poly_divide_linear(Q, t2_minus_1, Q(1)) == [Q(1), Q(1)]
-    with pytest.raises(PreconditionError):
-        _poly_divide_linear(Q, t2_minus_1, Q(2))
+    # recombination keeps a candidate factor only when it divides exactly over Z
+    t2_minus_1 = [-1, 0, 1]
+    assert _z_divide(t2_minus_1, [-1, 1]) == [1, 1]
+    assert _z_divide(t2_minus_1, [-2, 1]) is None
+    assert _z_divide([-1, 1, 2], [-1, 2]) == [1, 1]  # 2t^2 + t - 1 = (2t - 1)(t + 1)
+    assert _z_divide([-1, 1, 2], [1, 2]) is None
+    assert _z_divide(t2_minus_1, [-1, 2]) is None  # 2 does not divide the leading 1
+
+
+def cyclotomic(n):
+    """Phi_n over Z: t^n - 1 divided exactly by Phi_d for every proper divisor d of n."""
+    f = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            g = cyclotomic(d)
+            k = len(g) - 1
+            q = [0] * (len(f) - k)
+            for i in range(len(q) - 1, -1, -1):  # g is monic: long division by it
+                q[i] = f[i + k]
+                for j, b in enumerate(g):
+                    f[i + j] -= q[i] * b
+            assert not any(f)
+            f = q
+    return f
+
+
+def poly_product(*fs):
+    out = [1]
+    for f in fs:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+SD4 = [1, 0, -10, 0, 1]  # the minimal polynomial of sqrt2 + sqrt3
+SD8 = [576, 0, -960, 0, 352, 0, -40, 0, 1]  # of sqrt2 + sqrt3 + sqrt5
+
+
+def test_cyclotomic_factors_of_t_to_the_n_minus_1():
+    for n in range(1, 37):
+        factors = _q_factors([-1] + [0] * (n - 1) + [1])
+        assert sorted(factors) == sorted(cyclotomic(d) for d in range(1, n + 1) if n % d == 0), n
+
+
+@pytest.mark.parametrize("f, factors", [
+    (SD4, [SD4]),
+    (SD8, [SD8]),
+    (poly_product(SD4, [-1, 1], [2, 1]), [SD4, [-1, 1], [2, 1]]),
+    (poly_product(SD8, [3, -2], [-1, 1], [1, 1]), [SD8, [Fraction(-3, 2), 1], [-1, 1], [1, 1]]),
+    (poly_product([Fraction(1, 3)], SD8, SD4, [0, 1]), [SD8, SD4, [0, 1]]),
+])
+def test_swinnerton_dyer_polynomials_stay_whole(f, factors):
+    # irreducible over Q, yet split modulo every prime into factors of degree
+    # at most 2, so every subset of those is tried before they are kept whole
+    assert sorted(_q_factors(f)) == sorted(factors)
+
+
+def test_factoring_past_the_recombination_budget_is_refused(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(polynomial, "_RECOMBINATION_BUDGET", 3)
+    with pytest.raises(UnsupportedError, match="3 factor combinations"):
+        _q_factors(SD8)
+    # no partial split is reported: the verb stops with exit 1
+    monkeypatch.setattr(polynomial, "_RECOMBINATION_BUDGET", 0)
+    path = tmp_path / "qz3.json"
+    path.write_text(json.dumps(corpus.group_algebra(Q, 3).to_dict()))
+    assert cli.main(["analyze", str(path)]) == 1
+    assert "0 factor combinations" in capsys.readouterr().err
+
+
+def test_rational_roots_of_large_constant_terms():
+    # the old search tried every divisor of the constant term up to its square root
+    f = poly_product([-1000003, 1], [99999989, 1], [1, 1, 1], [-3, 7])
+    assert abs(f[0]) > 10**14
+    start = time.perf_counter()
+    roots = polynomial_roots(Q, f)
+    assert roots == [-99999989, Fraction(3, 7), 1000003]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_algebra_json_roundtrip():

@@ -11,6 +11,7 @@ table into one with fractions; the analysis must not change, and every
 vector exactlin hands back must stay in canonical form.
 """
 
+import functools
 import math
 import time
 from fractions import Fraction
@@ -274,3 +275,64 @@ def test_trace_form_radical_is_a_two_sided_ideal(case):
     rad = alg.jacobson_radical()
     assert rad.dim == rad_dim
     assert alg.ideal_closure(rad, "two") == rad
+
+
+def quadratic_field(d):
+    """Q(sqrt d) in the basis 1, sqrt d."""
+    return StructureAlgebra(Q, 2, [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, d)]]], unit=[1, 0])
+
+
+RATIONAL_FACTORS = {  # name -> (a function making the algebra, dimension of its one block)
+    "Q": (lambda: corpus.scalar_algebra(Q), 1),
+    "Q(sqrt2)": (lambda: quadratic_field(2), 2),
+    "Q(sqrt3)": (lambda: quadratic_field(3), 2),
+    "Q(i)": (lambda: quadratic_field(-1), 2),
+    "M_2(Q)": (lambda: corpus.matrix_algebra(Q, 2), 4),
+}
+
+
+@st.composite
+def rebased_rational_cases(draw):
+    """Q[Z_n] for n <= 12, or a product of up to three RATIONAL_FACTORS, in a
+    seeded basis with entries in [-2, 2]; with its sorted block dimensions."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 12))
+        alg, dims = corpus.group_algebra(Q, n), [phi(d) for d in range(1, n + 1) if n % d == 0]
+    else:
+        names = draw(st.lists(st.sampled_from(sorted(RATIONAL_FACTORS)), min_size=1, max_size=3))
+        alg = functools.reduce(direct_product, [RATIONAL_FACTORS[k][0]() for k in names])
+        dims = [RATIONAL_FACTORS[k][1] for k in names]
+    n = alg.dim
+    basis = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                          min_size=n, max_size=n)
+                 .filter(lambda rows: Subspace.from_vectors(Q, n, [Q.vec(r) for r in rows]).dim == n))
+    return rebased(alg, [Q.vec(r) for r in basis]), sorted(dims)
+
+
+@SETTINGS
+@given(rebased_rational_cases())
+def test_rational_blocks_do_not_depend_on_the_basis(case):
+    alg, dims = case
+    blocks = alg.wedderburn_blocks()
+    assert sorted(blocks.dims()) == dims
+    # non_split lists exactly the blocks whose center is larger than Q
+    assert blocks.non_split == [i for i, b in enumerate(blocks)
+                                if alg.subalgebra(b)[0].center().dim > 1]
+    assert Subspace.span(Q, alg.dim, blocks.blocks).dim == alg.dim
+
+
+def test_rational_blocks_past_the_old_root_search():
+    # splitting on rational roots of the minimal polynomials of center basis
+    # vectors and their pairwise sums kept these whole or took minutes
+    odd = [[0, 1, 0, 1], [1, 1, 0, 1], [0, 1, 1, 1], [0, 1, 0, 2]]  # (sqrt2, sqrt3), (1 + sqrt2, sqrt3), ...
+    pair = rebased(direct_product(quadratic_field(2), quadratic_field(3)), [Q.vec(r) for r in odd])
+    assert pair.wedderburn_blocks().dims() == [2, 2]
+    assert sorted(corpus.group_algebra(Q, 30).wedderburn_blocks().dims()) == [1, 1, 2, 2, 4, 4, 8, 8]
+    start = time.perf_counter()
+    assert sorted(corpus.group_algebra(Q, 31).wedderburn_blocks().dims()) == [1, 30]
+    assert time.perf_counter() - start < 2.0
+    # Q^64: the basis vectors split it one point at a time; the primitive element
+    # sum_i lam^i u_i would have had a minimal polynomial with entries near lam^(64 * 63)
+    start = time.perf_counter()
+    assert corpus.componentwise(Q, 64).wedderburn_blocks().dims() == [1] * 64
+    assert time.perf_counter() - start < 0.5
