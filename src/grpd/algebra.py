@@ -378,9 +378,8 @@ class StructureAlgebra:
             for ei, degree in pieces:
                 if simple:
                     final.append((times(ei, space), flagged(ei, degree)))
-                else:  # a commutative algebra is its own center: local is space
-                    piece = times(ei, space)
-                    work.append((piece, ei, piece if local == space else times(ei, local)))
+                else:
+                    work.append((times(ei, space), ei, times(ei, local)))
         # blocks are unique ideals: order them by first pivot, then dimension, then RREF
         # basis (formatted only on a tie), so the order does not depend on the order of splits
         ties = Counter((s.pivots[0], s.dim) for s, _ in final)
@@ -394,10 +393,12 @@ class StructureAlgebra:
         """The pieces [(e_i, deg g_i)] of the block of e by the first candidate
         of its candidate space `local`, of dim m >= 2, that splits it or
         generates local, and whether it generates local.  Over F_p the factors
-        of mp are its linear ones: every element of W has a split mp."""
+        of mp are its linear ones: every element of W has a split mp, so the
+        first non-scalar basis vector splits the block and z_lam is never
+        reached."""
         p, basis = self.field.char, list(local._rows.values())
         m = len(basis)
-        lams = ({i: pow(lam, i, p) if p else lam**i for i in range(m)} for lam in itertools.count(1))
+        lams = ({i: lam**i for i in range(m)} for lam in itertools.count(1))
         for z in itertools.chain(basis, (_combine(c, basis, p) for c in lams)):
             mp, powers = _min_poly(self, z, e)
             factors = () if len(mp) == 2 else (

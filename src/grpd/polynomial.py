@@ -125,11 +125,6 @@ def _fp_split(p, g, d):
 def _fp_factors(p, f):
     """The monic irreducible factors over F_p, p odd, of a monic square-free f:
     distinct-degree splitting by gcd(f, t^(p^d) - t), then `_fp_split`."""
-    if len(f) <= 4:  # degree <= 3 and p small: a factor without roots is irreducible
-        out = [[-r % p, 1] for r in range(p) if _poly_eval(f, r) % p == 0]
-        for g in out:
-            f = _poly_divmod(p, f, g)[0]
-        return out + [f] if len(f) > 1 else out
     out, h, d = [], [0, 1], 0  # h = t^(p^d) mod f
     while 2 * d + 2 < len(f):
         d += 1
@@ -156,31 +151,30 @@ def _q_factors(f):
 def _zassenhaus(f):
     """The irreducible factors over Z of a primitive square-free f of degree >= 1
     (Zassenhaus 1969; von zur Gathen and Gerhard, Modern Computer Algebra, ch.
-    14-16).  f is factored modulo the odd prime p with the fewest factors of the
-    first three dividing neither lc(f) nor the discriminant (or the first with
-    at most three factors); they are lifted modulo p^k > 2 B, B = |lc(f)| 2^n
-    ||f||_2 bounding lc(f) times any monic factor over Q (Mignotte), and the
-    products of subsets of them, smallest first, are tried as factors over Z.
-    Past `_RECOMBINATION_BUDGET` subsets it gives up."""
-    n, lc, best, tried = len(f) - 1, f[-1], None, 0
+    14-16).  f is factored modulo the first odd prime p dividing neither lc(f)
+    nor the discriminant; the factors are lifted modulo p^k > 2 B, B = |lc(f)|
+    2^n ||f||_2 bounding lc(f) times any monic factor over Q (Mignotte), and
+    the products of subsets of them, smallest first, are tried as factors over
+    Z.  Past `_RECOMBINATION_BUDGET` subsets it gives up."""
+    n, lc = len(f) - 1, f[-1]
     for p in (q for q in itertools.count(3, 2) if _is_prime(q) and lc % q):
         fp = [c % p for c in f]
         if len(_poly_gcd(p, fp, _poly_deriv(p, fp))) == 1:
-            facs = _fp_factors(p, _poly_monic(p, fp))
-            if best is None or len(facs) < len(best[1]):
-                best = p, facs
-            tried += 1
-            if len(best[1]) <= 3 or tried == 3:
-                break
-    p, facs = best
+            break
+    facs = _fp_factors(p, _poly_monic(p, fp))
     if len(facs) == 1:
         return [f]
     mod, bound = p, 2 * abs(lc) * 2**n * (math.isqrt(sum(c * c for c in f)) + 1)
     while mod <= bound:
         mod *= p
-    lifted, out, size, trials = _hensel(f, facs, p, mod), [], 1, 0
-    while 2 * size <= len(lifted):
-        for subset in itertools.combinations(range(len(lifted)), size):
+    lifted, out, used, size, trials = _hensel(f, facs, p, mod), [], set(), 1, 0
+    while 2 * size <= len(lifted) - len(used):
+        # each subset is tried once: one that failed is no factor of the rest of f either
+        for subset in itertools.combinations([i for i in range(len(lifted)) if i not in used], size):
+            if not used.isdisjoint(subset):
+                continue
+            if 2 * size > len(lifted) - len(used):
+                break
             trials += 1
             if trials > _RECOMBINATION_BUDGET:
                 raise UnsupportedError(f"factoring a polynomial of degree {n} over Q needs "
@@ -193,10 +187,9 @@ def _zassenhaus(f):
             g = [c // content for c in g]
             if (q := _z_divide(f, g)) is not None:
                 out.append(g)
-                f, lifted = q, [h for i, h in enumerate(lifted) if i not in subset]
-                break
-        else:
-            size += 1
+                f = q
+                used.update(subset)
+        size += 1
     return out + [f]
 
 

@@ -605,6 +605,26 @@ def test_factoring_past_the_recombination_budget_is_refused(monkeypatch, tmp_pat
     assert "0 factor combinations" in capsys.readouterr().err
 
 
+def test_recombination_tries_each_subset_once(monkeypatch):
+    # twelve quadratics with negative discriminant, irreducible over Q; modulo
+    # the prime each is one factor, found among the subsets of size 1, or two
+    # linear ones, found among their pairs.  So m modular factors, l of them
+    # linear, need at most m + C(l, 2) subsets when none is tried twice (going
+    # back to the first subset after each factor found tried 97 here)
+    quads = [[c, b, 1] for b in range(4) for c in range(1, 12) if b * b < 4 * c][:12]
+    lift = polynomial._hensel
+
+    def hensel(*args):
+        lifted = lift(*args)
+        linear = sum(len(h) == 2 for h in lifted)
+        monkeypatch.setattr(polynomial, "_RECOMBINATION_BUDGET",
+                            len(lifted) + linear * (linear - 1) // 2)
+        return lifted
+
+    monkeypatch.setattr(polynomial, "_hensel", hensel)
+    assert sorted(_q_factors(poly_product(*quads))) == sorted(quads)
+
+
 def test_rational_roots_of_large_constant_terms():
     # the old search tried every divisor of the constant term up to its square root
     f = poly_product([-1000003, 1], [99999989, 1], [1, 1, 1], [-3, 7])
