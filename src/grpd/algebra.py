@@ -10,6 +10,7 @@ import itertools
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DimensionError, PreconditionError, SchemaError, UnsupportedError
 from .exactlin import (Matrix, ModP, Subspace, _canonical, _combine, _dense, _gauss_jordan,
@@ -153,10 +154,18 @@ class StructureAlgebra:
         expanded: (b_i b_j) b_k sums c_ij^l b_l b_k over the support of b_i b_j,
         and b_i (b_j b_k) sums c_jk^l b_i b_l where b_j b_k and b_i b_l are
         nonzero.  The terms are gathered per row i and summed per pair (i, j).
+        Over Q the constants are first scaled by the lcm D of their
+        denominators, so that the sums run on ints; an associator scales by
+        exactly D^2, and each nonzero entry is divided by it at the end.
         """
         if self._assoc is None:
             p = self.field.char
+            d = 1 if p else math.lcm(*(c.denominator for row in self._cells
+                                       for cell in row.values() for c in cell.values()))
             rows = [list(row.items()) for row in self._cells]
+            if d > 1:
+                rows = [[(j, {l: c.numerator * (d // c.denominator) for l, c in cell.items()})
+                         for j, cell in row] for row in rows]
             via = [[] for _ in rows]  # via[l]: the (j, k, c_jk^l) with c_jk^l != 0
             for j, row in enumerate(rows):
                 for k, cell in row:
@@ -177,7 +186,8 @@ class StructureAlgebra:
                         _subtract(acc[k], c, cell, p)
                     for k, a in acc.items():
                         if a:
-                            out[i, j, k] = a
+                            out[i, j, k] = a if d == 1 else {
+                                m: _canonical(Fraction(v, d * d)) for m, v in a.items()}
             self._assoc = out
         return self._assoc
 
@@ -523,7 +533,7 @@ class StructureAlgebra:
             if (i, j) in cells:
                 raise SchemaError(f"{what} repeats the table cell ({i}, {j})")
             cells.add((i, j))
-            table[i][j] = nonzero_terms(schema.vec(field, coeffs, dim, what))
+            table[i][j] = schema.terms(field, coeffs, dim, what)
         alg = cls(field, dim, table, labels=labels)
         if "unit" in d:
             unit = schema.vec(field, d["unit"], dim, "unit")
@@ -540,11 +550,6 @@ def _forms(prods):
         for k, c in row.items():
             forms[k][i] = c
     return forms
-
-
-def nonzero_terms(v):
-    """The (k, c) pairs of the nonzero coordinates of a vector: one table cell."""
-    return [(k, c) for k, c in enumerate(v) if c]
 
 
 def _terms(field, coords, off=0):

@@ -49,6 +49,11 @@ class FiniteGroupoid:
         self._compose = dict(compose)
         self._obj_index = {e: i for i, e in enumerate(self.objects)}
         self._mor_index = {g: i for i, g in enumerate(self.morphisms)}
+        self._into = {}  # codomain -> its morphisms, in input order
+        self._out = {}  # domain -> its morphisms, in input order
+        for g in self.morphisms:
+            self._into.setdefault(self.cod[g], []).append(g)
+            self._out.setdefault(self.dom[g], []).append(g)
         if identity is None:
             identity = self._derive_identities()
         self.identity = dict(identity)
@@ -76,18 +81,18 @@ class FiniteGroupoid:
             raise KeyError(f"compose table has no entry for ({g}, {h})") from None
 
     def composable_pairs(self):
+        """The pairs (g, h) with cod h = dom g: g in input order, then h."""
         for g in self.morphisms:
-            for h in self.morphisms:
-                if self.is_composable(g, h):
-                    yield g, h
+            for h in self._into.get(self.dom[g], ()):
+                yield g, h
 
     def morphisms_into(self, e):
         """G(-, e): all morphisms with codomain e."""
-        return [g for g in self.morphisms if self.cod[g] == e]
+        return list(self._into.get(e, ()))
 
     def morphisms_out_of(self, e):
         """G(e, -): all morphisms with domain e."""
-        return [g for g in self.morphisms if self.dom[g] == e]
+        return list(self._out.get(e, ()))
 
     def __repr__(self):
         return f"FiniteGroupoid({len(self.objects)} objects, {len(self.morphisms)} morphisms)"
@@ -146,9 +151,7 @@ def validate(g):
         ab = g._compose.get((a, b))
         if ab is None or ab not in g._mor_index:
             continue
-        for c in g.morphisms:
-            if not g.is_composable(b, c):
-                continue
+        for c in g._into.get(g.dom[b], ()):
             bc = g._compose.get((b, c))
             if bc is None or bc not in g._mor_index:
                 continue
@@ -264,7 +267,7 @@ def hom_set(g, e, f):
     """G(e, f): morphisms with domain e and codomain f."""
     if e not in g._obj_index or f not in g._obj_index:
         raise KeyError(f"unknown object in hom_set({e!r}, {f!r})")
-    return HomSet(e, f, [m for m in g.morphisms if g.dom[m] == e and g.cod[m] == f])
+    return HomSet(e, f, [m for m in g._out.get(e, ()) if g.cod[m] == f])
 
 
 def full_subgroupoid(g, objects):

@@ -333,6 +333,7 @@ class XSpace:
         self.points = [p for p in report.paths if path_range(graph, p) in sinks]
         self.index = {p: i for i, p in enumerate(self.points)}
         self.words = self._enumerate_words(report.paths)
+        self._x_sets = {}  # path a -> X_w for the words w = a b^-1, None for the identity
 
     def _enumerate_words(self, paths):
         """The identity, then the reduced words a b^-1 sorted by (a, b).
@@ -353,10 +354,15 @@ class XSpace:
         return [IDENTITY] + out
 
     def x_set(self, w):
-        """Indices of the subset X_w of X."""
-        if w.is_identity():
-            return list(range(len(self.points)))
-        return [i for i, xi in enumerate(self.points) if _extends(self.graph, xi, w.a)]
+        """Indices of the subset X_w of X, the points that start with w.a.
+
+        It depends on w.a alone and is computed once for each.
+        """
+        a = w.a
+        if a not in self._x_sets:
+            self._x_sets[a] = (list(range(len(self.points))) if a is None else
+                               [i for i, xi in enumerate(self.points) if _extends(self.graph, xi, a)])
+        return self._x_sets[a]
 
     def x_vertex(self, v):
         """Indices of X_v = {xi : s(xi) = v}, the vertex indicator support."""
@@ -409,12 +415,28 @@ class GrSkewModel:
         # theta_w on point indices, X_{w^-1} -> X_w
         self._theta = {w: {xs.index[a]: xs.index[b] for a, b in theta_map(xs, w).items()}
                        for w in xs.words}
-        triples = ((g, h, word_mul(graph, g, h)) for g in xs.words for h in xs.words)
+        triples = ((g, h, word_mul(graph, g, h)) for g, h in self._meeting_pairs())
         ones = xs.indicator(field, xs.x_set(IDENTITY))
         self.algebra, self.offsets = skew_product_ring(
             field, xs.words, self.domains, triples, word_inverse, self._alpha,
             self._pointwise, word_label, {IDENTITY: ones},
         )
+
+    def _meeting_pairs(self):
+        """The pairs (g, h) of words with X_{g^-1} meeting X_h, in word order.
+
+        The kernel multiplies alpha_{g^-1} of the rows of D_g, which lie in
+        X_{g^-1}, by the rows of D_h, which lie in X_h; functions on X
+        multiply pointwise, so every other pair has product zero.
+        """
+        xs = self.xs
+        holding = [[] for _ in xs.points]  # point -> the words h whose X_h holds it
+        for t, h in enumerate(xs.words):
+            for i in xs.x_set(h):
+                holding[i].append(t)
+        for g in xs.words:
+            for t in sorted(set().union(*(holding[i] for i in xs.x_set(word_inverse(g))))):
+                yield g, xs.words[t]
 
     def alpha_apply(self, w, f):
         """alpha_w(f) = f o theta_{w^-1}, on functions supported in X_{w^-1}."""

@@ -34,8 +34,9 @@ def items(xs, kind, what, n=None):
     check(xs, list, what)
     if n is not None and len(xs) != n:
         raise SchemaError(f"{what} has {len(xs)} entries, wanted {n}")
-    for i, x in enumerate(xs):
-        check(x, kind, f"{what} entry {i}")
+    if kind is not object:  # any JSON value is an object
+        for i, x in enumerate(xs):
+            check(x, kind, f"{what} entry {i}")
     return xs
 
 
@@ -51,5 +52,18 @@ def vec(field, xs, n, what):
     """A list of n coefficients, as elements of `field`."""
     try:
         return field.vec(items(xs, object, what, n))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad coefficient in {what}: {exc}") from exc
+
+
+def terms(field, xs, n, what):
+    """The (k, c) pairs of the nonzero entries of a list of n coefficients, c in `field`.
+
+    An entry written as the int 0 or the string "0" is skipped before it is coerced.
+    """
+    items(xs, object, what, n)
+    try:
+        return [(k, c) for k, x in enumerate(xs)
+                if not (x == "0" or type(x) is int and not x) and (c := field(x))]
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad coefficient in {what}: {exc}") from exc

@@ -104,7 +104,8 @@ def skew_product_ring(field, degrees, domains, triples, inv, alpha, mul, name, u
     RREF basis of its domain D_g (`domains[g]`).  For each triple (g, h, gh)
     in `triples` the product of a degree-g and a degree-h basis vector is
     alpha_g(alpha_{g^-1}(r) r') in degree gh, with `inv(g)` giving g^-1;
-    products of all other pairs are zero.  Ambient elements are raw rows
+    products of all other pairs are zero, so a builder lists only the pairs
+    whose domains can meet.  Ambient elements are raw rows
     {index: value}: `alpha(g, x)` applies alpha_g to one and `mul` is the
     ambient product of two.  A gh that is None or not a degree marks a
     product that must vanish.  `name(g)` labels and grades degree g.

@@ -189,6 +189,8 @@ def test_schema_roundtrips_are_fixpoints(files):
     pytest.param(lambda d: d["field"].update(char="0"), id="char-as-string"),
     pytest.param(lambda d: d["table"][2].__setitem__(0, True), id="index-as-bool"),
     pytest.param(lambda d: d["table"][0][2].__setitem__(0, True), id="coefficient-as-bool"),
+    pytest.param(lambda d: d["table"][0][2].__setitem__(0, False), id="coefficient-false"),
+    pytest.param(lambda d: d["table"][0][2].__setitem__(0, 0.0), id="coefficient-float-zero"),
     pytest.param(lambda d: d["table"].append(list(d["table"][-1])), id="repeated-table-cell"),
 ])
 def test_malformed_algebra_json_exit_2(tmp_path, capsys, edit):

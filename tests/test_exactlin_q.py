@@ -257,21 +257,23 @@ def test_subspace_operations_match_reference(kind, seed):
     assert (u.pivots, [canonical(r) for r in u.basis]) == (piv_u, ref_u)
     assert (w.pivots, [canonical(r) for r in w.basis]) == (piv_w, ref_w)
 
-    # the nested and equal pairs A <= B, B <= A and A = B follow the drawn one
+    # the nested and equal pairs A <= B, B <= A and A = B follow the drawn one;
+    # each generator list is eliminated once, and its reference span reused
     s = u.sum(w)
-    ref_s, _ = ref_span(gens_u + gens_w, n)
+    ref = {"u": (ref_u, piv_u), "w": (ref_w, piv_w), "s": ref_span(gens_u + gens_w, n)}
+    ref_s = ref["s"][0]
     u_again = Subspace.from_vectors(Q, n, gens_u[::-1])
-    for got, (basis, pivots) in [(s, ref_span(gens_u + gens_w, n)),
+    for got, (basis, pivots) in [(s, ref["s"]),
                                  (u.intersect(w), ref_intersection(ref_u, ref_w, n)),
                                  (u.intersect(s), ref_intersection(ref_u, ref_s, n)),
                                  (s.intersect(u), ref_intersection(ref_s, ref_u, n)),
                                  (u.intersect(u_again), ref_intersection(ref_u, ref_u, n))]:
         assert (got.pivots, [canonical(r) for r in got.basis]) == (pivots, basis)
-    # raw <= and == against the reference: a <= b iff a + b spans b
-    for a, b, gens_a, gens_b in [(u, w, gens_u, gens_w), (u, s, gens_u, gens_u + gens_w),
-                                 (s, u, gens_u + gens_w, gens_u), (u, u_again, gens_u, gens_u)]:
-        assert (a <= b) == (ref_span(gens_a + gens_b, n) == ref_span(gens_b, n))
-        assert (a == b) == (ref_span(gens_a, n) == ref_span(gens_b, n))
+    # raw <= and == against the reference: a <= b iff a + b spans b, and the
+    # span of a + b is the span of their two reference bases
+    for a, b, ka, kb in [(u, w, "u", "w"), (u, s, "u", "s"), (s, u, "s", "u"), (u, u_again, "u", "u")]:
+        assert (a <= b) == (ref_span(ref[ka][0] + ref[kb][0], n) == ref[kb])
+        assert (a == b) == (ref[ka] == ref[kb])
 
     coeffs = [rng.choice([ZERO, entry(rng)]) for _ in ref_u]
     inside = [sum((c * r[j] for c, r in zip(coeffs, ref_u)), ZERO) for j in range(n)]

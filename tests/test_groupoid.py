@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grpd import groupoid as gpd
 from grpd.errors import violation_rules
@@ -101,6 +103,33 @@ def test_pair_groupoid_shapes():
     assert g2.dom["(1,2)"] == "2" and g2.cod["(1,2)"] == "1"
     assert g2.inverse["(1,2)"] == "(2,1)"
     assert g2.compose("(1,2)", "(2,1)") == "(1,1)"
+
+
+@st.composite
+def groupoid_unions(draw):
+    """A disjoint union of pair groupoids and cyclic groups, morphisms in a drawn order."""
+    parts = draw(st.lists(st.one_of(st.integers(1, 4).map(gpd.pair_groupoid),
+                                    st.integers(1, 4).map(gpd.cyclic_group)),
+                          min_size=1, max_size=3))
+    g = parts[0]
+    for t, h in enumerate(parts[1:]):
+        g = gpd.disjoint_union(g, h, tags=("", f"{t}:"))
+    order = draw(st.permutations(g.morphisms))
+    return gpd.FiniteGroupoid(g.objects, order, g.dom, g.cod, g.inverse, g._compose, g.identity)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(groupoid_unions())
+def test_indexed_queries_match_the_scans(g):
+    mors = g.morphisms
+    assert list(g.composable_pairs()) == [(a, b) for a in mors for b in mors if g.dom[a] == g.cod[b]]
+    for e in g.objects:
+        assert g.morphisms_into(e) == [m for m in mors if g.cod[m] == e]
+        assert g.morphisms_out_of(e) == [m for m in mors if g.dom[m] == e]
+        for f in g.objects:
+            assert gpd.hom_set(g, e, f).morphisms == [m for m in mors
+                                                      if g.dom[m] == e and g.cod[m] == f]
+    assert gpd.validate(g) == []
 
 
 def test_broken_inverse_detected():

@@ -3,7 +3,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import corpus
@@ -11,6 +11,7 @@ from grpd.errors import UnsupportedError
 from grpd.algebra import MAX_DIM
 from grpd.exactlin import Field, Subspace
 from grpd import leavitt as lv
+from grpd.skewring import skew_product_ring
 
 Q = Field(0)
 
@@ -313,6 +314,42 @@ def test_oracle_unit_and_matrix_law():
     assert alg.unit is not None
     assert alg.is_associative()
     assert alg.jacobson_radical().dim == 0
+
+
+@st.composite
+def acyclic_graphs(draw):
+    """Up to 6 vertices in a drawn order, edges running forward in it, parallel
+    edges and several sinks included; the path algebra has dimension <= 150."""
+    n = draw(st.integers(1, 6))
+    names = draw(st.permutations([f"v{i}" for i in range(n)]))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda t: t[0] < t[1]), max_size=7)) if n > 1 else []
+    graph = lv.DirectedGraph(names, [(f"e{k}", names[a], names[b]) for k, (a, b) in enumerate(pairs)])
+    assume(sum(c * c for c in lv.sink_path_counts(graph).values()) <= 150)
+    return graph
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(acyclic_graphs(), st.sampled_from([0, 2, 7, 10007]))
+def test_meeting_pairs_build_the_all_pairs_skew_ring(graph, char):
+    # the model gives the kernel only the words whose supports meet; the
+    # reference gives it every pair of words, as the kernel allows
+    field = Field(char)
+    model = lv.GrSkewModel(lv.graph_analysis(graph), field)
+    xs = model.xs
+    triples = ((g, h, lv.word_mul(graph, g, h)) for g in xs.words for h in xs.words)
+    ones = xs.indicator(field, xs.x_set(lv.IDENTITY))
+    ref, offsets = skew_product_ring(field, xs.words, model.domains, triples, lv.word_inverse,
+                                     model._alpha, model._pointwise, lv.word_label,
+                                     {lv.IDENTITY: ones})
+    alg = model.algebra
+    assert alg.table == ref.table and alg.labels == ref.labels
+    assert alg.grading == ref.grading and alg.unit == ref.unit is not None
+    assert model.offsets == offsets
+    # the pairs left out are exactly those whose supports are disjoint
+    meeting = set(model._meeting_pairs())
+    assert meeting == {(g, h) for g in xs.words for h in xs.words
+                       if set(xs.x_set(lv.word_inverse(g))) & set(xs.x_set(h))}
 
 
 def test_graph_json_roundtrip():

@@ -21,12 +21,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
-from grpd.algebra import StructureAlgebra, cayley_dickson_chain, nonzero_terms
+from grpd.algebra import StructureAlgebra, cayley_dickson_chain
 from grpd.exactlin import Field, Matrix, Subspace, solve
 from grpd.skewring import analyze_algebra
 
 Q = Field(0)
 SETTINGS = settings(derandomize=True, max_examples=25, deadline=None, database=None)
+
+
+def nonzero_terms(v):
+    """The (k, c) pairs of the nonzero coordinates of a vector: one table cell."""
+    return [(k, c) for k, c in enumerate(v) if c]
 
 
 def phi(d):
