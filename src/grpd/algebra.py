@@ -149,46 +149,9 @@ class StructureAlgebra:
     # -- associators and the laws they decide ---------------------------------
 
     def _associators(self):
-        """The nonzero basis associators (b_i b_j) b_k - b_i (b_j b_k) as raw
-        rows {(i, j, k): {m: c}}, computed once.  Only products that can meet are
-        expanded: (b_i b_j) b_k sums c_ij^l b_l b_k over the support of b_i b_j,
-        and b_i (b_j b_k) sums c_jk^l b_i b_l where b_j b_k and b_i b_l are
-        nonzero.  The terms are gathered per row i and summed per pair (i, j).
-        Over Q the constants are first scaled by the lcm D of their
-        denominators, so that the sums run on ints; an associator scales by
-        exactly D^2, and each nonzero entry is divided by it at the end.
-        """
+        """The nonzero basis associators as raw rows {(i, j, k): {m: c}}, all slices' union."""
         if self._assoc is None:
-            p = self.field.char
-            d = 1 if p else math.lcm(*(c.denominator for row in self._cells
-                                       for cell in row.values() for c in cell.values()))
-            rows = [list(row.items()) for row in self._cells]
-            if d > 1:
-                rows = [[(j, {l: c.numerator * (d // c.denominator) for l, c in cell.items()})
-                         for j, cell in row] for row in rows]
-            via = [[] for _ in rows]  # via[l]: the (j, k, c_jk^l) with c_jk^l != 0
-            for j, row in enumerate(rows):
-                for k, cell in row:
-                    for l, c in cell.items():
-                        via[l].append((j, k, c))
-            out = {}
-            for i, row in enumerate(rows):
-                terms = defaultdict(list)  # j -> (k, c, cell): c * cell adds to A(i, j, k)
-                for j, cell in row:
-                    for l, c in cell.items():
-                        terms[j] += [(k, -c, lk) for k, lk in rows[l]]
-                for l, cell in row:
-                    for j, k, c in via[l]:
-                        terms[j].append((k, c, cell))
-                for j, jterms in terms.items():
-                    acc = defaultdict(dict)  # k -> coordinates of the associator at (i, j, k)
-                    for k, c, cell in jterms:
-                        _subtract(acc[k], c, cell, p)
-                    for k, a in acc.items():
-                        if a:
-                            out[i, j, k] = a if d == 1 else {
-                                m: _canonical(Fraction(v, d * d)) for m, v in a.items()}
-            self._assoc = out
+            self.is_associative()
         return self._assoc
 
     def associator(self, i, j, k):
@@ -196,8 +159,36 @@ class StructureAlgebra:
         return _dense(self.field, self._associators().get((i, j, k), {}), self.dim)
 
     def is_associative(self):
-        """Whether every basis associator vanishes."""
-        return not self._associators()
+        """Whether every basis associator vanishes, decided on generators.
+
+        Generators s are taken greedily in basis order, skipping each b_m
+        reached: b_s is, and so is b_m when b_r b_t = c b_m, c != 0, for b_r
+        reached and b_t a generator.  Slice s is zero iff b_s lies in the right
+        nucleus N_r = {x : (a, b, x) = 0}, a subalgebra (Teichmueller identity);
+        the generators generate A, so A is associative iff their slices are all
+        zero.  A nonzero one is completed by the slices of the unreached b_k.
+        """
+        if self._assoc is None:
+            index, reached, gens = _slice_index(self._cells, self.field.char), set(), []
+            for s in range(self.dim):
+                if s in reached:
+                    continue
+                if table := _slice(index, s):  # the reached b_k lie in N_r: slice k is zero
+                    for k in set(range(self.dim)) - reached - {s}:
+                        table.update(_slice(index, k))
+                    self._assoc = table
+                    return False
+                gens.append(s)
+                reached.add(s)
+                todo = [(r, s) for r in reached] + [(s, t) for t in gens]
+                while todo:  # close `reached` under single-term products by generators
+                    r, t = todo.pop()
+                    cell = self._cells[r].get(t)
+                    if cell and len(cell) == 1 and (m := next(iter(cell))) not in reached:
+                        reached.add(m)
+                        todo += [(m, u) for u in gens]
+            self._assoc = {}
+        return not self._assoc
 
     def is_alternative(self):
         """Left and right alternative laws, read off the associator table.
@@ -550,6 +541,40 @@ def _forms(prods):
         for k, c in row.items():
             forms[k][i] = c
     return forms
+
+
+def _slice_index(cells, p):
+    """(via, col, d, p) for `_slice`: via[l] lists the (i, j, c_ij^l) with c_ij^l != 0
+    and col[k] = {l: raw row of b_l b_k}.  Over Q the constants are scaled by the lcm
+    d of their denominators, so the sums run on ints; an associator scales by d^2."""
+    d = 1 if p else math.lcm(*(c.denominator for row in cells for cell in row.values()
+                               for c in cell.values()))
+    via, col = [[] for _ in cells], [{} for _ in cells]
+    for i, row in enumerate(cells):
+        for j, cell in row.items():
+            if d > 1:
+                cell = {l: c.numerator * (d // c.denominator) for l, c in cell.items()}
+            col[j][i] = cell
+            for l, c in cell.items():
+                via[l].append((i, j, c))
+    return via, col, d, p
+
+
+def _slice(index, k):
+    """Slice k, the nonzero (b_i b_j) b_k - b_i (b_j b_k) over all i, j as raw rows
+    {(i, j, k): {m: c}}: c_ij^l (b_l b_k) summed over col[k] x via[l], minus
+    (b_j b_k)_m (b_i b_m) over col[k] x col[m]; scaled entries are divided by d^2."""
+    via, col, d, p = index
+    acc = defaultdict(dict)  # (i, j) -> the associator's raw row
+    for l, lk in col[k].items():
+        for i, j, c in via[l]:
+            _subtract(acc[i, j], -c, lk, p)
+    for j, jk in col[k].items():
+        for m, c in jk.items():
+            for i, im in col[m].items():
+                _subtract(acc[i, j], c, im, p)
+    return {(i, j, k): a if d == 1 else {m: _canonical(Fraction(v, d * d)) for m, v in a.items()}
+            for (i, j), a in acc.items() if a}
 
 
 def _terms(field, coords, off=0):

@@ -124,16 +124,16 @@ def skew_product_ring(field, degrees, domains, triples, inv, alpha, mul, name, u
             labels.append(f"{name(g)}:{j}")
 
     table = [[[] for _ in range(total)] for _ in range(total)]
-    pulled = {}  # g -> alpha_{g^-1} of each basis vector of D_g, as raw rows
+    # g -> (D_g, offset, alpha_{g^-1} of D_g's basis as raw rows, filled on first use)
+    layout = {g: (domains[g], offsets[g], []) for g in degrees}
     for g, h, gh in triples:
-        dg = domains[g]
-        dh = domains[h]
+        (dg, og, pulled), (dh, oh, _) = layout[g], layout[h]
         if dg.dim == 0 or dh.dim == 0:
             continue
-        if g not in pulled:
-            pulled[g] = [alpha(inv(g), r) for r in dg._rows.values()]
-        dgh = domains.get(gh)
-        for i, p in enumerate(pulled[g]):
+        if not pulled:
+            pulled += [alpha(inv(g), r) for r in dg._rows.values()]
+        dgh, ogh, _ = layout.get(gh, (None, None, None))
+        for i, p in enumerate(pulled):
             for j, rp in enumerate(dh._rows.values()):
                 x = mul(p, rp)
                 if not x:
@@ -151,7 +151,7 @@ def skew_product_ring(field, degrees, domains, triples, inv, alpha, mul, name, u
                     raise PreconditionError(
                         f"product of degrees {name(g)}, {name(h)} left R_({name(gh)})"
                     ) from None
-                table[offsets[g] + i][offsets[h] + j] = _terms(field, coords, offsets[gh])
+                table[og + i][oh + j] = _terms(field, coords, ogh)
 
     alg = StructureAlgebra(field, total, table, labels=labels, grading=grading)
     if unit is not None:

@@ -6,8 +6,12 @@ mod p over F_p.  The table, `is_associative`, `is_alternative` and
 `center()` must agree with them on random sparse tables, Cayley-Dickson
 algebras (also perturbed), both padded with zero basis vectors in a
 shuffled basis, and a few small tables on the edge of each law.
+`is_associative` decides on generators; its verdict must also agree on
+associative algebras over Q, F_2 and F_5 (rebased, so that products have
+many terms, and perturbed), and a slice count holds it to few slices.
 """
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -16,8 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus
+from grpd import algebra
 from grpd.algebra import StructureAlgebra, cayley_dickson_chain
-from grpd.exactlin import Field
+from grpd.exactlin import Field, Matrix, Subspace, solve
 from grpd.skewring import analyze_algebra
 
 Q = Field(0)
@@ -144,11 +150,14 @@ def shuffled_padding(alg, extra, rng):
 #   every A(i,i,k) and A(i,k,k) zero (the opposite is left and not right);
 # - A(1,1,1) = b_0 alone, which over F_2 only the diagonal condition catches;
 # - over Q, a commutant whose elements x all have (x, r, r') = 0 but not
-#   (r, x, r') = 0
+#   (r, x, r') = 0;
+# - b_0 in the right nucleus, b_0 b_0 = b_1 + b_2 and (b_2, b_2, b_1) = -b_1:
+#   a product of two terms must not count b_1 or b_2 as generated by b_0
 EDGE_CASES = [
     {(0, 1): {3: 1}, (0, 2): {0: 1}, (1, 2): {1: 1}, (2, 2): {2: 1}},
     {(1, 0): {0: 1}, (1, 1): {0: 1, 1: 1}},
     {(1, 0): {0: 2}, (1, 1): {0: 1}, (2, 1): {0: 2}},
+    {(0, 0): {1: 1, 2: 1}, (2, 1): {1: 1}, (2, 2): {1: -1}},
 ]
 
 
@@ -160,6 +169,16 @@ def edge_case(field, case, opposite):
             i, j = j, i
         table[i][j] = [(k, field(c)) for k, c in sorted(cell.items()) if field(c)]
     return StructureAlgebra(field, n, table)
+
+
+def perturbed(alg, rng):
+    """alg with one random structure constant c_ij^k raised by 1."""
+    field, table = alg.field, [list(row) for row in alg.table]
+    i, j, k = (rng.randrange(alg.dim) for _ in range(3))
+    cell = dict(table[i][j])
+    cell[k] = cell.get(k, field.zero) + field.one
+    table[i][j] = sorted((m, c) for m, c in cell.items() if c)
+    return StructureAlgebra(field, alg.dim, table)
 
 
 @st.composite
@@ -181,20 +200,20 @@ def algebras(draw):
         alg = StructureAlgebra(field, n, [[cell() for _ in range(n)] for _ in range(n)])
     else:
         alg = cayley_dickson_chain(field, draw(st.integers(0, 3)))
-        if kind == "perturbed":
-            # one product moved off the alternative law
-            table = [list(row) for row in alg.table]
-            i, j, k = (rng.randrange(alg.dim) for _ in range(3))
-            cell = dict(table[i][j])
-            cell[k] = cell.get(k, field.zero) + field.one
-            table[i][j] = sorted((m, c) for m, c in cell.items() if c)
-            alg = StructureAlgebra(field, alg.dim, table)
+        if kind == "perturbed":  # one product moved off the alternative law
+            alg = perturbed(alg, rng)
     extra = draw(st.integers(0, 3))
     return shuffled_padding(alg, extra, rng) if extra else alg
 
 
 def check_against_brute_force(alg):
     ref = Ref(alg)
+    # the laws first, on a fresh copy, so that associativity is decided on generators
+    fresh = StructureAlgebra(alg.field, alg.dim, alg.table)
+    assert fresh.is_associative() == (not ref.table())
+    assert fresh.is_alternative() == ref.is_alternative()
+    assert [[plain(alg.field, c) for c in v] for v in fresh.center().basis] == ref.center()
+    assert fresh._associators() == ref.table()
     # the private table holds raw rows: ints in [0, p) over F_p, rationals over Q
     table = alg._associators()
     assert table == ref.table()
@@ -238,3 +257,105 @@ def test_padded_octonions():
         assert report["center_dim"] == n - 7
         # padding adds no associator
         assert alg._associators() == octo._associators()
+
+
+# -- associativity decided on generators ------------------------------------------------
+
+
+def group_algebra(field, orders):
+    """The group algebra of Z_a x Z_b x ... over the field, in mixed-radix order."""
+    elems = list(itertools.product(*(range(a) for a in orders)))
+    idx = {g: i for i, g in enumerate(elems)}
+    return StructureAlgebra(field, len(elems), [
+        [[(idx[tuple((x + y) % a for x, y, a in zip(g, h, orders))], field.one)] for h in elems]
+        for g in elems])
+
+
+def direct_sum(a, b):
+    """a + b, with the basis of a followed by that of b."""
+    n = a.dim
+    table = [row + [[] for _ in range(b.dim)] for row in a.table]
+    table += [[[] for _ in range(n)] + [[(n + k, c) for k, c in cell] for cell in row]
+              for row in b.table]
+    return StructureAlgebra(a.field, n + b.dim, table)
+
+
+def rebased(alg, rng):
+    """alg in a random basis: each new basis vector mixes several old ones."""
+    field, n = alg.field, alg.dim
+    while True:
+        basis = [field.vec([rng.randint(-2, 2) for _ in range(n)]) for _ in range(n)]
+        if Subspace.from_vectors(field, n, basis).dim == n:
+            break
+    change = Matrix.from_columns(field, basis)
+    table = [[[(k, c) for k, c in enumerate(solve(change, alg.multiply(u, v))) if c]
+              for v in basis] for u in basis]
+    return StructureAlgebra(field, n, table)
+
+
+ASSOCIATIVE = {  # name -> builder over a field, for sizes 1, 2, 3
+    "K[Z_n]": lambda f, s: group_algebra(f, [2 * s + 2]),
+    "K[Z_a x Z_b]": lambda f, s: group_algebra(f, [2, s + 1]),
+    "M_k": corpus.matrix_algebra,
+    "T_k": corpus.upper_triangular,
+    "K[x]/(x^k)": lambda f, s: corpus.truncated_poly(f, 2 * s),
+}
+
+
+@st.composite
+def associative_algebras(draw):
+    """An associative algebra over Q, F_2 or F_5, maybe summed, rebased and perturbed."""
+    field = Field(draw(st.sampled_from([0, 2, 5])))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    summands = draw(st.integers(1, 2))  # dim at most 9 alone, 8 summed
+    parts = [ASSOCIATIVE[draw(st.sampled_from(sorted(ASSOCIATIVE)))](
+        field, draw(st.integers(1, 3 if summands == 1 else 1))) for _ in range(summands)]
+    alg = parts[0] if summands == 1 else direct_sum(*parts)
+    if draw(st.integers(0, 2)):  # two in three are rebased
+        alg = rebased(alg, rng)
+    moved = draw(st.booleans())
+    return (perturbed(alg, rng) if moved else alg), moved
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(associative_algebras())
+def test_generator_verdict_matches_brute_force(case):
+    alg, moved = case
+    table = Ref(alg).table()
+    assert moved or not table
+    assert alg.is_associative() == (not table)
+    if not table:  # the verdict built no associator
+        assert alg._assoc == {}
+    assert alg._associators() == table
+
+
+def count_slices(monkeypatch):
+    calls = []
+
+    def counted(index, k):
+        calls.append(k)
+        return kernel(index, k)
+
+    kernel = algebra._slice
+    monkeypatch.setattr(algebra, "_slice", counted)
+    return calls
+
+
+@pytest.mark.parametrize("alg, most, center_dim", [(corpus.group_algebra(Q, 64), 2, 64),
+                                                   (corpus.matrix_algebra(Q, 8), 15, 1)])
+def test_associative_verdict_computes_few_slices(monkeypatch, alg, most, center_dim):
+    alg = StructureAlgebra(Q, alg.dim, alg.table)
+    calls = count_slices(monkeypatch)
+    assert alg.is_associative()
+    assert 0 < len(calls) <= most
+    # the laws and the center read the empty table
+    del calls[:]
+    assert alg.is_alternative() and alg.center().dim == center_dim and not calls
+
+
+def test_octonion_table_is_the_union_of_its_slices(monkeypatch):
+    octo = cayley_dickson_chain(Q, 3)
+    calls = count_slices(monkeypatch)
+    assert not octo.is_associative()
+    assert sorted(calls) == list(range(8))
+    assert octo._associators() == Ref(octo).table()
