@@ -41,4 +41,4 @@ print("\n== prime fields ==")
 F7 = Field(7)
 m7 = Matrix(F7, [[F7(3), F7(1)], [F7(1), F7(5)]])
 print("rank over F_7:", rref(m7)[1])
-print("3/5 in F_7:", (F7(3) / F7(5)).val)
+print("3/5 in F_7:", F7(3 * F7.inv(5)))

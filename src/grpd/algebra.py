@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, PreconditionError, SchemaError, UnsupportedError
-from .exactlin import (Matrix, ModP, Subspace, _canonical, _combine, _dense, _gauss_jordan,
+from .exactlin import (Matrix, Subspace, _canonical, _combine, _dense, _gauss_jordan,
                        _kernel, _product, _q_inv, _reduce, _solve, _sparse, _subtract)
 from .polynomial import (_poly_deriv, _poly_divmod, _poly_gcd, _poly_mul, _poly_trim, _poly_xgcd,
                          _prime_field_roots, _q_factors)
@@ -52,10 +52,12 @@ class StructureAlgebra:
                 last, raw = -1, {}
                 try:
                     for k, c in cell:
-                        if not (isinstance(k, int) and last < k < dim and c):
+                        # cells are kept for reports, so residues must come reduced
+                        if not (isinstance(k, int) and last < k < dim
+                                and (type(c) is int and 0 < c < p if p else c)):
                             raise ValueError
                         last = k
-                        raw[k] = c.val if p else c
+                        raw[k] = c
                 except (TypeError, ValueError):
                     raise DimensionError(
                         f"table cell {cell!r} is not a list of (k, c) pairs with "
@@ -453,7 +455,7 @@ class StructureAlgebra:
             raise UnsupportedError("doubling needs a unital algebra")
         if self.involution is None:
             raise UnsupportedError("doubling needs a designated conjugation involution")
-        n = self.dim
+        n, p = self.dim, self.field.char
         n2 = 2 * n
         conj = self.involution
 
@@ -471,12 +473,13 @@ class StructureAlgebra:
         cj = [self._row(c) for c in conj]
         for i in range(n):
             # (0,y)(c,0) = (0, y conj(c)) and (0,y)(0,d) = (-conj(d) y, 0)
-            right = [_terms(self.field, self._mul({i: 1}, c), n) for c in cj]
-            left = [_terms(self.field, {k: -x for k, x in self._mul(c, {i: 1}).items()}) for c in cj]
+            right = [_terms(self._mul({i: 1}, c), n) for c in cj]
+            left = [_terms({k: -x % p if p else -x for k, x in self._mul(c, {i: 1}).items()})
+                    for c in cj]
             table.append(right + left)
         unit = pad(one, zvec)
         new_conj = [pad(conj[i], zvec) for i in range(n)]
-        new_conj += [pad(zvec, [-a for a in self.basis_vector(i)]) for i in range(n)]
+        new_conj += [pad(zvec, [self.field(-a) for a in self.basis_vector(i)]) for i in range(n)]
         labels = [f"e{i}" for i in range(n2)]
         return StructureAlgebra(
             self.field, n2, table, unit=unit, labels=labels, involution=new_conj
@@ -577,17 +580,16 @@ def _slice(index, k):
             for (i, j), a in acc.items() if a}
 
 
-def _terms(field, coords, off=0):
+def _terms(coords, off=0):
     """The table cell of raw coordinates {k: value}: (off + k, field element), k increasing."""
-    p = field.char
-    return [(off + k, ModP(x, p) if p else _canonical(x)) for k, x in sorted(coords.items())]
+    return [(off + k, _canonical(x)) for k, x in sorted(coords.items())]
 
 
 def _restricted_table(space, mul):
     """The table of the raw product `mul` on the RREF basis of a subspace closed
     under it; raises ValueError when a product leaves the subspace."""
     rows = list(space._rows.values())
-    return [[_terms(space.field, space._raw_coords(mul(u, v))) for v in rows] for u in rows]
+    return [[_terms(space._raw_coords(mul(u, v))) for v in rows] for u in rows]
 
 
 @dataclass
@@ -668,7 +670,7 @@ def polynomial_roots(field, coeffs):
     """All roots of the polynomial in the base field, sorted: the linear factors
     of `_q_factors` over Q, `_prime_field_roots` (O(log p) steps a root) over F_p."""
     p = field.char
-    f = _poly_trim([c.val for c in coeffs] if p else list(coeffs))
+    f = _poly_trim([field(c) for c in coeffs])
     if len(f) <= 1:
         return []
     if p:

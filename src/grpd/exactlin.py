@@ -5,15 +5,17 @@ reduced mod p.  Over Q an element is a Python int when it is an integer and
 a `Fraction` in lowest terms with denominator > 1 otherwise, so integer
 tables are multiplied with int arithmetic until a real division happens;
 the numeric tower mixes the two exactly, and `Field.inv` is the one
-division.  Matrices and the vectors of the public methods are dense lists
-of field elements (`ModP` over F_p).
+division.  Over F_p an element is a plain int in [0, p); the public
+methods reduce incoming entries mod p before they test them for zero, so
+-1 and p - 1 are the same input.  Matrices and the vectors of the public
+methods are dense lists of field elements.
 
 Inside, both fields share one form, the raw row: a dict {column: nonzero
 value} holding rationals over Q and ints in [0, p) over F_p.  `_sparse`,
-`_raw_rows` and `_dense` convert at the boundary; beside `Field`, only
-`_dense` boxes residues, and over Q it writes integral entries back as
-ints.  All elimination is one Gauss-Jordan kernel on raw rows, and
-reduction against a subspace, products and expansion share its steps.
+`_raw_rows` and `_dense` convert at the boundary; over Q `_dense` writes
+integral entries back as ints.  All elimination is one Gauss-Jordan kernel
+on raw rows, and reduction against a subspace, products and expansion
+share its steps.
 Algebra elements are raw rows too: `_product` multiplies two of them over
 a raw structure table, and dense vectors meet it only at the public
 boundary (`StructureAlgebra.multiply`).
@@ -54,45 +56,6 @@ def _is_prime(n):
     return True
 
 
-class ModP:
-    """Residue class mod a prime p, stored in [0, p)."""
-
-    __slots__ = ("val", "p")
-
-    def __init__(self, val, p):
-        self.val = val % p
-        self.p = p
-
-    def __add__(self, other):
-        return ModP(self.val + other.val, self.p)
-
-    def __sub__(self, other):
-        return ModP(self.val - other.val, self.p)
-
-    def __mul__(self, other):
-        return ModP(self.val * other.val, self.p)
-
-    def __truediv__(self, other):
-        if other.val == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return ModP(self.val * pow(other.val, -1, self.p), self.p)
-
-    def __neg__(self):
-        return ModP(-self.val, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, ModP) and self.val == other.val and self.p == other.p
-
-    def __hash__(self):
-        return hash((self.val, self.p))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        return f"{self.val}"
-
-
 def _canonical(q):
     """A rational as an int when it is integral, else the Fraction itself."""
     return q.numerator if q.denominator == 1 else q
@@ -107,7 +70,9 @@ class Field:
     """Coefficient field: characteristic 0 means Q, otherwise a prime field F_p.
 
     Elements of Q are ints, or Fractions with denominator > 1 (`__call__`
-    returns this canonical form); elements of F_p are `ModP` residues.
+    returns this canonical form); elements of F_p are ints in [0, p).  The
+    field is the only code that knows p: `__call__` reduces mod p, `inv`
+    is `pow(x, -1, p)` and `fmt` gives the reduced int.
     """
 
     def __init__(self, characteristic=0):
@@ -119,7 +84,7 @@ class Field:
         self.one = self(1)
 
     def __call__(self, x):
-        """Coerce an int, string, Fraction or ModP into a field element."""
+        """Coerce an int, string or Fraction (over Q) into a field element."""
         if isinstance(x, bool):
             raise TypeError(f"cannot coerce the boolean {x!r} into {self}")
         if self.char == 0:
@@ -134,25 +99,26 @@ class Field:
             elif not isinstance(x, (int, Fraction)):
                 raise TypeError(f"cannot coerce {x!r} into Q")
             return _canonical(x)
-        if isinstance(x, ModP):
-            if x.p != self.char:
-                raise ValueError(f"residue mod {x.p} used in F_{self.char}")
-            return x
         if isinstance(x, str):
             x = int(x)
         if isinstance(x, int):
-            return ModP(x, self.char)
+            return x % self.char
         raise TypeError(f"cannot coerce {x!r} into F_{self.char}")
 
     def inv(self, x):
         """Multiplicative inverse of a nonzero element."""
-        return self.one / x if self.char else _q_inv(x)
+        p = self.char
+        if not p:
+            return _q_inv(x)
+        if not x % p:
+            raise ZeroDivisionError("division by zero in F_p")
+        return pow(x, -1, p)
 
     def fmt(self, x):
         """JSON form of a field element: string over Q, int over F_p."""
         if self.char == 0:
             return str(x)
-        return x.val
+        return x % self.char
 
     def vec(self, entries):
         return [self(e) for e in entries]
@@ -176,19 +142,18 @@ class Field:
 
 
 def _sparse(field, vec):
-    """Raw row of a dense vector: {column: nonzero value}, residues as ints over F_p."""
-    if field.char:
-        return {j: r for j, x in enumerate(vec) if (r := x.val)}
+    """Raw row of a dense vector: {column: nonzero value}, entries reduced mod p over F_p."""
+    if p := field.char:
+        return {j: r for j, x in enumerate(vec) if (r := x % p)}
     return {j: x for j, x in enumerate(vec) if x}
 
 
 def _dense(field, row, n):
-    """Dense vector of length n from a raw row: residues boxed into ModP over F_p,
-    rationals in canonical form over Q."""
-    p = field.char
+    """Dense vector of length n from a raw row, rationals in canonical form
+    (an int is its own canonical form)."""
     v = [field.zero] * n
     for j, x in row.items():
-        v[j] = ModP(x, p) if p else _canonical(x)
+        v[j] = _canonical(x)
     return v
 
 
@@ -323,11 +288,13 @@ class Matrix:
     def add(self, other):
         if self.shape != other.shape:
             raise DimensionError("matrix sum shape mismatch")
-        rows = [[x + y for x, y in zip(a, b)] for a, b in zip(self.rows, other.rows)]
-        return Matrix(self.field, rows, self.ncols)
+        f = self.field
+        rows = [[f(x + y) for x, y in zip(a, b)] for a, b in zip(self.rows, other.rows)]
+        return Matrix(f, rows, self.ncols)
 
     def scale(self, c):
-        return Matrix(self.field, [[c * x for x in r] for r in self.rows], self.ncols)
+        f = self.field
+        return Matrix(f, [[f(c * x) for x in r] for r in self.rows], self.ncols)
 
     def __eq__(self, other):
         return (
@@ -368,9 +335,10 @@ def rref(m):
 
 
 def _raw_rows(field, rows, ncols):
-    """Raw rows of sparse rows {column: field element}; zero entries are dropped."""
+    """Raw rows of sparse rows {column: field element}; entries that are zero
+    (mod p over F_p) are dropped."""
     p = field.char
-    raw = [{j: x.val if p else x for j, x in row.items() if x} for row in rows]
+    raw = [{j: r for j, x in row.items() if (r := x % p if p else x)} for row in rows]
     if any(row and not (0 <= min(row) and max(row) < ncols) for row in raw):
         raise DimensionError(f"a row has a column outside 0..{ncols - 1}")
     return raw
@@ -387,9 +355,12 @@ def solve_rows(field, rows, rhs, ncols):
     rows = _raw_rows(field, rows, ncols)
     if len(rhs) != len(rows):
         raise DimensionError(f"solve: {len(rows)} rows vs rhs of length {len(rhs)}")
+    p = field.char
     for row, b in zip(rows, rhs):
+        if p:
+            b %= p
         if b:
-            row[ncols] = b.val if field.char else b
+            row[ncols] = b
     return _solve(field, rows, ncols)
 
 

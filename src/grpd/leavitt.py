@@ -453,30 +453,9 @@ class GrSkewModel:
         p = self.field.char
         return {i: a * y[i] % p if p else a * y[i] for i, a in x.items() if i in y}
 
-    def element(self, w, f):
-        """The skew-ring element (f delta_w) for f in D_w."""
-        vec = self.field.zero_vec(self.algebra.dim)
-        for k, c in enumerate(self.domains[w].coords(f)):
-            vec[self.offsets[w] + k] = c
-        return vec
-
     def edge_word(self, edge_id):
         e = self.graph.edge_by_id[edge_id]
         return make_word(self.graph, Path(e.s, (edge_id,)), trivial_path(e.r))
-
-    def generator_images(self):
-        """phi on generators: vertices to 1_v delta_1, edges to 1_f delta_f."""
-        xs = self.xs
-        field = self.field
-        out = {}
-        for v in self.graph.vertices:
-            out[("v", v)] = self.element(IDENTITY, xs.indicator(field, xs.x_vertex(v)))
-        for e in self.graph.edges:
-            w = self.edge_word(e.id)
-            winv = word_inverse(w)
-            out[("e", e.id)] = self.element(w, xs.indicator(field, xs.x_set(w)))
-            out[("e*", e.id)] = self.element(winv, xs.indicator(field, xs.x_set(winv)))
-        return out
 
 
 def build_gr_skew_ring(graph, field):
@@ -553,8 +532,16 @@ def phi_isomorphism_check(model):
     field = model.field
     oracle = PathPairModel(model.report, field)
     alg = model.algebra
-    # the relations are checked on raw rows, through the algebra's raw product
-    gens = {k: alg._row(v) for k, v in model.generator_images().items()}
+    # phi on generators, vertices to 1_v delta_1 and edges to 1_f delta_f, as raw
+    # rows: D_w is the coordinate subspace on X_w, so 1_w delta_w is 1 at each of
+    # its basis vectors, and D_1 holds every point, so 1_v is 1 at the points of X_v;
+    # the relations are checked through the algebra's raw product
+    xs, offsets = model.xs, model.offsets
+    gens = {("v", v): {offsets[IDENTITY] + i: 1 for i in xs.x_vertex(v)} for v in graph.vertices}
+    for e in graph.edges:
+        w = model.edge_word(e.id)
+        for key, u in (("e", w), ("e*", word_inverse(w))):
+            gens[key, e.id] = {offsets[u] + t: 1 for t in range(len(xs.x_set(u)))}
     mul = alg._mul
 
     failure = None

@@ -16,7 +16,6 @@ compose and take images of these maps, apply them and multiply elements
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
 
 from .errors import DimensionError, PreconditionError, SchemaError, UnsupportedError, Violation
 from .exactlin import (Matrix, Subspace, SubspaceMap, _combine, _dense, _gauss_jordan, _kernel,
@@ -490,23 +489,22 @@ def globalize(pa):
     if unit is not None:
         t_alg.unit = unit
 
-    def t_coords(row):
-        return _dense(field, t_space._raw_coords(row), t_dim)
-
-    def beta_map(g, c):
-        return t_coords(env.beta_apply(g, _sparse(field, t_space.expand(c))))
-
     components = {e: Subspace.coordinate(field, t_dim, range(*part_range[e])) for e in g0.objects}
     domains = {g: components[g0.cod[g]] for g in g0.morphisms}
-    beta = PartialAction.from_ambient_maps(
-        g0, t_alg, components, domains, {g: partial(beta_map, g) for g in g0.morphisms}
-    )
+    # beta_g maps T_{d(g)}, whose basis is the T rows of its part, into T_{c(g)}
+    t_basis, maps = list(t_rows.values()), {}
+    for g in g0.morphisms:
+        dst = components[g0.cod[g]]
+        cols = [dst._raw_coords(t_space._raw_coords(env.beta_apply(g, r)))
+                for r in t_basis[slice(*part_range[g0.dom[g]])]]
+        maps[g] = Matrix.from_columns(field, [_dense(field, c, dst.dim) for c in cols], dst.dim)
+    beta = PartialAction(g0, t_alg, components, domains, maps)
 
     embeddings = {}
     for e in g0.objects:
         # beta at the identity fixes psi_e(r), one of the generators of T_e
         rows = pa.object_components[e]._rows.values()
-        cols = [t_coords(env.psi_vec(e, r)) for r in rows]
+        cols = [_dense(field, t_space._raw_coords(env.psi_vec(e, r)), t_dim) for r in rows]
         embeddings[e] = Matrix.from_columns(field, cols, t_dim)
     return Globalization(partial=pa, action=beta, embeddings=embeddings)
 

@@ -151,7 +151,7 @@ def skew_product_ring(field, degrees, domains, triples, inv, alpha, mul, name, u
                     raise PreconditionError(
                         f"product of degrees {name(g)}, {name(h)} left R_({name(gh)})"
                     ) from None
-                table[og + i][oh + j] = _terms(field, coords, ogh)
+                table[og + i][oh + j] = _terms(coords, ogh)
 
     alg = StructureAlgebra(field, total, table, labels=labels, grading=grading)
     if unit is not None:
@@ -424,7 +424,7 @@ def quotient_by_ideal(alg, ideal):
     table = []
     for a in keep:
         reds = (_reduce(alg._mul({a: 1}, {b: 1}), piv, p) for b in keep)
-        table.append([_terms(alg.field, {at[c]: x for c, x in r.items()}) for r in reds])
+        table.append([_terms({at[c]: x for c, x in r.items()}) for r in reds])
     labels = [alg.label(k) for k in keep]
     out = StructureAlgebra(alg.field, len(keep), table, labels=labels)
     u = alg.find_unit()

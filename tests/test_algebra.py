@@ -335,23 +335,16 @@ def test_internal_products_never_reach_the_dense_multiply(monkeypatch):
     assert model.algebra.dim == 9 and model.algebra.unit is not None
 
 
-def test_the_algebra_systems_do_no_boxed_arithmetic(monkeypatch):
+def test_the_algebra_systems_do_no_boxed_arithmetic():
     # the unit, laws, center, radical, Berlekamp, block and fixed-ring systems read the
-    # raw table: over F_p no residue is added, negated, multiplied or divided as a ModP
+    # raw table; over F_p every answer comes back as ints in [0, p)
     from grpd import paction as pact
-    from grpd.exactlin import ModP
 
     f = Field(10007)
     # no unit supplied, so find_unit solves for it
     fz5 = StructureAlgebra(f, 5, corpus.group_algebra(f, 5).table)
     octo = StructureAlgebra(f, 8, cayley_dickson_chain(f, 3).table)
     shift = corpus.shift_restriction_action(f)
-
-    def boxed(*args):
-        raise AssertionError("an algebra system did ModP arithmetic")
-
-    for op in ("__add__", "__sub__", "__mul__", "__neg__", "__truediv__"):
-        monkeypatch.setattr(ModP, op, boxed)
     for alg, associative, center_dim in ((fz5, True, 5), (octo, False, 1)):
         assert alg.find_unit() == f.unit_vec(alg.dim, 0)
         assert alg.is_associative() is associative and alg.is_alternative()
@@ -361,6 +354,9 @@ def test_the_algebra_systems_do_no_boxed_arithmetic(monkeypatch):
     assert fz5.berlekamp_subalgebra().dim == 2
     assert sorted(fz5.wedderburn_blocks().dims()) == [1, 4]
     assert pact.fixed_ring(shift) == Subspace.from_vectors(f, 3, [[f.one] * 3])
+    answers = [octo.multiply(*octo.center().basis * 2), cayley_dickson_chain(f, 3).involution[5]]
+    answers += [v for b in fz5.wedderburn_blocks() for v in b.basis] + fz5.center().basis
+    assert all(type(x) is int and 0 <= x < f.char for v in answers for x in v)
 
 
 def test_unit_and_center_of_m31_from_its_sparse_table():
@@ -496,7 +492,7 @@ def test_prime_field_roots_match_brute_force(p):
         degree = rng.randint(1, 8)
         coeffs = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
         roots = polynomial_roots(f, f.vec(coeffs))
-        assert [r.val for r in roots] == _brute_roots(p, coeffs), coeffs
+        assert roots == _brute_roots(p, coeffs), coeffs
 
 
 def test_prime_field_roots_at_the_largest_prime():
@@ -512,11 +508,11 @@ def test_prime_field_roots_at_the_largest_prime():
         for r in roots:
             poly = [a - f(r) * b for a, b in zip([f.zero] + poly, poly + [f.zero])]
         found = polynomial_roots(f, poly)
-        assert [r.val for r in found] == sorted(set(roots))
+        assert found == sorted(set(roots))
         for r in found:
             acc = f.zero
             for c in reversed(poly):
-                acc = acc * r + c
+                acc = f(acc * r + c)
             assert not acc
 
 
@@ -658,6 +654,16 @@ def test_algebra_json_roundtrip():
 def test_table_cells_must_be_sparse(table):
     with pytest.raises(DimensionError):
         StructureAlgebra(Q, 2, table)
+
+
+@pytest.mark.parametrize("c", [0, 7, -1, 8, Fraction(3), Fraction(1, 2), True, "3"],
+                         ids=repr)
+def test_table_cells_over_fp_hold_reduced_residues(c):
+    # the algebra reports its cells as given, so a cell takes only an int in [1, p)
+    f7 = Field(7)
+    with pytest.raises(DimensionError):
+        StructureAlgebra(f7, 1, [[[(0, c)]]])
+    assert StructureAlgebra(f7, 1, [[[(0, 6)]]]).multiply([1], [1]) == [6]
 
 
 def test_center_of_commutative_nonassociative_is_its_nucleus():

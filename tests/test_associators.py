@@ -31,7 +31,9 @@ CHARS = [0, 2, 3, 5]
 
 
 def plain(field, c):
-    return c.val if field.char else c
+    """A field element as a plain value; over F_p it must already be an int in [0, p)."""
+    assert not field.char or type(c) is int and 0 <= c < field.char, c
+    return c
 
 
 class Ref:
@@ -176,7 +178,7 @@ def perturbed(alg, rng):
     field, table = alg.field, [list(row) for row in alg.table]
     i, j, k = (rng.randrange(alg.dim) for _ in range(3))
     cell = dict(table[i][j])
-    cell[k] = cell.get(k, field.zero) + field.one
+    cell[k] = field(cell.get(k, field.zero) + field.one)
     table[i][j] = sorted((m, c) for m, c in cell.items() if c)
     return StructureAlgebra(field, alg.dim, table)
 

@@ -5,6 +5,9 @@ residue class and a textbook elimination on it, and requires every result
 to agree residue for residue on seeded random matrices, including empty
 and rank-deficient ones.  Matrix-vector and matrix-matrix products, zero
 vectors and zero-size shapes included, are held to plain sums of residues.
+Every output entry must be a plain int in [0, p), and unreduced inputs
+(-1, p + 3, entries shifted by multiples of p) must give the answers of
+reduced ones.
 """
 
 import random
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grpd.exactlin import Field, Matrix, ModP, Subspace, kernel, kernel_rows, solve
+from grpd.exactlin import Field, Matrix, Subspace, kernel, kernel_rows, solve, solve_rows
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 PRIMES = [2, 3, 10007, 2**31 - 1]
@@ -89,9 +92,14 @@ def ints(rows):
 
 
 def unboxed(vec, p):
-    """Residues of exactlin output, checking that every entry is a ModP mod p."""
-    assert all(isinstance(x, ModP) and x.p == p and 0 <= x.val < p for x in vec)
-    return [x.val for x in vec]
+    """Residues of exactlin output, checking that every entry is a plain int in [0, p)."""
+    assert all(type(x) is int and 0 <= x < p for x in vec)
+    return list(vec)
+
+
+def unreduced(rng, x, p):
+    """x plus a random multiple of p, often negative."""
+    return x + p * rng.randint(-2, 2)
 
 
 @st.composite
@@ -283,3 +291,57 @@ def test_subspace_equality_does_not_depend_on_the_construction(case):
     if idx:
         smaller = Subspace.coordinate(field, n, idx[1:])
         assert smaller <= routes[1] and not routes[1] <= smaller and smaller != routes[1]
+
+
+def test_the_field_reduces_and_refuses_to_invert_zero():
+    f7 = Field(7)
+    assert [f7(x) for x in (-1, 7 + 3, "-8", 7)] == [6, 3, 6, 0]
+    assert all(type(f7(x)) is int for x in (-1, 10, "-8"))
+    assert [f7.inv(x) for x in (3, -4, 10)] == [5, 5, 5]
+    for zero in (0, 7, -14):
+        with pytest.raises(ZeroDivisionError):
+            f7.inv(zero)
+    assert (f7.fmt(-1), f7.fmt(3)) == (6, 3)
+
+
+def test_a_multiple_of_p_is_no_pivot():
+    # reduced before its zero test, a 2 over F_2 is zero and no pivot
+    f2 = Field(2)
+    assert kernel_rows(f2, [{0: 2, 1: 1}], 2) == kernel_rows(f2, [{1: 1}], 2)
+    assert kernel_rows(f2, [{0: 2, 1: 1}], 2).pivots == [0]
+    assert solve_rows(f2, [{0: 2}], [1], 1) is None
+    assert solve_rows(f2, [{0: 3}], [-1], 1) == [1]
+
+
+@SETTINGS
+@given(fp_cases())
+def test_unreduced_inputs_give_the_answers_of_reduced_ones(case):
+    # -1 and p + 3 for p - 1 and 3, and any entry shifted by a multiple of p
+    p, rng = case
+    field = Field(p)
+    nrows, ncols = shapes(rng)
+    rows = random_rows(rng, p, nrows, ncols)
+    shifted = [[unreduced(rng, x, p) for x in r] for r in rows]
+    other = Matrix(field, random_rows(rng, p, nrows, ncols), ncols)
+    m, ms = Matrix(field, rows, ncols), Matrix(field, shifted, ncols)
+    assert ms.add(other) == m.add(other) == other.add(ms)
+    for c, reduced in ((-1, p - 1), (p + 3, 3 % p), (unreduced(rng, 5, p), 5 % p)):
+        assert ms.scale(c) == m.scale(reduced)
+    for out in (ms.add(other), ms.scale(-1), ms.scale(p + 3)):
+        for r in out.rows:
+            unboxed(r, p)
+
+    sparse = [dict(enumerate(r)) for r in rows]
+    sparse_shifted = [dict(enumerate(r)) for r in shifted]
+    rhs = [random_entry(rng, p) for _ in rows]
+    rhs_shifted = [unreduced(rng, b, p) for b in rhs]
+    if ncols:  # one more equation written with -1 and p + 3
+        sparse.append({0: p - 1, ncols - 1: 3 % p})
+        sparse_shifted.append({0: -1, ncols - 1: p + 3})
+        rhs.append(3 % p)
+        rhs_shifted.append(p + 3)
+    assert kernel_rows(field, sparse_shifted, ncols) == kernel_rows(field, sparse, ncols)
+    got = solve_rows(field, sparse_shifted, rhs_shifted, ncols)
+    assert got == solve_rows(field, sparse, rhs, ncols)
+    if got is not None:
+        unboxed(got, p)

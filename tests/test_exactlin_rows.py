@@ -3,7 +3,8 @@ same systems written densely (hypothesis, derandomized), over Q, F_2 and F_10007
 
 The sparse rows carry explicit zero entries and entries that cancel to zero,
 as the commutant's +v / -v terms produce them; a zero that reached the
-elimination would be taken for a pivot.  Shapes include 0 rows and 0 columns,
+elimination would be taken for a pivot.  Over F_p sums are left unreduced,
+so a multiple of p must count as zero too.  Shapes include 0 rows and 0 columns,
 and right-hand sides include inconsistent ones.  Each answer is also checked
 on its own: kernel vectors annihilate every row, the kernel has dimension
 cols - rank, a solution solves, and an inconsistent system has an augmented
@@ -60,7 +61,7 @@ def dense(field, rows, ncols):
 
 
 def times(field, row, x):
-    return sum((a * x[c] for c, a in row.items()), field.zero)
+    return field(sum((a * x[c] for c, a in row.items()), field.zero))
 
 
 @SETTINGS
@@ -85,7 +86,7 @@ def test_solve_rows_matches_solve(system):
         aug = Matrix(field, [r + [b] for r, b in zip(m.rows, rhs)], ncols + 1)
         assert rref(aug)[1] > rref(m)[1]
     else:
-        assert [times(field, row, x) for row in rows] == rhs
+        assert [times(field, row, x) for row in rows] == [field(b) for b in rhs]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

@@ -33,7 +33,9 @@ CHARS = [0, 2, 10007]
 
 
 def plain(x, p):
-    return x.val if p else Fraction(x)
+    """A field element as a reference value; over F_p it must already be an int in [0, p)."""
+    assert not p or type(x) is int and 0 <= x < p, x
+    return x if p else Fraction(x)
 
 
 def norm(x, p):
