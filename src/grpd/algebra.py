@@ -39,7 +39,7 @@ class StructureAlgebra:
     """
 
     def __init__(self, field, dim, table, unit=None, labels=None,
-                 grading=None, grading_groupoid=None, involution=None):
+                 grading=None, involution=None):
         self.field = field
         self.dim = dim
         if len(table) != dim or any(len(row) != dim for row in table):
@@ -70,7 +70,7 @@ class StructureAlgebra:
         self.unit = unit
         self.labels = labels
         self.grading = grading
-        self.grading_groupoid = grading_groupoid
+        self.grading_groupoid = None  # set by the skew groupoid ring builder
         self.involution = involution
         self._assoc = None  # the associator table
         self._center = None

@@ -226,11 +226,12 @@ def _gauss_jordan(rows, p):
 
 
 class Matrix:
-    """Dense matrix over an exact field; immutable by convention."""
+    """Dense matrix over an exact field, entries reduced mod p over F_p; immutable by convention."""
 
     def __init__(self, field, rows, ncols=None):
         self.field = field
-        self.rows = [list(r) for r in rows]
+        p = field.char
+        self.rows = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else (ncols or 0)
         for r in self.rows:

@@ -40,7 +40,7 @@ class FiniteGroupoid:
     tables are detectable by `validate`.
     """
 
-    def __init__(self, objects, morphisms, dom, cod, inverse, compose, identity=None):
+    def __init__(self, objects, morphisms, dom, cod, inverse, compose, identity):
         self.objects = list(objects)
         self.morphisms = list(morphisms)
         self.dom = dict(dom)
@@ -54,18 +54,7 @@ class FiniteGroupoid:
         for g in self.morphisms:
             self._into.setdefault(self.cod[g], []).append(g)
             self._out.setdefault(self.dom[g], []).append(g)
-        if identity is None:
-            identity = self._derive_identities()
         self.identity = dict(identity)
-
-    def _derive_identities(self):
-        """Find each object's identity from neutrality in the compose table."""
-        ids = {}
-        for e in self.objects:
-            i = _neutral_loop(e, self.morphisms, self.dom, self.cod, self._compose)
-            if i is not None:
-                ids[e] = i
-        return ids
 
     # -- basic queries ----------------------------------------------------
 
@@ -347,10 +336,17 @@ def from_dict(d):
         if (a, b) in compose:
             raise SchemaError(f"repeated compose pair ({a!r}, {b!r})")
         compose[(a, b)] = c
-    # create identities that were left out, under the id:<object> convention
+    # find each identity as its first neutral loop, creating those left out
+    # under the id:<object> convention; a created id:<e> adds compose entries
+    # only with itself, so it changes no other object's neutral loops
+    identity = {}
     for e in objects:
         m = f"id:{e}"
-        if m not in dom and _neutral_loop(e, morphisms, dom, cod, compose) is None:
+        i = _neutral_loop(e, morphisms, dom, cod, compose)
+        if i is not None:
+            identity[e] = i
+        elif m not in dom:
+            identity[e] = m
             morphisms.append(m)
             dom[m] = e
             cod[m] = e
@@ -360,7 +356,7 @@ def from_dict(d):
                     compose[(m, h)] = h
                 if dom.get(h) == e:
                     compose[(h, m)] = h
-    return FiniteGroupoid(objects, morphisms, dom, cod, inverse, compose)
+    return FiniteGroupoid(objects, morphisms, dom, cod, inverse, compose, identity)
 
 
 def _neutral_loop(e, morphisms, dom, cod, compose):

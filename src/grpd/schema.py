@@ -7,7 +7,7 @@ any value.
 """
 
 from .errors import SchemaError
-from .exactlin import Field
+from .exactlin import Field, _dense
 
 _NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 _REQUIRED = object()
@@ -49,11 +49,8 @@ def field(char, what):
 
 
 def vec(field, xs, n, what):
-    """A list of n coefficients, as elements of `field`."""
-    try:
-        return field.vec(items(xs, object, what, n))
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad coefficient in {what}: {exc}") from exc
+    """A list of n coefficients, as elements of `field`, read through `terms`."""
+    return _dense(field, dict(terms(field, xs, n, what)), n)
 
 
 def terms(field, xs, n, what):

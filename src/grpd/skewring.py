@@ -24,73 +24,26 @@ def skew_layout(pa):
 
 
 def _layout(degrees, domains):
+    """Basis offset of each degree and the dimension; past MAX_DIM an UnsupportedError."""
     offsets = {}
     off = 0
     for g in degrees:
         offsets[g] = off
         off += domains[g].dim
+    if off > MAX_DIM:
+        raise UnsupportedError(f"the skew ring has dimension {off}, above the limit {MAX_DIM}")
     return offsets, off
 
 
-def _bounded_layout(degrees, domains):
-    """_layout, refusing a skew ring past MAX_DIM basis vectors."""
-    offsets, total = _layout(degrees, domains)
-    if total > MAX_DIM:
-        raise UnsupportedError(f"the skew ring has dimension {total}, above the limit {MAX_DIM}")
-    return offsets, total
+def delta_element(pa, g, coeff_ambient, offsets, total):
+    """The element (coeff delta_g) of the skew ring, as a coordinate vector.
 
-
-def component_coords(pa, r):
-    """Split an ambient vector along the component decomposition."""
-    field = pa.ambient.field
-    cols = []
-    spans = []
-    for e in pa.groupoid.objects:
-        comp = pa.object_components[e]
-        cols.extend(comp.basis)
-        spans.append((e, comp.dim))
-    m = Matrix.from_columns(field, cols, pa.ambient.dim)
-    sol = solve(m, r)
-    if sol is None:
-        raise PreconditionError("vector does not decompose along the components")
-    out = {}
-    pos = 0
-    for e, d in spans:
-        out[e] = sol[pos:pos + d]
-        pos += d
-    return out
-
-
-def embed_in_skew(pa, r, offsets=None, total=None):
-    """Embed an ambient element along the identity degrees of the skew ring."""
-    if offsets is None:
-        offsets, total = skew_layout(pa)
-    field = pa.ambient.field
-    vec = field.zero_vec(total)
-    parts = component_coords(pa, r)
-    for e in pa.groupoid.objects:
-        i = pa.groupoid.identity[e]
-        off = offsets[i]
-        # valid unital actions have R_{id_e} = R_e, so coordinates carry over
-        comp = pa.object_components[e]
-        dom = pa.domains[i]
-        if dom != comp:
-            raise PreconditionError("identity domain differs from component; validate the action")
-        for k, c in enumerate(parts[e]):
-            vec[off + k] = c
-    return vec
-
-
-def delta_element(pa, g, coeff_ambient, offsets=None, total=None):
-    """The element (coeff delta_g) of the skew ring, as a coordinate vector."""
-    if offsets is None:
-        offsets, total = skew_layout(pa)
-    field = pa.ambient.field
-    vec = field.zero_vec(total)
-    coords = pa.domains[g].coords(coeff_ambient)
-    off = offsets[g]
-    for k, c in enumerate(coords):
-        vec[off + k] = c
+    `coeff_ambient` is an ambient vector lying in R_g; `offsets` and `total`
+    are the layout from `skew_layout`.
+    """
+    vec = pa.ambient.field.zero_vec(total)
+    for k, c in enumerate(pa.domains[g].coords(coeff_ambient), offsets[g]):
+        vec[k] = c
     return vec
 
 
@@ -115,7 +68,7 @@ def skew_product_ring(field, degrees, domains, triples, inv, alpha, mul, name, u
     Returns the algebra and the basis offset of each degree; past MAX_DIM
     basis vectors it raises an UnsupportedError before building the table.
     """
-    offsets, total = _bounded_layout(degrees, domains)
+    offsets, total = _layout(degrees, domains)
     labels = []
     grading = {}
     for g in degrees:
@@ -174,19 +127,13 @@ def build_skew_groupoid_ring(pa):
     verified to be the two-sided unit.  A ring past MAX_DIM is refused
     before the action is validated.
     """
-    _bounded_layout(pa.groupoid.morphisms, pa.domains)
-    violations = pact.validate_action(pa)
-    if violations:
-        raise PreconditionError(
-            "action does not validate: " + "; ".join(str(v) for v in violations)
-        )
+    skew_layout(pa)  # refuses a ring past MAX_DIM
+    _require_valid(pa)
     g0 = pa.groupoid
     unit = None
     if pact.is_unital(pa):
         ids = [g0.identity[e] for e in g0.objects]
-        parts = {i: pa.domain_unit(i) for i in ids}
-        if all(u is not None or pa.domains[i].dim == 0 for i, u in parts.items()):
-            unit = {i: u for i, u in parts.items() if u is not None}
+        unit = {i: pa.domain_unit(i) for i in ids if pa.domains[i].dim}
     triples = ((g, h, g0.compose(g, h)) for g, h in g0.composable_pairs())
     alg, _ = skew_product_ring(
         pa.ambient.field, g0.morphisms, pa.domains, triples,
@@ -194,6 +141,15 @@ def build_skew_groupoid_ring(pa):
     )
     alg.grading_groupoid = g0
     return alg
+
+
+def _require_valid(pa):
+    """Refuse an action that fails validate_action, naming its violations."""
+    violations = pact.validate_action(pa)
+    if violations:
+        raise PreconditionError(
+            "action does not validate: " + "; ".join(str(v) for v in violations)
+        )
 
 
 # -- groupoid rings and generalized matrix rings -----------------------------------
@@ -459,9 +415,6 @@ class GradedModule:
                 out = out.add(self.action[i].scale(c))
         return out
 
-    def act(self, coords, v):
-        return self.act_matrix(coords).apply(v)
-
     def validate(self):
         """Action respects the product; the algebra unit acts as the identity."""
         bad = []
@@ -485,10 +438,15 @@ def maschke_split(pa, module, w, pi):
     Given a module V over R *_alpha G, a submodule W, and an R-linear
     projection pi onto W, returns psi(v) = l sum_g (1_{g^-1} d_{g^-1})
     pi((1_g d_g) v) with l the inverse of the trace of the ambient unit.
+    An action that fails `validate_action` is refused with a
+    PreconditionError.  A valid one has R the direct sum of the ideals R_e
+    and R_{id_e} = R_e, so l embeds in the skew ring as
+    sum_e (l 1_{id_e}) d_{id_e}.
     """
     amb = pa.ambient
     field = amb.field
     offsets, total = skew_layout(pa)
+    _require_valid(pa)
     if module.algebra.dim != total:
         raise PreconditionError("module is not over the skew ring of this action")
     if w.ambient_dim != module.dim:
@@ -531,7 +489,13 @@ def maschke_split(pa, module, w, pi):
         front = module.act_matrix(delta_element(pa, pa.inv(g), u_ginv, offsets, total))
         back = module.act_matrix(delta_element(pa, g, u_g, offsets, total))
         acc = acc.add(front.mul(pi.mul(back)))
-    l_s = embed_in_skew(pa, l, offsets, total)
+    l_s = field.zero_vec(total)
+    for e in pa.groupoid.objects:
+        i = pa.groupoid.identity[e]
+        u = pa.domain_unit(i)  # trace_map has required it of every nonzero domain
+        if u is not None:
+            part = delta_element(pa, i, amb.multiply(l, u), offsets, total)
+            l_s = [a + b for a, b in zip(l_s, part)]  # the parts sit at disjoint offsets
     return module.act_matrix(l_s).mul(acc)
 
 
@@ -566,7 +530,7 @@ class MaschkeReport:
     implication_trace: str
     park: dict = dc_field(default_factory=dict)
 
-    def to_dict(self, fmt=None):
+    def to_dict(self, fmt):
         out = {
             "r_semisimple": self.r_semisimple,
             "isotropy_orders": dict(self.isotropy_orders),
@@ -580,7 +544,7 @@ class MaschkeReport:
             "implication_trace": self.implication_trace,
             "park_criterion": dict(self.park),
         }
-        if fmt is not None and self.trace_unit is not None:
+        if self.trace_unit is not None:
             out["trace_unit"] = [fmt(c) for c in self.trace_unit]
         return out
 

@@ -11,7 +11,8 @@ import corpus
 from grpd.errors import DimensionError, PreconditionError, UnsupportedError
 from grpd.exactlin import Field, Subspace
 from grpd import cli, polynomial
-from grpd.algebra import StructureAlgebra, cayley_dickson_chain, minimal_polynomial, polynomial_roots
+from grpd.algebra import (StructureAlgebra, cayley_dickson_chain, grading_respected,
+                          minimal_polynomial, polynomial_roots)
 from grpd.polynomial import _q_factors, _z_divide
 from grpd.skewring import analyze_algebra, build_groupoid_ring, invert_in, quotient_by_ideal
 from grpd import groupoid as gpd
@@ -680,3 +681,11 @@ def test_center_of_commutative_nonassociative_is_its_nucleus():
     assert alg.center() == Subspace.from_vectors(Q, 3, [alg.basis_vector(0)])
     without_unit = StructureAlgebra(Q, 2, [[[(0, Q.one)], [(1, half)]], [[(1, half)], []]])
     assert without_unit.center().dim == 0
+
+
+def test_grading_respected_refuses_a_product_in_the_wrong_degree():
+    alg = corpus.group_algebra(Q, 2)
+    alg.grading = {0: "0", 1: "1"}
+    assert grading_respected(alg, lambda a, b: str((int(a) + int(b)) % 2)) is True
+    # d1 d0 = d1 lies in degree "1", not in the degree "0" this rule asks for
+    assert grading_respected(alg, lambda a, b: "0") is False

@@ -304,6 +304,14 @@ def test_the_field_reduces_and_refuses_to_invert_zero():
     assert (f7.fmt(-1), f7.fmt(3)) == (6, 3)
 
 
+def test_a_matrix_stores_its_entries_reduced():
+    f7 = Field(7)
+    assert Matrix(f7, [[-1]]) == Matrix(f7, [[6]])
+    assert Matrix(f7, [[-1]]).rows == [[6]]
+    assert Matrix(f7, [[14, 10]]).rows == [[0, 3]]
+    assert Matrix(Field(0), [[-1]]).rows == [[-1]]  # over Q the rows stay as given
+
+
 def test_a_multiple_of_p_is_no_pivot():
     # reduced before its zero test, a 2 over F_2 is zero and no pivot
     f2 = Field(2)

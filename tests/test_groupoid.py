@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grpd import groupoid as gpd
-from grpd.errors import violation_rules
+from grpd.errors import Violation, violation_rules
 
 
 def test_trivial_group_valid():
@@ -152,6 +152,30 @@ def test_missing_compose_detected():
     assert "compose" in violation_rules(gpd.validate(broken))
 
 
+def _broken_pair2(identity=None, compose=None, inverse=None):
+    """The pair groupoid on two objects with some entries of its tables overwritten."""
+    g = gpd.pair_groupoid(2)
+    return gpd.FiniteGroupoid(
+        g.objects, g.morphisms, g.dom, g.cod, {**g.inverse, **(inverse or {})},
+        {**g._compose, **(compose or {})}, {**g.identity, **(identity or {})},
+    )
+
+
+@pytest.mark.parametrize("broken, expected", [
+    # (i,j) runs from j to i
+    (_broken_pair2(identity={"1": "(1,2)"}),
+     Violation("identity", ("1", "(1,2)"), "identity morphism has wrong endpoints")),
+    (_broken_pair2(compose={("(1,2)", "(2,1)"): "(2,2)"}),
+     Violation("compose", ("(1,2)", "(2,1)"), "composite has wrong endpoints")),
+    (_broken_pair2(compose={("(1,2)", "(1,2)"): "(1,2)"}),
+     Violation("compose", ("(1,2)", "(1,2)"), "table entry for a non-composable pair")),
+    (_broken_pair2(inverse={"(1,2)": "(1,2)"}),
+     Violation("inverse", ("(1,2)", "(1,2)"), "inverse has wrong endpoints")),
+])
+def test_wrong_endpoints_are_detected(broken, expected):
+    assert expected in gpd.validate(broken)
+
+
 def test_components():
     g = gpd.pair_groupoid(3)
     assert gpd.connected_components(g) == [["1", "2", "3"]]
@@ -220,4 +244,25 @@ def test_json_identity_inference():
     g = gpd.from_dict(d)
     assert "id:e" in g.morphisms
     assert g.identity["e"] == "id:e"
+    assert gpd.validate(g) == []
+
+
+def test_json_objects_only_gets_one_identity_per_object():
+    # no morphisms and no "compose" key: every identity is created as id:<object>
+    g = gpd.from_dict({"objects": ["a", "b"], "morphisms": []})
+    assert g.morphisms == ["id:a", "id:b"]
+    assert g.identity == {"a": "id:a", "b": "id:b"}
+    assert g.compose("id:a", "id:a") == "id:a"
+    assert gpd.validate(g) == []
+
+
+def test_json_identities_are_the_first_neutral_loops():
+    # the trivial group's identity left out, the pair groupoid's kept
+    d = gpd.to_dict(gpd.disjoint_union(gpd.cyclic_group(1), gpd.pair_groupoid(2)))
+    d["morphisms"] = [m for m in d["morphisms"] if m["id"] != "A:g0"]
+    d["compose"] = [c for c in d["compose"] if "A:g0" not in c]
+    g = gpd.from_dict(d)
+    assert g.identity == {"A:*": "id:A:*", "B:1": "B:(1,1)", "B:2": "B:(2,2)"}
+    for e in g.objects:
+        assert g.identity[e] == gpd._neutral_loop(e, g.morphisms, g.dom, g.cod, g._compose)
     assert gpd.validate(g) == []

@@ -397,6 +397,26 @@ def test_maschke_split_rejects_bad_projection():
         maschke_split(pa, module, w, Matrix.identity(Q, module.dim))
 
 
+def test_maschke_split_refuses_an_action_that_does_not_validate():
+    pa = corpus.mutant_p3()
+    module = GradedModule.regular(build_skew_groupoid_ring(corpus.pair_ring_action(2)))
+    w = Subspace.full(Q, module.dim)
+    with pytest.raises(PreconditionError, match=r"action does not validate: \[P3\]"):
+        maschke_split(pa, module, w, Matrix.identity(Q, module.dim))
+
+
+def test_graded_module_validate_names_the_broken_pairs():
+    alg = build_skew_groupoid_ring(corpus.swap_action())
+    regular = GradedModule.regular(alg)
+    # doubling the matrix of b_3 (g1:1) breaks the law at b_2 b_3 and b_3 b_2, products in degree g0
+    k = alg.dim - 1
+    perturbed = GradedModule(alg, regular.dim, regular.action[:k] + [regular.action[k].scale(2)])
+    assert perturbed.validate() == [(k - 1, k), (k, k - 1)]
+    # the zero action respects every product, but the unit does not act as the identity
+    zero = GradedModule(alg, regular.dim, [Matrix.zeros(Q, regular.dim, regular.dim)] * alg.dim)
+    assert zero.validate() == [("unit",)]
+
+
 def test_analyze_report_octonions():
     from grpd.algebra import cayley_dickson_chain
 
