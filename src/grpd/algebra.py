@@ -19,19 +19,20 @@ from .polynomial import (_poly_deriv, _poly_divmod, _poly_gcd, _poly_mul, _poly_
                          _prime_field_roots, _q_factors)
 from . import schema
 
-MAX_DIM = 1024  # largest dim a file may declare; its empty dim x dim table alone is ~64 MB
+MAX_DIM = 1024  # largest dim a file may declare; its dense input table alone is ~8 MB
 
 
 class StructureAlgebra:
     """Algebra with basis b_0..b_{n-1} and products b_i b_j = sum_k c_ij^k b_k.
 
-    The structure constants are sparse: `table[i][j]` lists the (k, c_ij^k)
-    pairs with c_ij^k nonzero, k strictly increasing, so that equal products
-    have equal cells.  The constructor checks the table and copies it once
-    into raw rows, `_cells[i]` = {j: raw row of b_i b_j} over the nonzero
-    products; everything the algebra computes reads that copy.  Inside,
-    elements are raw rows {index: value} and multiply through `_product`;
-    `multiply` is the dense boundary, and `table` is kept for reports.
+    The constructor takes the structure constants as a dense dim x dim
+    `table` whose cell `table[i][j]` lists the (k, c_ij^k) pairs with c_ij^k
+    nonzero, k strictly increasing; a zero product is an empty cell.  It
+    checks every cell and stores only the nonzero products, as raw rows
+    `_cells[i]` = {j: raw row {k: c_ij^k} of b_i b_j}; the table itself is
+    not kept.  Everything the algebra computes, compares or reports reads
+    `_cells`.  Inside, elements are raw rows {index: value} and multiply
+    through `_product`; `multiply` is the dense boundary.
 
     Optional extras: a designated unit vector, basis labels, a grading map
     (basis index to a degree label) and a conjugation involution used by the
@@ -52,7 +53,7 @@ class StructureAlgebra:
                 last, raw = -1, {}
                 try:
                     for k, c in cell:
-                        # cells are kept for reports, so residues must come reduced
+                        # __eq__ compares _cells, so residues must come reduced
                         if not (isinstance(k, int) and last < k < dim
                                 and (type(c) is int and 0 < c < p if p else c)):
                             raise ValueError
@@ -66,7 +67,6 @@ class StructureAlgebra:
                 if raw:
                     cells[j] = raw
             self._cells.append(cells)
-        self.table = table
         self.unit = unit
         self.labels = labels
         self.grading = grading
@@ -111,7 +111,7 @@ class StructureAlgebra:
             isinstance(other, StructureAlgebra)
             and self.field == other.field
             and self.dim == other.dim
-            and self.table == other.table
+            and self._cells == other._cells
             and self.unit == other.unit
         )
 
@@ -462,14 +462,13 @@ class StructureAlgebra:
         def pad(first, second):
             return list(first) + list(second)
 
-        def shifted(terms):
-            return [(k + n, c) for k, c in terms]
-
         zvec = self.field.zero_vec(n)
+        cells = self._cells
         table = []
         for i in range(n):
             # (x,0)(c,0) = (xc, 0) and (x,0)(0,d) = (0, d x)
-            table.append(self.table[i] + [shifted(self.table[j][i]) for j in range(n)])
+            table.append([_terms(cells[i].get(j, {})) for j in range(n)]
+                         + [_terms(cells[j].get(i, {}), n) for j in range(n)])
         cj = [self._row(c) for c in conj]
         for i in range(n):
             # (0,y)(c,0) = (0, y conj(c)) and (0,y)(0,d) = (-conj(d) y, 0)
@@ -490,13 +489,12 @@ class StructureAlgebra:
     def to_dict(self):
         fmt = self.field.fmt
         entries = []
-        for i, row in enumerate(self.table):
-            for j, cell in enumerate(row):
-                if cell:
-                    v = [fmt(self.field.zero)] * self.dim
-                    for k, c in cell:
-                        v[k] = fmt(c)
-                    entries.append([i, j, v])
+        for i, cells in enumerate(self._cells):
+            for j in sorted(cells):
+                v = [fmt(self.field.zero)] * self.dim
+                for k, c in cells[j].items():
+                    v[k] = fmt(c)
+                entries.append([i, j, v])
         out = {
             "field": {"char": self.field.char},
             "dim": self.dim,
@@ -517,7 +515,7 @@ class StructureAlgebra:
         labels = d.get("basis")
         if labels is not None:
             schema.items(labels, object, "basis", dim)
-        table = [[[] for _ in range(dim)] for _ in range(dim)]
+        table = [[()] * dim for _ in range(dim)]
         cells = set()
         for t, ent in enumerate(schema.get(d, "table", list, "algebra")):
             what = f"table entry {t}"
@@ -704,17 +702,10 @@ def grading_respected(alg, compose):
     """
     if alg.grading is None:
         return None
-    for i in range(alg.dim):
-        gi = alg.grading[i]
-        for j in range(alg.dim):
-            gj = alg.grading[j]
-            target = compose(gi, gj)
-            prod = alg.table[i][j]
-            if target is None:
-                if prod:
-                    return False
-                continue
-            for k, _ in prod:
-                if alg.grading[k] != target:
-                    return False
+    for i, cells in enumerate(alg._cells):
+        for j, prod in cells.items():
+            target = compose(alg.grading[i], alg.grading[j])
+            # a nonzero product must lie in degree `target`, which must exist
+            if target is None or any(alg.grading[k] != target for k in prod):
+                return False
     return True

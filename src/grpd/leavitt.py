@@ -489,7 +489,7 @@ class PathPairModel:
         field = self.field
         n = len(self.pairs)
         table = [
-            [[(self.index[(mu, tau)], field.one)] if nu == sigma else []
+            [[(self.index[(mu, tau)], field.one)] if nu == sigma else ()
              for sigma, tau in self.pairs]
             for mu, nu in self.pairs
         ]

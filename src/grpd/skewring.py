@@ -76,7 +76,7 @@ def skew_product_ring(field, degrees, domains, triples, inv, alpha, mul, name, u
             grading[len(labels)] = name(g)
             labels.append(f"{name(g)}:{j}")
 
-    table = [[[] for _ in range(total)] for _ in range(total)]
+    table = [[()] * total for _ in range(total)]
     # g -> (D_g, offset, alpha_{g^-1} of D_g's basis as raw rows, filled on first use)
     layout = {g: (domains[g], offsets[g], []) for g in degrees}
     for g, h, gh in triples:
@@ -189,15 +189,15 @@ def groupoid_ring_action(groupoid, coeffs):
         off += coeffs[rep_of[e]].dim
     n = off
 
-    table = [[[] for _ in range(n)] for _ in range(n)]
+    table = [[()] * n for _ in range(n)]
     labels = [None] * n
     for e in groupoid.objects:
         t = coeffs[rep_of[e]]
         o = offsets[e]
-        for i in range(t.dim):
+        for i, cells in enumerate(t._cells):
             labels[o + i] = f"{e}.{t.label(i)}"
-            for j in range(t.dim):
-                table[o + i][o + j] = [(o + k, c) for k, c in t.table[i][j]]
+            for j, cell in cells.items():
+                table[o + i][o + j] = _terms(cell, o)
     unit = base_field.zero_vec(n)
     for e in groupoid.objects:
         t = coeffs[rep_of[e]]
@@ -265,11 +265,12 @@ def matrix_units_isomorphism(alg, n, t):
                         for m2 in range(t.dim):
                             a = mapping[(f"({i},{j})", m1)]
                             b = mapping[(f"({k},{l})", m2)]
-                            expected = [] if j != k else sorted(
-                                (mapping[(f"({i},{l})", m3)], c) for m3, c in t.table[m1][m2]
-                            )
+                            expected = {} if j != k else {
+                                mapping[(f"({i},{l})", m3)]: c
+                                for m3, c in t._cells[m1].get(m2, {}).items()
+                            }
                             checks += 1
-                            if alg.table[a][b] != expected:
+                            if alg._cells[a].get(b, {}) != expected:
                                 return MatrixUnitsResult(
                                     None,
                                     f"E({i},{j})[{m1}] * E({k},{l})[{m2}] broke the matrix-unit law",

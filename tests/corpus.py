@@ -76,6 +76,12 @@ def upper_triangular2(field):
     return upper_triangular(field, 2)
 
 
+def table_of(alg):
+    """The dense dim x dim table of an algebra: its (k, c) pairs per cell, k increasing."""
+    return [[sorted(alg._cells[i].get(j, {}).items()) for j in range(alg.dim)]
+            for i in range(alg.dim)]
+
+
 def rescaled(alg, scales):
     """The algebra alg over Q in the basis b'_i = s_i b_i, for nonzero rationals s_i.
 
@@ -83,7 +89,8 @@ def rescaled(alg, scales):
     so a table with integer constants turns into one with fractions.
     """
     s = [Fraction(x) for x in scales]
-    table = [[[(k, Q(s[i] * s[j] * c / s[k])) for k, c in alg.table[i][j]]
+    cells = table_of(alg)
+    table = [[[(k, Q(s[i] * s[j] * c / s[k])) for k, c in cells[i][j]]
               for j in range(alg.dim)] for i in range(alg.dim)]
     unit = None if alg.unit is None else [Q(u / s[k]) for k, u in enumerate(alg.unit)]
     return StructureAlgebra(alg.field, alg.dim, table, unit=unit, labels=alg.labels)

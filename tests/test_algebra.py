@@ -343,8 +343,8 @@ def test_the_algebra_systems_do_no_boxed_arithmetic():
 
     f = Field(10007)
     # no unit supplied, so find_unit solves for it
-    fz5 = StructureAlgebra(f, 5, corpus.group_algebra(f, 5).table)
-    octo = StructureAlgebra(f, 8, cayley_dickson_chain(f, 3).table)
+    fz5 = StructureAlgebra(f, 5, corpus.table_of(corpus.group_algebra(f, 5)))
+    octo = StructureAlgebra(f, 8, corpus.table_of(cayley_dickson_chain(f, 3)))
     shift = corpus.shift_restriction_action(f)
     for alg, associative, center_dim in ((fz5, True, 5), (octo, False, 1)):
         assert alg.find_unit() == f.unit_vec(alg.dim, 0)
@@ -689,3 +689,28 @@ def test_grading_respected_refuses_a_product_in_the_wrong_degree():
     assert grading_respected(alg, lambda a, b: str((int(a) + int(b)) % 2)) is True
     # d1 d0 = d1 lies in degree "1", not in the degree "0" this rule asks for
     assert grading_respected(alg, lambda a, b: "0") is False
+
+
+def test_equality_compares_the_products_and_the_unit():
+    def alg(table, unit=None):
+        return StructureAlgebra(Q, 2, table, unit=unit)
+
+    dual = [[[(0, 1)], [(1, 1)]], [[(1, 1)], []]]
+    assert alg(dual) == alg([[list(cell) for cell in row] for row in dual])
+    empty = []  # one empty cell shared by every zero product, against a fresh [] each
+    assert alg([[empty] * 2 for _ in range(2)]) == alg([[[] for _ in range(2)] for _ in range(2)])
+    assert alg([[[(0, 1)], empty], [empty, empty]]) == alg([[[(0, 1)], []], [[], []]])
+    assert alg([[[(0, Fraction(3))], []], [[], []]]) == alg([[[(0, 3)], []], [[], []]])
+    assert alg(dual, unit=[Q.one, Q.zero]) != alg(dual)
+    assert alg(dual) != alg([[[(0, 1)], [(1, 2)]], [[(1, 1)], []]])
+    assert alg(dual) != alg([[[(0, 1)], [(1, 1)]], [[(1, 1)], [(1, 1)]]])
+    assert alg(dual) != StructureAlgebra(Field(7), 2, dual)
+    assert alg(dual) != "dual numbers"
+
+
+def test_grading_respected_without_a_grading_and_where_products_must_vanish():
+    alg = corpus.group_algebra(Q, 2)
+    assert grading_respected(alg, lambda a, b: "0") is None
+    alg.grading = {0: "0", 1: "1"}
+    # d1 d1 = d0 is nonzero, but this rule says degree "1" times degree "1" vanishes
+    assert grading_respected(alg, lambda a, b: None if a == b == "1" else "0") is False

@@ -343,7 +343,7 @@ def test_meeting_pairs_build_the_all_pairs_skew_ring(graph, char):
                                      model._alpha, model._pointwise, lv.word_label,
                                      {lv.IDENTITY: ones})
     alg = model.algebra
-    assert alg.table == ref.table and alg.labels == ref.labels
+    assert corpus.table_of(alg) == corpus.table_of(ref) and alg.labels == ref.labels
     assert alg.grading == ref.grading and alg.unit == ref.unit is not None
     assert model.offsets == offsets
     # the pairs left out are exactly those whose supports are disjoint

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus
 from grpd import groupoid as gpd
 from grpd import paction as pact
 from grpd.algebra import StructureAlgebra
@@ -125,6 +126,7 @@ class Reference:
         self.pa = pa
         self.p = p = pa.ambient.field.char
         self.n = n = pa.ambient.dim
+        self.table = corpus.table_of(pa.ambient)
 
         def space(s):
             return ref_rref([[plain(x, p) for x in r] for r in s.basis], n, p)
@@ -134,7 +136,7 @@ class Reference:
         self.maps = {g: [[plain(x, p) for x in r] for r in m.rows] for g, m in pa.maps.items()}
 
     def mul(self, x, y):
-        return ref_multiply(self.pa.ambient.table, x, y, self.n, self.p)
+        return ref_multiply(self.table, x, y, self.n, self.p)
 
     def alpha(self, g, v):
         """alpha_g(v) by coordinates, the matrix and expansion; None outside R_{g^-1}."""

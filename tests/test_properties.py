@@ -232,7 +232,7 @@ def test_rescaled_tables_analyze_like_integral_ones(case):
     if not keep_unit:
         integral.unit = None
     scaled = corpus.rescaled(integral, scales)
-    assert any(type(c) is Fraction for row in scaled.table for cell in row for _, c in cell)
+    assert any(type(c) is Fraction for row in corpus.table_of(scaled) for cell in row for _, c in cell)
     assert analyze_algebra(scaled) == analyze_algebra(integral)
     for alg in (integral, scaled):
         assert all(is_canonical(x) for v in exactlin_vectors(alg) for x in v)
@@ -241,9 +241,9 @@ def test_rescaled_tables_analyze_like_integral_ones(case):
 def direct_product(a, b):
     """a x b, with the basis of a followed by that of b."""
     n = a.dim
-    table = [row + [[] for _ in range(b.dim)] for row in a.table]
+    table = [row + [[] for _ in range(b.dim)] for row in corpus.table_of(a)]
     table += [[[] for _ in range(n)] + [[(n + k, c) for k, c in cell] for cell in row]
-              for row in b.table]
+              for row in corpus.table_of(b)]
     return StructureAlgebra(a.field, n + b.dim, table, unit=a.find_unit() + b.find_unit())
 
 

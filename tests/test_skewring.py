@@ -1,6 +1,7 @@
 """Skew ring builders, partial group algebras, quotients, Maschke machinery."""
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,7 @@ from grpd.errors import PreconditionError, UnsupportedError
 from grpd.exactlin import Field, Matrix, Subspace, solve
 from grpd.algebra import grading_respected
 from grpd import groupoid as gpd
+from grpd import leavitt as lv
 from grpd import paction as pact
 from grpd.skewring import (
     GradedModule,
@@ -111,6 +113,15 @@ def test_matrix_units_counterexample():
     assert not res and res.counterexample
 
 
+def test_matrix_units_counterexamples_before_any_product():
+    res = matrix_units_isomorphism(corpus.group_algebra(Q, 2), 1, corpus.scalar_algebra(Q))
+    assert (res.mapping, res.counterexample, res.checks) == (None, "algebra carries no grading", 0)
+    m2 = build_groupoid_ring(gpd.pair_groupoid(2), corpus.scalar_algebra(Q))
+    res = matrix_units_isomorphism(m2, 2, corpus.dual_numbers(Q))
+    assert not res and res.checks == 0
+    assert res.counterexample == "degree (1,1) has 1 basis vectors, wanted 2"
+
+
 def test_groupoid_ring_of_group_is_group_algebra():
     alg = build_groupoid_ring(gpd.cyclic_group(2), corpus.scalar_algebra(Q))
     assert alg.dim == 2
@@ -171,6 +182,46 @@ def test_skew_ring_over_the_dimension_limit_is_refused():
         skew_product_ring(Q, "ab", domains, [("a", "b", "a")], None, None, None, str, None)
 
 
+def toy_skew_product(triples):
+    """The kernel on Q x Q with D_a = Q e0, D_b = Q e1, every alpha the identity."""
+    domains = {"a": Subspace.coordinate(Q, 2, [0]), "b": Subspace.coordinate(Q, 2, [1])}
+
+    def mul(x, y):
+        return {k: x[k] * y[k] for k in x if k in y}
+
+    return skew_product_ring(Q, "ab", domains, triples, lambda g: g, lambda g, x: x, mul, str, None)
+
+
+def test_skew_product_of_degrees_with_no_product_degree_must_vanish():
+    toy_skew_product([("a", "b", "c")])  # e0 e1 = 0 may go nowhere
+    with pytest.raises(RuntimeError, match="escaped the support"):
+        toy_skew_product([("a", "a", "c")])  # e0 e0 = e0, but "c" is not a degree
+
+
+def test_skew_product_outside_the_product_domain_is_refused():
+    alg, offsets = toy_skew_product([("a", "a", "a"), ("b", "b", "b")])
+    assert offsets == {"a": 0, "b": 1} and alg.multiply([1, 1], [1, 1]) == [1, 1]
+    with pytest.raises(PreconditionError, match=r"product of degrees a, a left R_\(b\)"):
+        toy_skew_product([("a", "a", "b")])  # e0 e0 = e0 does not lie in D_b = Q e1
+
+
+@pytest.mark.parametrize("build, held_mb, peak_mb", [
+    pytest.param(lambda: build_groupoid_ring(gpd.pair_groupoid(16), corpus.scalar_algebra(Q)),
+                 3, 4.5, id="pair-groupoid-16"),
+    pytest.param(lambda: lv.build_gr_skew_ring(corpus.line_graph(20), Q), 6, 9, id="A20"),
+])
+def test_builders_hold_memory_for_the_nonzero_products_only(build, held_mb, peak_mb):
+    # allocation sizes do not depend on timing, so these bounds are deterministic
+    tracemalloc.start()
+    try:
+        alg = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert alg.dim in (256, 400)
+    assert held < held_mb * 1e6 and peak < peak_mb * 1e6, (held, peak)
+
+
 def test_groupoid_ring_over_the_dimension_limit_is_refused_before_validating(monkeypatch):
     # R[G] for the pair groupoid on 33 objects has dimension 33^2 = 1089
     def refuse(pa):
@@ -215,7 +266,7 @@ def test_quotient_examples():
     alg = corpus.dual_numbers(Q)
     zero = Subspace.zero(Q, 2)
     q0 = quotient_by_ideal(alg, zero)
-    assert q0.dim == 2 and q0.table == alg.table
+    assert q0.dim == 2 and corpus.table_of(q0) == corpus.table_of(alg)
     qfull = quotient_by_ideal(alg, Subspace.full(Q, 2))
     assert qfull.dim == 0
     rad = alg.jacobson_radical()
