@@ -27,11 +27,12 @@ class StructureAlgebra:
 
     The constructor takes the structure constants as a dense dim x dim
     `table` whose cell `table[i][j]` lists the (k, c_ij^k) pairs with c_ij^k
-    nonzero, k strictly increasing; a zero product is an empty cell.  It
-    checks every cell and stores only the nonzero products, as raw rows
-    `_cells[i]` = {j: raw row {k: c_ij^k} of b_i b_j}; the table itself is
-    not kept.  Everything the algebra computes, compares or reports reads
-    `_cells`.  Inside, elements are raw rows {index: value} and multiply
+    nonzero, k strictly increasing; a zero product is an empty cell.  A
+    coefficient is an int in [1, p) over F_p, and a nonzero int or Fraction
+    over Q.  It checks every cell and stores only the nonzero products, in
+    canonical form, as raw rows `_cells[i]` = {j: raw row {k: c_ij^k} of
+    b_i b_j}; the table itself is not kept.  Everything the algebra
+    computes, compares or reports reads `_cells`.  Inside, elements are raw rows {index: value} and multiply
     through `_product`; `multiply` is the dense boundary.
 
     Optional extras: a designated unit vector, basis labels, a grading map
@@ -46,6 +47,7 @@ class StructureAlgebra:
         if len(table) != dim or any(len(row) != dim for row in table):
             raise DimensionError("structure constant table must be dim x dim")
         p = field.char
+        kinds = (int,) if p else (int, Fraction)
         self._cells = []
         for row in table:
             cells = {}
@@ -53,12 +55,13 @@ class StructureAlgebra:
                 last, raw = -1, {}
                 try:
                     for k, c in cell:
-                        # __eq__ compares _cells, so residues must come reduced
+                        # __eq__ compares _cells, so each coefficient is stored in
+                        # one form: a residue in [1, p), or a canonical rational
                         if not (isinstance(k, int) and last < k < dim
-                                and (type(c) is int and 0 < c < p if p else c)):
+                                and type(c) in kinds and (0 < c < p if p else c)):
                             raise ValueError
                         last = k
-                        raw[k] = c
+                        raw[k] = c if type(c) is int else _canonical(c)
                 except (TypeError, ValueError):
                     raise DimensionError(
                         f"table cell {cell!r} is not a list of (k, c) pairs with "
@@ -579,8 +582,9 @@ def _slice(index, k):
 
 
 def _terms(coords, off=0):
-    """The table cell of raw coordinates {k: value}: (off + k, field element), k increasing."""
-    return [(off + k, _canonical(x)) for k, x in sorted(coords.items())]
+    """The table cell of raw coordinates {k: value}: (off + k, value), k increasing;
+    every zero product gets the one shared empty cell ()."""
+    return sorted((off + k, x) for k, x in coords.items()) or ()
 
 
 def _restricted_table(space, mul):

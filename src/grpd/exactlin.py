@@ -120,9 +120,6 @@ class Field:
             return str(x)
         return x % self.char
 
-    def vec(self, entries):
-        return [self(e) for e in entries]
-
     def zero_vec(self, n):
         return [self.zero] * n
 
@@ -226,12 +223,14 @@ def _gauss_jordan(rows, p):
 
 
 class Matrix:
-    """Dense matrix over an exact field, entries reduced mod p over F_p; immutable by convention."""
+    """Dense matrix over an exact field; immutable by convention.  The constructor is
+    the one place entries are normalized: reduced mod p over F_p, canonical over Q."""
 
     def __init__(self, field, rows, ncols=None):
         self.field = field
         p = field.char
-        self.rows = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
+        self.rows = ([[x % p for x in r] for r in rows] if p
+                     else [[_canonical(x) for x in r] for r in rows])
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else (ncols or 0)
         for r in self.rows:
@@ -289,13 +288,11 @@ class Matrix:
     def add(self, other):
         if self.shape != other.shape:
             raise DimensionError("matrix sum shape mismatch")
-        f = self.field
-        rows = [[f(x + y) for x, y in zip(a, b)] for a, b in zip(self.rows, other.rows)]
-        return Matrix(f, rows, self.ncols)
+        rows = [[x + y for x, y in zip(a, b)] for a, b in zip(self.rows, other.rows)]
+        return Matrix(self.field, rows, self.ncols)
 
     def scale(self, c):
-        f = self.field
-        return Matrix(f, [[f(c * x) for x in r] for r in self.rows], self.ncols)
+        return Matrix(self.field, [[c * x for x in r] for r in self.rows], self.ncols)
 
     def __eq__(self, other):
         return (

@@ -288,26 +288,24 @@ def word_mul(graph, g, h):
         return h
     if h.is_identity():
         return g
-    b1, a2 = g.b, h.a
-    k = 0
-    while k < b1.length and k < a2.length and b1.edges[k] == a2.edges[k]:
+    a, b, c, d = g.a, g.b.edges, h.a.edges, h.b  # g h = a b^-1 c d^-1
+    k, m = 0, min(len(b), len(c))
+    while k < m and b[k] == c[k]:
         k += 1
-    if k < b1.length and k < a2.length:
+    if k < m:
         return None  # reduced mixed form, outside the support class
-    if k == b1.length and k < a2.length:
-        tail = a2.edges[k:]
-        if graph.edge_by_id[tail[0]].s != path_range(graph, g.a):
-            return None
-        if g.a.is_trivial():
-            new_a = Path(graph.edge_by_id[tail[0]].s, tail)
-        else:
-            new_a = Path(g.a.source, g.a.edges + tail)
-        return make_word(graph, new_a, h.b)
-    if k == a2.length and k < b1.length:
-        # mirror of the case above: (gh)^-1 = h^-1 g^-1
-        inv = word_mul(graph, word_inverse(h), word_inverse(g))
-        return None if inv is None else word_inverse(inv)
-    return make_word(graph, g.a, h.b)
+    # b^-1 c is c[k:] when b is a prefix of c, and the inverse of b[k:] otherwise
+    a, d = _extend(graph, a, c[k:]), _extend(graph, d, b[k:])
+    return None if a is None or d is None else make_word(graph, a, d)
+
+
+def _extend(graph, p, tail):
+    """The path p followed by the edges tail, or None when they do not meet."""
+    if not tail:
+        return p
+    if graph.edge_by_id[tail[0]].s != path_range(graph, p):
+        return None
+    return Path(p.source, p.edges + tail)
 
 
 # -- the X space ----------------------------------------------------------------------

@@ -242,42 +242,32 @@ def matrix_units_isomorphism(alg, n, t):
     """
     if alg.grading is None:
         return MatrixUnitsResult(None, "algebra carries no grading", 0)
-    mapping = {}
-    seen = {}
+    of_degree = {}  # degree label -> its basis indices, increasing
     for idx in range(alg.dim):
-        deg = alg.grading[idx]
-        k = seen.get(deg, 0)
-        seen[deg] = k + 1
-        mapping[(deg, k)] = idx
+        of_degree.setdefault(alg.grading[idx], []).append(idx)
+    units = {}  # (i, j) -> the basis indices of E_ij(b_0), ..., E_ij(b_{dim t - 1})
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            deg = f"({i},{j})"
-            if seen.get(deg, 0) != t.dim:
+            units[i, j] = found = of_degree.get(f"({i},{j})", [])
+            if len(found) != t.dim:
                 return MatrixUnitsResult(
-                    None, f"degree {deg} has {seen.get(deg, 0)} basis vectors, wanted {t.dim}", 0
+                    None, f"degree ({i},{j}) has {len(found)} basis vectors, wanted {t.dim}", 0
                 )
     checks = 0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    for m1 in range(t.dim):
-                        for m2 in range(t.dim):
-                            a = mapping[(f"({i},{j})", m1)]
-                            b = mapping[(f"({k},{l})", m2)]
-                            expected = {} if j != k else {
-                                mapping[(f"({i},{l})", m3)]: c
-                                for m3, c in t._cells[m1].get(m2, {}).items()
-                            }
-                            checks += 1
-                            if alg._cells[a].get(b, {}) != expected:
-                                return MatrixUnitsResult(
-                                    None,
-                                    f"E({i},{j})[{m1}] * E({k},{l})[{m2}] broke the matrix-unit law",
-                                    checks,
-                                )
-    out = {(i, j, m): mapping[(f"({i},{j})", m)] for i in range(1, n + 1)
-           for j in range(1, n + 1) for m in range(t.dim)}
+    for (i, j), ij in units.items():
+        for (k, l), kl in units.items():
+            il = units[i, l]
+            for m1, a in enumerate(ij):
+                for m2, b in enumerate(kl):
+                    cell = t._cells[m1].get(m2, {}) if j == k else {}
+                    checks += 1
+                    if alg._cells[a].get(b, {}) != {il[m3]: c for m3, c in cell.items()}:
+                        return MatrixUnitsResult(
+                            None,
+                            f"E({i},{j})[{m1}] * E({k},{l})[{m2}] broke the matrix-unit law",
+                            checks,
+                        )
+    out = {(i, j, m): idx for (i, j), ij in units.items() for m, idx in enumerate(ij)}
     return MatrixUnitsResult(out, None, checks)
 
 

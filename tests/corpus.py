@@ -12,6 +12,11 @@ from grpd import leavitt as lv
 Q = Field(0)
 
 
+def vec(field, xs):
+    """The dense vector of the field elements coerced from xs."""
+    return [field(x) for x in xs]
+
+
 def componentwise(field, n):
     """The split algebra field^n with coordinatewise multiplication."""
     table = [[[(i, field.one)] if i == j else [] for j in range(n)] for i in range(n)]

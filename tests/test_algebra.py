@@ -492,7 +492,7 @@ def test_prime_field_roots_match_brute_force(p):
     for _ in range(200):
         degree = rng.randint(1, 8)
         coeffs = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
-        roots = polynomial_roots(f, f.vec(coeffs))
+        roots = polynomial_roots(f, corpus.vec(f, coeffs))
         assert roots == _brute_roots(p, coeffs), coeffs
 
 
@@ -665,6 +665,17 @@ def test_table_cells_over_fp_hold_reduced_residues(c):
     with pytest.raises(DimensionError):
         StructureAlgebra(f7, 1, [[[(0, c)]]])
     assert StructureAlgebra(f7, 1, [[[(0, 6)]]]).multiply([1], [1]) == [6]
+
+
+@pytest.mark.parametrize("c", ["3", 3.0, True, 0, Fraction(0), None], ids=repr)
+def test_table_cells_over_q_hold_nonzero_rationals(c):
+    # a cell coefficient over Q is a nonzero int or Fraction, stored in canonical form
+    with pytest.raises(DimensionError):
+        StructureAlgebra(Q, 1, [[[(0, c)]]])
+    three = StructureAlgebra(Q, 1, [[[(0, Fraction(3))]]])
+    assert type(three._cells[0][0][0]) is int
+    assert three == StructureAlgebra(Q, 1, [[[(0, 3)]]])
+    assert three.to_dict()["table"] == [[0, 0, ["3"]]]
 
 
 def test_center_of_commutative_nonassociative_is_its_nucleus():

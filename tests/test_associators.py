@@ -288,7 +288,7 @@ def rebased(alg, rng):
     """alg in a random basis: each new basis vector mixes several old ones."""
     field, n = alg.field, alg.dim
     while True:
-        basis = [field.vec([rng.randint(-2, 2) for _ in range(n)]) for _ in range(n)]
+        basis = [corpus.vec(field, [rng.randint(-2, 2) for _ in range(n)]) for _ in range(n)]
         if Subspace.from_vectors(field, n, basis).dim == n:
             break
     change = Matrix.from_columns(field, basis)

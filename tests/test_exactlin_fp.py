@@ -11,11 +11,13 @@ reduced ones.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus
 from grpd.exactlin import Field, Matrix, Subspace, kernel, kernel_rows, solve, solve_rows
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -216,7 +218,7 @@ def test_apply_and_mul_match_reference(case):
     o, ref_o = both([[random_entry(rng, p) for _ in range(k)] for _ in range(ncols)], p, k)
     for x in ([0] * ncols, [random_entry(rng, p) for _ in range(ncols)]):
         want = [r[0] for r in ref_mul(ref, [[Res(a, p)] for a in x], 1, p)]
-        assert unboxed(m.apply(Field(p).vec(x)), p) == want
+        assert unboxed(m.apply(corpus.vec(Field(p), x)), p) == want
     prod = m.mul(o)
     assert prod.shape == (nrows, k)
     assert [unboxed(r, p) for r in prod.rows] == ref_mul(ref, ref_o, k, p)
@@ -230,8 +232,8 @@ def test_subspace_operations_match_reference(case):
     n = rng.randint(0, 6)
     gens_u = random_rows(rng, p, rng.randint(0, 5), n)
     gens_w = random_rows(rng, p, rng.randint(0, 5), n)
-    u = Subspace.from_vectors(field, n, [field.vec(r) for r in gens_u])
-    w = Subspace.from_vectors(field, n, [field.vec(r) for r in gens_w])
+    u = Subspace.from_vectors(field, n, [corpus.vec(field, r) for r in gens_u])
+    w = Subspace.from_vectors(field, n, [corpus.vec(field, r) for r in gens_w])
     ref_u, piv_u = ref_span([[Res(x, p) for x in r] for r in gens_u], n)
     ref_w, piv_w = ref_span([[Res(x, p) for x in r] for r in gens_w], n)
     assert (u.pivots, [unboxed(r, p) for r in u.basis]) == (piv_u, ints(ref_u))
@@ -240,7 +242,7 @@ def test_subspace_operations_match_reference(case):
     inside = [sum(c * r[j].v for c, r in zip(coeffs, ref_u)) % p for j in range(n)]
     for v in (inside, [random_entry(rng, p) for _ in range(n)]):
         rest = [x.v for x in ref_reduce(ref_u, piv_u, [Res(x, p) for x in v])]
-        boxed = field.vec(v)
+        boxed = corpus.vec(field, v)
         assert unboxed(u.reduce(boxed), p) == rest
         assert u.contains(boxed) == (not any(rest))
         if any(rest):
@@ -248,14 +250,14 @@ def test_subspace_operations_match_reference(case):
                 u.coords(boxed)
         else:
             assert unboxed(u.coords(boxed), p) == [v[c] for c in piv_u]
-    assert unboxed(u.expand(field.vec(coeffs)), p) == inside
+    assert unboxed(u.expand(corpus.vec(field, coeffs)), p) == inside
     assert unboxed(u.expand(field.zero_vec(u.dim)), p) == [0] * n
 
     # Zassenhaus on the reference: rows [a | a] and [b | 0]; the nested and
     # equal pairs A <= B, B <= A and A = B follow the drawn one
     s = u.sum(w)
     ref_s, _ = ref_span([[Res(x, p) for x in r] for r in gens_u + gens_w], n)
-    u_again = Subspace.from_vectors(field, n, [field.vec(r) for r in gens_u[::-1]])
+    u_again = Subspace.from_vectors(field, n, [corpus.vec(field, r) for r in gens_u[::-1]])
     zero = [Res(0, p)] * n
     for a, b, ref_a, ref_b in [(u, w, ref_u, ref_w), (u, s, ref_u, ref_s),
                                (s, u, ref_s, ref_u), (u, u_again, ref_u, ref_u)]:
@@ -282,7 +284,7 @@ def test_subspace_equality_does_not_depend_on_the_construction(case):
     gens += [[random_entry(rng, p) if j in idx else 0 for j in range(n)]
              for _ in range(rng.randint(0, 3))]
     routes = [Subspace.coordinate(field, n, idx),
-              Subspace.from_vectors(field, n, [field.vec(r) for r in gens[::-1]]),
+              Subspace.from_vectors(field, n, [corpus.vec(field, r) for r in gens[::-1]]),
               kernel_rows(field, [{j: field(rng.randrange(1, p))} for j in range(n)
                                   if j not in idx], n)]
     for a in routes:
@@ -309,7 +311,20 @@ def test_a_matrix_stores_its_entries_reduced():
     assert Matrix(f7, [[-1]]) == Matrix(f7, [[6]])
     assert Matrix(f7, [[-1]]).rows == [[6]]
     assert Matrix(f7, [[14, 10]]).rows == [[0, 3]]
-    assert Matrix(Field(0), [[-1]]).rows == [[-1]]  # over Q the rows stay as given
+    assert Matrix(Field(0), [[-1]]).rows == [[-1]]  # over Q an int is already canonical
+
+
+def test_matrix_sums_and_multiples_come_out_normalized():
+    # add and scale hand the constructor raw sums and products, which it normalizes
+    half = Matrix(Field(0), [[Fraction(1, 2), Fraction(-1, 2)]])
+    for out in (half.add(half), half.scale(2)):
+        assert out.rows == [[1, -1]]
+        assert [type(x) for x in out.rows[0]] == [int, int]
+    f7 = Field(7)
+    m = Matrix(f7, [[3, 6]])
+    assert m.add(m).rows == [[6, 5]]
+    assert m.scale(5).rows == [[1, 2]]
+    assert m.scale(-1).rows == [[4, 1]]
 
 
 def test_a_multiple_of_p_is_no_pivot():

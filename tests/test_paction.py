@@ -299,8 +299,24 @@ def test_identity_pretender_globalization_rejected():
         action=pretender,
         embeddings={"*": Matrix.identity(Q, 2)},
     )
-    rules = violation_rules(pact.globalization_verify(pa, glob))
+    violations = pact.globalization_verify(pa, glob)
+    rules = violation_rules(violations)
     assert rules & {"(ii)", "(iv)"}
+    assert [(v.rule, v.witness, v.detail) for v in violations] == [
+        ("(ii)", ("g1",), "psi(R_g) differs from psi(R_c) meet beta_g(psi(R_d))"),
+        ("(iii)", ("g1",), "beta_g psi differs from psi alpha_g"),
+    ]
+
+
+def test_zero_embedding_globalization_fails_iv_at_every_morphism():
+    # psi = 0 leaves every T_g unreached by the shifted components
+    pa = corpus.shift_restriction_action()
+    glob = pact.globalize(pa)
+    zero = {e: Matrix.zeros(Q, m.nrows, m.ncols) for e, m in glob.embeddings.items()}
+    violations = pact.globalization_verify(pa, pact.Globalization(pa, glob.action, zero))
+    assert [(v.rule, v.witness) for v in violations] == [("psi-mono", ("*",))] + [
+        ("(iv)", (g,)) for g in ["g0", "g1", "g2", "g3"]]
+    assert violations[-1].detail == "T_g is not the sum of shifted component images"
 
 
 def test_envelope_unitality_tracks_finite_type():

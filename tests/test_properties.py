@@ -158,9 +158,9 @@ def rebased_cyclic_cases(draw):
     field = Field(p)
     basis = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
                           min_size=n, max_size=n)
-                 .filter(lambda rows: Subspace.from_vectors(field, n, [field.vec(r) for r in rows])
+                 .filter(lambda rows: Subspace.from_vectors(field, n, [corpus.vec(field, r) for r in rows])
                          .dim == n))
-    return p, n, [field.vec(r) for r in basis]
+    return p, n, [corpus.vec(field, r) for r in basis]
 
 
 @SETTINGS
@@ -266,9 +266,9 @@ def rebased_radical_cases(draw):
     n = alg.dim
     entry = st.integers(-2, 2) if field.char == 0 else st.integers(0, field.char - 1)
     basis = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
-                 .filter(lambda rows: Subspace.from_vectors(field, n, [field.vec(r) for r in rows])
+                 .filter(lambda rows: Subspace.from_vectors(field, n, [corpus.vec(field, r) for r in rows])
                          .dim == n))
-    return rebased(alg, [field.vec(r) for r in basis]), rad
+    return rebased(alg, [corpus.vec(field, r) for r in basis]), rad
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -310,8 +310,8 @@ def rebased_rational_cases(draw):
     n = alg.dim
     basis = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
                           min_size=n, max_size=n)
-                 .filter(lambda rows: Subspace.from_vectors(Q, n, [Q.vec(r) for r in rows]).dim == n))
-    return rebased(alg, [Q.vec(r) for r in basis]), sorted(dims)
+                 .filter(lambda rows: Subspace.from_vectors(Q, n, [corpus.vec(Q, r) for r in rows]).dim == n))
+    return rebased(alg, [corpus.vec(Q, r) for r in basis]), sorted(dims)
 
 
 @SETTINGS
@@ -330,7 +330,7 @@ def test_rational_blocks_past_the_old_root_search():
     # splitting on rational roots of the minimal polynomials of center basis
     # vectors and their pairwise sums kept these whole or took minutes
     odd = [[0, 1, 0, 1], [1, 1, 0, 1], [0, 1, 1, 1], [0, 1, 0, 2]]  # (sqrt2, sqrt3), (1 + sqrt2, sqrt3), ...
-    pair = rebased(direct_product(quadratic_field(2), quadratic_field(3)), [Q.vec(r) for r in odd])
+    pair = rebased(direct_product(quadratic_field(2), quadratic_field(3)), [corpus.vec(Q, r) for r in odd])
     assert pair.wedderburn_blocks().dims() == [2, 2]
     assert sorted(corpus.group_algebra(Q, 30).wedderburn_blocks().dims()) == [1, 1, 2, 2, 4, 4, 8, 8]
     start = time.perf_counter()

@@ -111,6 +111,21 @@ def test_matrix_units_counterexample():
     alg.grading = {0: "(1,1)", 1: "(1,1)"}
     res = matrix_units_isomorphism(alg, 1, corpus.dual_numbers(Q))
     assert not res and res.counterexample
+    assert (res.counterexample, res.checks) == ("E(1,1)[1] * E(1,1)[1] broke the matrix-unit law", 4)
+
+
+def test_matrix_units_counterexample_mid_loop():
+    # with the degrees of E_12 and E_21 swapped, E_11 "E_12" = E_11 E_21 = 0 is the second check
+    m2 = build_groupoid_ring(gpd.pair_groupoid(2), corpus.scalar_algebra(Q))
+    swap = {"(1,2)": "(2,1)", "(2,1)": "(1,2)"}
+    m2.grading = {i: swap.get(d, d) for i, d in m2.grading.items()}
+    res = matrix_units_isomorphism(m2, 2, corpus.scalar_algebra(Q))
+    assert (res.mapping, res.counterexample, res.checks) == (
+        None, "E(1,1)[0] * E(1,2)[0] broke the matrix-unit law", 2)
+    whole = matrix_units_isomorphism(build_groupoid_ring(gpd.pair_groupoid(2), corpus.dual_numbers(Q)),
+                                          2, corpus.dual_numbers(Q))
+    assert whole.checks == 2 ** 4 * 2 ** 2
+    assert list(whole.mapping.items())[:3] == [((1, 1, 0), 0), ((1, 1, 1), 1), ((1, 2, 0), 2)]
 
 
 def test_matrix_units_counterexamples_before_any_product():
