@@ -25,8 +25,8 @@ Linear systems enter it as sparse rows {column: field element} through
 subspaces are immutable: a matrix keeps its raw columns once made, and a
 subspace is its raw RREF rows alone, so equal subspaces have equal rows.
 A `SubspaceMap`, a linear map from a subspace into the ambient space,
-keeps the raw ambient images of the subspace's RREF basis, so applying,
-restricting and composing maps stay on raw rows.
+keeps the raw ambient images of the subspace's RREF basis, so applying a
+map and taking images stay on raw rows.
 """
 
 import re
@@ -557,25 +557,9 @@ class SubspaceMap:
         dom = self.domain
         return _dense(dom.field, self._image_of(dom._row(v)), self.ambient_dim)
 
-    def restrict(self, space):
-        """This map on a subspace of its domain."""
-        images = [self._image_of(r) for r in space._rows.values()]
-        return SubspaceMap(space, images, self.ambient_dim)
-
-    def then(self, outer):
-        """outer after this map; every image must lie in outer's domain."""
-        images = [outer._image_of(y) for y in self._images]
-        return SubspaceMap(self.domain, images, outer.ambient_dim)
-
-    def image(self):
-        """The image of the domain, by one elimination of the images."""
+    def image(self, space=None):
+        """The image of a subspace of the domain, the whole domain by default,
+        by one elimination of the images of its rows."""
         field = self.domain.field
-        piv = _gauss_jordan([dict(y) for y in self._images], field.char)
-        return Subspace(field, self.ambient_dim, piv)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SubspaceMap)
-            and self.domain == other.domain
-            and self._images == other._images
-        )
+        rows = self._images if space is None else map(self._image_of, space._rows.values())
+        return Subspace(field, self.ambient_dim, _gauss_jordan([dict(y) for y in rows], field.char))

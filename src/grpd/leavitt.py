@@ -407,21 +407,25 @@ class GrSkewModel:
         xs = self.xs
         # every point of X is one of the generating sets X_w or X_v, so D(X)
         # is all of K^X and D_w = 1_w K^X is spanned by the unit vectors at X_w
-        self.domains = {
-            w: Subspace.coordinate(field, len(xs.points), xs.x_set(w)) for w in xs.words
-        }
-        # theta_w on point indices, X_{w^-1} -> X_w
-        self._theta = {w: {xs.index[a]: xs.index[b] for a, b in theta_map(xs, w).items()}
-                       for w in xs.words}
-        triples = ((g, h, word_mul(graph, g, h)) for g, h in self._meeting_pairs())
-        ones = xs.indicator(field, xs.x_set(IDENTITY))
-        self.algebra, self.offsets = skew_product_ring(
-            field, xs.words, self.domains, triples, word_inverse, self._alpha,
-            self._pointwise, word_label, {IDENTITY: ones},
-        )
+        words = xs.words
+        self.domains = {w: Subspace.coordinate(field, len(xs.points), xs.x_set(w)) for w in words}
+        # the kernel's degrees are the word numbers, so no product hashes a word
+        self._number = {w: s for s, w in enumerate(words)}
+        # theta_w on point indices, X_{w^-1} -> X_w, by word number
+        self._theta = [{xs.index[a]: xs.index[b] for a, b in theta_map(xs, w).items()}
+                       for w in words]
+        triples = ((s, t, self._number.get(word_mul(graph, words[s], words[t])))
+                   for s, t in self._meeting_numbers())
+        inverse = [self._number[word_inverse(w)] for w in words]
+        ones = xs.indicator(field, xs.x_set(IDENTITY))  # the identity is word 0
+        self.algebra, offsets = skew_product_ring(
+            field, range(len(words)), list(self.domains.values()), triples, inverse.__getitem__,
+            self._alpha_at, self._pointwise, lambda s: word_label(words[s]), {0: ones})
+        self.offsets = dict(zip(words, offsets.values()))
 
-    def _meeting_pairs(self):
-        """The pairs (g, h) of words with X_{g^-1} meeting X_h, in word order.
+    def _meeting_numbers(self):
+        """The pairs (s, t) of word numbers with X_{g^-1} meeting X_h, g and h
+        the words s and t, in word order.
 
         The kernel multiplies alpha_{g^-1} of the rows of D_g, which lie in
         X_{g^-1}, by the rows of D_h, which lie in X_h; functions on X
@@ -432,9 +436,14 @@ class GrSkewModel:
         for t, h in enumerate(xs.words):
             for i in xs.x_set(h):
                 holding[i].append(t)
-        for g in xs.words:
+        for s, g in enumerate(xs.words):
             for t in sorted(set().union(*(holding[i] for i in xs.x_set(word_inverse(g))))):
-                yield g, xs.words[t]
+                yield s, t
+
+    def _meeting_pairs(self):
+        """The words of `_meeting_numbers`."""
+        words = self.xs.words
+        return ((words[s], words[t]) for s, t in self._meeting_numbers())
 
     def alpha_apply(self, w, f):
         """alpha_w(f) = f o theta_{w^-1}, on functions supported in X_{w^-1}."""
@@ -443,7 +452,11 @@ class GrSkewModel:
 
     def _alpha(self, w, f):
         """alpha_w on a raw row: the value at each point of X_{w^-1} moves along theta_w."""
-        theta = self._theta[w]
+        return self._alpha_at(self._number[w], f)
+
+    def _alpha_at(self, s, f):
+        """alpha_w on a raw row, for w the word numbered s."""
+        theta = self._theta[s]
         return {theta[j]: v for j, v in f.items() if j in theta}
 
     def _pointwise(self, x, y):

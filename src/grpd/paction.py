@@ -9,9 +9,10 @@ globalizations inside a function-space envelope.
 
 Each alpha_g is given as a matrix between RREF coordinates and is held, once
 it is first needed, as a `SubspaceMap`: the ambient images of the RREF basis
-of R_{g^-1}.  `apply_alpha` is its dense form; the axiom checks restrict,
-compose and take images of these maps, apply them and multiply elements
-(`StructureAlgebra._mul`) without leaving exactlin's raw rows.
+of R_{g^-1}.  `apply_alpha` is its dense form; the axiom checks apply these
+maps row by row and multiply elements (`StructureAlgebra._mul`), and the
+globalization checks also take images of subspaces, without leaving
+exactlin's raw rows.
 """
 
 from collections import defaultdict
@@ -197,23 +198,65 @@ def _axiom_violations(pa):
         if m != Matrix.identity(field, dom.dim):
             out.append(Violation("P1", (e,), "alpha at the identity is not the identity map"))
 
-    # (P2) and (P3) on composable pairs
+    # (P2) and (P3) on composable pairs; a valid global action passes on generators
+    if not out and is_global(pa) and not any(
+            _pair_violations(pa, inverses, g, s) for g, s in _generator_pairs(g0)):
+        return out
     for g, h in g0.composable_pairs():
-        if h in bad_bijection or g in bad_bijection:
+        if h in bad_bijection or g in bad_bijection or g0.compose(g, h) in bad_bijection:
             continue
-        gh = g0.compose(g, h)
-        if gh in bad_bijection:
-            continue
-        inter = pa.domains[h].intersect(pa.domains[pa.inv(g)])
-        pre = inverses[h].restrict(inter).image()
-        target = pa.domains[pa.inv(gh)]
-        if pre <= target:
-            dom3 = pre
-        else:
-            out.append(Violation("P2", (g, h), "alpha_h^-1(R_h meet R_{g^-1}) leaves R_{(gh)^-1}"))
-            dom3 = pre.intersect(target)
-        if pa._alpha(h).restrict(dom3).then(pa._alpha(g)) != pa._alpha(gh).restrict(dom3):
-            out.append(Violation("P3", (g, h), "alpha_g alpha_h differs from alpha_{gh}"))
+        out += _pair_violations(pa, inverses, g, h)
+    return out
+
+
+def _generator_pairs(g0):
+    """The pairs (g, s), s in a generating set S, that decide (P3) of a global action.
+
+    S is taken greedily in morphism order, skipping each morphism reached;
+    the reached ones start as the identities and are closed under composition
+    on the right with S and S^-1.  Let beta be global, with every beta_g a
+    bijective ring map and (P1) holding, and let beta_{gs} = beta_g beta_s for
+    every s in S and every g with d(g) = c(s).  (P2) holds by itself, since
+    each domain is a whole component.  The pair (s^-1, s) and (P1) give
+    beta_{s^-1} = beta_s^-1, and the pair (g s^-1, s) gives beta_g =
+    beta_{g s^-1} beta_s, so beta_{g s^-1} = beta_g beta_{s^-1}.  Every
+    morphism is an identity or a word in S and S^-1, so beta_{gh} = beta_g
+    beta_h for every composable pair, by induction on the length of h.
+    Finiteness alone gives no inverses: in a pair groupoid, (2,1) is not a
+    composite of (1,2), (1,3), ...  The groupoid must be valid.
+    """
+    reached, letters, gens = set(g0.identity.values()), [], []
+    for s in (s for s in g0.morphisms if s not in reached):
+        gens.append(s)
+        letters += [s, g0.inverse[s]]
+        todo = [(r, t) for r in reached for t in letters[-2:]]
+        while todo:
+            r, t = todo.pop()
+            if g0.dom[r] == g0.cod[t] and (m := g0.compose(r, t)) not in reached:
+                reached.add(m)
+                todo += [(m, u) for u in letters]
+    return [(g, s) for s in gens for g in g0.morphisms_out_of(g0.cod[s])]
+
+
+def _pair_violations(pa, inverses, g, h):
+    """(P2) and (P3) at a composable pair of bijective morphisms, row by row.
+
+    Each RREF row y of R_h meet R_{g^-1} has the preimage x = alpha_h^-1(y).
+    (P2) holds iff every x lies in R_{(gh)^-1}, and then (P3) compares
+    alpha_g(y) with alpha_gh(x).  Where (P2) fails, (P3) is compared on the
+    RREF rows x of the preimage's meet with R_{(gh)^-1}, paired with alpha_h(x).
+    """
+    field, gh, out = pa.ambient.field, pa.groupoid.compose(g, h), []
+    target = pa.domains[pa.inv(gh)]
+    inter = pa.domains[h].intersect(pa.domains[pa.inv(g)])
+    pairs = [(inverses[h]._image_of(y), y) for y in inter._rows.values()]
+    if any(_reduce(dict(x), target._rows, field.char) for x, _ in pairs):
+        out.append(Violation("P2", (g, h), "alpha_h^-1(R_h meet R_{g^-1}) leaves R_{(gh)^-1}"))
+        pre = Subspace(field, target.ambient_dim, _gauss_jordan([dict(x) for x, _ in pairs], field.char))
+        pairs = [(x, pa._alpha(h)._image_of(x)) for x in pre.intersect(target)._rows.values()]
+    alpha_g, alpha_gh = pa._alpha(g)._image_of, pa._alpha(gh)._image_of
+    if any(alpha_g(y) != alpha_gh(x) for x, y in pairs):
+        out.append(Violation("P3", (g, h), "alpha_g alpha_h differs from alpha_{gh}"))
     return out
 
 
@@ -542,16 +585,17 @@ def globalization_verify(pa, glob):
     shifted = {}
     for g in g0.morphisms:
         c, d = g0.cod[g], g0.dom[g]
-        lhs = psi[c].restrict(pa.domains[g]).image()
-        shifted[g] = beta._alpha(g).restrict(psi_of_component[d]).image()
+        lhs = psi[c].image(pa.domains[g])
+        shifted[g] = beta._alpha(g).image(psi_of_component[d])
         rhs = psi_of_component[c].intersect(shifted[g])
         if lhs != rhs:
             out.append(Violation("(ii)", (g,), "psi(R_g) differs from psi(R_c) meet beta_g(psi(R_d))"))
 
-    # (iii) beta_g psi_{d(g)} = psi_{c(g)} alpha_g on R_{g^-1}
+    # (iii) beta_g psi_{d(g)} = psi_{c(g)} alpha_g on the rows of R_{g^-1}
     for g in g0.morphisms:
-        lhs = psi[g0.dom[g]].restrict(pa.domains[pa.inv(g)]).then(beta._alpha(g))
-        if lhs != pa._alpha(g).then(psi[g0.cod[g]]):
+        lhs, rhs = beta._alpha(g)._image_of, psi[g0.cod[g]]._image_of
+        if any(lhs(psi[g0.dom[g]]._image_of(x)) != rhs(pa._alpha(g)._image_of(x))
+               for x in pa.domains[pa.inv(g)]._rows.values()):
             out.append(Violation("(iii)", (g,), "beta_g psi differs from psi alpha_g"))
 
     # (iv) T_g is generated by the shifted embedded components; the sum depends on c(g) alone
