@@ -447,15 +447,12 @@ class GrSkewModel:
 
     def alpha_apply(self, w, f):
         """alpha_w(f) = f o theta_{w^-1}, on functions supported in X_{w^-1}."""
-        field = self.field
-        return _dense(field, self._alpha(w, _sparse(field, f)), len(self.xs.points))
-
-    def _alpha(self, w, f):
-        """alpha_w on a raw row: the value at each point of X_{w^-1} moves along theta_w."""
-        return self._alpha_at(self._number[w], f)
+        field, s = self.field, self._number[w]
+        return _dense(field, self._alpha_at(s, _sparse(field, f)), len(self.xs.points))
 
     def _alpha_at(self, s, f):
-        """alpha_w on a raw row, for w the word numbered s."""
+        """alpha_w on a raw row, for w the word numbered s: the value at each
+        point of X_{w^-1} moves along theta_w."""
         theta = self._theta[s]
         return {theta[j]: v for j, v in f.items() if j in theta}
 

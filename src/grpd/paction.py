@@ -288,7 +288,7 @@ def _is_multiplicative(amb, space, f, mul):
 def is_unital(pa):
     """True when every nonzero domain carries a multiplicative identity."""
     return all(
-        pa.domains[g].dim == 0 or pa.domain_unit(g) is not None
+        pa.domains[g].dim == 0 or pa._unit_row(g) is not None
         for g in pa.groupoid.morphisms
     )
 
@@ -612,7 +612,7 @@ def envelope_component_unital(glob):
     beta = glob.action
     return {
         e: beta.object_components[e].dim == 0
-        or beta.domain_unit(beta.groupoid.identity[e]) is not None
+        or beta._unit_row(beta.groupoid.identity[e]) is not None
         for e in beta.groupoid.objects
     }
 

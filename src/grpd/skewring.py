@@ -300,51 +300,41 @@ def exel_semigroup(group):
 
     For a group of order g it has 2^(g-2) (g+1) elements, one per subset A
     containing the identity and each g in A; past MAX_DIM it is refused
-    before the 2^g subsets are scanned.
+    before the 2^g subsets are scanned.  The group elements are numbered in
+    input order and a subset A is the bit mask of its numbers, so with one
+    left-translation table of masks per g the product (A, g)(B, h) =
+    (A u gB, gh) is one OR and one lookup of the result's index.
     """
     if len(group.objects) != 1:
         raise PreconditionError("partial group algebras need a one-object groupoid")
     elems = list(group.morphisms)
-    size = (1 << len(elems)) * (len(elems) + 1) // 4
+    n = len(elems)
+    size = (1 << n) * (n + 1) // 4
     if size > MAX_DIM:
         raise UnsupportedError(
-            f"Exel's semigroup of a group of order {len(elems)} has {size} elements, "
+            f"Exel's semigroup of a group of order {n} has {size} elements, "
             f"above the limit {MAX_DIM}")
-    order = {x: i for i, x in enumerate(elems)}
-    e = group.identity[group.objects[0]]
-    subsets = []
-    for mask in range(1 << len(elems)):
-        a = frozenset(elems[i] for i in range(len(elems)) if mask & (1 << i))
-        if e in a:
-            subsets.append(a)
-    items = []
-    for a in subsets:
-        for g in elems:
-            if g in a:
-                items.append((a, g))
-    items.sort(key=lambda t: (len(t[0]), sorted(order[x] for x in t[0]), order[t[1]]))
-
-    def mul(x, y):
-        (a, g), (b, h) = x, y
-        moved = frozenset(group.compose(g, t) for t in b)
-        return (a | moved, group.compose(g, h))
-
-    index = {x: i for i, x in enumerate(items)}
-    table = [[index[mul(x, y)] for y in items] for x in items]
-
-    def lab(x):
-        a, g = x
-        inner = ",".join(sorted(a, key=lambda m: order[m]))
-        return f"({{{inner}}},{g})"
-
-    return SemigroupTable(items, [lab(x) for x in items], table)
+    number = {x: i for i, x in enumerate(elems)}
+    comp = [[number[group.compose(g, h)] for h in elems] for g in elems]
+    e = number[group.identity[group.objects[0]]]
+    members = [[i for i in range(n) if a >> i & 1] for a in range(1 << n)]
+    moved = [[sum(1 << gh[t] for t in ts) for ts in members] for gh in comp]
+    items = sorted(((a, g) for a in range(1 << n) if a >> e & 1 for g in members[a]),
+                   key=lambda t: (len(members[t[0]]), members[t[0]], t[1]))
+    index = {x: k for k, x in enumerate(items)}
+    table = [[index[a | moved[g][b], comp[g][h]] for b, h in items] for a, g in items]
+    return SemigroupTable(
+        [(frozenset(elems[i] for i in members[a]), elems[g]) for a, g in items],
+        [f"({{{','.join(elems[i] for i in members[a])}}},{elems[g]})" for a, g in items],
+        table)
 
 
 def semigroup_algebra(table, field):
     """Contracted-free semigroup algebra of a finite semigroup table."""
-    n = len(table.elements)
-    alg_table = [[[(table.table[i][j], field.one)] for j in range(n)] for i in range(n)]
-    alg = StructureAlgebra(field, n, alg_table, labels=list(table.labels))
+    # one cell per product target, shared by every (i, j) whose product it is
+    cells = [[(k, field.one)] for k in range(len(table.elements))]
+    alg_table = [[cells[k] for k in row] for row in table.table]
+    alg = StructureAlgebra(field, len(cells), alg_table, labels=list(table.labels))
     u = alg.find_unit()
     if u is not None:
         alg.unit = u

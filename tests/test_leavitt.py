@@ -340,7 +340,8 @@ def test_meeting_pairs_build_the_all_pairs_skew_ring(graph, char):
     triples = ((g, h, lv.word_mul(graph, g, h)) for g in xs.words for h in xs.words)
     ones = xs.indicator(field, xs.x_set(lv.IDENTITY))
     ref, offsets = skew_product_ring(field, xs.words, model.domains, triples, lv.word_inverse,
-                                     model._alpha, model._pointwise, lv.word_label,
+                                     lambda w, f: model._alpha_at(model._number[w], f),
+                                     model._pointwise, lv.word_label,
                                      {lv.IDENTITY: ones})
     alg = model.algebra
     assert corpus.table_of(alg) == corpus.table_of(ref) and alg.labels == ref.labels
