@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import GrpdError, SchemaError
 from . import groupoid as gpd
-from .algebra import MAX_DIM, StructureAlgebra
+from .algebra import MAX_DIM, StructureAlgebra, quaternion_seed
 from . import paction as pact
 from . import skewring as sk
 from . import leavitt as lv
@@ -36,7 +36,7 @@ def _load_json(path):
             return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
@@ -139,7 +139,7 @@ def cmd_matrix_ring(args):
     if args.n < 1:
         raise SchemaError(f"-n must be at least 1, got {args.n}")
     field = schema.field(args.char, "--char")
-    coeff = _load_algebra(args.algebra) if args.algebra else _scalar_algebra(field)
+    coeff = _load_algebra(args.algebra) if args.algebra else quaternion_seed(field)
     dim = args.n ** 2 * coeff.dim
     if max(dim, args.n ** 2) > MAX_DIM:
         raise SchemaError(f"-n {args.n} needs {args.n ** 2} matrix units and dimension {dim}, "
@@ -156,20 +156,15 @@ def cmd_matrix_ring(args):
     return 0 if result else 1
 
 
-def _scalar_algebra(field):
-    return StructureAlgebra(field, 1, [[[(0, field.one)]]], unit=[field.one], labels=["1"])
-
-
 def cmd_partial_group_algebra(args):
     g = _load_groupoid(args.group)
     bad = gpd.validate(g)
     if bad:
         return _violations_report(bad, args.json)
     field = schema.field(args.char, "--char")
-    table = sk.exel_semigroup(g)
-    alg = sk.semigroup_algebra(table, field)
+    alg = sk.build_partial_group_algebra(g, field)
     report = dict(sk.analyze_algebra(alg))
-    report["semigroup_size"] = len(table.elements)
+    report["semigroup_size"] = alg.dim
     _emit(report, args.json)
     return 0
 

@@ -154,8 +154,8 @@ def validate(g):
 # -- constructors ---------------------------------------------------------
 
 
-def from_group(elements, mul_table, object_id="*"):
-    """One-object groupoid from a finite group multiplication table.
+def from_group(elements, mul_table):
+    """One-object groupoid, on the object "*", from a finite group multiplication table.
 
     `mul_table` maps pairs of element names to element names.  The identity
     is the neutral element and each inverse the first right inverse; then
@@ -163,22 +163,22 @@ def from_group(elements, mul_table, object_id="*"):
     violation unless the table is a genuine group.
     """
     elements = list(elements)
-    ends = {a: object_id for a in elements}
-    ident = _neutral_loop(object_id, elements, ends, ends, mul_table)
+    ends = {a: "*" for a in elements}
+    ident = _neutral_loop("*", elements, ends, ends, mul_table)
     inverse = {a: next((b for b in elements if mul_table.get((a, b)) == ident), None)
                for a in elements}
-    g = FiniteGroupoid([object_id], elements, ends, ends, inverse, mul_table, {object_id: ident})
+    g = FiniteGroupoid(["*"], elements, ends, ends, inverse, mul_table, {"*": ident})
     bad = validate(g)
     if bad:
         raise ValueError(f"table is not a group: {bad[0]}")
     return g
 
 
-def cyclic_group(n, object_id="*"):
+def cyclic_group(n):
     """The cyclic group Z/n as a one-object groupoid, elements g0..g(n-1)."""
     names = [f"g{i}" for i in range(n)]
     table = {(names[i], names[j]): names[(i + j) % n] for i in range(n) for j in range(n)}
-    return from_group(names, table, object_id=object_id)
+    return from_group(names, table)
 
 
 def pair_groupoid(n):

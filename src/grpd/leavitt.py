@@ -9,7 +9,6 @@ relations, used as an oracle for the first.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,7 +16,7 @@ from .errors import SchemaError, UnsupportedError
 from . import schema
 from .exactlin import Subspace, _dense, _sparse, _subtract
 from .algebra import MAX_DIM, StructureAlgebra
-from .skewring import skew_product_ring
+from .skewring import _guarded, skew_product_ring
 
 
 # -- graphs and paths ----------------------------------------------------------
@@ -157,27 +156,25 @@ def graph_analysis(graph):
 def sink_path_counts(graph):
     """Sink -> the number of paths ending there, for an acyclic graph.
 
-    Dynamic programming back from the sinks, listing no path: the paths
-    from u are the trivial one when u is a sink, and otherwise an edge out
-    of u followed by a path from its range.  A vertex is counted once every
-    edge out of it ends at a counted vertex.
+    Counted forward from the sources in Kahn order, listing no path: the
+    paths ending at v are the trivial one and, for each edge e into v, a
+    path ending at s(e) followed by e.  A vertex is counted once every edge
+    into it starts at a counted vertex.
     """
     into = {v: [] for v in graph.vertices}
     for e in graph.edges:
         into[e.r].append(e.s)
-    waiting = {v: len(outs) for v, outs in graph._out.items()}
-    reach = {}  # vertex -> Counter of the paths from it, by the sink they end at
-    ready = graph.sinks()
+    waiting = {v: len(sources) for v, sources in into.items()}
+    ending = {}  # vertex -> the number of paths ending there
+    ready = [v for v, k in waiting.items() if not k]
     while ready:
         v = ready.pop()
-        outs = graph._out[v]
-        reach[v] = sum((reach[e.r] for e in outs), Counter() if outs else Counter([v]))
-        for u in into[v]:
-            waiting[u] -= 1
-            if not waiting[u]:
-                ready.append(u)
-    total = sum(reach.values(), Counter())
-    return {v: total[v] for v in graph.sinks()}
+        ending[v] = 1 + sum(ending[u] for u in into[v])
+        for e in graph._out[v]:
+            waiting[e.r] -= 1
+            if not waiting[e.r]:
+                ready.append(e.r)
+    return {v: ending[v] for v in graph.sinks()}
 
 
 def _hs_closure(graph, closed, seed):
@@ -440,11 +437,6 @@ class GrSkewModel:
             for t in sorted(set().union(*(holding[i] for i in xs.x_set(word_inverse(g))))):
                 yield s, t
 
-    def _meeting_pairs(self):
-        """The words of `_meeting_numbers`."""
-        words = self.xs.words
-        return ((words[s], words[t]) for s, t in self._meeting_numbers())
-
     def alpha_apply(self, w, f):
         """alpha_w(f) = f o theta_{w^-1}, on functions supported in X_{w^-1}."""
         field, s = self.field, self._number[w]
@@ -599,17 +591,19 @@ def phi_isomorphism_check(model):
 
 @dataclass
 class LpaReport:
+    """The characterization; a cyclic graph leaves the algebra's fields None."""
+
     acyclic: bool
     artinian_verdict: str
-    dim: int | None
-    unital: object
-    semisimple: object
-    block_sizes: list | None
-    sink_path_counts: dict | None
-    blocks_match_sinks: object
     hereditary_saturated: list
     trivial_hs_lattice: bool
-    one_block: object
+    dim: int | None = None
+    unital: object = None
+    semisimple: object = None
+    block_sizes: list | None = None
+    sink_path_counts: dict | None = None
+    blocks_match_sinks: object = None
+    one_block: object = None
 
     def to_dict(self):
         return {
@@ -643,23 +637,13 @@ def lpa_characterization(report, model):
         return LpaReport(
             acyclic=False,
             artinian_verdict="not artinian: the graph has a cycle, so the algebra is infinite-dimensional",
-            dim=None,
-            unital=None,
-            semisimple=None,
-            block_sizes=None,
-            sink_path_counts=None,
-            blocks_match_sinks=None,
             hereditary_saturated=hs,
             trivial_hs_lattice=trivial_hs,
-            one_block=None,
         )
     alg = model.algebra
     counts = report.sink_path_counts
     unital = alg.find_unit() is not None
-    try:
-        semisimple = alg.is_semisimple()
-    except UnsupportedError as exc:
-        semisimple = f"unsupported: {exc}"
+    semisimple = _guarded(alg.is_semisimple)
     blocks = alg.wedderburn_blocks() if semisimple is True else None
     sizes = None
     match = None

@@ -6,7 +6,7 @@ group algebras, quotients by ideals, and the Maschke-type machinery
 (semisimplicity report and the averaged module projection).
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import PreconditionError, UnsupportedError
 from .exactlin import Matrix, Subspace, _reduce, solve
@@ -329,21 +329,18 @@ def exel_semigroup(group):
         table)
 
 
-def semigroup_algebra(table, field):
-    """Contracted-free semigroup algebra of a finite semigroup table."""
-    # one cell per product target, shared by every (i, j) whose product it is
-    cells = [[(k, field.one)] for k in range(len(table.elements))]
-    alg_table = [[cells[k] for k in row] for row in table.table]
-    alg = StructureAlgebra(field, len(cells), alg_table, labels=list(table.labels))
-    u = alg.find_unit()
-    if u is not None:
-        alg.unit = u
-    return alg
-
-
 def build_partial_group_algebra(group, field):
-    """Partial group algebra K_par[G] as the Exel-semigroup algebra."""
-    return semigroup_algebra(exel_semigroup(group), field)
+    """Partial group algebra K_par[G] as the algebra of Exel's semigroup S(G).
+
+    Its unit is b_0: element 0 of S(G) is ({e}, e), the only one with |A| = 1,
+    and ({e}, e)(B, h) = (B, h), (A, g)({e}, e) = (A u {g}, g) = (A, g).
+    """
+    table = exel_semigroup(group)
+    n = len(table.elements)
+    # one cell per product target, shared by every (i, j) whose product it is
+    cells = [[(k, field.one)] for k in range(n)]
+    return StructureAlgebra(field, n, [[cells[k] for k in row] for row in table.table],
+                            unit=field.unit_vec(n, 0), labels=table.labels)
 
 
 # -- quotients ---------------------------------------------------------------------------
@@ -509,7 +506,7 @@ class MaschkeReport:
     premises_trace: object
     implication_isotropy: str
     implication_trace: str
-    park: dict = dc_field(default_factory=dict)
+    park: dict
 
     def to_dict(self, fmt):
         out = {
@@ -530,6 +527,14 @@ class MaschkeReport:
         return out
 
 
+def _guarded(f):
+    """f(), or the status string of the UnsupportedError it raises."""
+    try:
+        return f()
+    except UnsupportedError as exc:
+        return f"unsupported: {exc}"
+
+
 def maschke_check(pa):
     """Semisimplicity transfer report for a unital action with finite support.
 
@@ -542,14 +547,7 @@ def maschke_check(pa):
     """
     amb = pa.ambient
     g0 = pa.groupoid
-
-    def guarded(f):
-        try:
-            return f()
-        except UnsupportedError as exc:
-            return f"unsupported: {exc}"
-
-    r_ss = guarded(amb.is_semisimple)
+    r_ss = _guarded(amb.is_semisimple)
     iso_orders = {e: len(hom_set(g0, e, e).morphisms) for e in g0.objects}
     one = amb.find_unit()
     iso_inv = {e: one is not None and bool(amb.field(m)) for e, m in iso_orders.items()}
@@ -561,7 +559,7 @@ def maschke_check(pa):
         trace_inv = invert_in(amb, trace_unit) is not None
 
     skew = build_skew_groupoid_ring(pa)
-    skew_ss = guarded(skew.is_semisimple)
+    skew_ss = _guarded(skew.is_semisimple)
 
     def conj(*vals):
         if any(v is False for v in vals):

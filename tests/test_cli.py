@@ -143,6 +143,27 @@ def test_malformed_input_exit_2(files, capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("content", [
+    pytest.param(b"[" * 200_000, id="nested-200000-deep"),
+    pytest.param(b"\xff{}", id="first-byte-0xff"),
+    pytest.param(b'{"field": {"char": 0}, "dim": ' + b"9" * 5000 + b', "table": []}',
+                 id="dim-of-5000-digits"),
+])
+@pytest.mark.parametrize("via_action", [False, True], ids=["algebra", "action-algebra"])
+def test_undecodable_json_exit_2(files, capsys, content, via_action):
+    # the decoder raises RecursionError, UnicodeDecodeError and the integer
+    # digit limit's ValueError on these, not JSONDecodeError
+    path = files / "undecodable.json"
+    path.write_bytes(content)
+    if via_action:
+        path = files / "action_of_undecodable.json"
+        d = pact.action_to_dict(corpus.swap_action(), "z2.json", "undecodable.json")
+        path.write_text(json.dumps(d))
+    assert cli.main(["check-action" if via_action else "analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "undecodable.json is not valid JSON: " in err
+
+
 def test_deterministic_output(files, capsys):
     _, out1 = run(capsys, "--json", "leavitt", str(files / "a3.json"))
     _, out2 = run(capsys, "--json", "leavitt", str(files / "a3.json"))
@@ -469,6 +490,16 @@ def test_radical_computed_once(files, capsys, monkeypatch, argv):
     assert cli.main([argv[0], str(files / argv[1])]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_partial_group_algebra_solves_no_unit(files, capsys, monkeypatch):
+    # the unit of K_par(G) is Exel's identity ({e}, e), basis vector 0
+    from grpd.algebra import StructureAlgebra
+
+    calls = _count_calls(monkeypatch, StructureAlgebra, "_solve_unit")
+    assert cli.main(["partial-group-algebra", str(files / "z2.json")]) == 0
+    capsys.readouterr()
+    assert not calls
 
 
 def test_maschke_validates_the_action_once(files, capsys, monkeypatch):

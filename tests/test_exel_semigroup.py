@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from grpd import groupoid as gpd
+from grpd.algebra import StructureAlgebra
 from grpd.exactlin import Field
 from grpd.skewring import build_partial_group_algebra, exel_semigroup
 
@@ -83,6 +84,21 @@ def test_exel_semigroup_is_the_definition(group):
     assert s.elements == elements
     assert s.labels == labels
     assert s.table == table
+
+
+@pytest.mark.parametrize("field", [Q, Field(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("group", [
+    *(pytest.param(lambda n=n: gpd.cyclic_group(n), id=f"Z{n}") for n in range(1, 7)),
+    pytest.param(klein_identity_last, id="klein-identity-last"),
+    pytest.param(s3_identity_last, id="S3-identity-last"),
+])
+def test_partial_group_algebra_unit_is_exels_identity(group, field):
+    alg = build_partial_group_algebra(group(), field)
+    assert alg.unit == alg.basis_vector(0)
+    assert alg.is_two_sided_unit(alg.unit)
+    d = alg.to_dict()
+    del d["unit"]
+    assert StructureAlgebra.from_dict(d).find_unit() == alg.unit
 
 
 def test_partial_group_algebra_builds_in_bounded_memory():

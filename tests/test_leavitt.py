@@ -348,7 +348,7 @@ def test_meeting_pairs_build_the_all_pairs_skew_ring(graph, char):
     assert alg.grading == ref.grading and alg.unit == ref.unit is not None
     assert model.offsets == offsets
     # the pairs left out are exactly those whose supports are disjoint
-    meeting = set(model._meeting_pairs())
+    meeting = {(xs.words[s], xs.words[t]) for s, t in model._meeting_numbers()}
     assert meeting == {(g, h) for g in xs.words for h in xs.words
                        if set(xs.x_set(lv.word_inverse(g))) & set(xs.x_set(h))}
 
