@@ -138,8 +138,11 @@ def cmd_groupoid_ring(args):
 def cmd_matrix_ring(args):
     if args.n < 1:
         raise SchemaError(f"-n must be at least 1, got {args.n}")
-    field = schema.field(args.char, "--char")
+    field = schema.field(args.char or 0, "--char")
     coeff = _load_algebra(args.algebra) if args.algebra else quaternion_seed(field)
+    if args.char is not None and coeff.field.char != args.char:
+        raise SchemaError(f"--char {args.char} differs from the characteristic "
+                          f"{coeff.field.char} of {args.algebra}")
     dim = args.n ** 2 * coeff.dim
     if max(dim, args.n ** 2) > MAX_DIM:
         raise SchemaError(f"-n {args.n} needs {args.n ** 2} matrix units and dimension {dim}, "
@@ -253,7 +256,7 @@ def build_parser():
     s = sub.add_parser("matrix-ring", help="pair-groupoid ring with matrix-unit verification")
     s.add_argument("-n", type=int, required=True, help="matrix size")
     s.add_argument("--algebra", help="coefficient algebra JSON (default: the base field)")
-    s.add_argument("--char", type=int, default=0, help="field characteristic for the default coefficients")
+    s.add_argument("--char", type=int, help="field characteristic (default 0, or that of --algebra)")
     s.set_defaults(func=cmd_matrix_ring)
 
     s = sub.add_parser("partial-group-algebra", help="Exel-semigroup partial group algebra")

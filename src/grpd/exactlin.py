@@ -13,9 +13,11 @@ methods are dense lists of field elements.
 Inside, both fields share one form, the raw row: a dict {column: nonzero
 value} holding rationals over Q and ints in [0, p) over F_p.  `_sparse`,
 `_raw_rows` and `_dense` convert at the boundary; over Q `_dense` writes
-integral entries back as ints.  All elimination is one Gauss-Jordan kernel
-on raw rows, and reduction against a subspace, products and expansion
-share its steps.
+integral entries back as ints.  All elimination here is one Gauss-Jordan
+kernel on raw rows, and reduction against a subspace, products and
+expansion share its steps.  Outside this module, `algebra._min_poly` runs
+its own incremental echelon reduction, which stops at the first power of
+an element that depends on the earlier ones.
 Algebra elements are raw rows too: `_product` multiplies two of them over
 a raw structure table, and dense vectors meet it only at the public
 boundary (`StructureAlgebra.multiply`).

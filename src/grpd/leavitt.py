@@ -63,13 +63,6 @@ class Path:
     source: str
     edges: tuple
 
-    @property
-    def length(self):
-        return len(self.edges)
-
-    def is_trivial(self):
-        return not self.edges
-
 
 def trivial_path(v):
     return Path(v, ())
@@ -84,7 +77,7 @@ def path_label(p):
 
 
 def _path_key(graph, p):
-    return (p.length, graph._vidx[p.source], tuple(graph._eidx[e] for e in p.edges))
+    return (len(p.edges), graph._vidx[p.source], tuple(graph._eidx[e] for e in p.edges))
 
 
 def all_paths(graph):
@@ -98,7 +91,7 @@ def all_paths(graph):
         nxt = []
         for p in frontier:
             for e in graph.out_edges(path_range(graph, p)):
-                nxt.append(Path(p.source if p.edges else e.s, p.edges + (e.id,)))
+                nxt.append(Path(p.source, p.edges + (e.id,)))
         paths.extend(nxt)
         frontier = nxt
     paths.sort(key=lambda p: _path_key(graph, p))
@@ -128,17 +121,16 @@ class GraphReport:
 def graph_analysis(graph):
     """Sinks, acyclicity, and the path census when acyclic.
 
-    A vertex on a cycle never enters the closure of the sinks, since it
-    would need its successor on the cycle inside first; in an acyclic graph
-    every vertex enters, by induction on the longest path out of it.  Its
-    path algebra has dimension sum c_v^2 over the path counts c_v into the
-    sinks; past MAX_DIM the census stops with an UnsupportedError before
-    listing paths.  A path ending at a vertex extends to one ending at a
-    sink, so each vertex ends at most sum c_v of the listed paths.
+    The graph is acyclic exactly when the forward count of sink_path_counts
+    reaches every vertex.  The path algebra of an acyclic graph has
+    dimension sum c_v^2 over the path counts c_v into the sinks; past
+    MAX_DIM the census stops with an UnsupportedError before listing paths.
+    A path ending at a vertex extends to one ending at a sink, so each
+    vertex ends at most sum c_v of the listed paths.
     """
     sinks = graph.sinks()
-    acyclic = len(_hs_closure(graph, frozenset(), sinks)) == len(graph.vertices)
-    counts = sink_path_counts(graph) if acyclic else None
+    counts = sink_path_counts(graph)
+    acyclic = counts is not None
     if acyclic:
         dim = sum(c * c for c in counts.values())
         if dim > MAX_DIM:
@@ -154,12 +146,14 @@ def graph_analysis(graph):
 
 
 def sink_path_counts(graph):
-    """Sink -> the number of paths ending there, for an acyclic graph.
+    """Sink -> the number of paths ending there; None when the graph has a cycle.
 
     Counted forward from the sources in Kahn order, listing no path: the
     paths ending at v are the trivial one and, for each edge e into v, a
     path ending at s(e) followed by e.  A vertex is counted once every edge
-    into it starts at a counted vertex.
+    into it starts at a counted vertex.  No vertex of a cycle is ever
+    counted, since each waits for the one before it; in an acyclic graph
+    every vertex is, by induction on the longest path into it.
     """
     into = {v: [] for v in graph.vertices}
     for e in graph.edges:
@@ -174,6 +168,8 @@ def sink_path_counts(graph):
             waiting[e.r] -= 1
             if not waiting[e.r]:
                 ready.append(e.r)
+    if len(ending) < len(graph.vertices):
+        return None
     return {v: ending[v] for v in graph.sinks()}
 
 
@@ -261,17 +257,15 @@ def make_word(graph, a, b):
 
 
 def word_inverse(w):
-    if w.is_identity():
-        return w
     return Word(w.b, w.a)
 
 
 def word_label(w):
     if w.is_identity():
         return "1"
-    pos = path_label(w.a) if not w.a.is_trivial() else ""
-    neg = f"({path_label(w.b)})^-1" if not w.b.is_trivial() else ""
-    return (pos + neg) if (pos or neg) else "1"
+    pos = path_label(w.a) if w.a.edges else ""
+    neg = f"({path_label(w.b)})^-1" if w.b.edges else ""
+    return pos + neg
 
 
 def word_mul(graph, g, h):
@@ -298,23 +292,11 @@ def word_mul(graph, g, h):
 
 def _extend(graph, p, tail):
     """The path p followed by the edges tail, or None when they do not meet."""
-    if not tail:
-        return p
-    if graph.edge_by_id[tail[0]].s != path_range(graph, p):
-        return None
-    return Path(p.source, p.edges + tail)
+    meet = not tail or graph.edge_by_id[tail[0]].s == path_range(graph, p)
+    return Path(p.source, p.edges + tail) if meet else None
 
 
 # -- the X space ----------------------------------------------------------------------
-
-
-def _extends(graph, xi, a):
-    """Whether xi starts with the path a (source condition for trivial a)."""
-    if a.is_trivial():
-        return xi.source == a.source
-    if xi.length < a.length:
-        return False
-    return xi.source == a.source and xi.edges[: a.length] == a.edges
 
 
 class XSpace:
@@ -328,7 +310,8 @@ class XSpace:
         self.points = [p for p in report.paths if path_range(graph, p) in sinks]
         self.index = {p: i for i, p in enumerate(self.points)}
         self.words = self._enumerate_words(report.paths)
-        self._x_sets = {}  # path a -> X_w for the words w = a b^-1, None for the identity
+        # path a -> X_w for the words w = a b^-1; the identity's a is None and X_1 is X
+        self._x_sets = {None: list(range(len(self.points)))}
 
     def _enumerate_words(self, paths):
         """The identity, then the reduced words a b^-1 sorted by (a, b).
@@ -355,8 +338,8 @@ class XSpace:
         """
         a = w.a
         if a not in self._x_sets:
-            self._x_sets[a] = (list(range(len(self.points))) if a is None else
-                               [i for i, xi in enumerate(self.points) if _extends(self.graph, xi, a)])
+            self._x_sets[a] = [i for i, xi in enumerate(self.points)
+                               if xi.source == a.source and xi.edges[:len(a.edges)] == a.edges]
         return self._x_sets[a]
 
     def x_vertex(self, v):
@@ -371,23 +354,15 @@ class XSpace:
 
 
 def theta_map(xs, w):
-    """The bijection X_{w^-1} -> X_w: strip the b part, glue the a part."""
-    graph = xs.graph
+    """The bijection X_{w^-1} -> X_w: strip the b part, glue the a part.
+
+    A trivial part is the path (v, ()) at the common range v of a and b,
+    so the one rule covers it.
+    """
     if w.is_identity():
         return {p: p for p in xs.points}
-    out = {}
-    for i in xs.x_set(word_inverse(w)):
-        xi = xs.points[i]
-        tail = xi.edges[w.b.length:]
-        if tail:
-            if w.a.is_trivial():
-                img = Path(graph.edge_by_id[tail[0]].s, tail)
-            else:
-                img = Path(w.a.source, w.a.edges + tail)
-        else:
-            img = w.a if not w.a.is_trivial() else trivial_path(path_range(graph, w.a))
-        out[xi] = img
-    return out
+    points = map(xs.points.__getitem__, xs.x_set(word_inverse(w)))
+    return {xi: Path(w.a.source, w.a.edges + xi.edges[len(w.b.edges):]) for xi in points}
 
 
 # -- model 1: the skew ring over the free group, restricted to its support ---------------
@@ -544,39 +519,33 @@ def phi_isomorphism_check(model):
             gens[key, e.id] = {offsets[u] + t: 1 for t in range(len(xs.x_set(u)))}
     mul = alg._mul
 
-    failure = None
+    def relations():
+        """(holds, description) for each relation, in a fixed order."""
+        for v in graph.vertices:
+            for w in graph.vertices:
+                prod = mul(gens[("v", v)], gens[("v", w)])
+                expect = gens[("v", v)] if v == w else {}
+                yield prod == expect, f"vertex idempotent relation at ({v},{w})"
+        for e in graph.edges:
+            f = gens[("e", e.id)]
+            fs = gens[("e*", e.id)]
+            yield mul(gens[("v", e.s)], f) == f, f"(1) s(f) f = f at {e.id}"
+            yield mul(f, gens[("v", e.r)]) == f, f"(1) f r(f) = f at {e.id}"
+            yield mul(gens[("v", e.r)], fs) == fs, f"(2) r(f) f* = f* at {e.id}"
+            yield mul(fs, gens[("v", e.s)]) == fs, f"(2) f* s(f) = f* at {e.id}"
+        for e in graph.edges:
+            for ep in graph.edges:
+                prod = mul(gens[("e*", e.id)], gens[("e", ep.id)])
+                expect = gens[("v", e.r)] if e.id == ep.id else {}
+                yield prod == expect, f"(3) f* f' at ({e.id},{ep.id})"
+        for v in graph.vertices:
+            if outs := graph.out_edges(v):
+                acc = {}
+                for e in outs:
+                    _subtract(acc, -1, mul(gens[("e", e.id)], gens[("e*", e.id)]), field.char)
+                yield acc == gens[("v", v)], f"(4) v = sum f f* at {v}"
 
-    def check(cond, desc):
-        nonlocal failure
-        if failure is None and not cond:
-            failure = desc
-
-    for v in graph.vertices:
-        for w in graph.vertices:
-            prod = mul(gens[("v", v)], gens[("v", w)])
-            expect = gens[("v", v)] if v == w else {}
-            check(prod == expect, f"vertex idempotent relation at ({v},{w})")
-    for e in graph.edges:
-        f = gens[("e", e.id)]
-        fs = gens[("e*", e.id)]
-        check(mul(gens[("v", e.s)], f) == f, f"(1) s(f) f = f at {e.id}")
-        check(mul(f, gens[("v", e.r)]) == f, f"(1) f r(f) = f at {e.id}")
-        check(mul(gens[("v", e.r)], fs) == fs, f"(2) r(f) f* = f* at {e.id}")
-        check(mul(fs, gens[("v", e.s)]) == fs, f"(2) f* s(f) = f* at {e.id}")
-    for e in graph.edges:
-        for ep in graph.edges:
-            prod = mul(gens[("e*", e.id)], gens[("e", ep.id)])
-            expect = gens[("v", e.r)] if e.id == ep.id else {}
-            check(prod == expect, f"(3) f* f' at ({e.id},{ep.id})")
-    for v in graph.vertices:
-        outs = graph.out_edges(v)
-        if not outs:
-            continue
-        acc = {}
-        for e in outs:
-            _subtract(acc, -1, mul(gens[("e", e.id)], gens[("e*", e.id)]), field.char)
-        check(acc == gens[("v", v)], f"(4) v = sum f f* at {v}")
-
+    failure = next((desc for holds, desc in relations() if not holds), None)
     dims = (alg.dim, len(oracle.pairs))
     return PhiReport(
         dims=dims,

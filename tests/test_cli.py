@@ -552,3 +552,68 @@ def test_analyze_splits_blocks_inside_one_center(files, capsys, monkeypatch):
     # the loaded algebra is the only one: no block is rebuilt as an algebra
     assert len(algebras) == 1
     assert len(centers) == 1
+
+
+def _z2_es():
+    """Z_2 with morphisms named e (the identity) and s."""
+    return {"objects": ["*"],
+            "morphisms": [{"id": "e", "dom": "*", "cod": "*", "inv": "e"},
+                          {"id": "s", "dom": "*", "cod": "*", "inv": "s"}],
+            "compose": [["e", "e", "e"], ["e", "s", "s"], ["s", "e", "s"], ["s", "s", "e"]]}
+
+
+I2 = [["1", "0"], ["0", "1"]]
+I3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+E11_E12_E21 = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"]]  # in M_2
+
+
+@pytest.mark.parametrize("groupoid, algebra, action, code, message", [
+    pytest.param(gpd.to_dict(gpd.pair_groupoid(2)), corpus.componentwise(Q, 2),
+                 {"components": {"1": I2, "2": [["1", "0"]]},
+                  "domains": {"(1,1)": I2, "(2,2)": [["1", "0"]]},
+                  "maps": {"(1,1)": I2, "(2,2)": [["1"]]}},
+                 1, "[P4] at (): components overlap: dimensions add beyond ambient",
+                 id="components-overlap"),
+    pytest.param(gpd.to_dict(gpd.cyclic_group(1)), corpus.matrix_algebra(Q, 2),
+                 {"components": {"*": E11_E12_E21}, "domains": {"g0": E11_E12_E21},
+                  "maps": {"g0": I3}},
+                 1, "[ideal] at (*): component is not an ideal of the ambient algebra",
+                 id="component-not-an-ideal"),
+    pytest.param(_z2_es(), corpus.componentwise(Q, 2),
+                 {"components": {"*": I2}, "domains": {"e": I2, "s": I2}, "maps": {"e": I2}},
+                 2, "input error: missing map for s", id="missing-map"),
+    pytest.param(_z2_es(), corpus.componentwise(Q, 2),
+                 {"components": {"*": I2}, "domains": {"e": I2, "s": I2},
+                  "maps": {"e": I2, "s": [["0", "1"]]}},
+                 2, "input error: bad action description: map at 's' has shape (1, 2), "
+                    "expected (2, 2)", id="map-a-row-short"),
+])
+def test_check_action_reports_each_broken_part(tmp_path, capsys, groupoid, algebra, action,
+                                               code, message):
+    (tmp_path / "g.json").write_text(json.dumps(groupoid))
+    (tmp_path / "a.json").write_text(json.dumps(algebra.to_dict()))
+    path = tmp_path / "act.json"
+    path.write_text(json.dumps({"groupoid": "g.json", "algebra": "a.json", **action}))
+    assert cli.main(["check-action", str(path)]) == code
+    out, err = capsys.readouterr()
+    assert message in (out if code == 1 else err)
+
+
+@pytest.mark.parametrize("argv, code, want", [
+    pytest.param(["--algebra", "qq.json", "--char", "7"], 2,
+                 "--char 7 differs from the characteristic 0 of ", id="char-7-over-q"),
+    pytest.param(["--algebra", "f5.json"], 0, None, id="algebra-alone"),
+    pytest.param(["--algebra", "f5.json", "--char", "5"], 0, None, id="char-matches"),
+    pytest.param(["--algebra", "f5.json", "--char", "0"], 2,
+                 "--char 0 differs from the characteristic 5 of ", id="char-0-over-f5"),
+    pytest.param(["--char", "7"], 0, None, id="char-alone"),
+])
+def test_matrix_ring_char_must_match_the_algebra(files, capsys, argv, code, want):
+    (files / "f5.json").write_text(json.dumps(corpus.componentwise(Field(5), 2).to_dict()))
+    argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+    assert cli.main(["--json", "matrix-ring", "-n", "2", *argv]) == code
+    out, err = capsys.readouterr()
+    if want:
+        assert err.startswith("input error: " + want) and argv[1] in err and not out
+    else:
+        assert json.loads(out)["dim"] == 4 * (2 if "--algebra" in argv else 1)

@@ -358,3 +358,95 @@ def test_graph_json_roundtrip():
     d1 = lv.graph_to_dict(g)
     d2 = lv.graph_to_dict(lv.graph_from_dict(d1))
     assert d1 == d2
+
+
+def _listed_paths(vertices, edges):
+    """Every path of an acyclic graph, by depth-first extension over the edge list."""
+    out, todo = [], [lv.Path(v, ()) for v in vertices]
+    while todo:
+        p = todo.pop()
+        out.append(p)
+        end = edges[p.edges[-1]][1] if p.edges else p.source
+        todo.extend(lv.Path(p.source, p.edges + (e,)) for e, (s, _) in edges.items() if s == end)
+    return out
+
+
+def _glue(p, q):
+    """The path p followed by q, which starts where p ends."""
+    return lv.Path(p.source, p.edges + q.edges)
+
+
+@st.composite
+def graphs_up_to_six(draw):
+    """At most 6 vertices; loops, parallel edges, isolated vertices and cycles all
+    occur, and half the draws keep only edges running forward, so are acyclic."""
+    n = draw(st.integers(1, 6))
+    vertices = [f"v{i}" for i in range(n)]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=9))
+    if draw(st.booleans()):
+        pairs = [(a, b) for a, b in pairs if a < b]
+    return vertices, {f"e{k}": (vertices[a], vertices[b]) for k, (a, b) in enumerate(pairs)}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(graphs_up_to_six())
+def test_census_x_sets_and_theta_match_brute_force(g):
+    vertices, edges = g
+    graph = lv.DirectedGraph(vertices, [(e, s, r) for e, (s, r) in edges.items()])
+    if not _dfs_acyclic(vertices, list(edges.values())):
+        assert not lv.graph_analysis(graph).acyclic
+        return
+    paths = _listed_paths(vertices, edges)
+    ending = Counter(lv.path_range(graph, p) for p in paths)
+    assert lv.sink_path_counts(graph) == {v: ending[v] for v in graph.sinks()}
+    if sum(ending[v] ** 2 for v in graph.sinks()) > 400:
+        return  # the X space below lists words in pairs of paths
+    rep = lv.graph_analysis(graph)
+    assert rep.acyclic and sorted(rep.paths, key=repr) == sorted(paths, key=repr)
+    xs = lv.XSpace(rep)
+    sinks = set(vertices) - {s for s, _ in edges.values()}
+    assert set(xs.points) == {p for p in paths if lv.path_range(graph, p) in sinks}
+    words = set(xs.words)
+    assert lv.word_inverse(lv.IDENTITY) == lv.IDENTITY
+    assert xs.x_set(lv.IDENTITY) == list(range(len(xs.points)))
+    assert lv.theta_map(xs, lv.IDENTITY) == {p: p for p in xs.points}
+    for w in xs.words[1:]:
+        inv = lv.word_inverse(w)
+        assert inv in words and lv.word_inverse(inv) == w
+        # X_w: the points that are w.a followed by some path out of its range
+        after = {c for c in paths if c.source == lv.path_range(graph, w.a)}
+        assert [xs.points[i] for i in xs.x_set(w)] == [
+            p for p in xs.points if p in {_glue(w.a, c) for c in after}]
+        # theta_w: strip w.b, glue w.a, and land on a point again
+        want = {_glue(w.b, c): _glue(w.a, c) for c in after if _glue(w.b, c) in xs.index}
+        assert lv.theta_map(xs, w) == want and set(want.values()) <= set(xs.points)
+
+
+def test_graph_analysis_runs_no_closure(monkeypatch):
+    # acyclicity is read off the forward count of paths, not a closure of the sinks
+    calls = []
+    closure = lv._hs_closure
+    monkeypatch.setattr(lv, "_hs_closure", lambda *a: calls.append(a) or closure(*a))
+    for g in [*corpus.corpus_graphs().values(), *corpus.cyclic_graphs().values()]:
+        lv.graph_analysis(g)
+    assert calls == []
+    # the count stops short of every vertex on a cycle
+    for g in corpus.cyclic_graphs().values():
+        assert lv.sink_path_counts(g) is None
+
+
+def test_phi_check_reports_the_first_broken_relation():
+    # doubling f* f and f f* for f = e2 on A3 breaks relation (3) at (e2,e2)
+    # and relation (4) at v2, nothing else; (3) comes first in the fixed order
+    g = corpus.corpus_graphs()["A3"]
+    model = lv.GrSkewModel(lv.graph_analysis(g), Q)
+    w = model.edge_word("e2")
+    i, j = model.offsets[lv.word_inverse(w)], model.offsets[w]
+    cells = model.algebra._cells
+    assert len(model.xs.x_set(w)) == 1 and cells[i][j] and cells[j][i]
+    for a, b in ((i, j), (j, i)):
+        cells[a][b] = {k: 2 * c for k, c in cells[a][b].items()}
+    rep = lv.phi_isomorphism_check(model)
+    assert rep.relations_ok is False and not rep
+    assert rep.first_failure == "(3) f* f' at (e2,e2)"
+    assert rep.dims == (9, 9) and rep.dims_match
