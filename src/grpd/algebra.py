@@ -166,32 +166,20 @@ class StructureAlgebra:
     def is_associative(self):
         """Whether every basis associator vanishes, decided on generators.
 
-        Generators s are taken greedily in basis order, skipping each b_m
-        reached: b_s is, and so is b_m when b_r b_t = c b_m, c != 0, for b_r
-        reached and b_t a generator.  Slice s is zero iff b_s lies in the right
-        nucleus N_r = {x : (a, b, x) = 0}, a subalgebra (Teichmueller identity);
-        the generators generate A, so A is associative iff their slices are all
-        zero.  A nonzero one is completed by the slices of the unreached b_k.
+        `_generators` picks the generators s and the b_m they reach.  Slice s
+        is zero iff b_s lies in the right nucleus N_r = {x : (a, b, x) = 0}, a
+        subalgebra (Teichmueller identity); the generators generate A, so A is
+        associative iff their slices are all zero.  A nonzero one is completed
+        by the slices of the b_k not reached before it.
         """
         if self._assoc is None:
-            index, reached, gens = _slice_index(self._cells, self.field.char), set(), []
-            for s in range(self.dim):
-                if s in reached:
-                    continue
+            index = _slice_index(self._cells, self.field.char)
+            for s, reached in _generators(self._cells, index[1]):
                 if table := _slice(index, s):  # the reached b_k lie in N_r: slice k is zero
                     for k in set(range(self.dim)) - reached - {s}:
                         table.update(_slice(index, k))
                     self._assoc = table
                     return False
-                gens.append(s)
-                reached.add(s)
-                todo = [(r, s) for r in reached] + [(s, t) for t in gens]
-                while todo:  # close `reached` under single-term products by generators
-                    r, t = todo.pop()
-                    cell = self._cells[r].get(t)
-                    if cell and len(cell) == 1 and (m := next(iter(cell))) not in reached:
-                        reached.add(m)
-                        todo += [(m, u) for u in gens]
             self._assoc = {}
         return not self._assoc
 
@@ -547,10 +535,67 @@ def _forms(prods):
     return forms
 
 
+def _generators(cells, col):
+    """Yield the generators s that `is_associative` takes, each with the set of the b_m
+    reached before it, until every b_m is reached.
+
+    b_s is reached, and so is b_m when b_r b_t = c b_m, c != 0, for b_r reached and
+    b_t a generator.  Each step takes the unreached b_s that reaches the most new
+    b_m in one product, b_r b_s with b_r reached or b_s b_t with b_t a generator
+    (r = t = s included), the first in basis order on a tie, and then closes
+    `reached`.  Every candidate keeps the set of b_m it would reach, updated as
+    rows and generators come in, so the whole choice reads each cell about once.
+    `col` is the column index of `_slice_index`, whose pairs are the one-term cells."""
+    reached, gens, first = set(), set(), 0
+    reach = defaultdict(set)  # reach[s]: the unreached b_m, m != s, b_s reaches; s unreached
+    holders = defaultdict(set)  # holders[m]: the s with m in reach[s]
+
+    def offer(s, m):
+        if m != s and m not in reached:
+            reach[s].add(m)
+            holders[m].add(s)
+
+    for s, cs in enumerate(col):
+        if type(ss := cs.get(s)) is tuple:
+            offer(s, ss[0])
+    while len(reached) < len(cells):
+        while first in reached:
+            first += 1
+        most, s = max(((len(ms), -t) for t, ms in reach.items()), default=(0, 0))
+        s = -s if most else first
+        yield s, reached
+        gens.add(s)
+        fresh = [s]
+        for r, rs in col[s].items():  # b_r b_s
+            if type(rs) is tuple:
+                if r in reached:
+                    fresh.append(rs[0])
+                else:
+                    offer(r, rs[0])
+        while fresh:
+            x = fresh.pop()
+            if x in reached:
+                continue
+            reached.add(x)
+            reach.pop(x, None)
+            for h in holders.pop(x, ()):
+                if ms := reach.get(h):
+                    ms.discard(x)
+            for t, xt in cells[x].items():
+                if len(xt) == 1:
+                    m = next(iter(xt))
+                    if t in gens:
+                        fresh.append(m)
+                    elif t not in reached:
+                        offer(t, m)
+
+
 def _slice_index(cells, p):
-    """(via, col, d, p) for `_slice`: via[l] lists the (i, j, c_ij^l) with c_ij^l != 0
-    and col[k] = {l: raw row of b_l b_k}.  Over Q the constants are scaled by the lcm
-    d of their denominators, so the sums run on ints; an associator scales by d^2."""
+    """(via, col, d, p) for `_slice`.  col[k] = {l: b_l b_k} holds each product with
+    one term as its (m, c) pair and every other as its raw row {m: c}; via[l] lists
+    the (i, j, c_ij^l, b_i b_j has one term) with c_ij^l != 0.  Over Q the constants
+    are scaled by the lcm d of their denominators, so the sums run on ints; an
+    associator scales by d^2."""
     d = 1 if p else math.lcm(*(c.denominator for row in cells for cell in row.values()
                                for c in cell.values()))
     via, col = [[] for _ in cells], [{} for _ in cells]
@@ -558,27 +603,67 @@ def _slice_index(cells, p):
         for j, cell in row.items():
             if d > 1:
                 cell = {l: c.numerator * (d // c.denominator) for l, c in cell.items()}
-            col[j][i] = cell
-            for l, c in cell.items():
-                via[l].append((i, j, c))
+            if len(cell) == 1:
+                col[j][i] = pair = next(iter(cell.items()))
+                via[pair[0]].append((i, j, pair[1], True))
+            else:
+                col[j][i] = cell
+                for l, c in cell.items():
+                    via[l].append((i, j, c, False))
     return via, col, d, p
 
 
 def _slice(index, k):
     """Slice k, the nonzero (b_i b_j) b_k - b_i (b_j b_k) over all i, j as raw rows
     {(i, j, k): {m: c}}: c_ij^l (b_l b_k) summed over col[k] x via[l], minus
-    (b_j b_k)_m (b_i b_m) over col[k] x col[m]; scaled entries are divided by d^2."""
+    (b_j b_k)_m (b_i b_m) over col[k] x col[m]; scaled entries are divided by d^2.
+
+    Where both sides have at most one term, the first traversal settles (i, j) at
+    once: the left side's pair against the right side's, looked up through b_j b_k
+    and b_i b_m, and the second skips it.  Every other (i, j) sums its terms."""
     via, col, d, p = index
-    acc = defaultdict(dict)  # (i, j) -> the associator's raw row
-    for l, lk in col[k].items():
-        for i, j, c in via[l]:
-            _subtract(acc[i, j], -c, lk, p)
-    for j, jk in col[k].items():
-        for m, c in jk.items():
+    colk = col[k]
+    out, acc = {}, defaultdict(dict)  # settled associators; the sums of the others
+    for l, lk in colk.items():
+        one = type(lk) is tuple
+        for i, j, c, single in via[l]:
+            if one and single:
+                jk = colk.get(j)
+                im = col[jk[0]].get(i) if type(jk) is tuple else jk  # None, a pair or a row
+                if type(im) is not dict:  # at most one term on each side: settle (i, j)
+                    m, x = lk[0], c * lk[1]  # (b_i b_j) b_k = x b_m
+                    n, y = (im[0], jk[1] * im[1]) if im else (m, 0)  # b_i (b_j b_k) = y b_n
+                    if n != m:
+                        out[i, j] = {m: x % p, n: -y % p} if p else {m: x, n: -y}
+                    elif v := (x - y) % p if p else x - y:
+                        out[i, j] = {m: v}
+                    continue
+            _add(acc[i, j], c, lk, p)
+    for j, jk in colk.items():
+        one = type(jk) is tuple
+        for m, c in ((jk,) if one else jk.items()):
             for i, im in col[m].items():
-                _subtract(acc[i, j], c, im, p)
+                if one and type(im) is tuple:
+                    ij = col[j].get(i)
+                    if type(ij) is tuple and type(colk.get(ij[0])) is tuple:
+                        continue  # settled by the first traversal
+                _add(acc[i, j], -c, im, p)
+    out.update((ij, a) for ij, a in acc.items() if a)
     return {(i, j, k): a if d == 1 else {m: _canonical(Fraction(v, d * d)) for m, v in a.items()}
-            for (i, j), a in acc.items() if a}
+            for (i, j), a in out.items()}
+
+
+def _add(row, f, cell, p):
+    """row += f * cell in place, cell an (m, c) pair or a raw row; entries that vanish
+    are dropped."""
+    for m, c in ((cell,) if type(cell) is tuple else cell.items()):
+        v = row.get(m, 0) + f * c
+        if p:
+            v %= p
+        if v:
+            row[m] = v
+        else:
+            del row[m]
 
 
 def _terms(coords, off=0):

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import SchemaError, UnsupportedError
+from .errors import PreconditionError, SchemaError, UnsupportedError
 from . import schema
 from .exactlin import Subspace, _dense, _sparse, _subtract
 from .algebra import MAX_DIM, StructureAlgebra
@@ -83,17 +83,21 @@ def _path_key(graph, p):
 def all_paths(graph):
     """Every finite path, trivial ones included, ordered by (length, source, edges).
 
-    Only meaningful for acyclic graphs, where the set is finite.
+    The set is finite only for an acyclic graph.  A path of |V| edges visits
+    some vertex twice, so once the frontier reaches that length the graph has
+    a cycle, and PreconditionError is raised.
     """
     paths = [trivial_path(v) for v in graph.vertices]
-    frontier = list(paths)
+    frontier, length = list(paths), 0  # every frontier path has `length` edges
     while frontier:
+        if length == len(graph.vertices):
+            raise PreconditionError("all_paths needs an acyclic graph: this one has a cycle")
         nxt = []
         for p in frontier:
             for e in graph.out_edges(path_range(graph, p)):
                 nxt.append(Path(p.source, p.edges + (e.id,)))
         paths.extend(nxt)
-        frontier = nxt
+        frontier, length = nxt, length + 1
     paths.sort(key=lambda p: _path_key(graph, p))
     return paths
 

@@ -9,6 +9,9 @@ shuffled basis, and a few small tables on the edge of each law.
 `is_associative` decides on generators; its verdict must also agree on
 associative algebras over Q, F_2 and F_5 (rebased, so that products have
 many terms, and perturbed), and a slice count holds it to few slices.
+The slice kernel settles a product of one-term cells pair by pair and sums
+every other; tables of one-term cells, alone or mixed with cells of 2-3
+terms, over Q (with fractions), F_2 and F_5, are held to the same brute force.
 """
 
 import itertools
@@ -24,7 +27,8 @@ import corpus
 from grpd import algebra
 from grpd.algebra import StructureAlgebra, cayley_dickson_chain
 from grpd.exactlin import Field, Matrix, Subspace, solve
-from grpd.skewring import analyze_algebra
+from grpd.groupoid import cyclic_group
+from grpd.skewring import analyze_algebra, build_partial_group_algebra
 
 Q = Field(0)
 CHARS = [0, 2, 3, 5]
@@ -363,3 +367,97 @@ def test_octonion_table_is_the_union_of_its_slices(monkeypatch):
     assert not octo.is_associative()
     assert sorted(calls) == list(range(8))
     assert octo._associators() == Ref(octo).table()
+
+
+# -- one-term cells, settled pair by pair ------------------------------------------------
+
+
+def nonzero_values(field):
+    """Small nonzero constants; over Q with denominators 2 and 3, so that the kernel
+    scales by the lcm D of the denominators and divides the associators by D^2."""
+    if field.char:
+        return list(range(1, field.char))
+    return [Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3) if a]
+
+
+def scaled(alg, rng):
+    """alg in the basis s_i b_i for random nonzero s_i: a one-term cell stays one
+    term, associativity is kept, and over Q the constants become fractions."""
+    field = alg.field
+    s = [rng.choice(nonzero_values(field)) for _ in range(alg.dim)]
+    cells = corpus.table_of(alg)
+    return StructureAlgebra(field, alg.dim, [
+        [[(k, field(s[i] * s[j] * c * field.inv(s[k]))) for k, c in cells[i][j]]
+         for j in range(alg.dim)] for i in range(alg.dim)])
+
+
+ONE_TERM = {  # name -> builder over a field: every nonzero product has one term
+    "K_par(Z_3)": lambda f: build_partial_group_algebra(cyclic_group(3), f),
+    "K[Z_4]": lambda f: corpus.group_algebra(f, 4),
+    "M_2": lambda f: corpus.matrix_algebra(f, 2),
+    "T_3": lambda f: corpus.upper_triangular(f, 3),
+    "K[x]/(x^4)": lambda f: corpus.truncated_poly(f, 4),
+    "octonions": lambda f: cayley_dickson_chain(f, 3),
+}
+
+
+@st.composite
+def one_term_algebras(draw):
+    """Random tables of one-term cells, or with about half the cells of 2-3 terms;
+    one-term algebras in a scaled basis, alone or summed with a rebased associative
+    algebra of many-term cells, maybe perturbed; some padded in a shuffled basis."""
+    field = Field(draw(st.sampled_from([0, 2, 5])))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["one-term", "mixed", "scaled", "scaled + rebased"]))
+    if kind in ("one-term", "mixed"):
+        n, values = draw(st.integers(1, 6)), nonzero_values(field)
+
+        def cell():  # zero, one term, or in a mixed table often 2-3 terms
+            if rng.random() >= 0.6:
+                return []
+            terms = 1 if kind == "one-term" or rng.random() < 0.5 else rng.randint(2, 3)
+            return sorted((k, rng.choice(values)) for k in rng.sample(range(n), min(n, terms)))
+
+        alg = StructureAlgebra(field, n, [[cell() for _ in range(n)] for _ in range(n)])
+    else:
+        alg = scaled(ONE_TERM[draw(st.sampled_from(sorted(ONE_TERM)))](field), rng)
+        if kind == "scaled + rebased":
+            alg = direct_sum(alg, rebased(corpus.truncated_poly(field, 2), rng))
+        if draw(st.booleans()):
+            alg = perturbed(alg, rng)
+    extra = draw(st.integers(0, 2))
+    return shuffled_padding(alg, extra, rng) if extra else alg
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(one_term_algebras())
+def test_one_term_cells_match_brute_force(alg):
+    check_against_brute_force(alg)
+
+
+def closure(alg, gens):
+    """The b_m reached from the generators: each generator, and b_m when
+    b_r b_t = c b_m, c != 0, for b_r reached and b_t a generator."""
+    cells, reached = corpus.table_of(alg), set(gens)
+    while new := {cells[r][t][0][0] for r in reached for t in gens
+                  if len(cells[r][t]) == 1} - reached:
+        reached |= new
+    return reached
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(one_term_algebras())
+def test_generators_reach_their_closure(alg):
+    # the slices `is_associative` skips are those of the b_m the generators reach
+    gens, col = [], algebra._slice_index(alg._cells, alg.field.char)[1]
+    for s, reached in algebra._generators(alg._cells, col):
+        assert s not in reached and reached == closure(alg, gens)
+        gens.append(s)
+    assert closure(alg, gens) == set(range(alg.dim))
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_partial_group_algebra_z4_matches_brute_force(char):
+    alg = build_partial_group_algebra(cyclic_group(4), Field(char))
+    assert alg.is_associative()
+    check_against_brute_force(alg)

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import corpus
-from grpd.errors import UnsupportedError
+from grpd.errors import PreconditionError, UnsupportedError
 from grpd.algebra import MAX_DIM
 from grpd.exactlin import Field, Subspace
 from grpd import leavitt as lv
@@ -177,6 +177,20 @@ def test_x_space_rejects_cycles():
         lv.build_gr_skew_ring(corpus.cyclic_graphs()["loop"], Q)
     with pytest.raises(UnsupportedError):
         lv.lpa_path_pair_oracle(corpus.cyclic_graphs()["two_cycle"], Q)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.cyclic_graphs()))
+def test_all_paths_refuses_cycles(name):
+    # the frontier never empties on a cycle; it is refused at |V| edges
+    with pytest.raises(PreconditionError, match="acyclic"):
+        lv.all_paths(corpus.cyclic_graphs()[name])
+
+
+def test_all_paths_lists_the_longest_acyclic_paths():
+    # A_n has a path of n - 1 edges, the most an acyclic graph on n vertices has
+    for n in range(1, 6):
+        paths = lv.all_paths(corpus.line_graph(n))
+        assert len(paths) == n * (n + 1) // 2 and len(paths[-1].edges) == n - 1
 
 
 def test_theta_a2():
