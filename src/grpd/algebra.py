@@ -317,6 +317,8 @@ class StructureAlgebra:
         Returns (algebra, basis) where basis lists the ambient vectors that
         become the standard basis of the restriction.
         """
+        if space.ambient_dim != self.dim:
+            raise DimensionError("subspace lives in a different ambient space")
         try:
             table = _restricted_table(space, self._mul)
         except ValueError:

@@ -7,12 +7,12 @@ This module validates the axioms, decides unitality / globality / finite
 type, computes trace maps and fixed rings, and constructs and verifies
 globalizations inside a function-space envelope.
 
-Each alpha_g is given as a matrix between RREF coordinates and is held, once
-it is first needed, as a `SubspaceMap`: the ambient images of the RREF basis
-of R_{g^-1}.  `apply_alpha` is its dense form; the axiom checks apply these
-maps row by row and multiply elements (`StructureAlgebra._mul`), and the
-globalization checks also take images of subspaces, without leaving
-exactlin's raw rows.
+Each alpha_g is given as a matrix between RREF coordinates, kept as the
+public record `maps`, and is built once, by the constructor, into a
+`SubspaceMap`: the ambient images of the RREF basis of R_{g^-1}.
+`apply_alpha` is its dense form; the axiom checks apply these maps row by
+row and multiply elements (`StructureAlgebra._mul`), and the globalization
+checks also take images of subspaces, without leaving exactlin's raw rows.
 """
 
 from collections import defaultdict
@@ -30,8 +30,8 @@ class PartialAction:
     """Partial groupoid action on a decomposed ambient algebra.
 
     Subspaces are held as their RREF rows; each alpha_g is a matrix sending
-    RREF coordinates of R_{g^-1} to RREF coordinates of R_g, held as a
-    `SubspaceMap` on R_{g^-1} once it is first applied.
+    RREF coordinates of R_{g^-1} to RREF coordinates of R_g, and
+    `_alphas[g]` is its `SubspaceMap` on R_{g^-1}, built with the action.
     """
 
     def __init__(self, groupoid, ambient, object_components, domains, maps):
@@ -51,16 +51,17 @@ class PartialAction:
                 raise KeyError(f"no domain subspace for morphism {g!r}")
             if self.domains[g].ambient_dim != n:
                 raise DimensionError(f"domain at {g!r} has wrong ambient dimension")
+        self._alphas = {}
         for g in groupoid.morphisms:
             m = self.maps.get(g)
-            need = (self.domains[g].dim, self.domains[self.inv(g)].dim)
+            src, dst = self.domains[self.inv(g)], self.domains[g]
             if m is None:
                 raise KeyError(f"no map for morphism {g!r}")
-            if (m.nrows, m.ncols) != need:
+            if (m.nrows, m.ncols) != (dst.dim, src.dim):
                 raise DimensionError(
-                    f"map at {g!r} has shape {(m.nrows, m.ncols)}, expected {need}"
+                    f"map at {g!r} has shape {(m.nrows, m.ncols)}, expected {(dst.dim, src.dim)}"
                 )
-        self._alphas = {}
+            self._alphas[g] = SubspaceMap.from_matrix(src, dst, m)
         self._domain_units = {}
         self._violations = None
 
@@ -84,16 +85,9 @@ class PartialAction:
     def inv(self, g):
         return self.groupoid.inverse[g]
 
-    def _alpha(self, g):
-        """alpha_g as a SubspaceMap from R_{g^-1}, built once."""
-        if g not in self._alphas:
-            self._alphas[g] = SubspaceMap.from_matrix(
-                self.domains[self.inv(g)], self.domains[g], self.maps[g])
-        return self._alphas[g]
-
     def apply_alpha(self, g, v):
         """alpha_g applied to an ambient vector lying in R_{g^-1}."""
-        return self._alpha(g)(v)
+        return self._alphas[g](v)
 
     def domain_unit(self, g):
         """Unit of the subalgebra R_g as an ambient vector; None if absent or R_g = 0."""
@@ -182,7 +176,7 @@ def _axiom_violations(pa):
     for g in g0.morphisms:
         if g in bad_bijection:
             continue
-        alpha = pa._alpha(g)._image_of
+        alpha = pa._alphas[g]._image_of
         if not _is_multiplicative(amb, pa.domains[pa.inv(g)], alpha, amb._mul):
             out.append(Violation("multiplicative", (g,), "alpha(xy) differs from alpha(x)alpha(y)"))
 
@@ -193,9 +187,7 @@ def _axiom_violations(pa):
         dom = pa.domains[i]
         if dom != comp:
             out.append(Violation("P1", (e,), "identity domain differs from the object component"))
-            continue
-        m = pa.maps[i]
-        if m != Matrix.identity(field, dom.dim):
+        elif pa._alphas[i]._images != list(dom._rows.values()):
             out.append(Violation("P1", (e,), "alpha at the identity is not the identity map"))
 
     # (P2) and (P3) on composable pairs; a valid global action passes on generators
@@ -253,8 +245,8 @@ def _pair_violations(pa, inverses, g, h):
     if any(_reduce(dict(x), target._rows, field.char) for x, _ in pairs):
         out.append(Violation("P2", (g, h), "alpha_h^-1(R_h meet R_{g^-1}) leaves R_{(gh)^-1}"))
         pre = Subspace(field, target.ambient_dim, _gauss_jordan([dict(x) for x, _ in pairs], field.char))
-        pairs = [(x, pa._alpha(h)._image_of(x)) for x in pre.intersect(target)._rows.values()]
-    alpha_g, alpha_gh = pa._alpha(g)._image_of, pa._alpha(gh)._image_of
+        pairs = [(x, pa._alphas[h]._image_of(x)) for x in pre.intersect(target)._rows.values()]
+    alpha_g, alpha_gh = pa._alphas[g]._image_of, pa._alphas[gh]._image_of
     if any(alpha_g(y) != alpha_gh(x) for x, y in pairs):
         out.append(Violation("P3", (g, h), "alpha_g alpha_h differs from alpha_{gh}"))
     return out
@@ -391,7 +383,7 @@ def _alpha_cut(pa, g, x):
     if u is None:
         return {}
     try:
-        return pa._alpha(g)._image_of(amb._mul(x, u))
+        return pa._alphas[g]._image_of(amb._mul(x, u))
     except ValueError:
         raise PreconditionError(
             "x 1_{g^-1} left the domain; ambient is not associative enough") from None
@@ -435,7 +427,7 @@ def is_invariant_subring(pa, space):
     for g in pa.groupoid.morphisms:
         inter = space.intersect(pa.domains[pa.inv(g)])._rows
         target = space.intersect(pa.domains[g])._rows
-        if any(_reduce(pa._alpha(g)._image_of(x), target, p) for x in inter.values()):
+        if any(_reduce(pa._alphas[g]._image_of(x), target, p) for x in inter.values()):
             return False
     return True
 
@@ -586,15 +578,15 @@ def globalization_verify(pa, glob):
     for g in g0.morphisms:
         c, d = g0.cod[g], g0.dom[g]
         lhs = psi[c].image(pa.domains[g])
-        shifted[g] = beta._alpha(g).image(psi_of_component[d])
+        shifted[g] = beta._alphas[g].image(psi_of_component[d])
         rhs = psi_of_component[c].intersect(shifted[g])
         if lhs != rhs:
             out.append(Violation("(ii)", (g,), "psi(R_g) differs from psi(R_c) meet beta_g(psi(R_d))"))
 
     # (iii) beta_g psi_{d(g)} = psi_{c(g)} alpha_g on the rows of R_{g^-1}
     for g in g0.morphisms:
-        lhs, rhs = beta._alpha(g)._image_of, psi[g0.cod[g]]._image_of
-        if any(lhs(psi[g0.dom[g]]._image_of(x)) != rhs(pa._alpha(g)._image_of(x))
+        lhs, rhs = beta._alphas[g]._image_of, psi[g0.cod[g]]._image_of
+        if any(lhs(psi[g0.dom[g]]._image_of(x)) != rhs(pa._alphas[g]._image_of(x))
                for x in pa.domains[pa.inv(g)]._rows.values()):
             out.append(Violation("(iii)", (g,), "beta_g psi differs from psi alpha_g"))
 

@@ -8,8 +8,8 @@ group algebras, quotients by ideals, and the Maschke-type machinery
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError, UnsupportedError
-from .exactlin import Matrix, Subspace, _reduce, solve
+from .errors import DimensionError, PreconditionError, UnsupportedError
+from .exactlin import Matrix, Subspace, _combine, _dense, _reduce, _subtract, solve
 from .algebra import MAX_DIM, StructureAlgebra, _terms, grading_respected
 from .groupoid import connected_components, hom_set
 from . import paction as pact
@@ -41,10 +41,13 @@ def delta_element(pa, g, coeff_ambient, offsets, total):
     `coeff_ambient` is an ambient vector lying in R_g; `offsets` and `total`
     are the layout from `skew_layout`.
     """
-    vec = pa.ambient.field.zero_vec(total)
-    for k, c in enumerate(pa.domains[g].coords(coeff_ambient), offsets[g]):
-        vec[k] = c
-    return vec
+    row = pa.domains[g]._row(coeff_ambient)
+    return _dense(pa.ambient.field, _delta_row(pa, g, row, offsets), total)
+
+
+def _delta_row(pa, g, coeff, offsets):
+    """The raw row of (coeff delta_g) for a raw row coeff lying in R_g."""
+    return {offsets[g] + k: c for k, c in pa.domains[g]._raw_coords(coeff).items()}
 
 
 # -- partial skew groupoid ring --------------------------------------------------
@@ -137,7 +140,7 @@ def build_skew_groupoid_ring(pa):
     triples = ((g, h, g0.compose(g, h)) for g, h in g0.composable_pairs())
     alg, _ = skew_product_ring(
         pa.ambient.field, g0.morphisms, pa.domains, triples,
-        pa.inv, lambda g, x: pa._alpha(g)._image_of(x), pa.ambient._mul, lambda g: g, unit,
+        pa.inv, lambda g, x: pa._alphas[g]._image_of(x), pa.ambient._mul, lambda g: g, unit,
     )
     alg.grading_groupoid = g0
     return alg
@@ -379,6 +382,11 @@ class GradedModule:
     dim: int
     action: list
 
+    def __post_init__(self):
+        n, k = self.dim, self.algebra.dim
+        if len(self.action) != k or any(m.shape != (n, n) for m in self.action):
+            raise DimensionError(f"a module needs {k} action matrices, each {n} x {n}")
+
     @classmethod
     def regular(cls, algebra):
         mats = [
@@ -386,26 +394,22 @@ class GradedModule:
         ]
         return cls(algebra, algebra.dim, mats)
 
-    def act_matrix(self, coords):
-        out = Matrix.zeros(self.algebra.field, self.dim, self.dim)
-        for i, c in enumerate(coords):
-            if c:
-                out = out.add(self.action[i].scale(c))
+    def _act(self, coeffs):
+        """Raw columns of the action of the algebra element with raw row coeffs."""
+        p, out = self.algebra.field.char, [{} for _ in range(self.dim)]
+        for i, c in coeffs.items():
+            for col, other in zip(out, self.action[i]._raw_columns()):
+                _subtract(col, -c, other, p)
         return out
 
     def validate(self):
         """Action respects the product; the algebra unit acts as the identity."""
-        bad = []
-        alg = self.algebra
-        n = alg.dim
-        for a in range(n):
-            ma = self.action[a]
-            for b in range(n):
-                prod = self.act_matrix(alg.multiply(alg.basis_vector(a), alg.basis_vector(b)))
-                if ma.mul(self.action[b]) != prod:
-                    bad.append((a, b))
-        u = self.algebra.find_unit()
-        if u is not None and self.act_matrix(u) != Matrix.identity(self.algebra.field, self.dim):
+        alg, p = self.algebra, self.algebra.field.char
+        cols = [m._raw_columns() for m in self.action]
+        bad = [(a, b) for a in range(alg.dim) for b in range(alg.dim)
+               if _compose(cols[a], cols[b], p) != self._act(alg._mul({a: 1}, {b: 1}))]
+        u = alg.find_unit()
+        if u is not None and self._act(alg._row(u)) != [{j: 1} for j in range(self.dim)]:
             bad.append(("unit",))
         return bad
 
@@ -419,62 +423,62 @@ def maschke_split(pa, module, w, pi):
     An action that fails `validate_action` is refused with a
     PreconditionError.  A valid one has R the direct sum of the ideals R_e
     and R_{id_e} = R_e, so l embeds in the skew ring as
-    sum_e (l 1_{id_e}) d_{id_e}.
+    sum_e (l 1_{id_e}) d_{id_e}.  Maps are composed as raw columns, and
+    only psi is made dense.
     """
-    amb = pa.ambient
-    field = amb.field
+    amb, field = pa.ambient, pa.ambient.field
+    p, n = field.char, module.dim
     offsets, total = skew_layout(pa)
     _require_valid(pa)
     if module.algebra.dim != total:
         raise PreconditionError("module is not over the skew ring of this action")
-    if w.ambient_dim != module.dim:
+    if w.ambient_dim != n:
         raise PreconditionError("submodule lives in a different space")
-    for i in range(total):
-        for v in w.basis:
-            if not w.contains(module.action[i].apply(v)):
-                raise PreconditionError("w is not a submodule")
-    if pi.nrows != module.dim or pi.ncols != module.dim:
+    w_rows = list(w._rows.values())
+    for a in module.action:
+        if any(_reduce(y, w._rows, p) for y in _compose(a._raw_columns(), w_rows, p)):
+            raise PreconditionError("w is not a submodule")
+    if pi.shape != (n, n):
         raise PreconditionError("projection has the wrong shape")
-    for j in range(module.dim):
-        if not w.contains(pi.column(j)):
-            raise PreconditionError("projection does not land in w")
-    for v in w.basis:
-        if pi.apply(v) != v:
-            raise PreconditionError("projection is not the identity on w")
-    id_degrees = [
-        i for g in pa.groupoid.objects
-        for i in range(offsets[pa.groupoid.identity[g]],
-                       offsets[pa.groupoid.identity[g]] + pa.domains[pa.groupoid.identity[g]].dim)
-    ]
-    for i in id_degrees:
-        if module.action[i].mul(pi) != pi.mul(module.action[i]):
-            raise PreconditionError("projection is not R-linear")
+    pi_cols = pi._raw_columns()
+    if any(_reduce(dict(y), w._rows, p) for y in pi_cols):
+        raise PreconditionError("projection does not land in w")
+    if _compose(pi_cols, w_rows, p) != w_rows:
+        raise PreconditionError("projection is not the identity on w")
+    for i in (pa.groupoid.identity[e] for e in pa.groupoid.objects):
+        for a in module.action[offsets[i]:offsets[i] + pa.domains[i].dim]:
+            if _compose(a._raw_columns(), pi_cols, p) != _compose(pi_cols, a._raw_columns(), p):
+                raise PreconditionError("projection is not R-linear")
 
     one_r = amb.find_unit()
     if one_r is None:
         raise PreconditionError("ambient algebra is not unital")
-    tr = pact.trace_map(pa, one_r)
-    l = invert_in(amb, tr)
+    l = invert_in(amb, pact.trace_map(pa, one_r))
     if l is None:
         raise PreconditionError("trace of the unit is not invertible")
 
-    acc = Matrix.zeros(field, module.dim, module.dim)
+    acc = [{} for _ in range(n)]
     for g in pa.groupoid.morphisms:
-        u_g = pa.domain_unit(g)
-        u_ginv = pa.domain_unit(pa.inv(g))
+        u_g, u_ginv = pa._unit_row(g), pa._unit_row(pa.inv(g))
         if u_g is None or u_ginv is None:
             continue
-        front = module.act_matrix(delta_element(pa, pa.inv(g), u_ginv, offsets, total))
-        back = module.act_matrix(delta_element(pa, g, u_g, offsets, total))
-        acc = acc.add(front.mul(pi.mul(back)))
-    l_s = field.zero_vec(total)
+        front = module._act(_delta_row(pa, pa.inv(g), u_ginv, offsets))
+        back = module._act(_delta_row(pa, g, u_g, offsets))
+        for col, y in zip(acc, _compose(front, _compose(pi_cols, back, p), p)):
+            _subtract(col, -1, y, p)
+    l_s = {}
     for e in pa.groupoid.objects:
         i = pa.groupoid.identity[e]
-        u = pa.domain_unit(i)  # trace_map has required it of every nonzero domain
-        if u is not None:
-            part = delta_element(pa, i, amb.multiply(l, u), offsets, total)
-            l_s = [a + b for a, b in zip(l_s, part)]  # the parts sit at disjoint offsets
-    return module.act_matrix(l_s).mul(acc)
+        u = pa._unit_row(i)  # trace_map has required it of every nonzero domain
+        if u is not None:  # the parts sit at disjoint offsets
+            l_s.update(_delta_row(pa, i, amb._mul(amb._row(l), u), offsets))
+    cols = _compose(module._act(l_s), acc, p)
+    return Matrix.from_columns(field, [_dense(field, y, n) for y in cols], n)
+
+
+def _compose(a, b, p):
+    """Raw columns of the product ab of two maps given by their raw columns."""
+    return [_combine(y, a, p) for y in b]
 
 
 def invert_in(alg, x):

@@ -725,3 +725,14 @@ def test_grading_respected_without_a_grading_and_where_products_must_vanish():
     alg.grading = {0: "0", 1: "1"}
     # d1 d1 = d0 is nonzero, but this rule says degree "1" times degree "1" vanishes
     assert grading_respected(alg, lambda a, b: None if a == b == "1" else "0") is False
+
+
+def test_subalgebra_refuses_a_subspace_of_another_ambient():
+    from grpd import paction as pact
+
+    pa = corpus.swap_action()
+    for space in (Subspace.coordinate(Q, 1, [0]), Subspace.full(Q, 3)):
+        with pytest.raises(DimensionError):
+            pa.ambient.subalgebra(space)
+        with pytest.raises(DimensionError):
+            pact.is_invariant_subring(pa, space)

@@ -37,6 +37,38 @@ def test_single_axiom_mutants(rule):
     assert violation_rules(violations) == {rule}
 
 
+def _swap_at_the_identity(field, pair):
+    """alpha at an identity is the swap of K x K: a bijective ring map, not the identity.
+
+    On Z/2 both alphas are the swap; on the pair groupoid of {1, 2}, whose
+    objects each carry K x K, only the identity at 2 swaps.
+    """
+    swap, one = Matrix(field, [[0, 1], [1, 0]]), Matrix.identity(field, 2)
+    if not pair:
+        full = Subspace.full(field, 2)
+        return pact.PartialAction(gpd.cyclic_group(2), corpus.componentwise(field, 2), {"*": full},
+                                  {"g0": full, "g1": full}, {"g0": swap, "g1": swap})
+    g = gpd.pair_groupoid(2)
+    comp = {"1": Subspace.coordinate(field, 4, [0, 1]), "2": Subspace.coordinate(field, 4, [2, 3])}
+    return pact.PartialAction(g, corpus.componentwise(field, 4), comp,
+                              {m: comp[g.cod[m]] for m in g.morphisms},
+                              {"(1,1)": one, "(2,2)": swap, "(1,2)": one, "(2,1)": one})
+
+
+@pytest.mark.parametrize("p", [0, 2, 5])
+@pytest.mark.parametrize("pair", [False, True])
+def test_identity_acting_by_a_ring_automorphism_breaks_p1(p, pair):
+    from test_paction_reference import Reference
+
+    pa = _swap_at_the_identity(Field(p), pair)
+    violations = pact.validate_action(pa)
+    p3 = ([("(1,2)", "(2,2)"), ("(2,1)", "(1,2)"), ("(2,2)", "(2,1)"), ("(2,2)", "(2,2)")] if pair
+          else [("g0", "g0"), ("g0", "g1"), ("g1", "g0"), ("g1", "g1")])
+    expected = [("P1", ("2",) if pair else ("*",))] + [("P3", w) for w in p3]
+    assert [(v.rule, v.witness) for v in violations] == expected == Reference(pa).violations()
+    assert str(violations[0]).endswith("alpha at the identity is not the identity map")
+
+
 def test_unital_global_support():
     pa = corpus.swap_action()
     assert pact.is_unital(pa) and pact.is_global(pa)

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 import corpus
-from grpd.errors import PreconditionError, UnsupportedError
+from grpd.errors import DimensionError, PreconditionError, UnsupportedError
 from grpd.exactlin import Field, Matrix, Subspace, solve
 from grpd.algebra import grading_respected
 from grpd import groupoid as gpd
@@ -481,6 +481,18 @@ def test_graded_module_validate_names_the_broken_pairs():
     # the zero action respects every product, but the unit does not act as the identity
     zero = GradedModule(alg, regular.dim, [Matrix.zeros(Q, regular.dim, regular.dim)] * alg.dim)
     assert zero.validate() == [("unit",)]
+
+
+def test_graded_module_refuses_action_matrices_of_the_wrong_number_or_shape():
+    alg = build_skew_groupoid_ring(corpus.swap_action())
+    regular = GradedModule.regular(alg)
+    with pytest.raises(DimensionError):
+        GradedModule(alg, regular.dim, regular.action[:-1])
+    two = corpus.componentwise(Q, 2)
+    with pytest.raises(DimensionError):
+        GradedModule(two, 2, [Matrix.identity(Q, 3)] * 2)
+    with pytest.raises(DimensionError):
+        GradedModule(two, 2, [Matrix.identity(Q, 2), Matrix.zeros(Q, 2, 3)])
 
 
 def test_analyze_report_octonions():
