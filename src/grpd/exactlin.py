@@ -496,9 +496,15 @@ class Subspace:
         return Subspace.span(self.field, self.ambient_dim, [self, other])
 
     def intersect(self, other):
-        """Intersection of two spans: the smaller one when they are nested, else by
-        one Zassenhaus elimination.  RREF bases are canonical, so either way
-        gives the same basis."""
+        """Intersection of two spans.  When every RREF row of both is a unit
+        vector, it is spanned by the unit vectors at their common pivots;
+        otherwise it is the smaller one when they are nested, else found by one
+        Zassenhaus elimination.  RREF bases are canonical, so every way gives
+        the same basis."""
+        self._same_ambient(other)
+        mine, theirs = self._rows, other._rows
+        if all(len(r) == 1 for r in mine.values()) and all(len(r) == 1 for r in theirs.values()):
+            return Subspace(self.field, self.ambient_dim, {c: r for c, r in mine.items() if c in theirs})
         if self <= other:
             return self
         if other <= self:
@@ -519,9 +525,12 @@ class Subspace:
             and self._rows == other._rows
         )
 
-    def __le__(self, other):
+    def _same_ambient(self, other):
         if self.ambient_dim != other.ambient_dim:
             raise DimensionError(f"ambient dimensions differ: {self.ambient_dim} vs {other.ambient_dim}")
+
+    def __le__(self, other):
+        self._same_ambient(other)
         p = self.field.char
         return all(not _reduce(dict(r), other._rows, p) for r in self._rows.values())
 

@@ -13,6 +13,12 @@ public record `maps`, and is built once, by the constructor, into a
 `apply_alpha` is its dense form; the axiom checks apply these maps row by
 row and multiply elements (`StructureAlgebra._mul`), and the globalization
 checks also take images of subspaces, without leaving exactlin's raw rows.
+Bijectivity inverts each map on its raw columns.  A global action is first
+checked on a generating set S: multiplicativity of beta_s, (P1), and (P3)
+on the pairs (g, s), s in S; only when one of these fails do the full
+checks run (see `_generators`).  Domains spanned by unit vectors meet at
+their common pivots, without elimination (`Subspace.intersect`), and
+`globalize` computes psi_e(r) once per object e and RREF row r of R_e.
 """
 
 from collections import defaultdict
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 from .errors import DimensionError, PreconditionError, SchemaError, UnsupportedError, Violation
 from .exactlin import (Matrix, Subspace, SubspaceMap, _combine, _dense, _gauss_jordan, _kernel,
                        _reduce, _sparse, _subtract)
-from .algebra import MAX_DIM, StructureAlgebra, _restricted_table
+from .algebra import MAX_DIM, StructureAlgebra, _terms
 from .groupoid import full_subgroupoid
 from . import schema
 
@@ -164,36 +170,31 @@ def _axiom_violations(pa):
     bad_bijection = set()
     inverses = {}
     for g in g0.morphisms:
-        src, dst = pa.domains[pa.inv(g)], pa.domains[g]
-        inv = pa.maps[g].inverse() if src.dim == dst.dim else None
-        if inv is None:
+        inverses[g] = _inverse(pa, g)
+        if inverses[g] is None:
             out.append(Violation("bijective", (g,), "alpha is not a linear bijection"))
             bad_bijection.add(g)
-        else:
-            inverses[g] = SubspaceMap.from_matrix(dst, src, inv)
+
+    def multiplicative(g):
+        return _is_multiplicative(amb, pa.domains[pa.inv(g)], pa._alphas[g]._image_of, amb._mul)
+
+    # a valid global action passes on its generators alone (see _generators);
+    # anything else falls through to the full checks below
+    p1 = _p1_violations(pa)
+    if not out and not p1 and is_global(pa):
+        gens = _generators(g0)
+        if all(map(multiplicative, gens)) and not any(
+                _pair_violations(pa, inverses, g, s)
+                for s in gens for g in g0.morphisms_out_of(g0.cod[s])):
+            return out
 
     # alpha_g multiplicative on its domain
     for g in g0.morphisms:
-        if g in bad_bijection:
-            continue
-        alpha = pa._alphas[g]._image_of
-        if not _is_multiplicative(amb, pa.domains[pa.inv(g)], alpha, amb._mul):
+        if g not in bad_bijection and not multiplicative(g):
             out.append(Violation("multiplicative", (g,), "alpha(xy) differs from alpha(x)alpha(y)"))
+    out += p1
 
-    # (P1) identity morphisms act as the identity on the full component
-    for e in g0.objects:
-        i = g0.identity[e]
-        comp = pa.object_components[e]
-        dom = pa.domains[i]
-        if dom != comp:
-            out.append(Violation("P1", (e,), "identity domain differs from the object component"))
-        elif pa._alphas[i]._images != list(dom._rows.values()):
-            out.append(Violation("P1", (e,), "alpha at the identity is not the identity map"))
-
-    # (P2) and (P3) on composable pairs; a valid global action passes on generators
-    if not out and is_global(pa) and not any(
-            _pair_violations(pa, inverses, g, s) for g, s in _generator_pairs(g0)):
-        return out
+    # (P2) and (P3) on composable pairs
     for g, h in g0.composable_pairs():
         if h in bad_bijection or g in bad_bijection or g0.compose(g, h) in bad_bijection:
             continue
@@ -201,21 +202,58 @@ def _axiom_violations(pa):
     return out
 
 
-def _generator_pairs(g0):
-    """The pairs (g, s), s in a generating set S, that decide (P3) of a global action.
+def _inverse(pa, g):
+    """alpha_g^-1 as a SubspaceMap on R_g, or None unless alpha_g is a linear bijection.
+
+    One elimination of the rows [column j of the map | unit vector j] leaves
+    [I | the transpose of the inverse] when the map is invertible; row i on
+    the right is then the R_{g^-1} coordinates of alpha_g^-1 of row i of R_g.
+    """
+    src, dst, p = pa.domains[pa.inv(g)], pa.domains[g], pa.ambient.field.char
+    k = dst.dim
+    if src.dim != k:
+        return None
+    piv = _gauss_jordan([{**col, k + j: 1} for j, col in enumerate(pa.maps[g]._raw_columns())], p)
+    if any(c >= k for c in piv):
+        return None
+    rows = list(src._rows.values())
+    images = [_combine({j - k: x for j, x in piv[i].items() if j >= k}, rows, p) for i in range(k)]
+    return SubspaceMap(dst, images, src.ambient_dim)
+
+
+def _p1_violations(pa):
+    """(P1): identity morphisms act as the identity on the full component."""
+    g0, out = pa.groupoid, []
+    for e in g0.objects:
+        comp, i = pa.object_components[e], g0.identity[e]
+        dom = pa.domains[i]
+        if dom != comp:
+            out.append(Violation("P1", (e,), "identity domain differs from the object component"))
+        elif pa._alphas[i]._images != list(dom._rows.values()):
+            out.append(Violation("P1", (e,), "alpha at the identity is not the identity map"))
+    return out
+
+
+def _generators(g0):
+    """A generating set S whose pairs (g, s) and maps beta_s decide a global action.
 
     S is taken greedily in morphism order, skipping each morphism reached;
     the reached ones start as the identities and are closed under composition
-    on the right with S and S^-1.  Let beta be global, with every beta_g a
-    bijective ring map and (P1) holding, and let beta_{gs} = beta_g beta_s for
-    every s in S and every g with d(g) = c(s).  (P2) holds by itself, since
-    each domain is a whole component.  The pair (s^-1, s) and (P1) give
-    beta_{s^-1} = beta_s^-1, and the pair (g s^-1, s) gives beta_g =
-    beta_{g s^-1} beta_s, so beta_{g s^-1} = beta_g beta_{s^-1}.  Every
-    morphism is an identity or a word in S and S^-1, so beta_{gh} = beta_g
-    beta_h for every composable pair, by induction on the length of h.
-    Finiteness alone gives no inverses: in a pair groupoid, (2,1) is not a
-    composite of (1,2), (1,3), ...  The groupoid must be valid.
+    on the right with S and S^-1.  Let beta be global, its components ideals,
+    every beta_g a linear bijection and (P1) holding, and let beta_{gs} =
+    beta_g beta_s for every s in S and every g with d(g) = c(s).  (P2) holds
+    by itself, since each domain is a whole component.  The pair (s^-1, s)
+    and (P1) give beta_{s^-1} = beta_s^-1, and the pair (g s^-1, s) gives
+    beta_g = beta_{g s^-1} beta_s, so beta_{g s^-1} = beta_g beta_{s^-1}.
+    Every morphism is an identity or a word in S and S^-1, so beta_{gh} =
+    beta_g beta_h for every composable pair, by induction on the length of h,
+    and every beta_g is a composite of maps beta_s and beta_s^-1.  An inverse
+    or a composite of bijective ring maps is a ring map, so when every beta_s
+    is multiplicative, every beta_g is; a component is an ideal, so each
+    product of its basis rows stays in it and is tested.  The full checks
+    would then find nothing.  Finiteness alone gives no inverses: in a pair
+    groupoid, (2,1) is not a composite of (1,2), (1,3), ...  The groupoid
+    must be valid.
     """
     reached, letters, gens = set(g0.identity.values()), [], []
     for s in (s for s in g0.morphisms if s not in reached):
@@ -227,7 +265,7 @@ def _generator_pairs(g0):
             if g0.dom[r] == g0.cod[t] and (m := g0.compose(r, t)) not in reached:
                 reached.add(m)
                 todo += [(m, u) for u in letters]
-    return [(g, s) for s in gens for g in g0.morphisms_out_of(g0.cod[s])]
+    return gens
 
 
 def _pair_violations(pa, inverses, g, h):
@@ -464,13 +502,23 @@ class _Envelope:
                 off += n
         self.dim = off
         self.block = n
+        # beta_g moves the block of (d(g), g^-1 h) to the block of (c(g), h)
+        self.moves = {g: {self.offsets[(g0.dom[g], g0.compose(g0.inverse[g], h))]:
+                          self.offsets[(g0.cod[g], h)] for h in self.into[g0.cod[g]]}
+                      for g in g0.morphisms}
 
-    def mul(self, x, y):
-        """The product of raw rows: blockwise, each block in the ambient algebra."""
-        n, out = self.block, {}
-        for off in {c - c % n for c in x} & {c - c % n for c in y}:
-            xb, yb = ({c - off: v for c, v in r.items() if off <= c < off + n} for r in (x, y))
-            out.update((off + k, v) for k, v in self.pa.ambient._mul(xb, yb).items())
+    def split(self, x):
+        """A raw row as {block offset: the raw row of its block in the ambient R}."""
+        n, out = self.block, defaultdict(dict)
+        for c, v in x.items():
+            out[c - c % n][c % n] = v
+        return out
+
+    def mul(self, xs, ys):
+        """The raw product of two split rows: blockwise, each block in the ambient algebra."""
+        mul, out = self.pa.ambient._mul, {}
+        for off in xs.keys() & ys.keys():
+            out.update((off + k, v) for k, v in mul(xs[off], ys[off]).items())
         return out
 
     def psi_vec(self, e, r):
@@ -481,10 +529,7 @@ class _Envelope:
 
     def beta_apply(self, g, x):
         """(beta_g f)(h) = f(g^-1 h) on a raw row, moving the d(g) block to the c(g) block."""
-        g0, n = self.pa.groupoid, self.block
-        d, c, ginv = g0.dom[g], g0.cod[g], g0.inverse[g]
-        moved = {self.offsets[(d, g0.compose(ginv, h))]: self.offsets[(c, h)]
-                 for h in self.into[c]}
+        n, moved = self.block, self.moves[g]
         return {moved[j - j % n] + j % n: v for j, v in x.items() if j - j % n in moved}
 
 
@@ -501,22 +546,25 @@ def globalize(pa):
     g0 = pa.groupoid
     field = pa.ambient.field
 
+    # psi_e(r), once per object e and RREF row r of R_e
+    psi = {e: [env.psi_vec(e, r) for r in pa.object_components[e]._rows.values()]
+           for e in g0.objects}
     # T_e lives on the e blocks, laid out in object order, so the parts'
     # RREF rows together are already the RREF rows of T
     t_rows, part_range = {}, {}
     for e in g0.objects:
         start = len(t_rows)
-        t_rows.update(_gauss_jordan([
-            env.beta_apply(h, env.psi_vec(g0.dom[h], r)) for h in env.into[e]
-            for r in pa.object_components[g0.dom[h]]._rows.values()], field.char))
+        t_rows.update(_gauss_jordan([env.beta_apply(h, x) for h in env.into[e]
+                                     for x in psi[g0.dom[h]]], field.char))
         part_range[e] = (start, len(t_rows))
     t_dim = len(t_rows)
     if t_dim > MAX_DIM:
         raise UnsupportedError(
             f"the enveloping algebra has dimension {t_dim}, above the limit {MAX_DIM}")
     t_space = Subspace(field, env.dim, t_rows)
+    parts = [env.split(r) for r in t_rows.values()]
     try:
-        table = _restricted_table(t_space, env.mul)
+        table = [[_terms(t_space._raw_coords(env.mul(x, y))) for y in parts] for x in parts]
     except ValueError:
         raise UnsupportedError("enveloping space is not multiplicatively closed") from None
     t_alg = StructureAlgebra(field, t_dim, table)
@@ -538,8 +586,7 @@ def globalize(pa):
     embeddings = {}
     for e in g0.objects:
         # beta at the identity fixes psi_e(r), one of the generators of T_e
-        rows = pa.object_components[e]._rows.values()
-        cols = [_dense(field, t_space._raw_coords(env.psi_vec(e, r)), t_dim) for r in rows]
+        cols = [_dense(field, t_space._raw_coords(x), t_dim) for x in psi[e]]
         embeddings[e] = Matrix.from_columns(field, cols, t_dim)
     return Globalization(partial=pa, action=beta, embeddings=embeddings)
 

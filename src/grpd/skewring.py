@@ -420,9 +420,10 @@ def maschke_split(pa, module, w, pi):
     Given a module V over R *_alpha G, a submodule W, and an R-linear
     projection pi onto W, returns psi(v) = l sum_g (1_{g^-1} d_{g^-1})
     pi((1_g d_g) v) with l the inverse of the trace of the ambient unit.
-    An action that fails `validate_action` is refused with a
-    PreconditionError.  A valid one has R the direct sum of the ideals R_e
-    and R_{id_e} = R_e, so l embeds in the skew ring as
+    An action that fails `validate_action`, and a module that fails
+    `GradedModule.validate`, are refused with a PreconditionError.  A valid
+    action has R the direct sum of the ideals R_e and R_{id_e} = R_e, so l
+    embeds in the skew ring as
     sum_e (l 1_{id_e}) d_{id_e}.  Maps are composed as raw columns, and
     only psi is made dense.
     """
@@ -432,6 +433,8 @@ def maschke_split(pa, module, w, pi):
     _require_valid(pa)
     if module.algebra.dim != total:
         raise PreconditionError("module is not over the skew ring of this action")
+    if module.validate():
+        raise PreconditionError("module breaks the module axioms")
     if w.ambient_dim != n:
         raise PreconditionError("submodule lives in a different space")
     w_rows = list(w._rows.values())

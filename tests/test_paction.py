@@ -443,8 +443,8 @@ def test_envelope_action_validates_without_zassenhaus(monkeypatch):
 
     def counted(rows, p):
         # a Zassenhaus stack has rows doubled into columns n..2n-1 and rows that
-        # stay below n; each alpha of beta is n x n, so every row of the [m | I]
-        # that inverts it reaches column n or past it
+        # stay below n; each alpha of beta is n x n, so every row of the
+        # [column of m | unit vector] stack that inverts it reaches column n or past it
         rows = list(rows)
         doubled = sum(1 for r in rows if r and max(r) >= n)
         if 0 < doubled < len(rows):
@@ -454,9 +454,13 @@ def test_envelope_action_validates_without_zassenhaus(monkeypatch):
     monkeypatch.setattr(exactlin, "_gauss_jordan", counted)
     assert pact.validate_action(beta) == []
     assert stacks == []
-    # the hook sees a Zassenhaus elimination when there is one
+    # the hook sees a Zassenhaus elimination when there is one; spans of unit
+    # vectors meet at their common pivots without one
     Subspace.coordinate(Q, n, [0, 1]).intersect(Subspace.coordinate(Q, n, [1, 2]))
-    assert stacks == [(4, 2)]
+    assert stacks == []
+    ones = [[1, 1] + [0] * (n - 2), [0, 1, 1] + [0] * (n - 3)]
+    Subspace.from_vectors(Q, n, ones[:1]).intersect(Subspace.from_vectors(Q, n, ones[1:]))
+    assert stacks == [(2, 1)]
 
 
 @pytest.mark.parametrize("make", [

@@ -471,6 +471,21 @@ def test_maschke_split_refuses_an_action_that_does_not_validate():
         maschke_split(pa, module, w, Matrix.identity(Q, module.dim))
 
 
+def test_maschke_split_refuses_a_module_that_does_not_validate():
+    # b_3 acting twice over: not a module, and with w everything and pi the
+    # identity the average would be 3/2 I, which is no projection
+    pa = corpus.swap_action()
+    module = GradedModule.regular(build_skew_groupoid_ring(pa))
+    action = list(module.action)
+    action[3] = action[3].scale(Q(2))
+    broken = GradedModule(module.algebra, module.dim, action)
+    assert broken.validate() == [(2, 3), (3, 2)]
+    w = Subspace.full(Q, module.dim)
+    with pytest.raises(PreconditionError, match="module breaks the module axioms"):
+        maschke_split(pa, broken, w, Matrix.identity(Q, module.dim))
+    assert maschke_split(pa, module, w, Matrix.identity(Q, module.dim)) == Matrix.identity(Q, module.dim)
+
+
 def test_graded_module_validate_names_the_broken_pairs():
     alg = build_skew_groupoid_ring(corpus.swap_action())
     regular = GradedModule.regular(alg)
