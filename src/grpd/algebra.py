@@ -103,8 +103,7 @@ class StructureAlgebra:
     def left_mult_matrix(self, x):
         """Matrix of y -> x y in the basis."""
         row = self._row(x)
-        cols = [_dense(self.field, self._mul(row, {j: 1}), self.dim) for j in range(self.dim)]
-        return Matrix.from_columns(self.field, cols, self.dim)
+        return Matrix._of_columns(self.field, self.dim, [self._mul(row, {j: 1}) for j in range(self.dim)])
 
     def label(self, i):
         return self.labels[i] if self.labels else f"b{i}"
@@ -692,10 +691,6 @@ class BlockDecomposition:
     blocks: list
     non_split: list
 
-    @property
-    def fully_split(self):
-        return not self.non_split
-
     def dims(self):
         return [b.dim for b in self.blocks]
 
@@ -707,16 +702,6 @@ class BlockDecomposition:
 
     def __getitem__(self, i):
         return self.blocks[i]
-
-
-def minimal_polynomial(alg, x, one):
-    """Monic minimal polynomial [a_0, ..., a_{d-1}, 1] of x, with `one`, the unit of
-    the algebra or of a block containing x, as x^0; see `_min_poly`."""
-    x, one = alg._row(x), alg._row(one)
-    if alg._mul(one, x) != x:
-        raise PreconditionError("minimal polynomial needs an identity for the element")
-    mp = _min_poly(alg, x, one)[0]
-    return _dense(alg.field, dict(enumerate(mp)), len(mp))
 
 
 def _min_poly(alg, x, one):

@@ -7,8 +7,8 @@ tables are multiplied with int arithmetic until a real division happens;
 the numeric tower mixes the two exactly, and `Field.inv` is the one
 division.  Over F_p an element is a plain int in [0, p); the public
 methods reduce incoming entries mod p before they test them for zero, so
--1 and p - 1 are the same input.  Matrices and the vectors of the public
-methods are dense lists of field elements.
+-1 and p - 1 are the same input.  Vectors of the public methods, and the
+rows a `Matrix` is made from or read as, are dense lists of field elements.
 
 Inside, both fields share one form, the raw row: a dict {column: nonzero
 value} holding rationals over Q and ints in [0, p) over F_p.  `_sparse`,
@@ -24,8 +24,9 @@ boundary (`StructureAlgebra.multiply`).
 Linear systems enter it as sparse rows {column: field element} through
 `kernel_rows` and `solve_rows`, or as raw rows through `_kernel` and
 `_solve`; only `rref` pads its echelon form with zero rows.  Matrices and
-subspaces are immutable: a matrix keeps its raw columns once made, and a
-subspace is its raw RREF rows alone, so equal subspaces have equal rows.
+subspaces are immutable: a matrix is its raw columns alone, and grpd makes
+its own from raw columns (`Matrix._of_columns`); a subspace is its raw
+RREF rows alone, so equal subspaces have equal rows.
 A `SubspaceMap`, a linear map from a subspace into the ambient space,
 keeps the raw ambient images of the subspace's RREF basis, so applying a
 map and taking images stay on raw rows.
@@ -34,6 +35,7 @@ map and taking images stay on raw rows.
 import re
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DimensionError
 
@@ -224,108 +226,89 @@ def _gauss_jordan(rows, p):
     return {c: piv[c] for c in sorted(piv)}
 
 
+def _transpose(rows, ncols):
+    """The raw columns of the matrix with the given raw rows (or raw rows from raw columns)."""
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            cols[j][i] = x
+    return cols
+
+
 class Matrix:
-    """Dense matrix over an exact field; immutable by convention.  The constructor is
-    the one place entries are normalized: reduced mod p over F_p, canonical over Q."""
+    """Matrix over an exact field, held as its raw columns; immutable.  The constructor is
+    the one place dense entries are normalized: reduced mod p over F_p, canonical over Q."""
 
     def __init__(self, field, rows, ncols=None):
-        self.field = field
-        p = field.char
-        self.rows = ([[x % p for x in r] for r in rows] if p
-                     else [[_canonical(x) for x in r] for r in rows])
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else (ncols or 0)
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise DimensionError("ragged matrix rows")
-        self._cols = None
-
-    def _raw_columns(self):
-        """Columns as raw rows, computed once."""
-        if self._cols is None:
-            self._cols = [_sparse(self.field, self.column(j)) for j in range(self.ncols)]
-        return self._cols
+        ncols = len(rows[0]) if rows else (ncols or 0)
+        if any(len(r) != ncols for r in rows):
+            raise DimensionError("ragged matrix rows")
+        raw = [_sparse(field, r if field.char else [_canonical(x) for x in r]) for r in rows]
+        self.field, self.nrows, self.ncols, self._cols = field, len(rows), ncols, _transpose(raw, ncols)
 
     @classmethod
-    def zeros(cls, field, nrows, ncols):
-        return cls(field, [[field.zero] * ncols for _ in range(nrows)], ncols=ncols)
-
-    @classmethod
-    def identity(cls, field, n):
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.rows[i][i] = field.one
+    def _of_columns(cls, field, nrows, cols):
+        """The nrows x len(cols) matrix whose j-th column is the raw row cols[j]; kept, not copied."""
+        m = cls.__new__(cls)
+        m.field, m.nrows, m.ncols, m._cols = field, nrows, len(cols), cols
         return m
 
     @classmethod
-    def from_columns(cls, field, cols, nrows=None):
-        if not cols:
-            return cls(field, [[] for _ in range(nrows or 0)], ncols=0)
-        nrows = len(cols[0])
-        return cls(field, [[c[i] for c in cols] for i in range(nrows)], ncols=len(cols))
+    def zeros(cls, field, nrows, ncols):
+        return cls._of_columns(field, nrows, [{} for _ in range(ncols)])
+
+    @classmethod
+    def identity(cls, field, n):
+        return cls._of_columns(field, n, [{j: 1} for j in range(n)])
+
+    @cached_property
+    def rows(self):
+        """The dense rows, made on first read."""
+        return [_dense(self.field, r, self.ncols) for r in _transpose(self._cols, self.nrows)]
 
     @property
     def shape(self):
         return (self.nrows, self.ncols)
 
     def column(self, j):
-        return [r[j] for r in self.rows]
-
-    def transpose(self):
-        return Matrix(self.field, [self.column(j) for j in range(self.ncols)], ncols=self.nrows)
+        return _dense(self.field, self._cols[j], self.nrows)
 
     def apply(self, vec):
         """Matrix times column vector: the columns combined by the entries of vec."""
         if len(vec) != self.ncols:
             raise DimensionError(f"apply: {self.ncols} columns vs vector of length {len(vec)}")
-        out = _combine(_sparse(self.field, vec), self._raw_columns(), self.field.char)
+        out = _combine(_sparse(self.field, vec), self._cols, self.field.char)
         return _dense(self.field, out, self.nrows)
 
     def mul(self, other):
         if self.ncols != other.nrows:
             raise DimensionError("matrix product shape mismatch")
-        cols = [self.apply(other.column(j)) for j in range(other.ncols)]
-        return Matrix.from_columns(self.field, cols, self.nrows)
+        p = self.field.char
+        cols = [_combine(y, self._cols, p) for y in other._cols]
+        return Matrix._of_columns(self.field, self.nrows, cols)
 
     def add(self, other):
         if self.shape != other.shape:
             raise DimensionError("matrix sum shape mismatch")
-        rows = [[x + y for x, y in zip(a, b)] for a, b in zip(self.rows, other.rows)]
-        return Matrix(self.field, rows, self.ncols)
+        p = self.field.char
+        cols = [_combine({0: 1, 1: 1}, ab, p) for ab in zip(self._cols, other._cols)]
+        return Matrix._of_columns(self.field, self.nrows, cols)
 
     def scale(self, c):
-        return Matrix(self.field, [[c * x for x in r] for r in self.rows], self.ncols)
+        by, p = _sparse(self.field, [c]), self.field.char  # {0: c}, or {} when c is zero
+        return Matrix._of_columns(self.field, self.nrows, [_combine(by, [y], p) for y in self._cols])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.shape == other.shape
-            and all(a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb))
-        )
+        return isinstance(other, Matrix) and self.shape == other.shape and self._cols == other._cols
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field})"
 
     def rref_pivots(self):
         """Reduced row-echelon form (nonzero rows first) and the pivot column list."""
-        field, n = self.field, self.ncols
-        piv = _gauss_jordan([_sparse(field, r) for r in self.rows], field.char)
-        pivots = sorted(piv)
-        out = [_dense(field, piv[c], n) for c in pivots]
-        out += [field.zero_vec(n) for _ in range(self.nrows - len(pivots))]
-        return Matrix(field, out, n), pivots
-
-    def inverse(self):
-        """Inverse of a square matrix by one elimination of [m | I]; None if m is singular."""
-        field, n = self.field, self.nrows
-        if self.ncols != n:
-            raise DimensionError(f"inverse of a {n}x{self.ncols} matrix")
-        rows = [{**_sparse(field, r), n + i: 1} for i, r in enumerate(self.rows)]
-        piv = _gauss_jordan(rows, field.char)
-        if sorted(piv) != list(range(n)):
-            return None
-        return Matrix(field, [_dense(field, {j - n: x for j, x in piv[i].items() if j >= n}, n)
-                              for i in range(n)], n)
+        piv = _gauss_jordan(_transpose(self._cols, self.nrows), self.field.char)
+        red = Matrix._of_columns(self.field, self.nrows, _transpose(piv.values(), self.ncols))
+        return red, list(piv)
 
 
 def rref(m):
@@ -346,7 +329,7 @@ def _raw_rows(field, rows, ncols):
 
 def solve(m, rhs):
     """One exact solution of m x = rhs, or None if the system is inconsistent."""
-    return solve_rows(m.field, [dict(enumerate(r)) for r in m.rows], rhs, m.ncols)
+    return solve_rows(m.field, _transpose(m._cols, m.nrows), rhs, m.ncols)
 
 
 def solve_rows(field, rows, rhs, ncols):
@@ -374,7 +357,7 @@ def _solve(field, rows, ncols):
 
 def kernel(m):
     """Null space of a matrix, as a canonical Subspace of dimension cols - rank."""
-    return kernel_rows(m.field, [dict(enumerate(r)) for r in m.rows], m.ncols)
+    return kernel_rows(m.field, _transpose(m._cols, m.nrows), m.ncols)
 
 
 def kernel_rows(field, rows, ncols):
@@ -478,13 +461,6 @@ class Subspace:
         """Coordinates of v in the RREF basis; raises if v is outside the span."""
         return _dense(self.field, self._raw_coords(self._row(v)), self.dim)
 
-    def expand(self, coords):
-        """Ambient vector with the given RREF-basis coordinates."""
-        if len(coords) != self.dim:
-            raise DimensionError("coordinate length differs from subspace dimension")
-        out = _combine(_sparse(self.field, coords), list(self._rows.values()), self.field.char)
-        return _dense(self.field, out, self.ambient_dim)
-
     def _expand_space(self, sub):
         """The subspace of the vectors whose RREF coordinates lie in sub, a
         subspace of the coordinate space of dimension self.dim."""
@@ -556,7 +532,7 @@ class SubspaceMap:
         """The map sending the vector with RREF coordinates c in domain to the
         vector with RREF coordinates m c in codomain; m is codomain.dim x domain.dim."""
         rows = list(codomain._rows.values())
-        images = [_combine(col, rows, domain.field.char) for col in m._raw_columns()]
+        images = [_combine(col, rows, domain.field.char) for col in m._cols]
         return cls(domain, images, codomain.ambient_dim)
 
     def _image_of(self, row):

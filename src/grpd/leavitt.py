@@ -350,12 +350,6 @@ class XSpace:
         """Indices of X_v = {xi : s(xi) = v}, the vertex indicator support."""
         return [i for i, xi in enumerate(self.points) if xi.source == v]
 
-    def indicator(self, field, indices):
-        vec = field.zero_vec(len(self.points))
-        for i in indices:
-            vec[i] = field.one
-        return vec
-
 
 def theta_map(xs, w):
     """The bijection X_{w^-1} -> X_w: strip the b part, glue the a part.
@@ -393,7 +387,7 @@ class GrSkewModel:
         triples = ((s, t, self._number.get(word_mul(graph, words[s], words[t])))
                    for s, t in self._meeting_numbers())
         inverse = [self._number[word_inverse(w)] for w in words]
-        ones = xs.indicator(field, xs.x_set(IDENTITY))  # the identity is word 0
+        ones = {i: 1 for i in xs.x_set(IDENTITY)}  # the identity is word 0
         self.algebra, offsets = skew_product_ring(
             field, range(len(words)), list(self.domains.values()), triples, inverse.__getitem__,
             self._alpha_at, self._pointwise, lambda s: word_label(words[s]), {0: ones})

@@ -8,8 +8,10 @@ type, computes trace maps and fixed rings, and constructs and verifies
 globalizations inside a function-space envelope.
 
 Each alpha_g is given as a matrix between RREF coordinates, kept as the
-public record `maps`, and is built once, by the constructor, into a
-`SubspaceMap`: the ambient images of the RREF basis of R_{g^-1}.
+public record `maps`, and is built once, by the constructor, from the
+matrix's raw columns into a `SubspaceMap`: the ambient images of the RREF
+basis of R_{g^-1}.  `from_ambient_maps` and `globalize` make their maps
+from raw columns too, so only `action_to_dict` reads a map's dense rows.
 `apply_alpha` is its dense form; the axiom checks apply these maps row by
 row and multiply elements (`StructureAlgebra._mul`), and the globalization
 checks also take images of subspaces, without leaving exactlin's raw rows.
@@ -63,27 +65,25 @@ class PartialAction:
             src, dst = self.domains[self.inv(g)], self.domains[g]
             if m is None:
                 raise KeyError(f"no map for morphism {g!r}")
-            if (m.nrows, m.ncols) != (dst.dim, src.dim):
-                raise DimensionError(
-                    f"map at {g!r} has shape {(m.nrows, m.ncols)}, expected {(dst.dim, src.dim)}"
-                )
+            if m.shape != (dst.dim, src.dim):
+                raise DimensionError(f"map at {g!r} has shape {m.shape}, expected {(dst.dim, src.dim)}")
             self._alphas[g] = SubspaceMap.from_matrix(src, dst, m)
-        self._domain_units = {}
+        self._unit_rows = {}
         self._violations = None
 
     @classmethod
     def from_ambient_maps(cls, groupoid, ambient, object_components, domains, ambient_maps):
-        """Build from alpha_g given as ambient matrices or vector functions."""
-        maps = {}
+        """Build from alpha_g given as ambient matrices or as functions on dense vectors."""
+        field, n, maps = ambient.field, ambient.dim, {}
         for g in groupoid.morphisms:
-            src = domains[groupoid.inverse[g]]
-            dst = domains[g]
-            f = ambient_maps[g]
-            cols = []
-            for b in src.basis:
-                img = f.apply(b) if isinstance(f, Matrix) else f(b)
-                cols.append(dst.coords(img))
-            maps[g] = Matrix.from_columns(ambient.field, cols, dst.dim)
+            src, dst, f = domains[groupoid.inverse[g]], domains[g], ambient_maps[g]
+            if not isinstance(f, Matrix):
+                images = [dst._row(f(b)) for b in src.basis]
+            elif f.shape != (n, n):
+                raise DimensionError(f"ambient map at {g!r} has shape {f.shape}, expected {(n, n)}")
+            else:
+                images = [_combine(r, f._cols, field.char) for r in src._rows.values()]
+            maps[g] = Matrix._of_columns(field, dst.dim, [dst._raw_coords(y) for y in images])
         return cls(groupoid, ambient, object_components, domains, maps)
 
     # -- small helpers -------------------------------------------------------
@@ -95,19 +95,14 @@ class PartialAction:
         """alpha_g applied to an ambient vector lying in R_{g^-1}."""
         return self._alphas[g](v)
 
-    def domain_unit(self, g):
-        """Unit of the subalgebra R_g as an ambient vector; None if absent or R_g = 0."""
-        u = self._unit_row(g)
-        return _dense(self.ambient.field, u, self.ambient.dim) if u is not None else None
-
     def _unit_row(self, g):
         """The raw row of the unit of R_g, found once; None if absent or R_g = 0."""
-        if g not in self._domain_units:
+        if g not in self._unit_rows:
             space = self.domains[g]
             u = self.ambient.subalgebra(space)[0].find_unit() if space.dim else None
-            self._domain_units[g] = None if u is None else _combine(
+            self._unit_rows[g] = None if u is None else _combine(
                 _sparse(space.field, u), list(space._rows.values()), space.field.char)
-        return self._domain_units[g]
+        return self._unit_rows[g]
 
     def __repr__(self):
         return (
@@ -213,7 +208,7 @@ def _inverse(pa, g):
     k = dst.dim
     if src.dim != k:
         return None
-    piv = _gauss_jordan([{**col, k + j: 1} for j, col in enumerate(pa.maps[g]._raw_columns())], p)
+    piv = _gauss_jordan([{**col, k + j: 1} for j, col in enumerate(pa.maps[g]._cols)], p)
     if any(c >= k for c in piv):
         return None
     rows = list(src._rows.values())
@@ -580,14 +575,13 @@ def globalize(pa):
         dst = components[g0.cod[g]]
         cols = [dst._raw_coords(t_space._raw_coords(env.beta_apply(g, r)))
                 for r in t_basis[slice(*part_range[g0.dom[g]])]]
-        maps[g] = Matrix.from_columns(field, [_dense(field, c, dst.dim) for c in cols], dst.dim)
+        maps[g] = Matrix._of_columns(field, dst.dim, cols)
     beta = PartialAction(g0, t_alg, components, domains, maps)
 
     embeddings = {}
     for e in g0.objects:
         # beta at the identity fixes psi_e(r), one of the generators of T_e
-        cols = [_dense(field, t_space._raw_coords(x), t_dim) for x in psi[e]]
-        embeddings[e] = Matrix.from_columns(field, cols, t_dim)
+        embeddings[e] = Matrix._of_columns(field, t_dim, [t_space._raw_coords(x) for x in psi[e]])
     return Globalization(partial=pa, action=beta, embeddings=embeddings)
 
 
@@ -607,7 +601,7 @@ def globalization_verify(pa, glob):
     psi, psi_of_component = {}, {}
     for e in g0.objects:
         comp = pa.object_components[e]
-        psi[e] = SubspaceMap(comp, glob.embeddings[e]._raw_columns(), t_alg.dim)
+        psi[e] = SubspaceMap(comp, glob.embeddings[e]._cols, t_alg.dim)
         psi_of_component[e] = psi[e].image()
         if psi_of_component[e].dim != comp.dim:
             out.append(Violation("psi-mono", (e,), "psi is not injective"))

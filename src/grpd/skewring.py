@@ -9,7 +9,7 @@ group algebras, quotients by ideals, and the Maschke-type machinery
 from dataclasses import dataclass
 
 from .errors import DimensionError, PreconditionError, UnsupportedError
-from .exactlin import Matrix, Subspace, _combine, _dense, _reduce, _subtract, solve
+from .exactlin import Matrix, Subspace, _combine, _dense, _reduce, _solve, _subtract, _transpose
 from .algebra import MAX_DIM, StructureAlgebra, _terms, grading_respected
 from .groupoid import connected_components, hom_set
 from . import paction as pact
@@ -65,8 +65,8 @@ def skew_product_ring(field, degrees, domains, triples, inv, alpha, mul, name, u
     {index: value}: `alpha(g, x)` applies alpha_g to one and `mul` is the
     ambient product of two.  A gh that is None or not a degree marks a
     product that must vanish.  `name(g)` labels and grades degree g.
-    `unit` maps degrees to elements of their domains, or is None; their sum
-    becomes the algebra's unit when it is a two-sided identity.
+    `unit` maps degrees to raw rows lying in their domains, or is None;
+    their sum becomes the algebra's unit when it is a two-sided identity.
 
     Returns the algebra and the basis offset of each degree; past MAX_DIM
     basis vectors it raises an UnsupportedError before building the table.
@@ -111,10 +111,8 @@ def skew_product_ring(field, degrees, domains, triples, inv, alpha, mul, name, u
 
     alg = StructureAlgebra(field, total, table, labels=labels, grading=grading)
     if unit is not None:
-        u = field.zero_vec(total)
-        for g, r in unit.items():
-            for k, c in enumerate(domains[g].coords(r)):
-                u[offsets[g] + k] = c
+        u = _dense(field, {offsets[g] + k: c for g, r in unit.items()
+                           for k, c in domains[g]._raw_coords(r).items()}, total)
         if alg.is_two_sided_unit(u):
             alg.unit = u
     return alg, offsets
@@ -136,7 +134,7 @@ def build_skew_groupoid_ring(pa):
     unit = None
     if pact.is_unital(pa):
         ids = [g0.identity[e] for e in g0.objects]
-        unit = {i: pa.domain_unit(i) for i in ids if pa.domains[i].dim}
+        unit = {i: pa._unit_row(i) for i in ids if pa.domains[i].dim}
     triples = ((g, h, g0.compose(g, h)) for g, h in g0.composable_pairs())
     alg, _ = skew_product_ring(
         pa.ambient.field, g0.morphisms, pa.domains, triples,
@@ -398,14 +396,14 @@ class GradedModule:
         """Raw columns of the action of the algebra element with raw row coeffs."""
         p, out = self.algebra.field.char, [{} for _ in range(self.dim)]
         for i, c in coeffs.items():
-            for col, other in zip(out, self.action[i]._raw_columns()):
+            for col, other in zip(out, self.action[i]._cols):
                 _subtract(col, -c, other, p)
         return out
 
     def validate(self):
         """Action respects the product; the algebra unit acts as the identity."""
         alg, p = self.algebra, self.algebra.field.char
-        cols = [m._raw_columns() for m in self.action]
+        cols = [m._cols for m in self.action]
         bad = [(a, b) for a in range(alg.dim) for b in range(alg.dim)
                if _compose(cols[a], cols[b], p) != self._act(alg._mul({a: 1}, {b: 1}))]
         u = alg.find_unit()
@@ -425,7 +423,7 @@ def maschke_split(pa, module, w, pi):
     action has R the direct sum of the ideals R_e and R_{id_e} = R_e, so l
     embeds in the skew ring as
     sum_e (l 1_{id_e}) d_{id_e}.  Maps are composed as raw columns, and
-    only psi is made dense.
+    psi is returned as its raw columns.
     """
     amb, field = pa.ambient, pa.ambient.field
     p, n = field.char, module.dim
@@ -439,18 +437,18 @@ def maschke_split(pa, module, w, pi):
         raise PreconditionError("submodule lives in a different space")
     w_rows = list(w._rows.values())
     for a in module.action:
-        if any(_reduce(y, w._rows, p) for y in _compose(a._raw_columns(), w_rows, p)):
+        if any(_reduce(y, w._rows, p) for y in _compose(a._cols, w_rows, p)):
             raise PreconditionError("w is not a submodule")
     if pi.shape != (n, n):
         raise PreconditionError("projection has the wrong shape")
-    pi_cols = pi._raw_columns()
+    pi_cols = pi._cols
     if any(_reduce(dict(y), w._rows, p) for y in pi_cols):
         raise PreconditionError("projection does not land in w")
     if _compose(pi_cols, w_rows, p) != w_rows:
         raise PreconditionError("projection is not the identity on w")
     for i in (pa.groupoid.identity[e] for e in pa.groupoid.objects):
         for a in module.action[offsets[i]:offsets[i] + pa.domains[i].dim]:
-            if _compose(a._raw_columns(), pi_cols, p) != _compose(pi_cols, a._raw_columns(), p):
+            if _compose(a._cols, pi_cols, p) != _compose(pi_cols, a._cols, p):
                 raise PreconditionError("projection is not R-linear")
 
     one_r = amb.find_unit()
@@ -476,7 +474,7 @@ def maschke_split(pa, module, w, pi):
         if u is not None:  # the parts sit at disjoint offsets
             l_s.update(_delta_row(pa, i, amb._mul(amb._row(l), u), offsets))
     cols = _compose(module._act(l_s), acc, p)
-    return Matrix.from_columns(field, [_dense(field, y, n) for y in cols], n)
+    return Matrix._of_columns(field, n, cols)
 
 
 def _compose(a, b, p):
@@ -489,10 +487,13 @@ def invert_in(alg, x):
     u = alg.find_unit()
     if u is None:
         return None
-    y = solve(alg.left_mult_matrix(x), u)
+    x, u, n = alg._row(x), alg._row(u), alg.dim
+    # x y = u: the columns x b_j of left multiplication by x, then u at column n
+    y = _solve(alg.field, _transpose([alg._mul(x, {j: 1}) for j in range(n)] + [u], n), n)
     if y is None:
         return None
-    if alg.multiply(y, x) != u or alg.multiply(x, y) != u:
+    row = alg._row(y)
+    if alg._mul(row, x) != u or alg._mul(x, row) != u:
         return None
     return y
 

@@ -2,8 +2,9 @@
 
 from fractions import Fraction
 
-from grpd.exactlin import Field, Matrix, Subspace
-from grpd.algebra import StructureAlgebra
+from grpd.errors import PreconditionError
+from grpd.exactlin import Field, Matrix, Subspace, _combine, _dense, _sparse, rref, solve
+from grpd.algebra import StructureAlgebra, _min_poly
 from grpd import groupoid as gpd
 from grpd.paction import PartialAction
 from grpd.skewring import groupoid_ring_action
@@ -375,3 +376,44 @@ def cyclic_graphs():
         "loop": lv.DirectedGraph(["v"], [("f", "v", "v")]),
         "two_cycle": lv.DirectedGraph(["a", "b"], [("x", "a", "b"), ("y", "b", "a")]),
     }
+
+
+# -- dense forms of raw operations, for the tests that call them -----------------------
+
+
+def from_columns(field, cols, nrows=0):
+    """The Matrix with the given dense columns; nrows x 0 when there are none."""
+    return Matrix(field, [list(r) for r in zip(*cols)] if cols else [[]] * nrows, len(cols))
+
+
+def inverse(m):
+    """The inverse of a square Matrix, solved column by column; None if m is singular."""
+    n = m.nrows
+    if rref(m)[1] < n:
+        return None
+    return from_columns(m.field, [solve(m, m.field.unit_vec(n, j)) for j in range(n)], n)
+
+
+def expand(space, coords):
+    """The ambient vector with the given RREF-basis coordinates in a Subspace."""
+    row = _combine(_sparse(space.field, coords), list(space._rows.values()), space.field.char)
+    return _dense(space.field, row, space.ambient_dim)
+
+
+def minimal_polynomial(alg, x, one):
+    """Monic minimal polynomial [a_0, ..., 1] of the dense x by `_min_poly`, `one` as x^0."""
+    x, one = alg._row(x), alg._row(one)
+    if alg._mul(one, x) != x:
+        raise PreconditionError("minimal polynomial needs an identity for the element")
+    return [alg.field(c) for c in _min_poly(alg, x, one)[0]]
+
+
+def domain_unit(pa, g):
+    """The unit of R_g as a dense ambient vector; None if absent or R_g = 0."""
+    u = pa._unit_row(g)
+    return None if u is None else _dense(pa.ambient.field, u, pa.ambient.dim)
+
+
+def indicator(xs, field, indices):
+    """The dense vector on the points of an XSpace that is 1 at the indices, 0 elsewhere."""
+    return _dense(field, dict.fromkeys(indices, field.one), len(xs.points))

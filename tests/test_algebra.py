@@ -11,8 +11,7 @@ import corpus
 from grpd.errors import DimensionError, PreconditionError, UnsupportedError
 from grpd.exactlin import Field, Subspace
 from grpd import cli, polynomial
-from grpd.algebra import (StructureAlgebra, cayley_dickson_chain, grading_respected,
-                          minimal_polynomial, polynomial_roots)
+from grpd.algebra import StructureAlgebra, cayley_dickson_chain, grading_respected, polynomial_roots
 from grpd.polynomial import _q_factors, _z_divide
 from grpd.skewring import analyze_algebra, build_groupoid_ring, invert_in, quotient_by_ideal
 from grpd import groupoid as gpd
@@ -394,7 +393,7 @@ def test_wedderburn_blocks_are_orthogonal_ideals():
     alg = build_groupoid_ring(two, coeffs)
     blocks = alg.wedderburn_blocks()
     assert sum(b.dim for b in blocks) == alg.dim
-    assert blocks.fully_split
+    assert not blocks.non_split
     for i, a in enumerate(blocks):
         assert alg.is_ideal(a, "two")
         sub, _ = alg.subalgebra(a)
@@ -437,12 +436,12 @@ def test_non_split_center_flagged():
     qz3 = corpus.group_algebra(Q, 3)
     blocks = qz3.wedderburn_blocks()
     assert sorted(blocks.dims()) == [1, 2]
-    assert not blocks.fully_split  # the quadratic factor stays whole over Q
+    assert blocks.non_split  # the quadratic factor stays whole over Q
 
 
 def test_minimal_polynomial_and_roots():
     qz2 = corpus.group_algebra(Q, 2)
-    mp = minimal_polynomial(qz2, [Q.zero, Q.one], qz2.find_unit())  # the generator: t^2 = 1
+    mp = corpus.minimal_polynomial(qz2, [Q.zero, Q.one], qz2.find_unit())  # the generator: t^2 = 1
     assert mp == [Q(-1), Q.zero, Q.one]
     assert polynomial_roots(Q, mp) == [Q(-1), Q(1)]
     f5 = Field(5)
@@ -450,7 +449,7 @@ def test_minimal_polynomial_and_roots():
     assert polynomial_roots(f5, coeffs) == [f5(1), f5(4)]
     # the generator of F_5[Z_4]: t^4 - 1 splits into the four units of F_5
     f5z4 = corpus.group_algebra(f5, 4)
-    mp = minimal_polynomial(f5z4, f5.unit_vec(4, 1), f5z4.find_unit())
+    mp = corpus.minimal_polynomial(f5z4, f5.unit_vec(4, 1), f5z4.find_unit())
     assert mp == [f5(-1), f5(0), f5(0), f5(0), f5(1)]
     assert polynomial_roots(f5, mp) == [f5(1), f5(2), f5(3), f5(4)]
     # over F_7 the same polynomial has only the roots 1 and 6 = -1
@@ -472,7 +471,7 @@ def test_minimal_polynomial_runs_no_elimination(monkeypatch):
     one = qz6.find_unit()
     x = [Q(1), Q(2), Q.zero, Q(-1), Q.zero, Q(3)]
     monkeypatch.setattr(exactlin, "_gauss_jordan", refuse)
-    mp = minimal_polynomial(qz6, x, one)
+    mp = corpus.minimal_polynomial(qz6, x, one)
     assert mp[-1] == Q.one and len(mp) == 7  # x has six distinct eigenvalues
     acc = Q.zero_vec(6)
     for c in reversed(mp):  # Horner: mp(x) = 0
@@ -526,7 +525,7 @@ def test_berlekamp_subalgebra_needs_a_prime_field():
 def test_minimal_polynomial_needs_an_identity_for_the_element():
     qz2 = corpus.group_algebra(Q, 2)
     with pytest.raises(PreconditionError):
-        minimal_polynomial(qz2, [Q.zero, Q.one], [Q.zero, Q.one])
+        corpus.minimal_polynomial(qz2, [Q.zero, Q.one], [Q.zero, Q.one])
 
 
 def test_division_by_a_non_root_is_refused():

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 import corpus
 from grpd import algebra
 from grpd.algebra import StructureAlgebra, cayley_dickson_chain
-from grpd.exactlin import Field, Matrix, Subspace, solve
+from grpd.exactlin import Field, Subspace, solve
 from grpd.groupoid import cyclic_group
 from grpd.skewring import analyze_algebra, build_partial_group_algebra
 
@@ -295,7 +295,7 @@ def rebased(alg, rng):
         basis = [corpus.vec(field, [rng.randint(-2, 2) for _ in range(n)]) for _ in range(n)]
         if Subspace.from_vectors(field, n, basis).dim == n:
             break
-    change = Matrix.from_columns(field, basis)
+    change = corpus.from_columns(field, basis)
     table = [[[(k, c) for k, c in enumerate(solve(change, alg.multiply(u, v))) if c]
               for v in basis] for u in basis]
     return StructureAlgebra(field, n, table)

@@ -7,7 +7,8 @@ and rank-deficient ones.  Matrix-vector and matrix-matrix products, zero
 vectors and zero-size shapes included, are held to plain sums of residues.
 Every output entry must be a plain int in [0, p), and unreduced inputs
 (-1, p + 3, entries shifted by multiples of p) must give the answers of
-reduced ones.
+reduced ones.  Each matrix is built both from dense rows and from raw
+columns, the form grpd makes its own maps in, and the two must agree.
 """
 
 import random
@@ -22,6 +23,8 @@ from grpd.exactlin import Field, Matrix, Subspace, kernel, kernel_rows, solve, s
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 PRIMES = [2, 3, 10007, 2**31 - 1]
+# a Matrix from the public constructor's dense rows, or from raw columns
+forms = st.sampled_from(["rows", "columns"])
 
 
 class Res:
@@ -125,11 +128,17 @@ def random_rows(rng, p, nrows, ncols):
     return rows
 
 
-def both(rows, p, ncols):
-    """The same rows as an exactlin Matrix and as reference residues."""
+def raw_columns(rows, ncols):
+    """The raw columns {row index: nonzero entry} of dense rows."""
+    return [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(ncols)]
+
+
+def both(rows, p, ncols, form="rows"):
+    """The same rows as an exactlin Matrix, built in the given form, and as reference residues."""
     field = Field(p)
-    return (Matrix(field, [[field(x) for x in r] for r in rows], ncols),
-            [[Res(x, p) for x in r] for r in rows])
+    m = (Matrix(field, [[field(x) for x in r] for r in rows], ncols) if form == "rows"
+         else Matrix._of_columns(field, len(rows), raw_columns(rows, ncols)))
+    return m, [[Res(x, p) for x in r] for r in rows]
 
 
 def shapes(rng):
@@ -137,11 +146,11 @@ def shapes(rng):
 
 
 @SETTINGS
-@given(fp_cases())
-def test_rref_pivots_matches_reference(case):
+@given(fp_cases(), forms)
+def test_rref_pivots_matches_reference(case, form):
     p, rng = case
     nrows, ncols = shapes(rng)
-    m, ref = both(random_rows(rng, p, nrows, ncols), p, ncols)
+    m, ref = both(random_rows(rng, p, nrows, ncols), p, ncols, form)
     red, pivots = m.rref_pivots()
     ref_red, ref_pivots = ref_rref(ref, ncols)
     assert pivots == ref_pivots
@@ -150,11 +159,11 @@ def test_rref_pivots_matches_reference(case):
 
 
 @SETTINGS
-@given(fp_cases())
-def test_kernel_matches_reference(case):
+@given(fp_cases(), forms)
+def test_kernel_matches_reference(case, form):
     p, rng = case
     nrows, ncols = shapes(rng)
-    m, ref = both(random_rows(rng, p, nrows, ncols), p, ncols)
+    m, ref = both(random_rows(rng, p, nrows, ncols), p, ncols, form)
     red, pivots = ref_rref(ref, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     vecs = []
@@ -171,8 +180,8 @@ def test_kernel_matches_reference(case):
 
 
 @SETTINGS
-@given(fp_cases(), st.booleans())
-def test_solve_matches_reference(case, consistent):
+@given(fp_cases(), forms, st.booleans())
+def test_solve_matches_reference(case, form, consistent):
     p, rng = case
     nrows, ncols = shapes(rng)
     rows = random_rows(rng, p, nrows, ncols)
@@ -181,7 +190,7 @@ def test_solve_matches_reference(case, consistent):
         rhs = [sum(a * b for a, b in zip(r, x)) % p for r in rows]
     else:
         rhs = [random_entry(rng, p) for _ in range(nrows)]
-    m, ref = both(rows, p, ncols)
+    m, ref = both(rows, p, ncols, form)
     red, pivots = ref_rref([r + [Res(b, p)] for r, b in zip(ref, rhs)], ncols + 1)
     got = solve(m, [Field(p)(b) for b in rhs])
     if ncols in pivots:
@@ -194,14 +203,14 @@ def test_solve_matches_reference(case, consistent):
 
 
 @SETTINGS
-@given(fp_cases())
-def test_inverse_matches_reference(case):
+@given(fp_cases(), forms)
+def test_inverse_matches_reference(case, form):
     p, rng = case
     k = rng.randint(0, 6)
-    m, ref = both(random_rows(rng, p, k, k), p, k)
+    m, ref = both(random_rows(rng, p, k, k), p, k, form)
     ident = [[Res(int(i == j), p) for j in range(k)] for i in range(k)]
     red, pivots = ref_rref([r + e for r, e in zip(ref, ident)], 2 * k)
-    got = m.inverse()
+    got = corpus.inverse(m)
     if pivots[:k] != list(range(k)):
         assert got is None
     else:
@@ -209,13 +218,13 @@ def test_inverse_matches_reference(case):
 
 
 @SETTINGS
-@given(fp_cases())
-def test_apply_and_mul_match_reference(case):
+@given(fp_cases(), forms)
+def test_apply_and_mul_match_reference(case, form):
     p, rng = case
     nrows, ncols = shapes(rng)
     k = rng.randint(0, 6)
-    m, ref = both(random_rows(rng, p, nrows, ncols), p, ncols)
-    o, ref_o = both([[random_entry(rng, p) for _ in range(k)] for _ in range(ncols)], p, k)
+    m, ref = both(random_rows(rng, p, nrows, ncols), p, ncols, form)
+    o, ref_o = both([[random_entry(rng, p) for _ in range(k)] for _ in range(ncols)], p, k, form)
     for x in ([0] * ncols, [random_entry(rng, p) for _ in range(ncols)]):
         want = [r[0] for r in ref_mul(ref, [[Res(a, p)] for a in x], 1, p)]
         assert unboxed(m.apply(corpus.vec(Field(p), x)), p) == want
@@ -250,8 +259,8 @@ def test_subspace_operations_match_reference(case):
                 u.coords(boxed)
         else:
             assert unboxed(u.coords(boxed), p) == [v[c] for c in piv_u]
-    assert unboxed(u.expand(corpus.vec(field, coeffs)), p) == inside
-    assert unboxed(u.expand(field.zero_vec(u.dim)), p) == [0] * n
+    assert unboxed(corpus.expand(u, corpus.vec(field, coeffs)), p) == inside
+    assert unboxed(corpus.expand(u, field.zero_vec(u.dim)), p) == [0] * n
 
     # Zassenhaus on the reference: rows [a | a] and [b | 0]; the nested and
     # equal pairs A <= B, B <= A and A = B follow the drawn one
@@ -315,7 +324,7 @@ def test_a_matrix_stores_its_entries_reduced():
 
 
 def test_matrix_sums_and_multiples_come_out_normalized():
-    # add and scale hand the constructor raw sums and products, which it normalizes
+    # add and scale combine raw columns; the rows read back are normalized
     half = Matrix(Field(0), [[Fraction(1, 2), Fraction(-1, 2)]])
     for out in (half.add(half), half.scale(2)):
         assert out.rows == [[1, -1]]
@@ -325,6 +334,21 @@ def test_matrix_sums_and_multiples_come_out_normalized():
     assert m.add(m).rows == [[6, 5]]
     assert m.scale(5).rows == [[1, 2]]
     assert m.scale(-1).rows == [[4, 1]]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_dense_rows_and_raw_columns_give_the_same_matrix(p):
+    # -1 and p + 3 are read as p - 1 and 3; 0 x k and k x 0 keep their shapes
+    field = Field(p)
+    pairs = [(Matrix(field, [[-1, p + 3], [0, 2 * p]]), [{0: p - 1}, {0: 3 % p} if 3 % p else {}]),
+             (Matrix(field, [], 3), [{}, {}, {}]),
+             (Matrix(field, [[], [], []]), [])]
+    for m, cols in pairs:
+        c = Matrix._of_columns(field, m.nrows, cols)
+        assert m == c and m.rows == c.rows and m.shape == c.shape
+        assert [[type(x) for x in r] for r in c.rows] == [[int] * c.ncols] * c.nrows
+    assert pairs[0][0].rows == [[p - 1, 3 % p], [0, 0]]
+    assert [m.shape for m, _ in pairs] == [(2, 2), (0, 3), (3, 0)]
 
 
 def test_a_multiple_of_p_is_no_pivot():
@@ -347,6 +371,8 @@ def test_unreduced_inputs_give_the_answers_of_reduced_ones(case):
     shifted = [[unreduced(rng, x, p) for x in r] for r in rows]
     other = Matrix(field, random_rows(rng, p, nrows, ncols), ncols)
     m, ms = Matrix(field, rows, ncols), Matrix(field, shifted, ncols)
+    mc = Matrix._of_columns(field, nrows, raw_columns(rows, ncols))
+    assert mc == ms == m and mc.rows == ms.rows == m.rows and mc.shape == ms.shape == m.shape
     assert ms.add(other) == m.add(other) == other.add(ms)
     for c, reduced in ((-1, p - 1), (p + 3, 3 % p), (unreduced(rng, 5, p), 5 % p)):
         assert ms.scale(c) == m.scale(reduced)

@@ -6,7 +6,9 @@ for entry on seeded random matrices (hypothesis, derandomized).  The
 matrices are sparse with about two nonzeros a row, tall and sparse like a
 center system, dense, rank-deficient, all zero, empty, without columns, or
 built so that entries cancel to zero during elimination.  Matrix-vector and
-matrix-matrix products are held to the plain dense sums the same way.
+matrix-matrix products are held to the plain dense sums the same way.  Each
+matrix is built from dense rows or from raw columns, the form grpd makes
+its own maps in, whose integral entries may be Fractions.
 """
 
 import random
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus
 from grpd.exactlin import Field, Matrix, Subspace, kernel, kernel_rows, solve
 
 SETTINGS = settings(derandomize=True, max_examples=12, deadline=None, database=None)
@@ -189,9 +192,18 @@ def matrix(kind, seed):
     return (*case_rows(kind, rng), rng)
 
 
-# every test runs each kind; hypothesis draws only the seed, so a failing case prints short
+def build(form, rows, ncols):
+    """A Matrix of the rows, from the public constructor or from their raw columns."""
+    if form == "rows":
+        return Matrix(Q, rows, ncols)
+    return Matrix._of_columns(Q, len(rows), [{i: r[j] for i, r in enumerate(rows) if r[j]}
+                                             for j in range(ncols)])
+
+
+# every test runs each kind; hypothesis draws the seed and the form, so a failing case prints short
 each_kind = pytest.mark.parametrize("kind", KINDS)
 seeds = st.integers(0, 2**32)
+forms = st.sampled_from(["rows", "columns"])
 
 
 # -- tests ----------------------------------------------------------------------
@@ -199,10 +211,10 @@ seeds = st.integers(0, 2**32)
 
 @each_kind
 @SETTINGS
-@given(seeds)
-def test_rref_pivots_matches_reference(kind, seed):
+@given(seeds, forms)
+def test_rref_pivots_matches_reference(kind, seed, form):
     rows, ncols, _ = matrix(kind, seed)
-    m = Matrix(Q, rows, ncols)
+    m = build(form, rows, ncols)
     red, pivots = m.rref_pivots()
     ref_red, ref_pivots = ref_rref(rows, ncols)
     assert pivots == ref_pivots
@@ -213,10 +225,10 @@ def test_rref_pivots_matches_reference(kind, seed):
 
 @each_kind
 @SETTINGS
-@given(seeds)
-def test_kernel_matches_reference(kind, seed):
+@given(seeds, forms)
+def test_kernel_matches_reference(kind, seed, form):
     rows, ncols, _ = matrix(kind, seed)
-    ker = kernel(Matrix(Q, rows, ncols))
+    ker = kernel(build(form, rows, ncols))
     basis, pivots = ref_kernel(rows, ncols)
     assert ker.pivots == pivots
     assert [canonical(v) for v in ker.basis] == basis
@@ -224,8 +236,8 @@ def test_kernel_matches_reference(kind, seed):
 
 @each_kind
 @SETTINGS
-@given(seeds, st.booleans())
-def test_solve_matches_reference(kind, seed, consistent):
+@given(seeds, forms, st.booleans())
+def test_solve_matches_reference(kind, seed, form, consistent):
     rows, ncols, rng = matrix(kind, seed)
     if consistent:
         x = [rng.choice([ZERO, entry(rng)]) for _ in range(ncols)]
@@ -233,7 +245,7 @@ def test_solve_matches_reference(kind, seed, consistent):
     else:
         rhs = [rng.choice([ZERO, entry(rng)]) for _ in rows]
     red, pivots = ref_rref([r + [b] for r, b in zip(rows, rhs)], ncols + 1)
-    got = solve(Matrix(Q, rows, ncols), rhs)
+    got = solve(build(form, rows, ncols), rhs)
     if ncols in pivots:
         assert got is None and not consistent
         return
@@ -286,8 +298,8 @@ def test_subspace_operations_match_reference(kind, seed):
                 u.coords(v)
         else:
             assert canonical(u.coords(v)) == [v[c] for c in piv_u]
-    assert canonical(u.expand(coeffs)) == inside
-    assert canonical(u.expand([ZERO] * u.dim)) == [ZERO] * n
+    assert canonical(corpus.expand(u, coeffs)) == inside
+    assert canonical(corpus.expand(u, [ZERO] * u.dim)) == [ZERO] * n
 
 
 @SETTINGS
@@ -324,14 +336,14 @@ def test_subspace_rows_holding_integral_fractions_compare_as_their_ints():
 
 @each_kind
 @SETTINGS
-@given(seeds)
-def test_inverse_matches_reference(kind, seed):
+@given(seeds, forms)
+def test_inverse_matches_reference(kind, seed, form):
     rows, ncols, _ = matrix(kind, seed)
     square = [r[:len(rows)] for r in rows] if len(rows) <= ncols else rows[:ncols]
     k = len(square)
     ident = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
     red, pivots = ref_rref([r + e for r, e in zip(square, ident)], 2 * k)
-    got = Matrix(Q, square, k).inverse()
+    got = corpus.inverse(build(form, square, k))
     if pivots[:k] != list(range(k)):
         assert got is None
     else:
@@ -340,14 +352,29 @@ def test_inverse_matches_reference(kind, seed):
 
 @each_kind
 @SETTINGS
-@given(seeds)
-def test_apply_and_mul_match_reference(kind, seed):
+@given(seeds, forms)
+def test_apply_and_mul_match_reference(kind, seed, form):
     rows, ncols, rng = matrix(kind, seed)
-    m = Matrix(Q, rows, ncols)
+    m = build(form, rows, ncols)
     for x in ([ZERO] * ncols, [rng.choice([ZERO, entry(rng)]) for _ in range(ncols)]):
         assert canonical(m.apply(x)) == [r[0] for r in ref_mul(rows, [[a] for a in x], 1)]
     k = rng.randint(0, 4)
     other = sparse_rows(rng, ncols, k, per_row=rng.randint(0, k))
-    prod = m.mul(Matrix(Q, other, k))
+    prod = m.mul(build(form, other, k))
     assert prod.shape == (len(rows), k)
     assert [canonical(r) for r in prod.rows] == ref_mul(rows, other, k)
+
+
+def test_dense_rows_and_raw_columns_give_the_same_matrix():
+    # Fraction(4, 2) is read back as the int 2; 0 x k and k x 0 keep their shapes
+    pairs = [(Matrix(Q, [[Fraction(4, 2), -1], [Fraction(1, 3), 0]]),
+              [{0: Fraction(2), 1: Fraction(1, 3)}, {0: -1}]),
+             (Matrix(Q, [], 3), [{}, {}, {}]),
+             (Matrix(Q, [[], [], []]), [])]
+    for m, cols in pairs:
+        c = Matrix._of_columns(Q, m.nrows, cols)
+        assert m == c and m.rows == c.rows and m.shape == c.shape
+        for r in m.rows + c.rows:
+            canonical(r)
+    assert pairs[0][0].rows == [[2, -1], [Fraction(1, 3), 0]]
+    assert [m.shape for m, _ in pairs] == [(2, 2), (0, 3), (3, 0)]

@@ -164,8 +164,8 @@ def test_generating_sets_span_k_x():
         rep = lv.graph_analysis(g)
         assert rep.acyclic, name
         xs = lv.XSpace(rep)
-        gens = [xs.indicator(Q, xs.x_set(w)) for w in xs.words]
-        gens += [xs.indicator(Q, xs.x_vertex(v)) for v in g.vertices]
+        gens = [corpus.indicator(xs, Q, xs.x_set(w)) for w in xs.words]
+        gens += [corpus.indicator(xs, Q, xs.x_vertex(v)) for v in g.vertices]
         npts = len(xs.points)
         assert Subspace.from_vectors(Q, npts, gens) == Subspace.full(Q, npts), name
 
@@ -228,14 +228,14 @@ def test_alpha_indicator_identity():
         model = lv.GrSkewModel(lv.graph_analysis(g), Q)
         xs = model.xs
         for w in xs.words:
-            one_winv = xs.indicator(Q, xs.x_set(lv.word_inverse(w)))
+            one_winv = corpus.indicator(xs, Q, xs.x_set(lv.word_inverse(w)))
             for h in xs.words:
-                one_h = xs.indicator(Q, xs.x_set(h))
+                one_h = corpus.indicator(xs, Q, xs.x_set(h))
                 lhs = model.alpha_apply(w, [a * b for a, b in zip(one_winv, one_h)])
                 wh = lv.word_mul(g, w, h)
-                one_w = xs.indicator(Q, xs.x_set(w))
+                one_w = corpus.indicator(xs, Q, xs.x_set(w))
                 one_wh = (
-                    xs.indicator(Q, xs.x_set(wh))
+                    corpus.indicator(xs, Q, xs.x_set(wh))
                     if wh is not None and wh in set(xs.words)
                     else Q.zero_vec(len(xs.points))
                 )
@@ -352,7 +352,7 @@ def test_meeting_pairs_build_the_all_pairs_skew_ring(graph, char):
     model = lv.GrSkewModel(lv.graph_analysis(graph), field)
     xs = model.xs
     triples = ((g, h, lv.word_mul(graph, g, h)) for g in xs.words for h in xs.words)
-    ones = xs.indicator(field, xs.x_set(lv.IDENTITY))
+    ones = {i: 1 for i in xs.x_set(lv.IDENTITY)}
     ref, offsets = skew_product_ring(field, xs.words, model.domains, triples, lv.word_inverse,
                                      lambda w, f: model._alpha_at(model._number[w], f),
                                      model._pointwise, lv.word_label,

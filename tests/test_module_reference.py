@@ -100,7 +100,7 @@ def ref_maschke_split(pa, module, w, pi):
         raise PreconditionError("trace of the unit is not invertible")
     acc = Matrix.zeros(field, module.dim, module.dim)
     for g in g0.morphisms:
-        u_g, u_ginv = pa.domain_unit(g), pa.domain_unit(pa.inv(g))
+        u_g, u_ginv = corpus.domain_unit(pa, g), corpus.domain_unit(pa, pa.inv(g))
         if u_g is None or u_ginv is None:
             continue
         front = ref_act(module, ref_delta(pa, pa.inv(g), u_ginv, offsets, total))
@@ -109,7 +109,7 @@ def ref_maschke_split(pa, module, w, pi):
     l_s = field.zero_vec(total)
     for e in g0.objects:
         i = g0.identity[e]
-        u = pa.domain_unit(i)
+        u = corpus.domain_unit(pa, i)
         if u is not None:
             part = ref_delta(pa, i, amb.multiply(l, u), offsets, total)
             l_s = [a + b for a, b in zip(l_s, part)]

@@ -9,7 +9,7 @@ import pytest
 
 import corpus
 from grpd import exactlin
-from grpd.errors import PreconditionError, UnsupportedError, violation_rules
+from grpd.errors import DimensionError, PreconditionError, UnsupportedError, violation_rules
 from grpd.exactlin import Field, Matrix, Subspace
 from grpd import groupoid as gpd
 from grpd import paction as pact
@@ -112,6 +112,16 @@ def test_trace_trivial_group():
     assert pact.fixed_ring(pa).dim == 2
 
 
+def test_an_ambient_map_of_the_wrong_shape_is_refused():
+    # a matrix map is applied to the raw rows of R_{g^-1}, so its shape must be the ambient's
+    g = gpd.cyclic_group(1)
+    amb = corpus.componentwise(Q, 2)
+    full = Subspace.full(Q, 2)
+    for m in (Matrix.identity(Q, 3), Matrix.zeros(Q, 2, 1), Matrix.zeros(Q, 1, 2)):
+        with pytest.raises(DimensionError):
+            pact.PartialAction.from_ambient_maps(g, amb, {"*": full}, {"g0": full}, {"g0": m})
+
+
 def test_trace_lands_in_fixed_ring():
     rng = random.Random(31)
     for name, pa in corpus.unital_corpus():
@@ -147,8 +157,8 @@ def test_fixed_ring_pinned_and_fixed():
         amb = pa.ambient
         zero = amb.field.zero_vec(amb.dim)
         for g in pa.groupoid.morphisms:
-            u_src = pa.domain_unit(pa.inv(g))
-            u_dst = pa.domain_unit(g)
+            u_src = corpus.domain_unit(pa, pa.inv(g))
+            u_dst = corpus.domain_unit(pa, g)
             for x in fr.basis:
                 lhs = zero if u_src is None else pa.apply_alpha(g, amb.multiply(x, u_src))
                 rhs = zero if u_dst is None else amb.multiply(x, u_dst)

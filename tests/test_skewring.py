@@ -81,7 +81,7 @@ def test_unit_formula():
         manual = pa.ambient.field.zero_vec(total)
         for e in pa.groupoid.objects:
             i = pa.groupoid.identity[e]
-            u = pa.domain_unit(i)
+            u = corpus.domain_unit(pa, i)
             if u is None:
                 continue
             part = delta_element(pa, i, u, offsets, total)
@@ -382,7 +382,7 @@ def _solve_r_linear_projection(pa, module, w):
     """
     field = module.algebra.field
     offsets, _ = skew_layout(pa)
-    wb = Matrix.from_columns(field, w.basis, module.dim)
+    wb = corpus.from_columns(field, w.basis, module.dim)
     d = w.dim
     n = module.dim
     id_idx = []
