@@ -41,8 +41,3 @@ class Violation:
         if self.detail:
             out += f": {self.detail}"
         return out
-
-
-def violation_rules(violations):
-    """Set of distinct rule names occurring in a violation list."""
-    return {v.rule for v in violations}

@@ -237,13 +237,14 @@ def _transpose(rows, ncols):
 
 class Matrix:
     """Matrix over an exact field, held as its raw columns; immutable.  The constructor is
-    the one place dense entries are normalized: reduced mod p over F_p, canonical over Q."""
+    the one place dense entries are normalized: each is coerced by the field, so it is
+    reduced mod p over F_p, canonical over Q, and read from a string as `Field` reads it."""
 
     def __init__(self, field, rows, ncols=None):
         ncols = len(rows[0]) if rows else (ncols or 0)
         if any(len(r) != ncols for r in rows):
             raise DimensionError("ragged matrix rows")
-        raw = [_sparse(field, r if field.char else [_canonical(x) for x in r]) for r in rows]
+        raw = [_sparse(field, [field(x) for x in r]) for r in rows]
         self.field, self.nrows, self.ncols, self._cols = field, len(rows), ncols, _transpose(raw, ncols)
 
     @classmethod

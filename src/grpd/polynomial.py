@@ -152,10 +152,11 @@ def _zassenhaus(f):
     """The irreducible factors over Z of a primitive square-free f of degree >= 1
     (Zassenhaus 1969; von zur Gathen and Gerhard, Modern Computer Algebra, ch.
     14-16).  f is factored modulo the first odd prime p dividing neither lc(f)
-    nor the discriminant; the factors are lifted modulo p^k > 2 B, B = |lc(f)|
-    2^n ||f||_2 bounding lc(f) times any monic factor over Q (Mignotte), and
-    the products of subsets of them, smallest first, are tried as factors over
-    Z.  Past `_RECOMBINATION_BUDGET` subsets it gives up."""
+    nor the discriminant; the factors are lifted together, on a balanced
+    factor tree (`_hensel`), modulo p^k > 2 B, B = |lc(f)| 2^n ||f||_2
+    bounding lc(f) times any monic factor over Q (Mignotte), and the products
+    of subsets of them, smallest first, are tried as factors over Z.  Past
+    `_RECOMBINATION_BUDGET` subsets it gives up."""
     n, lc = len(f) - 1, f[-1]
     for p in (q for q in itertools.count(3, 2) if _is_prime(q) and lc % q):
         fp = [c % p for c in f]
@@ -195,26 +196,23 @@ def _zassenhaus(f):
 
 def _hensel(f, facs, p, mod):
     """The monic lifts modulo mod, a power of p, of the monic factors facs of
-    f mod p, which times lc(f) multiply to f mod p: a linear factor t - r by
-    Newton's iteration on its root r, any other by a two-factor lift."""
-    out, df = [], _poly_deriv(0, f)
-    for h in facs:
-        if len(h) == 2:
-            r, m = -h[0], p
-            while m < mod:
-                m = min(m * m, mod)
-                r = (r - _poly_eval(f, r) * pow(_poly_eval(df, r), -1, m)) % m
-            out.append([-r % mod, 1])
-        else:
-            out.append(_hensel_lift(f, _poly_divmod(p, [c % p for c in f], h)[0], h, p, mod)[1])
-    return out
-
-
-def _poly_eval(f, x):
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
+    f mod p, which times lc(f) multiply to f mod p, in the order of facs, on
+    a balanced factor tree (von zur Gathen and Gerhard, Algorithm 15.17): the
+    factors are halved by count, f = lc(f) (first half)(second half) is
+    lifted once by `_hensel_lift`, each half is lifted the same way from its
+    lifted product, and each leaf is made monic.  Monic lifts of coprime
+    factors are unique (Hensel's lemma), so the tree's shape does not matter."""
+    def lift(f, facs):
+        if len(facs) == 1:
+            return [_poly_monic(mod, f)]
+        half, g, h = len(facs) // 2, [f[-1] % p], [1]
+        for u in facs[:half]:
+            g = _poly_mul(p, g, u)
+        for u in facs[half:]:
+            h = _poly_mul(p, h, u)
+        g, h = _hensel_lift(f, g, h, p, mod)
+        return lift(g, facs[:half]) + lift(h, facs[half:])
+    return lift(f, facs)
 
 
 def _hensel_lift(f, g, h, p, mod):
@@ -229,9 +227,10 @@ def _hensel_lift(f, g, h, p, mod):
         q, r = _poly_divmod(m, _poly_mul(m, s, e), h)
         g = _poly_sub(m, _poly_sub(m, g, _poly_mul(m, t, e), -1), _poly_mul(m, q, g), -1)
         h = _poly_sub(m, h, r, -1)
-        b = _poly_sub(m, _poly_sub(m, _poly_mul(m, s, g), _poly_mul(m, t, h), -1), [1])
-        c, d = _poly_divmod(m, _poly_mul(m, s, b), h)
-        s, t = _poly_sub(m, s, d), _poly_sub(m, _poly_sub(m, t, _poly_mul(m, t, b)), _poly_mul(m, c, g))
+        if m < mod:  # the last step needs no new s and t
+            b = _poly_sub(m, _poly_sub(m, _poly_mul(m, s, g), _poly_mul(m, t, h), -1), [1])
+            c, d = _poly_divmod(m, _poly_mul(m, s, b), h)
+            s, t = _poly_sub(m, s, d), _poly_sub(m, _poly_sub(m, t, _poly_mul(m, t, b)), _poly_mul(m, c, g))
     return g, h
 
 

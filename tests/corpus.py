@@ -323,6 +323,11 @@ def mutants():
     }
 
 
+def violation_rules(violations):
+    """Set of distinct rule names occurring in a violation list."""
+    return {v.rule for v in violations}
+
+
 # -- graphs ---------------------------------------------------------------------------
 
 

@@ -9,7 +9,6 @@ import time
 import pytest
 
 import corpus
-from grpd.errors import violation_rules
 from grpd.exactlin import Field, Subspace
 from grpd.algebra import cayley_dickson_chain
 from grpd import groupoid as gpd
@@ -186,7 +185,7 @@ def test_acceptance_8_axiom_engine():
     for rule, pa in corpus.mutants().items():
         violations = pact.validate_action(pa)
         assert violations, rule
-        assert violation_rules(violations) == {rule}, rule
+        assert corpus.violation_rules(violations) == {rule}, rule
     _announce(8, "axiom engine detects single mutations", started)
 
 

@@ -1,11 +1,15 @@
 """Structure algebras: products, laws, center, radical, blocks, doubling."""
 
 import json
+import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import corpus
 from grpd.errors import DimensionError, PreconditionError, UnsupportedError
@@ -571,7 +575,7 @@ SD8 = [576, 0, -960, 0, 352, 0, -40, 0, 1]  # of sqrt2 + sqrt3 + sqrt5
 
 
 def test_cyclotomic_factors_of_t_to_the_n_minus_1():
-    for n in range(1, 37):
+    for n in [*range(1, 37), 48, 64, 96, 128, 256]:
         factors = _q_factors([-1] + [0] * (n - 1) + [1])
         assert sorted(factors) == sorted(cyclotomic(d) for d in range(1, n + 1) if n % d == 0), n
 
@@ -619,6 +623,94 @@ def test_recombination_tries_each_subset_once(monkeypatch):
 
     monkeypatch.setattr(polynomial, "_hensel", hensel)
     assert sorted(_q_factors(poly_product(*quads))) == sorted(quads)
+
+
+def reference_hensel(f, facs, p, mod):
+    """The monic lifts of facs as `_hensel` made them before its factor tree:
+    Newton's iteration on the root of each linear factor, and a two-factor
+    lift of the whole f for every other factor."""
+    def value(g, x):
+        acc = 0
+        for c in reversed(g):
+            acc = acc * x + c
+        return acc
+
+    out, df = [], polynomial._poly_deriv(0, f)
+    for h in facs:
+        if len(h) == 2:
+            r, m = -h[0], p
+            while m < mod:
+                m = min(m * m, mod)
+                r = (r - value(f, r) * pow(value(df, r), -1, m)) % m
+            out.append([-r % mod, 1])
+        else:
+            cofactor = polynomial._poly_divmod(p, [c % p for c in f], h)[0]
+            out.append(polynomial._hensel_lift(f, cofactor, h, p, mod)[1])
+    return out
+
+
+class _Lifted(Exception):
+    """Stops `_zassenhaus` once it has chosen what to lift."""
+
+
+def lift_arguments(f):
+    """(f, facs, p, mod) as `_zassenhaus` hands them to `_hensel`, or None
+    when f is irreducible modulo the chosen prime."""
+    seen = []
+
+    def record(*args):
+        seen.append(args)
+        raise _Lifted
+
+    with mock.patch.object(polynomial, "_hensel", record):
+        try:
+            polynomial._zassenhaus(f)
+        except _Lifted:
+            pass
+    return seen[0] if seen else None
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.lists(st.builds(lambda low, lead: [*low, lead], st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+                          st.sampled_from([*range(-9, 0), *range(1, 10)])),
+                min_size=1, max_size=6, unique_by=tuple))
+def test_tree_lift_matches_the_per_factor_lifts(factors):
+    # products of up to six factors of degree 1-4 give up to 24 modular factors
+    f = poly_product(*factors)
+    content = math.gcd(*f)
+    f = [c // content for c in f]
+    assume(len(polynomial._poly_gcd(0, f, polynomial._poly_deriv(0, f))) == 1)  # square-free
+    args = lift_arguments(f)
+    assume(args is not None)
+    _, facs, p, mod = args
+    lifted = polynomial._hensel(*args)
+    assert lifted == reference_hensel(*args)
+    for u, h in zip(lifted, facs, strict=True):
+        assert u[-1] == 1 and [c % p for c in u] == h
+    prod = [f[-1] % mod]
+    for u in lifted:
+        prod = polynomial._poly_mul(mod, prod, u)
+    assert prod == [c % mod for c in f]
+
+
+def test_hensel_lifts_once_per_node_of_a_balanced_tree(monkeypatch):
+    # t^256 - 1 has 15 factors mod 3, 13 of them nonlinear: one lift of the
+    # whole f per nonlinear factor would lift degree 13 * 256 = 3,328 in all
+    hensel, hensel_lift, counts, degrees = polynomial._hensel, polynomial._hensel_lift, [], []
+
+    def counted(f, facs, p, mod):
+        counts.append(len(facs))
+        return hensel(f, facs, p, mod)
+
+    def measured(f, *args):
+        degrees.append(len(f) - 1)
+        return hensel_lift(f, *args)
+
+    monkeypatch.setattr(polynomial, "_hensel", counted)
+    monkeypatch.setattr(polynomial, "_hensel_lift", measured)
+    assert len(_q_factors([-1] + [0] * 255 + [1])) == 9
+    assert counts == [15]
+    assert len(degrees) == 14 and sum(degrees) <= 256 * 4  # r - 1 nodes, ceil(log2 15) levels
 
 
 def test_rational_roots_of_large_constant_terms():

@@ -1,6 +1,7 @@
 """Exact linear algebra: worked examples plus randomized structural laws."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,17 @@ def test_booleans_are_not_coefficients(field):
     for b in (True, False):
         with pytest.raises(TypeError):
             field(b)
+
+
+def test_matrix_entries_are_coerced_by_the_field():
+    f7 = Field(7)
+    for field, entry, want in [(Q, "1", 1), (Q, "3/6", Fraction(1, 2)), (Q, Fraction(4, 2), 2),
+                               (f7, "3", 3), (f7, "-1", 6), (f7, 9, 2)]:
+        (got,), = Matrix(field, [[entry]]).rows
+        assert got == want and type(got) is type(want), (field, entry)
+    for field, entry in [(Q, 0.5), (Q, True), (f7, False), (f7, Fraction(1, 2)), (f7, 0.5)]:
+        with pytest.raises(TypeError, match=re.escape(repr(entry))):
+            Matrix(field, [[field.one, entry]])
 
 
 def test_scalar_normal_forms():

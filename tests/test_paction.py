@@ -9,7 +9,7 @@ import pytest
 
 import corpus
 from grpd import exactlin
-from grpd.errors import DimensionError, PreconditionError, UnsupportedError, violation_rules
+from grpd.errors import DimensionError, PreconditionError, UnsupportedError
 from grpd.exactlin import Field, Matrix, Subspace
 from grpd import groupoid as gpd
 from grpd import paction as pact
@@ -34,7 +34,7 @@ def test_single_axiom_mutants(rule):
     pa = corpus.mutants()[rule]
     violations = pact.validate_action(pa)
     assert violations, rule
-    assert violation_rules(violations) == {rule}
+    assert corpus.violation_rules(violations) == {rule}
 
 
 def _swap_at_the_identity(field, pair):
@@ -342,7 +342,7 @@ def test_identity_pretender_globalization_rejected():
         embeddings={"*": Matrix.identity(Q, 2)},
     )
     violations = pact.globalization_verify(pa, glob)
-    rules = violation_rules(violations)
+    rules = corpus.violation_rules(violations)
     assert rules & {"(ii)", "(iv)"}
     assert [(v.rule, v.witness, v.detail) for v in violations] == [
         ("(ii)", ("g1",), "psi(R_g) differs from psi(R_c) meet beta_g(psi(R_d))"),
@@ -439,7 +439,7 @@ def _global_report(pa):
 def test_mutant_reports_without_solving_per_vector(no_solve, rule):
     pa = corpus.mutants()[rule]
     violations = pact.validate_action(pa)
-    assert violation_rules(violations) == {rule}
+    assert corpus.violation_rules(violations) == {rule}
     assert ([str(v) for v in violations], _global_report(pa)) == MUTANT_REPORTS[rule]
 
 

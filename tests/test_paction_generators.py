@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 import corpus
 from grpd import groupoid as gpd
 from grpd import paction as pact
-from grpd.errors import violation_rules
 from grpd.exactlin import Field, Matrix
 from grpd.skewring import groupoid_ring_action
 from test_paction_reference import CHARS, Reference, norm, plain, restricted_shift, sheared_split_algebra
@@ -132,7 +131,7 @@ def test_broken_global_action_falls_back_to_every_pair(checked_pairs):
     beta = pact.globalize(corpus.shift_restriction_action()).action
     pa = with_map(beta, "g2", beta.maps["g2"].mul(beta.maps["g1"]))
     violations = pact.validate_action(pa)
-    assert violation_rules(violations) == {"P3"}
+    assert corpus.violation_rules(violations) == {"P3"}
     every = list(pa.groupoid.composable_pairs())
     assert checked_pairs[-len(every):] == every
     assert len(checked_pairs) < 2 * len(every)
