@@ -329,20 +329,14 @@ class StructureAlgebra:
     def wedderburn_blocks(self):
         """Decompose a semisimple algebra into simple two-sided ideals.
 
-        Splits inside the algebra by central idempotents.  Each block B = e A
-        carries its idempotent e, starting from A and its unit, and its
-        candidate space C: e Z for the center Z over Q, e W for the Berlekamp
-        subalgebra W of Z over F_p.  C is a product of fields, one per simple
-        block of B; B is simple when dim C = 1.  Otherwise the candidates z
-        are the RREF basis of C, then z_lam = sum_i lam^i z_i, lam = 1, 2, ...
-        The first non-scalar z whose square-free minimal polynomial mp factors
-        (over Q by `_q_factors`), or has degree m = dim C, splits B: each
-        monic irreducible factor g gives q(z) B, q = mp/g, with idempotent
-        (s q)(z), s q = 1 mod g.  When deg mp = m, z generates C and each
-        piece is simple; otherwise the pieces are split again.  Some
-        lam <= C(m, 2)(m - 1) + 1 has deg mp = m: two distinct embeddings of C
-        into an algebraic closure differ on z_lam by a nonzero polynomial in
-        lam of degree below m.
+        Splits the unit by central idempotents, then forms each block once, as
+        e A.  The work list holds pairs (e, C) of a central idempotent e,
+        starting from the unit, and its candidate space C: e Z for the center
+        Z over Q, e W for the Berlekamp subalgebra W of Z over F_p.  C is a
+        product of fields, one per simple block of e A, so e is final when
+        dim C = 1; otherwise `_split` cuts e into pieces, final or split
+        again.  Each final e gives its block e A, flagged in `non_split` when
+        dim e Z > 1 over F_p, or when its factor has degree > 1 over Q.
         """
         if not self.is_semisimple():
             raise PreconditionError("block decomposition needs a semisimple algebra")
@@ -358,23 +352,18 @@ class StructureAlgebra:
             rows = [self._mul(e, v) for v in sub._rows.values()]
             return Subspace(field, self.dim, _gauss_jordan(rows, p))
 
-        def flagged(e, degree):
-            """Whether e Z, of dimension degree over Q, is larger than the base field."""
-            return times(e, center).dim > 1 if p else degree > 1
-
-        final = []
-        work = [(Subspace.full(field, self.dim), self._row(self.find_unit()), cands)] if self.dim else []
+        final, known = [], {}  # final: (e, degree); known: the factors of each mp seen
+        work = [(self._row(self.find_unit()), cands)] if self.dim else []
         while work:
-            space, e, local = work.pop()
-            pieces, simple = self._split(e, local) if local.dim > 1 else ([(e, 1)], True)
-            if len(pieces) == 1:
-                final.append((space, flagged(e, pieces[0][1])))
-                continue
-            for ei, degree in pieces:
-                if simple:
-                    final.append((times(ei, space), flagged(ei, degree)))
-                else:
-                    work.append((times(ei, space), ei, times(ei, local)))
+            e, local = work.pop()
+            pieces, simple = self._split(e, local, known) if local.dim > 1 else ([(e, 1)], True)
+            if simple:
+                final += pieces
+            else:
+                work += [(ei, times(ei, local)) for ei, _ in pieces]
+        whole = Subspace.full(field, self.dim)
+        form = times if len(final) > 1 else lambda e, sub: sub  # the unit alone: e A = A, e Z = Z
+        final = [(form(e, whole), form(e, center).dim > 1 if p else degree > 1) for e, degree in final]
         # blocks are unique ideals: order them by first pivot, then dimension, then RREF
         # basis (formatted only on a tie), so the order does not depend on the order of splits
         ties = Counter((s.pivots[0], s.dim) for s, _ in final)
@@ -384,20 +373,29 @@ class StructureAlgebra:
         non_split = [i for i, (_, flag) in enumerate(final) if flag]
         return BlockDecomposition(blocks, non_split)
 
-    def _split(self, e, local):
-        """The pieces [(e_i, deg g_i)] of the block of e by the first candidate
-        of its candidate space `local`, of dim m >= 2, that splits it or
-        generates local, and whether it generates local.  Over F_p the factors
-        of mp are its linear ones: every element of W has a split mp, so the
-        first non-scalar basis vector splits the block and z_lam is never
-        reached."""
+    def _split(self, e, local, known):
+        """The pieces [(e_i, deg g_i)] of the central idempotent e, and whether
+        they are final.  The candidates z are the RREF basis of `local` = e C,
+        of dim m >= 2, then z_lam = sum_i lam^i z_i, lam = 1, 2, ...  The first
+        non-scalar z whose square-free minimal polynomial mp factors, or has
+        degree m, is used: each monic irreducible factor g gives q(z),
+        q = mp/g, which generates the block of g.  When deg mp = m, z
+        generates local and the pieces are final; otherwise each is made the
+        idempotent (s q)(z), s q = 1 mod g.  Some lam <= C(m, 2)(m - 1) + 1 has
+        deg mp = m: two distinct embeddings of C into an algebraic closure
+        differ on z_lam by a nonzero polynomial in lam of degree below m.
+        Over F_p the factors of mp are its linear ones: every element of W has
+        a split mp, so the first non-scalar basis vector splits e.  `known`
+        maps each mp already factored in this decomposition to its factors."""
         p, basis = self.field.char, list(local._rows.values())
         m = len(basis)
         lams = ({i: lam**i for i in range(m)} for lam in itertools.count(1))
         for z in itertools.chain(basis, (_combine(c, basis, p) for c in lams)):
             mp, powers = _min_poly(self, z, e)
-            factors = () if len(mp) == 2 else (
-                [[-r % p, 1] for r in _prime_field_roots(p, mp)] if p else _q_factors(mp))
+            factors = () if len(mp) == 2 else known.get(key := tuple(mp))
+            if factors is None:
+                factors = known[key] = (
+                    [[-r % p, 1] for r in _prime_field_roots(p, mp)] if p else _q_factors(mp))
             if len(factors) > 1 or len(mp) == m + 1:
                 simple = len(mp) == m + 1
                 return [(_piece(p, mp, g, powers, simple), len(g) - 1) for g in factors], simple

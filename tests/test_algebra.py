@@ -1,7 +1,9 @@
 """Structure algebras: products, laws, center, radical, blocks, doubling."""
 
+import importlib.util
 import json
 import math
+import pathlib
 import random
 import time
 from fractions import Fraction
@@ -14,10 +16,11 @@ from hypothesis import strategies as st
 import corpus
 from grpd.errors import DimensionError, PreconditionError, UnsupportedError
 from grpd.exactlin import Field, Subspace
-from grpd import cli, polynomial
+from grpd import algebra, cli, polynomial
 from grpd.algebra import StructureAlgebra, cayley_dickson_chain, grading_respected, polynomial_roots
 from grpd.polynomial import _q_factors, _z_divide
-from grpd.skewring import analyze_algebra, build_groupoid_ring, invert_in, quotient_by_ideal
+from grpd.skewring import (analyze_algebra, build_groupoid_ring, build_partial_group_algebra,
+                           invert_in, quotient_by_ideal)
 from grpd import groupoid as gpd
 
 Q = Field(0)
@@ -431,6 +434,23 @@ def test_wedderburn_blocks_format_no_entry_without_a_tie(monkeypatch):
     assert m3.wedderburn_blocks().dims() == [9]
 
 
+@pytest.mark.parametrize("char", [0, 10007])
+def test_a_simple_algebra_is_its_own_block_without_a_product(monkeypatch, char):
+    m3 = corpus.matrix_algebra(Field(char), 3)
+    m3.is_semisimple()
+    m3.center()
+    if char:
+        m3.berlekamp_subalgebra()
+
+    def refuse(self, x, y):
+        raise AssertionError("a product was formed for the only block")
+
+    monkeypatch.setattr(StructureAlgebra, "_mul", refuse)
+    blocks = m3.wedderburn_blocks()
+    assert blocks.dims() == [9] and not blocks.non_split
+    assert blocks[0] == Subspace.full(Field(char), 9)
+
+
 def test_wedderburn_requires_semisimple():
     with pytest.raises(PreconditionError):
         corpus.dual_numbers(Q).wedderburn_blocks()
@@ -441,6 +461,47 @@ def test_non_split_center_flagged():
     blocks = qz3.wedderburn_blocks()
     assert sorted(blocks.dims()) == [1, 2]
     assert blocks.non_split  # the quadratic factor stays whole over Q
+
+
+def test_blocks_factor_each_minimal_polynomial_once(monkeypatch):
+    # Q^8 splits off one point at a time, every candidate with mp t^2 - t:
+    # one factorization per decomposition, none kept from one to the next
+    calls = []
+
+    def counted(mp):
+        calls.append(tuple(mp))
+        return _q_factors(mp)
+
+    monkeypatch.setattr(algebra, "_q_factors", counted)
+    for _ in range(2):
+        assert corpus.componentwise(Q, 8).wedderburn_blocks().dims() == [1] * 8
+    assert calls == [(0, -1, 1)] * 2
+
+
+def _load_oracle():
+    """The benchmark's independent answers, loaded from their file (they import nothing of grpd)."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ORACLE = _load_oracle()
+
+
+@pytest.mark.parametrize("char", [0, 10007])
+@pytest.mark.parametrize("n", [5, 6])
+def test_partial_group_algebra_blocks_match_the_orbit_formula(n, char):
+    # K_par(Z_n) is the product over orbits of translated subsets of M_k(K[Z_s])
+    # (Dokuchaev-Exel-Piccione); Z_5 and Z_6 split idempotents that are not yet
+    # final again, over several levels, in dims 48 and 112
+    alg = build_partial_group_algebra(gpd.cyclic_group(n), Field(char))
+    blocks = alg.wedderburn_blocks()
+    assert sorted(blocks.dims()) == ORACLE.partial_group_algebra_blocks(n, char)
+    assert blocks.non_split == [i for i, b in enumerate(blocks)
+                                if alg.subalgebra(b)[0].center().dim > 1]
+    assert Subspace.span(alg.field, alg.dim, blocks.blocks).dim == alg.dim
 
 
 def test_minimal_polynomial_and_roots():

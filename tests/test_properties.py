@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 import corpus
 from grpd.algebra import StructureAlgebra, cayley_dickson_chain
 from grpd.exactlin import Field, Subspace, solve
-from grpd.skewring import analyze_algebra
+from grpd.skewring import analyze_algebra, build_partial_group_algebra
+from grpd import groupoid as gpd
 
 Q = Field(0)
 SETTINGS = settings(derandomize=True, max_examples=25, deadline=None, database=None)
@@ -174,6 +175,43 @@ def test_prime_field_blocks_do_not_depend_on_the_basis(case):
     assert alg.berlekamp_subalgebra().dim == len(blocks)
     total = Subspace.span(Field(p), n, blocks.blocks)
     assert total.dim == n
+
+
+PRIME_FIELD_FACTORS = {  # name -> (a function of the field making the algebra, its block dimensions)
+    "F_p": (corpus.scalar_algebra, [1]),
+    "M_2(F_p)": (lambda f: corpus.matrix_algebra(f, 2), [4]),
+    "F_p[Z_3]": (lambda f: corpus.group_algebra(f, 3), [1, 2]),
+    "K_par(Z_3)": (lambda f: build_partial_group_algebra(gpd.cyclic_group(3), f), [1, 1, 2, 4]),
+}
+
+
+@st.composite
+def rebased_prime_field_products(draw):
+    """A product of one to three PRIME_FIELD_FACTORS over F_p, p = 2 mod 3 and
+    p > dim, in a seeded basis; with its sorted block dimensions."""
+    field = Field(draw(st.sampled_from([29, 41, 10007])))
+    names = draw(st.lists(st.sampled_from(sorted(PRIME_FIELD_FACTORS)), min_size=1, max_size=3))
+    alg = functools.reduce(direct_product, [PRIME_FIELD_FACTORS[k][0](field) for k in names])
+    n = alg.dim
+    basis = draw(st.lists(st.lists(st.integers(0, field.char - 1), min_size=n, max_size=n),
+                          min_size=n, max_size=n)
+                 .filter(lambda rows: Subspace.from_vectors(field, n, [corpus.vec(field, r) for r in rows])
+                         .dim == n))
+    dims = sorted(d for k in names for d in PRIME_FIELD_FACTORS[k][1])
+    return rebased(alg, [corpus.vec(field, r) for r in basis]), dims
+
+
+@SETTINGS
+@given(rebased_prime_field_products())
+def test_prime_field_non_split_reads_each_block_center(case):
+    # the block F_(p^2) of F_p[Z_3] and of K_par(Z_3), p = 2 mod 3, beside the
+    # non-commutative M_2: non_split lists exactly the blocks whose center is larger than F_p
+    alg, dims = case
+    blocks = alg.wedderburn_blocks()
+    assert sorted(blocks.dims()) == dims
+    assert blocks.non_split == [i for i, b in enumerate(blocks)
+                                if alg.subalgebra(b)[0].center().dim > 1]
+    assert Subspace.span(alg.field, alg.dim, blocks.blocks).dim == alg.dim
 
 
 def test_blocks_at_the_largest_prime_take_logarithmic_time():
