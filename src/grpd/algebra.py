@@ -75,7 +75,9 @@ class StructureAlgebra:
         self.grading = grading
         self.grading_groupoid = None  # set by the skew groupoid ring builder
         self.involution = involution
-        self._assoc = None  # the associator table
+        self._assoc = None  # the associator table, built only when asked for
+        self._index = [None, None]  # the slice indexes of A and of A^op
+        self._gens = None  # A's generators once A is found associative; False if it is not
         self._center = None
         self._berlekamp = None
         self._radical = None
@@ -136,13 +138,13 @@ class StructureAlgebra:
         return list(self._unit_cache) if self._unit_cache is not None else None
 
     def _solve_unit(self):
-        """Solve u b_j = b_j = b_j u linearly; None when no u does."""
+        """Solve u b_j = b_j = b_j u linearly; None when no u does.  Once A is found
+        associative, b_j runs over its generators: each b_m is a multiple of their products."""
         n, rows = self.dim, []
-        cols = _forms(dict(enumerate(self._cells)))  # cols[j][i]: the raw row of b_i b_j
-        for j in range(n):
+        for j, col in _columns(self._cells, self._gens or range(n)).items():
             # sum_i u_i (b_i b_j) = b_j   and   sum_i u_i (b_j b_i) = b_j, one row (right-hand
             # side at column n) per coordinate k that some product reaches; the others read 0 = 0
-            for prods in (cols[j], self._cells[j]):
+            for prods in (col, self._cells[j]):
                 forms = _forms(prods)
                 if j not in forms:  # coordinate j reads 0 = 1
                     return None
@@ -152,10 +154,17 @@ class StructureAlgebra:
 
     # -- associators and the laws they decide ---------------------------------
 
+    def _slices(self, op=False):
+        """The slice index of A, or of its opposite A^op (the table transposed), built once."""
+        if self._index[op] is None:
+            cells = list(_columns(self._cells, range(self.dim)).values()) if op else self._cells
+            self._index[op] = _slice_index(cells, self.field.char)
+        return self._index[op]
+
     def _associators(self):
-        """The nonzero basis associators as raw rows {(i, j, k): {m: c}}, all slices' union."""
+        """The nonzero basis associators {(i, j, k): {m: c}}, all slices' union; no law reads it."""
         if self._assoc is None:
-            self.is_associative()
+            self._assoc = {t: a for k in range(self.dim) for t, a in _slice(self._slices(), k).items()}
         return self._assoc
 
     def associator(self, i, j, k):
@@ -165,36 +174,39 @@ class StructureAlgebra:
     def is_associative(self):
         """Whether every basis associator vanishes, decided on generators.
 
-        `_generators` picks the generators s and the b_m they reach.  Slice s
-        is zero iff b_s lies in the right nucleus N_r = {x : (a, b, x) = 0}, a
-        subalgebra (Teichmueller identity); the generators generate A, so A is
-        associative iff their slices are all zero.  A nonzero one is completed
-        by the slices of the b_k not reached before it.
+        `_generators` picks the generators s.  Slice s is zero iff b_s lies in
+        the right nucleus N_r = {x : (a, b, x) = 0}, a subalgebra (Teichmueller
+        identity); the generators generate A, so A is associative iff their
+        slices are all zero.  It stops at the first nonzero one.
         """
-        if self._assoc is None:
-            index = _slice_index(self._cells, self.field.char)
-            for s, reached in _generators(self._cells, index[1]):
-                if table := _slice(index, s):  # the reached b_k lie in N_r: slice k is zero
-                    for k in set(range(self.dim)) - reached - {s}:
-                        table.update(_slice(index, k))
-                    self._assoc = table
+        if self._gens is None:
+            index, gens = self._slices(), []
+            for s, _ in _generators(self._cells, index[1]):
+                if _slice(index, s):
+                    self._gens = False
                     return False
-            self._assoc = {}
-        return not self._assoc
+                gens.append(s)
+            self._gens, self._assoc = gens, {}
+        return self._gens is not False
 
     def is_alternative(self):
-        """Left and right alternative laws, read off the associator table.
+        """Left and right alternative laws, streamed over the slices of A and A^op.
 
-        x^2 y = x(xy) and x y^2 = (xy)y for all x, y hold, in every
-        characteristic, iff A(i,i,k) = 0 and A(j,i,k) = A(i,k,j) = -A(i,j,k)
-        on basis triples (then A(i,k,k) = -A(k,i,k) = A(k,k,i) = 0).  Both
-        swaps are involutions, so a pair of triples that breaks the law has
-        a nonzero member to check it from.
+        x^2 y = x(xy) holds, in every characteristic, iff A(i,i,k) = 0 and
+        A(j,i,k) = -A(i,j,k) on basis triples, both in slice k.  The right law
+        x y^2 = (xy)y is the left law of A^op, whose associators A^op(i,j,k) =
+        -A(k,j,i) equal A's when A is alternative (the associator alternates);
+        when they do, A^op's left law is A's.  So slice k of A must equal its
+        swap, negated, and slice k of A^op must equal it.  Stops at the first violation.
         """
-        assoc, p = self._associators(), self.field.char
-        for (i, j, k), a in assoc.items():
-            neg = {m: -c % p if p else -c for m, c in a.items()}
-            if i == j or assoc.get((j, i, k)) != neg or assoc.get((i, k, j)) != neg:
+        if self.is_associative():
+            return True
+        p = self.field.char
+        for k in range(self.dim):
+            table = _slice(self._slices(), k)
+            swap = {(j, i, k): {m: -c % p if p else -c for m, c in a.items()}
+                    for (i, j, _), a in table.items() if i != j}
+            if table != swap or _slice(self._slices(op=True), k) != table:
                 return False
         return True
 
@@ -207,34 +219,31 @@ class StructureAlgebra:
         return self._center
 
     def _solve_center(self):
-        """Solve xr = rx over basis r, then cut the commutant by the nucleus
-        conditions (x, r, r') = (r, x, r') = (r, r', x) = 0 over basis r, r',
-        read off the associator table into one kernel over the commutant
-        basis.  For associative algebras the nucleus conditions hold
-        automatically and only the commutant is solved.
+        """Solve x b_s = b_s x, over an associative algebra for its generators s
+        alone: x then commutes with their products.  Otherwise s runs over the
+        basis, and one kernel over the commutant basis cuts it by (x, r, r') =
+        (r, r', x) = 0 over basis r, r'; in the commutant (r, x, r') is their sum.
         """
         n, p, rows = self.dim, self.field.char, []
-        cols = _forms(dict(enumerate(self._cells)))  # cols[i][c]: the raw row of b_c b_i
-        for i in range(n):
-            # coordinate r of x b_i - b_i x, as a linear form in the coordinates of x
-            forms = _forms(cols[i])
-            for r, row in _forms(self._cells[i]).items():
+        for s, col in _columns(self._cells, self._gens if self.is_associative() else range(n)).items():
+            # coordinate r of x b_s - b_s x, as a linear form in the coordinates of x
+            forms = _forms(col)
+            for r, row in _forms(self._cells[s]).items():
                 _subtract(forms[r], 1, row, p)
             rows += forms.values()
         space = _kernel(self.field, rows, n)
-        if self.is_associative() or space.dim == 0:
+        if self._gens is not False or space.dim == 0:
             return space
-        # x commutes with everything, so (r, r', x) = (r, x, r') - (x, r, r').
-        # For x = sum_t y_t v_t over the commutant basis, coordinate m of
-        # (x, r, r') or (r, x, r') is a linear form in the y_t, fed by the
-        # table entries whose index in x's slot is a coordinate of some v_t
+        # coordinate m of (r, r', x) or (x, r, r'), x = sum_t y_t v_t over the commutant
+        # basis, is a form in the y_t read off slice c of A or of A^op (A^op(r', r, c) =
+        # -A(c, r, r')) for the coordinates c of the v_t alone
         slots = _forms(dict(enumerate(space._rows.values())))  # c -> {t: v_tc}
         rows = defaultdict(dict)
-        for (i, j, k), a in self._associators().items():
-            for key, c in (((0, j, k), i), ((1, i, k), j)):
-                if c in slots:
+        for op in (False, True):
+            for c, v in slots.items():
+                for (i, j, _), a in _slice(self._slices(op), c).items():
                     for m, am in a.items():
-                        _subtract(rows[key, m], -am, slots[c], p)
+                        _subtract(rows[op, i, j, m], -am, v, p)
         return space._expand_space(_kernel(self.field, rows.values(), space.dim))
 
     # -- ideals ----------------------------------------------------------------
@@ -445,16 +454,8 @@ class StructureAlgebra:
             raise UnsupportedError("doubling needs a unital algebra")
         if self.involution is None:
             raise UnsupportedError("doubling needs a designated conjugation involution")
-        n, p = self.dim, self.field.char
-        n2 = 2 * n
-        conj = self.involution
-
-        def pad(first, second):
-            return list(first) + list(second)
-
-        zvec = self.field.zero_vec(n)
-        cells = self._cells
-        table = []
+        n, p, conj, cells = self.dim, self.field.char, self.involution, self._cells
+        zero, table = self.field.zero_vec(n), []
         for i in range(n):
             # (x,0)(c,0) = (xc, 0) and (x,0)(0,d) = (0, d x)
             table.append([_terms(cells[i].get(j, {})) for j in range(n)]
@@ -466,13 +467,10 @@ class StructureAlgebra:
             left = [_terms({k: -x % p if p else -x for k, x in self._mul(c, {i: 1}).items()})
                     for c in cj]
             table.append(right + left)
-        unit = pad(one, zvec)
-        new_conj = [pad(conj[i], zvec) for i in range(n)]
-        new_conj += [pad(zvec, [self.field(-a) for a in self.basis_vector(i)]) for i in range(n)]
-        labels = [f"e{i}" for i in range(n2)]
-        return StructureAlgebra(
-            self.field, n2, table, unit=unit, labels=labels, involution=new_conj
-        )
+        new_conj = [list(c) + zero for c in conj]
+        new_conj += [zero + [self.field(-a) for a in self.basis_vector(i)] for i in range(n)]
+        return StructureAlgebra(self.field, 2 * n, table, unit=list(one) + zero,
+                                labels=[f"e{i}" for i in range(2 * n)], involution=new_conj)
 
     # -- JSON schema ----------------------------------------------------------------------
 
@@ -532,6 +530,15 @@ def _forms(prods):
         for k, c in row.items():
             forms[k][i] = c
     return forms
+
+
+def _columns(cells, js):
+    """{j: {i: raw row of b_i b_j}} for each j in js, in one pass over the table."""
+    cols = {j: {} for j in js}
+    for i, row in enumerate(cells):
+        for j in row.keys() & cols.keys():
+            cols[j][i] = row[j]
+    return cols
 
 
 def _generators(cells, col):
@@ -594,7 +601,7 @@ def _slice_index(cells, p):
     one term as its (m, c) pair and every other as its raw row {m: c}; via[l] lists
     the (i, j, c_ij^l, b_i b_j has one term) with c_ij^l != 0.  Over Q the constants
     are scaled by the lcm d of their denominators, so the sums run on ints; an
-    associator scales by d^2."""
+    associator scales by d^2.  full: every product is a nonzero one-term cell."""
     d = 1 if p else math.lcm(*(c.denominator for row in cells for cell in row.values()
                                for c in cell.values()))
     via, col = [[] for _ in cells], [{} for _ in cells]
@@ -609,7 +616,8 @@ def _slice_index(cells, p):
                 col[j][i] = cell
                 for l, c in cell.items():
                     via[l].append((i, j, c, False))
-    return via, col, d, p
+    full = all(len(cs) == len(cells) and all(type(x) is tuple for x in cs.values()) for cs in col)
+    return via, col, d, p, full
 
 
 def _slice(index, k):
@@ -620,7 +628,7 @@ def _slice(index, k):
     Where both sides have at most one term, the first traversal settles (i, j) at
     once: the left side's pair against the right side's, looked up through b_j b_k
     and b_i b_m, and the second skips it.  Every other (i, j) sums its terms."""
-    via, col, d, p = index
+    via, col, d, p, full = index
     colk = col[k]
     out, acc = {}, defaultdict(dict)  # settled associators; the sums of the others
     for l, lk in colk.items():
@@ -638,7 +646,7 @@ def _slice(index, k):
                         out[i, j] = {m: v}
                     continue
             _add(acc[i, j], c, lk, p)
-    for j, jk in colk.items():
+    for j, jk in () if full else colk.items():  # a full table settles every (i, j) above
         one = type(jk) is tuple
         for m, c in ((jk,) if one else jk.items()):
             for i, im in col[m].items():
@@ -754,9 +762,7 @@ def polynomial_roots(field, coeffs):
 def quaternion_seed(field):
     """The base field as a one-dimensional algebra with identity conjugation."""
     one = field.one
-    return StructureAlgebra(
-        field, 1, [[[(0, one)]]], unit=[one], labels=["e0"], involution=[[one]]
-    )
+    return StructureAlgebra(field, 1, [[[(0, one)]]], unit=[one], labels=["e0"], involution=[[one]])
 
 
 def cayley_dickson_chain(field, doublings):
@@ -768,12 +774,9 @@ def cayley_dickson_chain(field, doublings):
 
 
 def grading_respected(alg, compose):
-    """Check the graded product law under a degree composition rule.
-
-    `compose(g, h)` returns the product degree, or None when products of
-    those degrees must vanish.  Returns None when the algebra carries no
-    grading.
-    """
+    """Check the graded product law under a degree composition rule: `compose(g, h)`
+    is the product degree, or None when products of those degrees must vanish.
+    None when the algebra carries no grading."""
     if alg.grading is None:
         return None
     for i, cells in enumerate(alg._cells):

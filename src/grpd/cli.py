@@ -55,11 +55,8 @@ def _load_action(path):
     base = Path(path).parent
     gref, aref = (schema.get(d, k, str, "action") for k in ("groupoid", "algebra"))
     g0 = _load_groupoid(base / gref)
-    bad = gpd.validate(g0)
-    if bad:
-        raise SchemaError(
-            "referenced groupoid is invalid: " + "; ".join(str(v) for v in bad)
-        )
+    if bad := gpd.validate(g0):
+        raise SchemaError("referenced groupoid is invalid: " + "; ".join(map(str, bad)))
     amb = _load_algebra(base / aref)
     return pact.action_from_dict(d, g0, amb)
 

@@ -613,8 +613,8 @@ def maschke_check(pa):
 
 def analyze_algebra(alg):
     """Standard analysis report: identity, laws, center, radical, blocks, grading."""
+    assoc = alg.is_associative()  # first, so that the unit is solved on generators
     unit = alg.find_unit()
-    assoc = alg.is_associative()
     report = {
         "dim": alg.dim,
         "unital": unit is not None,

@@ -9,6 +9,10 @@ shuffled basis, and a few small tables on the edge of each law.
 `is_associative` decides on generators; its verdict must also agree on
 associative algebras over Q, F_2 and F_5 (rebased, so that products have
 many terms, and perturbed), and a slice count holds it to few slices.
+No verdict builds the table: the laws stream slices of A and of its
+opposite algebra.  On an associative algebra the unit and the center are
+solved on the generators, and must agree with a solve over the whole basis
+and with brute force.
 The slice kernel settles a product of one-term cells pair by pair and sums
 every other; tables of one-term cells, alone or mixed with cells of 2-3
 terms, over Q (with fractions), F_2 and F_5, are held to the same brute force.
@@ -27,8 +31,8 @@ import corpus
 from grpd import algebra
 from grpd.algebra import StructureAlgebra, cayley_dickson_chain
 from grpd.exactlin import Field, Subspace, solve
-from grpd.groupoid import cyclic_group
-from grpd.skewring import analyze_algebra, build_partial_group_algebra
+from grpd.groupoid import cyclic_group, pair_groupoid
+from grpd.skewring import analyze_algebra, build_groupoid_ring, build_partial_group_algebra
 
 Q = Field(0)
 CHARS = [0, 2, 3, 5]
@@ -364,9 +368,67 @@ def test_associative_verdict_computes_few_slices(monkeypatch, alg, most, center_
 def test_octonion_table_is_the_union_of_its_slices(monkeypatch):
     octo = cayley_dickson_chain(Q, 3)
     calls = count_slices(monkeypatch)
+    # the verdict stops at its first nonzero slice; the laws stream the 8 slices
+    # of A and the 8 of A^op, and build no table
     assert not octo.is_associative()
-    assert sorted(calls) == list(range(8))
+    assert len(calls) == 1
+    del calls[:]
+    assert octo.is_alternative()
+    assert sorted(calls) == sorted(2 * list(range(8)))
+    assert octo._assoc is None
     assert octo._associators() == Ref(octo).table()
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: cayley_dickson_chain(Q, 3), id="octonions"),
+    pytest.param(lambda: cayley_dickson_chain(Q, 4), id="sedenions"),
+    pytest.param(lambda: build_groupoid_ring(cyclic_group(4), cayley_dickson_chain(Q, 3)),
+                 id="O[Z_4]"),
+    pytest.param(lambda: build_groupoid_ring(pair_groupoid(2), cayley_dickson_chain(Q, 3)),
+                 id="M_2(O)"),
+])
+def test_no_verdict_builds_the_table(build):
+    alg = build()
+    analyze_algebra(alg)
+    assert alg._assoc is None
+
+
+def test_sedenions_break_alternativity_early(monkeypatch):
+    sede = cayley_dickson_chain(Q, 4)
+    calls = count_slices(monkeypatch)
+    assert not sede.is_alternative()
+    assert len(calls) < 32
+
+
+ONE_TERM_ASSOCIATIVE = {  # name -> builder over a field: fewer generators than basis vectors
+    "K_par(Z_3)": lambda f: build_partial_group_algebra(cyclic_group(3), f),
+    "M_3": lambda f: corpus.matrix_algebra(f, 3),
+    "K[Z_6]": lambda f: corpus.group_algebra(f, 6),
+    "T_3": lambda f: corpus.upper_triangular(f, 3),
+}
+
+
+@st.composite
+def generated_algebras(draw):
+    """(alg, one_term): an algebra of `associative_algebras`, or a one-term
+    associative algebra over Q or F_5."""
+    if draw(st.booleans()):
+        return draw(associative_algebras())[0], False
+    field = Field(draw(st.sampled_from([0, 5])))
+    return ONE_TERM_ASSOCIATIVE[draw(st.sampled_from(sorted(ONE_TERM_ASSOCIATIVE)))](field), True
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(generated_algebras())
+def test_unit_and_center_from_generators(case):
+    alg, one_term = case
+    fresh = StructureAlgebra(alg.field, alg.dim, corpus.table_of(alg))
+    unit = fresh.find_unit()  # solved on the whole basis: no verdict yet
+    assert fresh._gens is None
+    if alg.is_associative() and one_term:
+        assert len(alg._gens) < alg.dim
+    assert alg.find_unit() == unit
+    assert [[plain(alg.field, c) for c in v] for v in alg.center().basis] == Ref(alg).center()
 
 
 # -- one-term cells, settled pair by pair ------------------------------------------------
