@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import DimensionError, PreconditionError, SchemaError, UnsupportedError
 from .exactlin import (Matrix, Subspace, _canonical, _combine, _dense, _gauss_jordan,
-                       _kernel, _product, _q_inv, _reduce, _solve, _sparse, _subtract)
+                       _kernel, _pivot, _product, _reduce, _solve, _sparse, _subtract)
 from .polynomial import (_poly_deriv, _poly_divmod, _poly_gcd, _poly_mul, _poly_trim, _poly_xgcd,
                          _prime_field_roots, _q_factors)
 from . import schema
@@ -130,11 +130,12 @@ class StructureAlgebra:
         return all(self._mul(x, {j: 1}) == {j: 1} == self._mul({j: 1}, x) for j in range(self.dim))
 
     def find_unit(self):
-        """The two-sided identity, or None; the supplied unit, else solved once."""
+        """The two-sided identity, or None; the supplied unit, else solved once.
+        The zero algebra is unital, with unit [] (1 = 0)."""
         if self.unit is not None:
             return list(self.unit)
         if self._unit_cache is False:
-            self._unit_cache = self._solve_unit() if self.dim else None
+            self._unit_cache = self._solve_unit()
         return list(self._unit_cache) if self._unit_cache is not None else None
 
     def _solve_unit(self):
@@ -248,29 +249,33 @@ class StructureAlgebra:
 
     # -- ideals ----------------------------------------------------------------
 
-    def ideal_closure(self, seed, side="two"):
-        """Smallest left/right/two-sided ideal containing the seed subspace."""
-        if seed.ambient_dim != self.dim:
-            raise DimensionError("seed lives in a different ambient space")
+    def _residues(self, space, others, side="two"):
+        """Yield the nonzero residues modulo the subspace of w v (side "left" or
+        "two") and v w (side "right" or "two"), for v an RREF row of space and
+        w a raw row of others: space absorbs those products iff none comes."""
+        if space.ambient_dim != self.dim:
+            raise DimensionError("subspace lives in a different ambient space")
         if side not in ("left", "right", "two"):
             raise ValueError(f"side must be left/right/two, got {side!r}")
-        p = self.field.char
-        piv = seed._rows
-        while True:
-            new = []
-            for v in piv.values():
-                for b in ({i: 1} for i in range(self.dim)):
-                    if side != "right" and (w := _reduce(self._mul(b, v), piv, p)):
-                        new.append(w)
-                    if side != "left" and (w := _reduce(self._mul(v, b), piv, p)):
-                        new.append(w)
-            if not new:
-                break
-            piv = _gauss_jordan([dict(r) for r in piv.values()] + new, p)
-        return Subspace(self.field, self.dim, piv)
+        piv, p = space._rows, self.field.char
+        for v in piv.values():
+            for w in others:
+                if side != "right" and (r := _reduce(self._mul(w, v), piv, p)):
+                    yield r
+                if side != "left" and (r := _reduce(self._mul(v, w), piv, p)):
+                    yield r
+
+    def ideal_closure(self, seed, side="two"):
+        """Smallest left/right/two-sided ideal containing the seed subspace."""
+        basis = [{i: 1} for i in range(self.dim)]
+        while new := list(self._residues(seed, basis, side)):
+            rows = [dict(r) for r in seed._rows.values()] + new
+            seed = Subspace(self.field, self.dim, _gauss_jordan(rows, self.field.char))
+        return seed
 
     def is_ideal(self, space, side="two"):
-        return self.ideal_closure(space, side) == space
+        """Whether space is a left/right/two-sided ideal: ideal_closure(space, side) == space."""
+        return not any(self._residues(space, [{i: 1} for i in range(self.dim)], side))
 
     # -- radical and semisimplicity ---------------------------------------------
 
@@ -328,10 +333,10 @@ class StructureAlgebra:
         if space.ambient_dim != self.dim:
             raise DimensionError("subspace lives in a different ambient space")
         try:
-            table = _restricted_table(space, self._mul)
+            alg = _induced(self.field, list(space._rows.values()), self._mul, space._raw_coords)
         except ValueError:
             raise PreconditionError("subspace is not closed under multiplication") from None
-        return StructureAlgebra(self.field, space.dim, table), space.basis
+        return alg, space.basis
 
     # -- Wedderburn-style block decomposition ---------------------------------------
 
@@ -679,11 +684,13 @@ def _terms(coords, off=0):
     return sorted((off + k, x) for k, x in coords.items()) or ()
 
 
-def _restricted_table(space, mul):
-    """The table of the raw product `mul` on the RREF basis of a subspace closed
-    under it; raises ValueError when a product leaves the subspace."""
-    rows = list(space._rows.values())
-    return [[_terms(space._raw_coords(mul(u, v))) for v in rows] for u in rows]
+def _induced(field, rows, mul, coords, labels=None):
+    """The algebra on the raw rows whose product b_i b_j has the coordinates
+    coords(mul(rows[i], rows[j])): a subalgebra when coords reads coordinates
+    in the span of the rows, a quotient when it reads residues modulo an
+    ideal.  A ValueError from coords, a product outside the span, passes on."""
+    table = [[_terms(coords(mul(u, v))) for v in rows] for u in rows]
+    return StructureAlgebra(field, len(rows), table, labels=labels)
 
 
 @dataclass
@@ -713,25 +720,20 @@ class BlockDecomposition:
 def _min_poly(alg, x, one):
     """The monic minimal polynomial [a_0, ..., a_d] of the raw row x, raw
     coefficients, and the raw powers one, x, ..., x^(d-1) it was read from.
-    Each power is reduced against echelon rows of the earlier ones, each
-    row carrying the combination of powers it stands for; the first power
-    that reduces to zero gives the polynomial.  The search ends within dim
-    steps: every power it keeps is independent of the earlier ones.
+    Each power x^i meets the pivot step tagged with a 1 at column dim + i,
+    so the tags of a row are the combination of powers it stands for.  The
+    first power whose untagged part reduces to zero leaves the polynomial in
+    its tags, monic since no earlier row reaches column dim + i.  The search
+    ends within dim steps: every power it keeps takes a pivot below dim.
     """
-    p = alg.field.char
-    rows, powers, power = [], [], one  # rows: (pivot, row with 1 at the pivot, its combination)
+    n, p = alg.dim, alg.field.char
+    piv, powers, power = {}, [], one
     while True:
-        v, comb = dict(power), {len(powers): 1}  # v = sum_i comb[i] x^i
-        for c, row, rc in rows:
-            f = v.get(c)
-            if f:
-                _subtract(v, f, row, p)
-                _subtract(comb, f, rc, p)
-        if not v:
-            return [comb.get(i, 0) for i in range(len(powers) + 1)], powers
-        c = next(iter(v))
-        inv = {0: pow(v[c], -1, p) if p else _q_inv(v[c])}
-        rows.append((c, _combine(inv, [v], p), _combine(inv, [comb], p)))
+        d = len(powers)
+        row = _reduce({**power, n + d: 1}, piv, p)
+        if min(row) >= n:
+            return [row.get(n + i, 0) for i in range(d + 1)], powers
+        _pivot(row, piv, p)
         powers.append(power)
         power = alg._mul(power, x)
 

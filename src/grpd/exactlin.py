@@ -13,11 +13,10 @@ rows a `Matrix` is made from or read as, are dense lists of field elements.
 Inside, both fields share one form, the raw row: a dict {column: nonzero
 value} holding rationals over Q and ints in [0, p) over F_p.  `_sparse`,
 `_raw_rows` and `_dense` convert at the boundary; over Q `_dense` writes
-integral entries back as ints.  All elimination here is one Gauss-Jordan
-kernel on raw rows, and reduction against a subspace, products and
-expansion share its steps.  Outside this module, `algebra._min_poly` runs
-its own incremental echelon reduction, which stops at the first power of
-an element that depends on the earlier ones.
+integral entries back as ints.  All elimination in grpd is one pivot step
+on raw rows, `_pivot`: `_gauss_jordan` runs it over a list of rows, and
+`algebra._min_poly` feeds it the powers of an element one at a time.
+Reduction against a subspace, products and expansion share its steps.
 Algebra elements are raw rows too: `_product` multiplies two of them over
 a raw structure table, and dense vectors meet it only at the public
 boundary (`StructureAlgebra.multiply`).
@@ -200,29 +199,32 @@ def _product(x, y, cells, p):
     return out
 
 
-def _gauss_jordan(rows, p):
-    """Reduced row-echelon form of raw rows, as {pivot column: RREF row} with
-    the pivots increasing.
+def _pivot(row, piv, p):
+    """The Gauss-Jordan step: a nonzero raw row, already reduced against the
+    RREF rows {pivot column: row} of piv, is scaled to 1 at its first
+    column, a new pivot, which is cleared from the other rows; then it joins
+    piv.  The row is kept, not copied."""
+    q = min(row)
+    a = row[q]
+    if a != 1:
+        inv = pow(a, -1, p) if p else _q_inv(a)
+        for j, v in row.items():
+            row[j] = v * inv % p if p else v * inv
+    for other in piv.values():
+        f = other.get(q)
+        if f:
+            _subtract(other, f, row, p)
+    piv[q] = row
 
-    The rows are consumed.  Each row is reduced against the pivot rows so
-    far and scaled to 1 at its first column, a new pivot, which is then
-    cleared from the earlier pivot rows.
-    """
+
+def _gauss_jordan(rows, p):
+    """Reduced row-echelon form of raw rows, which it consumes, as
+    {pivot column: RREF row} with the pivots increasing: each row that does
+    not reduce to zero takes the pivot step."""
     piv = {}
     for row in rows:
-        if not _reduce(row, piv, p):
-            continue
-        q = min(row)
-        a = row[q]
-        if a != 1:
-            inv = pow(a, -1, p) if p else _q_inv(a)
-            for j, v in row.items():
-                row[j] = v * inv % p if p else v * inv
-        for other in piv.values():
-            f = other.get(q)
-            if f:
-                _subtract(other, f, row, p)
-        piv[q] = row
+        if _reduce(row, piv, p):
+            _pivot(row, piv, p)
     return {c: piv[c] for c in sorted(piv)}
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .errors import DimensionError, PreconditionError, SchemaError, UnsupportedError, Violation
 from .exactlin import (Matrix, Subspace, SubspaceMap, _combine, _dense, _gauss_jordan, _kernel,
                        _reduce, _sparse, _subtract)
-from .algebra import MAX_DIM, StructureAlgebra, _terms
+from .algebra import MAX_DIM, _induced
 from .groupoid import full_subgroupoid
 from . import schema
 
@@ -96,10 +96,11 @@ class PartialAction:
         return self._alphas[g](v)
 
     def _unit_row(self, g):
-        """The raw row of the unit of R_g, found once; None if absent or R_g = 0."""
+        """The raw row of the unit 1_g of R_g, found once; None when R_g has none.
+        R_g = 0 has the unit 1_g = 0, the row {}."""
         if g not in self._unit_rows:
             space = self.domains[g]
-            u = self.ambient.subalgebra(space)[0].find_unit() if space.dim else None
+            u = self.ambient.subalgebra(space)[0].find_unit()
             self._unit_rows[g] = None if u is None else _combine(
                 _sparse(space.field, u), list(space._rows.values()), space.field.char)
         return self._unit_rows[g]
@@ -147,7 +148,7 @@ def _axiom_violations(pa):
     units = [{i: 1} for i in range(n)]
     for e in g0.objects:
         comp = pa.object_components[e]
-        if _is_ideal_in(amb, comp, units):
+        if not any(amb._residues(comp, units)):
             ideal_comps.add(e)
         else:
             out.append(Violation("ideal", (e,), "component is not an ideal of the ambient algebra"))
@@ -157,8 +158,8 @@ def _axiom_violations(pa):
         comp = pa.object_components[c]
         if not dom <= comp:
             out.append(Violation("ideal", (g,), "domain is not contained in its codomain component"))
-        elif not (c in ideal_comps and dom == comp) and not _is_ideal_in(
-                amb, dom, comp._rows.values()):
+        elif not (c in ideal_comps and dom == comp) and any(
+                amb._residues(dom, comp._rows.values())):
             out.append(Violation("ideal", (g,), "domain is not an ideal of its codomain component"))
 
     # alpha_g bijective; the inverses serve (P2) below
@@ -285,13 +286,6 @@ def _pair_violations(pa, inverses, g, h):
     return out
 
 
-def _is_ideal_in(amb, inner, outer):
-    """Whether inner holds the products, on both sides, of its basis with the raw rows outer."""
-    piv, p = inner._rows, amb.field.char
-    return not any(_reduce(amb._mul(v, w), piv, p) or _reduce(amb._mul(w, v), piv, p)
-                   for v in piv.values() for w in outer)
-
-
 def _is_multiplicative(amb, space, f, mul):
     """f(uv) = mul(f(u), f(v)) on raw basis rows whose product stays in space.
 
@@ -311,11 +305,9 @@ def _is_multiplicative(amb, space, f, mul):
 
 
 def is_unital(pa):
-    """True when every nonzero domain carries a multiplicative identity."""
-    return all(
-        pa.domains[g].dim == 0 or pa._unit_row(g) is not None
-        for g in pa.groupoid.morphisms
-    )
+    """True when every domain R_g carries a multiplicative identity 1_g; R_g = 0
+    has 1_g = 0."""
+    return all(pa._unit_row(g) is not None for g in pa.groupoid.morphisms)
 
 
 def is_global(pa):
@@ -410,20 +402,17 @@ def finite_type_witnesses(pa):
 
 
 def _alpha_cut(pa, g, x):
-    """alpha_g(x 1_{g^-1}) for a raw row x, {} where R_{g^-1} = 0."""
-    amb = pa.ambient
-    u = pa._unit_row(pa.inv(g))
-    if u is None:
-        return {}
+    """alpha_g(x 1_{g^-1}) for a raw row x of a unital action."""
     try:
-        return pa._alphas[g]._image_of(amb._mul(x, u))
+        return pa._alphas[g]._image_of(pa.ambient._mul(x, pa._unit_row(pa.inv(g))))
     except ValueError:
         raise PreconditionError(
             "x 1_{g^-1} left the domain; ambient is not associative enough") from None
 
 
 def trace_map(pa, x):
-    """tr(x) = sum over morphisms of alpha_g(x 1_{g^-1}); zero domains drop out."""
+    """tr(x) = sum over morphisms of alpha_g(x 1_{g^-1}); where R_{g^-1} = 0,
+    1_{g^-1} = 0 and the term is zero."""
     if not is_unital(pa):
         raise UnsupportedError("trace map needs a unital action")
     field = pa.ambient.field
@@ -444,7 +433,7 @@ def fixed_ring(pa):
     amb = pa.ambient
     rows = defaultdict(dict)  # (g, r) -> row r of the block of g
     for g in pa.groupoid.morphisms:
-        u_dst = pa._unit_row(g) or {}
+        u_dst = pa._unit_row(g)
         for c in range(amb.dim):
             col = _alpha_cut(pa, g, {c: 1})
             _subtract(col, 1, amb._mul({c: 1}, u_dst), amb.field.char)
@@ -454,8 +443,10 @@ def fixed_ring(pa):
 
 
 def is_invariant_subring(pa, space):
-    """G-invariance: alpha_g(A meet R_{g^-1}) stays inside A meet R_g."""
-    pa.ambient.subalgebra(space)  # raises unless space is closed under multiplication
+    """G-invariance: alpha_g(A meet R_{g^-1}) stays inside A meet R_g, for a subspace
+    A closed under multiplication."""
+    if any(pa.ambient._residues(space, space._rows.values(), "right")):
+        raise PreconditionError("subspace is not closed under multiplication")
     p = pa.ambient.field.char
     for g in pa.groupoid.morphisms:
         inter = space.intersect(pa.domains[pa.inv(g)])._rows
@@ -559,10 +550,9 @@ def globalize(pa):
     t_space = Subspace(field, env.dim, t_rows)
     parts = [env.split(r) for r in t_rows.values()]
     try:
-        table = [[_terms(t_space._raw_coords(env.mul(x, y))) for y in parts] for x in parts]
+        t_alg = _induced(field, parts, env.mul, t_space._raw_coords)
     except ValueError:
         raise UnsupportedError("enveloping space is not multiplicatively closed") from None
-    t_alg = StructureAlgebra(field, t_dim, table)
     unit = t_alg.find_unit()
     if unit is not None:
         t_alg.unit = unit
@@ -610,8 +600,7 @@ def globalization_verify(pa, glob):
 
     # (i) psi_e(R_e) is an ideal of T_e
     for e in g0.objects:
-        if not _is_ideal_in(t_alg, psi_of_component[e],
-                            beta.object_components[e]._rows.values()):
+        if any(t_alg._residues(psi_of_component[e], beta.object_components[e]._rows.values())):
             out.append(Violation("(i)", (e,), "psi(R_e) is not an ideal of T_e"))
 
     # (ii) psi(R_g) = psi(R_{c(g)}) meet beta_g(psi(R_{d(g)}))
@@ -643,11 +632,8 @@ def globalization_verify(pa, glob):
 def envelope_component_unital(glob):
     """Per-object unitality of T_e, as needed by the finite-type equivalence."""
     beta = glob.action
-    return {
-        e: beta.object_components[e].dim == 0
-        or beta._unit_row(beta.groupoid.identity[e]) is not None
-        for e in beta.groupoid.objects
-    }
+    ids = beta.groupoid.identity
+    return {e: beta._unit_row(ids[e]) is not None for e in beta.groupoid.objects}
 
 
 # -- JSON schema -----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionError, PreconditionError, UnsupportedError
 from .exactlin import Matrix, Subspace, _combine, _dense, _reduce, _solve, _subtract, _transpose
-from .algebra import MAX_DIM, StructureAlgebra, _terms, grading_respected
+from .algebra import MAX_DIM, StructureAlgebra, _induced, _terms, grading_respected
 from .groupoid import connected_components, hom_set
 from . import paction as pact
 
@@ -134,7 +134,7 @@ def build_skew_groupoid_ring(pa):
     unit = None
     if pact.is_unital(pa):
         ids = [g0.identity[e] for e in g0.objects]
-        unit = {i: pa._unit_row(i) for i in ids if pa.domains[i].dim}
+        unit = {i: pa._unit_row(i) for i in ids}
     triples = ((g, h, g0.compose(g, h)) for g, h in g0.composable_pairs())
     alg, _ = skew_product_ring(
         pa.ambient.field, g0.morphisms, pa.domains, triples,
@@ -356,12 +356,9 @@ def quotient_by_ideal(alg, ideal):
     keep = [k for k in range(alg.dim) if k not in ideal._at]
     at = {k: t for t, k in enumerate(keep)}
     piv, p = ideal._rows, alg.field.char
-    table = []
-    for a in keep:
-        reds = (_reduce(alg._mul({a: 1}, {b: 1}), piv, p) for b in keep)
-        table.append([_terms({at[c]: x for c, x in r.items()}) for r in reds])
-    labels = [alg.label(k) for k in keep]
-    out = StructureAlgebra(alg.field, len(keep), table, labels=labels)
+    out = _induced(alg.field, [{k: 1} for k in keep], alg._mul,
+                   lambda x: {at[c]: v for c, v in _reduce(x, piv, p).items()},
+                   labels=[alg.label(k) for k in keep])
     u = alg.find_unit()
     if u is not None:
         red = ideal.reduce(u)
@@ -459,20 +456,15 @@ def maschke_split(pa, module, w, pi):
         raise PreconditionError("trace of the unit is not invertible")
 
     acc = [{} for _ in range(n)]
-    for g in pa.groupoid.morphisms:
-        u_g, u_ginv = pa._unit_row(g), pa._unit_row(pa.inv(g))
-        if u_g is None or u_ginv is None:
-            continue
-        front = module._act(_delta_row(pa, pa.inv(g), u_ginv, offsets))
-        back = module._act(_delta_row(pa, g, u_g, offsets))
+    for g in pa.groupoid.morphisms:  # trace_map has found every unit 1_g
+        front = module._act(_delta_row(pa, pa.inv(g), pa._unit_row(pa.inv(g)), offsets))
+        back = module._act(_delta_row(pa, g, pa._unit_row(g), offsets))
         for col, y in zip(acc, _compose(front, _compose(pi_cols, back, p), p)):
             _subtract(col, -1, y, p)
     l_s = {}
     for e in pa.groupoid.objects:
-        i = pa.groupoid.identity[e]
-        u = pa._unit_row(i)  # trace_map has required it of every nonzero domain
-        if u is not None:  # the parts sit at disjoint offsets
-            l_s.update(_delta_row(pa, i, amb._mul(amb._row(l), u), offsets))
+        i = pa.groupoid.identity[e]  # the parts sit at disjoint offsets
+        l_s.update(_delta_row(pa, i, amb._mul(amb._row(l), pa._unit_row(i)), offsets))
     cols = _compose(module._act(l_s), acc, p)
     return Matrix._of_columns(field, n, cols)
 

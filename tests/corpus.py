@@ -414,7 +414,7 @@ def minimal_polynomial(alg, x, one):
 
 
 def domain_unit(pa, g):
-    """The unit of R_g as a dense ambient vector; None if absent or R_g = 0."""
+    """The unit 1_g of R_g as a dense ambient vector, zero when R_g = 0; None if R_g has none."""
     u = pa._unit_row(g)
     return None if u is None else _dense(pa.ambient.field, u, pa.ambient.dim)
 

@@ -397,6 +397,34 @@ def test_zero_ring_has_no_blocks(tmp_path, capsys, verb, doc, want):
     assert {k: rep[k] for k in want} == want
 
 
+@pytest.mark.parametrize("char", [0, 5])
+def test_zero_algebra_reads_alike_with_and_without_its_unit(tmp_path, capsys, char):
+    # the zero ring is unital with 1 = 0, so supplying "unit": [] changes nothing
+    reports = []
+    for extra in ({}, {"unit": []}):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"field": {"char": char}, "dim": 0, "table": [], **extra}))
+        code, out = run(capsys, "--json", "analyze", str(path))
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0] == reports[1]
+    want = {"unital": True, "radical_dim": 0, "semisimple": True, "blocks": []}
+    assert {k: reports[0][k] for k in want} == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["groupoid-ring", "z2.json", "zero.json"],
+    ["matrix-ring", "-n", "2", "--algebra", "zero.json"],
+], ids=["groupoid-ring", "matrix-ring"])
+def test_rings_over_the_zero_algebra(files, capsys, argv):
+    (files / "zero.json").write_text(json.dumps({"field": {"char": 0}, "dim": 0, "table": []}))
+    argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+    code, out = run(capsys, "--json", *argv)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["dim"] == 0 and rep["unital"] is True and rep["blocks"] == []
+
+
 def _timed_run(capsys, tmp_path, verb, doc):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

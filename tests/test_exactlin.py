@@ -166,6 +166,24 @@ def test_ambient_mismatch():
         a.intersect(b)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Matrix(Q, [[1, 2], [3]]), "ragged matrix rows"),
+    (lambda: Matrix.identity(Q, 2).apply([1]), "apply: 2 columns vs vector of length 1"),
+    (lambda: Matrix.identity(Q, 2).mul(Matrix.identity(Q, 3)), "matrix product shape mismatch"),
+    (lambda: Matrix.identity(Q, 2).add(Matrix.zeros(Q, 2, 3)), "matrix sum shape mismatch"),
+    (lambda: Subspace.from_vectors(Q, 2, [[1]]), "vector length differs from ambient dimension"),
+    (lambda: Subspace.coordinate(Q, 3, [1, 0]),
+     "coordinate indices must increase strictly within the ambient"),
+    (lambda: Subspace.coordinate(Q, 3, [1, 3]),
+     "coordinate indices must increase strictly within the ambient"),
+    (lambda: Subspace.full(Q, 2).reduce([1, 2, 3]), "vector length differs from ambient dimension"),
+], ids=["ragged", "apply", "mul", "add", "from_vectors", "coordinate_order", "coordinate_range",
+        "vector_length"])
+def test_shape_refusals_name_the_mismatch(call, message):
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        call()
+
+
 @pytest.mark.parametrize("field", [Q, F2])
 def test_zero_size_shapes(field):
     assert corpus.from_columns(field, [[], []]).shape == (0, 2)

@@ -1,6 +1,7 @@
 """Groupoid axioms, constructors, counting identities, JSON schema."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -203,6 +204,20 @@ def test_isotropy_and_hom_sets():
     assert gpd.validate(iso) == []
     with pytest.raises(KeyError):
         gpd.hom_set(g3, "nope", "1")
+
+
+@pytest.mark.parametrize("g, h, error, message", [
+    ("(1,2)", "(1,2)", ValueError, "morphisms not composable: (1,2), (1,2)"),
+    ("(1,2)", "(2,2)", KeyError, "compose table has no entry for ((1,2), (2,2))"),
+], ids=["not_composable", "missing_entry"])
+def test_compose_refusals(g, h, error, message):
+    pair = gpd.pair_groupoid(2)
+    # the same groupoid with the entry ((1,2), (2,2)) dropped from its compose table
+    table = {k: v for k, v in pair._compose.items() if k != ("(1,2)", "(2,2)")}
+    broken = gpd.FiniteGroupoid(pair.objects, pair.morphisms, pair.dom, pair.cod,
+                                pair.inverse, table, pair.identity)
+    with pytest.raises(error, match=re.escape(message)):
+        broken.compose(g, h)
 
 
 def test_counting_identity():

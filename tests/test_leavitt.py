@@ -44,6 +44,16 @@ def test_graph_analysis_cycles():
     assert lv.graph_analysis(par).acyclic
 
 
+@pytest.mark.parametrize("vertices, edges, message", [
+    (["v", "w", "v"], [], "duplicate vertex ids"),
+    (["v", "w"], [("e", "v", "w"), ("e", "w", "v")], "duplicate edge ids"),
+    (["v"], [("e", "v", "w")], "edge e has unknown endpoints"),
+], ids=["vertex", "edge", "endpoint"])
+def test_directed_graph_refusals(vertices, edges, message):
+    with pytest.raises(ValueError, match=message):
+        lv.DirectedGraph(vertices, edges)
+
+
 def test_hereditary_saturated_examples():
     single = corpus.corpus_graphs()["single"]
     assert lv.hereditary_saturated_subsets(single) == [(), ("v",)]

@@ -3,12 +3,14 @@
 import hashlib
 import json
 import random
+import re
 from functools import partial
 
 import pytest
 
 import corpus
 from grpd import exactlin
+from grpd.algebra import StructureAlgebra
 from grpd.errors import DimensionError, PreconditionError, UnsupportedError
 from grpd.exactlin import Field, Matrix, Subspace
 from grpd import groupoid as gpd
@@ -177,6 +179,67 @@ def test_invariant_subrings():
         pact.is_invariant_subring(
             pa, Subspace.from_vectors(Q, 2, [[Q.one, Q(2)]])
         )
+
+
+def test_zero_domain_has_the_zero_unit():
+    # R_g1 = 0 is unital with 1_g1 = 0, the empty raw row
+    pa = corpus.restricted_swap_action()
+    assert pa._unit_row("g1") == {}
+    assert pact.is_unital(pa)
+
+
+def _z2_parts(**edits):
+    """The arguments of PartialAction for the trivial Z/2 action on Q, with edits."""
+    full = Subspace.full(Q, 1)
+    parts = {"groupoid": gpd.cyclic_group(2), "ambient": corpus.componentwise(Q, 1),
+             "object_components": {"*": full}, "domains": {"g0": full, "g1": full},
+             "maps": {"g0": Matrix.identity(Q, 1), "g1": Matrix.identity(Q, 1)}}
+    return {**parts, **edits}
+
+
+def _zero_line_action():
+    """The trivial Z/2 action on a line with zero product: R_g = R is nonzero and has no unit."""
+    return pact.PartialAction(**_z2_parts(ambient=StructureAlgebra(Q, 1, [[[]]])))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: pact.PartialAction(**_z2_parts(object_components={})),
+     KeyError, "no component subspace for object '*'"),
+    (lambda: pact.PartialAction(**_z2_parts(object_components={"*": Subspace.full(Q, 2)})),
+     DimensionError, "component at '*' has wrong ambient dimension"),
+    (lambda: pact.PartialAction(**_z2_parts(domains={"g1": Subspace.full(Q, 1)})),
+     KeyError, "no domain subspace for morphism 'g0'"),
+    (lambda: pact.PartialAction(**_z2_parts(domains={"g0": Subspace.full(Q, 2),
+                                                 "g1": Subspace.full(Q, 1)})),
+     DimensionError, "domain at 'g0' has wrong ambient dimension"),
+    (lambda: pact.PartialAction(**_z2_parts(maps={"g1": Matrix.identity(Q, 1)})),
+     KeyError, "no map for morphism 'g0'"),
+    (lambda: pact.trace_map(_zero_line_action(), [Q.one]),
+     UnsupportedError, "trace map needs a unital action"),
+    (lambda: pact.fixed_ring(_zero_line_action()),
+     UnsupportedError, "fixed ring needs a unital action"),
+    (lambda: pact.globalize(_zero_line_action()),
+     UnsupportedError, "globalization needs a unital action"),
+], ids=["component", "component_ambient", "domain", "domain_ambient", "map", "trace_map",
+        "fixed_ring", "globalize"])
+def test_action_refusals(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+def test_non_square_map_is_not_bijective():
+    # on Q^3 = R_1 + R_2, dim R_1 = 1 and dim R_2 = 2: alpha_(1,2) maps R_(2,1) = R_2
+    # onto R_(1,2) = R_1 by a 1 x 2 matrix, and alpha_(2,1) back by a 2 x 1 one
+    one, two = Subspace.coordinate(Q, 3, [0]), Subspace.coordinate(Q, 3, [1, 2])
+    pa = pact.PartialAction(
+        gpd.pair_groupoid(2), corpus.componentwise(Q, 3), {"1": one, "2": two},
+        {"(1,1)": one, "(1,2)": one, "(2,1)": two, "(2,2)": two},
+        {"(1,1)": Matrix.identity(Q, 1), "(1,2)": Matrix(Q, [[1, 0]]),
+         "(2,1)": Matrix(Q, [[1], [0]]), "(2,2)": Matrix.identity(Q, 2)})
+    bijective = [v for v in pact.validate_action(pa) if v.rule == "bijective"]
+    assert [(v.witness, v.detail) for v in bijective] == [
+        (("(1,2)",), "alpha is not a linear bijection"),
+        (("(2,1)",), "alpha is not a linear bijection")]
 
 
 # -- restriction to the supported objects --------------------------------------------
@@ -482,13 +545,13 @@ def test_global_action_tests_each_ideal_once(monkeypatch, make):
     # ideal of R is an ideal of itself: only the components need a test
     pa = make()
     calls = []
-    is_ideal_in = pact._is_ideal_in
+    residues = StructureAlgebra._residues
 
     def counted(*args):
         calls.append(1)
-        return is_ideal_in(*args)
+        return residues(*args)
 
-    monkeypatch.setattr(pact, "_is_ideal_in", counted)
+    monkeypatch.setattr(StructureAlgebra, "_residues", counted)
     assert pact.validate_action(pa) == []
     assert len(calls) == len(pa.groupoid.objects)
 

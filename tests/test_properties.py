@@ -1,4 +1,5 @@
-"""Property-based checks of the block decomposition (hypothesis, derandomized).
+"""Property-based checks of the block decomposition, minimal polynomials and
+ideal tests (hypothesis, derandomized).
 
 The expected blocks come from closed forms, not from grpd: a direct product
 of matrix algebras M_k(Q) has one block of dimension k^2 per factor, in any
@@ -379,3 +380,77 @@ def test_rational_blocks_past_the_old_root_search():
     start = time.perf_counter()
     assert corpus.componentwise(Q, 64).wedderburn_blocks().dims() == [1] * 64
     assert time.perf_counter() - start < 0.5
+
+
+ASSOCIATIVE_CASES = {**{name: make for name, (make, _) in RADICAL_CASES.items()},
+                     **{name: make for name, (make, _) in PRIME_FIELD_FACTORS.items()}}
+
+
+@st.composite
+def rebased_associative_cases(draw):
+    """An ASSOCIATIVE_CASES algebra over Q, F_2 or F_5, in a seeded basis, with
+    a seeded element, half the time times an old basis vector, which is often a
+    zero divisor.  The new basis vectors are e_s(i) + sum_{j > i} a_ij e_s(j) for
+    a permutation s: a basis whatever the a_ij."""
+    field = Field(draw(st.sampled_from([0, 2, 5])))
+    alg = ASSOCIATIVE_CASES[draw(st.sampled_from(sorted(ASSOCIATIVE_CASES)))](field)
+    n = alg.dim
+    entry = st.integers(-2, 2) if field.char == 0 else st.integers(0, field.char - 1)
+    s = draw(st.permutations(range(n)))
+    basis = []
+    for i in range(n):
+        v = field.unit_vec(n, s[i])
+        for j in range(i + 1, n):
+            v[s[j]] = field(draw(entry))
+        basis.append(v)
+    alg, x = rebased(alg, basis), corpus.vec(field, draw(st.lists(entry, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        old = solve(corpus.from_columns(field, basis), field.unit_vec(n, draw(st.integers(0, n - 1))))
+        x = alg.multiply(x, old)
+    return alg, x
+
+
+def rank(rows, p):
+    """The rank of dense rows over Q (p = 0) or F_p, by Gaussian elimination."""
+    rows, r = [[Fraction(x) if not p else x % p for x in row] for row in rows], 0
+    for c in range(len(rows[0]) if rows else 0):
+        k = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = pow(rows[r][c], -1, p) if p else 1 / rows[r][c]
+        for k in range(r + 1, len(rows)):  # clear column c below the pivot
+            f = rows[k][c] * inv
+            rows[k] = [(a - f * b) % p if p else a - f * b for a, b in zip(rows[k], rows[r])]
+        r += 1
+    return r
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(rebased_associative_cases())
+def test_minimal_polynomial_is_monic_kills_x_and_no_lower_degree_does(case):
+    # mp is monic with mp(x) = 0 and 1, x, ..., x^(d-1) independent: the minimal polynomial
+    alg, x = case
+    field, one = alg.field, alg.find_unit()
+    mp = corpus.minimal_polynomial(alg, x, one)
+    assert mp[-1] == field.one
+    powers = [one]
+    while len(powers) < len(mp):
+        powers.append(alg.multiply(powers[-1], x))
+    assert all(field(sum(c * v[k] for c, v in zip(mp, powers))) == field.zero
+               for k in range(alg.dim))
+    assert rank(powers[:-1], field.char) == len(mp) - 1
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(rebased_associative_cases(), st.data())
+def test_is_ideal_agrees_with_the_ideal_closure(case, data):
+    # the span of the element, closed on one side or not at all, so that each
+    # test comes out both ways
+    alg, x = case
+    space = Subspace.from_vectors(alg.field, alg.dim, [x])
+    closed = data.draw(st.sampled_from([None, "left", "right", "two"]))
+    if closed:
+        space = alg.ideal_closure(space, closed)
+    for side in ("left", "right", "two"):
+        assert alg.is_ideal(space, side) == (alg.ideal_closure(space, side) == space)

@@ -1,5 +1,6 @@
 """Skew ring builders, partial group algebras, quotients, Maschke machinery."""
 
+import re
 import time
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 import corpus
 from grpd.errors import DimensionError, PreconditionError, UnsupportedError
 from grpd.exactlin import Field, Matrix, Subspace, solve
-from grpd.algebra import grading_respected
+from grpd.algebra import StructureAlgebra, grading_respected
 from grpd import groupoid as gpd
 from grpd import leavitt as lv
 from grpd import paction as pact
@@ -20,6 +21,7 @@ from grpd.skewring import (
     build_skew_groupoid_ring,
     delta_element,
     exel_semigroup,
+    groupoid_ring_action,
     invert_in,
     maschke_check,
     maschke_split,
@@ -311,6 +313,29 @@ def test_quotient_requires_ideal():
     not_ideal = Subspace.from_vectors(Q, 3, [[Q.one, Q.zero, Q.zero]])  # E11 alone
     with pytest.raises(PreconditionError):
         quotient_by_ideal(alg, not_ideal)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: groupoid_ring_action(gpd.pair_groupoid(2), {"2": corpus.scalar_algebra(Q)}),
+     "no coefficient algebra for component of '1'"),
+    (lambda: groupoid_ring_action(
+        gpd.disjoint_union(gpd.cyclic_group(1), gpd.cyclic_group(1)),
+        {"A:*": corpus.scalar_algebra(Q), "B:*": corpus.scalar_algebra(Field(5))}),
+     "coefficient algebras live over different fields"),
+    (lambda: exel_semigroup(gpd.pair_groupoid(2)),
+     "partial group algebras need a one-object groupoid"),
+    (lambda: quotient_by_ideal(corpus.upper_triangular2(Q), Subspace.full(Q, 2)),
+     "ideal lives in a different ambient space"),
+], ids=["missing_coefficients", "mixed_fields", "two_objects", "other_ambient"])
+def test_builder_refusals(call, message):
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        call()
+
+
+def test_invert_in_a_non_unital_algebra_finds_nothing():
+    line = StructureAlgebra(Q, 1, [[[]]])  # b_0 b_0 = 0: no unit
+    assert line.find_unit() is None
+    assert invert_in(line, [Q.one]) is None
 
 
 # -- Maschke machinery ------------------------------------------------------------------
