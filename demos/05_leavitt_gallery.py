@@ -30,15 +30,15 @@ for name, graph in gallery.items():
     phi = phi_isomorphism_check(model)
     rep = lpa_characterization(census, model)
     print(f"== {name} ==")
-    print(f"  two models: dims {phi.dims}, relations pass: {phi.relations_ok}")
-    print(f"  sinks and path counts: {rep.sink_path_counts}")
-    print(f"  block sizes: {rep.block_sizes}  (match: {rep.blocks_match_sinks})")
-    print(f"  hereditary+saturated subsets: {rep.hereditary_saturated}")
-    if rep.trivial_hs_lattice:
-        print(f"  trivial lattice, so simple: one block = {rep.one_block}")
+    print(f"  two models: dims {phi['two_model_dims']}, relations pass: {phi['phi_relations_ok']}")
+    print(f"  sinks and path counts: {rep['sink_path_counts']}")
+    print(f"  block sizes: {rep['block_sizes']}  (match: {rep['blocks_match_sinks']})")
+    print(f"  hereditary+saturated subsets: {rep['hereditary_saturated']}")
+    if rep["trivial_hs_lattice"]:
+        print(f"  trivial lattice, so simple: one block = {rep['one_block']}")
     print()
 
 print("== a cycle stops the construction ==")
 loop = graph_analysis(DirectedGraph(["v"], [("f", "v", "v")]))
 print("acyclic:", loop.acyclic)
-print(lpa_characterization(loop, None).artinian_verdict)
+print(lpa_characterization(loop, None)["artinian"])

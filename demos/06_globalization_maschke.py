@@ -81,9 +81,9 @@ print("-> a single 9-dimensional block: the 3x3 matrices")
 
 print("\n== Maschke report for the shift restriction ==")
 report = maschke_check(pa4)
-print("coefficients semisimple:", report.r_semisimple)
-print("isotropy orders:", report.isotropy_orders, "invertible:", report.isotropy_invertible)
-print("trace of the unit invertible:", report.trace_invertible)
-print("skew ring semisimple:", report.skew_semisimple)
-print("isotropy route:", report.implication_isotropy, "| trace route:", report.implication_trace)
-print("artinian bookkeeping:", report.park)
+print("coefficients semisimple:", report["r_semisimple"])
+print("isotropy orders:", report["isotropy_orders"], "invertible:", report["isotropy_invertible"])
+print("trace of the unit invertible:", report["trace_invertible"])
+print("skew ring semisimple:", report["skew_semisimple"])
+print("isotropy route:", report["implication_isotropy"], "| trace route:", report["implication_trace"])
+print("artinian bookkeeping:", report["park_criterion"])

@@ -249,16 +249,17 @@ class StructureAlgebra:
 
     # -- ideals ----------------------------------------------------------------
 
-    def _residues(self, space, others, side="two"):
+    def _residues(self, space, others, side="two", rows=None):
         """Yield the nonzero residues modulo the subspace of w v (side "left" or
-        "two") and v w (side "right" or "two"), for v an RREF row of space and
-        w a raw row of others: space absorbs those products iff none comes."""
+        "two") and v w (side "right" or "two"), for v an RREF row of space (or
+        a raw row of rows, when given) and w a raw row of others: space
+        absorbs those products iff none comes."""
         if space.ambient_dim != self.dim:
             raise DimensionError("subspace lives in a different ambient space")
         if side not in ("left", "right", "two"):
             raise ValueError(f"side must be left/right/two, got {side!r}")
         piv, p = space._rows, self.field.char
-        for v in piv.values():
+        for v in piv.values() if rows is None else rows:
             for w in others:
                 if side != "right" and (r := _reduce(self._mul(w, v), piv, p)):
                     yield r
@@ -266,11 +267,18 @@ class StructureAlgebra:
                     yield r
 
     def ideal_closure(self, seed, side="two"):
-        """Smallest left/right/two-sided ideal containing the seed subspace."""
+        """Smallest left/right/two-sided ideal containing the seed subspace.
+
+        The products of the span of one round lie in the next, so each round
+        multiplies only the rows that took a new pivot, a complement of the
+        span before it."""
         basis = [{i: 1} for i in range(self.dim)]
-        while new := list(self._residues(seed, basis, side)):
-            rows = [dict(r) for r in seed._rows.values()] + new
-            seed = Subspace(self.field, self.dim, _gauss_jordan(rows, self.field.char))
+        fresh = seed._rows
+        while new := list(self._residues(seed, basis, side, fresh.values())):
+            old = seed._rows
+            seed = Subspace(self.field, self.dim,
+                            _gauss_jordan([dict(r) for r in old.values()] + new, self.field.char))
+            fresh = {c: r for c, r in seed._rows.items() if c not in old}
         return seed
 
     def is_ideal(self, space, side="two"):

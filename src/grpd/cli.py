@@ -73,7 +73,7 @@ def _plain(v):
     if isinstance(v, dict):
         inner = ", ".join(f"{k}={_plain(x)}" for k, x in sorted(v.items(), key=lambda kv: str(kv[0])))
         return "{" + inner + "}"
-    if isinstance(v, list):
+    if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_plain(x) for x in v) + "]"
     return str(v)
 
@@ -177,13 +177,9 @@ def cmd_leavitt(args):
     if args.dump and model is not None:
         print(json.dumps(model.algebra.to_dict(), indent=2, sort_keys=True))
         return 0
-    out = lv.lpa_characterization(census, model).to_dict()
+    out = lv.lpa_characterization(census, model)
     if model is not None:
-        phi = lv.phi_isomorphism_check(model)
-        out["two_model_dims"] = list(phi.dims)
-        out["phi_relations_ok"] = phi.relations_ok
-        if phi.first_failure:
-            out["phi_first_failure"] = phi.first_failure
+        out.update(lv.phi_isomorphism_check(model))
     _emit(out, args.json)
     return 0
 
@@ -213,8 +209,7 @@ def cmd_maschke(args):
     bad = pact.validate_action(pa)
     if bad:
         return _violations_report(bad, args.json)
-    report = sk.maschke_check(pa)
-    _emit(report.to_dict(fmt=pa.ambient.field.fmt), args.json)
+    _emit(sk.maschke_check(pa), args.json)
     return 0
 
 

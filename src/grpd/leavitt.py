@@ -484,22 +484,12 @@ def lpa_path_pair_oracle(graph, field):
 # -- the generator isomorphism check ------------------------------------------------------
 
 
-@dataclass
-class PhiReport:
-    dims: tuple
-    dims_match: bool
-    relations_ok: bool
-    first_failure: str | None
-
-    def __bool__(self):
-        return self.dims_match and self.relations_ok
-
-
 def phi_isomorphism_check(model):
     """Check relations (1)-(4) on the generator images inside a GrSkewModel.
 
-    Also compares the dimensions of the model and the path-pair oracle;
-    reports the first failing relation when one breaks.
+    Also gives the dimensions of the model and the path-pair oracle, and
+    the first failing relation when one breaks, under the keys the
+    `leavitt` verb prints.
     """
     graph = model.graph
     field = model.field
@@ -544,48 +534,13 @@ def phi_isomorphism_check(model):
                 yield acc == gens[("v", v)], f"(4) v = sum f f* at {v}"
 
     failure = next((desc for holds, desc in relations() if not holds), None)
-    dims = (alg.dim, len(oracle.pairs))
-    return PhiReport(
-        dims=dims,
-        dims_match=dims[0] == dims[1],
-        relations_ok=failure is None,
-        first_failure=failure,
-    )
+    out = {"two_model_dims": (alg.dim, len(oracle.pairs)), "phi_relations_ok": failure is None}
+    if failure is not None:
+        out["phi_first_failure"] = failure
+    return out
 
 
 # -- the characterization report -----------------------------------------------------------
-
-
-@dataclass
-class LpaReport:
-    """The characterization; a cyclic graph leaves the algebra's fields None."""
-
-    acyclic: bool
-    artinian_verdict: str
-    hereditary_saturated: list
-    trivial_hs_lattice: bool
-    dim: int | None = None
-    unital: object = None
-    semisimple: object = None
-    block_sizes: list | None = None
-    sink_path_counts: dict | None = None
-    blocks_match_sinks: object = None
-    one_block: object = None
-
-    def to_dict(self):
-        return {
-            "acyclic": self.acyclic,
-            "artinian": self.artinian_verdict,
-            "dim": self.dim,
-            "unital": self.unital,
-            "semisimple": self.semisimple,
-            "block_sizes": self.block_sizes,
-            "sink_path_counts": self.sink_path_counts,
-            "blocks_match_sinks": self.blocks_match_sinks,
-            "hereditary_saturated": [list(h) for h in self.hereditary_saturated],
-            "trivial_hs_lattice": self.trivial_hs_lattice,
-            "one_block": self.one_block,
-        }
 
 
 def lpa_characterization(report, model):
@@ -593,47 +548,39 @@ def lpa_characterization(report, model):
 
     `report` is the graph's census and `model` its GrSkewModel, or None
     when the graph has a cycle.  Cyclic graphs are classified as not
-    artinian and no algebra is built.  For acyclic graphs the block sizes of
-    the semisimple decomposition of the model are compared against the
-    census's path counts into each sink.
+    artinian and no algebra is built, so the algebra's entries stay None.
+    For acyclic graphs the block sizes of the semisimple decomposition of
+    the model are compared against the census's path counts into each sink.
+    Returns the report as the `leavitt` verb prints it.
     """
-    graph = report.graph
-    hs = hereditary_saturated_subsets(graph)
-    trivial_hs = len(hs) <= 2  # the empty set and V are always listed
+    hs = hereditary_saturated_subsets(report.graph)
+    out = {
+        "acyclic": report.acyclic,
+        "artinian": "artinian: finite-dimensional over the base field" if report.acyclic else
+                    "not artinian: the graph has a cycle, so the algebra is infinite-dimensional",
+        "dim": None,
+        "unital": None,
+        "semisimple": None,
+        "block_sizes": None,
+        "sink_path_counts": None,
+        "blocks_match_sinks": None,
+        "hereditary_saturated": hs,
+        "trivial_hs_lattice": len(hs) <= 2,  # the empty set and V are always listed
+        "one_block": None,
+    }
     if not report.acyclic:
-        return LpaReport(
-            acyclic=False,
-            artinian_verdict="not artinian: the graph has a cycle, so the algebra is infinite-dimensional",
-            hereditary_saturated=hs,
-            trivial_hs_lattice=trivial_hs,
-        )
+        return out
     alg = model.algebra
     counts = report.sink_path_counts
-    unital = alg.find_unit() is not None
-    semisimple = _guarded(alg.is_semisimple)
-    blocks = alg.wedderburn_blocks() if semisimple is True else None
-    sizes = None
-    match = None
-    one_block = None
-    if blocks is not None:
+    out.update(dim=alg.dim, unital=alg.find_unit() is not None,
+               semisimple=_guarded(alg.is_semisimple), sink_path_counts=counts)
+    if out["semisimple"] is True:
+        blocks = alg.wedderburn_blocks()
         sizes = sorted(math.isqrt(d) for d in blocks.dims())
-        match = sizes == sorted(counts.values()) and alg.dim == sum(
-            c * c for c in counts.values()
-        )
-        one_block = len(blocks) == 1
-    return LpaReport(
-        acyclic=True,
-        artinian_verdict="artinian: finite-dimensional over the base field",
-        dim=alg.dim,
-        unital=unital,
-        semisimple=semisimple,
-        block_sizes=sizes,
-        sink_path_counts=counts,
-        blocks_match_sinks=match,
-        hereditary_saturated=hs,
-        trivial_hs_lattice=trivial_hs,
-        one_block=one_block,
-    )
+        out.update(block_sizes=sizes, one_block=len(blocks) == 1,
+                   blocks_match_sinks=sizes == sorted(counts.values())
+                   and alg.dim == sum(c * c for c in counts.values()))
+    return out
 
 
 # -- JSON schema ------------------------------------------------------------------------------

@@ -94,13 +94,9 @@ def skew_product_ring(field, degrees, domains, triples, inv, alpha, mul, name, u
                 x = mul(p, rp)
                 if not x:
                     continue
+                if dgh is None:  # alpha_g is injective on D_g^-1, so alpha_g(x) is nonzero too
+                    raise RuntimeError("nonzero product escaped the support; model is inconsistent")
                 y = alpha(g, x)
-                if dgh is None:
-                    if y:
-                        raise RuntimeError(
-                            "nonzero product escaped the support; model is inconsistent"
-                        )
-                    continue
                 try:
                     coords = dgh._raw_coords(y)
                 except ValueError:
@@ -493,40 +489,6 @@ def invert_in(alg, x):
 # -- Maschke report --------------------------------------------------------------------------
 
 
-@dataclass
-class MaschkeReport:
-    r_semisimple: object
-    isotropy_orders: dict
-    isotropy_invertible: dict
-    trace_unit: list | None
-    trace_invertible: object
-    skew_dim: int
-    skew_semisimple: object
-    premises_isotropy: object
-    premises_trace: object
-    implication_isotropy: str
-    implication_trace: str
-    park: dict
-
-    def to_dict(self, fmt):
-        out = {
-            "r_semisimple": self.r_semisimple,
-            "isotropy_orders": dict(self.isotropy_orders),
-            "isotropy_invertible": dict(self.isotropy_invertible),
-            "trace_invertible": self.trace_invertible,
-            "skew_dim": self.skew_dim,
-            "skew_semisimple": self.skew_semisimple,
-            "premises_isotropy": self.premises_isotropy,
-            "premises_trace": self.premises_trace,
-            "implication_isotropy": self.implication_isotropy,
-            "implication_trace": self.implication_trace,
-            "park_criterion": dict(self.park),
-        }
-        if self.trace_unit is not None:
-            out["trace_unit"] = [fmt(c) for c in self.trace_unit]
-        return out
-
-
 def _guarded(f):
     """f(), or the status string of the UnsupportedError it raises."""
     try:
@@ -538,19 +500,20 @@ def _guarded(f):
 def maschke_check(pa):
     """Semisimplicity transfer report for a unital action with finite support.
 
-    Premise routes: semisimple coefficients with invertible isotropy orders,
-    or semisimple coefficients with invertible trace of the unit.  |G_e| 1
-    is invertible in a nonzero unital R exactly when |G_e| is nonzero in
-    the field.  Status strings replace booleans where the radical validity
-    window blocks a computation; only the stated implications are reported,
-    never converses.
+    Premise routes: semisimple coefficients with invertible isotropy orders
+    |G_e| 1, or semisimple coefficients with invertible trace of the unit,
+    each decided in R by `invert_in`.  Status strings replace booleans
+    where the radical validity window blocks a computation; only the stated
+    implications are reported, never converses.  Returns the report as the
+    `maschke` verb prints it, with `trace_unit` only when it was computed.
     """
     amb = pa.ambient
     g0 = pa.groupoid
     r_ss = _guarded(amb.is_semisimple)
     iso_orders = {e: len(hom_set(g0, e, e).morphisms) for e in g0.objects}
     one = amb.find_unit()
-    iso_inv = {e: one is not None and bool(amb.field(m)) for e, m in iso_orders.items()}
+    iso_inv = {e: one is not None and invert_in(amb, [amb.field(m) * c for c in one]) is not None
+               for e, m in iso_orders.items()}
 
     trace_unit = None
     trace_inv = "unsupported: action is not unital"
@@ -578,26 +541,26 @@ def maschke_check(pa):
             return "not decidable"
         return "holds" if skew_ss else "FAILS"
 
-    supp = pact.support(pa)
-    park = {
-        "support_size": len(supp),
-        "morphism_count": len(g0.morphisms),
-        "component_dims": {e: pa.object_components[e].dim for e in g0.objects},
+    report = {
+        "r_semisimple": r_ss,
+        "isotropy_orders": iso_orders,
+        "isotropy_invertible": iso_inv,
+        "trace_invertible": trace_inv,
+        "skew_dim": skew.dim,
+        "skew_semisimple": skew_ss,
+        "premises_isotropy": prem_iso,
+        "premises_trace": prem_tr,
+        "implication_isotropy": implication(prem_iso),
+        "implication_trace": implication(prem_tr),
+        "park_criterion": {
+            "support_size": len(pact.support(pa)),
+            "morphism_count": len(g0.morphisms),
+            "component_dims": {e: pa.object_components[e].dim for e in g0.objects},
+        },
     }
-    return MaschkeReport(
-        r_semisimple=r_ss,
-        isotropy_orders=iso_orders,
-        isotropy_invertible=iso_inv,
-        trace_unit=trace_unit,
-        trace_invertible=trace_inv,
-        skew_dim=skew.dim,
-        skew_semisimple=skew_ss,
-        premises_isotropy=prem_iso,
-        premises_trace=prem_tr,
-        implication_isotropy=implication(prem_iso),
-        implication_trace=implication(prem_tr),
-        park=park,
-    )
+    if trace_unit is not None:
+        report["trace_unit"] = [amb.field.fmt(c) for c in trace_unit]
+    return report
 
 
 # -- CLI-facing analysis ------------------------------------------------------------------------

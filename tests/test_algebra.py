@@ -131,6 +131,25 @@ def test_doubling_requires_involution():
         plain.cayley_dickson_double()
 
 
+def test_doubling_requires_a_unit():
+    null = StructureAlgebra(Q, 1, [[()]], involution=[[Q.one]])
+    with pytest.raises(UnsupportedError, match="doubling needs a unital algebra"):
+        null.cayley_dickson_double()
+
+
+def test_multiply_refuses_an_element_of_another_length():
+    alg = corpus.group_algebra(Q, 3)
+    with pytest.raises(DimensionError, match="element length differs"):
+        alg.multiply([Q.one, Q.zero], alg.basis_vector(0))
+
+
+def test_subalgebra_of_a_subspace_that_is_not_closed_is_refused():
+    m2 = corpus.matrix_algebra(Q, 2)
+    off_diagonal = Subspace.coordinate(Q, 4, [1, 2])  # E_12 E_21 = E_11 leaves it
+    with pytest.raises(PreconditionError, match="not closed under multiplication"):
+        m2.subalgebra(off_diagonal)
+
+
 def test_multiply_bilinear():
     alg = corpus.group_algebra(Q, 3)
     rng = random.Random(5)
@@ -238,6 +257,24 @@ def test_ideal_closure_sides_differ():
     assert ut.ideal_closure(seed, "right").dim == 1  # E22 kills everything from the right
     with pytest.raises(ValueError):
         ut.ideal_closure(seed, "both")
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_ideal_closure_multiplies_each_row_of_the_span_once(n, monkeypatch):
+    # E_11 spans M_n as a two-sided ideal, the E_i1 as a left and the E_1j as a
+    # right one; each row of that span meets each of the n^2 basis vectors once
+    # per side: 2 n^4 products on both sides (8,192 in M_8, 512 in M_4), n^3 on one
+    alg = corpus.matrix_algebra(Q, n)
+    seed = Subspace.coordinate(Q, n * n, [0])  # E_11
+    calls = []
+    mul = StructureAlgebra._mul
+    monkeypatch.setattr(StructureAlgebra, "_mul",
+                        lambda self, x, y: calls.append(None) or mul(self, x, y))
+    for side, span, sides in (("two", range(n * n), 2), ("left", range(0, n * n, n), 1),
+                              ("right", range(n), 1)):
+        calls.clear()
+        assert alg.ideal_closure(seed, side) == Subspace.coordinate(Q, n * n, span), side
+        assert len(calls) == sides * len(span) * n * n, side
 
 
 def test_radical_examples():

@@ -425,6 +425,24 @@ def test_rings_over_the_zero_algebra(files, capsys, argv):
     assert rep["dim"] == 0 and rep["unital"] is True and rep["blocks"] == []
 
 
+def test_maschke_over_the_zero_ring_over_f2(files, capsys):
+    # in the zero ring |G_e| 1 = 0 = 1 is invertible even where p divides |G_e|,
+    # so the isotropy route holds, as the trace route does
+    (files / "zero.json").write_text(json.dumps({"field": {"char": 2}, "dim": 0, "table": []}))
+    (files / "zero_action.json").write_text(json.dumps({
+        "groupoid": "z2.json", "algebra": "zero.json", "components": {"*": []},
+        "domains": {"g0": [], "g1": []}, "maps": {"g0": [], "g1": []}}))
+    code, out = run(capsys, "--json", "maschke", str(files / "zero_action.json"))
+    assert code == 0
+    assert json.loads(out) == {
+        "r_semisimple": True, "isotropy_orders": {"*": 2}, "isotropy_invertible": {"*": True},
+        "trace_invertible": True, "skew_dim": 0, "skew_semisimple": True,
+        "premises_isotropy": True, "premises_trace": True,
+        "implication_isotropy": "holds", "implication_trace": "holds",
+        "park_criterion": {"support_size": 0, "morphism_count": 2, "component_dims": {"*": 0}},
+        "trace_unit": []}
+
+
 def _timed_run(capsys, tmp_path, verb, doc):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
@@ -549,6 +567,25 @@ def test_build_skew_dump_skips_analysis(files, capsys, monkeypatch):
     monkeypatch.setattr(sk, "analyze_algebra", refuse)
     assert cli.main(["build-skew", "--dump", str(files / "swap.json")]) == 0
     assert json.loads(capsys.readouterr().out)["dim"] == 4
+
+
+def test_matrix_ring_reports_the_broken_matrix_unit_law(capsys, monkeypatch):
+    from grpd import skewring as sk
+
+    build = sk.build_groupoid_ring
+
+    def doubled_e11(g, coeff):
+        """The pair-groupoid ring with E_11 E_11 = 2 E_11."""
+        alg = build(g, coeff)
+        alg._cells[0][0] = {k: 2 * c for k, c in alg._cells[0][0].items()}
+        return alg
+
+    monkeypatch.setattr(sk, "build_groupoid_ring", doubled_e11)
+    code, out = run(capsys, "--json", "matrix-ring", "-n", "2")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["matrix_units_ok"] is False and rep["matrix_unit_checks"] == 1
+    assert rep["matrix_units_counterexample"] == "E(1,1)[0] * E(1,1)[0] broke the matrix-unit law"
 
 
 def _refuse(*args, **kwargs):

@@ -246,3 +246,26 @@ def test_stdout_bytes_unchanged(case, corpus_dir, capsys):
     code = cli.main(argv)
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == EXPECTED[case]
+
+
+# Text mode prints a report's keys in the order the report holds them, so these
+# pin that order: case -> (argv, exit code, SHA-256 of stdout), recorded before
+# the `leavitt` and `maschke` reports became the dicts the CLI prints.
+TEXT_CASES = {
+    "leavitt A3": (["leavitt", "A3.graph.json"], 0,
+                   "4d121131afe2a516a1ad4dcc7e2f18fc793ff3fcc67dcd3fcf3ed64d51680ac9"),
+    "leavitt loop": (["leavitt", "loop.graph.json"], 0,
+                     "03308ce55da5c23595287763908cddf296d3c1167e08faf8c70d0a110fc5cafd"),
+    "maschke pair2_ring": (["maschke", "pair2_ring.json"], 0,
+                           "56a18dd1abff1da3637caa4dd52381743b3037abd7f77b7a6532d6ead2bf9f1c"),
+    "maschke shift_restriction": (["maschke", "shift_restriction.json"], 0,
+                                  "ddf836fd3f0dffbabb5dae6515487dfc36089451d30128db551da4b293de7172"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TEXT_CASES))
+def test_text_stdout_bytes_unchanged(case, corpus_dir, capsys):
+    argv, want_code, want_digest = TEXT_CASES[case]
+    code = cli.main([str(corpus_dir / a) if a.endswith(".json") else a for a in argv])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == (want_code, want_digest)

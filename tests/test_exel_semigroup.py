@@ -86,6 +86,13 @@ def test_exel_semigroup_is_the_definition(group):
     assert s.table == table
 
 
+def test_validate_names_the_triples_a_tampered_table_breaks():
+    s = exel_semigroup(gpd.cyclic_group(2))
+    assert s.validate() == []
+    s.table[1][2] = 1  # ({g0,g1},g0)({g0,g1},g1) read as ({g0,g1},g0)
+    assert s.validate() == [(2, 1, 2), (2, 2, 2)]
+
+
 @pytest.mark.parametrize("field", [Q, Field(7)], ids=["Q", "F7"])
 @pytest.mark.parametrize("group", [
     *(pytest.param(lambda n=n: gpd.cyclic_group(n), id=f"Z{n}") for n in range(1, 7)),

@@ -206,6 +206,11 @@ def test_isotropy_and_hom_sets():
         gpd.hom_set(g3, "nope", "1")
 
 
+def test_isotropy_of_an_unknown_object_is_refused():
+    with pytest.raises(KeyError, match="unknown object 'nope'"):
+        gpd.isotropy(gpd.pair_groupoid(3), "nope")
+
+
 @pytest.mark.parametrize("g, h, error, message", [
     ("(1,2)", "(1,2)", ValueError, "morphisms not composable: (1,2), (1,2)"),
     ("(1,2)", "(2,2)", KeyError, "compose table has no entry for ((1,2), (2,2))"),

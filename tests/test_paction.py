@@ -317,6 +317,23 @@ def test_finite_type_witnesses_minimal_for_global():
     assert wits["*"] == ["g0"]  # the identity alone generates
 
 
+def test_finite_type_witnesses_drop_a_generator_the_greedy_prefix_took():
+    # the Z/4 shift of Q^4 restricted to the window W = {0, 1}: S generates
+    # exactly when W + S = Z/4, so the prefix g0, g1, g2 is the first that
+    # does, and g1 is redundant in it
+    e = [Q.unit_vec(2, i) for i in range(2)]
+    full, zero = Subspace.full(Q, 2), Subspace.zero(Q, 2)
+    domains = {"g0": full, "g1": Subspace.from_vectors(Q, 2, [e[1]]), "g2": zero,
+               "g3": Subspace.from_vectors(Q, 2, [e[0]])}
+    maps = {"g0": Matrix.identity(Q, 2), "g1": Matrix.identity(Q, 1),
+            "g2": Matrix.zeros(Q, 0, 0), "g3": Matrix.identity(Q, 1)}
+    pa = pact.PartialAction(gpd.cyclic_group(4), corpus.componentwise(Q, 2), {"*": full},
+                            domains, maps)
+    assert pact.validate_action(pa) == []
+    assert not pact._finite_type_at(pa, "*", ["g0", "g1"])
+    assert pact.finite_type_witnesses(pa) == {"*": ["g0", "g2"]}
+
+
 # -- globalization ----------------------------------------------------------------------
 
 
@@ -422,6 +439,19 @@ def test_zero_embedding_globalization_fails_iv_at_every_morphism():
     assert [(v.rule, v.witness) for v in violations] == [("psi-mono", ("*",))] + [
         ("(iv)", (g,)) for g in ["g0", "g1", "g2", "g3"]]
     assert violations[-1].detail == "T_g is not the sum of shifted component images"
+
+
+@pytest.mark.parametrize("partial, beta, psi, rule", [
+    (corpus.swap_action, corpus.mutant_mult, [[1, 0], [0, 1]], "beta-invalid"),
+    (corpus.restricted_swap_action, corpus.corner_action, [[1], [0]], "beta-not-global"),
+    (corpus.swap_action, corpus.swap_action, [[2, 0], [0, 2]], "psi-ring"),
+], ids=["invalid", "not-global", "not-multiplicative"])
+def test_tampered_globalization_is_caught(partial, beta, psi, rule):
+    # a crooked beta; a valid beta that is not global, with psi(R) inside each
+    # of its domains; psi = 2 id, injective but not multiplicative
+    pa = partial()
+    glob = pact.Globalization(pa, beta(), {"*": Matrix(Q, psi)})
+    assert rule in corpus.violation_rules(pact.globalization_verify(pa, glob))
 
 
 def test_envelope_unitality_tracks_finite_type():

@@ -350,27 +350,28 @@ def test_maschke_check_premise_true_cases():
         ("shift", corpus.shift_restriction_action()),
     ]:
         rep = maschke_check(pa)
-        assert rep.r_semisimple is True, name
-        assert rep.premises_isotropy is True, name
-        assert rep.premises_trace is True, name
-        assert rep.skew_semisimple is True, name
-        assert rep.implication_isotropy == "holds", name
-        assert rep.implication_trace == "holds", name
-        assert rep.park["support_size"] == len(pact.support(pa)), name
-        assert rep.park["morphism_count"] == len(pa.groupoid.morphisms), name
-        assert sum(rep.park["component_dims"].values()) == pa.ambient.dim, name
+        assert rep["r_semisimple"] is True, name
+        assert rep["premises_isotropy"] is True, name
+        assert rep["premises_trace"] is True, name
+        assert rep["skew_semisimple"] is True, name
+        assert rep["implication_isotropy"] == "holds", name
+        assert rep["implication_trace"] == "holds", name
+        park = rep["park_criterion"]
+        assert park["support_size"] == len(pact.support(pa)), name
+        assert park["morphism_count"] == len(pa.groupoid.morphisms), name
+        assert sum(park["component_dims"].values()) == pa.ambient.dim, name
 
 
 def test_maschke_guard_case():
     rep = maschke_check(corpus.guard_action_f2())
-    assert rep.r_semisimple is True
-    assert rep.isotropy_invertible == {"*": False}
-    assert rep.trace_invertible is False
-    assert rep.premises_isotropy is False
-    assert rep.premises_trace is False
-    assert rep.implication_isotropy == "premises unmet"
-    assert rep.implication_trace == "premises unmet"
-    assert isinstance(rep.skew_semisimple, str)  # radical window: no claim either way
+    assert rep["r_semisimple"] is True
+    assert rep["isotropy_invertible"] == {"*": False}
+    assert rep["trace_invertible"] is False
+    assert rep["premises_isotropy"] is False
+    assert rep["premises_trace"] is False
+    assert rep["implication_isotropy"] == "premises unmet"
+    assert rep["implication_trace"] == "premises unmet"
+    assert isinstance(rep["skew_semisimple"], str)  # radical window: no claim either way
 
 
 def test_trace_of_unit_invertible_swap():
@@ -378,6 +379,16 @@ def test_trace_of_unit_invertible_swap():
     tr = pact.trace_map(pa, pa.ambient.find_unit())
     assert tr == [Q(2), Q(2)]
     assert invert_in(pa.ambient, tr) == [Q("1/2"), Q("1/2")]
+
+
+def test_invert_in_refuses_a_one_sided_inverse():
+    # basis 1, a, b with a b = 1 and b a = a^2 = b^2 = 0: a y = 1 is solved by
+    # y = b, yet b a = 0, so a has no two-sided inverse
+    one, a, b = ([(k, Q.one)] for k in range(3))
+    alg = StructureAlgebra(Q, 3, [[one, a, b], [a, (), one], [b, (), ()]],
+                           unit=[Q.one, Q.zero, Q.zero])
+    assert alg.multiply(alg.basis_vector(1), alg.basis_vector(2)) == alg.find_unit()
+    assert invert_in(alg, alg.basis_vector(1)) is None
 
 
 # -- the averaged projection --------------------------------------------------------------
