@@ -3,7 +3,7 @@
 Covers possibly non-associative algebras: identity detection, associativity
 and alternativity tests, center, ideal closures, the Jacobson radical of
 associative unital algebras via the trace bilinear form, block decomposition
-of semisimple algebras, and Cayley-Dickson doubling.
+of semisimple algebras, and the Cayley-Dickson chain.
 """
 
 import itertools
@@ -35,13 +35,13 @@ class StructureAlgebra:
     computes, compares or reports reads `_cells`.  Inside, elements are raw rows {index: value} and multiply
     through `_product`; `multiply` is the dense boundary.
 
-    Optional extras: a designated unit vector, basis labels, a grading map
-    (basis index to a degree label) and a conjugation involution used by the
-    Cayley-Dickson doubling.
+    Optional extras: a designated unit vector, basis labels and a grading map
+    (basis index to a degree label).  The constructor is the only writer of
+    `unit`: a supplied unit must be a two-sided identity, or it raises a
+    PreconditionError (a DimensionError for a vector of another length).
     """
 
-    def __init__(self, field, dim, table, unit=None, labels=None,
-                 grading=None, involution=None):
+    def __init__(self, field, dim, table, unit=None, labels=None, grading=None):
         self.field = field
         self.dim = dim
         if len(table) != dim or any(len(row) != dim for row in table):
@@ -70,11 +70,12 @@ class StructureAlgebra:
                 if raw:
                     cells[j] = raw
             self._cells.append(cells)
+        if unit is not None and not self.is_two_sided_unit(unit):
+            raise PreconditionError("supplied unit is not a two-sided identity")
         self.unit = unit
         self.labels = labels
         self.grading = grading
         self.grading_groupoid = None  # set by the skew groupoid ring builder
-        self.involution = involution
         self._assoc = None  # the associator table, built only when asked for
         self._index = [None, None]  # the slice indexes of A and of A^op
         self._gens = None  # A's generators once A is found associative; False if it is not
@@ -454,37 +455,6 @@ class StructureAlgebra:
                 acc = self._mul(acc, x)
         return acc
 
-    # -- Cayley-Dickson doubling -------------------------------------------------------
-
-    def cayley_dickson_double(self):
-        """Double the algebra: (a,b)(c,d) = (ac - conj(d) b, d a + b conj(c)).
-
-        Needs a unit and a stored conjugation involution; both are carried
-        to the doubled algebra, with conj(a, b) = (conj(a), -b).
-        """
-        one = self.find_unit()
-        if one is None:
-            raise UnsupportedError("doubling needs a unital algebra")
-        if self.involution is None:
-            raise UnsupportedError("doubling needs a designated conjugation involution")
-        n, p, conj, cells = self.dim, self.field.char, self.involution, self._cells
-        zero, table = self.field.zero_vec(n), []
-        for i in range(n):
-            # (x,0)(c,0) = (xc, 0) and (x,0)(0,d) = (0, d x)
-            table.append([_terms(cells[i].get(j, {})) for j in range(n)]
-                         + [_terms(cells[j].get(i, {}), n) for j in range(n)])
-        cj = [self._row(c) for c in conj]
-        for i in range(n):
-            # (0,y)(c,0) = (0, y conj(c)) and (0,y)(0,d) = (-conj(d) y, 0)
-            right = [_terms(self._mul({i: 1}, c), n) for c in cj]
-            left = [_terms({k: -x % p if p else -x for k, x in self._mul(c, {i: 1}).items()})
-                    for c in cj]
-            table.append(right + left)
-        new_conj = [list(c) + zero for c in conj]
-        new_conj += [zero + [self.field(-a) for a in self.basis_vector(i)] for i in range(n)]
-        return StructureAlgebra(self.field, 2 * n, table, unit=list(one) + zero,
-                                labels=[f"e{i}" for i in range(2 * n)], involution=new_conj)
-
     # -- JSON schema ----------------------------------------------------------------------
 
     def to_dict(self):
@@ -527,13 +497,11 @@ class StructureAlgebra:
                 raise SchemaError(f"{what} repeats the table cell ({i}, {j})")
             cells.add((i, j))
             table[i][j] = schema.terms(field, coeffs, dim, what)
-        alg = cls(field, dim, table, labels=labels)
-        if "unit" in d:
-            unit = schema.vec(field, d["unit"], dim, "unit")
-            if not alg.is_two_sided_unit(unit):
-                raise SchemaError("supplied unit is not a two-sided identity")
-            alg.unit = unit
-        return alg
+        unit = schema.vec(field, d["unit"], dim, "unit") if "unit" in d else None
+        try:
+            return cls(field, dim, table, unit=unit, labels=labels)
+        except PreconditionError:
+            raise SchemaError("supplied unit is not a two-sided identity") from None
 
 
 def _forms(prods):
@@ -692,13 +660,13 @@ def _terms(coords, off=0):
     return sorted((off + k, x) for k, x in coords.items()) or ()
 
 
-def _induced(field, rows, mul, coords, labels=None):
+def _induced(field, rows, mul, coords, labels=None, unit=None):
     """The algebra on the raw rows whose product b_i b_j has the coordinates
     coords(mul(rows[i], rows[j])): a subalgebra when coords reads coordinates
     in the span of the rows, a quotient when it reads residues modulo an
     ideal.  A ValueError from coords, a product outside the span, passes on."""
     table = [[_terms(coords(mul(u, v))) for v in rows] for u in rows]
-    return StructureAlgebra(field, len(rows), table, labels=labels)
+    return StructureAlgebra(field, len(rows), table, unit, labels)
 
 
 @dataclass
@@ -769,18 +737,29 @@ def polynomial_roots(field, coeffs):
     return sorted(field(-g[0]) for g in _q_factors(square_free) if len(g) == 2)
 
 
-def quaternion_seed(field):
-    """The base field as a one-dimensional algebra with identity conjugation."""
-    one = field.one
-    return StructureAlgebra(field, 1, [[[(0, one)]]], unit=[one], labels=["e0"], involution=[[one]])
-
-
 def cayley_dickson_chain(field, doublings):
-    """Iterated doubling of the base field; doublings=3 gives the octonions."""
-    alg = quaternion_seed(field)
+    """Iterated Cayley-Dickson doubling of the base field; doublings=3 gives the octonions.
+
+    (a, b)(c, d) = (ac - conj(d) b, d a + b conj(c)), where conj fixes e_0 and
+    negates every other e_j.  With s_0 = 1 and s_j = -1, each product of the
+    doubled basis is a signed copy of a product of the half:
+    (e_i,0)(e_j,0) = (e_i e_j, 0), (e_i,0)(0,e_j) = (0, e_j e_i),
+    (0,e_i)(e_j,0) = s_j (0, e_i e_j) and (0,e_i)(0,e_j) = -s_j (e_j e_i, 0).
+    """
+    p, table = field.char, [[[(0, field.one)]]]
+
+    def shifted(cell, off, negate):
+        return [(off + k, -c % p if p else -c) if negate else (off + k, c) for k, c in cell] or ()
+
     for _ in range(doublings):
-        alg = alg.cayley_dickson_double()
-    return alg
+        n = len(table)
+        table = ([row + [shifted(table[j][i], n, False) for j in range(n)]
+                  for i, row in enumerate(table)]
+                 + [[shifted(table[i][j], n, j > 0) for j in range(n)]
+                    + [shifted(table[j][i], 0, j == 0) for j in range(n)] for i in range(n)])
+    n = len(table)
+    return StructureAlgebra(field, n, table, unit=field.unit_vec(n, 0),
+                            labels=[f"e{i}" for i in range(n)])
 
 
 def grading_respected(alg, compose):

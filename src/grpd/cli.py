@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import GrpdError, SchemaError
 from . import groupoid as gpd
-from .algebra import MAX_DIM, StructureAlgebra, quaternion_seed
+from .algebra import MAX_DIM, StructureAlgebra, cayley_dickson_chain
 from . import paction as pact
 from . import skewring as sk
 from . import leavitt as lv
@@ -136,7 +136,7 @@ def cmd_matrix_ring(args):
     if args.n < 1:
         raise SchemaError(f"-n must be at least 1, got {args.n}")
     field = schema.field(args.char or 0, "--char")
-    coeff = _load_algebra(args.algebra) if args.algebra else quaternion_seed(field)
+    coeff = _load_algebra(args.algebra) if args.algebra else cayley_dickson_chain(field, 0)
     if args.char is not None and coeff.field.char != args.char:
         raise SchemaError(f"--char {args.char} differs from the characteristic "
                           f"{coeff.field.char} of {args.algebra}")

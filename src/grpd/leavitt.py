@@ -467,13 +467,8 @@ class PathPairModel:
             for mu, nu in self.pairs
         ]
         labels = [f"{path_label(mu)}({path_label(nu)})*" for mu, nu in self.pairs]
-        alg = StructureAlgebra(field, n, table, labels=labels)
-        unit = field.zero_vec(n)
-        for mu, nu in self.pairs:
-            if mu == nu:
-                unit[self.index[(mu, nu)]] = field.one
-        alg.unit = unit
-        return alg
+        unit = [field.one if mu == nu else field.zero for mu, nu in self.pairs]
+        return StructureAlgebra(field, n, table, unit, labels)
 
 
 def lpa_path_pair_oracle(graph, field):

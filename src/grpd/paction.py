@@ -345,9 +345,6 @@ def restrict_to_g_sharp(pa):
 
     components = {e: push_space(pa.object_components[e]) for e in kept_obj}
     domains = {g: push_space(pa.domains[g]) for g in kept_mor}
-    unit = sub_alg.find_unit()
-    if unit is not None:
-        sub_alg.unit = unit
     # a pushed RREF basis is the coordinates of the original one, so each map carries over
     return PartialAction(sharp, sub_alg, components, domains, {g: pa.maps[g] for g in kept_mor})
 
@@ -553,9 +550,6 @@ def globalize(pa):
         t_alg = _induced(field, parts, env.mul, t_space._raw_coords)
     except ValueError:
         raise UnsupportedError("enveloping space is not multiplicatively closed") from None
-    unit = t_alg.find_unit()
-    if unit is not None:
-        t_alg.unit = unit
 
     components = {e: Subspace.coordinate(field, t_dim, range(*part_range[e])) for e in g0.objects}
     domains = {g: components[g0.cod[g]] for g in g0.morphisms}
@@ -576,7 +570,9 @@ def globalize(pa):
 
 
 def globalization_verify(pa, glob):
-    """Check the four globalization axioms plus monomorphism conditions."""
+    """Check the four globalization axioms plus monomorphism conditions.
+
+    Axioms (i)-(iv) are checked only once beta is a valid global action."""
     out = []
     g0 = pa.groupoid
     beta = glob.action
@@ -587,6 +583,7 @@ def globalization_verify(pa, glob):
         out.append(Violation("beta-invalid", (), "candidate global action breaks the action axioms"))
     if not is_global(beta):
         out.append(Violation("beta-not-global", (), "candidate action is not global"))
+    trusted = not out  # checks (i)-(iv) read a valid global beta
 
     psi, psi_of_component = {}, {}
     for e in g0.objects:
@@ -597,6 +594,8 @@ def globalization_verify(pa, glob):
             out.append(Violation("psi-mono", (e,), "psi is not injective"))
         if not _is_multiplicative(pa.ambient, comp, psi[e]._image_of, t_alg._mul):
             out.append(Violation("psi-ring", (e,), "psi is not multiplicative"))
+    if not trusted:
+        return out
 
     # (i) psi_e(R_e) is an ideal of T_e
     for e in g0.objects:

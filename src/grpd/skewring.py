@@ -66,7 +66,8 @@ def skew_product_ring(field, degrees, domains, triples, inv, alpha, mul, name, u
     ambient product of two.  A gh that is None or not a degree marks a
     product that must vanish.  `name(g)` labels and grades degree g.
     `unit` maps degrees to raw rows lying in their domains, or is None;
-    their sum becomes the algebra's unit when it is a two-sided identity.
+    their sum is passed to the algebra as its unit, so a sum that is no
+    two-sided identity raises a PreconditionError.
 
     Returns the algebra and the basis offset of each degree; past MAX_DIM
     basis vectors it raises an UnsupportedError before building the table.
@@ -105,13 +106,10 @@ def skew_product_ring(field, degrees, domains, triples, inv, alpha, mul, name, u
                     ) from None
                 table[og + i][oh + j] = _terms(coords, ogh)
 
-    alg = StructureAlgebra(field, total, table, labels=labels, grading=grading)
     if unit is not None:
-        u = _dense(field, {offsets[g] + k: c for g, r in unit.items()
-                           for k, c in domains[g]._raw_coords(r).items()}, total)
-        if alg.is_two_sided_unit(u):
-            alg.unit = u
-    return alg, offsets
+        unit = _dense(field, {offsets[g] + k: c for g, r in unit.items()
+                              for k, c in domains[g]._raw_coords(r).items()}, total)
+    return StructureAlgebra(field, total, table, unit, labels, grading), offsets
 
 
 def build_skew_groupoid_ring(pa):
@@ -162,8 +160,9 @@ def groupoid_ring_action(groupoid, coeffs):
     for all components.
     """
     comps = connected_components(groupoid)
-    if isinstance(coeffs, StructureAlgebra):
-        coeffs = {c[0]: coeffs for c in comps}
+    single = coeffs if isinstance(coeffs, StructureAlgebra) else None
+    if single is not None:
+        coeffs = {c[0]: single for c in comps}
     rep_of = {}
     for comp in comps:
         rep = comp[0]
@@ -171,7 +170,8 @@ def groupoid_ring_action(groupoid, coeffs):
             raise PreconditionError(f"no coefficient algebra for component of {rep!r}")
         for e in comp:
             rep_of[e] = rep
-    fields = {coeffs[c[0]].field for c in comps}
+    # a single algebra gives the field even to the empty groupoid
+    fields = {single.field} if single is not None else {coeffs[c[0]].field for c in comps}
     if len(fields) != 1:
         raise PreconditionError("coefficient algebras live over different fields")
     base_field = fields.pop()
@@ -352,14 +352,11 @@ def quotient_by_ideal(alg, ideal):
     keep = [k for k in range(alg.dim) if k not in ideal._at]
     at = {k: t for t, k in enumerate(keep)}
     piv, p = ideal._rows, alg.field.char
-    out = _induced(alg.field, [{k: 1} for k in keep], alg._mul,
-                   lambda x: {at[c]: v for c, v in _reduce(x, piv, p).items()},
-                   labels=[alg.label(k) for k in keep])
     u = alg.find_unit()
-    if u is not None:
-        red = ideal.reduce(u)
-        out.unit = [red[c] for c in keep]
-    return out
+    unit = None if u is None else [ideal.reduce(u)[c] for c in keep]
+    return _induced(alg.field, [{k: 1} for k in keep], alg._mul,
+                    lambda x: {at[c]: v for c, v in _reduce(x, piv, p).items()},
+                    [alg.label(k) for k in keep], unit)
 
 
 # -- graded modules and the Maschke projection ---------------------------------------------

@@ -96,10 +96,45 @@ def test_doubling_matches_pair_oracle_sedenions_sample():
 
 
 def test_doubling_involution_matches_oracle():
+    # the chain's signed copies assume conj(e_0) = e_0 and conj(e_j) = -e_j, j > 0
     alg = cayley_dickson_chain(Q, 3)
     for i in range(alg.dim):
-        expected = cd_to_vec(cd_conj(cd_from_vec(alg.basis_vector(i))))
-        assert alg.involution[i] == expected
+        e = alg.basis_vector(i)
+        assert cd_to_vec(cd_conj(cd_from_vec(e))) == (e if i == 0 else [-c for c in e])
+
+
+def reference_double(alg, conj):
+    """Cayley-Dickson doubling by products, (a,b)(c,d) = (ac - conj(d) b, d a + b conj(c)),
+    with the conjugation given as the dense images `conj` of the basis; returns the
+    doubled algebra and its conjugation conj(a, b) = (conj(a), -b)."""
+    n, p, cells = alg.dim, alg.field.char, alg._cells
+    zero, table = alg.field.zero_vec(n), []
+    for i in range(n):
+        table.append([algebra._terms(cells[i].get(j, {})) for j in range(n)]
+                     + [algebra._terms(cells[j].get(i, {}), n) for j in range(n)])
+    cj = [alg._row(c) for c in conj]
+    for i in range(n):
+        right = [algebra._terms(alg._mul({i: 1}, c), n) for c in cj]
+        left = [algebra._terms({k: -x % p if p else -x for k, x in alg._mul(c, {i: 1}).items()})
+                for c in cj]
+        table.append(right + left)
+    new_conj = [list(c) + zero for c in conj]
+    new_conj += [zero + [alg.field(-a) for a in alg.basis_vector(i)] for i in range(n)]
+    doubled = StructureAlgebra(alg.field, 2 * n, table, unit=list(alg.unit) + zero,
+                               labels=[f"e{i}" for i in range(2 * n)])
+    return doubled, new_conj
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 10007])
+def test_chain_tables_equal_the_doubling_by_products(char):
+    f = Field(char)
+    ref, conj = StructureAlgebra(f, 1, [[[(0, f.one)]]], unit=[f.one], labels=["e0"]), [[f.one]]
+    for k in range(6):
+        if k:
+            ref, conj = reference_double(ref, conj)
+        alg = cayley_dickson_chain(f, k)
+        assert repr(alg._cells) == repr(ref._cells)
+        assert (alg.unit, alg.labels) == (ref.unit, ref.labels)
 
 
 def test_doubling_chain_laws():
@@ -125,16 +160,17 @@ def test_octonion_anticommuting_imaginary_units():
     assert any(e1e2)
 
 
-def test_doubling_requires_involution():
-    plain = StructureAlgebra(Q, 1, [[[(0, Q.one)]]], unit=[Q.one])
-    with pytest.raises(UnsupportedError):
-        plain.cayley_dickson_double()
-
-
-def test_doubling_requires_a_unit():
-    null = StructureAlgebra(Q, 1, [[()]], involution=[[Q.one]])
-    with pytest.raises(UnsupportedError, match="doubling needs a unital algebra"):
-        null.cayley_dickson_double()
+def test_the_constructor_refuses_a_unit_that_is_no_identity():
+    # on Q x Q, [1, 0] is an idempotent but no unit; accepted, it sent the block split
+    # into an endless search for a splitting element
+    with pytest.raises(PreconditionError, match="not a two-sided identity"):
+        StructureAlgebra(Q, 2, [[[(0, 1)], ()], [(), [(1, 1)]]], unit=[1, 0])
+    dual = [[[(0, 1)], [(1, 1)]], [[(1, 1)], ()]]  # Q[x]/(x^2)
+    with pytest.raises(PreconditionError, match="not a two-sided identity"):
+        StructureAlgebra(Q, 2, dual, unit=[1, 1])
+    with pytest.raises(DimensionError, match="element length differs"):
+        StructureAlgebra(Q, 2, dual, unit=[1])
+    assert StructureAlgebra(Q, 2, dual, unit=[1, 0]).unit == [1, 0]
 
 
 def test_multiply_refuses_an_element_of_another_length():
@@ -398,7 +434,9 @@ def test_the_algebra_systems_do_no_boxed_arithmetic():
     assert fz5.berlekamp_subalgebra().dim == 2
     assert sorted(fz5.wedderburn_blocks().dims()) == [1, 4]
     assert pact.fixed_ring(shift) == Subspace.from_vectors(f, 3, [[f.one] * 3])
-    answers = [octo.multiply(*octo.center().basis * 2), cayley_dickson_chain(f, 3).involution[5]]
+    e5e5 = octo.multiply(octo.basis_vector(5), octo.basis_vector(5))
+    assert e5e5 == [f.char - 1] + [0] * 7  # e_5 e_5 = -e_0
+    answers = [octo.multiply(*octo.center().basis * 2), e5e5]
     answers += [v for b in fz5.wedderburn_blocks() for v in b.basis] + fz5.center().basis
     assert all(type(x) is int and 0 <= x < f.char for v in answers for x in v)
 

@@ -86,6 +86,17 @@ def test_groupoid_ring_verb(files, capsys):
     assert rep["dim"] == 8
 
 
+def test_groupoid_ring_of_the_empty_groupoid_is_the_zero_ring(files, capsys):
+    # the field comes from the coefficient algebra, as there is no component to read it off
+    empty = files / "empty.json"
+    empty.write_text(json.dumps({"objects": [], "morphisms": []}))
+    assert run(capsys, "check-groupoid", str(empty))[0] == 0
+    code, out = run(capsys, "--json", "groupoid-ring", str(empty), str(files / "qz2.json"))
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["dim"], rep["blocks"], rep["unital"], rep["grading_ok"]) == (0, [], True, True)
+
+
 def test_matrix_ring_verb(files, capsys):
     code, out = run(capsys, "--json", "matrix-ring", "-n", "3")
     assert code == 0

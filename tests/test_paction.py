@@ -454,6 +454,14 @@ def test_tampered_globalization_is_caught(partial, beta, psi, rule):
     assert rule in corpus.violation_rules(pact.globalization_verify(pa, glob))
 
 
+def test_a_beta_that_is_not_global_skips_the_axioms_that_read_it():
+    # psi(R) is not inside the corner domain, so check (ii) would apply beta_g1 outside it
+    pa = corpus.swap_action()
+    glob = pact.Globalization(pa, corpus.corner_action(), {"*": Matrix.identity(Q, 2)})
+    violations = pact.globalization_verify(pa, glob)
+    assert [(v.rule, v.witness) for v in violations] == [("beta-not-global", ())]
+
+
 def test_envelope_unitality_tracks_finite_type():
     for name, pa in corpus.unital_corpus():
         glob = pact.globalize(pa)

@@ -1,12 +1,16 @@
 """The benchmark's own self-test, run as part of the suite.
 
 `perfbench/smoke.py` checks its oracles against hand-worked answers and
-runs one untraced and one traced pass of every workload over small inputs.
+runs one untraced and one traced pass of every workload over small inputs;
+`perfbench/run.py` then runs every call of each workload for a second.
 """
 
+import json
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -16,3 +20,17 @@ def test_perfbench_smoke_passes():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "smoke test passed" in proc.stdout
+
+
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_every_benchmark_call_passes(workload):
+    # one second of untraced passes over all of the workload's calls, each checked
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", "1", "--seconds", "1", "--trace", "0"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, proc.stderr
