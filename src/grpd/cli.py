@@ -251,7 +251,7 @@ def build_parser():
     s.add_argument("--char", type=int, help="field characteristic (default 0, or that of --algebra)")
     s.set_defaults(func=cmd_matrix_ring)
 
-    s = sub.add_parser("partial-group-algebra", help="Exel-semigroup partial group algebra")
+    s = sub.add_parser("partial-group-algebra", help="K_par(G) in the basis of the groupoid Gamma(G)")
     s.add_argument("group", help="one-object groupoid JSON file")
     s.add_argument("--char", type=int, default=0)
     s.set_defaults(func=cmd_partial_group_algebra)

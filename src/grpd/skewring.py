@@ -1,9 +1,9 @@
 """Builders turning actions and combinatorial data into structure algebras.
 
 Partial skew groupoid rings from validated actions, groupoid rings over
-coefficient algebras, generalized matrix rings, Exel-semigroup partial
-group algebras, quotients by ideals, and the Maschke-type machinery
-(semisimplicity report and the averaged module projection).
+coefficient algebras, generalized matrix rings, partial group algebras in
+the groupoid basis of Gamma(G), quotients by ideals, and the Maschke-type
+machinery (semisimplicity report and the averaged module projection).
 """
 
 from dataclasses import dataclass
@@ -160,9 +160,9 @@ def groupoid_ring_action(groupoid, coeffs):
     for all components.
     """
     comps = connected_components(groupoid)
-    single = coeffs if isinstance(coeffs, StructureAlgebra) else None
-    if single is not None:
-        coeffs = {c[0]: single for c in comps}
+    supplied = [coeffs] if isinstance(coeffs, StructureAlgebra) else list(coeffs.values())
+    if isinstance(coeffs, StructureAlgebra):
+        coeffs = {c[0]: coeffs for c in comps}
     rep_of = {}
     for comp in comps:
         rep = comp[0]
@@ -170,11 +170,12 @@ def groupoid_ring_action(groupoid, coeffs):
             raise PreconditionError(f"no coefficient algebra for component of {rep!r}")
         for e in comp:
             rep_of[e] = rep
-    # a single algebra gives the field even to the empty groupoid
-    fields = {single.field} if single is not None else {coeffs[c[0]].field for c in comps}
-    if len(fields) != 1:
+    # the field is read from the supplied algebras, so the empty groupoid has one too
+    if not supplied:
+        raise PreconditionError("no coefficient algebra is supplied, so the ring has no field")
+    if len({a.field for a in supplied}) != 1:
         raise PreconditionError("coefficient algebras live over different fields")
-    base_field = fields.pop()
+    base_field = supplied[0].field
     for comp in comps:
         if coeffs[comp[0]].find_unit() is None:
             raise PreconditionError("coefficient algebras must be unital")
@@ -292,16 +293,11 @@ class SemigroupTable:
         return bad
 
 
-def exel_semigroup(group):
-    """Exel's semigroup S(G) of a finite group in (A, g) normal form.
-
-    For a group of order g it has 2^(g-2) (g+1) elements, one per subset A
-    containing the identity and each g in A; past MAX_DIM it is refused
-    before the 2^g subsets are scanned.  The group elements are numbered in
-    input order and a subset A is the bit mask of its numbers, so with one
-    left-translation table of masks per g the product (A, g)(B, h) =
-    (A u gB, gh) is one OR and one lookup of the result's index.
-    """
+def _exel_items(group):
+    """The 2^(g-2) (g+1) pairs (A, g), g in A, of Exel's S(G) for a group of order g:
+    A is the mask of the input positions of a subset holding the identity e, and the
+    pairs are sorted by |A|, A's members, then g.  Refused past MAX_DIM before the 2^g
+    subsets are scanned.  Returns the elements, their products, e, members and pairs."""
     if len(group.objects) != 1:
         raise PreconditionError("partial group algebras need a one-object groupoid")
     elems = list(group.morphisms)
@@ -315,9 +311,16 @@ def exel_semigroup(group):
     comp = [[number[group.compose(g, h)] for h in elems] for g in elems]
     e = number[group.identity[group.objects[0]]]
     members = [[i for i in range(n) if a >> i & 1] for a in range(1 << n)]
-    moved = [[sum(1 << gh[t] for t in ts) for ts in members] for gh in comp]
     items = sorted(((a, g) for a in range(1 << n) if a >> e & 1 for g in members[a]),
                    key=lambda t: (len(members[t[0]]), members[t[0]], t[1]))
+    return elems, comp, e, members, items
+
+
+def exel_semigroup(group):
+    """Exel's semigroup S(G) in (A, g) normal form, ordered by `_exel_items`.  With a
+    table of translated masks per g, (A, g)(B, h) = (A u gB, gh) is an OR and a lookup."""
+    elems, comp, _, members, items = _exel_items(group)
+    moved = [[sum(1 << gh[t] for t in ts) for ts in members] for gh in comp]
     index = {x: k for k, x in enumerate(items)}
     table = [[index[a | moved[g][b], comp[g][h]] for b, h in items] for a, g in items]
     return SemigroupTable(
@@ -327,17 +330,24 @@ def exel_semigroup(group):
 
 
 def build_partial_group_algebra(group, field):
-    """Partial group algebra K_par[G] as the algebra of Exel's semigroup S(G).
-
-    Its unit is b_0: element 0 of S(G) is ({e}, e), the only one with |A| = 1,
-    and ({e}, e)(B, h) = (B, h), (A, g)({e}, e) = (A u {g}, g) = (A, g).
-    """
-    table = exel_semigroup(group)
-    n = len(table.elements)
-    # one cell per product target, shared by every (i, j) whose product it is
-    cells = [[(k, field.one)] for k in range(n)]
-    return StructureAlgebra(field, n, [[cells[k] for k in row] for row in table.table],
-                            unit=field.unit_vec(n, 0), labels=table.labels)
+    """K_par(G) = K Gamma(G) (Dokuchaev-Exel-Piccione, J. Algebra 226, 2000) in the basis
+    eps_A[g], (A, g) as in `_exel_items`, where e_a = [a][a^-1] and eps_A = prod_{a in A}
+    e_a prod_{b not in A} (1 - e_b).  eps_A[g] eps_B[h] = eps_A[gh] if B = g^-1 A, else 0,
+    and the unit is sum_A eps_A[e].  Exel's (A, g) is the sum of the eps_B[g], B containing
+    A, so by Moebius inversion eps_A[g] = sum_B (-1)^|B - A| (B, g): a change of basis
+    from Exel's semigroup algebra, unitriangular in this order."""
+    elems, comp, e, members, items = _exel_items(group)
+    n = len(items)
+    index = {x: k for k, x in enumerate(items)}
+    cells = [((k, field.one),) for k in range(n)]  # one cell per product, shared
+    table = [[()] * n for _ in range(n)]
+    for row, (a, g) in zip(table, items):
+        b = sum(1 << comp[comp[g].index(e)][t] for t in members[a])  # g^-1 A
+        for h in members[b]:
+            row[index[b, h]] = cells[index[a, comp[g][h]]]
+    return StructureAlgebra(
+        field, n, table, unit=[field.one if g == e else field.zero for _, g in items],
+        labels=[f"eps{{{','.join(elems[i] for i in members[a])}}}[{elems[g]}]" for a, g in items])
 
 
 # -- quotients ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from grpd.exactlin import Field, Matrix, Subspace, _combine, _dense, _sparse, rr
 from grpd.algebra import StructureAlgebra, _min_poly
 from grpd import groupoid as gpd
 from grpd.paction import PartialAction
-from grpd.skewring import groupoid_ring_action
+from grpd.skewring import exel_semigroup, groupoid_ring_action
 from grpd import leavitt as lv
 
 Q = Field(0)
@@ -110,6 +110,22 @@ def scaled_group_algebra4():
 def half_unit_algebra():
     """Q x Q in the basis 2 u0, (3/2) u1: its unit is (1/2, 2/3)."""
     return rescaled(componentwise(Q, 2), [2, "3/2"])
+
+
+def exel_partial_group_algebra(group, field):
+    """K_par(G) as the algebra of Exel's semigroup S(G), in its basis (A, g).
+
+    The reference for the groupoid-basis builder, and a dense input for the
+    general path: every one of its dim^2 products is a nonzero basis vector.
+    Its unit is b_0, since element 0 of S(G) is ({e}, e), the only one with
+    |A| = 1, and ({e}, e)(B, h) = (B, h), (A, g)({e}, e) = (A u {g}, g) = (A, g).
+    """
+    table = exel_semigroup(group)
+    n = len(table.elements)
+    # one cell per product target, shared by every (i, j) whose product it is
+    cells = [[(k, field.one)] for k in range(n)]
+    return StructureAlgebra(field, n, [[cells[k] for k in row] for row in table.table],
+                            unit=field.unit_vec(n, 0), labels=table.labels)
 
 
 # -- partial actions --------------------------------------------------------------

@@ -153,6 +153,14 @@ def test_groupoid_ring_two_components():
     assert sorted(alg.wedderburn_blocks().dims()) == [1, 4]
 
 
+def test_groupoid_ring_of_the_empty_groupoid_takes_the_field_of_its_coefficients():
+    # no component names an algebra, so the field comes from the supplied ones
+    empty = gpd.from_dict({"objects": [], "morphisms": []})
+    for coeffs in ({"unused": corpus.scalar_algebra(Field(5))}, corpus.scalar_algebra(Field(5))):
+        alg = build_groupoid_ring(empty, coeffs)
+        assert (alg.dim, alg.field, alg.find_unit()) == (0, Field(5), [])
+
+
 def test_groupoid_ring_matrix_coefficients():
     m2 = build_groupoid_ring(gpd.pair_groupoid(2), corpus.scalar_algebra(Q))
     alg = build_groupoid_ring(gpd.cyclic_group(2), m2)
@@ -322,11 +330,13 @@ def test_quotient_requires_ideal():
         gpd.disjoint_union(gpd.cyclic_group(1), gpd.cyclic_group(1)),
         {"A:*": corpus.scalar_algebra(Q), "B:*": corpus.scalar_algebra(Field(5))}),
      "coefficient algebras live over different fields"),
+    (lambda: build_groupoid_ring(gpd.from_dict({"objects": [], "morphisms": []}), {}),
+     "no coefficient algebra is supplied, so the ring has no field"),
     (lambda: exel_semigroup(gpd.pair_groupoid(2)),
      "partial group algebras need a one-object groupoid"),
     (lambda: quotient_by_ideal(corpus.upper_triangular2(Q), Subspace.full(Q, 2)),
      "ideal lives in a different ambient space"),
-], ids=["missing_coefficients", "mixed_fields", "two_objects", "other_ambient"])
+], ids=["missing_coefficients", "mixed_fields", "no_field", "two_objects", "other_ambient"])
 def test_builder_refusals(call, message):
     with pytest.raises(PreconditionError, match=re.escape(message)):
         call()
