@@ -1,5 +1,7 @@
 """Shared corpus of groupoids, algebras, actions, mutants and graphs for the tests."""
 
+import itertools
+import random
 from fractions import Fraction
 
 from grpd.errors import PreconditionError
@@ -126,6 +128,49 @@ def exel_partial_group_algebra(group, field):
     cells = [[(k, field.one)] for k in range(n)]
     return StructureAlgebra(field, n, [[cells[k] for k in row] for row in table.table],
                             unit=field.unit_vec(n, 0), labels=table.labels)
+
+
+# -- semigroup algebras ---------------------------------------------------------------
+
+
+def semigroup_algebra(field, elements, mul):
+    """The algebra of a finite semigroup in the basis `elements`, in list order:
+    b_s b_t = b_st, and 0 when st is not listed, so a semigroup's zero left out of
+    the list is the zero of the algebra.  No unit is supplied."""
+    at = {x: k for k, x in enumerate(elements)}
+    cells = [[(k, field.one)] for k in range(len(elements))]
+    table = [[cells[at[z]] if (z := mul(x, y)) in at else () for y in elements]
+             for x in elements]
+    return StructureAlgebra(field, len(elements), table, labels=[str(x) for x in elements])
+
+
+def shuffled(xs, seed):
+    """The list xs in a seeded random order."""
+    return random.Random(seed).sample(list(xs), len(xs))
+
+
+def partial_bijections(n):
+    """The symmetric inverse monoid I_n: every partial bijection of {0, ..., n-1}, as
+    the tuple of its images with None where it is undefined; the empty map comes first."""
+    maps = itertools.product([None, *range(n)], repeat=n)
+    return sorted((m for m in maps if len({x for x in m if x is not None})
+                   == sum(x is not None for x in m)),
+                  key=lambda m: (sum(x is not None for x in m), [-1 if x is None else x for x in m]))
+
+
+def then(p, q):
+    """The partial bijection p followed by q."""
+    return tuple(None if x is None else q[x] for x in p)
+
+
+def brandt(m, n):
+    """The Brandt semigroup B(Z_m, n): the triples (i, g, j), i, j < n, g in Z_m, then
+    its zero "0"; (i, g, j)(k, h, l) = (i, g + h, l) if j = k, and 0 otherwise."""
+    def mul(x, y):
+        if x == "0" or y == "0" or x[2] != y[0]:
+            return "0"
+        return (x[0], (x[1] + y[1]) % m, y[2])
+    return [(i, g, j) for i in range(n) for g in range(m) for j in range(n)] + ["0"], mul
 
 
 # -- partial actions --------------------------------------------------------------

@@ -16,11 +16,16 @@ largest eliminations here: before the dense elimination loops of
 `qz4_scaled` and `half_unit` cases, the only inputs with constants or a
 unit that are not integers: before integral rationals became plain ints
 over Q; the `check-action --json` cases, over the corpus actions and the six
-single-axiom mutants: before the axiom checks moved onto raw rows), so a
-refactor that changes a single byte of a report fails here.
+single-axiom mutants: before the axiom checks moved onto raw rows; the
+`kpar_exel_*` cases, K_par(Z_2 ... Z_5) in Exel's semigroup basis over Q, F_2,
+F_7 and F_10007, and the inverse-semigroup tables I_3, B(Z_3, 2) and a
+semilattice in shuffled basis orders: before `analyze` moved inverse-semigroup
+tables to Steinberg's groupoid basis), so a refactor that changes a single
+byte of a report fails here.
 """
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -64,6 +69,18 @@ ALGEBRAS = {
     "f10007z4": corpus.group_algebra(Field(10007), 4),
     "qz4_scaled": corpus.scaled_group_algebra4(),
     "half_unit": corpus.half_unit_algebra(),
+    # Exel's semigroup algebras and other inverse-semigroup tables, with comparable idempotents
+    **{f"kpar_exel_z{n}_{fname}": corpus.exel_partial_group_algebra(gpd.cyclic_group(n), f)
+       for n in (2, 3, 4, 5)
+       for fname, f in (("q", Q), ("f2", Field(2)), ("f7", Field(7)), ("f10007", Field(10007)))},
+    "i3_shuffled": corpus.semigroup_algebra(
+        Q, corpus.shuffled(corpus.partial_bijections(3), 3), corpus.then),
+    "brandt_z3_2_shuffled": corpus.semigroup_algebra(
+        Q, corpus.shuffled(corpus.brandt(3, 2)[0], 4), corpus.brandt(3, 2)[1]),
+    # the subsets of {0, 1, 2, 3} with at most two members under intersection: no top
+    "semilattice_shuffled": corpus.semigroup_algebra(
+        Q, corpus.shuffled([frozenset(a) for r in range(3) for a in itertools.combinations(range(4), r)], 5),
+        frozenset.intersection),
 }
 GROUPOIDS = {
     "z2": gpd.cyclic_group(2),
@@ -147,6 +164,25 @@ EXPECTED = {
     'analyze --json sedenions': (0, '5e6f89450d1c3be8731e83b4a738146003ad99ef333d44f0643be7a7016356a2'),
     'analyze --json trunc3': (0, '17f03a72bece0214f012bbfccda01425eb729035e3a656c4c3528ae0d369c725'),
     'analyze --json upper2': (0, '6c7301bff0a9a4093f84e5f9831f389b82beba80389e3f4c8ae878f0d0f197c1'),
+    'analyze --json brandt_z3_2_shuffled': (0, '267e94d35e11dc2a52affd85f3cb83ccc392069d5e23b0d2888b72d4fed4cab6'),
+    'analyze --json i3_shuffled': (0, '3d69dcc9d0a37c3efb150483d7c1f46be1bb9026824dc4398bb986c666b2a8ec'),
+    'analyze --json kpar_exel_z2_f10007': (0, 'aaaac82a747eb07054e9a36be71135d5ebb17983b376bb0ac8f7623360c3d67c'),
+    'analyze --json kpar_exel_z2_f2': (0, '35376d1ff0eef768e7ec977fb397aba86f6d52a604627ca18aa1e402ee4f2810'),
+    'analyze --json kpar_exel_z2_f7': (0, 'aaaac82a747eb07054e9a36be71135d5ebb17983b376bb0ac8f7623360c3d67c'),
+    'analyze --json kpar_exel_z2_q': (0, 'aaaac82a747eb07054e9a36be71135d5ebb17983b376bb0ac8f7623360c3d67c'),
+    'analyze --json kpar_exel_z3_f10007': (0, 'eed5915def907e748d007a15bab20be03fe016ef21736392a7cc51cebb981c1a'),
+    'analyze --json kpar_exel_z3_f2': (0, '29a72378d48d58d3a4d1f67fcbd20ca26438d38c5b96674c2f77ebd85def5399'),
+    'analyze --json kpar_exel_z3_f7': (0, '85d1934c51fbe2c600f380fe1efe8d8d73137002e8137957320fdf14e2c04833'),
+    'analyze --json kpar_exel_z3_q': (0, 'eed5915def907e748d007a15bab20be03fe016ef21736392a7cc51cebb981c1a'),
+    'analyze --json kpar_exel_z4_f10007': (0, '3304972d17377e469b91dee5c56f8669a422a36b48a974cb065ed901f6819c69'),
+    'analyze --json kpar_exel_z4_f2': (0, 'ce4be7dce031239736ef1f4f116abeec53a479a86738b33b49ee49f57ff5d9e6'),
+    'analyze --json kpar_exel_z4_f7': (0, 'f8d53426a143e7a80f3fe1dd3060a0fbcdb29a150b79236e5dd5c57377d3a8f4'),
+    'analyze --json kpar_exel_z4_q': (0, '3304972d17377e469b91dee5c56f8669a422a36b48a974cb065ed901f6819c69'),
+    'analyze --json kpar_exel_z5_f10007': (0, 'aff797a4caf301e03589599130cbf26184ac3f9f72ca3d3f2ccbc236eb8c3cb4'),
+    'analyze --json kpar_exel_z5_f2': (0, '9d5c905e7a91d8235a5ddb64866f598fa00c7f40c6af609a54b9b6f1937c7c88'),
+    'analyze --json kpar_exel_z5_f7': (0, '8fcbc6394c03c7a8c2a4abd71aca656387e5549a1c762a15ca5d5832fbccf545'),
+    'analyze --json kpar_exel_z5_q': (0, 'aff797a4caf301e03589599130cbf26184ac3f9f72ca3d3f2ccbc236eb8c3cb4'),
+    'analyze --json semilattice_shuffled': (0, '4550b8d75031218803e85ca644e718e38bf586336e24aa175140b0d200a15811'),
     'build-skew --dump corner': (0, '2c6dac844b5833d54bf0217ca7d18deb75871df8df673eba76d7781b036d8df9'),
     'build-skew --dump guard_f2': (0, '727cb351b81081990e90461688a3a6a99c48bd56850982f5a4aaee5dce255e21'),
     'build-skew --dump octonion_trivial': (0, 'ad30ed5aaea52be032ac03f463972e6be3818472e00d723da9eb043a71fb3819'),
