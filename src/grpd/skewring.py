@@ -6,6 +6,7 @@ the groupoid basis of Gamma(G), quotients by ideals, and the Maschke-type
 machinery (semisimplicity report and the averaged module projection).
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import DimensionError, PreconditionError, UnsupportedError
@@ -573,16 +574,76 @@ def maschke_check(pa):
 # -- CLI-facing analysis ------------------------------------------------------------------------
 
 
+def _groupoid_basis(alg):
+    """The algebra of a finite inverse semigroup in Steinberg's groupoid basis, or None.
+
+    A table qualifies when some two distinct idempotent basis vectors e, f
+    have ef = fe = e (scanned first: otherwise the Moebius map below is the
+    identity), every nonzero cell is one basis vector with coefficient 1, the
+    table is associative, and every s has exactly one s* with ss*s = s and
+    s*ss* = s*.  The basis and 0 are then an inverse semigroup S, and alg is
+    its contracted algebra.  With t <= s iff t = (tt*)s and mu the Moebius
+    function of the idempotents, the elements [s] = sum_{t<=s} mu(tt*, ss*) t
+    form a basis in which [s][t] = [st] if s*s = tt*, and 0 otherwise
+    (Steinberg, J. Combin. Theory Ser. A 113, 2006); the unit is the sum of
+    the [e], e idempotent.  Returns that algebra and first(space), the first
+    pivot of a subspace of it read in alg's basis, mapped back exactly.
+    """
+    cells, n, p = alg._cells, alg.dim, alg.field.char
+    idem = [s for s in range(n) if cells[s].get(s) == {s: 1}]
+    below = {f: {e for e in idem if e != f and cells[e].get(f) == {e: 1} == cells[f].get(e)}
+             for f in idem}
+    if not any(below.values()) or any(len(c) != 1 or 1 not in c.values()
+                                      for row in cells for c in row.values()):
+        return None
+    if not alg.is_associative():
+        return None
+    prod = [{t: next(iter(c)) for t, c in row.items()} for row in cells]
+    star = []
+    for s, row in enumerate(prod):
+        inv = [t for t, st in row.items() if prod[st].get(s) == s
+               and (ts := prod[t].get(s)) is not None and prod[ts].get(t) == t]
+        if len(inv) != 1:
+            return None
+        star += inv
+    top = [prod[s][star[s]] for s in range(n)]  # ss*
+    mu = {}
+    for f in idem:  # mu(e, f) = -sum of mu(g, f) over e < g <= f, larger g first
+        m = mu[f] = {f: 1}
+        for e in sorted(below[f], key=lambda e: -len(below[e])):
+            m[e] = -sum(c for g, c in m.items() if e in below[g])
+    moeb = [{prod[e][s]: c for e, m in mu[top[s]].items() if (c := m % p if p else m)}
+            for s in range(n)]
+    with_top = defaultdict(list)
+    for t in range(n):
+        with_top[top[t]].append(t)
+    one = [((k, alg.field.one),) for k in range(n)]
+    table = [[()] * n for _ in range(n)]
+    for s in range(n):
+        for t in with_top[prod[star[s]][s]]:
+            table[s][t] = one[prod[s][t]]
+    unit = [alg.field.one if s in mu else alg.field.zero for s in range(n)]
+    return (StructureAlgebra(alg.field, n, table, unit),
+            lambda space: min(min(_combine(v, moeb, p)) for v in space._rows.values()))
+
+
 def analyze_algebra(alg):
-    """Standard analysis report: identity, laws, center, radical, blocks, grading."""
-    assoc = alg.is_associative()  # first, so that the unit is solved on generators
-    unit = alg.find_unit()
+    """Standard analysis report: identity, laws, center, radical, blocks, grading.
+
+    The table of a finite inverse semigroup is analyzed in Steinberg's
+    groupoid basis (`_groupoid_basis`), where it is sparse.  Every entry is
+    invariant under that change of basis; its blocks are put in the order
+    the general path gives them, by first pivot in alg's basis, then by dim.
+    """
+    work, first = _groupoid_basis(alg) or (alg, None)
+    assoc = work.is_associative()  # first, so that the unit is solved on generators
+    unit = work.find_unit()
     report = {
         "dim": alg.dim,
         "unital": unit is not None,
         "associative": assoc,
-        "alternative": assoc or alg.is_alternative(),
-        "center_dim": alg.center().dim,
+        "alternative": assoc or work.is_alternative(),
+        "center_dim": work.center().dim,
         "radical_dim": None,
         "semisimple": "undecided",
         "blocks": None,
@@ -590,14 +651,16 @@ def analyze_algebra(alg):
     }
     if assoc and unit is not None:
         try:
-            rad = alg.jacobson_radical()
+            rad = work.jacobson_radical()
         except UnsupportedError as exc:
             report["semisimple"] = f"unsupported: {exc}"
         else:
             report["radical_dim"] = rad.dim
             report["semisimple"] = rad.dim == 0
             if rad.dim == 0:  # blocks past the factoring budget raise, and the verb exits 1
-                report["blocks"] = alg.wedderburn_blocks().dims()
+                blocks = work.wedderburn_blocks()
+                report["blocks"] = blocks.dims() if first is None else [
+                    b.dim for b in sorted(blocks, key=lambda b: (first(b), b.dim))]
     if alg.grading is not None and alg.grading_groupoid is not None:
         g0 = alg.grading_groupoid
 

@@ -12,6 +12,7 @@ from grpd import paction as pact
 from grpd import leavitt as lv
 from grpd.algebra import MAX_DIM
 from grpd.exactlin import Field
+from grpd.skewring import build_partial_group_algebra, build_skew_groupoid_ring
 
 Q = Field(0)
 
@@ -628,6 +629,30 @@ def test_analyze_splits_blocks_inside_one_center(files, capsys, monkeypatch):
     # the loaded algebra is the only one: no block is rebuilt as an algebra
     assert len(algebras) == 1
     assert len(centers) == 1
+
+
+@pytest.mark.parametrize("algebra, built", [
+    pytest.param(lambda: corpus.group_algebra(Q, 6), 1, id="qz6"),
+    pytest.param(lambda: corpus.matrix_algebra(Q, 3), 1, id="m3"),
+    pytest.param(lambda: build_partial_group_algebra(gpd.cyclic_group(4), Q), 1,
+                 id="partial-group-algebra-z4"),
+    pytest.param(lambda: build_skew_groupoid_ring(corpus.shift_restriction_action()), 1,
+                 id="build-skew-shift-restriction"),
+    pytest.param(lambda: corpus.exel_partial_group_algebra(gpd.cyclic_group(3), Q), 2,
+                 id="kpar-z3-exel"),
+])
+def test_analyze_builds_the_groupoid_basis_only_for_an_inverse_semigroup(
+        algebra, built, tmp_path, capsys, monkeypatch):
+    from grpd.algebra import StructureAlgebra
+
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(algebra().to_dict()))
+    algebras = _count_calls(monkeypatch, StructureAlgebra, "__init__")
+    code, _ = run(capsys, "--json", "analyze", str(path))
+    assert code == 0
+    # the loaded algebra, and for Exel's semigroup table its groupoid basis too: every
+    # other table has no two comparable idempotents and leaves at the pre-check
+    assert len(algebras) == built
 
 
 def _z2_es():

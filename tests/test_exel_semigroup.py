@@ -10,6 +10,7 @@ import pytest
 
 import corpus
 from grpd import cli
+from grpd import skewring
 from grpd import groupoid as gpd
 from grpd.algebra import StructureAlgebra
 from grpd.exactlin import Field, _subtract
@@ -147,16 +148,33 @@ def test_moebius_map_is_an_isomorphism_from_exels_semigroup_algebra(group, field
             assert out == psi[t], (ref.label(i), ref.label(j))
 
 
-# the reference's radical and blocks of Q8 over Q take about 11 s at dim 576, so the
-# reports of Q8 are compared over F_2 and F_7 only
+# the reference's radical and blocks of Q8 over Q take about 11 s at dim 576 on the
+# general path, so the reports of Q8 are compared there over F_2 and F_7 only
 @pytest.mark.parametrize("group, field", [
     pytest.param(g.values[0], f.values[0], id=f"{g.id}-{f.id}")
     for g in GROUPS for f in FIELDS if not (g.id == "Q8-identity-third" and f.id == "Q")
 ])
-def test_partial_group_algebra_reports_as_exels_semigroup_algebra(group, field):
+def test_partial_group_algebra_reports_as_exels_semigroup_algebra(group, field, monkeypatch):
+    # the reference is analyzed on the general path, not moved to the groupoid basis
+    monkeypatch.setattr(skewring, "_groupoid_basis", lambda alg: None)
     g = group()
     assert analyze_algebra(build_partial_group_algebra(g, field)) == analyze_algebra(
         corpus.exel_partial_group_algebra(g, field))
+
+
+# Q8 is compared over Q alone here: about 2 s a field, nearly all of it the associativity
+# check on Exel's dense table, which the general path makes too
+@pytest.mark.parametrize("group, field", [
+    pytest.param(g.values[0], f.values[0], id=f"{g.id}-{f.id}")
+    for g in GROUPS for f in FIELDS if not (g.id == "Q8-identity-third" and f.id != "Q")
+])
+def test_exels_semigroup_algebra_reports_as_the_builder_in_the_groupoid_basis(group, field):
+    # analyze finds Exel's table to be an inverse semigroup's and moves it to the
+    # groupoid basis, unless the group is trivial and S(G) has one element
+    g = group()
+    ref = corpus.exel_partial_group_algebra(g, field)
+    assert (skewring._groupoid_basis(ref) is None) == (len(g.morphisms) == 1)
+    assert analyze_algebra(ref) == analyze_algebra(build_partial_group_algebra(g, field))
 
 
 @pytest.mark.parametrize("group", GROUPS)
