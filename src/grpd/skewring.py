@@ -6,7 +6,6 @@ the groupoid basis of Gamma(G), quotients by ideals, and the Maschke-type
 machinery (semisimplicity report and the averaged module projection).
 """
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import DimensionError, PreconditionError, UnsupportedError
@@ -614,13 +613,13 @@ def _groupoid_basis(alg):
             m[e] = -sum(c for g, c in m.items() if e in below[g])
     moeb = [{prod[e][s]: c for e, m in mu[top[s]].items() if (c := m % p if p else m)}
             for s in range(n)]
-    with_top = defaultdict(list)
+    with_top = {}
     for t in range(n):
-        with_top[top[t]].append(t)
+        with_top.setdefault(top[t], []).append(t)
     one = [((k, alg.field.one),) for k in range(n)]
     table = [[()] * n for _ in range(n)]
     for s in range(n):
-        for t in with_top[prod[star[s]][s]]:
+        for t in with_top[top[star[s]]]:  # tt* = s*s
             table[s][t] = one[prod[s][t]]
     unit = [alg.field.one if s in mu else alg.field.zero for s in range(n)]
     return (StructureAlgebra(alg.field, n, table, unit),
