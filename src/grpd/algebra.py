@@ -76,7 +76,6 @@ class StructureAlgebra:
         self.labels = labels
         self.grading = grading
         self.grading_groupoid = None  # set by the skew groupoid ring builder
-        self._assoc = None  # the associator table, built only when asked for
         self._index = [None, None]  # the slice indexes of A and of A^op
         self._gens = None  # A's generators once A is found associative; False if it is not
         self._center = None
@@ -163,15 +162,11 @@ class StructureAlgebra:
             self._index[op] = _slice_index(cells, self.field.char)
         return self._index[op]
 
-    def _associators(self):
-        """The nonzero basis associators {(i, j, k): {m: c}}, all slices' union; no law reads it."""
-        if self._assoc is None:
-            self._assoc = {t: a for k in range(self.dim) for t, a in _slice(self._slices(), k).items()}
-        return self._assoc
-
     def associator(self, i, j, k):
-        """(b_i b_j) b_k - b_i (b_j b_k)."""
-        return _dense(self.field, self._associators().get((i, j, k), {}), self.dim)
+        """(b_i b_j) b_k - b_i (b_j b_k), from its definition; no law reads it."""
+        left = self._mul(self._mul({i: 1}, {j: 1}), {k: 1})
+        _subtract(left, 1, self._mul({i: 1}, self._mul({j: 1}, {k: 1})), self.field.char)
+        return _dense(self.field, left, self.dim)
 
     def is_associative(self):
         """Whether every basis associator vanishes, decided on generators.
@@ -179,7 +174,8 @@ class StructureAlgebra:
         `_generators` picks the generators s.  Slice s is zero iff b_s lies in
         the right nucleus N_r = {x : (a, b, x) = 0}, a subalgebra (Teichmueller
         identity); the generators generate A, so A is associative iff their
-        slices are all zero.  It stops at the first nonzero one.
+        slices are all zero.  It stops at the first nonzero one.  Every law
+        reads associators through `_slice` alone.
         """
         if self._gens is None:
             index, gens = self._slices(), []
@@ -188,7 +184,7 @@ class StructureAlgebra:
                     self._gens = False
                     return False
                 gens.append(s)
-            self._gens, self._assoc = gens, {}
+            self._gens = gens
         return self._gens is not False
 
     def is_alternative(self):

@@ -280,18 +280,6 @@ class SemigroupTable:
     labels: list
     table: list
 
-    def validate(self):
-        """Exhaustive associativity check; returns witnesses of failure."""
-        bad = []
-        n = len(self.elements)
-        for a in range(n):
-            for b in range(n):
-                ab = self.table[a][b]
-                for c in range(n):
-                    if self.table[ab][c] != self.table[a][self.table[b][c]]:
-                        bad.append((a, b, c))
-        return bad
-
 
 def _exel_items(group):
     """The 2^(g-2) (g+1) pairs (A, g), g in A, of Exel's S(G) for a group of order g:

@@ -1,15 +1,16 @@
-"""The associator table against brute force over all basis triples (hypothesis, derandomized).
+"""The slice kernel against brute force over all basis triples (hypothesis, derandomized).
 
 Every reference here walks the n^3 basis triples with its own product and
 its own elimination, over plain values: ints and Fractions over Q, ints
-mod p over F_p.  The table, `is_associative`, `is_alternative` and
-`center()` must agree with them on random sparse tables, Cayley-Dickson
-algebras (also perturbed), both padded with zero basis vectors in a
-shuffled basis, and a few small tables on the edge of each law.
+mod p over F_p.  The union of the slices, `associator`, `is_associative`,
+`is_alternative` and `center()` must agree with them on random sparse
+tables, Cayley-Dickson algebras (also perturbed), both padded with zero
+basis vectors in a shuffled basis, and a few small tables on the edge of
+each law.
 `is_associative` decides on generators; its verdict must also agree on
 associative algebras over Q, F_2 and F_5 (rebased, so that products have
 many terms, and perturbed), and a slice count holds it to few slices.
-No verdict builds the table: the laws stream slices of A and of its
+No verdict calls `associator`: the laws stream slices of A and of its
 opposite algebra.  On an associative algebra the unit and the center are
 solved on the generators, and must agree with a solve over the whole basis
 and with brute force.
@@ -218,6 +219,11 @@ def algebras(draw):
     return shuffled_padding(alg, extra, rng) if extra else alg
 
 
+def slices(alg):
+    """The nonzero basis associators {(i, j, k): {m: c}}, the union of every slice."""
+    return {t: a for k in range(alg.dim) for t, a in algebra._slice(alg._slices(), k).items()}
+
+
 def check_against_brute_force(alg):
     ref = Ref(alg)
     # the laws first, on a fresh copy, so that associativity is decided on generators
@@ -225,9 +231,9 @@ def check_against_brute_force(alg):
     assert fresh.is_associative() == (not ref.table())
     assert fresh.is_alternative() == ref.is_alternative()
     assert [[plain(alg.field, c) for c in v] for v in fresh.center().basis] == ref.center()
-    assert fresh._associators() == ref.table()
-    # the private table holds raw rows: ints in [0, p) over F_p, rationals over Q
-    table = alg._associators()
+    assert slices(fresh) == ref.table()
+    # the slices hold raw rows: ints in [0, p) over F_p, rationals over Q
+    table = slices(alg)
     assert table == ref.table()
     assert alg.is_associative() == (not table)
     assert alg.is_alternative() == ref.is_alternative()
@@ -268,7 +274,7 @@ def test_padded_octonions():
         # whose center is the scalars; the center is Q 1 + the n - 8 zero vectors
         assert report["center_dim"] == n - 7
         # padding adds no associator
-        assert alg._associators() == octo._associators()
+        assert slices(alg) == slices(octo)
 
 
 # -- associativity decided on generators ------------------------------------------------
@@ -336,9 +342,7 @@ def test_generator_verdict_matches_brute_force(case):
     table = Ref(alg).table()
     assert moved or not table
     assert alg.is_associative() == (not table)
-    if not table:  # the verdict built no associator
-        assert alg._assoc == {}
-    assert alg._associators() == table
+    assert slices(alg) == table
 
 
 def count_slices(monkeypatch):
@@ -369,14 +373,13 @@ def test_octonion_table_is_the_union_of_its_slices(monkeypatch):
     octo = cayley_dickson_chain(Q, 3)
     calls = count_slices(monkeypatch)
     # the verdict stops at its first nonzero slice; the laws stream the 8 slices
-    # of A and the 8 of A^op, and build no table
+    # of A and the 8 of A^op
     assert not octo.is_associative()
     assert len(calls) == 1
     del calls[:]
     assert octo.is_alternative()
     assert sorted(calls) == sorted(2 * list(range(8)))
-    assert octo._assoc is None
-    assert octo._associators() == Ref(octo).table()
+    assert slices(octo) == Ref(octo).table()
 
 
 @pytest.mark.parametrize("build", [
@@ -387,10 +390,12 @@ def test_octonion_table_is_the_union_of_its_slices(monkeypatch):
     pytest.param(lambda: build_groupoid_ring(pair_groupoid(2), cayley_dickson_chain(Q, 3)),
                  id="M_2(O)"),
 ])
-def test_no_verdict_builds_the_table(build):
-    alg = build()
+def test_no_verdict_builds_the_table(monkeypatch, build):
+    # `associator` is the only per-triple path besides the slices
+    alg, calls = build(), []
+    monkeypatch.setattr(StructureAlgebra, "associator", lambda self, *t: calls.append(t))
     analyze_algebra(alg)
-    assert alg._assoc is None
+    assert not calls
 
 
 def test_sedenions_break_alternativity_early(monkeypatch):

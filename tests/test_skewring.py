@@ -182,7 +182,7 @@ def test_groupoid_ring_needs_unital_coefficients():
 def test_exel_semigroup_z2():
     table = exel_semigroup(gpd.cyclic_group(2))
     assert len(table.elements) == 3
-    assert table.validate() == []
+    assert corpus.exel_partial_group_algebra(gpd.cyclic_group(2), Q).is_associative()
 
 
 def test_exel_semigroup_z3_size_formula():
@@ -197,7 +197,7 @@ def test_exel_semigroup_z3_size_formula():
         if e in a:
             total += len(a)
     assert len(table.elements) == total == 8
-    assert table.validate() == []
+    assert corpus.exel_partial_group_algebra(g, Q).is_associative()
 
 
 def test_skew_ring_over_the_dimension_limit_is_refused():
