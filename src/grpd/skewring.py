@@ -150,73 +150,65 @@ def _require_valid(pa):
 # -- groupoid rings and generalized matrix rings -----------------------------------
 
 
-def groupoid_ring_action(groupoid, coeffs):
-    """The global action behind a groupoid ring R[G].
-
-    Every object carries a copy of its component's coefficient algebra and
-    every alpha_g is the canonical identification between the copies at its
-    endpoints.  `coeffs` maps component representatives (first object of
-    each connected component) to unital algebras; a single algebra is used
-    for all components.
-    """
+def _object_coefficients(groupoid, coeffs):
+    """Each object's coefficient algebra, and their field.  `coeffs` maps component
+    representatives (first object of each connected component) to unital algebras
+    over one field; a single algebra is used for all components."""
     comps = connected_components(groupoid)
     supplied = [coeffs] if isinstance(coeffs, StructureAlgebra) else list(coeffs.values())
     if isinstance(coeffs, StructureAlgebra):
         coeffs = {c[0]: coeffs for c in comps}
-    rep_of = {}
+    of = {}
     for comp in comps:
-        rep = comp[0]
-        if rep not in coeffs:
-            raise PreconditionError(f"no coefficient algebra for component of {rep!r}")
-        for e in comp:
-            rep_of[e] = rep
+        if comp[0] not in coeffs:
+            raise PreconditionError(f"no coefficient algebra for component of {comp[0]!r}")
+        of.update(dict.fromkeys(comp, coeffs[comp[0]]))
     # the field is read from the supplied algebras, so the empty groupoid has one too
     if not supplied:
         raise PreconditionError("no coefficient algebra is supplied, so the ring has no field")
     if len({a.field for a in supplied}) != 1:
         raise PreconditionError("coefficient algebras live over different fields")
-    base_field = supplied[0].field
     for comp in comps:
         if coeffs[comp[0]].find_unit() is None:
             raise PreconditionError("coefficient algebras must be unital")
+    return of, supplied[0].field
 
-    offsets = {}
-    off = 0
-    for e in groupoid.objects:
-        offsets[e] = off
-        off += coeffs[rep_of[e]].dim
-    n = off
 
+def groupoid_ring_action(groupoid, coeffs):
+    """The global action behind a groupoid ring R[G].
+
+    Every object carries a copy of its component's coefficient algebra and
+    every alpha_g is the canonical identification between the copies at its
+    endpoints.  `coeffs` is as in `_object_coefficients`.
+    """
+    of, field = _object_coefficients(groupoid, coeffs)
+    offsets, n = _layout(groupoid.objects, of)
     table = [[()] * n for _ in range(n)]
     labels = [None] * n
-    for e in groupoid.objects:
-        t = coeffs[rep_of[e]]
-        o = offsets[e]
+    unit = field.zero_vec(n)
+    for e, o in offsets.items():
+        t = of[e]
         for i, cells in enumerate(t._cells):
             labels[o + i] = f"{e}.{t.label(i)}"
             for j, cell in cells.items():
                 table[o + i][o + j] = _terms(cell, o)
-    unit = base_field.zero_vec(n)
-    for e in groupoid.objects:
-        t = coeffs[rep_of[e]]
         for k, c in enumerate(t.find_unit()):
-            unit[offsets[e] + k] = c
-    ambient = StructureAlgebra(base_field, n, table, unit=unit, labels=labels)
+            unit[o + k] = c
+    ambient = StructureAlgebra(field, n, table, unit=unit, labels=labels)
 
-    components = {
-        e: Subspace.coordinate(base_field, n, range(o, o + coeffs[rep_of[e]].dim))
-        for e, o in offsets.items()
-    }
+    components = {e: Subspace.coordinate(field, n, range(o, o + of[e].dim))
+                  for e, o in offsets.items()}
     domains = {g: components[groupoid.cod[g]] for g in groupoid.morphisms}
-    maps = {
-        g: Matrix.identity(base_field, coeffs[rep_of[groupoid.cod[g]]].dim)
-        for g in groupoid.morphisms
-    }
+    maps = {g: Matrix.identity(field, of[groupoid.cod[g]].dim) for g in groupoid.morphisms}
     return pact.PartialAction(groupoid, ambient, components, domains, maps)
 
 
 def build_groupoid_ring(groupoid, coeffs):
-    """Groupoid ring R[G]: the skew ring of the canonical identification action."""
+    """Groupoid ring R[G]: the skew ring of the canonical identification action.
+    Its degree g has the dimension of R at c(g), so a ring past MAX_DIM is
+    refused before the ambient algebra is built."""
+    of, _ = _object_coefficients(groupoid, coeffs)
+    _layout(groupoid.morphisms, {g: of[groupoid.cod[g]] for g in groupoid.morphisms})
     return build_skew_groupoid_ring(groupoid_ring_action(groupoid, coeffs))
 
 

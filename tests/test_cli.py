@@ -312,6 +312,29 @@ def test_partial_group_algebra_over_the_dimension_limit_exit_1(tmp_path, capsys)
     assert f"{2 ** 18 * 21} elements, above the limit {MAX_DIM}" in capsys.readouterr().err
 
 
+def test_groupoid_ring_over_the_dimension_limit_exit_1_before_building(tmp_path, capsys,
+                                                                       monkeypatch):
+    # 3000 objects with only their identities, over the scalars: the ring has dimension
+    # 3000, and no algebra past the coefficient algebra is built before it is refused
+    from grpd.algebra import StructureAlgebra
+
+    (tmp_path / "discrete.json").write_text(
+        json.dumps({"objects": [f"o{i}" for i in range(3000)], "morphisms": []}))
+    (tmp_path / "q.json").write_text(json.dumps(corpus.scalar_algebra(Q).to_dict()))
+    load = cli._load_algebra
+
+    def load_then_refuse(path):
+        alg = load(path)
+        monkeypatch.setattr(StructureAlgebra, "__init__", _refuse)
+        return alg
+
+    monkeypatch.setattr(cli, "_load_algebra", load_then_refuse)
+    code = cli.main(["groupoid-ring", str(tmp_path / "discrete.json"), str(tmp_path / "q.json")])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert f"the skew ring has dimension 3000, above the limit {MAX_DIM}" in err
+
+
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda d: d["components"]["*"][0].__setitem__(0, "1/0"), id="component-1/0"),
     pytest.param(lambda d: d["maps"]["g0"][0].__setitem__(0, "1/0"), id="map-1/0"),

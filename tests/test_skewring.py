@@ -207,6 +207,23 @@ def test_skew_ring_over_the_dimension_limit_is_refused():
         skew_product_ring(Q, "ab", domains, [("a", "b", "a")], None, None, None, str, None)
 
 
+def test_groupoid_ring_over_the_dimension_limit_is_refused_before_any_table(monkeypatch):
+    # degree g has the dimension of R at c(g): 1100 objects with their identities over
+    # Q x Q give 2200, refused before the ambient algebra of the same size is built
+    coeff = corpus.componentwise(Q, 2)
+    g = gpd.from_dict({"objects": [f"o{i}" for i in range(1100)], "morphisms": []})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an algebra was built")
+
+    monkeypatch.setattr(StructureAlgebra, "__init__", refuse)
+    with pytest.raises(UnsupportedError, match="dimension 2200, above the limit"):
+        build_groupoid_ring(g, coeff)
+    # one coefficient algebra per component, each a copy of Q x Q at the object
+    with pytest.raises(UnsupportedError, match="dimension 2200, above the limit"):
+        build_groupoid_ring(g, {e: coeff for e in g.objects})
+
+
 def toy_skew_product(triples):
     """The kernel on Q x Q with D_a = Q e0, D_b = Q e1, every alpha the identity."""
     domains = {"a": Subspace.coordinate(Q, 2, [0]), "b": Subspace.coordinate(Q, 2, [1])}
