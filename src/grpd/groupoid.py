@@ -318,9 +318,11 @@ def from_dict(d):
     A repeated object id, morphism id or compose pair is a SchemaError.
     """
     objects = schema.items(schema.get(d, "objects", list, "groupoid"), str, "objects")
-    repeated = [e for t, e in enumerate(objects) if e in objects[:t]]
-    if repeated:
-        raise SchemaError(f"repeated object id {repeated[0]!r}")
+    seen = set()
+    for e in objects:
+        if e in seen:
+            raise SchemaError(f"repeated object id {e!r}")
+        seen.add(e)
     morphisms = []
     dom, cod, inverse = {}, {}, {}
     for t, ent in enumerate(schema.get(d, "morphisms", list, "groupoid")):
@@ -336,13 +338,19 @@ def from_dict(d):
         if (a, b) in compose:
             raise SchemaError(f"repeated compose pair ({a!r}, {b!r})")
         compose[(a, b)] = c
-    # find each identity as its first neutral loop, creating those left out
-    # under the id:<object> convention; a created id:<e> adds compose entries
-    # only with itself, so it changes no other object's neutral loops
+    # find each identity as its first neutral loop among the morphisms near its
+    # object (those starting or ending there), creating those left out under the
+    # id:<object> convention; a created id:<e> is near e alone and adds compose
+    # entries only with itself, so it changes no other object's neutral loops
+    near = {}
+    for h in morphisms:
+        near.setdefault(dom[h], []).append(h)
+        if cod[h] != dom[h]:
+            near.setdefault(cod[h], []).append(h)
     identity = {}
     for e in objects:
         m = f"id:{e}"
-        i = _neutral_loop(e, morphisms, dom, cod, compose)
+        i = _neutral_loop(e, near.get(e, []), dom, cod, compose)
         if i is not None:
             identity[e] = i
         elif m not in dom:
@@ -351,7 +359,7 @@ def from_dict(d):
             dom[m] = e
             cod[m] = e
             inverse[m] = m
-            for h in list(morphisms):
+            for h in near.get(e, []) + [m]:
                 if cod.get(h) == e:
                     compose[(m, h)] = h
                 if dom.get(h) == e:
@@ -360,7 +368,8 @@ def from_dict(d):
 
 
 def _neutral_loop(e, morphisms, dom, cod, compose):
-    """The first loop at e that is neutral for composition on both sides, or None."""
+    """The first loop at e that is neutral for composition on both sides, or None;
+    `morphisms` must hold every morphism that starts or ends at e."""
     for i in morphisms:
         if dom.get(i) != e or cod.get(i) != e:
             continue

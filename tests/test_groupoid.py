@@ -1,7 +1,9 @@
 """Groupoid axioms, constructors, counting identities, JSON schema."""
 
 import itertools
+import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -287,3 +289,64 @@ def test_json_identities_are_the_first_neutral_loops():
     for e in g.objects:
         assert g.identity[e] == gpd._neutral_loop(e, g.morphisms, g.dom, g.cod, g._compose)
     assert gpd.validate(g) == []
+
+
+def scanned(d):
+    """from_dict's groupoid the slow way: each identity is found by a scan of every
+    morphism, and a created id:<e> gets its compose entries from a second scan."""
+    objects = list(d["objects"])
+    morphisms = [m["id"] for m in d["morphisms"]]
+    dom, cod, inverse = ({m["id"]: m[k] for m in d["morphisms"]} for k in ("dom", "cod", "inv"))
+    compose = {(a, b): c for a, b, c in d.get("compose", [])}
+    identity = {}
+    for e in objects:
+        m = f"id:{e}"
+        i = gpd._neutral_loop(e, morphisms, dom, cod, compose)
+        if i is not None:
+            identity[e] = i
+        elif m not in dom:
+            identity[e] = inverse[m] = m
+            dom[m] = cod[m] = e
+            morphisms.append(m)
+            for h in list(morphisms):
+                if cod[h] == e:
+                    compose[m, h] = h
+                if dom[h] == e:
+                    compose[h, m] = h
+    return gpd.FiniteGroupoid(objects, morphisms, dom, cod, inverse, compose, identity)
+
+
+def loader_cases():
+    """Groupoid files with identities given, left out, or both, in a shuffled morphism order."""
+    rng = random.Random(7)
+    union = gpd.disjoint_union(gpd.cyclic_group(3), gpd.pair_groupoid(3))
+    whole = gpd.to_dict(gpd.disjoint_union(union, gpd.cyclic_group(2), ("U:", "C:")))
+    for dropped in ([], ["U:A:g0"], ["U:A:g0", "U:B:(2,2)", "C:g0"]):
+        d = {"objects": ["x", *whole["objects"], "y"],
+             "morphisms": [m for m in whole["morphisms"] if m["id"] not in dropped],
+             "compose": [c for c in whole["compose"] if not set(c) & set(dropped)]}
+        rng.shuffle(d["morphisms"])
+        yield d
+
+
+@pytest.mark.parametrize("d", loader_cases())
+def test_json_identities_match_a_scan_of_every_morphism(d):
+    g, ref = gpd.from_dict(d), scanned(d)
+    assert g.identity == ref.identity and g.morphisms == ref.morphisms
+    assert list(g._compose.items()) == list(ref._compose.items())
+    assert gpd.to_dict(g) == gpd.to_dict(ref)
+
+
+@pytest.mark.parametrize("given", [True, False], ids=["identities", "objects-only"])
+def test_json_load_is_linear_in_the_objects(given):
+    # each object's loops and neighbours are indexed once, not scanned per object
+    n = 10_000
+    d = {"objects": [f"o{i}" for i in range(n)], "morphisms": [], "compose": []}
+    if given:
+        d["morphisms"] = [{"id": f"i{i}", "dom": f"o{i}", "cod": f"o{i}", "inv": f"i{i}"}
+                          for i in range(n)]
+        d["compose"] = [[f"i{i}"] * 3 for i in range(n)]
+    start = time.perf_counter()
+    g = gpd.from_dict(d)
+    assert time.perf_counter() - start < 1.0
+    assert g.identity == {f"o{i}": f"i{i}" if given else f"id:o{i}" for i in range(n)}
