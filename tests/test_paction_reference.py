@@ -5,7 +5,12 @@ partial actions (Dokuchaev-Exel): the cyclic shift of K^n by Z/n restricted
 to the ideal K^W of a window W, over Q, F_2 and F_10007.  The split algebra
 K^W is presented in a basis changed by a few shears, so the domains have
 RREF bases that are not unit vectors.  Copies with one map entry changed
-break bijectivity, multiplicativity, (P1) or (P3).
+break bijectivity, multiplicativity, (P1) or (P3).  Two more kinds of copy
+keep (P1), the ideals, bijectivity, multiplicativity and alpha_{g^-1} =
+alpha_g^-1, and can fail only the composable pairs: alpha_g sigma paired with
+sigma^-1 alpha_{g^-1}, for sigma a permutation of the primitive idempotents of
+R_{g^-1}; and R_g, R_{g^-1} shrunk to a matching pair of ideals, which can
+fail only (P2).
 
 The reference keeps every vector dense and applies alpha_g the textbook
 way, RREF coordinates in R_{g^-1}, then the matrix, then expansion in R_g,
@@ -237,8 +242,16 @@ def sheared_split_algebra(field, m, shears):
     return StructureAlgebra(field, m, table), fwd, back
 
 
-def restricted_shift(field, n, window, shears):
-    """The shift of K^n by Z/n restricted to K^W, in sheared coordinates on K^W."""
+def restricted_shift(field, n, window, shears, k=0, sigma=None, kept=None):
+    """The shift of K^n by Z/n restricted to K^W, in sheared coordinates on K^W.
+
+    With k (2k not 0 mod n) the pair alpha_{g_k}, alpha_{g_-k} changes, each
+    staying a ring isomorphism and the inverse of the other.  sigma, a
+    permutation {j: sigma(j)} of the j in W with j + k in W (the primitive
+    idempotents of R_{g_-k}), makes alpha_{g_k} = alpha_{g_k} sigma; kept, a
+    set of such j, shrinks R_{g_-k} to the span of their e_j and R_{g_k} to
+    its image.
+    """
     p = field.char
     w = sorted(window)
     m = len(w)
@@ -247,26 +260,37 @@ def restricted_shift(field, n, window, shears):
 
     def to_plain(v):
         """Coordinates on the unit vectors of K^W of a vector in the sheared basis."""
-        return [norm(sum(plain(v[a], p) * fwd[a][k] for a in range(m)), p) for k in range(m)]
+        return [norm(sum(plain(v[a], p) * fwd[a][c] for a in range(m)), p) for c in range(m)]
 
     def from_plain(x):
-        return [field(sum(x[k] * back[k][j] for k in range(m))) for j in range(m)]
+        return [field(sum(x[c] * back[c][j] for c in range(m))) for j in range(m)]
 
     def unit(j):
-        return from_plain([int(k == pos[j]) for k in range(m)])
+        return from_plain([int(c == pos[j]) for c in range(m)])
+
+    # alpha_{g_i} sends e_s to e_t for s -> t in moves[i]; its target is R_{g_i}
+    moves = {i: {(j - i) % n: j for j in w if (j - i) % n in pos} for i in range(n)}
+    if sigma is not None:
+        moves[k] = {s: moves[k][sigma[s]] for s in moves[k]}
+    if kept is not None:
+        moves[k] = {s: t for s, t in moves[k].items() if s in kept}
+    if k:
+        moves[(-k) % n] = {t: s for s, t in moves[k].items()}
 
     g = gpd.cyclic_group(n)
-    domains = {f"g{k}": Subspace.from_vectors(field, m, [unit(j) for j in w if (j - k) % n in pos])
-               for k in range(n)}
+    domains = {f"g{i}": Subspace.from_vectors(field, m, [unit(j) for j in moves[i].values()])
+               for i in range(n)}
 
-    def shift(k):
+    def shift(i):
         def f(v):
-            x = to_plain(v)
-            return from_plain([x[pos[(j - k) % n]] if (j - k) % n in pos else 0 for j in w])
+            x, y = to_plain(v), [0] * m
+            for s, t in moves[i].items():
+                y[pos[t]] = x[pos[s]]
+            return from_plain(y)
         return f
 
     return pact.PartialAction.from_ambient_maps(
-        g, amb, {"*": Subspace.full(field, m)}, domains, {f"g{k}": shift(k) for k in range(n)})
+        g, amb, {"*": Subspace.full(field, m)}, domains, {f"g{i}": shift(i) for i in range(n)})
 
 
 def perturbed(pa, rng):
@@ -283,17 +307,38 @@ def perturbed(pa, rng):
     return pact.PartialAction(pa.groupoid, pa.ambient, pa.object_components, pa.domains, maps)
 
 
+def pair_mutant(field, n, window, shears, rng, kind):
+    """A restriction whose pair alpha_{g_k}, alpha_{g_-k} is permuted or shrunk
+    (see `restricted_shift`), or the plain restriction when no k has room."""
+    def source(k):
+        return sorted(j for j in window if (j + k) % n in window)
+
+    ks = [k for k in range(1, n) if 2 * k % n and len(source(k)) > (kind == "permuted")]
+    if not ks:
+        return restricted_shift(field, n, window, shears)
+    k = rng.choice(ks)
+    src = source(k)
+    if kind == "permuted":
+        r = rng.randrange(1, len(src))
+        return restricted_shift(field, n, window, shears, k, sigma=dict(zip(src, src[r:] + src[:r])))
+    return restricted_shift(field, n, window, shears, k, kept=set(rng.sample(src, rng.randrange(len(src)))))
+
+
 @st.composite
 def actions(draw):
+    kind = draw(st.sampled_from(["restriction", "entry", "permuted", "shrunk"]))
+    mutant = kind in ("permuted", "shrunk")
     field = Field(draw(st.sampled_from(CHARS)))
-    n = draw(st.integers(1, 6))
-    window = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    n = draw(st.integers(3 if mutant else 1, 6))
+    window = draw(st.sets(st.integers(0, n - 1), min_size=2 if mutant else 1))
     rng = random.Random(draw(st.integers(0, 2**32)))
     m = len(window)
     shears = [(a, b, rng.choice([1, 2, -1, 3]))
               for a, b in (rng.sample(range(m), 2) for _ in range(rng.randint(0, 3) if m > 1 else 0))]
+    if mutant:
+        return pair_mutant(field, n, window, shears, rng, kind), rng
     pa = restricted_shift(field, n, window, shears)
-    if draw(st.booleans()) and any(pa.maps[g].nrows for g in pa.groupoid.morphisms):
+    if kind == "entry" and any(pa.maps[g].nrows for g in pa.groupoid.morphisms):
         pa = perturbed(pa, rng)
     return pa, rng
 
