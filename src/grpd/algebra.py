@@ -163,7 +163,10 @@ class StructureAlgebra:
         return self._index[op]
 
     def associator(self, i, j, k):
-        """(b_i b_j) b_k - b_i (b_j b_k), from its definition; no law reads it."""
+        """(b_i b_j) b_k - b_i (b_j b_k), from its definition; no law reads it.
+        Each index must lie in [0, dim)."""
+        if not all(x in range(self.dim) for x in (i, j, k)):
+            raise DimensionError(f"basis indices {(i, j, k)} outside 0..{self.dim - 1}")
         left = self._mul(self._mul({i: 1}, {j: 1}), {k: 1})
         _subtract(left, 1, self._mul({i: 1}, self._mul({j: 1}, {k: 1})), self.field.char)
         return _dense(self.field, left, self.dim)

@@ -172,9 +172,15 @@ def _subtract(row, f, other, p):
 
 def _reduce(row, piv, p):
     """row, reduced in place against the RREF rows {pivot column: row} of piv."""
-    # a pivot row vanishes at the other pivots, so each step clears one
+    # a pivot row vanishes at the other pivots, so each step clears one; an
+    # RREF row is 1 at its pivot, so a one-entry row is {c: 1} and its step
+    # deletes column c
     for c in [c for c in row if c in piv]:
-        _subtract(row, row[c], piv[c], p)
+        other = piv[c]
+        if len(other) == 1:
+            del row[c]
+        else:
+            _subtract(row, row[c], other, p)
     return row
 
 
@@ -386,6 +392,15 @@ class Subspace:
     """Subspace of a coordinate space, held as its RREF rows: raw rows keyed by
     their pivot columns.  The RREF of a span is canonical, so two subspaces
     are equal exactly when their rows are; `basis` is their dense form.
+
+    A coordinate subspace is one whose RREF rows are all unit vectors {c: 1},
+    the span of the unit vectors at its pivots; the constructor records
+    whether a subspace is one.  Such a space holds exactly the raw rows whose
+    columns are all pivots, and a row's RREF coordinates are its own entries
+    at them, so membership, coordinates and containment in it (`_holds`,
+    `_raw_coords`, `contains`, `<=`) are read off the pivot set, and so are
+    sums (`span`) and meets (`intersect`) of coordinate subspaces, with no
+    elimination.
     """
 
     def __init__(self, field, ambient_dim, rows):
@@ -395,6 +410,7 @@ class Subspace:
         self._rows = rows
         self.pivots = list(rows)
         self._at = {c: i for i, c in enumerate(self.pivots)}
+        self._coordinate = all(len(r) == 1 for r in rows.values())
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors):
@@ -421,9 +437,12 @@ class Subspace:
 
     @classmethod
     def span(cls, field, ambient_dim, spaces):
-        """Sum of several subspaces by one elimination over all their rows."""
+        """Sum of several subspaces: the coordinate subspace at the union of their
+        pivots when all are coordinate subspaces, else one elimination over all their rows."""
         if any(s.ambient_dim != ambient_dim for s in spaces):
             raise DimensionError(f"a subspace lives outside the ambient of dimension {ambient_dim}")
+        if all(s._coordinate for s in spaces):
+            return cls.coordinate(field, ambient_dim, sorted({c for s in spaces for c in s._rows}))
         rows = [dict(r) for s in spaces for r in s._rows.values()]
         return cls(field, ambient_dim, _gauss_jordan(rows, field.char))
 
@@ -444,18 +463,22 @@ class Subspace:
 
     def reduce(self, v):
         """Remainder of v after subtracting its component in this subspace."""
-        return _dense(self.field, self._residue(v), self.ambient_dim)
-
-    def _residue(self, v):
-        """Raw row of reduce(v)."""
-        return _reduce(self._row(v), self._rows, self.field.char)
+        return _dense(self.field, _reduce(self._row(v), self._rows, self.field.char), self.ambient_dim)
 
     def contains(self, v):
-        return not self._residue(v)
+        return self._holds(self._row(v))
+
+    def _holds(self, row):
+        """Whether a raw row lies in the span: for a coordinate subspace, whether
+        its columns are all pivots; otherwise whether a copy reduces to zero."""
+        if self._coordinate:
+            return row.keys() <= self._at.keys()
+        return not _reduce(dict(row), self._rows, self.field.char)
 
     def _raw_coords(self, row):
-        """RREF coordinates {basis index: value} of a raw row; raises if it is outside."""
-        if _reduce(dict(row), self._rows, self.field.char):
+        """RREF coordinates {basis index: value} of a raw row, its entries at the
+        pivots; raises if it is outside."""
+        if not self._holds(row):
             raise ValueError("vector is not in the subspace")
         at = self._at
         return {at[c]: x for c, x in row.items() if c in at}
@@ -475,14 +498,14 @@ class Subspace:
         return Subspace.span(self.field, self.ambient_dim, [self, other])
 
     def intersect(self, other):
-        """Intersection of two spans.  When every RREF row of both is a unit
-        vector, it is spanned by the unit vectors at their common pivots;
-        otherwise it is the smaller one when they are nested, else found by one
-        Zassenhaus elimination.  RREF bases are canonical, so every way gives
-        the same basis."""
+        """Intersection of two spans.  When both are coordinate subspaces, it is
+        spanned by the unit vectors at their common pivots; otherwise it is the
+        smaller one when they are nested, else found by one Zassenhaus
+        elimination.  RREF bases are canonical, so every way gives the same
+        basis."""
         self._same_ambient(other)
         mine, theirs = self._rows, other._rows
-        if all(len(r) == 1 for r in mine.values()) and all(len(r) == 1 for r in theirs.values()):
+        if self._coordinate and other._coordinate:
             return Subspace(self.field, self.ambient_dim, {c: r for c, r in mine.items() if c in theirs})
         if self <= other:
             return self
@@ -510,8 +533,7 @@ class Subspace:
 
     def __le__(self, other):
         self._same_ambient(other)
-        p = self.field.char
-        return all(not _reduce(dict(r), other._rows, p) for r in self._rows.values())
+        return all(map(other._holds, self._rows.values()))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim} over {self.field})"

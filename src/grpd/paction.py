@@ -15,11 +15,17 @@ from raw columns too, so only `action_to_dict` reads a map's dense rows.
 `apply_alpha` is its dense form; the axiom checks apply these maps row by
 row and multiply elements (`StructureAlgebra._mul`), and the globalization
 checks also take images of subspaces, without leaving exactlin's raw rows.
-Bijectivity inverts each map on its raw columns.  A global action is first
-checked on a generating set S: multiplicativity of beta_s, (P1), and (P3)
-on the pairs (g, s), s in S; only when one of these fails do the full
-checks run (see `_generators`).  Domains spanned by unit vectors meet at
-their common pivots, without elimination (`Subspace.intersect`), and
+Bijectivity inverts each map on its raw columns.  An action that passes
+(P4), the ideal and containment checks, bijectivity and (P1) is first
+checked on a list of maps and pairs (see `_accepted`): a global action on
+a generating set S, multiplicativity of beta_s and the pairs (g, s), s in
+S; any other action, once alpha_{g^-1} = alpha_g^-1 for every g, on
+multiplicativity of every alpha_g and on one pair from each set
+{(g, h), (h^-1, g^-1)} with g, h and gh not identities, since the two
+pairs of a set hold or fail together.  Only when one of these fails do the
+full checks run.  Domains of a shift restriction are coordinate
+subspaces, spanned by unit vectors, so membership, coordinates and meets
+in them are read off their pivots, without elimination (`Subspace`), and
 `globalize` computes psi_e(r) once per object e and RREF row r of R_e.
 """
 
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionError, PreconditionError, SchemaError, UnsupportedError, Violation
 from .exactlin import (Matrix, Subspace, SubspaceMap, _combine, _dense, _gauss_jordan, _kernel,
-                       _reduce, _sparse, _subtract)
+                       _sparse, _subtract)
 from .algebra import MAX_DIM, _induced
 from .groupoid import full_subgroupoid
 from . import schema
@@ -174,15 +180,11 @@ def _axiom_violations(pa):
     def multiplicative(g):
         return _is_multiplicative(amb, pa.domains[pa.inv(g)], pa._alphas[g]._image_of, amb._mul)
 
-    # a valid global action passes on its generators alone (see _generators);
+    # a valid action passes the accept path's checks alone (see _accepted);
     # anything else falls through to the full checks below
     p1 = _p1_violations(pa)
-    if not out and not p1 and is_global(pa):
-        gens = _generators(g0)
-        if all(map(multiplicative, gens)) and not any(
-                _pair_violations(pa, inverses, g, s)
-                for s in gens for g in g0.morphisms_out_of(g0.cod[s])):
-            return out
+    if not out and not p1 and _accepted(pa, inverses, multiplicative):
+        return out
 
     # alpha_g multiplicative on its domain
     for g in g0.morphisms:
@@ -228,6 +230,61 @@ def _p1_violations(pa):
         elif pa._alphas[i]._images != list(dom._rows.values()):
             out.append(Violation("P1", (e,), "alpha at the identity is not the identity map"))
     return out
+
+
+def _accepted(pa, inverses, multiplicative):
+    """Whether an action that passed (P4), the ideal and containment checks,
+    bijectivity and (P1) is valid, decided on a list of maps and pairs.
+
+    A global action is decided on a generating set S: multiplicativity of
+    beta_s and the pairs (g, s), s in S (see `_generators`).  Any other
+    action is decided only if alpha_{g^-1} alpha_g = id on R_{g^-1} for every
+    g, that is, alpha_{g^-1} = alpha_g^-1 (its images on the RREF rows of R_g
+    are those of the inverse found by the bijectivity check); then on
+    multiplicativity of every alpha_g and on one pair from each set
+    {(g, h), (h^-1, g^-1)} of composable pairs with g, h and gh not
+    identities (see `_inverse_pair_classes`).  That is exact.  (P2) and (P3)
+    at (g, h) say together that alpha_g alpha_h is contained in alpha_gh as
+    a partial map: the composite, defined on alpha_h^-1(R_h meet R_{g^-1}),
+    is a restriction of alpha_gh.  Inverting partial bijections keeps
+    containment, so alpha_{h^-1} alpha_{g^-1} = (alpha_g alpha_h)^-1 is
+    contained in alpha_gh^-1 = alpha_{(gh)^-1}, which is the pair
+    (h^-1, g^-1); the converse is the same argument, so the two pairs hold
+    or fail together (Exel, Proc. AMS 126, 1998).  With g an identity,
+    R_h lies in R_{c(h)} and alpha_g is the identity there by (P1), so
+    alpha_g alpha_h = alpha_h; with h an identity, R_{g^-1} lies in
+    R_{d(g)} and alpha_g alpha_h = alpha_g; with gh an identity, h = g^-1
+    and alpha_g alpha_h is the identity on R_g, a restriction of alpha_gh
+    by (P1).  The full checks would then find nothing.  On any failure,
+    a ValueError from a map applied outside its domain included, this
+    returns False and the full checks run, so the violation list is the same.
+    """
+    g0 = pa.groupoid
+    if is_global(pa):
+        maps = _generators(g0)
+        pairs = [(g, s) for s in maps for g in g0.morphisms_out_of(g0.cod[s])]
+    elif all(pa._alphas[pa.inv(g)]._images == inverses[g]._images for g in g0.morphisms):
+        maps, pairs = g0.morphisms, _inverse_pair_classes(g0)
+    else:
+        return False
+    try:
+        return all(map(multiplicative, maps)) and not any(
+            _pair_violations(pa, inverses, g, h) for g, h in pairs)
+    except ValueError:
+        return False
+
+
+def _inverse_pair_classes(g0):
+    """One pair from each set {(g, h), (h^-1, g^-1)} of composable pairs with
+    g, h and gh not identities: the first of the two in `composable_pairs` order.
+
+    gh is an identity exactly when h = g^-1, and then the two pairs coincide;
+    otherwise they differ, so Z_n has (n - 1)(n - 2) / 2 classes."""
+    ids, inv, chosen = set(g0.identity.values()), g0.inverse, {}
+    for g, h in g0.composable_pairs():
+        if g not in ids and h not in ids and h != inv[g] and (inv[h], inv[g]) not in chosen:
+            chosen[g, h] = None
+    return list(chosen)
 
 
 def _generators(g0):
@@ -276,7 +333,7 @@ def _pair_violations(pa, inverses, g, h):
     target = pa.domains[pa.inv(gh)]
     inter = pa.domains[h].intersect(pa.domains[pa.inv(g)])
     pairs = [(inverses[h]._image_of(y), y) for y in inter._rows.values()]
-    if any(_reduce(dict(x), target._rows, field.char) for x, _ in pairs):
+    if not all(target._holds(x) for x, _ in pairs):
         out.append(Violation("P2", (g, h), "alpha_h^-1(R_h meet R_{g^-1}) leaves R_{(gh)^-1}"))
         pre = Subspace(field, target.ambient_dim, _gauss_jordan([dict(x) for x, _ in pairs], field.char))
         pairs = [(x, pa._alphas[h]._image_of(x)) for x in pre.intersect(target)._rows.values()]
@@ -291,12 +348,11 @@ def _is_multiplicative(amb, space, f, mul):
 
     Products leaving the space are the ideal check's concern, not this one's.
     """
-    piv, p = space._rows, amb.field.char
-    images = [(u, f(u)) for u in piv.values()]
+    images = [(u, f(u)) for u in space._rows.values()]
     for u, fu in images:
         for v, fv in images:
             w = amb._mul(u, v)
-            if not _reduce(dict(w), piv, p) and f(w) != mul(fu, fv):
+            if space._holds(w) and f(w) != mul(fu, fv):
                 return False
     return True
 
@@ -444,11 +500,10 @@ def is_invariant_subring(pa, space):
     A closed under multiplication."""
     if any(pa.ambient._residues(space, space._rows.values(), "right")):
         raise PreconditionError("subspace is not closed under multiplication")
-    p = pa.ambient.field.char
     for g in pa.groupoid.morphisms:
         inter = space.intersect(pa.domains[pa.inv(g)])._rows
-        target = space.intersect(pa.domains[g])._rows
-        if any(_reduce(pa._alphas[g]._image_of(x), target, p) for x in inter.values()):
+        target = space.intersect(pa.domains[g])
+        if not all(target._holds(pa._alphas[g]._image_of(x)) for x in inter.values()):
             return False
     return True
 

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 import corpus
 from grpd import algebra
 from grpd.algebra import StructureAlgebra, cayley_dickson_chain
+from grpd.errors import DimensionError
 from grpd.exactlin import Field, Subspace, solve
 from grpd.groupoid import cyclic_group, pair_groupoid
 from grpd.skewring import analyze_algebra, build_groupoid_ring, build_partial_group_algebra
@@ -246,6 +247,13 @@ def check_against_brute_force(alg):
 @given(algebras())
 def test_associator_table_and_laws_match_brute_force(alg):
     check_against_brute_force(alg)
+
+
+@pytest.mark.parametrize("t", [(-1, 1, 2), (8, 0, 0), (0, 8, 0), (0, 0, -9)])
+def test_associator_refuses_indices_outside_the_basis(t):
+    # a negative index would read b_7 of the octonions, and 8 no basis vector at all
+    with pytest.raises(DimensionError):
+        cayley_dickson_chain(Q, 3).associator(*t)
 
 
 @pytest.mark.parametrize("char", CHARS)

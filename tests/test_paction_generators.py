@@ -1,4 +1,5 @@
-"""Global actions whose (P3) is decided on generators (hypothesis, derandomized).
+"""The validator's accept path: global actions decided on generators
+(hypothesis, derandomized), partial actions on one pair per inverse class.
 
 The validator checks a global action on the pairs (g, s), s in a generating
 set, and runs the full pair loop once one of them fails.  The inputs are
@@ -9,7 +10,9 @@ One map is broken, on a generator or on a non-generator: either one entry
 changes, which mostly breaks multiplicativity before any pair is checked,
 or the map is composed with a ring automorphism of its domain, which keeps
 it bijective and multiplicative and breaks (P3) alone.  The violation list
-must equal the dense reference's.
+must equal the dense reference's.  A partial action that is not global is
+checked on one pair from each set {(g, h), (h^-1, g^-1)} with g, h and gh not
+identities, and on every pair once one of them fails.
 """
 
 import random
@@ -23,7 +26,8 @@ from hypothesis import strategies as st
 import corpus
 from grpd import groupoid as gpd
 from grpd import paction as pact
-from grpd.exactlin import Field, Matrix
+from grpd.errors import Violation
+from grpd.exactlin import Field, Matrix, Subspace
 from grpd.skewring import groupoid_ring_action
 from test_paction_reference import CHARS, Reference, norm, plain, restricted_shift, sheared_split_algebra
 
@@ -137,7 +141,48 @@ def test_broken_global_action_falls_back_to_every_pair(checked_pairs):
     assert len(checked_pairs) < 2 * len(every)
 
 
-def test_partial_action_checks_every_pair(checked_pairs):
-    pa = corpus.shift_restriction_action()
+@pytest.mark.parametrize("make, count", [
+    (corpus.shift_restriction_action, 3),
+    (partial(restricted_shift, Field(10007), 6, {0, 1, 3}, []), 10),
+], ids=["z4_window3", "z6_window3"])
+def test_partial_action_checks_one_pair_per_inverse_class(checked_pairs, make, count):
+    # Z_n has (n - 1)(n - 2) / 2 classes {(g, h), (h^-1, g^-1)} with g, h, gh not identities
+    pa = make()
+    g0 = pa.groupoid
+    assert not pact.is_global(pa)
     assert pact.validate_action(pa) == []
+    assert len(checked_pairs) == count
+    ids, inv = set(g0.identity.values()), g0.inverse
+    classes = {frozenset({(g, h), (inv[h], inv[g])}) for g, h in g0.composable_pairs()
+               if not {g, h, g0.compose(g, h)} & ids}
+    assert {frozenset({(g, h), (inv[h], inv[g])}) for g, h in checked_pairs} == classes
+
+
+def test_partial_action_failing_one_pair_falls_back_to_every_pair(checked_pairs):
+    # R_{g3} and R_{g1} of the Z_4 restriction to the window {0, 1, 2} shrunk
+    # to the spans of e_0 and e_1: the class {(g1, g2), (g2, g3)} fails (P2)
+    pa = restricted_shift(Field(0), 4, {0, 1, 2}, [], 1, kept={0})
+    detail = "alpha_h^-1(R_h meet R_{g^-1}) leaves R_{(gh)^-1}"
+    assert pact.validate_action(pa) == [Violation("P2", ("g1", "g2"), detail),
+                                        Violation("P2", ("g2", "g3"), detail)]
+    every = list(pa.groupoid.composable_pairs())
+    assert checked_pairs[-len(every):] == every
+    assert len(checked_pairs) < 2 * len(every)
+
+
+def test_action_whose_inverse_map_differs_falls_back_to_every_pair(checked_pairs):
+    # Z_2 on K^4 with R_{g1} = K^3 and alpha_{g1} the 3-cycle of its idempotents:
+    # ideals, bijectivity, multiplicativity and (P1) hold and Z_2 has no pair
+    # with g, h and gh not identities, so alpha_{g1} != alpha_{g1}^-1 alone
+    # sends the validator to every pair, where (g1, g1) fails (P3)
+    field = Field(10007)
+    domain = Subspace.coordinate(field, 4, range(3))
+    pa = pact.PartialAction.from_ambient_maps(
+        gpd.cyclic_group(2), corpus.componentwise(field, 4), {"*": Subspace.full(field, 4)},
+        {"g0": Subspace.full(field, 4), "g1": domain},
+        {"g0": Matrix.identity(field, 4),
+         "g1": lambda v: [v[2], v[0], v[1], field.zero]})
+    assert pact.validate_action(pa) == [
+        Violation("P3", ("g1", "g1"), "alpha_g alpha_h differs from alpha_{gh}")]
+    assert [(v.rule, v.witness) for v in pact.validate_action(pa)] == Reference(pa).violations()
     assert checked_pairs == list(pa.groupoid.composable_pairs())
