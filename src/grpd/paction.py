@@ -253,9 +253,10 @@ def _accepted(pa, inverses, multiplicative):
     or fail together (Exel, Proc. AMS 126, 1998).  With g an identity,
     R_h lies in R_{c(h)} and alpha_g is the identity there by (P1), so
     alpha_g alpha_h = alpha_h; with h an identity, R_{g^-1} lies in
-    R_{d(g)} and alpha_g alpha_h = alpha_g; with gh an identity, h = g^-1
-    and alpha_g alpha_h is the identity on R_g, a restriction of alpha_gh
-    by (P1).  The full checks would then find nothing.  On any failure,
+    R_{d(g)}, where alpha_h is the identity, so alpha_g alpha_h = alpha_g;
+    with gh an identity, h = g^-1 and alpha_g alpha_h is the identity on
+    R_g, a restriction of alpha_gh by (P1).  Every map and pair then
+    passes, so the full checks would find nothing.  On any failure,
     a ValueError from a map applied outside its domain included, this
     returns False and the full checks run, so the violation list is the same.
     """
