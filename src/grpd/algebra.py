@@ -35,10 +35,12 @@ class StructureAlgebra:
     computes, compares or reports reads `_cells`.  Inside, elements are raw rows {index: value} and multiply
     through `_product`; `multiply` is the dense boundary.
 
-    Optional extras: a designated unit vector, basis labels and a grading map
-    (basis index to a degree label).  The constructor is the only writer of
-    `unit`: a supplied unit must be a two-sided identity, or it raises a
-    PreconditionError (a DimensionError for a vector of another length).
+    Optional extras: a designated unit vector, basis labels and a grading
+    record (groupoid, degrees), degrees[i] the morphism of b_i, which
+    `grading_respected` and `matrix_units_isomorphism` read.  The constructor
+    is the only writer of `unit` and `grading`: a supplied unit must be a
+    two-sided identity, or it raises a PreconditionError (a DimensionError
+    for a vector of another length).
     """
 
     def __init__(self, field, dim, table, unit=None, labels=None, grading=None):
@@ -75,7 +77,6 @@ class StructureAlgebra:
         self.unit = unit
         self.labels = labels
         self.grading = grading
-        self.grading_groupoid = None  # set by the skew groupoid ring builder
         self._index = [None, None]  # the slice indexes of A and of A^op
         self._gens = None  # A's generators once A is found associative; False if it is not
         self._center = None
@@ -761,16 +762,18 @@ def cayley_dickson_chain(field, doublings):
                             labels=[f"e{i}" for i in range(n)])
 
 
-def grading_respected(alg, compose):
-    """Check the graded product law under a degree composition rule: `compose(g, h)`
-    is the product degree, or None when products of those degrees must vanish.
+def grading_respected(alg):
+    """Check the graded product law against the algebra's grading record
+    (groupoid, degrees), degrees[i] the morphism of b_i: a nonzero b_i b_j needs
+    degrees that compose, and every term of it must lie in their composite.
     None when the algebra carries no grading."""
     if alg.grading is None:
         return None
+    g0, degree = alg.grading
     for i, cells in enumerate(alg._cells):
         for j, prod in cells.items():
-            target = compose(alg.grading[i], alg.grading[j])
-            # a nonzero product must lie in degree `target`, which must exist
-            if target is None or any(alg.grading[k] != target for k in prod):
+            g, h = degree[i], degree[j]
+            gh = g0.compose(g, h) if g0.is_composable(g, h) else None
+            if gh is None or any(degree[k] != gh for k in prod):
                 return False
     return True

@@ -108,14 +108,17 @@ def cmd_analyze(args):
     return 0
 
 
-def cmd_build_skew(args):
-    pa = _load_action(args.file)
-    alg = sk.build_skew_groupoid_ring(pa)
+def _dump_or_analyze(alg, args):
+    """Print the algebra's table with --dump, else its analysis report."""
     if args.dump:
         print(json.dumps(alg.to_dict(), indent=2, sort_keys=True))
     else:
         _emit(sk.analyze_algebra(alg), args.json)
     return 0
+
+
+def cmd_build_skew(args):
+    return _dump_or_analyze(sk.build_skew_groupoid_ring(_load_action(args.file)), args)
 
 
 def cmd_groupoid_ring(args):
@@ -123,13 +126,7 @@ def cmd_groupoid_ring(args):
     bad = gpd.validate(g)
     if bad:
         return _violations_report(bad, args.json)
-    coeff = _load_algebra(args.algebra)
-    alg = sk.build_groupoid_ring(g, coeff)
-    if args.dump:
-        print(json.dumps(alg.to_dict(), indent=2, sort_keys=True))
-    else:
-        _emit(sk.analyze_algebra(alg), args.json)
-    return 0
+    return _dump_or_analyze(sk.build_groupoid_ring(g, _load_algebra(args.algebra)), args)
 
 
 def cmd_matrix_ring(args):

@@ -390,7 +390,7 @@ class GrSkewModel:
         ones = {i: 1 for i in xs.x_set(IDENTITY)}  # the identity is word 0
         self.algebra, offsets = skew_product_ring(
             field, range(len(words)), list(self.domains.values()), triples, inverse.__getitem__,
-            self._alpha_at, self._pointwise, lambda s: word_label(words[s]), {0: ones})
+            self._alpha_at, self._pointwise, lambda s: word_label(words[s]), {0: ones}, None)
         self.offsets = dict(zip(words, offsets.values()))
 
     def _meeting_numbers(self):
@@ -488,7 +488,6 @@ def phi_isomorphism_check(model):
     """
     graph = model.graph
     field = model.field
-    oracle = PathPairModel(model.report, field)
     alg = model.algebra
     # phi on generators, vertices to 1_v delta_1 and edges to 1_f delta_f, as raw
     # rows: D_w is the coordinate subspace on X_w, so 1_w delta_w is 1 at each of
@@ -529,7 +528,9 @@ def phi_isomorphism_check(model):
                 yield acc == gens[("v", v)], f"(4) v = sum f f* at {v}"
 
     failure = next((desc for holds, desc in relations() if not holds), None)
-    out = {"two_model_dims": (alg.dim, len(oracle.pairs)), "phi_relations_ok": failure is None}
+    # the oracle's pairs: c_v^2 at each sink v, which c_v paths end at
+    oracle_dim = sum(c * c for c in model.report.sink_path_counts.values())
+    out = {"two_model_dims": (alg.dim, oracle_dim), "phi_relations_ok": failure is None}
     if failure is not None:
         out["phi_first_failure"] = failure
     return out

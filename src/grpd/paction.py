@@ -241,9 +241,12 @@ def _accepted(pa, inverses, multiplicative):
     action is decided only if alpha_{g^-1} alpha_g = id on R_{g^-1} for every
     g, that is, alpha_{g^-1} = alpha_g^-1 (its images on the RREF rows of R_g
     are those of the inverse found by the bijectivity check); then on
-    multiplicativity of every alpha_g and on one pair from each set
-    {(g, h), (h^-1, g^-1)} of composable pairs with g, h and gh not
-    identities (see `_inverse_pair_classes`).  That is exact.  (P2) and (P3)
+    multiplicativity of alpha_g for the first g of each pair {g, g^-1} of
+    non-identities, as alpha_{g^-1}, the inverse of a bijective ring map
+    between ideals, is one, and alpha at an identity is the identity by (P1);
+    and on one pair from each set {(g, h), (h^-1, g^-1)} of composable pairs
+    with g, h and gh not identities (see `_inverse_pair_classes`).  That is
+    exact.  (P2) and (P3)
     at (g, h) say together that alpha_g alpha_h is contained in alpha_gh as
     a partial map: the composite, defined on alpha_h^-1(R_h meet R_{g^-1}),
     is a restriction of alpha_gh.  Inverting partial bijections keeps
@@ -265,7 +268,9 @@ def _accepted(pa, inverses, multiplicative):
         maps = _generators(g0)
         pairs = [(g, s) for s in maps for g in g0.morphisms_out_of(g0.cod[s])]
     elif all(pa._alphas[pa.inv(g)]._images == inverses[g]._images for g in g0.morphisms):
-        maps, pairs = g0.morphisms, _inverse_pair_classes(g0)
+        ids, order = set(g0.identity.values()), {g: k for k, g in enumerate(g0.morphisms)}
+        maps = [g for g in g0.morphisms if g not in ids and order[g] <= order[g0.inverse[g]]]
+        pairs = _inverse_pair_classes(g0)
     else:
         return False
     try:

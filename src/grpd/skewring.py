@@ -53,7 +53,7 @@ def _delta_row(pa, g, coeff, offsets):
 # -- partial skew groupoid ring --------------------------------------------------
 
 
-def skew_product_ring(field, degrees, domains, triples, inv, alpha, mul, name, unit):
+def skew_product_ring(field, degrees, domains, triples, inv, alpha, mul, name, unit, groupoid):
     """The skew-product kernel shared by every skew-ring builder.
 
     The basis runs over `degrees` in order and, inside a degree g, over the
@@ -64,21 +64,20 @@ def skew_product_ring(field, degrees, domains, triples, inv, alpha, mul, name, u
     whose domains can meet.  Ambient elements are raw rows
     {index: value}: `alpha(g, x)` applies alpha_g to one and `mul` is the
     ambient product of two.  A gh that is None or not a degree marks a
-    product that must vanish.  `name(g)` labels and grades degree g.
+    product that must vanish.  `name(g)` labels degree g.
     `unit` maps degrees to raw rows lying in their domains, or is None;
     their sum is passed to the algebra as its unit, so a sum that is no
-    two-sided identity raises a PreconditionError.
+    two-sided identity raises a PreconditionError.  Given a `groupoid`, whose
+    morphisms the degrees are, the algebra's grading is the record
+    (groupoid, [the degree of each basis vector]); else it is None.
 
     Returns the algebra and the basis offset of each degree; past MAX_DIM
     basis vectors it raises an UnsupportedError before building the table.
     """
     offsets, total = _layout(degrees, domains)
-    labels = []
-    grading = {}
-    for g in degrees:
-        for j in range(domains[g].dim):
-            grading[len(labels)] = name(g)
-            labels.append(f"{name(g)}:{j}")
+    labels = [f"{name(g)}:{j}" for g in degrees for j in range(domains[g].dim)]
+    grading = None if groupoid is None else (
+        groupoid, [g for g in degrees for _ in range(domains[g].dim)])
 
     table = [[()] * total for _ in range(total)]
     # g -> (D_g, offset, alpha_{g^-1} of D_g's basis as raw rows, filled on first use)
@@ -130,12 +129,10 @@ def build_skew_groupoid_ring(pa):
         ids = [g0.identity[e] for e in g0.objects]
         unit = {i: pa._unit_row(i) for i in ids}
     triples = ((g, h, g0.compose(g, h)) for g, h in g0.composable_pairs())
-    alg, _ = skew_product_ring(
+    return skew_product_ring(
         pa.ambient.field, g0.morphisms, pa.domains, triples,
-        pa.inv, lambda g, x: pa._alphas[g]._image_of(x), pa.ambient._mul, lambda g: g, unit,
-    )
-    alg.grading_groupoid = g0
-    return alg
+        pa.inv, lambda g, x: pa._alphas[g]._image_of(x), pa.ambient._mul, lambda g: g, unit, g0,
+    )[0]
 
 
 def _require_valid(pa):
@@ -232,9 +229,9 @@ def matrix_units_isomorphism(alg, n, t):
     """
     if alg.grading is None:
         return MatrixUnitsResult(None, "algebra carries no grading", 0)
-    of_degree = {}  # degree label -> its basis indices, increasing
-    for idx in range(alg.dim):
-        of_degree.setdefault(alg.grading[idx], []).append(idx)
+    of_degree = {}  # morphism -> its basis indices, increasing
+    for idx, g in enumerate(alg.grading[1]):
+        of_degree.setdefault(g, []).append(idx)
     units = {}  # (i, j) -> the basis indices of E_ij(b_0), ..., E_ij(b_{dim t - 1})
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -626,7 +623,7 @@ def analyze_algebra(alg):
         "radical_dim": None,
         "semisimple": "undecided",
         "blocks": None,
-        "grading_ok": None,
+        "grading_ok": grading_respected(alg),
     }
     if assoc and unit is not None:
         try:
@@ -640,11 +637,4 @@ def analyze_algebra(alg):
                 blocks = work.wedderburn_blocks()
                 report["blocks"] = blocks.dims() if first is None else [
                     b.dim for b in sorted(blocks, key=lambda b: (first(b), b.dim))]
-    if alg.grading is not None and alg.grading_groupoid is not None:
-        g0 = alg.grading_groupoid
-
-        def compose(a, b):
-            return g0.compose(a, b) if g0.is_composable(a, b) else None
-
-        report["grading_ok"] = grading_respected(alg, compose)
     return report

@@ -213,7 +213,7 @@ def test_find_unit_cases():
     u = m2.find_unit()
     # the unit is the sum of the two diagonal matrix units
     diag = [Q.zero] * 4
-    for i, g in m2.grading.items():
+    for i, g in enumerate(m2.grading[1]):
         if g in ("(1,1)", "(2,2)"):
             diag[i] = Q.one
     assert u == diag
@@ -921,12 +921,17 @@ def test_center_of_commutative_nonassociative_is_its_nucleus():
     assert without_unit.center().dim == 0
 
 
+def graded(alg, groupoid, degrees):
+    """alg's table and unit with the grading record (groupoid, degrees)."""
+    return StructureAlgebra(alg.field, alg.dim, corpus.table_of(alg), alg.unit,
+                            grading=(groupoid, degrees))
+
+
 def test_grading_respected_refuses_a_product_in_the_wrong_degree():
-    alg = corpus.group_algebra(Q, 2)
-    alg.grading = {0: "0", 1: "1"}
-    assert grading_respected(alg, lambda a, b: str((int(a) + int(b)) % 2)) is True
-    # d1 d0 = d1 lies in degree "1", not in the degree "0" this rule asks for
-    assert grading_respected(alg, lambda a, b: "0") is False
+    z2, qz2 = gpd.cyclic_group(2), corpus.group_algebra(Q, 2)
+    assert grading_respected(graded(qz2, z2, ["g0", "g1"])) is True
+    # with the degrees swapped, d0 d0 = d0 lies in degree g1, not in g1 g1 = g0
+    assert grading_respected(graded(qz2, z2, ["g1", "g0"])) is False
 
 
 def test_equality_compares_the_products_and_the_unit():
@@ -948,10 +953,11 @@ def test_equality_compares_the_products_and_the_unit():
 
 def test_grading_respected_without_a_grading_and_where_products_must_vanish():
     alg = corpus.group_algebra(Q, 2)
-    assert grading_respected(alg, lambda a, b: "0") is None
-    alg.grading = {0: "0", 1: "1"}
-    # d1 d1 = d0 is nonzero, but this rule says degree "1" times degree "1" vanishes
-    assert grading_respected(alg, lambda a, b: None if a == b == "1" else "0") is False
+    assert grading_respected(alg) is None
+    # over the discrete groupoid on x and y, d0 d1 = d1 is nonzero, but id:x and id:y
+    # do not compose, so products of those degrees must vanish
+    discrete = gpd.from_dict({"objects": ["x", "y"], "morphisms": []})
+    assert grading_respected(graded(alg, discrete, ["id:x", "id:y"])) is False
 
 
 def test_subalgebra_refuses_a_subspace_of_another_ambient():

@@ -542,7 +542,7 @@ def _count_calls(monkeypatch, owner, name):
 
 
 @pytest.mark.parametrize("graph, argv, models, oracles", [
-    ("a3.json", ["leavitt"], 1, 1),
+    ("a3.json", ["leavitt"], 1, 0),  # the oracle's dimension comes from the census
     ("a3.json", ["leavitt", "--dump"], 1, 0),
     ("loop.json", ["leavitt"], 0, 0),
     ("loop.json", ["leavitt", "--dump"], 0, 0),

@@ -158,6 +158,28 @@ def test_partial_action_checks_one_pair_per_inverse_class(checked_pairs, make, c
     assert {frozenset({(g, h), (inv[h], inv[g])}) for g, h in checked_pairs} == classes
 
 
+@pytest.mark.parametrize("make, count", [
+    (corpus.shift_restriction_action, 2),
+    (partial(restricted_shift, Field(10007), 6, {0, 1, 3}, []), 3),
+], ids=["z4_window3", "z6_window3"])
+def test_partial_action_checks_one_map_per_inverse_pair(monkeypatch, make, count):
+    # Z_4 has the pairs {g1, g3} and {g2}, Z_6 {g1, g5}, {g2, g4} and {g3}; alpha at
+    # the identity is the identity by (P1), and alpha_{g^-1} = alpha_g^-1 is
+    # multiplicative whenever alpha_g is
+    calls = []
+    is_multiplicative = pact._is_multiplicative
+
+    def counted(*args):
+        calls.append(args)
+        return is_multiplicative(*args)
+
+    monkeypatch.setattr(pact, "_is_multiplicative", counted)
+    pa = make()
+    assert not pact.is_global(pa)
+    assert pact.validate_action(pa) == []
+    assert len(calls) == count
+
+
 def test_partial_action_failing_one_pair_falls_back_to_every_pair(checked_pairs):
     # R_{g3} and R_{g1} of the Z_4 restriction to the window {0, 1, 2} shrunk
     # to the spans of e_0 and e_1: the class {(g1, g2), (g2, g3)} fails (P2)

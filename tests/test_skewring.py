@@ -54,12 +54,8 @@ def test_swap_skew_ring_is_m2():
 def test_skew_ring_grading_law():
     for name, pa in corpus.unital_corpus():
         alg = build_skew_groupoid_ring(pa)
-        g0 = pa.groupoid
-
-        def compose(a, b):
-            return g0.compose(a, b) if g0.is_composable(a, b) else None
-
-        assert grading_respected(alg, compose) is True, name
+        assert alg.grading[0] is pa.groupoid, name
+        assert grading_respected(alg) is True, name
 
 
 def test_skew_ring_associative_when_ambient_is():
@@ -109,8 +105,9 @@ def test_pair_groupoid_ring(n):
 
 def test_matrix_units_counterexample():
     # the group algebra of Z/2 is not the trivial matrix ring over dual numbers
-    alg = corpus.group_algebra(Q, 2)
-    alg.grading = {0: "(1,1)", 1: "(1,1)"}
+    qz2 = corpus.group_algebra(Q, 2)
+    alg = StructureAlgebra(Q, 2, corpus.table_of(qz2), qz2.unit,
+                           grading=(gpd.pair_groupoid(1), ["(1,1)", "(1,1)"]))
     res = matrix_units_isomorphism(alg, 1, corpus.dual_numbers(Q))
     assert not res and res.counterexample
     assert (res.counterexample, res.checks) == ("E(1,1)[1] * E(1,1)[1] broke the matrix-unit law", 4)
@@ -120,7 +117,9 @@ def test_matrix_units_counterexample_mid_loop():
     # with the degrees of E_12 and E_21 swapped, E_11 "E_12" = E_11 E_21 = 0 is the second check
     m2 = build_groupoid_ring(gpd.pair_groupoid(2), corpus.scalar_algebra(Q))
     swap = {"(1,2)": "(2,1)", "(2,1)": "(1,2)"}
-    m2.grading = {i: swap.get(d, d) for i, d in m2.grading.items()}
+    g0, degrees = m2.grading
+    m2 = StructureAlgebra(Q, 4, corpus.table_of(m2), m2.unit,
+                          grading=(g0, [swap.get(d, d) for d in degrees]))
     res = matrix_units_isomorphism(m2, 2, corpus.scalar_algebra(Q))
     assert (res.mapping, res.counterexample, res.checks) == (
         None, "E(1,1)[0] * E(1,2)[0] broke the matrix-unit law", 2)
@@ -204,7 +203,7 @@ def test_skew_ring_over_the_dimension_limit_is_refused():
     # two degrees with 600-dimensional domains, refused before any product is taken
     domains = {g: Subspace.coordinate(Q, 600, range(600)) for g in "ab"}
     with pytest.raises(UnsupportedError, match="dimension 1200, above the limit"):
-        skew_product_ring(Q, "ab", domains, [("a", "b", "a")], None, None, None, str, None)
+        skew_product_ring(Q, "ab", domains, [("a", "b", "a")], None, None, None, str, None, None)
 
 
 def test_groupoid_ring_over_the_dimension_limit_is_refused_before_any_table(monkeypatch):
@@ -231,7 +230,8 @@ def toy_skew_product(triples):
     def mul(x, y):
         return {k: x[k] * y[k] for k in x if k in y}
 
-    return skew_product_ring(Q, "ab", domains, triples, lambda g: g, lambda g, x: x, mul, str, None)
+    return skew_product_ring(Q, "ab", domains, triples, lambda g: g, lambda g, x: x, mul, str, None,
+                             None)
 
 
 def test_skew_product_of_degrees_with_no_product_degree_must_vanish():
